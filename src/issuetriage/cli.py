@@ -6,7 +6,9 @@ override it. Every run writes a reproducibility manifest (config snapshot,
 seeds, input checksums) next to its primary output, and all artifacts are
 byte-identical across re-runs with the same config and seed.
 
-Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
+Exit codes: 0 success, 1 validation/usage error, 2 runtime failure. A
+missing ``--model`` file is a usage error; a model or assets file that is
+corrupt, of another format or of another version is a runtime failure.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .learn import ChecksumMismatchError, TrainedModel, TrainingError
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
+ASSETS_FORMAT = "issuetriage-assets"
 
 DEFAULT_SEARCH_SPACE = {
     "n_trees": [20, 40, 60, 120],
@@ -72,21 +75,7 @@ def write_manifest(primary_output: Path, command: str, config: dict,
         "inputs": {str(p): _sha256_file(Path(p)) for p in inputs if Path(p).exists()},
         "outputs": [str(p) for p in outputs],
     }
-    path = Path(str(primary_output) + ".manifest.json")
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-
-
-def _json_dump(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1, default=_np_default) + "\n",
-                    encoding="utf-8")
-
-
-def _np_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    learn.write_json(Path(str(primary_output) + ".manifest.json"), manifest)
 
 
 def _load_input_corpus(path: str, strict: bool) -> Corpus:
@@ -134,27 +123,19 @@ def search_space_from(config: dict) -> dict:
 
 def save_assets(path: Path, pipeline: FeaturePipeline,
                 stage1_model: TrainedModel | None) -> None:
-    doc = {
-        "format": "issuetriage-assets",
-        "version": 1,
+    learn.write_json(path, {
+        "format": ASSETS_FORMAT,
+        "version": learn.ARTIFACT_VERSION,
         "tfidf_title": pipeline.tfidf_title.to_doc(),
         "tfidf_desc": pipeline.tfidf_desc.to_doc(),
         "scaler": pipeline.scaler.to_doc(),
         "label_checksums": pipeline.maps.checksums(),
-        "stage1_model": None if stage1_model is None else {
-            "kind": stage1_model.kind,
-            "classes": list(stage1_model.classes),
-            "params": stage1_model.params,
-            "metadata": stage1_model.metadata,
-        },
-    }
-    _json_dump(path, doc)
+        "stage1_model": None if stage1_model is None else stage1_model.to_doc(),
+    })
 
 
 def load_assets(path: Path) -> tuple[FeaturePipeline, TrainedModel | None]:
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("format") != "issuetriage-assets":
-        raise ValidationError(f"{path}: not an assets bundle")
+    doc = learn.read_artifact(path, ASSETS_FORMAT)
     maps = labelmap.load_label_maps()
     recorded = doc.get("label_checksums", {})
     current = maps.checksums()
@@ -169,11 +150,7 @@ def load_assets(path: Path) -> tuple[FeaturePipeline, TrainedModel | None]:
         maps=maps,
         lexicon=None,
     )
-    stage1 = None
-    if doc.get("stage1_model"):
-        s = doc["stage1_model"]
-        stage1 = TrainedModel(kind=s["kind"], classes=tuple(s["classes"]),
-                              params=s["params"], metadata=s.get("metadata", {}))
+    stage1 = TrainedModel.from_doc(doc["stage1_model"]) if doc.get("stage1_model") else None
     return pipeline, stage1
 
 
@@ -244,7 +221,7 @@ def cmd_preprocess(args, config) -> int:
     maps = labelmap.load_label_maps()
     filtered, report = filter_corpus(corpus, rules, cluster_of=maps.clusters.cluster_of)
     save_corpus(filtered, out)
-    _json_dump(Path(str(out) + ".report.json"), report.as_dict())
+    learn.write_json(Path(str(out) + ".report.json"), report.as_dict())
     print(f"kept {len(filtered)} / {len(corpus)} issues "
           f"(removed: {report.as_dict()})")
     write_manifest(out, "preprocess", config, args.seed, [Path(args.input)], [out])
@@ -334,26 +311,12 @@ def cmd_train_priority(args, config) -> int:
         print(f"warning: {dropped} issues without priority labels excluded from training",
               file=sys.stderr)
     if args.tune:
-        space = search_space_from(config)
-        labels = [labelmap.priority_of(i.labels, maps.priority).value for i in issues]
-        probe = train_pipeline(issues, spec, maps, probs_file=probs_file)
-        X = probe.vectorize(issues, probs_file)
-
-        def fit(cfg, X_train, y_train, seed):
-            weights = learn.compute_class_weights(y_train) \
-                if spec.balancing == "weights" else None
-            return learn.fit_random_forest(
-                X_train, y_train, weights=weights, seed=seed,
-                classes=learn.PRIORITY_CLASS_ORDER,
-                n_trees=cfg.get("n_trees", 60), max_depth=cfg.get("max_depth", 12),
-                min_leaf=cfg.get("min_leaf", 1))
-
-        best, trace = learn.random_search(
-            space, budget=args.tune, cv_folds=args.cv_folds, seed=args.seed,
-            X=X, labels=labels, fit=fit,
+        best, trace = evalkit.tune_hyperparams(
+            issues, spec, maps, search_space_from(config), budget=args.tune,
+            cv_folds=args.cv_folds, probs_file=probs_file,
             objective=evalkit.macro_f1 if args.tune_metric == "macro-f1" else None)
         spec = replace(spec, hyperparams={**spec.hyperparams, **best})
-        _json_dump(Path(str(out) + ".search.json"), {"best": best, "trace": trace})
+        learn.write_json(Path(str(out) + ".search.json"), {"best": best, "trace": trace})
     bundle = train_pipeline(issues, spec, maps, probs_file=probs_file)
     learn.save_model(bundle.classifier, out)
     save_assets(assets_path_for(out), bundle.feature_pipeline, bundle.stage1_model)
@@ -367,6 +330,8 @@ def cmd_train_priority(args, config) -> int:
 
 def cmd_predict(args, config) -> int:
     out = Path(args.out)
+    if not Path(args.model).exists():
+        raise ValidationError(f"model file not found: {args.model}")
     model = learn.load_model(args.model)
     pipeline, stage1 = load_assets(assets_path_for(Path(args.model)))
     model.verify_assets(pipeline.fingerprints())
@@ -378,7 +343,7 @@ def cmd_predict(args, config) -> int:
         # stage-one model: emit the importable objective-probabilities format
         lines = ["\t".join(["issue_id", *learn.OBJECTIVE_CLASS_ORDER])]
         for issue in corpus.issues:
-            counts = evalkit._stage1_counts(pipeline, issue)
+            counts = pipeline.stage1_counts(issue)
             probs = model.predict_proba(counts[None, :])[0]
             lines.append("\t".join([issue.id, *(_format_float(p) for p in probs)]))
     else:
@@ -443,7 +408,7 @@ def cmd_evaluate(args, config) -> int:
                   f"f1={rep.f1:.3f} support={rep.support}")
     else:
         raise ValidationError(f"unknown evaluate mode {args.mode!r}")
-    _json_dump(report_path, doc)
+    learn.write_json(report_path, doc)
     write_manifest(report_path, f"evaluate:{args.mode}", config, args.seed,
                    [Path(args.input)], outputs)
     return EXIT_OK
@@ -454,7 +419,7 @@ def cmd_agreement(args, config) -> int:
     matrix = agreement_mod.load_rating_matrix(args.ratings)
     reports = agreement_mod.compute_agreement_by_group(matrix, mode=args.agreement_mode)
     doc = {name: rep.as_dict() for name, rep in reports.items()}
-    _json_dump(report_path, doc)
+    learn.write_json(report_path, doc)
     overall = reports["overall"]
     print(f"percent agreement: {overall.percent_agreement:.3f}")
     print(f"randolph kappa:    {overall.randolph_kappa:.3f} ({overall.band})")

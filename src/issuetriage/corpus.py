@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import random
-import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 SCHEMA_VERSION = 1
 
@@ -424,15 +423,5 @@ def stratified_split(
     )
 
 
-def random_issue_id(rng: random.Random, length: int = 8) -> str:
-    return "".join(rng.choice(string.ascii_lowercase + string.digits) for _ in range(length))
-
-
 def subset(corpus: Corpus, issues: Iterable[IssueRecord]) -> Corpus:
     return Corpus(tuple(issues), corpus.provenance, corpus.schema_version)
-
-
-def with_provenance(corpus: Corpus, **fields: object) -> Corpus:
-    prov = dict(corpus.provenance)
-    prov.update(fields)
-    return replace(corpus, provenance=prov)

@@ -14,11 +14,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import features, labelmap, learn, sentiment, textnorm
-from .corpus import Corpus, IssueRecord, PriorityClass, stratified_split, subset
+from . import features, labelmap, learn, sentiment
+from .corpus import Corpus, IssueRecord, stratified_split, subset
 from .features import FeaturePipeline, fit_feature_pipeline
 from .labelmap import LabelMaps
-from .learn import ClassWeights, TrainedModel, TrainingError
+from .learn import TrainedModel, TrainingError
 
 UNIFORM_OBJECTIVE_PROBS = np.full(3, 1.0 / 3.0)
 
@@ -115,12 +115,6 @@ def metrics(cm: ConfusionMatrix) -> EvalReport:
                       flags=report_flags)
 
 
-def accuracy_score(truth: Sequence[str], predicted: Sequence[str]) -> float:
-    if not truth:
-        return 0.0
-    return float(np.mean([t == p for t, p in zip(truth, predicted)]))
-
-
 def macro_f1(truth: Sequence[str], predicted: Sequence[str]) -> float:
     report = metrics(ConfusionMatrix.from_pairs(truth, predicted))
     return float(np.mean([r.f1 for r in report.per_class.values()]))
@@ -157,15 +151,15 @@ class PriorityPipeline:
         if probs_file is not None and issue.id in probs_file:
             return np.asarray(probs_file[issue.id], dtype=float)
         if self.stage1_model is not None:
-            counts = _stage1_counts(self.feature_pipeline, issue)
+            counts = self.feature_pipeline.stage1_counts(issue)
             return self.stage1_model.predict_proba(counts[None, :])[0]
         return UNIFORM_OBJECTIVE_PROBS
 
     def vectorize(self, issues: Sequence[IssueRecord],
                   probs_file: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
-        rows = [self.feature_pipeline.assemble(i, self.objective_probs(i, probs_file)).to_dense()
-                for i in issues]
-        return np.vstack(rows) if rows else np.empty((0, 0))
+        fp = self.feature_pipeline
+        rows = (fp.assemble(i, self.objective_probs(i, probs_file)).to_dense() for i in issues)
+        return _fill_rows(rows, len(issues))
 
     def predict(self, issues: Sequence[IssueRecord],
                 probs_file: Mapping[str, np.ndarray] | None = None
@@ -176,27 +170,15 @@ class PriorityPipeline:
         return self.classifier.predict(X), self.classifier.predict_proba(X)
 
 
-def priority_label(issue: IssueRecord, maps: LabelMaps) -> PriorityClass | None:
-    return labelmap.priority_of(issue.labels, maps.priority)
-
-
-def _counts_vector(model: features.TfidfModel, doc: textnorm.TokenizedDoc) -> np.ndarray:
-    vec = np.zeros(model.size)
-    for gram in features.ngrams(doc.tokens, model.ngram_range):
-        idx = model.vocabulary.get(gram)
-        if idx is not None:
-            vec[idx] += 1.0
-    return vec
-
-
-def _stage1_counts(pipeline: FeaturePipeline, issue: IssueRecord) -> np.ndarray:
-    """Raw term counts of title ++ description (multinomial NB input)."""
-    title_doc = textnorm.normalize_pipeline(issue.title, source="title")
-    desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
-    return np.concatenate([
-        _counts_vector(pipeline.tfidf_title, title_doc),
-        _counts_vector(pipeline.tfidf_desc, desc_doc),
-    ])
+def _fill_rows(rows: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Copy ``n`` equal-length rows into one matrix allocated at the first row,
+    so no list of rows and stacked copy exist together; no rows give (0, 0)."""
+    X = np.empty((n, 0))
+    for i, row in enumerate(rows):
+        if i == 0:
+            X = np.empty((n, row.size))
+        X[i] = row
+    return X
 
 
 def train_objective_model(
@@ -214,7 +196,7 @@ def train_objective_model(
     present = {obj for _, obj in labeled}
     if len(present) < 2:
         return None
-    X = np.vstack([_stage1_counts(pipeline, i) for i, _ in labeled])
+    X = _fill_rows((pipeline.stage1_counts(i) for i, _ in labeled), len(labeled))
     y = [obj.value for _, obj in labeled]
     if classifier == "nb":
         return learn.fit_multinomial_nb(X, y, alpha=alpha,
@@ -224,17 +206,18 @@ def train_objective_model(
     raise TrainingError(f"unsupported stage-one classifier {classifier!r}")
 
 
-def _resolve_weights(spec: ModelSpec, labels: Sequence[str]) -> ClassWeights | None:
-    if spec.balancing != "weights":
-        return None
-    if spec.weights_i is not None:
-        return learn.manual_priority_weights(spec.weights_i)
-    return learn.compute_class_weights(labels)
-
-
-def _fit_classifier(spec: ModelSpec, X: np.ndarray, labels: Sequence[str],
-                    weights: ClassWeights | None) -> TrainedModel:
+def fit_classifier(spec: ModelSpec, X: np.ndarray, labels: Sequence[str]) -> TrainedModel:
+    """Fit the spec's priority classifier on ``X``, balanced as the spec says:
+    class weights (manual grid or inverse frequency), SMOTE, or neither."""
     hp = dict(spec.hyperparams)
+    weights = None
+    if spec.balancing == "weights":
+        weights = (learn.manual_priority_weights(spec.weights_i) if spec.weights_i is not None
+                   else learn.compute_class_weights(labels))
+    elif spec.balancing == "smote":
+        X, labels = learn.balance_with_smote(X, labels, k=hp.get("smote_k", 5), seed=spec.seed)
+    elif spec.balancing != "none":
+        raise TrainingError(f"unknown balancing mode {spec.balancing!r}")
     classes = learn.PRIORITY_CLASS_ORDER
     if spec.classifier == "forest":
         return learn.fit_random_forest(
@@ -296,21 +279,33 @@ def train_pipeline(
 
     bundle = PriorityPipeline(fp, classifier=None, stage1_model=stage1_model,  # type: ignore[arg-type]
                               spec=spec, notes=notes)
-    X = bundle.vectorize(issues, probs_file)
-
-    weights = _resolve_weights(spec, labels)
-    if spec.balancing == "smote":
-        X, labels = learn.balance_with_smote(
-            X, labels, k=spec.hyperparams.get("smote_k", 5), seed=spec.seed)
-    elif spec.balancing not in ("weights", "none"):
-        raise TrainingError(f"unknown balancing mode {spec.balancing!r}")
-
-    classifier = _fit_classifier(spec, X, labels, weights)
+    classifier = fit_classifier(spec, bundle.vectorize(issues, probs_file), labels)
     classifier.asset_fingerprints = fp.fingerprints()
     classifier.metadata.setdefault("seed", spec.seed)
     classifier.metadata["balancing"] = spec.balancing
     bundle.classifier = classifier
     return bundle
+
+
+def tune_hyperparams(issues: Sequence[IssueRecord], spec: ModelSpec, maps: LabelMaps,
+                     space: dict, budget: int, cv_folds: int,
+                     objective: Callable[[Sequence[str], Sequence[str]], float] | None = None,
+                     probs_file: Mapping[str, np.ndarray] | None = None,
+                     ) -> tuple[dict, list[dict]]:
+    """Random search over ``space``: each config, merged into the spec's
+    hyperparameters, is scored by k-fold CV of ``fit_classifier``. Preprocessing
+    and stage one are fit once on all of ``issues``, which must all carry a
+    priority label, before the folds are cut."""
+    labels = [labelmap.priority_of(i.labels, maps.priority).value for i in issues]
+    X = train_pipeline(issues, spec, maps, probs_file=probs_file).vectorize(issues, probs_file)
+
+    def fit(config, X_train, y_train, seed):
+        return fit_classifier(
+            replace(spec, hyperparams={**spec.hyperparams, **config}, seed=seed),
+            X_train, y_train)
+
+    return learn.random_search(space, budget=budget, cv_folds=cv_folds, seed=spec.seed,
+                               X=X, labels=labels, fit=fit, objective=objective)
 
 
 def evaluate_predictions(truth: Sequence[str], predicted: Sequence[str],

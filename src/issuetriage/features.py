@@ -112,13 +112,16 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
     return TfidfModel(vocabulary, idf, max_features, ngram_range)
 
 
+def term_counts(model: TfidfModel, doc: TokenizedDoc) -> Counter[int]:
+    """Occurrences of each in-vocabulary n-gram of ``doc``, keyed by column;
+    out-of-vocabulary n-grams are ignored."""
+    columns = (model.vocabulary.get(gram) for gram in ngrams(doc.tokens, model.ngram_range))
+    return Counter(idx for idx in columns if idx is not None)
+
+
 def transform_tfidf(model: TfidfModel, doc: TokenizedDoc) -> SparseVec:
     """Term count times idf, L2-normalized; out-of-vocabulary n-grams ignored."""
-    counts: Counter[int] = Counter()
-    for gram in ngrams(doc.tokens, model.ngram_range):
-        idx = model.vocabulary.get(gram)
-        if idx is not None:
-            counts[idx] += 1
+    counts = term_counts(model, doc)
     if not counts:
         return SparseVec(np.array([], dtype=int), np.array([]), model.size)
     indices = np.array(sorted(counts), dtype=int)
@@ -323,6 +326,17 @@ class FeaturePipeline:
                "scaler": self.scaler.fingerprint()}
         out.update(self.maps.checksums())
         return out
+
+    def stage1_counts(self, issue: IssueRecord) -> np.ndarray:
+        """Raw term counts of title ++ description: the stage-one model's input."""
+        title_doc = textnorm.normalize_pipeline(issue.title, source="title")
+        desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
+        vec = np.zeros(self.tfidf_title.size + self.tfidf_desc.size)
+        for offset, model, doc in ((0, self.tfidf_title, title_doc),
+                                   (self.tfidf_title.size, self.tfidf_desc, desc_doc)):
+            for idx, n in term_counts(model, doc).items():
+                vec[offset + idx] = n
+        return vec
 
     def assemble(self, issue: IssueRecord, objective_probs: np.ndarray) -> FeatureVector:
         title_doc = textnorm.normalize_pipeline(issue.title, source="title")

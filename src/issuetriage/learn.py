@@ -6,6 +6,11 @@ full-batch descent from a zero start, and SMOTE/random search draw from
 seeded generators. Models serialize to self-describing JSON artifacts that
 pin the fingerprints of the preprocessing assets they were trained with;
 prediction refuses to run against different assets.
+
+Model params are ndarrays in memory (forest trees and kNN training rows
+excepted). They become lists only in the JSON that ``write_json`` emits, and
+``TrainedModel.from_doc`` turns them back into arrays; every artifact is read
+through ``read_artifact``, which checks its format and version.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,6 +30,8 @@ from .textnorm import TokenizedDoc
 
 OBJECTIVE_CLASS_ORDER = ("Bug", "Enhancement", "SupportDoc")
 PRIORITY_CLASS_ORDER = ("High", "Low")
+MODEL_FORMAT = "issuetriage-model"
+ARTIFACT_VERSION = 1
 
 DEFAULT_KEYWORD_RULES: dict[str, frozenset[str]] = {
     "Bug": frozenset({
@@ -48,6 +55,10 @@ class TrainingError(Exception):
 
 class ChecksumMismatchError(Exception):
     """Model artifact was trained against different preprocessing assets."""
+
+
+class ArtifactError(TrainingError):
+    """An artifact file is unreadable, undecodable, or of another format or version."""
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +98,6 @@ def manual_priority_weights(i: int) -> ClassWeights:
     })
 
 
-def uniform_weights(classes: Iterable[str]) -> ClassWeights:
-    return ClassWeights({cls: 1.0 for cls in classes})
-
-
 # ---------------------------------------------------------------------------
 # Trained model wrapper
 
@@ -124,6 +131,24 @@ class TrainedModel:
             sort_keys=True, default=_json_default)
         return hashlib.sha256(payload.encode()).hexdigest()
 
+    def to_doc(self) -> dict:
+        """Kind, classes, params and metadata; fingerprints only when pinned,
+        which a stage-one model inside an assets bundle never is."""
+        doc = {"kind": self.kind, "classes": list(self.classes),
+               "params": self.params, "metadata": self.metadata}
+        if self.asset_fingerprints:
+            doc["asset_fingerprints"] = self.asset_fingerprints
+        return doc
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "TrainedModel":
+        params = doc["params"]
+        if doc["kind"] in ("nb", "logreg"):  # forest trees and kNN rows stay lists
+            params = {name: np.asarray(value, dtype=float) for name, value in params.items()}
+        return cls(kind=doc["kind"], classes=tuple(doc["classes"]), params=params,
+                   metadata=doc.get("metadata", {}),
+                   asset_fingerprints=doc.get("asset_fingerprints", {}))
+
 
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
@@ -133,29 +158,35 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def save_model(model: TrainedModel, path: str | Path) -> None:
-    doc = {
-        "format": "issuetriage-model",
-        "version": 1,
-        "kind": model.kind,
-        "classes": list(model.classes),
-        "params": model.params,
-        "metadata": model.metadata,
-        "asset_fingerprints": model.asset_fingerprints,
-    }
+def write_json(path: str | Path, doc) -> None:
+    """The one JSON writer for artifacts, reports and manifests: sorted keys,
+    one-space indent, ndarrays and numpy scalars as plain JSON values."""
     Path(path).write_text(
         json.dumps(doc, sort_keys=True, indent=1, default=_json_default) + "\n",
         encoding="utf-8")
 
 
+def read_artifact(path: str | Path, fmt: str) -> dict:
+    """Decode an artifact written by ``write_json`` and check its format and
+    version; any failure is one ``ArtifactError``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactError(f"{path}: cannot read artifact: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ArtifactError(f"{path}: not an {fmt} artifact")
+    if doc.get("version") != ARTIFACT_VERSION:
+        raise ArtifactError(f"{path}: unsupported {fmt} version {doc.get('version')!r}")
+    return doc
+
+
+def save_model(model: TrainedModel, path: str | Path) -> None:
+    write_json(path, {"format": MODEL_FORMAT, "version": ARTIFACT_VERSION,
+                      **model.to_doc()})
+
+
 def load_model(path: str | Path) -> TrainedModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != "issuetriage-model":
-        raise TrainingError(f"{path}: not a model artifact")
-    return TrainedModel(
-        kind=doc["kind"], classes=tuple(doc["classes"]), params=doc["params"],
-        metadata=doc.get("metadata", {}),
-        asset_fingerprints=doc.get("asset_fingerprints", {}))
+    return TrainedModel.from_doc(read_artifact(path, MODEL_FORMAT))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +236,12 @@ def fit_multinomial_nb(
     log_like = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
     return TrainedModel(
         kind="nb", classes=classes,
-        params={"log_prior": log_prior.tolist(), "log_likelihood": log_like.tolist()},
+        params={"log_prior": log_prior, "log_likelihood": log_like},
         metadata={"alpha": alpha, "n_train": len(labels)})
 
 
 def _nb_predict(params: dict, X: np.ndarray) -> np.ndarray:
-    log_prior = np.asarray(params["log_prior"])
-    log_like = np.asarray(params["log_likelihood"])
-    joint = X @ log_like.T + log_prior
+    joint = X @ params["log_likelihood"].T + params["log_prior"]
     joint -= joint.max(axis=1, keepdims=True)
     probs = np.exp(joint)
     return probs / probs.sum(axis=1, keepdims=True)
@@ -275,16 +304,14 @@ def fit_logreg(
     losses.append(loss)
     return TrainedModel(
         kind="logreg", classes=classes,
-        params={"W": W.tolist(), "b": b.tolist()},
+        params={"W": W, "b": b},
         metadata={"lr": lr, "l2": l2, "epochs": epochs, "seed": seed,
                   "loss_history": losses,
                   "class_weights": weights.weights if weights else None})
 
 
 def _logreg_predict(params: dict, X: np.ndarray) -> np.ndarray:
-    W = np.asarray(params["W"])
-    b = np.asarray(params["b"])
-    scores = X @ W + b
+    scores = X @ params["W"] + params["b"]
     scores -= scores.max(axis=1, keepdims=True)
     exp = np.exp(scores)
     return exp / exp.sum(axis=1, keepdims=True)

@@ -12,7 +12,7 @@ on pipeline output, so lexicon entries are lemma forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .textnorm import TokenizedDoc

@@ -2,10 +2,11 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURES
-from issuetriage import cli
+from issuetriage import cli, learn
 
 PLANTED = FIXTURES / "planted_corpus.jsonl"
 
@@ -136,6 +137,78 @@ class TestTrainPredict:
         trace = json.loads(Path(str(model) + ".search.json").read_text())
         assert len(trace["trace"]) == 2
         assert set(trace["best"]) <= {"n_trees", "max_depth", "min_leaf"}
+
+    def test_tuning_fits_the_requested_classifier(self, workdir, monkeypatch):
+        def no_forest(*args, **kwargs):
+            raise AssertionError("a forest was fit for --classifier knn")
+
+        monkeypatch.setattr(learn, "fit_random_forest", no_forest)
+        model = workdir / "tuned_knn.json"
+        assert run("--config", workdir / "config.json", "train-priority",
+                   "--in", workdir / "corpus.jsonl", "--model", model,
+                   "--tune", "2", "--cv-folds", "2", "--classifier", "knn") == 0
+        assert json.loads(model.read_text())["kind"] == "knn"
+
+
+class TestArtifactErrors:
+    """Model and assets files go through one checked reader: a missing
+    --model file is a usage error, a corrupt or mismatched artifact a runtime
+    failure, and either way the user sees one error line."""
+
+    @pytest.fixture()
+    def trained(self, workdir):
+        model = workdir / "m.json"
+        assert run("--config", workdir / "config.json", "train-priority",
+                   "--in", workdir / "corpus.jsonl", "--model", model) == 0
+        return model
+
+    def _predict(self, workdir, model, capsys):
+        capsys.readouterr()
+        code = run("predict", "--model", model, "--in", workdir / "corpus.jsonl",
+                   "--out", workdir / "p.tsv")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        return code, err[0]
+
+    def test_missing_model_exits_one(self, workdir, capsys):
+        code, err = self._predict(workdir, workdir / "nope.json", capsys)
+        assert code == 1 and "not found" in err
+
+    def test_truncated_model_exits_two(self, workdir, trained, capsys):
+        trained.write_bytes(trained.read_bytes()[:300])
+        assert self._predict(workdir, trained, capsys)[0] == 2
+
+    def test_unknown_model_version_exits_two(self, workdir, trained, capsys):
+        doc = json.loads(trained.read_text())
+        doc["version"] = 99
+        trained.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and "version 99" in err
+
+    def test_wrong_format_assets_exits_two(self, workdir, trained, capsys):
+        assets = Path(str(trained) + ".assets.json")
+        doc = json.loads(assets.read_text())
+        doc["format"] = "something-else"
+        assets.write_text(json.dumps(doc))
+        assert self._predict(workdir, trained, capsys)[0] == 2
+
+
+class TestAssetsBundle:
+    def test_stage1_model_round_trips(self, planted_corpus, maps, tmp_path):
+        from issuetriage import evalkit, features
+
+        issues = list(planted_corpus.issues)
+        pipeline = features.fit_feature_pipeline(issues, maps)
+        stage1 = evalkit.train_objective_model(issues, maps, pipeline)
+        path = tmp_path / "assets.json"
+        cli.save_assets(path, pipeline, stage1)
+        loaded_pipeline, loaded = cli.load_assets(path)
+        assert loaded_pipeline.fingerprints() == pipeline.fingerprints()
+        X = np.vstack([pipeline.stage1_counts(i) for i in issues[:20]])
+        assert np.array_equal(loaded.predict_proba(X), stage1.predict_proba(X))
+        again = tmp_path / "again.json"
+        cli.save_assets(again, loaded_pipeline, loaded)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestDeterminism:

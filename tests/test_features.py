@@ -263,6 +263,22 @@ class TestAssemble:
         assert len(dense) == (pipeline.tfidf_title.size + pipeline.tfidf_desc.size
                               + 3 + 66 + 28)
 
+    def test_stage1_counts_oracle(self, pipeline):
+        issue = make_issue(id="s1", title="Parser crash crash on load",
+                           description="It crashes on startup; unseen words here.")
+        from issuetriage.textnorm import normalize_pipeline
+        expected = []
+        for model, text, source in ((pipeline.tfidf_title, issue.title, "title"),
+                                    (pipeline.tfidf_desc, issue.description, "description")):
+            block = np.zeros(model.size)
+            for gram in ngrams(normalize_pipeline(text, source).tokens, model.ngram_range):
+                if gram in model.vocabulary:
+                    block[model.vocabulary[gram]] += 1.0
+            expected.append(block)
+        counts = pipeline.stage1_counts(issue)
+        assert np.array_equal(counts, np.concatenate(expected))
+        assert counts.max() == 2.0
+
     def test_label_order_invariance(self, pipeline):
         probs = np.array([0.5, 0.25, 0.25])
         a = make_issue(id="p1", labels=("bug", "ui", "windows"))

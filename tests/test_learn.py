@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -470,4 +471,60 @@ class TestModelArtifacts:
         path = tmp_path / "nope.json"
         path.write_text("{}")
         with pytest.raises(TrainingError):
+            load_model(path)
+
+
+_ROUNDTRIP_X = np.array([[2.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 2.0, 1.0],
+                         [0.0, 1.0, 2.0], [3.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+_ROUNDTRIP_Y = ["a", "a", "b", "b", "a", "b"]
+_FITTERS = {
+    "nb": lambda X, y: fit_multinomial_nb(X, y),
+    "logreg": lambda X, y: fit_logreg(X, y, epochs=20),
+    "forest": lambda X, y: fit_random_forest(X, y, n_trees=4, seed=3),
+    "knn": lambda X, y: fit_knn(X, y, k=3),
+}
+
+
+class TestSerializationPath:
+    @pytest.mark.parametrize("kind", sorted(_FITTERS))
+    def test_save_load_save_is_byte_identical(self, kind, tmp_path):
+        model = _FITTERS[kind](_ROUNDTRIP_X, _ROUNDTRIP_Y)
+        model.asset_fingerprints = {"scaler": "abc123"}
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.kind == kind
+        assert np.array_equal(loaded.predict_proba(_ROUNDTRIP_X),
+                              model.predict_proba(_ROUNDTRIP_X))
+        assert loaded.fingerprint() == model.fingerprint()
+
+    @pytest.mark.parametrize("kind", ["nb", "logreg"])
+    def test_params_are_arrays_after_fit_and_after_load(self, kind, tmp_path):
+        model = _FITTERS[kind](_ROUNDTRIP_X, _ROUNDTRIP_Y)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        for m in (model, load_model(path)):
+            assert m.params and all(isinstance(v, np.ndarray) for v in m.params.values())
+
+    def test_doc_pair_round_trips(self, tmp_path):
+        model = _FITTERS["nb"](_ROUNDTRIP_X, _ROUNDTRIP_Y)
+        learn.write_json(tmp_path / "doc.json", model.to_doc())
+        doc = json.loads((tmp_path / "doc.json").read_text())
+        again = learn.TrainedModel.from_doc(doc)
+        assert "asset_fingerprints" not in doc
+        assert again.classes == model.classes and again.metadata == model.metadata
+        assert np.array_equal(again.params["log_likelihood"], model.params["log_likelihood"])
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"format": "issuetriage-model", "ver', "cannot read"),
+        ('{"format": "issuetriage-assets", "version": 1}', "not an issuetriage-model"),
+        ('{"format": "issuetriage-model", "version": 99}', "version 99"),
+        ('[1, 2]', "not an issuetriage-model"),
+    ])
+    def test_checked_reader_rejects(self, text, message, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(learn.ArtifactError, match=message):
             load_model(path)
