@@ -85,14 +85,25 @@ def _load_input_corpus(path: str, strict: bool) -> Corpus:
     return corpus
 
 
+def _checked_int(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` if it is an integer (not a bool) in [low, high], else a
+    ``ValidationError`` naming the setting."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or (high is not None and value > high)):
+        bounds = f"in [{low}, {high}]" if high is not None else f">= {low}"
+        raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
 def model_spec_from(config: dict, args: argparse.Namespace) -> ModelSpec:
     model_cfg = dict(config.get("model", {}))
+    weights_i = getattr(args, "weights_i", None)
+    if weights_i is None:
+        weights_i = model_cfg.get("weights_i")
     spec = ModelSpec(
         classifier=getattr(args, "classifier", None) or model_cfg.get("classifier", "forest"),
         balancing=getattr(args, "balancing", None) or model_cfg.get("balancing", "weights"),
-        weights_i=(getattr(args, "weights_i", None)
-                   if getattr(args, "weights_i", None) is not None
-                   else model_cfg.get("weights_i")),
+        weights_i=None if weights_i is None else _checked_int("weights_i", weights_i, 1, 9),
         stage1=getattr(args, "stage1", None) or model_cfg.get("stage1", "internal"),
         hyperparams=model_cfg.get("hyperparams", {}),
         title_max_features=model_cfg.get("title_max_features", features.TITLE_MAX_FEATURES),
@@ -136,6 +147,7 @@ def save_assets(path: Path, pipeline: FeaturePipeline,
 
 def load_assets(path: Path) -> tuple[FeaturePipeline, TrainedModel | None]:
     doc = learn.read_artifact(path, ASSETS_FORMAT)
+    learn.require_keys(doc, ("tfidf_title", "tfidf_desc", "scaler"), f"{path}: assets")
     maps = labelmap.load_label_maps()
     recorded = doc.get("label_checksums", {})
     current = maps.checksums()
@@ -551,6 +563,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = load_config(args.config)
         if args.seed is None:
             args.seed = config.get("seed", 0)
+        _checked_int("seed", args.seed, 0)
+        if hasattr(args, "cv_folds"):
+            _checked_int("--cv-folds", args.cv_folds, 2)
         for attr in ("input", "ratings"):
             value = getattr(args, attr, None)
             if value and not Path(value).exists():

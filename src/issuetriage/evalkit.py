@@ -238,14 +238,15 @@ def fit_classifier(spec: ModelSpec, X: np.ndarray, labels: Sequence[str]) -> Tra
     raise TrainingError(f"unsupported classifier {spec.classifier!r}")
 
 
-def train_pipeline(
+def fit_preprocessing(
     issues: Sequence[IssueRecord],
     spec: ModelSpec,
     maps: LabelMaps,
     lex: sentiment.Lexicon | None = None,
     probs_file: Mapping[str, np.ndarray] | None = None,
-) -> PriorityPipeline:
-    """Fit preprocessing + stage one + the priority classifier on ``issues``.
+) -> tuple[PriorityPipeline, list[str]]:
+    """Fit preprocessing and stage one on ``issues``; returns the bundle, whose
+    priority classifier is not fit yet, and the issues' priority labels.
 
     Every issue must carry a priority label; callers filter first.
     """
@@ -279,8 +280,21 @@ def train_pipeline(
 
     bundle = PriorityPipeline(fp, classifier=None, stage1_model=stage1_model,  # type: ignore[arg-type]
                               spec=spec, notes=notes)
+    return bundle, labels
+
+
+def train_pipeline(
+    issues: Sequence[IssueRecord],
+    spec: ModelSpec,
+    maps: LabelMaps,
+    lex: sentiment.Lexicon | None = None,
+    probs_file: Mapping[str, np.ndarray] | None = None,
+) -> PriorityPipeline:
+    """Fit preprocessing + stage one + the priority classifier on ``issues``,
+    which must all carry a priority label."""
+    bundle, labels = fit_preprocessing(issues, spec, maps, lex, probs_file)
     classifier = fit_classifier(spec, bundle.vectorize(issues, probs_file), labels)
-    classifier.asset_fingerprints = fp.fingerprints()
+    classifier.asset_fingerprints = bundle.feature_pipeline.fingerprints()
     classifier.metadata.setdefault("seed", spec.seed)
     classifier.metadata["balancing"] = spec.balancing
     bundle.classifier = classifier
@@ -296,8 +310,8 @@ def tune_hyperparams(issues: Sequence[IssueRecord], spec: ModelSpec, maps: Label
     hyperparameters, is scored by k-fold CV of ``fit_classifier``. Preprocessing
     and stage one are fit once on all of ``issues``, which must all carry a
     priority label, before the folds are cut."""
-    labels = [labelmap.priority_of(i.labels, maps.priority).value for i in issues]
-    X = train_pipeline(issues, spec, maps, probs_file=probs_file).vectorize(issues, probs_file)
+    bundle, labels = fit_preprocessing(issues, spec, maps, probs_file=probs_file)
+    X = bundle.vectorize(issues, probs_file)
 
     def fit(config, X_train, y_train, seed):
         return fit_classifier(

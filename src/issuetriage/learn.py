@@ -58,7 +58,8 @@ class ChecksumMismatchError(Exception):
 
 
 class ArtifactError(TrainingError):
-    """An artifact file is unreadable, undecodable, or of another format or version."""
+    """An artifact file is unreadable, undecodable, of another format or
+    version, or lacks a key it needs."""
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +143,7 @@ class TrainedModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TrainedModel":
+        require_keys(doc, ("kind", "classes", "params"), "model")
         params = doc["params"]
         if doc["kind"] in ("nb", "logreg"):  # forest trees and kNN rows stay lists
             params = {name: np.asarray(value, dtype=float) for name, value in params.items()}
@@ -178,6 +180,13 @@ def read_artifact(path: str | Path, fmt: str) -> dict:
     if doc.get("version") != ARTIFACT_VERSION:
         raise ArtifactError(f"{path}: unsupported {fmt} version {doc.get('version')!r}")
     return doc
+
+
+def require_keys(doc: dict, keys: Sequence[str], what: str) -> None:
+    """Raise ``ArtifactError`` naming the first of ``keys`` that ``doc`` lacks."""
+    for key in keys:
+        if key not in doc:
+            raise ArtifactError(f"{what} artifact has no {key!r} key")
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -330,39 +339,42 @@ def _gini(counts: np.ndarray) -> float:
 
 def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
                 features: np.ndarray, n_classes: int, min_leaf: int):
-    """Exhaustive scan over midpoints of the candidate features; returns
-    (feature, threshold, weighted child impurity) or None."""
+    """Exact scan over midpoints of all candidate features at once; returns
+    (feature, threshold, weighted child impurity) or None.
+
+    Only cuts between distinct sorted values are scored: the rows left of
+    such a cut are exactly those at or below it, so the order of tied rows
+    never matters and features constant in the node drop out up front. Cuts
+    are ranked feature-major in ``features`` order, then by position, and the
+    first minimum wins: an earlier feature beats a later one on equal
+    impurity, and an earlier cut beats a later one within a feature."""
     node_y = y[idx]
     n = len(idx)
     counts = np.bincount(node_y, minlength=n_classes).astype(float)
-    best = None
-    for f in features:
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = node_y[order]
-        cut = np.nonzero(sv[1:] > sv[:-1])[0]
-        if cut.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), sy] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[cut]
-        n_left = cut + 1.0
-        n_right = n - n_left
-        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not ok.any():
-            continue
-        right = counts - left
-        gini_l = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
-        weighted = (n_left * gini_l + n_right * gini_r) / n
-        weighted = np.where(ok, weighted, np.inf)
-        pos = int(np.argmin(weighted))
-        if best is None or weighted[pos] < best[2]:
-            threshold = (sv[cut[pos]] + sv[cut[pos] + 1]) / 2.0
-            best = (int(f), float(threshold), float(weighted[pos]))
-    return best
+    vals = X[np.ix_(idx, features)]
+    live = vals.max(axis=0) > vals.min(axis=0)
+    if not live.any():
+        return None
+    features, vals = features[live], vals[:, live]
+    sy = node_y[np.argsort(vals, axis=0)]
+    vals.sort(axis=0)  # a copy already; sorting in place keeps the peak working set small
+    feat, cut = np.nonzero((vals[1:] > vals[:-1]).T)
+    left = np.empty((cut.size, n_classes))
+    for c in range(n_classes):  # int32 is exact: a node has far fewer than 2**31 rows
+        left[:, c] = np.cumsum(sy == c, axis=0, dtype=np.int32)[cut, feat]
+    n_left = cut + 1.0
+    n_right = n - n_left
+    ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not ok.any():
+        return None
+    right = counts - left
+    gini_l = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+    weighted = np.where(ok, (n_left * gini_l + n_right * gini_r) / n, np.inf)
+    pos = int(np.argmin(weighted))
+    f, i = feat[pos], cut[pos]
+    threshold = (vals[i, f] + vals[i + 1, f]) / 2.0
+    return int(features[f]), float(threshold), float(weighted[pos])
 
 
 def _grow_tree(X, y, idx, rng, n_classes, max_depth, min_leaf, m_features,

@@ -149,6 +149,20 @@ class TestTrainPredict:
                    "--tune", "2", "--cv-folds", "2", "--classifier", "knn") == 0
         assert json.loads(model.read_text())["kind"] == "knn"
 
+    def test_tuning_fits_no_discarded_forest(self, workdir, monkeypatch):
+        calls = []
+        real = learn.fit_random_forest
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(learn, "fit_random_forest", spy)
+        assert run("--config", workdir / "config.json", "train-priority",
+                   "--in", workdir / "corpus.jsonl", "--model", workdir / "t.json",
+                   "--tune", "2", "--cv-folds", "2") == 0
+        assert len(calls) == 5  # 2 configs x 2 folds, then the final model
+
 
 class TestArtifactErrors:
     """Model and assets files go through one checked reader: a missing
@@ -191,6 +205,71 @@ class TestArtifactErrors:
         doc["format"] = "something-else"
         assets.write_text(json.dumps(doc))
         assert self._predict(workdir, trained, capsys)[0] == 2
+
+
+    def test_assets_without_scaler_exits_two(self, workdir, trained, capsys):
+        assets = Path(str(trained) + ".assets.json")
+        doc = json.loads(assets.read_text())
+        del doc["scaler"]
+        assets.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and "'scaler'" in err
+
+    @pytest.mark.parametrize("key", ["kind", "params"])
+    def test_model_without_key_exits_two(self, workdir, trained, capsys, key):
+        doc = json.loads(trained.read_text())
+        del doc[key]
+        trained.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and repr(key) in err
+
+
+class TestValueValidation:
+    """Bad values exit 1 with one error line, not a traceback."""
+
+    def _run(self, capsys, *argv):
+        capsys.readouterr()
+        code = run(*argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        return code, err[0]
+
+    @pytest.mark.parametrize("value", ["0", "10", "12"])
+    def test_weights_i_flag_out_of_grid(self, workdir, capsys, value):
+        code, err = self._run(capsys, "train-priority", "--in", workdir / "corpus.jsonl",
+                              "--model", workdir / "m.json", "--weights-i", value)
+        assert code == 1 and "weights_i" in err
+
+    @pytest.mark.parametrize("value", [12, "6", 6.5])
+    def test_weights_i_config_out_of_grid(self, workdir, capsys, value):
+        config = workdir / "w.json"
+        config.write_text(json.dumps({"model": {"weights_i": value}}))
+        code, err = self._run(capsys, "--config", config, "evaluate",
+                              "--in", workdir / "corpus.jsonl", "--mode", "cross-project",
+                              "--report", workdir / "r.json")
+        assert code == 1 and "weights_i" in err
+
+    @pytest.mark.parametrize("value", ["x", -1, 1.5, True])
+    def test_bad_config_seed(self, workdir, capsys, value):
+        config = workdir / "s.json"
+        config.write_text(json.dumps({"seed": value}))
+        code, err = self._run(capsys, "--config", config, "preprocess",
+                              "--in", workdir / "corpus.jsonl", "--out", workdir / "o.jsonl")
+        assert code == 1 and "seed" in err
+
+    def test_negative_seed_flag(self, workdir, capsys):
+        code, err = self._run(capsys, "--seed", "-1", "preprocess",
+                              "--in", workdir / "corpus.jsonl", "--out", workdir / "o.jsonl")
+        assert code == 1 and "seed" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "train-priority"])
+    def test_cv_folds_below_two(self, workdir, capsys, command):
+        extra = (["--mode", "cv", "--report", workdir / "r.json"] if command == "evaluate"
+                 else ["--model", workdir / "m.json", "--tune", "1"])
+        code, err = self._run(capsys, command, "--in", workdir / "corpus.jsonl",
+                              "--cv-folds", "1", *extra)
+        assert code == 1 and "--cv-folds" in err
+        assert not (workdir / "r.json").exists() and not (workdir / "m.json").exists()
 
 
 class TestAssetsBundle:

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_issue
 from issuetriage import learn
@@ -292,6 +294,114 @@ class TestRandomForest:
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
             fit_random_forest(np.ones((3, 1)), ["a", "a", "a"])
+
+
+def reference_best_split(X, y, idx, features, n_classes, min_leaf):
+    """The per-feature splitter the vectorized one replaced, kept verbatim as
+    its oracle."""
+    node_y = y[idx]
+    n = len(idx)
+    counts = np.bincount(node_y, minlength=n_classes).astype(float)
+    best = None
+    for f in features:
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sy = node_y[order]
+        cut = np.nonzero(sv[1:] > sv[:-1])[0]
+        if cut.size == 0:
+            continue
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), sy] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        left = cum[cut]
+        n_left = cut + 1.0
+        n_right = n - n_left
+        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not ok.any():
+            continue
+        right = counts - left
+        gini_l = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+        weighted = (n_left * gini_l + n_right * gini_r) / n
+        weighted = np.where(ok, weighted, np.inf)
+        pos = int(np.argmin(weighted))
+        if best is None or weighted[pos] < best[2]:
+            threshold = (sv[cut[pos]] + sv[cut[pos] + 1]) / 2.0
+            best = (int(f), float(threshold), float(weighted[pos]))
+    return best
+
+
+def _split_case(rng, column_kind):
+    """One random node: few distinct values per column so ties abound,
+    bootstrap-style duplicate rows and an unsorted feature subset."""
+    n, d = int(rng.integers(2, 30)), int(rng.integers(1, 10))
+    if column_kind == "integer":
+        X = rng.integers(-3, 4, size=(n, d)).astype(float)
+    elif column_kind == "scaled":
+        X = rng.integers(0, 3, size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
+    elif column_kind == "constant":
+        X = np.full((n, d), -1.5)
+    else:
+        X = rng.normal(size=(n, d))
+    n_classes = int(rng.integers(2, 4))
+    y = rng.integers(0, n_classes, size=n)
+    idx = rng.choice(n, size=int(rng.integers(2, n + 6)), replace=True)
+    features = rng.permutation(d)[:int(rng.integers(1, d + 1))]
+    return X, y, idx, features, n_classes
+
+
+class TestBestSplitOracle:
+    @pytest.mark.parametrize("column_kind", ["integer", "scaled", "normal", "constant"])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 4])
+    def test_seeded_cases_match_exactly(self, column_kind, min_leaf):
+        rng = np.random.default_rng(min_leaf * 100 + len(column_kind))
+        for _ in range(150):
+            case = _split_case(rng, column_kind)
+            want = reference_best_split(*case, min_leaf)
+            assert learn._best_split(*case, min_leaf) == want
+            if column_kind == "constant":
+                assert want is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_classes=st.integers(2, 3), min_leaf=st.sampled_from([1, 2, 4]),
+           scale=st.sampled_from([1.0, 0.25, -3.0]))
+    def test_hypothesis_cases_match_exactly(self, data, n_classes, min_leaf, scale):
+        n = data.draw(st.integers(2, 16))
+        d = data.draw(st.integers(1, 5))
+        cells = data.draw(st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d))
+        X = np.array(cells, dtype=float).reshape(n, d) * scale
+        y = np.array(data.draw(st.lists(st.integers(0, n_classes - 1),
+                                        min_size=n, max_size=n)))
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                          max_size=2 * n)))
+        features = np.array(data.draw(st.permutations(range(d))))
+        features = features[:data.draw(st.integers(1, d))]
+        assert learn._best_split(X, y, idx, features, n_classes, min_leaf) == \
+            reference_best_split(X, y, idx, features, n_classes, min_leaf)
+
+    def test_earlier_feature_wins_a_tie(self):
+        X = np.array([[0.0, 5.0], [0.0, 5.0], [1.0, 7.0], [1.0, 7.0]])
+        y = np.array([0, 0, 1, 1])
+        for features in ([0, 1], [1, 0]):
+            split = learn._best_split(X, y, np.arange(4), np.array(features), 2, 1)
+            assert split[0] == features[0]
+            assert split == reference_best_split(X, y, np.arange(4), features, 2, 1)
+
+    @pytest.mark.parametrize("min_leaf, n_classes", [(1, 2), (2, 3)])
+    def test_forest_params_equal_with_reference_splitter(self, monkeypatch, min_leaf,
+                                                         n_classes):
+        rng = np.random.default_rng(17)
+        X = np.hstack([rng.integers(0, 4, size=(80, 12)).astype(float),
+                       rng.integers(0, 3, size=(80, 6)) * 0.37,
+                       np.zeros((80, 3))])
+        y = [("a", "b", "c")[(int(r[0]) + int(r[13] > 0)) % n_classes] for r in X]
+        weights = compute_class_weights(y)
+        fit = lambda: fit_random_forest(X, y, weights=weights, n_trees=6, max_depth=6,
+                                        min_leaf=min_leaf, max_features=5, seed=9).params
+        new = fit()
+        monkeypatch.setattr(learn, "_best_split", reference_best_split)
+        assert new == fit()
 
 
 class TestKnn:
