@@ -185,7 +185,12 @@ def load_probs_file(path: Path) -> dict[str, np.ndarray]:
         cells = line.split("\t")
         if len(cells) != 4:
             raise ValidationError(f"{path}:{lineno}: expected 4 columns")
-        vec = np.array([float(c) for c in cells[1:]])
+        try:
+            vec = np.array([float(c) for c in cells[1:]])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: probabilities must be numbers") from None
+        if not np.all((vec >= 0.0) & (vec <= 1.0)):  # NaN fails both comparisons
+            raise ValidationError(f"{path}:{lineno}: probabilities must lie in [0, 1]")
         if abs(vec.sum() - 1.0) > 1e-6:
             raise ValidationError(f"{path}:{lineno}: probabilities sum to {vec.sum()}")
         probs[cells[0]] = vec
@@ -316,8 +321,7 @@ def cmd_train_priority(args, config) -> int:
     maps = labelmap.load_label_maps()
     spec = model_spec_from(config, args)
     probs_file = load_probs_file(Path(args.objective_probs)) if args.objective_probs else None
-    issues = [i for i in corpus.issues
-              if labelmap.priority_of(i.labels, maps.priority) is not None]
+    issues, _ = evalkit.labeled_issues(corpus.issues, maps)
     dropped = len(corpus) - len(issues)
     if dropped:
         print(f"warning: {dropped} issues without priority labels excluded from training",

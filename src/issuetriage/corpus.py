@@ -271,7 +271,12 @@ def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, LoadRep
     provenance: dict = {}
     schema_version = SCHEMA_VERSION
     if meta_file.exists():
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+        try:
+            meta = json.loads(meta_file.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorpusError(f"{meta_file}: cannot read schema sidecar: {exc}") from None
+        if not isinstance(meta, dict):
+            raise CorpusError(f"{meta_file}: schema sidecar is not a JSON object")
         schema_version = meta.get("schema_version", SCHEMA_VERSION)
         if schema_version != SCHEMA_VERSION:
             raise CorpusError(

@@ -2,9 +2,11 @@
 
 Also home of the end-to-end priority pipeline glue (fit preprocessing,
 resolve stage-one objective probabilities, train, predict) shared by the
-experiment drivers and the CLI. Preprocessing is always refit inside each
-fold or split on its training side only; held-out issues never influence
-the vocabulary or the scaler.
+experiment drivers and the CLI. Every protocol trains and scores through
+``holdout``, and k-fold CV and ``--tune`` share one fold loop, ``_folds``.
+Preprocessing and stage one are refit inside each fold or split on its
+training side only; held-out issues never influence the vocabulary, the
+idf, the scaler, the stage-one model or the tuned hyperparameters.
 """
 
 from __future__ import annotations
@@ -251,12 +253,9 @@ def fit_preprocessing(
     Every issue must carry a priority label; callers filter first.
     """
     issues = list(issues)
-    labels = []
-    for issue in issues:
-        cls = labelmap.priority_of(issue.labels, maps.priority)
-        if cls is None:
-            raise TrainingError(f"issue {issue.id} has no priority label")
-        labels.append(cls.value)
+    labels = labeled_issues(issues, maps)[1]
+    if len(labels) < len(issues):
+        raise TrainingError(f"{len(issues) - len(labels)} issues have no priority label")
     if len(set(labels)) < 2:
         raise TrainingError("training data must contain both priority classes")
 
@@ -306,20 +305,36 @@ def tune_hyperparams(issues: Sequence[IssueRecord], spec: ModelSpec, maps: Label
                      objective: Callable[[Sequence[str], Sequence[str]], float] | None = None,
                      probs_file: Mapping[str, np.ndarray] | None = None,
                      ) -> tuple[dict, list[dict]]:
-    """Random search over ``space``: each config, merged into the spec's
-    hyperparameters, is scored by k-fold CV of ``fit_classifier``. Preprocessing
-    and stage one are fit once on all of ``issues``, which must all carry a
-    priority label, before the folds are cut."""
-    bundle, labels = fit_preprocessing(issues, spec, maps, probs_file=probs_file)
-    X = bundle.vectorize(issues, probs_file)
-
-    def fit(config, X_train, y_train, seed):
-        return fit_classifier(
-            replace(spec, hyperparams={**spec.hyperparams, **config}, seed=seed),
-            X_train, y_train)
-
-    return learn.random_search(space, budget=budget, cv_folds=cv_folds, seed=spec.seed,
-                               X=X, labels=labels, fit=fit, objective=objective)
+    """Random search over ``space``: ``budget`` configs, merged into the spec's
+    hyperparameters, are each scored by the k-fold CV mean of ``objective``
+    (accuracy by default); returns the first best config and the trace.
+    Preprocessing and stage one are refit on each fold's training side, so
+    held-out issues never shape them; issues without a priority label are
+    ignored."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if objective is None:
+        objective = lambda truth, pred: float(np.mean([t == p for t, p in zip(truth, pred)]))
+    rng = np.random.default_rng(spec.seed)
+    configs = [learn.sample_config(space, rng) for _ in range(budget)]
+    scores: list[list[float]] = [[] for _ in configs]
+    issues, labels = labeled_issues(issues, maps)
+    for fold_no, train_idx, test_idx in _folds(labels, cv_folds, spec.seed):
+        fold_spec = replace(spec, seed=spec.seed + fold_no)
+        train = [issues[i] for i in train_idx]
+        bundle, train_labels = fit_preprocessing(train, fold_spec, maps, probs_file=probs_file)
+        X_train = bundle.vectorize(train, probs_file)
+        X_test = bundle.vectorize([issues[i] for i in test_idx], probs_file)
+        truth = [labels[i] for i in test_idx]
+        for config, config_scores in zip(configs, scores):
+            model = fit_classifier(
+                replace(fold_spec, hyperparams={**spec.hyperparams, **config}),
+                X_train, train_labels)
+            config_scores.append(objective(truth, model.predict(X_test)))
+    trace = [{"trial": trial, "config": config, "fold_scores": fold_scores,
+              "mean_score": float(np.mean(fold_scores)) if fold_scores else 0.0}
+             for trial, (config, fold_scores) in enumerate(zip(configs, scores))]
+    return max(trace, key=lambda t: t["mean_score"])["config"], trace
 
 
 def evaluate_predictions(truth: Sequence[str], predicted: Sequence[str],
@@ -333,14 +348,39 @@ def evaluate_predictions(truth: Sequence[str], predicted: Sequence[str],
 # ---------------------------------------------------------------------------
 # Experiment drivers
 
-def _labeled_issues(corpus: Corpus, maps: LabelMaps) -> tuple[list[IssueRecord], list[str]]:
-    issues, labels = [], []
-    for issue in corpus.issues:
+def labeled_issues(issues: Iterable[IssueRecord],
+                   maps: LabelMaps) -> tuple[list[IssueRecord], list[str]]:
+    """The issues that carry a priority label, and those labels."""
+    kept, labels = [], []
+    for issue in issues:
         cls = labelmap.priority_of(issue.labels, maps.priority)
         if cls is not None:
-            issues.append(issue)
+            kept.append(issue)
             labels.append(cls.value)
-    return issues, labels
+    return kept, labels
+
+
+def holdout(train: Sequence[IssueRecord], test: Sequence[IssueRecord], spec: ModelSpec,
+            maps: LabelMaps, **metadata) -> EvalReport:
+    """Fit ``spec`` on ``train`` (all priority-labeled), predict the labeled
+    issues of ``test`` and score them; ``metadata`` and the model fingerprint
+    go into the report."""
+    bundle = train_pipeline(train, spec, maps)
+    test, truth = labeled_issues(test, maps)
+    predicted, _ = bundle.predict(test)
+    return evaluate_predictions(truth, predicted, **metadata,
+                                model_fingerprint=bundle.classifier.fingerprint())
+
+
+def _folds(labels: Sequence[str], k: int,
+           seed: int) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
+    """(fold_no, train_idx, test_idx) of each usable stratified fold: one whose
+    training side has two classes and whose test side is not empty."""
+    all_idx = np.arange(len(labels))
+    for fold_no, test_idx in enumerate(learn.stratified_kfold_indices(labels, k, seed)):
+        train_idx = all_idx[~np.isin(all_idx, test_idx)]
+        if len({labels[i] for i in train_idx}) >= 2 and test_idx.size:
+            yield fold_no, train_idx, test_idx
 
 
 @dataclass
@@ -361,27 +401,16 @@ def cross_validate(corpus: Corpus, spec: ModelSpec, k: int, seed: int,
     if k < 2:
         raise ValueError("k must be >= 2")
     maps = maps or labelmap.load_label_maps()
-    issues, labels = _labeled_issues(corpus, maps)
-    folds = learn.stratified_kfold_indices(labels, k, seed)
-    all_idx = np.arange(len(issues))
+    issues, labels = labeled_issues(corpus.issues, maps)
     reports: list[EvalReport] = []
-    flags: list[str] = []
-    for fold_no, test_idx in enumerate(folds):
-        train_idx = all_idx[~np.isin(all_idx, test_idx)]
-        train_labels = {labels[i] for i in train_idx}
-        test_labels = {labels[i] for i in test_idx}
-        if len(train_labels) < 2 or not test_idx.size:
-            flags.append(f"fold {fold_no}: class absent, skipped")
-            continue
-        if len(test_labels) < 2:
-            flags.append(f"fold {fold_no}: class absent from test side")
-        fold_spec = replace(spec, seed=seed + fold_no)
-        bundle = train_pipeline([issues[i] for i in train_idx], fold_spec, maps)
-        predicted, _ = bundle.predict([issues[i] for i in test_idx])
-        truth = [labels[i] for i in test_idx]
-        report = evaluate_predictions(truth, predicted, fold=fold_no,
-                                      model_fingerprint=bundle.classifier.fingerprint())
-        reports.append(report)
+    notes = dict.fromkeys(range(k), "class absent, skipped")
+    for fold_no, train_idx, test_idx in _folds(labels, k, seed):
+        del notes[fold_no]
+        if len({labels[i] for i in test_idx}) < 2:
+            notes[fold_no] = "class absent from test side"
+        reports.append(holdout([issues[i] for i in train_idx], [issues[i] for i in test_idx],
+                               replace(spec, seed=seed + fold_no), maps, fold=fold_no))
+    flags = [f"fold {n}: {note}" for n, note in sorted(notes.items())]
     if not reports:
         raise TrainingError("no usable folds")
     keys = {"accuracy": lambda r: r.accuracy}
@@ -433,30 +462,20 @@ def evaluate_project_based(corpus: Corpus, spec: ModelSpec,
     maps = maps or labelmap.load_label_maps()
     per_repo: dict[str, EvalReport] = {}
     skipped: dict[str, str] = {}
-    pooled_correct = pooled_total = 0
     for repo in corpus.repos():
-        repo_issues = [i for i in corpus.issues if i.repo == repo]
-        repo_corpus = subset(corpus, repo_issues)
-        issues, labels = _labeled_issues(repo_corpus, maps)
+        issues, labels = labeled_issues((i for i in corpus.issues if i.repo == repo), maps)
         counts = {cls: labels.count(cls) for cls in set(labels)}
         if len(counts) < 2 or min(counts.values()) < 2:
             skipped[repo] = f"insufficient class support: {counts}"
             continue
-        labeled = subset(corpus, issues)
         train, test = stratified_split(
-            labeled, lambda i: labelmap.priority_of(i.labels, maps.priority).value,
+            subset(corpus, issues), lambda i: labelmap.priority_of(i.labels, maps.priority).value,
             ratio, spec.seed)
         if not len(test):
             skipped[repo] = "empty test side after split"
             continue
-        bundle = train_pipeline(list(train.issues), spec, maps)
-        predicted, _ = bundle.predict(list(test.issues))
-        truth = [labelmap.priority_of(i.labels, maps.priority).value for i in test.issues]
-        report = evaluate_predictions(truth, predicted, repo=repo, seed=spec.seed,
-                                      model_fingerprint=bundle.classifier.fingerprint())
-        per_repo[repo] = report
-        pooled_correct += sum(1 for t, p in zip(truth, predicted) if t == p)
-        pooled_total += len(truth)
+        per_repo[repo] = holdout(train.issues, test.issues, spec, maps,
+                                 repo=repo, seed=spec.seed)
     summary = {"accuracy": _quartiles([r.accuracy for r in per_repo.values()])}
     for cls in learn.PRIORITY_CLASS_ORDER:
         summary[f"f1:{cls}"] = _quartiles([r.per_class[cls].f1 for r in per_repo.values()])
@@ -464,6 +483,8 @@ def evaluate_project_based(corpus: Corpus, spec: ModelSpec,
         summary[f"precision:{cls}"] = _quartiles(
             [r.per_class[cls].precision for r in per_repo.values()])
     mean_acc = float(np.mean([r.accuracy for r in per_repo.values()])) if per_repo else 0.0
+    pooled_total = sum(r.n for r in per_repo.values())
+    pooled_correct = sum(round(r.accuracy * r.n) for r in per_repo.values())
     pooled_acc = pooled_correct / pooled_total if pooled_total else 0.0
     return ProjectBasedResult(per_repo, skipped, summary, mean_acc, pooled_acc)
 
@@ -497,16 +518,10 @@ def evaluate_cross_project(corpus: Corpus, spec: ModelSpec, seed: int,
         spec = replace(spec, weights_i=CROSS_PROJECT_WEIGHTS_I)
     train_repos, test_repos = split_repos(corpus.repos(), ratio, seed)
     assert not set(train_repos) & set(test_repos)
-    train_issues = [i for i in corpus.issues if i.repo in set(train_repos)]
-    test_issues = [i for i in corpus.issues if i.repo in set(test_repos)]
-    train_labeled, _ = _labeled_issues(subset(corpus, train_issues), maps)
-    test_labeled, truth = _labeled_issues(subset(corpus, test_issues), maps)
-    bundle = train_pipeline(train_labeled, spec, maps)
-    predicted, _ = bundle.predict(test_labeled)
-    return evaluate_predictions(
-        truth, predicted,
-        train_repos=train_repos, test_repos=test_repos, seed=seed,
-        model_fingerprint=bundle.classifier.fingerprint())
+    train, _ = labeled_issues((i for i in corpus.issues if i.repo in train_repos), maps)
+    test = [i for i in corpus.issues if i.repo in test_repos]
+    return holdout(train, test, spec, maps,
+                   train_repos=train_repos, test_repos=test_repos, seed=seed)
 
 
 # ---------------------------------------------------------------------------

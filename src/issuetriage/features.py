@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import labelmap, sentiment, textnorm
+from . import labelmap, learn, sentiment, textnorm
 from .corpus import ASSOCIATIONS, IssueRecord
 from .labelmap import LabelMaps
 from .sentiment import Lexicon
@@ -87,6 +87,7 @@ class TfidfModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TfidfModel":
+        learn.require_keys(doc, ("vocabulary", "idf", "max_features", "ngram_range"), "TF-IDF")
         return cls(vocabulary=dict(doc["vocabulary"]), idf=np.asarray(doc["idf"], dtype=float),
                    max_features=int(doc["max_features"]),
                    ngram_range=tuple(doc["ngram_range"]))  # type: ignore[arg-type]
@@ -260,6 +261,7 @@ class ScalerParams:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ScalerParams":
+        learn.require_keys(doc, ("min", "max"), "scaler")
         return cls(np.asarray(doc["min"], dtype=float), np.asarray(doc["max"], dtype=float))
 
 

@@ -16,6 +16,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from datetime import datetime
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 from urllib.parse import urlencode
@@ -124,6 +125,7 @@ class IssueClient:
         self.transport = transport or RequestsTransport()
         self.sleep = sleeper
         self.network_requests = 0
+        self._requests_guard = threading.Lock()  # hydrate workers share the counter
         self._cache_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
         Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
@@ -142,8 +144,11 @@ class IssueClient:
         path = self._cache_path(url)
         if not path.exists():
             return None
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        return Response(doc["status"], doc["headers"], doc["body"])
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            return Response(doc["status"], doc["headers"], doc["body"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None  # a corrupt entry is a miss: refetched and rewritten
 
     def _write_cache(self, url: str, response: Response) -> None:
         doc = {"url": url, "status": response.status,
@@ -174,7 +179,8 @@ class IssueClient:
     def _fetch_with_retry(self, url: str) -> Response:
         attempt = 0
         while True:
-            self.network_requests += 1
+            with self._requests_guard:
+                self.network_requests += 1
             response = self.transport.get(url, self._headers())
             if response.status == 200:
                 return response
@@ -286,6 +292,13 @@ def _profile_from_api(doc: dict) -> UserProfile:
     )
 
 
+def _created_at(doc: dict) -> datetime:
+    try:
+        return parse_ts(doc["created_at"])
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        raise IngestError(f"record without a valid created_at: {exc!r}") from None
+
+
 def _hydrate_one(client: IssueClient, cfg: ClientConfig,
                  issue: IssueRecord) -> tuple[IssueRecord, list[HydrationFailure]]:
     failures: list[HydrationFailure] = []
@@ -297,7 +310,7 @@ def _hydrate_one(client: IssueClient, cfg: ClientConfig,
         comments = tuple(
             CommentRecord(author_login=(d.get("user") or {}).get("login", ""),
                           body=d.get("body") or "",
-                          created_at=parse_ts(d["created_at"]))
+                          created_at=_created_at(d))
             for d in docs)
     except IngestError as exc:
         failures.append(HydrationFailure(issue.id, "comments", str(exc)))
@@ -308,7 +321,7 @@ def _hydrate_one(client: IssueClient, cfg: ClientConfig,
     try:
         docs = client.paginated(f"{base}/events?per_page=100")
         events = tuple(EventRecord(kind=d.get("event", "unknown"),
-                                   created_at=parse_ts(d["created_at"]))
+                                   created_at=_created_at(d))
                        for d in docs)
         referenced_commit = referenced_commit or any(
             d.get("event") == "referenced" and d.get("commit_id") for d in docs)

@@ -2,10 +2,10 @@
 
 Everything here is deterministic under a fixed seed: forests derive one
 child seed per tree from the master seed, logistic regression uses
-full-batch descent from a zero start, and SMOTE/random search draw from
-seeded generators. Models serialize to self-describing JSON artifacts that
-pin the fingerprints of the preprocessing assets they were trained with;
-prediction refuses to run against different assets.
+full-batch descent from a zero start, and SMOTE and hyperparameter
+sampling draw from seeded generators. Models serialize to self-describing
+JSON artifacts that pin the fingerprints of the preprocessing assets they
+were trained with; prediction refuses to run against different assets.
 
 Model params are ndarrays in memory (forest trees and kNN training rows
 excepted). They become lists only in the JSON that ``write_json`` emits, and
@@ -549,7 +549,7 @@ def balance_with_smote(X: np.ndarray, labels: Sequence[str], k: int = 5,
 
 
 # ---------------------------------------------------------------------------
-# Random hyperparameter search
+# Hyperparameter sampling and fold assignment
 
 def sample_config(space: dict, rng: np.random.Generator) -> dict:
     """Lists are discrete choices; (lo, hi) tuples are uniform ranges,
@@ -588,53 +588,6 @@ def stratified_kfold_indices(labels: Sequence[str], k: int, seed: int) -> list[n
         for j, idx in enumerate(members):
             folds[j % k].append(int(idx))
     return [np.array(sorted(f), dtype=int) for f in folds]
-
-
-def random_search(
-    space: dict,
-    budget: int,
-    cv_folds: int,
-    seed: int,
-    X: np.ndarray,
-    labels: Sequence[str],
-    fit: Callable[[dict, np.ndarray, Sequence[str], int], TrainedModel],
-    objective: Callable[[Sequence[str], Sequence[str]], float] | None = None,
-) -> tuple[dict, list[dict]]:
-    """Uniformly sample ``budget`` configurations, score each by k-fold CV
-    mean of the objective (accuracy unless overridden), return the argmax
-    and the full evaluation trace."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if objective is None:
-        objective = lambda truth, pred: float(
-            np.mean([t == p for t, p in zip(truth, pred)]))
-    X = np.asarray(X, dtype=float)
-    labels = list(labels)
-    rng = np.random.default_rng(seed)
-    folds = stratified_kfold_indices(labels, cv_folds, seed)
-    all_idx = np.arange(len(labels))
-    trace: list[dict] = []
-    best: tuple[float, dict] | None = None
-    for trial in range(budget):
-        config = sample_config(space, rng)
-        scores = []
-        for fold_no, test_idx in enumerate(folds):
-            train_mask = ~np.isin(all_idx, test_idx)
-            train_idx = all_idx[train_mask]
-            train_labels = [labels[i] for i in train_idx]
-            if len(set(train_labels)) < 2 or len(test_idx) == 0:
-                continue
-            model = fit(config, X[train_idx], train_labels, seed + fold_no)
-            pred = model.predict(X[test_idx])
-            truth = [labels[i] for i in test_idx]
-            scores.append(objective(truth, pred))
-        mean_score = float(np.mean(scores)) if scores else 0.0
-        trace.append({"trial": trial, "config": config, "fold_scores": scores,
-                      "mean_score": mean_score})
-        if best is None or mean_score > best[0]:
-            best = (mean_score, config)
-    assert best is not None
-    return best[1], trace
 
 
 # ---------------------------------------------------------------------------

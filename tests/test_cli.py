@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES
-from issuetriage import cli, learn
+from issuetriage import cli, evalkit, labelmap, learn
+from issuetriage.corpus import load_corpus
 
 PLANTED = FIXTURES / "planted_corpus.jsonl"
 
@@ -55,6 +56,13 @@ class TestPreprocess:
         manifest = json.loads((workdir / "filtered.jsonl.manifest.json").read_text())
         assert manifest["command"] == "preprocess"
         assert str(workdir / "corpus.jsonl") in manifest["inputs"]
+
+    def test_corrupt_sidecar_exits_two(self, workdir, capsys):
+        (workdir / "corpus.jsonl.meta.json").write_text("{bad")
+        assert run("preprocess", "--in", workdir / "corpus.jsonl",
+                   "--out", workdir / "o.jsonl") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 class TestFeaturesCommand:
@@ -129,6 +137,19 @@ class TestTrainPredict:
                    "--in", workdir / "corpus.jsonl", "--model", model,
                    "--objective-probs", probs) == 0
 
+    @pytest.mark.parametrize("row", ["x\t0.5\t0.5", "-0.5\t1.5\t0", "nan\tnan\tnan"])
+    def test_bad_probability_cell_exits_one(self, workdir, capsys, row):
+        probs = workdir / "bad_probs.tsv"
+        probs.write_text("issue_id\tBug\tEnhancement\tSupportDoc\n"
+                         "engine-1\t0.2\t0.3\t0.5\n"
+                         f"engine-2\t{row}\n")
+        capsys.readouterr()
+        assert run("--config", workdir / "config.json", "train-priority",
+                   "--in", workdir / "corpus.jsonl", "--model", workdir / "m.json",
+                   "--objective-probs", probs) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {probs}:3: "), err
+
     def test_tuned_training_writes_trace(self, workdir):
         model = workdir / "tuned.json"
         assert run("--config", workdir / "config.json", "train-priority",
@@ -162,6 +183,27 @@ class TestTrainPredict:
                    "--in", workdir / "corpus.jsonl", "--model", workdir / "t.json",
                    "--tune", "2", "--cv-folds", "2") == 0
         assert len(calls) == 5  # 2 configs x 2 folds, then the final model
+
+    def test_tuning_refits_preprocessing_inside_each_fold(self, workdir, monkeypatch):
+        calls = []
+        real = evalkit.fit_preprocessing
+
+        def spy(issues, *args, **kwargs):
+            calls.append({i.id for i in issues})
+            return real(issues, *args, **kwargs)
+
+        monkeypatch.setattr(evalkit, "fit_preprocessing", spy)
+        assert run("--config", workdir / "config.json", "train-priority",
+                   "--in", workdir / "corpus.jsonl", "--model", workdir / "t.json",
+                   "--tune", "2", "--cv-folds", "3") == 0
+        corpus, _ = load_corpus(workdir / "corpus.jsonl")
+        issues, labels = evalkit.labeled_issues(corpus.issues, labelmap.load_label_maps())
+        ids = {i.id for i in issues}
+        folds = learn.stratified_kfold_indices(labels, 3, seed=7)
+        *tune_calls, final = calls
+        # one fit per fold on exactly its training side, then the final model
+        assert tune_calls == [ids - {issues[i].id for i in test_idx} for test_idx in folds]
+        assert final == ids
 
 
 class TestArtifactErrors:
@@ -214,6 +256,18 @@ class TestArtifactErrors:
         assets.write_text(json.dumps(doc))
         code, err = self._predict(workdir, trained, capsys)
         assert code == 2 and "'scaler'" in err
+
+    @pytest.mark.parametrize("block,key", [
+        ("scaler", "min"), ("scaler", "max"),
+        *(("tfidf_title", k) for k in ("vocabulary", "idf", "max_features", "ngram_range")),
+        ("tfidf_desc", "idf")])
+    def test_assets_block_without_key_exits_two(self, workdir, trained, capsys, block, key):
+        assets = Path(str(trained) + ".assets.json")
+        doc = json.loads(assets.read_text())
+        del doc[block][key]
+        assets.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and repr(key) in err
 
     @pytest.mark.parametrize("key", ["kind", "params"])
     def test_model_without_key_exits_two(self, workdir, trained, capsys, key):

@@ -80,6 +80,14 @@ class TestRoundTrip:
         with pytest.raises(CorpusError, match="schema version"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("sidecar", [b"{bad", b"[]", b"\xff\xfe"])
+    def test_unreadable_sidecar(self, tmp_path, sidecar):
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus_of(make_issue()), path)
+        path.with_name(path.name + ".meta.json").write_bytes(sidecar)
+        with pytest.raises(CorpusError, match="sidecar"):
+            load_corpus(path)
+
 
 class TestInvariants:
     def test_duplicate_labels_rejected(self):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,55 @@ class TestCrossValidate:
     def test_k_too_small(self):
         with pytest.raises(ValueError):
             cross_validate(memorizable_corpus(), ModelSpec(), k=1, seed=0)
+
+
+class ConstantModel:
+    def predict(self, X):
+        return ["High"] * len(X)
+
+
+def stub_fit_classifier(spec, X, labels):
+    """Config ``magic`` 7 memorizes the training rows; any other predicts High."""
+    if spec.hyperparams["magic"] == 7:
+        return learn.fit_knn(X, labels, k=1, classes=learn.PRIORITY_CLASS_ORDER)
+    return ConstantModel()
+
+
+class TestTuneHyperparams:
+    SPEC = ModelSpec(classifier="knn", balancing="none", stage1="uniform")
+
+    @pytest.fixture(autouse=True)
+    def stub_classifier(self, monkeypatch):
+        monkeypatch.setattr(evalkit, "fit_classifier", stub_fit_classifier)
+
+    def tune(self, space, budget, cv_folds, seed, maps):
+        return evalkit.tune_hyperparams(memorizable_corpus().issues,
+                                        replace(self.SPEC, seed=seed), maps,
+                                        space, budget=budget, cv_folds=cv_folds)
+
+    def test_budget_one_returns_single_config(self, maps):
+        best, trace = self.tune({"magic": [3]}, 1, 2, 0, maps)
+        assert best == {"magic": 3}
+        assert len(trace) == 1
+
+    def test_planted_optimum_selected(self, maps):
+        best, trace = self.tune({"magic": [1, 3, 5, 7]}, 16, 3, 2, maps)
+        assert any(t["config"]["magic"] == 7 for t in trace)
+        assert best == {"magic": 7}
+        assert max(t["mean_score"] for t in trace) == pytest.approx(1.0)
+
+    def test_same_seed_identical_trace(self, maps):
+        space = {"magic": [1, 7], "extra": (1, 9)}
+        _, t1 = self.tune(space, 6, 2, 5, maps)
+        _, t2 = self.tune(space, 6, 2, 5, maps)
+        assert t1 == t2
+        rng = np.random.default_rng(5)
+        assert [t["config"] for t in t1] == [learn.sample_config(space, rng)
+                                             for _ in range(6)]
+
+    def test_bad_budget(self, maps):
+        with pytest.raises(ValueError):
+            self.tune({}, 0, 2, 0, maps)
 
 
 class TestNoLeak:

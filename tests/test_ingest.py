@@ -11,6 +11,7 @@ from issuetriage.ingest import (
     ClientConfig,
     FetchQuery,
     IngestError,
+    HydrationFailure,
     IssueClient,
     NotFoundError,
     Response,
@@ -279,3 +280,69 @@ class TestHydrate:
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             ClientConfig(cache_dir=tmp_path, max_parallel_requests=0)
+
+
+class CountingLock:
+    """A lock that counts how often it was entered."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.entries = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.entries += 1
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("entry", [
+        "{bad", "[]", json.dumps({"status": 200, "headers": {}}),
+        json.dumps({"status": 200, "body": "[]"})])
+    def test_corrupt_cache_entry_is_refetched(self, tmp_path, entry):
+        transport = FakeTransport()
+        transport.add(ISSUES_URL, [issue_doc(1)])
+        first = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
+                             transport=transport, sleeper=no_sleep)
+        [cache_file] = (tmp_path / "cache").glob("*.json")
+        cache_file.write_text(entry)
+        again = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
+                             transport=transport, sleeper=no_sleep)
+        assert again == first
+        assert transport.calls == [ISSUES_URL, ISSUES_URL]
+        assert set(json.loads(cache_file.read_text())) >= {"status", "headers", "body"}
+
+    @pytest.mark.parametrize("resource", ["comments", "events"])
+    def test_record_without_created_at_fails_only_its_resource(self, tmp_path, resource):
+        transport = FakeTransport()
+        hydration_routes(transport)
+        url = f"{BASE}/repos/{REPO}/issues/1/{resource}?per_page=100"
+        docs = json.loads(transport.routes[url].body)
+        del docs[1]["created_at"]
+        transport.add(url, docs)
+        transport.add(ISSUES_URL, [issue_doc(1)])
+        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
+                              transport=transport, sleeper=no_sleep)
+        corpus, failures = hydrate(cfg(tmp_path), issues, transport=transport,
+                                   sleeper=no_sleep)
+        assert [(f.issue_id, f.resource) for f in failures] == [("1", resource)]
+        assert isinstance(failures[0], HydrationFailure)
+        issue = corpus.issues[0]
+        assert issue.hydration_failed is True
+        assert issue.author.followers == 42
+        assert (len(issue.comments), len(issue.events)) == \
+            ((0, 5) if resource == "comments" else (3, 0))
+
+    def test_request_counter_is_locked(self, tmp_path):
+        transport = FakeTransport(delay=0.002)
+        transport.add(ISSUES_URL, [issue_doc(n) for n in range(1, 9)])
+        for n in range(1, 9):
+            hydration_routes(transport, number=n)
+        config = cfg(tmp_path, max_parallel_requests=4)
+        client = IssueClient(config, transport, no_sleep)
+        guard = client._requests_guard = CountingLock()
+        issues = fetch_issues(config, FetchQuery(repo=REPO), client=client)
+        hydrate(config, issues, client=client)
+        assert guard.entries == client.network_requests == len(transport.calls) == 18

@@ -24,7 +24,6 @@ from issuetriage.learn import (
     load_model,
     logreg_loss_and_grad,
     manual_priority_weights,
-    random_search,
     rank_baseline,
     save_model,
     smote,
@@ -455,56 +454,6 @@ class TestSmote:
         X2, y2 = balance_with_smote(X, y, k=2, seed=1)
         assert y2.count("maj") == y2.count("min") == 8
         assert X2.shape == (16, 2)
-
-
-class StubModel:
-    def __init__(self, magic, labels):
-        self.magic = magic
-        self.labels = labels
-
-    def predict(self, X):
-        if self.magic == 7:
-            return [self.labels[0] if x[0] > 0 else self.labels[1] for x in X]
-        return [self.labels[0]] * len(X)
-
-
-class TestRandomSearch:
-    def setup_data(self):
-        rng = np.random.default_rng(0)
-        X = np.concatenate([np.ones((12, 1)), -np.ones((12, 1))])
-        y = ["pos"] * 12 + ["neg"] * 12
-        return X, y
-
-    def test_budget_one_returns_single_config(self):
-        X, y = self.setup_data()
-        best, trace = random_search(
-            {"magic": [3]}, budget=1, cv_folds=2, seed=0, X=X, labels=y,
-            fit=lambda cfg, Xt, yt, s: StubModel(cfg["magic"], ["pos", "neg"]))
-        assert best == {"magic": 3}
-        assert len(trace) == 1
-
-    def test_planted_optimum_selected(self):
-        X, y = self.setup_data()
-        best, trace = random_search(
-            {"magic": [1, 3, 5, 7]}, budget=16, cv_folds=3, seed=2, X=X, labels=y,
-            fit=lambda cfg, Xt, yt, s: StubModel(cfg["magic"], ["pos", "neg"]))
-        assert any(t["config"]["magic"] == 7 for t in trace)
-        assert best == {"magic": 7}
-        assert max(t["mean_score"] for t in trace) == pytest.approx(1.0)
-
-    def test_same_seed_identical_trace(self):
-        X, y = self.setup_data()
-        kwargs = dict(space={"magic": [1, 7], "extra": (1, 9)}, budget=6,
-                      cv_folds=2, X=X, labels=y,
-                      fit=lambda cfg, Xt, yt, s: StubModel(cfg["magic"], ["pos", "neg"]))
-        _, t1 = random_search(seed=5, **kwargs)
-        _, t2 = random_search(seed=5, **kwargs)
-        assert t1 == t2
-
-    def test_bad_budget(self):
-        with pytest.raises(ValueError):
-            random_search({}, budget=0, cv_folds=2, seed=0, X=np.ones((2, 1)),
-                          labels=["a", "b"], fit=lambda *a: None)
 
 
 class TestStratifiedKfold:
