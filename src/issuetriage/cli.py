@@ -6,9 +6,28 @@ override it. Every run writes a reproducibility manifest (config snapshot,
 seeds, input checksums) next to its primary output, and all artifacts are
 byte-identical across re-runs with the same config and seed.
 
+Settings. The config is one JSON object; ``main`` reads it and the flags
+once and checks every setting before any corpus is loaded:
+
+- ``seed``: the master seed (``--seed`` overrides it);
+- ``model``: ``classifier``, ``balancing``, ``weights_i``, ``stage1``,
+  ``hyperparams``, ``title_max_features``, ``desc_max_features``. The
+  defaults and valid values are ``evalkit.ModelSpec``'s; the flags of the
+  same names override the config;
+- ``model.hyperparams`` and ``search_space``: names from
+  ``learn.HYPERPARAMS``; each default is the one in the signature of the
+  ``learn.fit_*`` function that takes it;
+- ``filter``: ``min_text_chars``, ``non_english_threshold``,
+  ``excluded_clusters``, defaulting as in ``corpus.FilterConfig``;
+- ``paths``: ``cache``, the response cache of ``fetch``.
+
+``--objective-probs`` sources stage one from that file, so no stage-one
+model is fit. A bad value or an unknown key exits 1 naming the setting.
+
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure. A
 missing ``--model`` file is a usage error; a model or assets file that is
-corrupt, of another format or of another version is a runtime failure.
+corrupt, unusable, of another format or of another version is a runtime
+failure.
 """
 
 from __future__ import annotations
@@ -17,15 +36,16 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import agreement as agreement_mod
 from . import evalkit, features, ingest, labelmap, learn
-from .corpus import Corpus, CorpusError, FilterConfig, filter_corpus, load_corpus, save_corpus
+from .corpus import (Corpus, CorpusError, FilterConfig, SettingError, filter_corpus, load_corpus,
+                     save_corpus)
 from .evalkit import ModelSpec, PriorityPipeline, train_pipeline
 from .features import FeaturePipeline, ScalerParams, TfidfModel
 from .learn import ChecksumMismatchError, TrainedModel, TrainingError
@@ -56,9 +76,12 @@ def load_config(path: str | None) -> dict:
     if not p.exists():
         raise ValidationError(f"config file not found: {p}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        config = json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"config file {p} is not valid JSON: {exc}")
+    if not isinstance(config, dict):
+        raise ValidationError(f"config file {p} must hold a JSON object")
+    return config
 
 
 def _sha256_file(path: Path) -> str:
@@ -85,47 +108,50 @@ def _load_input_corpus(path: str, strict: bool) -> Corpus:
     return corpus
 
 
-def _checked_int(name: str, value, low: int, high: int | None = None) -> int:
-    """``value`` if it is an integer (not a bool) in [low, high], else a
-    ``ValidationError`` naming the setting."""
-    if (isinstance(value, bool) or not isinstance(value, int) or value < low
-            or (high is not None and value > high)):
-        bounds = f"in [{low}, {high}]" if high is not None else f">= {low}"
-        raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}")
-    return value
+def _section(doc: dict, name: str, keys: Iterable[str]) -> dict:
+    """``doc[name]`` ({} when absent), which must be an object with only ``keys``."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"config {name} must be an object, got {section!r}")
+    for key in section:
+        if key not in keys:
+            raise ValidationError(f"unknown key {key!r} in config {name}")
+    return section
+
+
+_MODEL_KEYS = {f.name for f in fields(ModelSpec)} - {"seed"}  # the seed is top-level
+_FLAG_FIELDS = ("classifier", "balancing", "weights_i", "stage1")
 
 
 def model_spec_from(config: dict, args: argparse.Namespace) -> ModelSpec:
-    model_cfg = dict(config.get("model", {}))
-    weights_i = getattr(args, "weights_i", None)
-    if weights_i is None:
-        weights_i = model_cfg.get("weights_i")
-    spec = ModelSpec(
-        classifier=getattr(args, "classifier", None) or model_cfg.get("classifier", "forest"),
-        balancing=getattr(args, "balancing", None) or model_cfg.get("balancing", "weights"),
-        weights_i=None if weights_i is None else _checked_int("weights_i", weights_i, 1, 9),
-        stage1=getattr(args, "stage1", None) or model_cfg.get("stage1", "internal"),
-        hyperparams=model_cfg.get("hyperparams", {}),
-        title_max_features=model_cfg.get("title_max_features", features.TITLE_MAX_FEATURES),
-        desc_max_features=model_cfg.get("desc_max_features", features.DESC_MAX_FEATURES),
-        seed=args.seed,
-    )
-    if getattr(args, "objective_probs", None):
-        spec = replace(spec, stage1="file")
-    return spec
+    """Config ``model``, then the flags, laid over ``ModelSpec``'s defaults.
+    Hyperparameter names are checked against every classifier's."""
+    model_cfg = _section(config, "model", _MODEL_KEYS)
+    _section(model_cfg, "hyperparams", learn.HYPERPARAMS)
+    flags = {name: getattr(args, name) for name in _FLAG_FIELDS
+             if getattr(args, name, None) is not None}
+    return ModelSpec(**{**model_cfg, **flags, "seed": args.seed})
 
 
 def search_space_from(config: dict) -> dict:
-    """JSON search space: lists are choices, {"low","high"} objects are ranges."""
-    raw = config.get("search_space", DEFAULT_SEARCH_SPACE)
+    """JSON search space: non-empty lists are choices, {"low","high"} objects
+    are ranges; every name is a known hyperparameter and every choice and
+    range end a valid value for it."""
     space = {}
+    raw = (_section(config, "search_space", learn.HYPERPARAMS) if "search_space" in config
+           else DEFAULT_SEARCH_SPACE)
     for name, entry in raw.items():
-        if isinstance(entry, dict):
-            space[name] = (entry["low"], entry["high"])
-        elif isinstance(entry, list):
-            space[name] = entry
-        else:
-            raise ValidationError(f"bad search space entry for {name!r}")
+        if isinstance(entry, dict) and set(entry) == {"low", "high"}:
+            entry = (entry["low"], entry["high"])
+            if not all(isinstance(end, (int, float)) for end in entry) or entry[0] > entry[1]:
+                raise ValidationError(f"search space range for {name} must have "
+                                      f"numbers low <= high, got {entry}")
+        elif not (isinstance(entry, list) and entry):
+            raise ValidationError(f"search space entry for {name} must be a non-empty "
+                                  f"list or a low/high object, got {entry!r}")
+        for value in entry:
+            learn.check_hyperparam(name, value)
+        space[name] = entry
     return space
 
 
@@ -203,7 +229,8 @@ def load_probs_file(path: Path) -> dict[str, np.ndarray]:
 def cmd_fetch(args, config) -> int:
     out = Path(args.out)
     cfg = ingest.ClientConfig(
-        cache_dir=Path(args.cache_dir or config.get("paths", {}).get("cache", ".cache")),
+        cache_dir=Path(args.cache_dir or _section(config, "paths", ["cache"]).get(
+            "cache", ".cache")),
         max_parallel_requests=args.parallel,
         refresh=args.refresh,
     )
@@ -228,15 +255,8 @@ def cmd_fetch(args, config) -> int:
 def cmd_preprocess(args, config) -> int:
     out = Path(args.out)
     corpus = _load_input_corpus(args.input, args.strict)
-    filter_cfg = config.get("filter", {})
-    rules = FilterConfig(
-        min_text_chars=filter_cfg.get("min_text_chars", 3),
-        non_english_threshold=filter_cfg.get("non_english_threshold", 0.5),
-        excluded_clusters=tuple(filter_cfg.get(
-            "excluded_clusters", FilterConfig().excluded_clusters)),
-    )
     maps = labelmap.load_label_maps()
-    filtered, report = filter_corpus(corpus, rules, cluster_of=maps.clusters.cluster_of)
+    filtered, report = filter_corpus(corpus, args.rules, cluster_of=maps.clusters.cluster_of)
     save_corpus(filtered, out)
     learn.write_json(Path(str(out) + ".report.json"), report.as_dict())
     print(f"kept {len(filtered)} / {len(corpus)} issues "
@@ -253,7 +273,7 @@ def cmd_features(args, config) -> int:
     out = Path(args.out)
     corpus = _load_input_corpus(args.input, args.strict)
     maps = labelmap.load_label_maps()
-    spec = model_spec_from(config, args)
+    spec = args.spec
     if not len(corpus):
         out.write_text("", encoding="utf-8")
         write_manifest(out, "features", config, args.seed, [Path(args.input)], [out])
@@ -264,7 +284,7 @@ def cmd_features(args, config) -> int:
         title_max_features=spec.title_max_features,
         desc_max_features=spec.desc_max_features)
     stage1 = evalkit.train_objective_model(corpus.issues, maps, pipeline, seed=args.seed)
-    bundle = PriorityPipeline(pipeline, classifier=None, stage1_model=stage1, spec=spec)  # type: ignore[arg-type]
+    bundle = PriorityPipeline(pipeline, classifier=None, stage1_model=stage1)  # type: ignore[arg-type]
     header = ["issue_id"]
     header += [f"nf:{n}" for n in features.FEATURE_NAMES]
     header += [f"lf:{rep}" for rep in maps.clusters.representatives]
@@ -294,7 +314,7 @@ def cmd_train_objective(args, config) -> int:
     out = Path(args.model)
     corpus = _load_input_corpus(args.input, args.strict)
     maps = labelmap.load_label_maps()
-    spec = model_spec_from(config, args)
+    spec = args.spec
     pipeline = features.fit_feature_pipeline(
         corpus.issues, maps,
         title_max_features=spec.title_max_features,
@@ -319,7 +339,7 @@ def cmd_train_priority(args, config) -> int:
     out = Path(args.model)
     corpus = _load_input_corpus(args.input, args.strict)
     maps = labelmap.load_label_maps()
-    spec = model_spec_from(config, args)
+    spec = args.spec
     probs_file = load_probs_file(Path(args.objective_probs)) if args.objective_probs else None
     issues, _ = evalkit.labeled_issues(corpus.issues, maps)
     dropped = len(corpus) - len(issues)
@@ -328,7 +348,7 @@ def cmd_train_priority(args, config) -> int:
               file=sys.stderr)
     if args.tune:
         best, trace = evalkit.tune_hyperparams(
-            issues, spec, maps, search_space_from(config), budget=args.tune,
+            issues, spec, maps, args.space, budget=args.tune,
             cv_folds=args.cv_folds, probs_file=probs_file,
             objective=evalkit.macro_f1 if args.tune_metric == "macro-f1" else None)
         spec = replace(spec, hyperparams={**spec.hyperparams, **best})
@@ -363,8 +383,7 @@ def cmd_predict(args, config) -> int:
             probs = model.predict_proba(counts[None, :])[0]
             lines.append("\t".join([issue.id, *(_format_float(p) for p in probs)]))
     else:
-        spec = model_spec_from(config, args)
-        bundle = PriorityPipeline(pipeline, classifier=model, stage1_model=stage1, spec=spec)
+        bundle = PriorityPipeline(pipeline, classifier=model, stage1_model=stage1)
         lines = ["\t".join(["issue_id", "predicted",
                             *(f"p_{c}" for c in model.classes), "model_fingerprint"])]
         if len(corpus):
@@ -383,7 +402,7 @@ def cmd_evaluate(args, config) -> int:
     report_path = Path(args.report)
     corpus = _load_input_corpus(args.input, args.strict)
     maps = labelmap.load_label_maps()
-    spec = model_spec_from(config, args)
+    spec = args.spec
     outputs = [report_path]
     if args.mode == "cv":
         result = evalkit.cross_validate(corpus, spec, k=args.cv_folds,
@@ -475,6 +494,14 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="also write per-repo results as CSV")
 
 
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    # no defaults here: an absent flag leaves the config or ModelSpec value
+    parser.add_argument("--classifier", choices=evalkit.CLASSIFIERS)
+    parser.add_argument("--balancing", choices=evalkit.BALANCING)
+    parser.add_argument("--weights-i", dest="weights_i", type=int)
+    parser.add_argument("--stage1", choices=evalkit.STAGE1_SOURCES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="issuetriage",
                      description="Classify issue objectives and predict priorities.")
@@ -510,11 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-priority", parents=[common], help="train the stage-two priority model")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--classifier", choices=["forest", "logreg", "nb", "knn"])
-    p.add_argument("--balancing", choices=["weights", "smote", "none"])
-    p.add_argument("--weights-i", dest="weights_i", type=int)
-    p.add_argument("--stage1", choices=["internal", "file", "uniform"])
-    p.add_argument("--objective-probs", dest="objective_probs")
+    _add_model_flags(p)
+    p.add_argument("--objective-probs", dest="objective_probs",
+                   help="objective probability file; it replaces stage one")
     p.add_argument("--tune", type=int, default=0,
                    help="random-search budget (0 disables tuning)")
     p.add_argument("--tune-metric", dest="tune_metric", default="accuracy",
@@ -532,10 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["cv", "project", "cross-project"])
     p.add_argument("--report", required=True)
     p.add_argument("--cv-folds", dest="cv_folds", type=int, default=5)
-    p.add_argument("--classifier", choices=["forest", "logreg", "nb", "knn"])
-    p.add_argument("--balancing", choices=["weights", "smote", "none"])
-    p.add_argument("--weights-i", dest="weights_i", type=int)
-    p.add_argument("--stage1", choices=["internal", "file", "uniform"])
+    _add_model_flags(p)
 
     p = sub.add_parser("agreement", parents=[common], help="inter-rater agreement statistics")
     p.add_argument("--ratings", required=True)
@@ -567,15 +589,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = load_config(args.config)
         if args.seed is None:
             args.seed = config.get("seed", 0)
-        _checked_int("seed", args.seed, 0)
+        # the run settings, read and checked once, before any input is read
         if hasattr(args, "cv_folds"):
-            _checked_int("--cv-folds", args.cv_folds, 2)
+            learn.checked_int("--cv-folds", args.cv_folds, 2)
+        learn.checked_int("--tune", getattr(args, "tune", 0), 0)
+        args.spec = model_spec_from(config, args)
+        args.space = search_space_from(config)
+        args.rules = FilterConfig(**_section(config, "filter",
+                                             [f.name for f in fields(FilterConfig)]))
         for attr in ("input", "ratings"):
             value = getattr(args, attr, None)
             if value and not Path(value).exists():
                 raise ValidationError(f"input file not found: {value}")
         return _COMMANDS[args.command](args, config)
-    except ValidationError as exc:
+    except (ValidationError, SettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CorpusError, TrainingError, ChecksumMismatchError,

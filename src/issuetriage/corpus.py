@@ -28,6 +28,10 @@ class CorpusError(Exception):
     """Raised for unreadable corpus files or schema mismatches."""
 
 
+class SettingError(ValueError):
+    """A run setting has a bad value; the message names the setting."""
+
+
 class ObjectiveClass(Enum):
     BUG = "Bug"
     ENHANCEMENT = "Enhancement"
@@ -305,9 +309,22 @@ def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, LoadRep
 
 @dataclass(frozen=True)
 class FilterConfig:
+    """Filter rules and their defaults; a bad value is a ``SettingError``."""
+
     min_text_chars: int = 3
     non_english_threshold: float = 0.5
     excluded_clusters: tuple[str, ...] = EXCLUDED_CLUSTERS_DEFAULT
+
+    def __post_init__(self) -> None:
+        chars, share, clusters = (self.min_text_chars, self.non_english_threshold,
+                                  self.excluded_clusters)
+        if isinstance(chars, bool) or not isinstance(chars, int) or chars < 0:
+            raise SettingError(f"min_text_chars must be an integer >= 0, got {chars!r}")
+        if isinstance(share, bool) or not isinstance(share, (int, float)) or not 0 <= share <= 1:
+            raise SettingError(f"non_english_threshold must be a number in [0, 1], got {share!r}")
+        if not (isinstance(clusters, (list, tuple)) and all(isinstance(c, str) for c in clusters)):
+            raise SettingError(f"excluded_clusters must be a list of strings, got {clusters!r}")
+        object.__setattr__(self, "excluded_clusters", tuple(clusters))
 
 
 @dataclass

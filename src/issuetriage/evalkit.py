@@ -11,13 +11,14 @@ idf, the scaler, the stage-one model or the tuned hyperparameters.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import features, labelmap, learn, sentiment
-from .corpus import Corpus, IssueRecord, stratified_split, subset
+from .corpus import Corpus, IssueRecord, SettingError, stratified_split, subset
 from .features import FeaturePipeline, fit_feature_pipeline
 from .labelmap import LabelMaps
 from .learn import TrainedModel, TrainingError
@@ -125,16 +126,45 @@ def macro_f1(truth: Sequence[str], predicted: Sequence[str]) -> float:
 # ---------------------------------------------------------------------------
 # Model specification and the fitted pipeline bundle
 
+# classifier name -> the name of its fitter in ``learn``, looked up at fit time
+CLASSIFIERS = {"forest": "fit_random_forest", "logreg": "fit_logreg",
+               "nb": "fit_multinomial_nb", "knn": "fit_knn"}
+BALANCING = ("weights", "smote", "none")
+# an objective probability file, when given, always takes stage one's place
+STAGE1_SOURCES = ("internal", "uniform")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    classifier: str = "forest"        # forest | logreg | nb | knn
-    balancing: str = "weights"        # weights | smote | none
+    """One priority experiment's model settings and their defaults; a bad
+    value is a ``SettingError``. Hyperparameters outside ``learn.HYPERPARAMS``
+    are left alone; those the classifier's fitter does not take are ignored."""
+
+    classifier: str = "forest"
+    balancing: str = "weights"
     weights_i: int | None = None      # manual override grid index (1..9)
-    stage1: str = "internal"          # internal | file | uniform
+    stage1: str = "internal"
     hyperparams: dict = field(default_factory=dict)
     title_max_features: int = features.TITLE_MAX_FEATURES
     desc_max_features: int = features.DESC_MAX_FEATURES
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, choices in (("classifier", tuple(CLASSIFIERS)), ("balancing", BALANCING),
+                              ("stage1", STAGE1_SOURCES)):
+            if getattr(self, name) not in choices:
+                raise SettingError(f"{name} must be one of {', '.join(choices)}, "
+                                   f"got {getattr(self, name)!r}")
+        if self.weights_i is not None:
+            learn.checked_int("weights_i", self.weights_i, 1, 9)
+        learn.checked_int("title_max_features", self.title_max_features, 1)
+        learn.checked_int("desc_max_features", self.desc_max_features, 1)
+        learn.checked_int("seed", self.seed, 0)
+        if not isinstance(self.hyperparams, dict):
+            raise SettingError(f"hyperparams must be an object, got {self.hyperparams!r}")
+        for name, value in self.hyperparams.items():
+            if name in learn.HYPERPARAMS:
+                learn.check_hyperparam(name, value)
 
 
 @dataclass
@@ -145,7 +175,6 @@ class PriorityPipeline:
     feature_pipeline: FeaturePipeline
     classifier: TrainedModel
     stage1_model: TrainedModel | None
-    spec: ModelSpec
     notes: list[str] = field(default_factory=list)
 
     def objective_probs(self, issue: IssueRecord,
@@ -210,34 +239,25 @@ def train_objective_model(
 
 def fit_classifier(spec: ModelSpec, X: np.ndarray, labels: Sequence[str]) -> TrainedModel:
     """Fit the spec's priority classifier on ``X``, balanced as the spec says:
-    class weights (manual grid or inverse frequency), SMOTE, or neither."""
-    hp = dict(spec.hyperparams)
+    class weights (manual grid or inverse frequency), SMOTE, or neither.
+
+    The fitter is looked up on ``learn`` at each call, so a rebound fitter is
+    the one used, and it gets only the class weights, seed and known
+    hyperparameters that its signature takes; every default is its own. NB
+    needs no shift: every block of the assembled vector is non-negative."""
+    hp = {name: value for name, value in spec.hyperparams.items() if name in learn.HYPERPARAMS}
     weights = None
     if spec.balancing == "weights":
         weights = (learn.manual_priority_weights(spec.weights_i) if spec.weights_i is not None
                    else learn.compute_class_weights(labels))
     elif spec.balancing == "smote":
-        X, labels = learn.balance_with_smote(X, labels, k=hp.get("smote_k", 5), seed=spec.seed)
-    elif spec.balancing != "none":
-        raise TrainingError(f"unknown balancing mode {spec.balancing!r}")
-    classes = learn.PRIORITY_CLASS_ORDER
-    if spec.classifier == "forest":
-        return learn.fit_random_forest(
-            X, labels, weights=weights, seed=spec.seed, classes=classes,
-            n_trees=hp.get("n_trees", 60), max_depth=hp.get("max_depth", 12),
-            min_leaf=hp.get("min_leaf", 1), max_features=hp.get("max_features", "sqrt"))
-    if spec.classifier == "logreg":
-        return learn.fit_logreg(
-            X, labels, weights=weights, seed=spec.seed, classes=classes,
-            lr=hp.get("lr", 0.5), l2=hp.get("l2", 1e-4), epochs=hp.get("epochs", 300))
-    if spec.classifier == "nb":
-        # NB consumes count-like inputs; shift is unnecessary because every
-        # block of the assembled vector is already non-negative
-        return learn.fit_multinomial_nb(X, labels, alpha=hp.get("alpha", 1.0),
-                                        classes=classes)
-    if spec.classifier == "knn":
-        return learn.fit_knn(X, labels, k=hp.get("k", 5), classes=classes)
-    raise TrainingError(f"unsupported classifier {spec.classifier!r}")
+        smote_k = {"k": hp["smote_k"]} if "smote_k" in hp else {}
+        X, labels = learn.balance_with_smote(X, labels, seed=spec.seed, **smote_k)
+    fit = getattr(learn, CLASSIFIERS[spec.classifier])
+    takes = inspect.signature(fit).parameters
+    options = {"weights": weights, "seed": spec.seed, **hp}
+    return fit(X, labels, classes=learn.PRIORITY_CLASS_ORDER,
+               **{name: value for name, value in options.items() if name in takes})
 
 
 def fit_preprocessing(
@@ -250,7 +270,8 @@ def fit_preprocessing(
     """Fit preprocessing and stage one on ``issues``; returns the bundle, whose
     priority classifier is not fit yet, and the issues' priority labels.
 
-    Every issue must carry a priority label; callers filter first.
+    Every issue must carry a priority label; callers filter first. No stage
+    one is fit when ``probs_file`` is given: the file is the objective source.
     """
     issues = list(issues)
     labels = labeled_issues(issues, maps)[1]
@@ -266,19 +287,14 @@ def fit_preprocessing(
         desc_max_features=spec.desc_max_features)
 
     stage1_model = None
-    if spec.stage1 == "internal":
+    if probs_file is None and spec.stage1 == "internal":
         stage1_model = train_objective_model(issues, maps, fp, seed=spec.seed)
         if stage1_model is None:
             notes.append("stage1: fewer than two objective classes in training "
                          "data; falling back to uniform probabilities")
-    elif spec.stage1 == "file":
-        if probs_file is None:
-            raise TrainingError("stage1='file' requires an objective probability file")
-    elif spec.stage1 != "uniform":
-        raise TrainingError(f"unknown stage1 source {spec.stage1!r}")
 
     bundle = PriorityPipeline(fp, classifier=None, stage1_model=stage1_model,  # type: ignore[arg-type]
-                              spec=spec, notes=notes)
+                              notes=notes)
     return bundle, labels
 
 
@@ -464,7 +480,7 @@ def evaluate_project_based(corpus: Corpus, spec: ModelSpec,
     skipped: dict[str, str] = {}
     for repo in corpus.repos():
         issues, labels = labeled_issues((i for i in corpus.issues if i.repo == repo), maps)
-        counts = {cls: labels.count(cls) for cls in set(labels)}
+        counts = {cls: labels.count(cls) for cls in learn.PRIORITY_CLASS_ORDER if cls in labels}
         if len(counts) < 2 or min(counts.values()) < 2:
             skipped[repo] = f"insufficient class support: {counts}"
             continue

@@ -26,6 +26,7 @@ from .corpus import (
     Corpus,
     EventRecord,
     IssueRecord,
+    SettingError,
     UserProfile,
     parse_ts,
 )
@@ -55,9 +56,10 @@ class ClientConfig:
 
     def __post_init__(self) -> None:
         if self.max_parallel_requests < 1:
-            raise ValueError("max_parallel_requests must be >= 1")
+            raise SettingError(
+                f"max_parallel_requests must be >= 1, got {self.max_parallel_requests}")
         if self.max_attempts < 0:
-            raise ValueError("max_attempts must be >= 0")
+            raise SettingError("max_attempts must be >= 0")
 
 
 _REPO_RE = re.compile(r"^[\w.-]+/[\w.-]+$")
@@ -72,9 +74,9 @@ class FetchQuery:
 
     def __post_init__(self) -> None:
         if not _REPO_RE.match(self.repo):
-            raise ValueError(f"repo must look like owner/name, got {self.repo!r}")
+            raise SettingError(f"repo must look like owner/name, got {self.repo!r}")
         if self.state not in ("open", "closed", "all"):
-            raise ValueError(f"bad state filter {self.state!r}")
+            raise SettingError(f"bad state filter {self.state!r}")
 
 
 @dataclass
@@ -116,6 +118,17 @@ class HydrationFailure:
 
 
 _LINK_NEXT_RE = re.compile(r'<([^>]+)>\s*;\s*rel="next"')
+
+
+def _json_body(response: Response, url: str, kind: type):
+    """The decoded body of a 200 response, which must be a JSON ``kind``."""
+    try:
+        doc = json.loads(response.body)
+    except ValueError:
+        raise IngestError(f"response from {url} is not JSON") from None
+    if not isinstance(doc, kind):
+        raise IngestError(f"expected a JSON {kind.__name__} from {url}")
+    return doc
 
 
 class IssueClient:
@@ -218,10 +231,7 @@ class IssueClient:
         next_url: Optional[str] = url
         while next_url:
             response = self.request(next_url)
-            payload = json.loads(response.body) if response.body.strip() else []
-            if not isinstance(payload, list):
-                raise IngestError(f"expected a list from {next_url}")
-            items.extend(payload)
+            items.extend(_json_body(response, next_url, list) if response.body.strip() else [])
             link = response.header("Link") or ""
             match = _LINK_NEXT_RE.search(link)
             next_url = match.group(1) if match else None
@@ -335,8 +345,8 @@ def _hydrate_one(client: IssueClient, cfg: ClientConfig,
     profile = _zeroed_profile(issue.author.login)
     if issue.author.login:
         try:
-            response = client.request(f"{cfg.base_url}/users/{issue.author.login}")
-            profile = _profile_from_api(json.loads(response.body))
+            url = f"{cfg.base_url}/users/{issue.author.login}"
+            profile = _profile_from_api(_json_body(client.request(url), url, dict))
         except IngestError as exc:
             failures.append(HydrationFailure(issue.id, "author", str(exc)))
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import IssueRecord, PriorityClass
+from .corpus import IssueRecord, PriorityClass, SettingError
 from .textnorm import TokenizedDoc
 
 OBJECTIVE_CLASS_ORDER = ("Bug", "Enhancement", "SupportDoc")
@@ -145,6 +145,11 @@ class TrainedModel:
     def from_doc(cls, doc: dict) -> "TrainedModel":
         require_keys(doc, ("kind", "classes", "params"), "model")
         params = doc["params"]
+        if doc["kind"] == "forest" and not params.get("trees"):
+            raise ArtifactError("forest model artifact has no trees")
+        if doc["kind"] == "knn" and not _is_int(params.get("k"), 1):
+            raise ArtifactError(f"kNN model artifact has k {params.get('k')!r}, "
+                                "not an integer >= 1")
         if doc["kind"] in ("nb", "logreg"):  # forest trees and kNN rows stay lists
             params = {name: np.asarray(value, dtype=float) for name, value in params.items()}
         return cls(kind=doc["kind"], classes=tuple(doc["classes"]), params=params,
@@ -549,7 +554,50 @@ def balance_with_smote(X: np.ndarray, labels: Sequence[str], k: int = 5,
 
 
 # ---------------------------------------------------------------------------
-# Hyperparameter sampling and fold assignment
+# Setting checks, hyperparameter sampling and fold assignment
+
+def _is_int(value, low: int, high: int | None = None) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool) and value >= low
+            and (high is None or value <= high))
+
+
+def _is_number(value, low: float, strict: bool) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and (value > low if strict else value >= low))
+
+
+def checked_int(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` if it is an integer (not a bool) in [low, high], else a
+    ``SettingError``."""
+    if not _is_int(value, low, high):
+        bounds = f"in [{low}, {high}]" if high is not None else f">= {low}"
+        raise SettingError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+# Every hyperparameter the fitters above (and SMOTE, as ``smote_k``) take by
+# name, with what makes its value valid; the defaults are the fitters' own.
+HYPERPARAMS: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "n_trees": ("an integer >= 1", lambda v: _is_int(v, 1)),
+    "max_depth": ("null or an integer >= 1", lambda v: v is None or _is_int(v, 1)),
+    "min_leaf": ("an integer >= 1", lambda v: _is_int(v, 1)),
+    "max_features": ('"sqrt", null or an integer >= 1',
+                     lambda v: v is None or v == "sqrt" or _is_int(v, 1)),
+    "lr": ("a finite number > 0", lambda v: _is_number(v, 0, strict=True)),
+    "l2": ("a finite number >= 0", lambda v: _is_number(v, 0, strict=False)),
+    "epochs": ("an integer >= 1", lambda v: _is_int(v, 1)),
+    "alpha": ("a finite number > 0", lambda v: _is_number(v, 0, strict=True)),
+    "k": ("an integer >= 1", lambda v: _is_int(v, 1)),
+    "smote_k": ("an integer >= 1", lambda v: _is_int(v, 1)),
+}
+
+
+def check_hyperparam(name: str, value) -> None:
+    """``SettingError`` unless ``value`` is valid for the known hyperparameter ``name``."""
+    what, valid = HYPERPARAMS[name]
+    if not valid(value):
+        raise SettingError(f"hyperparameter {name} must be {what}, got {value!r}")
+
 
 def sample_config(space: dict, rng: np.random.Generator) -> dict:
     """Lists are discrete choices; (lo, hi) tuples are uniform ranges,

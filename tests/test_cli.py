@@ -278,6 +278,107 @@ class TestArtifactErrors:
         assert code == 2 and repr(key) in err
 
 
+    def test_forest_without_trees_exits_two(self, workdir, trained, capsys):
+        doc = json.loads(trained.read_text())
+        doc["params"]["trees"] = []
+        trained.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and "no trees" in err
+
+    def test_knn_with_k_below_one_exits_two(self, workdir, capsys):
+        model = workdir / "knn.json"
+        assert run("--config", workdir / "config.json", "train-priority", "--classifier",
+                   "knn", "--in", workdir / "corpus.jsonl", "--model", model) == 0
+        doc = json.loads(model.read_text())
+        doc["params"]["k"] = 0
+        model.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, model, capsys)
+        assert code == 2 and "k 0" in err
+
+
+def _command(workdir, command):
+    """argv of ``command`` on the workdir corpus, writing into the workdir."""
+    corpus = workdir / "corpus.jsonl"
+    return {
+        "train": ["train-priority", "--in", corpus, "--model", workdir / "m.json"],
+        "tune": ["train-priority", "--in", corpus, "--model", workdir / "m.json",
+                 "--tune", "1", "--cv-folds", "2"],
+        "features": ["features", "--in", corpus, "--out", workdir / "f.tsv"],
+        "evaluate": ["evaluate", "--in", corpus, "--mode", "cv", "--report", workdir / "r.json"],
+        "preprocess": ["preprocess", "--in", corpus, "--out", workdir / "p.jsonl"],
+        "fetch": ["fetch", "--out", workdir / "c.jsonl", "--cache-dir", workdir / "cache"],
+    }[command]
+
+
+# (config, command, extra flags, what the one error line names)
+BAD_SETTINGS = [
+    ([1], "train", [], "JSON object"),
+    ({"model": "x"}, "train", [], "model"),
+    ({"model": {"hyperparams": [1]}}, "train", [], "hyperparams"),
+    ({"model": {"bogus": 1}}, "train", [], "'bogus'"),
+    ({"filter": {"bogus": 1}}, "preprocess", [], "'bogus'"),
+    ({"model": {"hyperparams": {"ntrees": 2}}}, "train", [], "'ntrees'"),
+    ({"model": {"hyperparams": {"n_trees": 0}}}, "train", [], "n_trees"),
+    ({"model": {"hyperparams": {"k": 0}}}, "train", ["--classifier", "knn"], "k must"),
+    ({"model": {"hyperparams": {"n_trees": "x"}}}, "train", [], "n_trees"),
+    ({"model": {"hyperparams": {"n_trees": 2.5}}}, "train", [], "n_trees"),
+    ({"model": {"hyperparams": {"max_features": "log2"}}}, "train", [], "max_features"),
+    ({"model": {"title_max_features": "x"}}, "train", [], "title_max_features"),
+    ({"model": {"classifier": "bogus"}}, "train", [], "classifier"),
+    ({"model": {"balancing": "bogus"}}, "evaluate", [], "balancing"),
+    ({"model": {"stage1": "file"}}, "evaluate", [], "stage1"),
+    ({}, "evaluate", ["--stage1", "file"], "--stage1"),
+    ({"search_space": {"n_trees": {"low": 1}}}, "tune", [], "n_trees"),
+    ({"search_space": {"n_trees": {"low": 5, "high": 1}}}, "tune", [], "n_trees"),
+    ({"search_space": {"n_trees": []}}, "tune", [], "n_trees"),
+    ({"search_space": {"n_tree": [1]}}, "tune", [], "'n_tree'"),
+    ({"filter": {"min_text_chars": "x"}}, "preprocess", [], "min_text_chars"),
+    ({"filter": {"excluded_clusters": 5}}, "preprocess", [], "excluded_clusters"),
+    ({"filter": {"non_english_threshold": 2}}, "preprocess", [], "non_english_threshold"),
+    ({}, "train", ["--tune", "-1"], "--tune"),
+    ({}, "fetch", ["--repo", "a/b", "--parallel", "0"], "parallel"),
+    ({}, "fetch", ["--repo", "bad"], "repo"),
+]
+
+
+class TestSettings:
+    """Every setting is read and checked once, before any corpus is loaded:
+    a bad value or an unknown key exits 1 with one error line naming it."""
+
+    @pytest.mark.parametrize("config,command,extra,named", BAD_SETTINGS,
+                             ids=[f"{command}-{named}" for _, command, _, named in BAD_SETTINGS])
+    def test_bad_setting_exits_one(self, workdir, capsys, config, command, extra, named):
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run("--config", path, *_command(workdir, command), *extra) == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        errors = [line for line in err if line.startswith("error: ")]
+        assert len(errors) == 1 and named in errors[0], err
+        assert all(line.startswith(("error: ", "usage: ", "  ")) for line in err), err
+
+    def test_no_corpus_is_loaded_when_a_setting_is_bad(self, workdir, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load_corpus", lambda *a, **k: loads.append(a))
+        path = workdir / "bad.json"
+        for config, command, extra, _ in BAD_SETTINGS:
+            path.write_text(json.dumps(config))
+            # a bad config fails every command, not only the one that uses it
+            for name in [command] if extra else ["tune", "features", "evaluate", "preprocess"]:
+                assert run("--config", path, *_command(workdir, name), *extra) == 1
+        assert loads == []
+
+    @pytest.mark.parametrize("hyperparams,extra", [
+        ({"n_trees": 3, "max_depth": None}, []),
+        ({"n_trees": 3, "max_features": "sqrt"}, []),
+        ({"n_trees": 3, "max_depth": 2, "k": 3}, ["--classifier", "knn"]),
+    ])
+    def test_still_accepted(self, workdir, hyperparams, extra):
+        path = workdir / "ok.json"
+        path.write_text(json.dumps({"model": {"hyperparams": hyperparams}}))
+        assert run("--config", path, *_command(workdir, "train"), *extra) == 0
+
+
 class TestValueValidation:
     """Bad values exit 1 with one error line, not a traceback."""
 

@@ -1,0 +1,173 @@
+"""Process-level contracts of the CLI: the exit code of any config, and output
+bytes that do not depend on the interpreter's string hash seed."""
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import FIXTURES
+from issuetriage import cli, labelmap, learn
+from issuetriage.corpus import Corpus, FilterConfig, load_corpus, save_corpus
+from issuetriage.evalkit import ModelSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """The first 40 planted issues (all of acme/engine) plus a 4-issue
+    tiny/repo, one Low and then three High, which project-based evaluation
+    skips. In that order, a set of the repo's labels iterates differently
+    under hash seeds 1 and 2."""
+    corpus, _ = load_corpus(FIXTURES / "planted_corpus.jsonl")
+    maps = labelmap.load_label_maps()
+    rest = corpus.issues[40:]
+    by_class = {cls: [i for i in rest if (p := labelmap.priority_of(i.labels, maps.priority))
+                      and p.value == cls] for cls in learn.PRIORITY_CLASS_ORDER}
+    tiny = [replace(issue, repo="tiny/repo", id=f"tiny-{n}")
+            for n, issue in enumerate(by_class["Low"][:1] + by_class["High"][:3])]
+    path = tmp_path_factory.mktemp("contract") / "corpus.jsonl"
+    save_corpus(Corpus(issues=tuple(corpus.issues[:40]) + tuple(tiny)), path)
+    return path
+
+
+SMALL_MODEL = {"hyperparams": {"n_trees": 5, "max_depth": 4}}
+
+# train-priority and all three evaluate modes, run in one child process
+_RUNS = """
+import sys
+from issuetriage import cli
+corpus, config = sys.argv[1], sys.argv[2]
+for argv in (["train-priority", "--model", "m.json"],
+             ["evaluate", "--mode", "cv", "--cv-folds", "2", "--report", "cv.json"],
+             ["--emit-csv", "evaluate", "--mode", "project", "--report", "project.json"],
+             ["evaluate", "--mode", "cross-project", "--report", "cross.json"]):
+    assert cli.main(["--config", config, *argv, "--in", corpus]) == 0, argv
+"""
+_OUTPUTS = ("m.json", "m.json.assets.json", "cv.json", "project.json", "project.csv",
+            "cross.json")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(small_corpus, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": SMALL_MODEL}))
+    outputs = {}
+    for hash_seed in ("1", "2"):
+        run_dir = tmp_path / hash_seed
+        run_dir.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+        subprocess.run([sys.executable, "-c", _RUNS, str(small_corpus), str(config)],
+                       cwd=run_dir, env=env, check=True, capture_output=True)
+        outputs[hash_seed] = {name: (run_dir / name).read_bytes() for name in _OUTPUTS}
+    assert "tiny/repo" in json.loads(outputs["1"]["project.json"])["skipped"]
+    for name in _OUTPUTS:
+        assert outputs["1"][name] == outputs["2"][name], name
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract over mutated configs
+
+BASE_CONFIG = {
+    "seed": 3,
+    "model": SMALL_MODEL,
+    "search_space": {"n_trees": [2, 3], "max_depth": {"low": 2, "high": 4}},
+    "filter": {},
+}
+# valid values of each key, so that many mutated configs are accepted and run
+VALID = {
+    "classifier": ["forest", "logreg", "nb", "knn"],
+    "balancing": ["weights", "smote", "none"],
+    "weights_i": [1, 5, 9, None],
+    "stage1": ["internal", "uniform"],
+    "hyperparams": [{}, {"n_trees": 2}],
+    "title_max_features": [1, 50],
+    "desc_max_features": [2, 80],
+    "n_trees": [1, 3],
+    "max_depth": [None, 1, 3],
+    "min_leaf": [1, 3],
+    "max_features": [None, "sqrt", 2],
+    "lr": [0.05, 1],
+    "l2": [0, 0.01],
+    "epochs": [1, 5],
+    "alpha": [0.5, 2],
+    "k": [1, 4],
+    "smote_k": [1, 3],
+    "min_text_chars": [0, 3, 10],
+    "non_english_threshold": [0, 0.5, 1],
+    "excluded_clusters": [[], ["question"]],
+}
+SECTION_KEYS = {
+    "model": sorted(f.name for f in ModelSpec.__dataclass_fields__.values()),
+    "hyperparams": sorted(learn.HYPERPARAMS),
+    "search_space": sorted(learn.HYPERPARAMS),
+    "filter": sorted(FilterConfig.__dataclass_fields__),
+}
+
+# small ints keep every accepted config quick to train
+scalars = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4)
+           | st.sampled_from([float("nan"), float("inf"), 1e300])
+           | st.sampled_from(["", "x", "sqrt", "knn", "smote", "uniform", "file"]))
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["low", "high", "x"]), inner, max_size=3),
+    max_leaves=4)
+
+
+@st.composite
+def mutated_configs(draw):
+    """The base config with one to three keys of its sections (a known key or
+    ``bogus``) set to a valid or an arbitrary value, or a section replaced
+    whole by an arbitrary value."""
+    config = json.loads(json.dumps(BASE_CONFIG))
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(sorted(SECTION_KEYS)))
+        owner = config["model"] if section == "hyperparams" else config
+        if draw(st.integers(0, 7)) == 0:
+            owner[section] = draw(values)
+            continue
+        if not isinstance(owner.get(section), dict):
+            owner[section] = {}
+        key = draw(st.sampled_from(SECTION_KEYS[section] + ["bogus"]))
+        valid = VALID.get(key)
+        if valid and draw(st.integers(0, 2)):  # valid two times in three
+            value = draw(st.sampled_from(valid))
+            if section == "search_space":
+                value = [value]
+        else:
+            value = draw(values)
+        owner[section][key] = value
+    return config
+
+
+def _main(argv) -> tuple[int, list[str]]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=mutated_configs())
+def test_any_config_gives_a_known_exit_code(small_corpus, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "config.json").write_text(json.dumps(config))
+        base = ["--config", tmp / "config.json"]
+        for argv in (["train-priority", "--in", small_corpus, "--model", tmp / "m.json",
+                      "--tune", "1", "--cv-folds", "2"],
+                     ["preprocess", "--in", small_corpus, "--out", tmp / "p.jsonl"]):
+            code, errors = _main(base + argv)
+            assert code in (0, 1, 2), (argv[0], code)
+            assert len(errors) <= 1, errors
+            assert (code == 0) == (not errors), (argv[0], code, errors)

@@ -306,7 +306,7 @@ class TestPipelineStages:
     def test_stage1_file_probs_take_precedence(self, planted_corpus, maps):
         issues = list(planted_corpus.issues[:40])
         table = {issues[0].id: np.array([0.8, 0.1, 0.1])}
-        bundle = train_pipeline(issues, ModelSpec(classifier="knn", stage1="file",
+        bundle = train_pipeline(issues, ModelSpec(classifier="knn",
                                                   hyperparams={"k": 3}), maps,
                                 probs_file=table)
         assert np.allclose(bundle.objective_probs(issues[0], table),

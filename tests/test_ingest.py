@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from issuetriage import cli, ingest
 from issuetriage.corpus import save_corpus
 from issuetriage.ingest import (
     AuthError,
@@ -334,6 +335,32 @@ class TestRobustness:
         assert issue.author.followers == 42
         assert (len(issue.comments), len(issue.events)) == \
             ((0, 5) if resource == "comments" else (3, 0))
+
+    def test_non_json_profile_fails_only_the_author(self, tmp_path):
+        transport = FakeTransport()
+        hydration_routes(transport)
+        transport.routes[f"{BASE}/users/alice"] = Response(200, {}, "<html>oops")
+        transport.add(ISSUES_URL, [issue_doc(1)])
+        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
+                              transport=transport, sleeper=no_sleep)
+        corpus, failures = hydrate(cfg(tmp_path), issues, transport=transport,
+                                   sleeper=no_sleep)
+        assert [(f.issue_id, f.resource) for f in failures] == [("1", "author")]
+        issue = corpus.issues[0]
+        assert issue.hydration_failed is True
+        assert issue.author.followers == 0
+        assert (len(issue.comments), len(issue.events)) == (3, 5)
+
+    def test_fetch_of_non_json_issue_list_exits_two(self, tmp_path, monkeypatch, capsys):
+        transport = FakeTransport()
+        transport.routes[ISSUES_URL] = Response(200, {}, "<html>oops")
+        monkeypatch.setattr(ingest, "RequestsTransport", lambda: transport)
+        code = cli.main(["fetch", "--repo", REPO, "--out", str(tmp_path / "c.jsonl"),
+                         "--cache-dir", str(tmp_path / "cache")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and "not JSON" in err[0], err
+        assert transport.calls == [ISSUES_URL]
 
     def test_request_counter_is_locked(self, tmp_path):
         transport = FakeTransport(delay=0.002)
