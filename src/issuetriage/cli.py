@@ -13,13 +13,17 @@ once and checks every setting before any corpus is loaded:
 - ``model``: ``classifier``, ``balancing``, ``weights_i``, ``stage1``,
   ``hyperparams``, ``title_max_features``, ``desc_max_features``. The
   defaults and valid values are ``evalkit.ModelSpec``'s; the flags of the
-  same names override the config;
+  same names override the config. ``stage1`` is the stage-one objective
+  model of every command that fits one: ``nb`` (the default), ``logreg``,
+  or ``uniform`` for fixed 1/3 probabilities, which ``train-objective``
+  rejects. ``classifier``, ``balancing``, ``weights_i`` and ``hyperparams``
+  are stage two's, the priority classifier's;
 - ``model.hyperparams`` and ``search_space``: names from
   ``learn.HYPERPARAMS``; each default is the one in the signature of the
   ``learn.fit_*`` function that takes it;
 - ``filter``: ``min_text_chars``, ``non_english_threshold``,
   ``excluded_clusters``, defaulting as in ``corpus.FilterConfig``;
-- ``paths``: ``cache``, the response cache of ``fetch``.
+- ``paths``: ``cache``, the directory of ``fetch``'s response cache.
 
 ``--objective-probs`` sources stage one from that file, so no stage-one
 model is fit. A bad value or an unknown key exits 1 naming the setting.
@@ -209,8 +213,8 @@ def load_probs_file(path: Path) -> dict[str, np.ndarray]:
     probs = {}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
-        if len(cells) != 4:
-            raise ValidationError(f"{path}:{lineno}: expected 4 columns")
+        if len(cells) != len(expected):
+            raise ValidationError(f"{path}:{lineno}: expected {len(expected)} columns")
         try:
             vec = np.array([float(c) for c in cells[1:]])
         except ValueError:
@@ -229,8 +233,7 @@ def load_probs_file(path: Path) -> dict[str, np.ndarray]:
 def cmd_fetch(args, config) -> int:
     out = Path(args.out)
     cfg = ingest.ClientConfig(
-        cache_dir=Path(args.cache_dir or _section(config, "paths", ["cache"]).get(
-            "cache", ".cache")),
+        cache_dir=Path(args.cache_dir or args.cache),
         max_parallel_requests=args.parallel,
         refresh=args.refresh,
     )
@@ -273,25 +276,21 @@ def cmd_features(args, config) -> int:
     out = Path(args.out)
     corpus = _load_input_corpus(args.input, args.strict)
     maps = labelmap.load_label_maps()
-    spec = args.spec
     if not len(corpus):
         out.write_text("", encoding="utf-8")
         write_manifest(out, "features", config, args.seed, [Path(args.input)], [out])
         print("empty corpus; wrote empty matrix")
         return EXIT_OK
-    pipeline = features.fit_feature_pipeline(
-        corpus.issues, maps,
-        title_max_features=spec.title_max_features,
-        desc_max_features=spec.desc_max_features)
-    stage1 = evalkit.train_objective_model(corpus.issues, maps, pipeline, seed=args.seed)
-    bundle = PriorityPipeline(pipeline, classifier=None, stage1_model=stage1)  # type: ignore[arg-type]
+    bundle = evalkit.fit_preprocessing(corpus.issues, args.spec, maps)
+    for note in bundle.notes:
+        print(f"note: {note}", file=sys.stderr)
     header = ["issue_id"]
     header += [f"nf:{n}" for n in features.FEATURE_NAMES]
     header += [f"lf:{rep}" for rep in maps.clusters.representatives]
     header += ["tf"]
     lines = ["\t".join(header)]
     for issue in corpus.issues:
-        vec = pipeline.assemble(issue, bundle.objective_probs(issue))
+        vec = bundle.feature_pipeline.assemble(issue, bundle.objective_probs(issue))
         tf_dense_offset = 0
         pairs = []
         for sparse in (vec.tf_title, vec.tf_desc):
@@ -311,24 +310,19 @@ def cmd_features(args, config) -> int:
 
 
 def cmd_train_objective(args, config) -> int:
+    if args.spec.stage1 == "uniform":
+        raise ValidationError("train-objective needs a stage-one model: stage1 must be "
+                              "nb or logreg, got 'uniform'")
     out = Path(args.model)
     corpus = _load_input_corpus(args.input, args.strict)
-    maps = labelmap.load_label_maps()
-    spec = args.spec
-    pipeline = features.fit_feature_pipeline(
-        corpus.issues, maps,
-        title_max_features=spec.title_max_features,
-        desc_max_features=spec.desc_max_features)
-    model = evalkit.train_objective_model(
-        corpus.issues, maps, pipeline,
-        classifier=args.classifier or "nb", seed=args.seed)
+    bundle = evalkit.fit_preprocessing(corpus.issues, args.spec, labelmap.load_label_maps())
+    model = bundle.stage1_model
     if model is None:
-        print("error: fewer than two objective classes in the corpus", file=sys.stderr)
-        return EXIT_RUNTIME
-    model.asset_fingerprints = pipeline.fingerprints()
+        raise TrainingError("fewer than two objective classes in the corpus")
+    model.asset_fingerprints = bundle.feature_pipeline.fingerprints()
     model.metadata["seed"] = args.seed
     learn.save_model(model, out)
-    save_assets(assets_path_for(out), pipeline, None)
+    save_assets(assets_path_for(out), bundle.feature_pipeline, None)
     print(f"trained stage-one {model.kind} model -> {out}")
     write_manifest(out, "train-objective", config, args.seed,
                    [Path(args.input)], [out, assets_path_for(out)])
@@ -377,10 +371,10 @@ def cmd_predict(args, config) -> int:
 
     if tuple(model.classes) == learn.OBJECTIVE_CLASS_ORDER:
         # stage-one model: emit the importable objective-probabilities format
+        bundle = PriorityPipeline(pipeline, stage1_model=model)
         lines = ["\t".join(["issue_id", *learn.OBJECTIVE_CLASS_ORDER])]
         for issue in corpus.issues:
-            counts = pipeline.stage1_counts(issue)
-            probs = model.predict_proba(counts[None, :])[0]
+            probs = bundle.objective_probs(issue)
             lines.append("\t".join([issue.id, *(_format_float(p) for p in probs)]))
     else:
         bundle = PriorityPipeline(pipeline, classifier=model, stage1_model=stage1)
@@ -532,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-objective", parents=[common], help="train the stage-one objective model")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--classifier", choices=["nb", "logreg"])
+    p.add_argument("--stage1", choices=evalkit.STAGE1_SOURCES)
 
     p = sub.add_parser("train-priority", parents=[common], help="train the stage-two priority model")
     p.add_argument("--in", dest="input", required=True)
@@ -594,6 +588,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             learn.checked_int("--cv-folds", args.cv_folds, 2)
         learn.checked_int("--tune", getattr(args, "tune", 0), 0)
         args.spec = model_spec_from(config, args)
+        args.cache = _section(config, "paths", ["cache"]).get("cache", ".cache")
+        if not isinstance(args.cache, str):
+            raise ValidationError(f"config paths.cache must be a string, got {args.cache!r}")
         args.space = search_space_from(config)
         args.rules = FilterConfig(**_section(config, "filter",
                                              [f.name for f in fields(FilterConfig)]))

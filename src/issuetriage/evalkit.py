@@ -23,7 +23,8 @@ from .features import FeaturePipeline, fit_feature_pipeline
 from .labelmap import LabelMaps
 from .learn import TrainedModel, TrainingError
 
-UNIFORM_OBJECTIVE_PROBS = np.full(3, 1.0 / 3.0)
+UNIFORM_OBJECTIVE_PROBS = np.full(len(learn.OBJECTIVE_CLASS_ORDER),
+                                  1.0 / len(learn.OBJECTIVE_CLASS_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +131,24 @@ def macro_f1(truth: Sequence[str], predicted: Sequence[str]) -> float:
 CLASSIFIERS = {"forest": "fit_random_forest", "logreg": "fit_logreg",
                "nb": "fit_multinomial_nb", "knn": "fit_knn"}
 BALANCING = ("weights", "smote", "none")
-# an objective probability file, when given, always takes stage one's place
-STAGE1_SOURCES = ("internal", "uniform")
+# the stage-one objective model; an objective probability file, when given,
+# always takes its place
+STAGE1_SOURCES = ("nb", "logreg", "uniform")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One priority experiment's model settings and their defaults; a bad
-    value is a ``SettingError``. Hyperparameters outside ``learn.HYPERPARAMS``
-    are left alone; those the classifier's fitter does not take are ignored."""
+    """One experiment's model settings and their defaults; a bad value is a
+    ``SettingError``. ``stage1`` picks the objective model (or uniform
+    probabilities); ``classifier``, ``balancing``, ``weights_i`` and
+    ``hyperparams`` are stage two's. Hyperparameters outside
+    ``learn.HYPERPARAMS`` are left alone; those the classifier's fitter does
+    not take are ignored."""
 
     classifier: str = "forest"
     balancing: str = "weights"
     weights_i: int | None = None      # manual override grid index (1..9)
-    stage1: str = "internal"
+    stage1: str = "nb"
     hyperparams: dict = field(default_factory=dict)
     title_max_features: int = features.TITLE_MAX_FEATURES
     desc_max_features: int = features.DESC_MAX_FEATURES
@@ -173,8 +178,8 @@ class PriorityPipeline:
     optional stage-one objective model, and the priority classifier."""
 
     feature_pipeline: FeaturePipeline
-    classifier: TrainedModel
-    stage1_model: TrainedModel | None
+    classifier: TrainedModel | None = None
+    stage1_model: TrainedModel | None = None
     notes: list[str] = field(default_factory=list)
 
     def objective_probs(self, issue: IssueRecord,
@@ -212,16 +217,11 @@ def _fill_rows(rows: Iterable[np.ndarray], n: int) -> np.ndarray:
     return X
 
 
-def train_objective_model(
-    issues: Sequence[IssueRecord],
-    maps: LabelMaps,
-    pipeline: FeaturePipeline,
-    classifier: str = "nb",
-    alpha: float = 1.0,
-    seed: int = 0,
-) -> TrainedModel | None:
-    """Stage-one model over issues carrying a mono objective label; None when
-    fewer than two objective classes are represented."""
+def train_objective_model(issues: Sequence[IssueRecord], maps: LabelMaps,
+                          pipeline: FeaturePipeline, spec: ModelSpec) -> TrainedModel | None:
+    """The ``spec.stage1`` model (nb or logreg, at its fitter's defaults) over
+    issues carrying a mono objective label; None when fewer than two
+    objective classes are represented."""
     labeled = [(i, labelmap.objective_of(i.labels, maps.objective)) for i in issues]
     labeled = [(i, obj) for i, obj in labeled if obj is not None]
     present = {obj for _, obj in labeled}
@@ -229,12 +229,9 @@ def train_objective_model(
         return None
     X = _fill_rows((pipeline.stage1_counts(i) for i, _ in labeled), len(labeled))
     y = [obj.value for _, obj in labeled]
-    if classifier == "nb":
-        return learn.fit_multinomial_nb(X, y, alpha=alpha,
-                                        classes=learn.OBJECTIVE_CLASS_ORDER)
-    if classifier == "logreg":
-        return learn.fit_logreg(X, y, seed=seed, classes=learn.OBJECTIVE_CLASS_ORDER)
-    raise TrainingError(f"unsupported stage-one classifier {classifier!r}")
+    if spec.stage1 == "logreg":
+        return learn.fit_logreg(X, y, seed=spec.seed, classes=learn.OBJECTIVE_CLASS_ORDER)
+    return learn.fit_multinomial_nb(X, y, classes=learn.OBJECTIVE_CLASS_ORDER)
 
 
 def fit_classifier(spec: ModelSpec, X: np.ndarray, labels: Sequence[str]) -> TrainedModel:
@@ -266,20 +263,15 @@ def fit_preprocessing(
     maps: LabelMaps,
     lex: sentiment.Lexicon | None = None,
     probs_file: Mapping[str, np.ndarray] | None = None,
-) -> tuple[PriorityPipeline, list[str]]:
-    """Fit preprocessing and stage one on ``issues``; returns the bundle, whose
-    priority classifier is not fit yet, and the issues' priority labels.
+) -> PriorityPipeline:
+    """Fit preprocessing and stage one on ``issues``: the one path that fits
+    either. The bundle's priority classifier is not fit.
 
-    Every issue must carry a priority label; callers filter first. No stage
-    one is fit when ``probs_file`` is given: the file is the objective source.
+    No stage one is fit when ``probs_file`` is given (the file is the
+    objective source) or when ``spec.stage1`` is uniform.
     """
-    issues = list(issues)
-    labels = labeled_issues(issues, maps)[1]
-    if len(labels) < len(issues):
-        raise TrainingError(f"{len(issues) - len(labels)} issues have no priority label")
-    if len(set(labels)) < 2:
-        raise TrainingError("training data must contain both priority classes")
-
+    if not issues:
+        raise TrainingError("no issues to fit preprocessing on")
     notes: list[str] = []
     fp = fit_feature_pipeline(
         issues, maps, lex,
@@ -287,15 +279,13 @@ def fit_preprocessing(
         desc_max_features=spec.desc_max_features)
 
     stage1_model = None
-    if probs_file is None and spec.stage1 == "internal":
-        stage1_model = train_objective_model(issues, maps, fp, seed=spec.seed)
+    if probs_file is None and spec.stage1 != "uniform":
+        stage1_model = train_objective_model(issues, maps, fp, spec)
         if stage1_model is None:
             notes.append("stage1: fewer than two objective classes in training "
                          "data; falling back to uniform probabilities")
 
-    bundle = PriorityPipeline(fp, classifier=None, stage1_model=stage1_model,  # type: ignore[arg-type]
-                              notes=notes)
-    return bundle, labels
+    return PriorityPipeline(fp, stage1_model=stage1_model, notes=notes)
 
 
 def train_pipeline(
@@ -307,7 +297,13 @@ def train_pipeline(
 ) -> PriorityPipeline:
     """Fit preprocessing + stage one + the priority classifier on ``issues``,
     which must all carry a priority label."""
-    bundle, labels = fit_preprocessing(issues, spec, maps, lex, probs_file)
+    issues = list(issues)
+    labels = labeled_issues(issues, maps)[1]
+    if len(labels) < len(issues):
+        raise TrainingError(f"{len(issues) - len(labels)} issues have no priority label")
+    if len(set(labels)) < 2:
+        raise TrainingError("training data must contain both priority classes")
+    bundle = fit_preprocessing(issues, spec, maps, lex, probs_file)
     classifier = fit_classifier(spec, bundle.vectorize(issues, probs_file), labels)
     classifier.asset_fingerprints = bundle.feature_pipeline.fingerprints()
     classifier.metadata.setdefault("seed", spec.seed)
@@ -338,9 +334,10 @@ def tune_hyperparams(issues: Sequence[IssueRecord], spec: ModelSpec, maps: Label
     for fold_no, train_idx, test_idx in _folds(labels, cv_folds, spec.seed):
         fold_spec = replace(spec, seed=spec.seed + fold_no)
         train = [issues[i] for i in train_idx]
-        bundle, train_labels = fit_preprocessing(train, fold_spec, maps, probs_file=probs_file)
+        bundle = fit_preprocessing(train, fold_spec, maps, probs_file=probs_file)
         X_train = bundle.vectorize(train, probs_file)
         X_test = bundle.vectorize([issues[i] for i in test_idx], probs_file)
+        train_labels = [labels[i] for i in train_idx]
         truth = [labels[i] for i in test_idx]
         for config, config_scores in zip(configs, scores):
             model = fit_classifier(

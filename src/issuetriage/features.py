@@ -32,8 +32,6 @@ TITLE_MAX_FEATURES = 10_000
 DESC_MAX_FEATURES = 20_000
 NGRAM_RANGE = (1, 2)
 
-OBJECTIVE_PROB_ORDER = ("Bug", "Enhancement", "SupportDoc")
-
 
 @dataclass(frozen=True)
 class SparseVec:
@@ -356,7 +354,7 @@ class FeaturePipeline:
         inv_desc = {i: t for t, i in self.tfidf_desc.vocabulary.items()}
         names = [f"tf:title:{inv_title[i]}" for i in range(self.tfidf_title.size)]
         names += [f"tf:desc:{inv_desc[i]}" for i in range(self.tfidf_desc.size)]
-        names += [f"tf:prob:{c}" for c in OBJECTIVE_PROB_ORDER]
+        names += [f"tf:prob:{c}" for c in learn.OBJECTIVE_CLASS_ORDER]
         names += [f"lf:{rep}" for rep in self.maps.clusters.representatives]
         names += [f"nf:{name}" for name in FEATURE_NAMES]
         return names

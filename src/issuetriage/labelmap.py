@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from enum import Enum
 from importlib import resources
 
 import numpy as np
@@ -67,15 +68,16 @@ class ClusterTable:
 
 
 @dataclass(frozen=True)
-class ObjectiveLabelMap:
-    lookup: dict[str, ObjectiveClass]  # canonical label -> class
+class ClassLabelMap:
+    """A label table onto the classes of one enum (objective or priority)."""
+
+    lookup: dict[str, Enum]  # canonical label -> class
     checksum: str
 
-
-@dataclass(frozen=True)
-class PriorityLabelMap:
-    lookup: dict[str, PriorityClass]
-    checksum: str
+    def matched(self, labels) -> set:
+        """The classes that any of ``labels`` maps onto."""
+        return {self.lookup[key] for key in map(canonicalize_label, labels)
+                if key in self.lookup}
 
 
 def _checksum(text: str) -> str:
@@ -99,30 +101,18 @@ def load_cluster_table() -> ClusterTable:
     return ClusterTable(tuple(reps), lookup, _checksum(text))
 
 
-def load_objective_map() -> ObjectiveLabelMap:
-    text = _read_data("objective_labels.txt")
-    lookup: dict[str, ObjectiveClass] = {}
+def load_class_map(name: str, classes: type[Enum]) -> ClassLabelMap:
+    """The table in data file ``name``: one section per member of ``classes``."""
+    text = _read_data(name)
+    lookup: dict[str, Enum] = {}
     for class_name, members in _parse_sections(text):
-        cls = ObjectiveClass(class_name)
+        cls = classes(class_name)
         for member in members:
             key = canonicalize_label(member)
             if lookup.get(key, cls) is not cls:
-                raise ValueError(f"objective label {member!r} maps to two classes")
+                raise ValueError(f"label {member!r} in {name} maps to two classes")
             lookup[key] = cls
-    return ObjectiveLabelMap(lookup, _checksum(text))
-
-
-def load_priority_map() -> PriorityLabelMap:
-    text = _read_data("priority_labels.txt")
-    lookup: dict[str, PriorityClass] = {}
-    for class_name, members in _parse_sections(text):
-        cls = PriorityClass(class_name)
-        for member in members:
-            key = canonicalize_label(member)
-            if lookup.get(key, cls) is not cls:
-                raise ValueError(f"priority label {member!r} maps to two classes")
-            lookup[key] = cls
-    return PriorityLabelMap(lookup, _checksum(text))
+    return ClassLabelMap(lookup, _checksum(text))
 
 
 @dataclass(frozen=True)
@@ -130,8 +120,8 @@ class LabelMaps:
     """The three tables bundled, as most call sites need all of them."""
 
     clusters: ClusterTable
-    objective: ObjectiveLabelMap
-    priority: PriorityLabelMap
+    objective: ClassLabelMap
+    priority: ClassLabelMap
 
     def checksums(self) -> dict[str, str]:
         return {
@@ -142,24 +132,22 @@ class LabelMaps:
 
 
 def load_label_maps() -> LabelMaps:
-    return LabelMaps(load_cluster_table(), load_objective_map(), load_priority_map())
+    return LabelMaps(load_cluster_table(),
+                     load_class_map("objective_labels.txt", ObjectiveClass),
+                     load_class_map("priority_labels.txt", PriorityClass))
 
 
-def objective_of(labels, label_map: ObjectiveLabelMap) -> ObjectiveClass | None:
+def objective_of(labels, label_map: ClassLabelMap) -> ObjectiveClass | None:
     """Class of a mono-labeled issue; None when no or conflicting classes match."""
-    matched = {label_map.lookup[key]
-               for key in (canonicalize_label(lb) for lb in labels)
-               if key in label_map.lookup}
+    matched = label_map.matched(labels)
     if len(matched) == 1:
         return next(iter(matched))
     return None
 
 
-def priority_of(labels, label_map: PriorityLabelMap) -> PriorityClass | None:
+def priority_of(labels, label_map: ClassLabelMap) -> PriorityClass | None:
     """Priority from the label set; High wins when both classes are present."""
-    matched = {label_map.lookup[key]
-               for key in (canonicalize_label(lb) for lb in labels)
-               if key in label_map.lookup}
+    matched = label_map.matched(labels)
     if PriorityClass.HIGH in matched:
         return PriorityClass.HIGH
     if PriorityClass.LOW in matched:

@@ -25,11 +25,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import IssueRecord, PriorityClass, SettingError
+from .corpus import IssueRecord, ObjectiveClass, PriorityClass, SettingError
 from .textnorm import TokenizedDoc
 
-OBJECTIVE_CLASS_ORDER = ("Bug", "Enhancement", "SupportDoc")
-PRIORITY_CLASS_ORDER = ("High", "Low")
+OBJECTIVE_CLASS_ORDER = tuple(cls.value for cls in ObjectiveClass)
+PRIORITY_CLASS_ORDER = tuple(cls.value for cls in PriorityClass)
 MODEL_FORMAT = "issuetriage-model"
 ARTIFACT_VERSION = 1
 
@@ -521,11 +521,17 @@ def smote(minority: np.ndarray, majority_count: int, k: int = 5,
     if n_synthetic <= 0:
         return np.empty((0, minority.shape[1]))
     k = max(1, min(k, n - 1))
-    # pairwise distances; self excluded by masking the diagonal
-    diff = minority[:, None, :] - minority[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    neighbor_ids = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    # one row of the pairwise distances at a time, so the working memory is
+    # one (n, d) buffer rather than an (n, n, d) difference array; self is
+    # excluded by an infinite distance
+    neighbor_ids = np.empty((n, k), dtype=np.intp)
+    diff = np.empty(minority.shape)
+    for i in range(n):
+        np.subtract(minority[i], minority, out=diff)
+        np.square(diff, out=diff)
+        dist = np.sqrt(diff.sum(axis=1))
+        dist[i] = np.inf
+        neighbor_ids[i] = np.argsort(dist, kind="stable")[:k]
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, n, size=n_synthetic)
     picks = rng.integers(0, k, size=n_synthetic)

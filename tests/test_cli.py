@@ -338,6 +338,7 @@ BAD_SETTINGS = [
     ({}, "train", ["--tune", "-1"], "--tune"),
     ({}, "fetch", ["--repo", "a/b", "--parallel", "0"], "parallel"),
     ({}, "fetch", ["--repo", "bad"], "repo"),
+    ({"paths": {"cache": 5}}, "fetch", ["--repo", "a/b"], "paths.cache"),
 ]
 
 
@@ -433,7 +434,7 @@ class TestAssetsBundle:
 
         issues = list(planted_corpus.issues)
         pipeline = features.fit_feature_pipeline(issues, maps)
-        stage1 = evalkit.train_objective_model(issues, maps, pipeline)
+        stage1 = evalkit.train_objective_model(issues, maps, pipeline, evalkit.ModelSpec())
         path = tmp_path / "assets.json"
         cli.save_assets(path, pipeline, stage1)
         loaded_pipeline, loaded = cli.load_assets(path)
@@ -443,6 +444,53 @@ class TestAssetsBundle:
         again = tmp_path / "again.json"
         cli.save_assets(again, loaded_pipeline, loaded)
         assert again.read_bytes() == path.read_bytes()
+
+
+class TestStageOne:
+    """``model.stage1`` picks the objective model of every command that fits one."""
+
+    def _config(self, workdir, stage1):
+        path = workdir / f"{stage1}.json"
+        path.write_text(json.dumps({"model": {"stage1": stage1}}))
+        return path
+
+    def test_features_with_uniform_stage1_writes_thirds(self, workdir):
+        out = workdir / "f.tsv"
+        assert run("--config", self._config(workdir, "uniform"), "features",
+                   "--in", workdir / "corpus.jsonl", "--out", out) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 200
+        for row in rows:
+            # the tf cell ends with the three objective probabilities
+            probs = [pair.split(":")[1] for pair in row.split("\t")[-1].split()[-3:]]
+            assert probs == [cli._format_float(1 / 3)] * 3, row
+
+    def test_config_stage1_picks_the_train_objective_model(self, workdir):
+        model = workdir / "o.json"
+        assert run("--config", self._config(workdir, "logreg"), "train-objective",
+                   "--in", workdir / "corpus.jsonl", "--model", model) == 0
+        assert json.loads(model.read_text())["kind"] == "logreg"
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_train_objective_rejects_uniform_before_loading(self, workdir, monkeypatch,
+                                                            capsys, how):
+        loads = []
+        monkeypatch.setattr(cli, "load_corpus", lambda *a, **k: loads.append(a))
+        argv = (["train-objective", "--stage1", "uniform"] if how == "flag" else
+                ["--config", self._config(workdir, "uniform"), "train-objective"])
+        capsys.readouterr()
+        assert run(*argv, "--in", workdir / "corpus.jsonl", "--model", workdir / "o.json") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "stage1" in err[0], err
+        assert loads == [] and not (workdir / "o.json").exists()
+
+    def test_train_objective_on_an_empty_corpus_exits_two(self, workdir, capsys):
+        empty = workdir / "empty.jsonl"
+        empty.write_text("")
+        capsys.readouterr()
+        assert run("train-objective", "--in", empty, "--model", workdir / "o.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 class TestDeterminism:

@@ -43,19 +43,22 @@ def small_corpus(tmp_path_factory):
 
 SMALL_MODEL = {"hyperparams": {"n_trees": 5, "max_depth": 4}}
 
-# train-priority and all three evaluate modes, run in one child process
+# train-objective, features, train-priority and all three evaluate modes, run
+# in one child process
 _RUNS = """
 import sys
 from issuetriage import cli
 corpus, config = sys.argv[1], sys.argv[2]
-for argv in (["train-priority", "--model", "m.json"],
+for argv in (["train-objective", "--model", "o.json"],
+             ["features", "--out", "f.tsv"],
+             ["train-priority", "--model", "m.json"],
              ["evaluate", "--mode", "cv", "--cv-folds", "2", "--report", "cv.json"],
              ["--emit-csv", "evaluate", "--mode", "project", "--report", "project.json"],
              ["evaluate", "--mode", "cross-project", "--report", "cross.json"]):
     assert cli.main(["--config", config, *argv, "--in", corpus]) == 0, argv
 """
-_OUTPUTS = ("m.json", "m.json.assets.json", "cv.json", "project.json", "project.csv",
-            "cross.json")
+_OUTPUTS = ("o.json", "o.json.assets.json", "f.tsv", "m.json", "m.json.assets.json",
+            "cv.json", "project.json", "project.csv", "cross.json")
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(small_corpus, tmp_path):
@@ -88,7 +91,7 @@ VALID = {
     "classifier": ["forest", "logreg", "nb", "knn"],
     "balancing": ["weights", "smote", "none"],
     "weights_i": [1, 5, 9, None],
-    "stage1": ["internal", "uniform"],
+    "stage1": ["nb", "logreg", "uniform"],
     "hyperparams": [{}, {"n_trees": 2}],
     "title_max_features": [1, 50],
     "desc_max_features": [2, 80],
@@ -133,6 +136,8 @@ def mutated_configs(draw):
     for _ in range(draw(st.integers(1, 3))):
         section = draw(st.sampled_from(sorted(SECTION_KEYS)))
         owner = config["model"] if section == "hyperparams" else config
+        if not isinstance(owner, dict):  # model was replaced whole by a non-object
+            continue
         if draw(st.integers(0, 7)) == 0:
             owner[section] = draw(values)
             continue
@@ -166,6 +171,8 @@ def test_any_config_gives_a_known_exit_code(small_corpus, config):
         base = ["--config", tmp / "config.json"]
         for argv in (["train-priority", "--in", small_corpus, "--model", tmp / "m.json",
                       "--tune", "1", "--cv-folds", "2"],
+                     ["train-objective", "--in", small_corpus, "--model", tmp / "o.json"],
+                     ["features", "--in", small_corpus, "--out", tmp / "f.tsv"],
                      ["preprocess", "--in", small_corpus, "--out", tmp / "p.jsonl"]):
             code, errors = _main(base + argv)
             assert code in (0, 1, 2), (argv[0], code)

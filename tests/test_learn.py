@@ -455,6 +455,49 @@ class TestSmote:
         assert y2.count("maj") == y2.count("min") == 8
         assert X2.shape == (16, 2)
 
+    @staticmethod
+    def _broadcast_smote(minority, majority_count, k, seed):
+        """Reference: the neighbours from one (n, n, d) difference array."""
+        n = minority.shape[0]
+        k = max(1, min(k, n - 1))
+        diff = minority[:, None, :] - minority[None, :, :]
+        dist = np.sqrt((diff ** 2).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
+        neighbor_ids = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        n_synthetic = majority_count - n
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, n, size=n_synthetic)
+        picks = rng.integers(0, k, size=n_synthetic)
+        lams = rng.uniform(0.0, 1.0, size=n_synthetic)
+        base = minority[rows]
+        return base + lams[:, None] * (minority[neighbor_ids[rows, picks]] - base)
+
+    @pytest.mark.parametrize("n,d,k", [(2, 1, 1), (5, 3, 2), (12, 17, 5), (30, 200, 5),
+                                       (9, 1000, 3), (7, 40, 10)])
+    def test_row_by_row_neighbours_match_the_broadcast_formula(self, n, d, k):
+        rng = np.random.default_rng(n * d)
+        cases = [rng.normal(size=(n, d)),
+                 # ties: integer grid values and duplicated rows
+                 rng.integers(0, 3, size=(n, d)).astype(float),
+                 np.repeat(rng.random((1, d)), n, axis=0)]
+        for seed, minority in enumerate(cases):
+            expected = self._broadcast_smote(minority, 3 * n, k, seed)
+            assert np.array_equal(smote(minority, 3 * n, k=k, seed=seed), expected)
+
+    def test_neighbour_search_memory_is_linear_in_the_input(self):
+        import tracemalloc
+
+        n, d = 64, 32_768  # an (n, n, d) float64 difference array takes 1.07 GB
+        minority = np.random.default_rng(0).random((n, d))
+        tracemalloc.start()
+        try:
+            synthetic = smote(minority, majority_count=n + 4, k=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert synthetic.shape == (4, d)
+        assert peak < 3 * minority.nbytes, peak
+
 
 class TestStratifiedKfold:
     def test_every_index_in_exactly_one_fold(self):
