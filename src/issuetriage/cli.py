@@ -52,7 +52,7 @@ from .corpus import (Corpus, CorpusError, FilterConfig, SettingError, filter_cor
                      save_corpus)
 from .evalkit import ModelSpec, PriorityPipeline, train_pipeline
 from .features import FeaturePipeline, ScalerParams, TfidfModel
-from .learn import ChecksumMismatchError, TrainedModel, TrainingError
+from .learn import ArtifactError, ChecksumMismatchError, TrainedModel, TrainingError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,14 +185,22 @@ def load_assets(path: Path) -> tuple[FeaturePipeline, TrainedModel | None]:
         if current.get(name) != checksum:
             raise ChecksumMismatchError(
                 f"label table {name!r} changed since the assets were built")
+
+    def decoded(block: str, from_doc):
+        try:
+            return from_doc(doc[block])
+        except (ValueError, TypeError) as exc:
+            raise ArtifactError(f"{path}: assets block {block!r} does not decode: "
+                                f"{exc}") from None
+
     pipeline = FeaturePipeline(
-        tfidf_title=TfidfModel.from_doc(doc["tfidf_title"]),
-        tfidf_desc=TfidfModel.from_doc(doc["tfidf_desc"]),
-        scaler=ScalerParams.from_doc(doc["scaler"]),
+        tfidf_title=decoded("tfidf_title", TfidfModel.from_doc),
+        tfidf_desc=decoded("tfidf_desc", TfidfModel.from_doc),
+        scaler=decoded("scaler", ScalerParams.from_doc),
         maps=maps,
         lexicon=None,
     )
-    stage1 = TrainedModel.from_doc(doc["stage1_model"]) if doc.get("stage1_model") else None
+    stage1 = decoded("stage1_model", TrainedModel.from_doc) if doc.get("stage1_model") else None
     return pipeline, stage1
 
 

@@ -164,15 +164,6 @@ def _default_lexicon() -> Lexicon:
     return _lexicon_cache
 
 
-def count_abstractions(text: str) -> Counter:
-    """How many spans each abstraction pattern matched on raw text."""
-    counts: Counter[AbstractToken] = Counter()
-    for token, pattern in textnorm.ABSTRACTION_TABLE:
-        text, n = pattern.subn(token.surface, text)
-        counts[token] += n
-    return counts
-
-
 def extract_metadata(issue: IssueRecord, lex: Lexicon | None = None) -> np.ndarray:
     """The 28 Table-style metadata features, unscaled, in FEATURE_NAMES order.
 
@@ -180,7 +171,7 @@ def extract_metadata(issue: IssueRecord, lex: Lexicon | None = None) -> np.ndarr
     discussions default the four discussion features to zero.
     """
     lex = lex or _default_lexicon()
-    abstraction_counts = count_abstractions(issue.description)
+    abstraction_counts = textnorm.count_abstractions(issue.description)
 
     n_comments = len(issue.comments)
     if n_comments:

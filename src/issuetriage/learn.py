@@ -144,17 +144,57 @@ class TrainedModel:
     @classmethod
     def from_doc(cls, doc: dict) -> "TrainedModel":
         require_keys(doc, ("kind", "classes", "params"), "model")
-        params = doc["params"]
-        if doc["kind"] == "forest" and not params.get("trees"):
-            raise ArtifactError("forest model artifact has no trees")
-        if doc["kind"] == "knn" and not _is_int(params.get("k"), 1):
+        kind, classes, params = doc["kind"], doc["classes"], doc["params"]
+        if kind not in _PREDICTORS:
+            raise ArtifactError(f"model artifact has unknown kind {kind!r}")
+        if not (isinstance(classes, list) and len(classes) >= 2
+                and all(isinstance(c, str) for c in classes)
+                and len(set(classes)) == len(classes)):
+            raise ArtifactError(f"model artifact classes {classes!r} are not a list "
+                                "of at least two distinct names")
+        if not isinstance(params, dict):
+            raise ArtifactError("model artifact params is not an object")
+        if kind == "forest":
+            _check_forest(params, len(classes))
+        if kind == "knn" and not _is_int(params.get("k"), 1):
             raise ArtifactError(f"kNN model artifact has k {params.get('k')!r}, "
                                 "not an integer >= 1")
-        if doc["kind"] in ("nb", "logreg"):  # forest trees and kNN rows stay lists
+        if kind in ("nb", "logreg"):  # forest trees and kNN rows stay lists
             params = {name: np.asarray(value, dtype=float) for name, value in params.items()}
-        return cls(kind=doc["kind"], classes=tuple(doc["classes"]), params=params,
+        return cls(kind=kind, classes=tuple(classes), params=params,
                    metadata=doc.get("metadata", {}),
                    asset_fingerprints=doc.get("asset_fingerprints", {}))
+
+
+def _check_forest(params: dict, n_classes: int) -> None:
+    """One stack walk over every tree: each node is ``{"leaf": [n_classes
+    finite numbers >= 0]}`` or ``{"f": feature in [0, n_features), "t": finite
+    number, "l", "r"}``; anything else raises ``ArtifactError``."""
+    trees, n_features = params.get("trees"), params.get("n_features")
+    if not isinstance(trees, list):
+        raise ArtifactError(f"forest model artifact trees is a {type(trees).__name__}, "
+                            "not a list")
+    if not trees:
+        raise ArtifactError("forest model artifact has no trees")
+    if not _is_int(n_features, 1):
+        raise ArtifactError(f"forest model artifact has n_features {n_features!r}, "
+                            "not an integer >= 1")
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        keys = set(node) if isinstance(node, dict) else None
+        if keys == {"leaf"}:
+            leaf = node["leaf"]
+            if (isinstance(leaf, list) and len(leaf) == n_classes
+                    and all(_is_number(p, 0, strict=False) for p in leaf)):
+                continue
+        elif (keys == {"f", "t", "l", "r"} and _is_int(node["f"], 0, n_features - 1)
+              and _is_number(node["t"], -math.inf, strict=True)):
+            stack += (node["l"], node["r"])
+            continue
+        raise ArtifactError(f"forest model artifact has a malformed tree node: a node "
+                            f"must be a leaf of {n_classes} numbers or a split on a "
+                            f"feature in [0, {n_features})")
 
 
 def _json_default(obj):
@@ -200,7 +240,11 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return TrainedModel.from_doc(read_artifact(path, MODEL_FORMAT))
+    doc = read_artifact(path, MODEL_FORMAT)
+    try:
+        return TrainedModel.from_doc(doc)
+    except (ValueError, TypeError) as exc:
+        raise ArtifactError(f"{path}: model does not decode: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

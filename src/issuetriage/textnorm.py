@@ -10,11 +10,19 @@ gets replaced and in which order. Ordering constraints that matter:
 code before URLs (fenced blocks may contain links), URLs before paths
 (a URL contains slashes), dates/times before paths (slashed dates), and
 emails before usernames (an email contains ``@``).
+
+Each table entry also lists literals, at least one of which every match of
+its pattern contains; a pattern runs only on text holding one of them. A
+text without any (most issue text has no backtick, ``@``, ``/`` or ``(``)
+cannot match, so the skip never changes the output. A new or edited pattern
+needs literals with that property, and ``tests/test_textnorm.py`` checks it
+on generated text.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -40,38 +48,59 @@ class AbstractToken(Enum):
 
 _SURFACE_RE = re.compile(r"⟨[A-Z]+⟩")
 
-# (token, pattern) pairs, applied in order. Inner character classes exclude
-# the ⟨⟩ markers so a second application can never re-match around an
-# already-abstracted span.
-ABSTRACTION_TABLE: tuple[tuple[AbstractToken, re.Pattern], ...] = (
-    (AbstractToken.CODE, re.compile(r"```.*?```", re.DOTALL)),
-    (AbstractToken.CODE, re.compile(r"`[^`\n⟨⟩]+`")),
-    (AbstractToken.URL, re.compile(r"(?:https?://|www\.)[^\s<>()\"'`⟨⟩]+")),
-    (AbstractToken.EMAIL, re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")),
+# (token, pattern, literals) triples, applied in order. Inner character
+# classes exclude the ⟨⟩ markers so a second application can never re-match
+# around an already-abstracted span. Every match of a pattern contains at
+# least one of its literals.
+ABSTRACTION_TABLE: tuple[tuple[AbstractToken, re.Pattern, tuple[str, ...]], ...] = (
+    (AbstractToken.CODE, re.compile(r"```.*?```", re.DOTALL), ("`",)),
+    (AbstractToken.CODE, re.compile(r"`[^`\n⟨⟩]+`"), ("`",)),
+    (AbstractToken.URL, re.compile(r"(?:https?://|www\.)[^\s<>()\"'`⟨⟩]+"), ("://", "www.")),
+    (AbstractToken.EMAIL, re.compile(
+        r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"), ("@",)),
     (AbstractToken.DATE, re.compile(
-        r"\b(?:\d{4}-\d{2}-\d{2}|\d{1,2}[/-]\d{1,2}[/-]\d{2,4}|\d{4}/\d{1,2}/\d{1,2})\b")),
-    (AbstractToken.TIME, re.compile(r"\b\d{1,2}:\d{2}(?::\d{2})?(?:\s?[ap]\.?m\.?)?\b", re.IGNORECASE)),
+        r"\b(?:\d{4}-\d{2}-\d{2}|\d{1,2}[/-]\d{1,2}[/-]\d{2,4}|\d{4}/\d{1,2}/\d{1,2})\b"),
+     ("-", "/")),
+    (AbstractToken.TIME, re.compile(
+        r"\b\d{1,2}:\d{2}(?::\d{2})?(?:\s?[ap]\.?m\.?)?\b", re.IGNORECASE), (":",)),
     (AbstractToken.PATH, re.compile(
-        r"(?:~|\.{1,2})?[\w.+-]*(?:/[\w.+-]+){2,}/?|\b[A-Za-z]:\\[\w.\\+-]+")),
-    (AbstractToken.USER, re.compile(r"(?<![\w@])@[A-Za-z0-9](?:[A-Za-z0-9-]*[A-Za-z0-9])?\b")),
-    (AbstractToken.FUNC, re.compile(r"\b[A-Za-z_][\w.]*\([^()\n⟨⟩]*\)")),
+        r"(?:~|\.{1,2})?[\w.+-]*(?:/[\w.+-]+){2,}/?|\b[A-Za-z]:\\[\w.\\+-]+"), ("/", ":\\")),
+    (AbstractToken.USER, re.compile(
+        r"(?<![\w@])@[A-Za-z0-9](?:[A-Za-z0-9-]*[A-Za-z0-9])?\b"), ("@",)),
+    (AbstractToken.FUNC, re.compile(r"\b[A-Za-z_][\w.]*\([^()\n⟨⟩]*\)"), ("(",)),
     (AbstractToken.MD, re.compile(
         r"(?m)^[ \t]{0,3}#{1,6}(?=\s)"          # heading marker
         r"|^[ \t]*(?:-{3,}|\*{3,}|_{3,})[ \t]*$"  # horizontal rule
         r"|^[ \t]*>+(?=\s)"                      # blockquote marker
         r"|^[ \t]*[-*+](?=\s)"                   # bullet marker
         r"|\*\*+|__+|~~+"                        # bold / strikethrough
-        r"|\[[ xX]\](?=\s|$)")),                 # task-list checkbox
+        r"|\[[ xX]\](?=\s|$)"),                  # task-list checkbox
+     ("#", "-", "*", "_", ">", "+", "~", "[")),
 )
 
 RETAINED_WORDS = frozenset({"not", "no", "never", "must", "should", "cannot"})
 
 
+def _abstract(text: str) -> tuple[str, Counter[AbstractToken]]:
+    """The abstracted text and how many spans each token replaced; a pattern
+    whose literals are all absent from the current text is skipped."""
+    counts: Counter[AbstractToken] = Counter()
+    for token, pattern, literals in ABSTRACTION_TABLE:
+        n = 0
+        if any(literal in text for literal in literals):
+            text, n = pattern.subn(token.surface, text)
+        counts[token] += n
+    return text, counts
+
+
 def abstract_entities(text: str) -> str:
     """Replace user-names, code, URLs, paths, dates etc. with abstract tokens."""
-    for token, pattern in ABSTRACTION_TABLE:
-        text = pattern.sub(token.surface, text)
-    return text
+    return _abstract(text)[0]
+
+
+def count_abstractions(text: str) -> Counter[AbstractToken]:
+    """How many spans each abstraction pattern matched on raw text."""
+    return _abstract(text)[1]
 
 
 _APOSTROPHE_RE = re.compile(r"(?<=[A-Za-z])['’](?=[A-Za-z])")
@@ -224,7 +253,12 @@ class TokenizedDoc:
     source: str = "description"
 
     def __post_init__(self) -> None:
-        for tok in self.tokens:
+        # one pass over the whole tuple; only a failure walks it token by
+        # token, so the first bad token is the one named
+        tokens = list(self.tokens)
+        if " ".join(tokens).split() == tokens and not any(map(str.isdigit, tokens)):
+            return
+        for tok in tokens:
             if not tok or any(ch.isspace() for ch in tok):
                 raise ValueError(f"bad token {tok!r}")
             if tok.isdigit():
@@ -246,10 +280,14 @@ def normalize_pipeline(text: str, source: str = "description") -> TokenizedDoc:
     cleaned = clean(abstract_entities(text))
     out: list[str] = []
     for raw_tok in cleaned.split():
-        if is_abstract(raw_tok) or raw_tok == "?":
+        if raw_tok.isascii() and raw_tok.isalnum() and raw_tok.islower():
+            parts = [raw_tok]  # what split_identifiers returns for it
+        elif is_abstract(raw_tok) or raw_tok == "?":
             out.append(raw_tok)
             continue
-        for part in split_identifiers(raw_tok):
+        else:
+            parts = split_identifiers(raw_tok)
+        for part in parts:
             if not part or part.isdigit():
                 continue
             if part in stops and part not in RETAINED_WORDS:

@@ -269,6 +269,22 @@ class TestArtifactErrors:
         code, err = self._predict(workdir, trained, capsys)
         assert code == 2 and repr(key) in err
 
+    @pytest.mark.parametrize("block,key,value", [
+        ("tfidf_title", "max_features", lambda b: "x"),
+        ("tfidf_title", "vocabulary", lambda b: [1, 2]),
+        ("tfidf_desc", "idf", lambda b: ["x", *b["idf"][1:]]),
+        ("scaler", "min", lambda b: [0.0, 0.0, 0.0]),
+        ("scaler", "min", lambda b: [m + 1.0 for m in b["max"]]),
+    ], ids=["max_features-x", "vocabulary-list", "idf-x", "min-3-long", "min-above-max"])
+    def test_assets_block_that_does_not_decode_exits_two(self, workdir, trained, capsys,
+                                                         block, key, value):
+        assets = Path(str(trained) + ".assets.json")
+        doc = json.loads(assets.read_text())
+        doc[block][key] = value(doc[block])
+        assets.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and repr(block) in err
+
     @pytest.mark.parametrize("key", ["kind", "params"])
     def test_model_without_key_exits_two(self, workdir, trained, capsys, key):
         doc = json.loads(trained.read_text())
@@ -284,6 +300,70 @@ class TestArtifactErrors:
         trained.write_text(json.dumps(doc))
         code, err = self._predict(workdir, trained, capsys)
         assert code == 2 and "no trees" in err
+
+    @pytest.mark.parametrize("classes", ["HL", ["High"], ["High", "High"], ["High", 1], None])
+    def test_model_with_bad_classes_exits_two(self, workdir, trained, capsys, classes):
+        doc = json.loads(trained.read_text())
+        doc["classes"] = classes
+        trained.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and "classes" in err
+
+    def test_model_of_unknown_kind_exits_two(self, workdir, trained, capsys):
+        doc = json.loads(trained.read_text())
+        doc["kind"] = "svm"
+        trained.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and "'svm'" in err
+
+    @staticmethod
+    def _first_node(tree, split: bool):
+        """The first split node (or leaf) of ``tree`` in a left-first walk."""
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if ("leaf" not in node) == split:
+                return node
+            if "leaf" not in node:
+                stack += (node["r"], node["l"])
+        raise AssertionError("no such node")
+
+    @pytest.mark.parametrize("fault", [
+        "trees=5", "node={}", "f=x", "f=10**7", "f=-1", "f=true", "t=x",
+        "leaf=3-long", "leaf=x", "no-n_features"])
+    def test_malformed_forest_exits_two(self, workdir, trained, capsys, fault):
+        doc = json.loads(trained.read_text())
+        params = doc["params"]
+        split = self._first_node(params["trees"][0], split=True)
+        leaf = self._first_node(params["trees"][-1], split=False)
+        if fault == "trees=5":
+            params["trees"] = 5
+        elif fault == "node={}":
+            split["l"] = {}
+        elif fault.startswith("f="):
+            split["f"] = {"f=x": "x", "f=10**7": 10 ** 7, "f=-1": -1, "f=true": True}[fault]
+        elif fault == "t=x":
+            split["t"] = "x"
+        elif fault == "leaf=3-long":
+            leaf["leaf"] = [0.5, 0.25, 0.25]
+        elif fault == "leaf=x":
+            leaf["leaf"] = ["x", 1.0]
+        else:
+            del params["n_features"]
+        trained.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and "forest model artifact" in err
+
+    def test_nb_params_that_do_not_decode_exit_two(self, workdir, capsys):
+        model = workdir / "obj.json"
+        assert run("--config", workdir / "config.json", "train-objective",
+                   "--in", workdir / "corpus.jsonl", "--model", model) == 0
+        doc = json.loads(model.read_text())
+        name = sorted(doc["params"])[0]
+        doc["params"][name] = "x"
+        model.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, model, capsys)
+        assert code == 2 and "does not decode" in err
 
     def test_knn_with_k_below_one_exits_two(self, workdir, capsys):
         model = workdir / "knn.json"

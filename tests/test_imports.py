@@ -4,12 +4,18 @@ No linter ships with the project, so this walks each module's syntax tree:
 a name bound by a top-level ``import`` must be read somewhere in the module,
 in code or in a string annotation. ``__init__.py`` is skipped, because its
 imports are the package's re-exports.
+
+The same file checks that the text patterns use no regex syntax newer than
+the oldest supported Python.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from issuetriage import textnorm
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "issuetriage"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -62,3 +68,31 @@ def test_checker_counts_annotations_and_attribute_roots():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Possessive quantifiers and atomic groups compile only on Python >= 3.11;
+# the project supports 3.10.
+_PY311_ONLY = re.compile(r"[*+?}]\+|\(\?>")
+
+
+def py311_only_syntax(pattern: str) -> list[str]:
+    """Possessive quantifiers (``*+``, ``++``, ``?+``, ``}+``) and atomic
+    groups (``(?>``) in ``pattern``. Escapes and character classes become a
+    placeholder first, so ``\\*+`` and ``[-*+]`` are not flagged."""
+    plain = re.sub(r"\\.|\[\^?\]?(?:\\.|[^\]\\])*\]", "_", pattern, flags=re.DOTALL)
+    return _PY311_ONLY.findall(plain)
+
+
+def test_checker_flags_py311_only_syntax():
+    for pattern in ("a*+", "a++", "a?+", "a{2,}+", "(?>ab)", r"[ab]*+"):
+        assert py311_only_syntax(pattern), pattern
+    for pattern in (r"\*\*+", r"[-*+]", r"a*\.+", "a+?", "[]+]x", r"(?:a)+", r"[\]*]+"):
+        assert py311_only_syntax(pattern) == [], pattern
+
+
+def test_textnorm_patterns_compile_on_python_310():
+    patterns = [value for value in vars(textnorm).values() if isinstance(value, re.Pattern)]
+    patterns += [pattern for _, pattern, _ in textnorm.ABSTRACTION_TABLE]
+    assert len(patterns) > len(textnorm.ABSTRACTION_TABLE)
+    assert {p.pattern: py311_only_syntax(p.pattern) for p in patterns
+            if py311_only_syntax(p.pattern)} == {}

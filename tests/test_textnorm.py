@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from issuetriage import textnorm
@@ -10,6 +13,8 @@ from issuetriage.textnorm import (
     TokenizedDoc,
     abstract_entities,
     clean,
+    count_abstractions,
+    is_abstract,
     lemmatize,
     normalize_pipeline,
     split_identifiers,
@@ -183,3 +188,128 @@ class TestTokenizedDoc:
     def test_rejects_digit_only(self):
         with pytest.raises(ValueError):
             TokenizedDoc(tokens=("123",))
+
+
+# ---------------------------------------------------------------------------
+# The kernel without literal gates or the fast token path, kept as the oracle
+# that the faster code must match exactly.
+
+def reference_abstract(text: str) -> tuple[str, Counter]:
+    counts: Counter = Counter()
+    for token, pattern, _ in textnorm.ABSTRACTION_TABLE:
+        text, n = pattern.subn(token.surface, text)
+        counts[token] += n
+    return text, counts
+
+
+def reference_normalize(text: str) -> tuple[str, ...]:
+    stops = stopwords()
+    out = []
+    for raw_tok in clean(reference_abstract(text)[0]).split():
+        if is_abstract(raw_tok) or raw_tok == "?":
+            out.append(raw_tok)
+            continue
+        for part in split_identifiers(raw_tok):
+            if not part or part.isdigit():
+                continue
+            if part in stops and part not in RETAINED_WORDS:
+                continue
+            lemma = lemmatize(part)
+            if lemma and not lemma.isdigit():
+                out.append(lemma)
+    return tuple(out)
+
+
+def reference_token_check(tokens) -> None:
+    for tok in tokens:
+        if not tok or any(ch.isspace() for ch in tok):
+            raise ValueError(f"bad token {tok!r}")
+        if tok.isdigit():
+            raise ValueError(f"digits-only token {tok!r}")
+
+
+GATE_LITERALS = sorted({lit for _, _, lits in textnorm.ABSTRACTION_TABLE for lit in lits})
+FRAGMENTS = [
+    "https://example.com/a?b=1", "http://x.y/z", "www.site.org/page", "a@b.co",
+    "root@host.io", "@user-name", "@carol", "/var/log/app/err.log", "a/b/c", "~/x/y",
+    "../a/b/", "C:\\x", "C:\\Temp\\x.txt", "2021-12-31", "12/31/21", "2021/4/3", "23:59",
+    "9:05 am", "10:30:05 P.M.", "f(x)", "setup(1, 2)", "g()", "`inline`",
+    "```block\ncode```", "# title", "## h2", "**bold**", "__init__", "~~gone~~",
+    "- item", "* item", "+ item", "> quote", "---", "***", "[x]", "[ ]",
+    "camelCase", "parseHTTPRequest", "snake_case", "UPPER", "HTTPServer", "v2", "py3",
+    "42", "2021", "utf8", "qtek", "⟨", "⟩", "⟨URL⟩", "naïve", "café", "ÀB", "ﬁle", "²",
+    "don't", "it’s", "???", "...", "plain", "words",
+]
+TEXTS = st.lists(
+    st.tuples(st.one_of(st.sampled_from(GATE_LITERALS + FRAGMENTS), st.text(max_size=4)),
+              st.sampled_from(["", " ", "\n", "\t"])),
+    max_size=16).map(lambda parts: "".join(frag + sep for frag, sep in parts))
+
+
+def assert_matches_reference(text: str) -> None:
+    want_text, want_counts = reference_abstract(text)
+    assert abstract_entities(text) == want_text
+    assert list(count_abstractions(text).items()) == list(want_counts.items())
+    assert normalize_pipeline(text).tokens == reference_normalize(text)
+
+
+def assert_gates_sound(text: str) -> None:
+    """Every match of each pattern, on the text as that pattern sees it,
+    contains one of the pattern's literals."""
+    for token, pattern, literals in textnorm.ABSTRACTION_TABLE:
+        for m in pattern.finditer(text):
+            assert any(lit in m.group(0) for lit in literals), (token, m.group(0))
+        text = pattern.sub(token.surface, text)
+
+
+class TestKernelMatchesReference:
+    def test_planted_fixture(self, planted_corpus):
+        for issue in planted_corpus.issues:
+            for text in (issue.title, issue.description):
+                assert_matches_reference(text)
+                assert_gates_sound(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(TEXTS)
+    @example("qtek⟩")
+    @example("C:\\x 9:05 am a/b/c `x` f(y) @u a@b.co www.x ## t")
+    def test_generated_text(self, text):
+        assert_matches_reference(text)
+        assert_gates_sound(text)
+
+    def test_stray_bracket_is_not_a_fast_path_token(self):
+        # "qtek⟩".islower() is true, but the bracket is not ASCII, so the
+        # token goes through split_identifiers, which drops it
+        assert normalize_pipeline("qtek⟩").tokens == ("qtek",) == reference_normalize("qtek⟩")
+
+    def test_fragments_reach_every_pattern(self):
+        for token, pattern, _ in textnorm.ABSTRACTION_TABLE:
+            assert any(pattern.search(frag) for frag in FRAGMENTS), token
+
+
+class TestTokenCheckMatchesReference:
+    @pytest.mark.parametrize("tokens,message", [
+        (("ok", "a b", ""), "bad token 'a b'"),
+        (("ok", "", "a b"), "bad token ''"),
+        (("12", "a b"), "digits-only token '12'"),
+        (("x\ty", "7"), "bad token 'x\\ty'"),
+    ])
+    def test_first_bad_token_is_named(self, tokens, message):
+        with pytest.raises(ValueError) as exc:
+            TokenizedDoc(tokens=tokens)
+        assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="ab1٣ \t\n\u3000\x1c", max_size=3), max_size=5))
+    def test_generated_tokens(self, tokens):
+        try:
+            reference_token_check(tokens)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            TokenizedDoc(tokens=tuple(tokens))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
