@@ -180,6 +180,9 @@ def load_assets(path: Path) -> tuple[FeaturePipeline, TrainedModel | None]:
     learn.require_keys(doc, ("tfidf_title", "tfidf_desc", "scaler"), f"{path}: assets")
     maps = labelmap.load_label_maps()
     recorded = doc.get("label_checksums", {})
+    if not (isinstance(recorded, dict) and all(isinstance(v, str) for v in recorded.values())):
+        raise ArtifactError(f"{path}: assets label_checksums is not an object of "
+                            "checksum strings")
     current = maps.checksums()
     for name, checksum in recorded.items():
         if current.get(name) != checksum:

@@ -11,6 +11,13 @@ Model params are ndarrays in memory (forest trees and kNN training rows
 excepted). They become lists only in the JSON that ``write_json`` emits, and
 ``TrainedModel.from_doc`` turns them back into arrays; every artifact is read
 through ``read_artifact``, which checks its format and version.
+
+A forest fit indexes X's non-zeros by column once (``column_index``), each
+column's in value order, and every tree shares that index. A node's split
+scans the drawn columns' non-zeros with all of a column's zeros as one tied
+entry, so it sorts nothing and its work follows X's density; it picks the
+same split a sort of the node's dense block would. The dense X only
+partitions a node's rows once its split is chosen.
 """
 
 from __future__ import annotations
@@ -160,10 +167,29 @@ class TrainedModel:
             raise ArtifactError(f"kNN model artifact has k {params.get('k')!r}, "
                                 "not an integer >= 1")
         if kind in ("nb", "logreg"):  # forest trees and kNN rows stay lists
-            params = {name: np.asarray(value, dtype=float) for name, value in params.items()}
+            params = _linear_params(kind, params, len(classes))
         return cls(kind=kind, classes=tuple(classes), params=params,
                    metadata=doc.get("metadata", {}),
                    asset_fingerprints=doc.get("asset_fingerprints", {}))
+
+
+# the (vector, matrix) params of NB and logreg, and the matrix axis that is the class
+_LINEAR_PARAMS = {"nb": ("log_prior", "log_likelihood", 0), "logreg": ("b", "W", 1)}
+
+
+def _linear_params(kind: str, params: dict, n_classes: int) -> dict:
+    """``params`` as float arrays, once the vector is ``(n_classes,)`` and the
+    matrix 2-d with ``n_classes`` on its class axis: NB ``log_prior`` (K,) and
+    ``log_likelihood`` (K, d), logreg ``b`` (K,) and ``W`` (d, K)."""
+    vector, matrix, class_axis = _LINEAR_PARAMS[kind]
+    require_keys(params, (vector, matrix), f"{kind} model")
+    arrays = {name: np.asarray(value, dtype=float) for name, value in params.items()}
+    for name, ndim, axis in ((vector, 1, 0), (matrix, 2, class_axis)):
+        shape = arrays[name].shape
+        if len(shape) != ndim or shape[axis] != n_classes:
+            raise ArtifactError(f"{kind} model artifact {name} has shape {shape}, which "
+                                f"does not fit {n_classes} classes")
+    return arrays
 
 
 def _check_forest(params: dict, n_classes: int) -> None:
@@ -386,32 +412,90 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - (p ** 2).sum())
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                features: np.ndarray, n_classes: int, min_leaf: int):
+@dataclass(frozen=True)
+class ColumnIndex:
+    """A matrix by column (CSC layout) with each column's zeros folded into
+    one slot: column ``j`` is entries ``indptr[j]:indptr[j + 1]`` of ``rows``
+    and ``values``, ascending by value. They are its non-zeros and, between
+    the negatives and the positives, a slot of value 0 and row ``n_rows``
+    (no row) standing for all its zero cells; ``zero_slot[j]`` is the
+    slot's entry."""
+    indptr: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+    zero_slot: np.ndarray
+    n_rows: int
+
+
+def column_index(X: np.ndarray) -> ColumnIndex:
+    """Build ``X``'s ``ColumnIndex``. The non-zeros are found a block of rows
+    at a time, so the boolean mask is at most about 2 MB."""
+    n, d = X.shape
+    step = max(1, (1 << 21) // max(d, 1))
+    flat = np.concatenate([np.flatnonzero(X[i:i + step] != 0) + i * d
+                           for i in range(0, n, step)])
+    rows, cols = np.divmod(flat, d)
+    values = np.concatenate([X[rows, cols], np.zeros(d)])
+    rows = np.concatenate([rows, np.full(d, n)])
+    cols = np.concatenate([cols, np.arange(d)])
+    order = np.lexsort((values, cols))
+    rows, values = rows[order], values[order]
+    indptr = np.zeros(d + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=d), out=indptr[1:])
+    return ColumnIndex(indptr, rows, values, np.flatnonzero(rows == n), n)
+
+
+def _best_split(cols: ColumnIndex, y: np.ndarray, idx: np.ndarray,
+                features: np.ndarray, counts: np.ndarray, min_leaf: int):
     """Exact scan over midpoints of all candidate features at once; returns
     (feature, threshold, weighted child impurity) or None.
 
-    Only cuts between distinct sorted values are scored: the rows left of
-    such a cut are exactly those at or below it, so the order of tied rows
-    never matters and features constant in the node drop out up front. Cuts
-    are ranked feature-major in ``features`` order, then by position, and the
-    first minimum wins: an earlier feature beats a later one on equal
-    impurity, and an earlier cut beats a later one within a feature."""
-    node_y = y[idx]
-    n = len(idx)
-    counts = np.bincount(node_y, minlength=n_classes).astype(float)
-    vals = X[np.ix_(idx, features)]
-    live = vals.max(axis=0) > vals.min(axis=0)
-    if not live.any():
+    ``cols`` is X by column (``ColumnIndex``): each column's non-zeros in
+    ascending value order, with one zero slot between its negatives and its
+    positives standing for all its zero cells. ``idx`` holds the node's
+    rows, a row once per bootstrap draw, and ``counts`` their class counts
+    (float). Nothing is sorted here: the drawn columns' entries are read
+    from ``cols`` back to back in ``features`` order. A non-zero entry weighs
+    its row's draws in ``idx``, so those of rows outside the node weigh
+    nothing and are dropped. The zero slot weighs the rest of the node, all
+    tied at 0: its class counts are ``counts`` minus those of the column's
+    non-zeros, so each column's entries sum to ``counts``.
+
+    Only cuts between distinct values are scored: the rows left of such a
+    cut are exactly those at or below it, so the order of tied rows never
+    matters, and a column with one value in the node has no cut. The class
+    counts left of a cut are a running sum over all entries less ``counts``
+    for each column before the cut's; they are whole numbers, so this is
+    exact. Cuts are ranked feature-major in ``features`` order, then by
+    value, and the first minimum wins: an earlier feature beats a later one
+    on equal impurity, and an earlier cut beats a later one within a
+    feature. These are the cuts, counts, thresholds and order of a sort of
+    the node's dense ``len(idx) x len(features)`` block, scored with the
+    same arithmetic on arrays of the same layout, so the trees are
+    byte-identical to a dense splitter's while the work follows the drawn
+    columns' non-zeros, not the block."""
+    n, n_classes, width = len(idx), len(counts), cols.n_rows + 1  # rows, then no row
+    start = cols.indptr[features]
+    size = cols.indptr[features + 1] - start
+    first = size.cumsum() - size
+    seg = np.arange(len(features)).repeat(size)
+    at = np.arange(seg.size) + (start - first)[seg]
+    rows = cols.rows[at]
+    slot = first + cols.zero_slot[features] - start
+    weight = np.bincount(idx, minlength=width)[rows]
+    weight[slot] = n - np.add.reduceat(weight, first)
+    by_row = np.bincount(y[idx] * width + idx, minlength=n_classes * width)
+    entries = by_row.reshape(n_classes, width).take(rows, axis=1)
+    entries[:, slot] = counts[:, None] - np.add.reduceat(entries, first, axis=1)
+    keep = weight.nonzero()[0]
+    entries, seg, vals = entries.take(keep, axis=1), seg[keep], cols.values[at[keep]]
+    cut = ((seg[1:] == seg[:-1]) & (vals[1:] != vals[:-1])).nonzero()[0]
+    if not cut.size:
         return None
-    features, vals = features[live], vals[:, live]
-    sy = node_y[np.argsort(vals, axis=0)]
-    vals.sort(axis=0)  # a copy already; sorting in place keeps the peak working set small
-    feat, cut = np.nonzero((vals[1:] > vals[:-1]).T)
-    left = np.empty((cut.size, n_classes))
-    for c in range(n_classes):  # int32 is exact: a node has far fewer than 2**31 rows
-        left[:, c] = np.cumsum(sy == c, axis=0, dtype=np.int32)[cut, feat]
-    n_left = cut + 1.0
+    # C order, as a dense splitter's: numpy sums a contiguous row of 8 or more
+    # classes pairwise, a strided one in sequence, and the sums may differ
+    left = (entries.cumsum(axis=1).take(cut, axis=1) - counts[:, None] * seg[cut]).T.copy()
+    n_left = left.sum(axis=1)
     n_right = n - n_left
     ok = (n_left >= min_leaf) & (n_right >= min_leaf)
     if not ok.any():
@@ -420,13 +504,13 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
     gini_l = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
     gini_r = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
     weighted = np.where(ok, (n_left * gini_l + n_right * gini_r) / n, np.inf)
-    pos = int(np.argmin(weighted))
-    f, i = feat[pos], cut[pos]
-    threshold = (vals[i, f] + vals[i + 1, f]) / 2.0
-    return int(features[f]), float(threshold), float(weighted[pos])
+    pos = int(weighted.argmin())
+    i = cut[pos]
+    threshold = (vals[i] + vals[i + 1]) / 2.0
+    return int(features[seg[i]]), float(threshold), float(weighted[pos])
 
 
-def _grow_tree(X, y, idx, rng, n_classes, max_depth, min_leaf, m_features,
+def _grow_tree(X, cols, y, idx, rng, n_classes, max_depth, min_leaf, m_features,
                depth, importances, n_root):
     node_y = y[idx]
     counts = np.bincount(node_y, minlength=n_classes).astype(float)
@@ -435,15 +519,15 @@ def _grow_tree(X, y, idx, rng, n_classes, max_depth, min_leaf, m_features,
             or (max_depth is not None and depth >= max_depth)):
         return {"leaf": (counts / counts.sum()).tolist()}
     features = rng.choice(X.shape[1], size=m_features, replace=False)
-    split = _best_split(X, y, idx, features, n_classes, min_leaf)
+    split = _best_split(cols, y, idx, features, counts, min_leaf)
     if split is None or split[2] >= gini_node:
         return {"leaf": (counts / counts.sum()).tolist()}
     f, threshold, weighted = split
     importances[f] += (len(idx) / n_root) * (gini_node - weighted)
     mask = X[idx, f] <= threshold
-    left = _grow_tree(X, y, idx[mask], rng, n_classes, max_depth, min_leaf,
+    left = _grow_tree(X, cols, y, idx[mask], rng, n_classes, max_depth, min_leaf,
                       m_features, depth + 1, importances, n_root)
-    right = _grow_tree(X, y, idx[~mask], rng, n_classes, max_depth, min_leaf,
+    right = _grow_tree(X, cols, y, idx[~mask], rng, n_classes, max_depth, min_leaf,
                        m_features, depth + 1, importances, n_root)
     return {"f": f, "t": threshold, "l": left, "r": right}
 
@@ -471,6 +555,9 @@ def fit_random_forest(
         raise TrainingError("random forest needs at least two classes")
     y = np.array([classes.index(lb) for lb in labels])
     n, d = X.shape
+    cols = column_index(X)
+    if not np.all(np.isfinite(cols.values)):  # a NaN or an infinity is a non-zero
+        raise TrainingError("random forest requires finite features")
     if max_features == "sqrt" or max_features is None:
         m = max(1, int(math.sqrt(d)))
     else:
@@ -484,7 +571,7 @@ def fit_random_forest(
         rng = np.random.default_rng(tree_seed)
         idx = rng.choice(n, size=n, replace=True, p=p)
         importances = np.zeros(d)
-        tree = _grow_tree(X, y, idx, rng, len(classes), max_depth, min_leaf,
+        tree = _grow_tree(X, cols, y, idx, rng, len(classes), max_depth, min_leaf,
                           m, 0, importances, n_root=len(idx))
         total = importances.sum()
         if total > 0:

@@ -29,6 +29,26 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+@pytest.fixture(scope="module")
+def stage1_artifacts(tmp_path_factory):
+    """Per stage-one kind, trained once: a ``train-objective`` model and a
+    ``train-priority`` model whose assets hold that stage-one model."""
+    d = tmp_path_factory.mktemp("stage1")
+    corpus = d / "corpus.jsonl"
+    shutil.copy(PLANTED, corpus)
+    shutil.copy(f"{PLANTED}.meta.json", f"{corpus}.meta.json")
+    config = d / "config.json"
+    config.write_text(json.dumps({"seed": 7, "model": {
+        "classifier": "forest", "hyperparams": {"n_trees": 2, "max_depth": 3}}}))
+    paths = {}
+    for stage1 in ("nb", "logreg"):
+        for where, command in (("model", "train-objective"), ("assets", "train-priority")):
+            paths[where, stage1] = d / f"{where}-{stage1}.json"
+            assert run("--config", config, command, "--stage1", stage1, "--in", corpus,
+                       "--model", paths[where, stage1]) == 0
+    return paths
+
+
 class TestUsage:
     def test_unknown_command_exits_one(self, capsys):
         assert run("frobnicate") == 1
@@ -364,6 +384,44 @@ class TestArtifactErrors:
         model.write_text(json.dumps(doc))
         code, err = self._predict(workdir, model, capsys)
         assert code == 2 and "does not decode" in err
+
+    @pytest.mark.parametrize("stage1,name,cut", [
+        ("nb", "log_likelihood", lambda v: v[:1]),
+        ("nb", "log_prior", lambda v: v[:-1]),
+        ("nb", "log_likelihood", None),
+        ("logreg", "W", lambda v: [row[:1] for row in v]),
+        ("logreg", "b", lambda v: [*v, 0.0]),
+        ("logreg", "b", None),
+    ], ids=["nb-likelihood-one-row", "nb-prior-short", "nb-no-likelihood",
+            "logreg-W-one-column", "logreg-b-long", "logreg-no-b"])
+    @pytest.mark.parametrize("where", ["model", "assets"])
+    def test_linear_params_that_do_not_fit_the_classes_exit_two(
+            self, workdir, stage1_artifacts, capsys, where, stage1, name, cut):
+        """A stage-one model whose parameters do not fit its classes is refused
+        on load, both as a model file and as the assets' ``stage1_model``."""
+        model = workdir / "m.json"
+        for suffix in ("", ".assets.json"):
+            shutil.copy(f"{stage1_artifacts[where, stage1]}{suffix}", f"{model}{suffix}")
+        path = model if where == "model" else Path(f"{model}.assets.json")
+        doc = json.loads(path.read_text())
+        params = (doc if where == "model" else doc["stage1_model"])["params"]
+        if cut is None:
+            del params[name]
+        else:
+            params[name] = cut(params[name])
+        path.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, model, capsys)
+        assert code == 2 and f"{stage1} model artifact" in err and name in err
+
+    @pytest.mark.parametrize("checksums", [5, [1], {"objective": 3}])
+    def test_label_checksums_not_an_object_of_strings_exit_two(self, workdir, trained,
+                                                               capsys, checksums):
+        assets = Path(f"{trained}.assets.json")
+        doc = json.loads(assets.read_text())
+        doc["label_checksums"] = checksums
+        assets.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and "label_checksums" in err
 
     def test_knn_with_k_below_one_exits_two(self, workdir, capsys):
         model = workdir / "knn.json"

@@ -294,6 +294,14 @@ class TestRandomForest:
         with pytest.raises(TrainingError):
             fit_random_forest(np.ones((3, 1)), ["a", "a", "a"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.zeros((6, 3))
+        X[:, 0] = [0, 1, 0, 1, 0, 1]
+        X[4, 2] = bad
+        with pytest.raises(TrainingError, match="finite"):
+            fit_random_forest(X, ["a", "b"] * 3, n_trees=2)
+
 
 def reference_best_split(X, y, idx, features, n_classes, min_leaf):
     """The per-feature splitter the vectorized one replaced, kept verbatim as
@@ -341,6 +349,9 @@ def _split_case(rng, column_kind):
         X = rng.integers(0, 3, size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
     elif column_kind == "constant":
         X = np.full((n, d), -1.5)
+    elif column_kind == "sparse":  # about 92 % zeros, the rest in {-2, -1, 1, 2} x scale
+        X = (rng.integers(-2, 3, size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
+             * (rng.random((n, d)) < 0.1))
     else:
         X = rng.normal(size=(n, d))
     n_classes = int(rng.integers(2, 4))
@@ -350,15 +361,66 @@ def _split_case(rng, column_kind):
     return X, y, idx, features, n_classes
 
 
+def indexed_best_split(X, y, idx, features, n_classes, min_leaf):
+    """``learn._best_split`` through ``X``'s column index, called as
+    ``reference_best_split`` is."""
+    idx, features = np.asarray(idx), np.asarray(features)
+    counts = np.bincount(y[idx], minlength=n_classes).astype(float)
+    return learn._best_split(learn.column_index(X), y, idx, features, counts, min_leaf)
+
+
+def dense_reference_splitter(X):
+    """``reference_best_split`` on the dense ``X``, called as ``learn._best_split`` is."""
+    return lambda cols, y, idx, features, counts, min_leaf: \
+        reference_best_split(X, y, idx, features, len(counts), min_leaf)
+
+
+class TestColumnIndex:
+    @pytest.mark.parametrize("column_kind", ["integer", "scaled", "normal", "constant",
+                                             "sparse"])
+    def test_round_trip_rebuilds_x(self, column_kind):
+        rng = np.random.default_rng(len(column_kind))
+        for _ in range(50):
+            X = _split_case(rng, column_kind)[0]
+            self._assert_rebuilds(X)
+
+    def test_round_trip_over_row_blocks(self):
+        # 2**20 columns make a 2-row block, so the non-zeros come from two blocks
+        X = np.zeros((3, 1 << 20))
+        X[[0, 0, 1, 2, 2], [5, (1 << 20) - 1, 5, 0, 7]] = [0.5, -1.0, 0.25, 2.0, -0.125]
+        self._assert_rebuilds(X)
+
+    @staticmethod
+    def _assert_rebuilds(X):
+        n, d = X.shape
+        cols = learn.column_index(X)
+        column = np.repeat(np.arange(d), np.diff(cols.indptr))
+        assert cols.indptr[0] == 0 and cols.indptr[-1] == cols.rows.size == cols.values.size
+        # one zero slot per column, no row, value 0, after the negatives
+        assert np.array_equal(column[cols.zero_slot], np.arange(d))
+        assert np.all(cols.rows[cols.zero_slot] == n) and np.all(cols.values[cols.zero_slot] == 0)
+        assert np.count_nonzero(cols.rows == n) == d
+        for j in range(d):
+            values = cols.values[cols.indptr[j]:cols.indptr[j + 1]]
+            assert np.all(values[1:] >= values[:-1])
+        real = cols.rows < n
+        rebuilt = np.zeros_like(X)
+        rebuilt[cols.rows[real], column[real]] = cols.values[real]
+        assert np.array_equal(rebuilt, X)
+        assert np.count_nonzero(real) == np.count_nonzero(X)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no cut may leave a side empty
 class TestBestSplitOracle:
-    @pytest.mark.parametrize("column_kind", ["integer", "scaled", "normal", "constant"])
+    @pytest.mark.parametrize("column_kind", ["integer", "scaled", "normal", "constant",
+                                             "sparse"])
     @pytest.mark.parametrize("min_leaf", [1, 2, 4])
     def test_seeded_cases_match_exactly(self, column_kind, min_leaf):
         rng = np.random.default_rng(min_leaf * 100 + len(column_kind))
         for _ in range(150):
             case = _split_case(rng, column_kind)
             want = reference_best_split(*case, min_leaf)
-            assert learn._best_split(*case, min_leaf) == want
+            assert indexed_best_split(*case, min_leaf) == want
             if column_kind == "constant":
                 assert want is None
 
@@ -376,14 +438,14 @@ class TestBestSplitOracle:
                                           max_size=2 * n)))
         features = np.array(data.draw(st.permutations(range(d))))
         features = features[:data.draw(st.integers(1, d))]
-        assert learn._best_split(X, y, idx, features, n_classes, min_leaf) == \
+        assert indexed_best_split(X, y, idx, features, n_classes, min_leaf) == \
             reference_best_split(X, y, idx, features, n_classes, min_leaf)
 
     def test_earlier_feature_wins_a_tie(self):
         X = np.array([[0.0, 5.0], [0.0, 5.0], [1.0, 7.0], [1.0, 7.0]])
         y = np.array([0, 0, 1, 1])
         for features in ([0, 1], [1, 0]):
-            split = learn._best_split(X, y, np.arange(4), np.array(features), 2, 1)
+            split = indexed_best_split(X, y, np.arange(4), np.array(features), 2, 1)
             assert split[0] == features[0]
             assert split == reference_best_split(X, y, np.arange(4), features, 2, 1)
 
@@ -399,7 +461,25 @@ class TestBestSplitOracle:
         fit = lambda: fit_random_forest(X, y, weights=weights, n_trees=6, max_depth=6,
                                         min_leaf=min_leaf, max_features=5, seed=9).params
         new = fit()
-        monkeypatch.setattr(learn, "_best_split", reference_best_split)
+        monkeypatch.setattr(learn, "_best_split", dense_reference_splitter(X))
+        assert new == fit()
+
+    def test_forest_equals_reference_on_sparse_tfidf_like_input(self, monkeypatch):
+        """Near the 2k training shape: a 1 %-dense block of TF-IDF-like
+        weights beside a few dense [0, 1] columns, 3 classes, class weights
+        and sqrt(d) drawn features."""
+        rng = np.random.default_rng(23)
+        n, d_text = 240, 900
+        text = rng.uniform(0.02, 0.6, size=(n, d_text)).round(3) * (rng.random((n, d_text)) < 0.01)
+        meta = rng.integers(0, 5, size=(n, 6)) / 4
+        X = np.hstack([text, meta])
+        label = (text[:, :40] > 0).sum(axis=1) + (meta[:, 0] > 0.5)
+        y = [("Bug", "Enhancement", "SupportDoc")[int(v) % 3] for v in label]
+        weights = compute_class_weights(y)
+        fit = lambda: fit_random_forest(X, y, weights=weights, n_trees=4, max_depth=12,
+                                        max_features="sqrt", seed=9).params
+        new = fit()
+        monkeypatch.setattr(learn, "_best_split", dense_reference_splitter(X))
         assert new == fit()
 
 
