@@ -292,6 +292,16 @@ def keyword_classify(
     return winners / winners.sum()
 
 
+def _require_finite(X: np.ndarray, model: str) -> float:
+    """The smallest of X's values and 0. Raises TrainingError if any value is
+    NaN or infinite, read from two reductions rather than an (n, d) mask: a
+    NaN makes both NaN, and an infinity makes one of them infinite."""
+    low = X.min(initial=0.0)
+    if not (math.isfinite(low) and math.isfinite(X.max(initial=0.0))):
+        raise TrainingError(f"{model} requires finite features")
+    return low
+
+
 # ---------------------------------------------------------------------------
 # Multinomial naive Bayes
 
@@ -305,7 +315,7 @@ def fit_multinomial_nb(
     classes: tuple[str, ...] | None = None,
 ) -> TrainedModel:
     X = np.asarray(X, dtype=float)
-    if np.any(X < 0):
+    if _require_finite(X, "multinomial NB") < 0:
         raise TrainingError("multinomial NB requires non-negative feature values")
     classes = classes or tuple(sorted(set(labels)))
     y = np.array([classes.index(lb) for lb in labels])
@@ -315,7 +325,11 @@ def fit_multinomial_nb(
         log_prior = np.where(class_counts > 0,
                              np.log(np.maximum(class_counts, 1) / class_counts.sum()),
                              _LOG_ZERO)
-    term_counts = np.vstack([X[y == c].sum(axis=0) for c in range(n_classes)])
+    # row by row in row order: the float sums of X[y == c].sum(axis=0), bit for
+    # bit, without copying a class's rows
+    term_counts = np.zeros((n_classes, X.shape[1]))
+    for row, c in zip(X, y, strict=True):
+        term_counts[c] += row
     smoothed = term_counts + alpha
     log_like = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
     return TrainedModel(
@@ -361,8 +375,7 @@ def fit_logreg(
     seed: int = 0, classes: tuple[str, ...] | None = None,
 ) -> TrainedModel:
     X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise TrainingError("logistic regression requires finite features")
+    _require_finite(X, "logistic regression")
     classes = classes or tuple(sorted(set(labels)))
     y = np.array([classes.index(lb) for lb in labels])
     sw = weights.per_sample(labels) if weights else np.ones(len(labels))
@@ -556,8 +569,7 @@ def fit_random_forest(
     y = np.array([classes.index(lb) for lb in labels])
     n, d = X.shape
     cols = column_index(X)
-    if not np.all(np.isfinite(cols.values)):  # a NaN or an infinity is a non-zero
-        raise TrainingError("random forest requires finite features")
+    _require_finite(cols.values, "random forest")  # a NaN or an infinity is a non-zero
     if max_features == "sqrt" or max_features is None:
         m = max(1, int(math.sqrt(d)))
     else:

@@ -17,15 +17,33 @@ text without any (most issue text has no backtick, ``@``, ``/`` or ``(``)
 cannot match, so the skip never changes the output. A new or edited pattern
 needs literals with that property, and ``tests/test_textnorm.py`` checks it
 on generated text.
+
+``normalize_pipeline`` is memoized for the life of the process: each
+distinct ``(text, source)`` is tokenized once, and every later call with it
+returns the same frozen ``TokenizedDoc``. Training reads each issue's title
+and description several times (TF-IDF fit and transform, stage-one counts,
+sentiment), and CV folds, tuning and project runs read the same issues
+again, so most calls are lookups. This holds only while the kernel stays a
+pure function of its arguments and of constant tables: a stage must not read
+anything that can change at run time (settings, environment, mutable module
+state), which is why the lemma tables below are read-only. The memo is not
+bounded; it holds one result per distinct text the process has tokenized,
+and those texts are already held as issue records. On a 2,000-issue
+synthetic corpus (4,000 texts, 2,120 distinct, 131,584 tokens) it retained
+7.8 MiB, measured with ``tracemalloc``. A test that times the kernel must call
+``normalize_pipeline.__wrapped__`` or ``normalize_pipeline.cache_clear()``
+first, or it times a lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from types import MappingProxyType
 
 
 class AbstractToken(Enum):
@@ -169,8 +187,9 @@ def stopwords() -> frozenset[str]:
     return _STOPWORDS
 
 
-# Irregular and e-dropping forms the suffix rules cannot recover.
-_LEMMA_EXCEPTIONS = {
+# Irregular and e-dropping forms the suffix rules cannot recover. Read-only,
+# like _DOUBLED_OK, so a memoized token list cannot go stale.
+_LEMMA_EXCEPTIONS = MappingProxyType({
     "parsing": "parse", "parsed": "parse",
     "using": "use", "used": "use",
     "making": "make", "made": "make",
@@ -211,9 +230,9 @@ _LEMMA_EXCEPTIONS = {
     "children": "child",
     "found": "find",
     "threw": "throw", "thrown": "throw",
-}
+})
 
-_DOUBLED_OK = set("lsz")  # keep ll / ss / zz (fell, miss, buzz)
+_DOUBLED_OK = frozenset("lsz")  # keep ll / ss / zz (fell, miss, buzz)
 
 
 def lemmatize(token: str) -> str:
@@ -275,7 +294,12 @@ def is_abstract(token: str) -> bool:
     return bool(_SURFACE_RE.fullmatch(token))
 
 
+@functools.lru_cache(maxsize=None)
 def normalize_pipeline(text: str, source: str = "description") -> TokenizedDoc:
+    """Run every stage on ``text``; memoized per ``(text, source)`` argument
+    list (see the module docstring). The result is frozen and shared by all
+    callers. A new stage must be a pure function of the text and of constant
+    tables. Time the kernel through ``normalize_pipeline.__wrapped__``."""
     stops = stopwords()
     cleaned = clean(abstract_entities(text))
     out: list[str] = []

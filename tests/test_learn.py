@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,47 @@ class TestMultinomialNB:
         assert np.allclose(probs[:, 1], 0.0)
         assert np.allclose(probs.sum(axis=1), 1.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_negative_features_rejected(self, bad):
+        X = np.array([[1.0, 1.0], [1.0, 2.0]])
+        X[0, 0] = bad
+        with pytest.raises(TrainingError):
+            fit_multinomial_nb(X, ["a", "b"])
+
+    @pytest.mark.parametrize("seed", range(14))
+    def test_class_sums_match_mask_formula(self, seed):
+        """The fitted likelihoods equal those from X[y == c].sum(axis=0), bit
+        for bit, on integer counts and on TF-IDF-like floats, with a class
+        that has no rows. The 2000-row cases are large enough that a one-hot
+        matmul, whose BLAS kernel reorders the row sum, is not identical."""
+        rng = np.random.default_rng(seed)
+        n, d = (2000, 200) if seed >= 12 else (int(rng.integers(1, 40)), int(rng.integers(1, 60)))
+        if seed % 2:
+            X = rng.poisson(0.7, size=(n, d)).astype(float)
+        else:
+            X = rng.random((n, d)) * (rng.random((n, d)) < 0.2)
+            X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+        classes = ("a", "b", "c")[:2 + seed % 2] + ("empty",)
+        labels = [classes[i] for i in rng.integers(0, len(classes) - 1, size=n)]
+        y = np.array([classes.index(lb) for lb in labels])
+        term_counts = np.vstack([X[y == c].sum(axis=0) for c in range(len(classes))])
+        smoothed = term_counts + 0.5
+        want = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
+        got = fit_multinomial_nb(X, labels, alpha=0.5, classes=classes)
+        assert got.params["log_likelihood"].tobytes() == want.tobytes()
+
+    def test_fit_does_not_copy_the_matrix(self):
+        X = np.zeros((400, 20_000))
+        X[np.arange(400), np.arange(400) * 7] = 1.0
+        labels = ["a", "b", "c", "d"] * 100
+        tracemalloc.start()
+        try:
+            fit_multinomial_nb(X, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2 * X.nbytes
+
 
 class TestLogReg:
     def test_separable_two_points(self):
@@ -212,6 +254,11 @@ class TestLogReg:
     def test_nonfinite_features_rejected(self):
         with pytest.raises(TrainingError):
             fit_logreg(np.array([[np.inf]]), ["a"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nan_and_infinities_among_finite_rejected(self, bad):
+        with pytest.raises(TrainingError):
+            fit_logreg(np.array([[0.0], [bad]]), ["lo", "hi"])
 
 
 def best_split_oracle(x, y_binary):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from issuetriage import textnorm
+from issuetriage.evalkit import ModelSpec, cross_validate, labeled_issues, train_pipeline
 from issuetriage.textnorm import (
     RETAINED_WORDS,
     AbstractToken,
@@ -313,3 +315,53 @@ class TestTokenCheckMatchesReference:
         except ValueError as exc:
             got = str(exc)
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The memo: each distinct (text, source) is tokenized once per process.
+
+class TestMemo:
+    SPEC = ModelSpec(classifier="knn")
+
+    def test_each_text_tokenized_once(self, planted_corpus, maps):
+        issues, _ = labeled_issues(planted_corpus.issues, maps)
+        distinct = ({(i.title, "title") for i in issues}
+                    | {(i.description, "description") for i in issues})
+        normalize_pipeline.cache_clear()
+        train_pipeline(issues, self.SPEC, maps)
+        misses = normalize_pipeline.cache_info().misses
+        assert misses == len(distinct)
+        cross_validate(planted_corpus, self.SPEC, k=3, seed=0, maps=maps)
+        assert normalize_pipeline.cache_info().misses == misses
+
+    def assert_cached_matches_kernel(self, text: str, source: str) -> None:
+        first = normalize_pipeline(text, source=source)
+        assert normalize_pipeline(text, source=source) is first
+        assert first == normalize_pipeline.__wrapped__(text, source)
+
+    def test_cached_matches_kernel_on_fixture(self, planted_corpus):
+        for issue in planted_corpus.issues:
+            self.assert_cached_matches_kernel(issue.title, "title")
+            self.assert_cached_matches_kernel(issue.description, "description")
+
+    @settings(max_examples=200, deadline=None)
+    @given(TEXTS, st.sampled_from(["title", "description"]))
+    def test_cached_matches_kernel_on_generated_text(self, text, source):
+        self.assert_cached_matches_kernel(text, source)
+
+    def test_result_is_frozen(self):
+        doc = normalize_pipeline("Parser fails on nested input", source="title")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            doc.tokens = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            doc.source = "description"
+
+    def test_kernel_tables_are_read_only(self):
+        with pytest.raises(TypeError):
+            textnorm._LEMMA_EXCEPTIONS["parsing"] = "parsing"
+        with pytest.raises(TypeError):
+            del textnorm._LEMMA_EXCEPTIONS["parsing"]
+        with pytest.raises(AttributeError):
+            textnorm._DOUBLED_OK.add("t")
+        assert lemmatize("parsing") == "parse"
+        assert lemmatize("stopped") == "stop"
