@@ -31,7 +31,9 @@ model is fit. A bad value or an unknown key exits 1 naming the setting.
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure. A
 missing ``--model`` file is a usage error; a model or assets file that is
 corrupt, unusable, of another format or of another version is a runtime
-failure.
+failure. Unusable means a block with a missing key, a value of the wrong
+type, a number that is not finite or out of bounds, or an array whose shape
+does not fit the model's classes or the assets' widths (``learn.BLOCKS``).
 """
 
 from __future__ import annotations
@@ -176,34 +178,34 @@ def save_assets(path: Path, pipeline: FeaturePipeline,
 
 
 def load_assets(path: Path) -> tuple[FeaturePipeline, TrainedModel | None]:
+    """The assets' pipeline and stage-one model (None when null); the latter
+    must be over the objective classes and take ``stage1_width`` columns."""
     doc = learn.read_artifact(path, ASSETS_FORMAT)
-    learn.require_keys(doc, ("tfidf_title", "tfidf_desc", "scaler"), f"{path}: assets")
+    what = f"{path}: assets"
+    learn.require_keys(doc, ("tfidf_title", "tfidf_desc", "scaler"), what)
     maps = labelmap.load_label_maps()
-    recorded = doc.get("label_checksums", {})
-    if not (isinstance(recorded, dict) and all(isinstance(v, str) for v in recorded.values())):
-        raise ArtifactError(f"{path}: assets label_checksums is not an object of "
-                            "checksum strings")
     current = maps.checksums()
-    for name, checksum in recorded.items():
+    recorded = learn.decode_block(doc, learn.BLOCKS["checksums"], what, {})
+    for name, checksum in recorded.get("label_checksums", {}).items():
         if current.get(name) != checksum:
             raise ChecksumMismatchError(
                 f"label table {name!r} changed since the assets were built")
-
-    def decoded(block: str, from_doc):
-        try:
-            return from_doc(doc[block])
-        except (ValueError, TypeError) as exc:
-            raise ArtifactError(f"{path}: assets block {block!r} does not decode: "
-                                f"{exc}") from None
-
     pipeline = FeaturePipeline(
-        tfidf_title=decoded("tfidf_title", TfidfModel.from_doc),
-        tfidf_desc=decoded("tfidf_desc", TfidfModel.from_doc),
-        scaler=decoded("scaler", ScalerParams.from_doc),
+        tfidf_title=TfidfModel.from_doc(doc["tfidf_title"], f"{what} block 'tfidf_title'"),
+        tfidf_desc=TfidfModel.from_doc(doc["tfidf_desc"], f"{what} block 'tfidf_desc'"),
+        scaler=ScalerParams.from_doc(doc["scaler"], f"{what} block 'scaler'",
+                                     {"F": features.N_METADATA_FEATURES}),
         maps=maps,
         lexicon=None,
     )
-    stage1 = decoded("stage1_model", TrainedModel.from_doc) if doc.get("stage1_model") else None
+    if doc.get("stage1_model") is None:
+        return pipeline, None
+    where = f"{what} block 'stage1_model': "
+    stage1 = TrainedModel.from_doc(doc["stage1_model"], where)
+    if stage1.classes != learn.OBJECTIVE_CLASS_ORDER:
+        raise ArtifactError(f"{where}classes {list(stage1.classes)} are not the objective "
+                            f"classes {list(learn.OBJECTIVE_CLASS_ORDER)}")
+    stage1.require_width(pipeline.stage1_width, where)
     return pipeline, stage1
 
 
@@ -376,11 +378,14 @@ def cmd_predict(args, config) -> int:
     model = learn.load_model(args.model)
     pipeline, stage1 = load_assets(assets_path_for(Path(args.model)))
     model.verify_assets(pipeline.fingerprints())
+    stage_one = model.classes == learn.OBJECTIVE_CLASS_ORDER
+    model.require_width(pipeline.stage1_width if stage_one else len(pipeline.feature_names()),
+                        f"{args.model}: ")
     corpus = _load_input_corpus(args.input, args.strict)
     probs_file = load_probs_file(Path(args.objective_probs)) if args.objective_probs else None
     fingerprint = model.fingerprint()
 
-    if tuple(model.classes) == learn.OBJECTIVE_CLASS_ORDER:
+    if stage_one:
         # stage-one model: emit the importable objective-probabilities format
         bundle = PriorityPipeline(pipeline, stage1_model=model)
         lines = ["\t".join(["issue_id", *learn.OBJECTIVE_CLASS_ORDER])]

@@ -84,11 +84,10 @@ class TfidfModel:
                 "max_features": self.max_features, "ngram_range": list(self.ngram_range)}
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "TfidfModel":
-        learn.require_keys(doc, ("vocabulary", "idf", "max_features", "ngram_range"), "TF-IDF")
-        return cls(vocabulary=dict(doc["vocabulary"]), idf=np.asarray(doc["idf"], dtype=float),
-                   max_features=int(doc["max_features"]),
-                   ngram_range=tuple(doc["ngram_range"]))  # type: ignore[arg-type]
+    def from_doc(cls, doc, what: str = "TF-IDF block") -> "TfidfModel":
+        block = learn.decode_block(doc, learn.BLOCKS["tfidf"], what, {})
+        return cls(block["vocabulary"], block["idf"], block["max_features"],
+                   tuple(block["ngram_range"].tolist()))
 
 
 def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
@@ -249,9 +248,10 @@ class ScalerParams:
                 "max": [float(x) for x in self.maximums]}
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "ScalerParams":
-        learn.require_keys(doc, ("min", "max"), "scaler")
-        return cls(np.asarray(doc["min"], dtype=float), np.asarray(doc["max"], dtype=float))
+    def from_doc(cls, doc, what: str = "scaler block", dims: dict | None = None
+                 ) -> "ScalerParams":
+        block = learn.decode_block(doc, learn.BLOCKS["scaler"], what, dims or {})
+        return cls(block["min"], block["max"])
 
 
 def fit_scaler(rows: Sequence[np.ndarray]) -> ScalerParams:
@@ -289,8 +289,6 @@ class FeatureVector:
             raise ValueError("objective probabilities outside [0, 1]")
         if self.lf.shape != (labelmap.N_CLUSTERS,):
             raise ValueError("label feature block must be 66-dim")
-        if self.nf.shape != (N_METADATA_FEATURES,):
-            raise ValueError("metadata block must be 28-dim")
         if np.any(self.nf < 0) or np.any(self.nf > 1):
             raise ValueError("normalized features outside [0, 1]")
 
@@ -318,11 +316,16 @@ class FeaturePipeline:
         out.update(self.maps.checksums())
         return out
 
+    @property
+    def stage1_width(self) -> int:
+        return self.tfidf_title.size + self.tfidf_desc.size
+
     def stage1_counts(self, issue: IssueRecord) -> np.ndarray:
-        """Raw term counts of title ++ description: the stage-one model's input."""
+        """Raw term counts of title ++ description: the stage-one model's input,
+        ``stage1_width`` columns."""
         title_doc = textnorm.normalize_pipeline(issue.title, source="title")
         desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
-        vec = np.zeros(self.tfidf_title.size + self.tfidf_desc.size)
+        vec = np.zeros(self.stage1_width)
         for offset, model, doc in ((0, self.tfidf_title, title_doc),
                                    (self.tfidf_title.size, self.tfidf_desc, desc_doc)):
             for idx, n in term_counts(model, doc).items():

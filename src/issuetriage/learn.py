@@ -7,10 +7,15 @@ sampling draw from seeded generators. Models serialize to self-describing
 JSON artifacts that pin the fingerprints of the preprocessing assets they
 were trained with; prediction refuses to run against different assets.
 
-Model params are ndarrays in memory (forest trees and kNN training rows
-excepted). They become lists only in the JSON that ``write_json`` emits, and
-``TrainedModel.from_doc`` turns them back into arrays; every artifact is read
-through ``read_artifact``, which checks its format and version.
+Model params are ndarrays in memory, except a forest's trees (nested dicts)
+and, until it is saved and loaded, its importances (a list). Every artifact
+is read through ``read_artifact``, which checks its format and version, and
+each of its blocks is decoded once by ``decode_block`` against its row of
+``BLOCKS``: a model's params in ``TrainedModel.from_doc``, against its
+classes, and the assets' blocks in ``cli.load_assets``. Where a model meets
+its assets, ``TrainedModel.require_width`` checks that it takes the columns
+they give: ``cli.load_assets`` for the assets' stage-one model and
+``cli.cmd_predict`` for the model file.
 
 A forest fit indexes X's non-zeros by column once (``column_index``), each
 column's in value order, and every tree shares that index. A node's split
@@ -26,9 +31,10 @@ import hashlib
 import json
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,8 +124,8 @@ class TrainedModel:
     asset_fingerprints: dict = field(default_factory=dict)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        probs = _PREDICTORS[self.kind](self.params, np.asarray(X, dtype=float))
-        return probs
+        X = np.asarray(X, dtype=float)
+        return _PREDICTORS[self.kind](self.params, X, len(self.classes))
 
     def predict(self, X: np.ndarray) -> list[str]:
         probs = self.predict_proba(X)
@@ -132,6 +138,14 @@ class TrainedModel:
                 raise ChecksumMismatchError(
                     f"asset {name!r} fingerprint {actual} does not match the "
                     f"one recorded at training time ({expected})")
+
+    def require_width(self, width: int, where: str = "") -> None:
+        """``ArtifactError`` unless the model takes ``width`` feature columns: the
+        ``d`` of its first param in ``BLOCKS`` that has one."""
+        key, spec = next((k, f) for k, f in BLOCKS[self.kind].items() if "d" in f.shape)
+        if np.shape(self.params[key])[spec.shape.index("d")] != width:
+            raise ArtifactError(f"{where}{self.kind} model artifact {key} does not take the "
+                                f"{width} feature columns its assets give")
 
     def fingerprint(self) -> str:
         payload = json.dumps(
@@ -149,78 +163,133 @@ class TrainedModel:
         return doc
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "TrainedModel":
-        require_keys(doc, ("kind", "classes", "params"), "model")
-        kind, classes, params = doc["kind"], doc["classes"], doc["params"]
-        if kind not in _PREDICTORS:
-            raise ArtifactError(f"model artifact has unknown kind {kind!r}")
+    def from_doc(cls, doc, where: str = "") -> "TrainedModel":
+        """The model ``doc`` describes, its params decoded against its classes;
+        ``where`` (a path and a colon, say) starts every error message."""
+        what = f"{where}model artifact"
+        require_keys(doc, ("kind", "classes", "params"), what)
+        kind, classes = doc["kind"], doc["classes"]
+        if not (isinstance(kind, str) and kind in _PREDICTORS):
+            raise ArtifactError(f"{what} has unknown kind {kind!r}")
         if not (isinstance(classes, list) and len(classes) >= 2
                 and all(isinstance(c, str) for c in classes)
                 and len(set(classes)) == len(classes)):
-            raise ArtifactError(f"model artifact classes {classes!r} are not a list "
+            raise ArtifactError(f"{what} classes {classes!r} are not a list "
                                 "of at least two distinct names")
-        if not isinstance(params, dict):
-            raise ArtifactError("model artifact params is not an object")
-        if kind == "forest":
-            _check_forest(params, len(classes))
-        if kind == "knn" and not _is_int(params.get("k"), 1):
-            raise ArtifactError(f"kNN model artifact has k {params.get('k')!r}, "
-                                "not an integer >= 1")
-        if kind in ("nb", "logreg"):  # forest trees and kNN rows stay lists
-            params = _linear_params(kind, params, len(classes))
+        params = decode_block(doc["params"], BLOCKS[kind], f"{where}{kind} model artifact",
+                              {"K": len(classes)})
         return cls(kind=kind, classes=tuple(classes), params=params,
                    metadata=doc.get("metadata", {}),
-                   asset_fingerprints=doc.get("asset_fingerprints", {}))
+                   **decode_block(doc, BLOCKS["pinned"], what, {}))
 
 
-# the (vector, matrix) params of NB and logreg, and the matrix axis that is the class
-_LINEAR_PARAMS = {"nb": ("log_prior", "log_likelihood", 0), "logreg": ("b", "W", 1)}
+# ---------------------------------------------------------------------------
+# Artifact blocks: one declarative check each
+
+class Field(NamedTuple):
+    """What one key of an artifact block holds; see ``BLOCKS``."""
+    dtype: str
+    shape: tuple = ()
+    low: float | str | None = None
+    high: float | str | None = None
+    optional: bool = False  # may be absent, and is then absent from the decoded block
 
 
-def _linear_params(kind: str, params: dict, n_classes: int) -> dict:
-    """``params`` as float arrays, once the vector is ``(n_classes,)`` and the
-    matrix 2-d with ``n_classes`` on its class axis: NB ``log_prior`` (K,) and
-    ``log_likelihood`` (K, d), logreg ``b`` (K,) and ``W`` (d, K)."""
-    vector, matrix, class_axis = _LINEAR_PARAMS[kind]
-    require_keys(params, (vector, matrix), f"{kind} model")
-    arrays = {name: np.asarray(value, dtype=float) for name, value in params.items()}
-    for name, ndim, axis in ((vector, 1, 0), (matrix, 2, class_axis)):
-        shape = arrays[name].shape
-        if len(shape) != ndim or shape[axis] != n_classes:
-            raise ArtifactError(f"{kind} model artifact {name} has shape {shape}, which "
-                                f"does not fit {n_classes} classes")
-    return arrays
+# Each block's keys. "float" is an array of finite numbers and "int" one of
+# integers, of ``shape`` (a scalar's is ()) and each value in [low, high];
+# "vocab" maps terms to the column ids 0..V-1, "strings" names to strings, and
+# "tree" is a non-empty list of forest trees. A dimension is a number or a
+# named width, bound where it first appears: K classes, d feature columns, n
+# training rows, V terms, F metadata features. A bound is a number, a width
+# (K-1 is one less) or an earlier key of the block, compared elementwise.
+BLOCKS: dict[str, dict[str, Field]] = {
+    "nb": {"log_prior": Field("float", ("K",)), "log_likelihood": Field("float", ("K", "d"))},
+    "logreg": {"b": Field("float", ("K",)), "W": Field("float", ("d", "K"))},
+    "forest": {"importances": Field("float", ("d",)), "n_features": Field("int", (), "d", "d"),
+               "trees": Field("tree")},
+    "knn": {"X": Field("float", ("n", "d")), "y": Field("int", ("n",), 0, "K-1"),
+            "k": Field("int", (), 1, "n")},
+    "tfidf": {"idf": Field("float", ("V",)), "vocabulary": Field("vocab", ("V",)),
+              "max_features": Field("int", (), 1), "ngram_range": Field("int", (2,), 1)},
+    "scaler": {"min": Field("float", ("F",)), "max": Field("float", ("F",), "min")},
+    "pinned": {"asset_fingerprints": Field("strings", optional=True)},
+    "checksums": {"label_checksums": Field("strings", optional=True)},
+}
 
 
-def _check_forest(params: dict, n_classes: int) -> None:
-    """One stack walk over every tree: each node is ``{"leaf": [n_classes
-    finite numbers >= 0]}`` or ``{"f": feature in [0, n_features), "t": finite
-    number, "l", "r"}``; anything else raises ``ArtifactError``."""
-    trees, n_features = params.get("trees"), params.get("n_features")
-    if not isinstance(trees, list):
-        raise ArtifactError(f"forest model artifact trees is a {type(trees).__name__}, "
-                            "not a list")
-    if not trees:
-        raise ArtifactError("forest model artifact has no trees")
-    if not _is_int(n_features, 1):
-        raise ArtifactError(f"forest model artifact has n_features {n_features!r}, "
-                            "not an integer >= 1")
-    stack = list(trees)
-    while stack:
-        node = stack.pop()
-        keys = set(node) if isinstance(node, dict) else None
-        if keys == {"leaf"}:
-            leaf = node["leaf"]
+def decode_block(doc, fields: dict[str, Field], what: str, dims: dict[str, int]) -> dict:
+    """``doc``'s keys in ``fields``, decoded as their ``Field`` says: number
+    arrays as ndarrays, scalars as Python numbers, the rest as they are. Named
+    widths are bound in ``dims``. The first key that is missing or does not
+    decode raises one ``ArtifactError``, which starts with ``what``."""
+    require_keys(doc, [key for key, spec in fields.items() if not spec.optional], what)
+    return {key: _decode(doc, key, spec, dims, what) for key, spec in fields.items()
+            if key in doc}
+
+
+def _decode(doc: dict, key: str, spec: Field, dims: dict[str, int], what: str):
+    value = doc[key]
+    label = key if isinstance(value, (list, dict)) else f"{key} {value!r:.40}"
+    fail = f"{what} {label} does not decode:"
+    if spec.dtype == "tree":  # one stack walk over every node of every tree
+        n_classes, n_features = dims["K"], dims["d"]
+        stack = list(value) if isinstance(value, list) and value else [None]
+        while stack:
+            node = stack.pop()
+            keys = set(node) if isinstance(node, dict) else None
+            leaf = node["leaf"] if keys == {"leaf"} else None
             if (isinstance(leaf, list) and len(leaf) == n_classes
                     and all(_is_number(p, 0, strict=False) for p in leaf)):
                 continue
-        elif (keys == {"f", "t", "l", "r"} and _is_int(node["f"], 0, n_features - 1)
-              and _is_number(node["t"], -math.inf, strict=True)):
-            stack += (node["l"], node["r"])
-            continue
-        raise ArtifactError(f"forest model artifact has a malformed tree node: a node "
-                            f"must be a leaf of {n_classes} numbers or a split on a "
-                            f"feature in [0, {n_features})")
+            if (keys == {"f", "t", "l", "r"} and _is_int(node["f"], 0, n_features - 1)
+                    and _is_number(node["t"], -math.inf, strict=True)):
+                stack += (node["l"], node["r"])
+                continue
+            raise ArtifactError(f"{fail} it holds no trees, or a node that is neither a leaf "
+                                f"of {n_classes} numbers >= 0 nor a split on a feature in "
+                                f"[0, {n_features})")
+        return value
+    if spec.dtype in ("strings", "vocab"):
+        kind, noun = (str, "strings") if spec.dtype == "strings" else (int, "column ids")
+        if not (isinstance(value, dict) and all(type(v) is kind for v in value.values())):
+            raise ArtifactError(f"{fail} it is not an object of {noun}")
+        if kind is int:
+            _bind(spec.shape, (len(value),), dims, fail)
+            if set(value.values()) != set(range(len(value))):
+                raise ArtifactError(f"{fail} its column ids are not 0..{len(value) - 1}")
+        return value
+    try:
+        array = np.array(value)
+    except ValueError:  # nested lists of unequal lengths
+        array = np.array(None)
+    if array.dtype.kind not in ("iu" if spec.dtype == "int" else "iuf"):
+        raise ArtifactError(f"{fail} it is not made of "
+                            f"{'integers' if spec.dtype == 'int' else 'numbers'}")
+    _bind(spec.shape, array.shape, dims, fail)
+    if spec.dtype == "float":
+        array = array.astype(float, copy=False)
+        if not np.isfinite(array).all():
+            raise ArtifactError(f"{fail} it holds a number that is not finite")
+    for name, side, outside in ((spec.low, "below", np.less),
+                                (spec.high, "above", np.greater)):
+        bound = name
+        if isinstance(name, str):  # a width, less what follows a "-", or a key of the block
+            width, _, less = name.partition("-")
+            bound = dims[width] - int(less or 0) if width in dims else doc[name]
+        if bound is not None and np.any(outside(array, bound)):
+            named = isinstance(name, str) and np.ndim(bound) == 0
+            raise ArtifactError(f"{fail} it holds a value {side} {name}"
+                                + (f" = {bound}" if named else ""))
+    return array if spec.shape else array.item()
+
+
+def _bind(shape: tuple, actual: tuple, dims: dict[str, int], fail: str) -> None:
+    """Check ``actual`` against ``shape``, binding each named width not yet in ``dims``."""
+    want = tuple(dims.get(w, w) for w in shape)
+    if len(actual) != len(want) or any(isinstance(w, int) and w != a
+                                       for w, a in zip(want, actual)):
+        raise ArtifactError(f"{fail} its shape is {actual}, not ({', '.join(map(str, want))})")
+    dims.update((w, a) for w, a in zip(want, actual) if isinstance(w, str))
 
 
 def _json_default(obj):
@@ -244,7 +313,7 @@ def read_artifact(path: str | Path, fmt: str) -> dict:
     version; any failure is one ``ArtifactError``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ArtifactError(f"{path}: cannot read artifact: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ArtifactError(f"{path}: not an {fmt} artifact")
@@ -253,11 +322,14 @@ def read_artifact(path: str | Path, fmt: str) -> dict:
     return doc
 
 
-def require_keys(doc: dict, keys: Sequence[str], what: str) -> None:
-    """Raise ``ArtifactError`` naming the first of ``keys`` that ``doc`` lacks."""
+def require_keys(doc, keys: Sequence[str], what: str) -> None:
+    """Raise ``ArtifactError`` unless ``doc`` is an object, naming the first of
+    ``keys`` that it lacks."""
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"{what} is not an object")
     for key in keys:
         if key not in doc:
-            raise ArtifactError(f"{what} artifact has no {key!r} key")
+            raise ArtifactError(f"{what} has no {key!r} key")
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -266,11 +338,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    doc = read_artifact(path, MODEL_FORMAT)
-    try:
-        return TrainedModel.from_doc(doc)
-    except (ValueError, TypeError) as exc:
-        raise ArtifactError(f"{path}: model does not decode: {exc}") from None
+    return TrainedModel.from_doc(read_artifact(path, MODEL_FORMAT), f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +370,15 @@ def _require_finite(X: np.ndarray, model: str) -> float:
     return low
 
 
+def _encode_labels(labels: Sequence[str],
+                   classes: tuple[str, ...] | None) -> tuple[tuple[str, ...], np.ndarray]:
+    """``classes`` (by default the labels' distinct values, sorted) and each
+    label's index in them."""
+    classes = classes or tuple(sorted(set(labels)))
+    index = {cls: i for i, cls in enumerate(classes)}
+    return classes, np.array([index[lb] for lb in labels], dtype=int)
+
+
 # ---------------------------------------------------------------------------
 # Multinomial naive Bayes
 
@@ -317,8 +394,7 @@ def fit_multinomial_nb(
     X = np.asarray(X, dtype=float)
     if _require_finite(X, "multinomial NB") < 0:
         raise TrainingError("multinomial NB requires non-negative feature values")
-    classes = classes or tuple(sorted(set(labels)))
-    y = np.array([classes.index(lb) for lb in labels])
+    classes, y = _encode_labels(labels, classes)
     n_classes = len(classes)
     class_counts = np.array([(y == c).sum() for c in range(n_classes)], dtype=float)
     with np.errstate(divide="ignore"):
@@ -338,7 +414,7 @@ def fit_multinomial_nb(
         metadata={"alpha": alpha, "n_train": len(labels)})
 
 
-def _nb_predict(params: dict, X: np.ndarray) -> np.ndarray:
+def _nb_predict(params: dict, X: np.ndarray, n_classes: int) -> np.ndarray:
     joint = X @ params["log_likelihood"].T + params["log_prior"]
     joint -= joint.max(axis=1, keepdims=True)
     probs = np.exp(joint)
@@ -376,8 +452,7 @@ def fit_logreg(
 ) -> TrainedModel:
     X = np.asarray(X, dtype=float)
     _require_finite(X, "logistic regression")
-    classes = classes or tuple(sorted(set(labels)))
-    y = np.array([classes.index(lb) for lb in labels])
+    classes, y = _encode_labels(labels, classes)
     sw = weights.per_sample(labels) if weights else np.ones(len(labels))
     n_feats, n_classes = X.shape[1], len(classes)
     W = np.zeros((n_feats, n_classes))
@@ -407,7 +482,7 @@ def fit_logreg(
                   "class_weights": weights.weights if weights else None})
 
 
-def _logreg_predict(params: dict, X: np.ndarray) -> np.ndarray:
+def _logreg_predict(params: dict, X: np.ndarray, n_classes: int) -> np.ndarray:
     scores = X @ params["W"] + params["b"]
     scores -= scores.max(axis=1, keepdims=True)
     exp = np.exp(scores)
@@ -547,7 +622,7 @@ def _grow_tree(X, cols, y, idx, rng, n_classes, max_depth, min_leaf, m_features,
 
 def _tree_predict(tree: dict, X: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
     if "leaf" in tree:
-        out[rows] += np.asarray(tree["leaf"])
+        out[rows] += np.asarray(tree["leaf"], dtype=float)
         return
     mask = X[rows, tree["f"]] <= tree["t"]
     if mask.any():
@@ -563,10 +638,9 @@ def fit_random_forest(
     classes: tuple[str, ...] | None = None,
 ) -> TrainedModel:
     X = np.asarray(X, dtype=float)
-    classes = classes or tuple(sorted(set(labels)))
+    classes, y = _encode_labels(labels, classes)
     if len(classes) < 2:
         raise TrainingError("random forest needs at least two classes")
-    y = np.array([classes.index(lb) for lb in labels])
     n, d = X.shape
     cols = column_index(X)
     _require_finite(cols.values, "random forest")  # a NaN or an infinity is a non-zero
@@ -599,14 +673,8 @@ def fit_random_forest(
                   "class_weights": weights.weights if weights else None})
 
 
-def _forest_predict(params: dict, X: np.ndarray) -> np.ndarray:
+def _forest_predict(params: dict, X: np.ndarray, n_classes: int) -> np.ndarray:
     trees = params["trees"]
-    n_classes = len(trees[0]["leaf"]) if "leaf" in trees[0] else None
-    if n_classes is None:  # walk down to any leaf for the class count
-        node = trees[0]
-        while "leaf" not in node:
-            node = node["l"]
-        n_classes = len(node["leaf"])
     out = np.zeros((X.shape[0], n_classes))
     rows = np.arange(X.shape[0])
     for tree in trees:
@@ -619,20 +687,15 @@ def _forest_predict(params: dict, X: np.ndarray) -> np.ndarray:
 
 def fit_knn(X: np.ndarray, labels: Sequence[str], k: int = 5,
             classes: tuple[str, ...] | None = None) -> TrainedModel:
-    classes = classes or tuple(sorted(set(labels)))
-    y = [classes.index(lb) for lb in labels]
+    classes, y = _encode_labels(labels, classes)
     return TrainedModel(
         kind="knn", classes=classes,
-        params={"X": np.asarray(X, dtype=float).tolist(), "y": y,
-                "k": min(k, len(labels))},
+        params={"X": np.array(X, dtype=float), "y": y, "k": min(k, len(labels))},
         metadata={"k": k})
 
 
-def _knn_predict(params: dict, X: np.ndarray) -> np.ndarray:
-    train = np.asarray(params["X"])
-    y = np.asarray(params["y"])
-    k = params["k"]
-    n_classes = int(y.max()) + 1 if len(y) else 1
+def _knn_predict(params: dict, X: np.ndarray, n_classes: int) -> np.ndarray:
+    train, y, k = params["X"], params["y"], params["k"]
     out = np.zeros((X.shape[0], n_classes))
     for i, row in enumerate(X):
         dist = np.sqrt(((train - row) ** 2).sum(axis=1))
@@ -642,7 +705,7 @@ def _knn_predict(params: dict, X: np.ndarray) -> np.ndarray:
     return out
 
 
-_PREDICTORS: dict[str, Callable[[dict, np.ndarray], np.ndarray]] = {
+_PREDICTORS: dict[str, Callable[[dict, np.ndarray, int], np.ndarray]] = {
     "nb": _nb_predict,
     "logreg": _logreg_predict,
     "forest": _forest_predict,
@@ -711,8 +774,9 @@ def _is_int(value, low: int, high: int | None = None) -> bool:
 
 
 def _is_number(value, low: float, strict: bool) -> bool:
+    # an int too large for a float is not finite
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and (value > low if strict else value >= low))
+            and abs(value) <= sys.float_info.max and (value > low if strict else value >= low))
 
 
 def checked_int(name: str, value, low: int, high: int | None = None) -> int:

@@ -350,7 +350,7 @@ class TestArtifactErrors:
 
     @pytest.mark.parametrize("fault", [
         "trees=5", "node={}", "f=x", "f=10**7", "f=-1", "f=true", "t=x",
-        "leaf=3-long", "leaf=x", "no-n_features"])
+        "leaf=3-long", "leaf=x", "no-n_features", "n_features=10**7"])
     def test_malformed_forest_exits_two(self, workdir, trained, capsys, fault):
         doc = json.loads(trained.read_text())
         params = doc["params"]
@@ -368,6 +368,8 @@ class TestArtifactErrors:
             leaf["leaf"] = [0.5, 0.25, 0.25]
         elif fault == "leaf=x":
             leaf["leaf"] = ["x", 1.0]
+        elif fault == "n_features=10**7":  # a split past the width its assets give
+            params["n_features"], split["f"] = 10 ** 7, 10 ** 6
         else:
             del params["n_features"]
         trained.write_text(json.dumps(doc))
@@ -392,8 +394,14 @@ class TestArtifactErrors:
         ("logreg", "W", lambda v: [row[:1] for row in v]),
         ("logreg", "b", lambda v: [*v, 0.0]),
         ("logreg", "b", None),
+        ("nb", "log_likelihood", lambda v: [row[:-1] for row in v]),
+        ("logreg", "W", lambda v: v[:-1]),
+        ("nb", "log_likelihood", lambda v: [[None, *v[0][1:]], *v[1:]]),
+        ("nb", "log_likelihood", lambda v: [[float("nan"), *v[0][1:]], *v[1:]]),
     ], ids=["nb-likelihood-one-row", "nb-prior-short", "nb-no-likelihood",
-            "logreg-W-one-column", "logreg-b-long", "logreg-no-b"])
+            "logreg-W-one-column", "logreg-b-long", "logreg-no-b",
+            "nb-likelihood-column-cut", "logreg-W-row-cut", "nb-likelihood-null",
+            "nb-likelihood-nan"])
     @pytest.mark.parametrize("where", ["model", "assets"])
     def test_linear_params_that_do_not_fit_the_classes_exit_two(
             self, workdir, stage1_artifacts, capsys, where, stage1, name, cut):
@@ -422,6 +430,58 @@ class TestArtifactErrors:
         assets.write_text(json.dumps(doc))
         code, err = self._predict(workdir, trained, capsys)
         assert code == 2 and "label_checksums" in err
+
+    @pytest.mark.parametrize("stage1", ["nb", "logreg"])
+    def test_assets_stage1_model_over_other_classes_exits_two(self, workdir,
+                                                              stage1_artifacts, capsys, stage1):
+        """A stage-one model consistent in itself but over Bug and Enhancement
+        only would shift every later feature block by one column."""
+        model = workdir / "m.json"
+        for suffix in ("", ".assets.json"):
+            shutil.copy(f"{stage1_artifacts['assets', stage1]}{suffix}", f"{model}{suffix}")
+        assets = Path(f"{model}.assets.json")
+        doc = json.loads(assets.read_text())
+        stage1_doc = doc["stage1_model"]
+        stage1_doc["classes"] = stage1_doc["classes"][:2]
+        params = stage1_doc["params"]
+        if stage1 == "nb":
+            params["log_prior"], params["log_likelihood"] = (
+                params["log_prior"][:2], params["log_likelihood"][:2])
+        else:
+            params["b"], params["W"] = params["b"][:2], [row[:2] for row in params["W"]]
+        assets.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, model, capsys)
+        assert code == 2 and "stage1_model" in err and "classes" in err
+
+    @pytest.mark.parametrize("fingerprints", [5, [1], {"scaler": 3}])
+    def test_asset_fingerprints_not_an_object_of_strings_exit_two(self, workdir, trained,
+                                                                  capsys, fingerprints):
+        doc = json.loads(trained.read_text())
+        doc["asset_fingerprints"] = fingerprints
+        trained.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and "asset_fingerprints" in err
+
+    @pytest.mark.parametrize("fault", ["X-row-short", "X-rows-short", "X=x", "y=7"])
+    def test_malformed_knn_exits_two(self, workdir, capsys, fault):
+        """Training rows that do not fit the width the assets give, or a label
+        outside the classes, are refused on load."""
+        model = workdir / "knn.json"
+        assert run("--config", workdir / "config.json", "train-priority", "--classifier",
+                   "knn", "--in", workdir / "corpus.jsonl", "--model", model) == 0
+        doc = json.loads(model.read_text())
+        params = doc["params"]
+        if fault == "X-row-short":
+            params["X"][0] = params["X"][0][:-1]
+        elif fault == "X-rows-short":
+            params["X"] = [row[:-1] for row in params["X"]]
+        elif fault == "X=x":
+            params["X"] = "x"
+        else:
+            params["y"][0] = 7
+        model.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, model, capsys)
+        assert code == 2 and "knn model artifact" in err
 
     def test_knn_with_k_below_one_exits_two(self, workdir, capsys):
         model = workdir / "knn.json"

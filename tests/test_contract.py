@@ -1,9 +1,11 @@
-"""Process-level contracts of the CLI: the exit code of any config, and output
-bytes that do not depend on the interpreter's string hash seed."""
+"""Process-level contracts of the CLI: the exit code of any config or any
+mutated model or assets file, and output bytes that do not depend on the
+interpreter's string hash seed."""
 
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -178,3 +180,65 @@ def test_any_config_gives_a_known_exit_code(small_corpus, config):
             assert code in (0, 1, 2), (argv[0], code)
             assert len(errors) <= 1, errors
             assert (code == 0) == (not errors), (argv[0], code, errors)
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract over mutated model and assets files
+
+@pytest.fixture(scope="module")
+def trained_artifacts(small_corpus, tmp_path_factory):
+    """A forest and a kNN priority model and a stage-one NB model, each next
+    to its assets, trained once on the small corpus."""
+    d = tmp_path_factory.mktemp("artifacts")
+    config = d / "config.json"
+    config.write_text(json.dumps({"model": SMALL_MODEL}))
+    models = {}
+    for name, argv in (("forest", ["train-priority"]),
+                       ("knn", ["train-priority", "--classifier", "knn"]),
+                       ("nb-stage1", ["train-objective"])):
+        models[name] = d / f"{name}.json"
+        code, errors = _main(["--config", config, *argv, "--in", small_corpus,
+                              "--model", models[name]])
+        assert code == 0, errors
+    return models
+
+
+# wrong in type, not a number, null, and out of range
+BAD_VALUES = ["x", float("nan"), None, -1, 10 ** 7, 10 ** 400]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_mutated_artifact_gives_a_known_exit_code(small_corpus, trained_artifacts, data):
+    """One key, value or array cell of a model or its assets is renamed, set
+    to a bad value, or (a list) cut one element short; predict then exits 0,
+    1 or 2 with at most one error line, and on 0 writes whole rows."""
+    model = trained_artifacts[data.draw(st.sampled_from(sorted(trained_artifacts)), "model")]
+    suffix = data.draw(st.sampled_from(["", ".assets.json"]), "file")
+    doc = json.loads(Path(f"{model}{suffix}").read_text())
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node:
+        if parent is not None and not data.draw(st.integers(0, 5)):
+            break  # one level down at least, then one more five times in six
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))), "key")
+        parent, node = node, node[key]
+    how = data.draw(st.sampled_from(["rename", "set", "cut"]), "how")
+    if how == "rename" and isinstance(parent, dict):
+        parent[f"{key}x"] = parent.pop(key)
+    elif how == "cut" and isinstance(node, list) and node:
+        parent[key] = node[:-1]
+    else:
+        parent[key] = data.draw(st.sampled_from(BAD_VALUES), "value")
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "m.json"
+        for name in ("", ".assets.json"):
+            shutil.copy(f"{model}{name}", f"{target}{name}")
+        Path(f"{target}{suffix}").write_text(json.dumps(doc))
+        code, errors = _main(["predict", "--model", target, "--in", small_corpus,
+                              "--out", Path(tmp) / "p.tsv"])
+        assert code in (0, 1, 2), code
+        assert len(errors) <= 1, errors
+        if code == 0:
+            header, *rows = (Path(tmp) / "p.tsv").read_text().splitlines()
+            assert rows and all(len(r.split("\t")) == len(header.split("\t")) for r in rows)
