@@ -234,7 +234,7 @@ def load_probs_file(path: Path) -> dict[str, np.ndarray]:
             raise ValidationError(f"{path}:{lineno}: probabilities must be numbers") from None
         if not np.all((vec >= 0.0) & (vec <= 1.0)):  # NaN fails both comparisons
             raise ValidationError(f"{path}:{lineno}: probabilities must lie in [0, 1]")
-        if abs(vec.sum() - 1.0) > 1e-6:
+        if not abs(vec.sum() - 1.0) <= features.PROB_SUM_TOLERANCE:
             raise ValidationError(f"{path}:{lineno}: probabilities sum to {vec.sum()}")
         probs[cells[0]] = vec
     return probs
@@ -379,7 +379,7 @@ def cmd_predict(args, config) -> int:
     pipeline, stage1 = load_assets(assets_path_for(Path(args.model)))
     model.verify_assets(pipeline.fingerprints())
     stage_one = model.classes == learn.OBJECTIVE_CLASS_ORDER
-    model.require_width(pipeline.stage1_width if stage_one else len(pipeline.feature_names()),
+    model.require_width(pipeline.stage1_width if stage_one else pipeline.width,
                         f"{args.model}: ")
     corpus = _load_input_corpus(args.input, args.strict)
     probs_file = load_probs_file(Path(args.objective_probs)) if args.objective_probs else None

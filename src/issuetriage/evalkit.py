@@ -184,18 +184,29 @@ class PriorityPipeline:
 
     def objective_probs(self, issue: IssueRecord,
                         probs_file: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+        """The issue's objective probabilities: from ``probs_file``, from the
+        stage-one model (a ``TrainingError`` if they are not finite), or
+        uniform."""
         if probs_file is not None and issue.id in probs_file:
             return np.asarray(probs_file[issue.id], dtype=float)
         if self.stage1_model is not None:
             counts = self.feature_pipeline.stage1_counts(issue)
-            return self.stage1_model.predict_proba(counts[None, :])[0]
+            with np.errstate(invalid="ignore", over="ignore"):
+                probs = self.stage1_model.predict_proba(counts[None, :])[0]
+            if not np.all(np.isfinite(probs)):
+                raise TrainingError(f"stage-one model gives non-finite objective "
+                                    f"probabilities for issue {issue.id}")
+            return probs
         return UNIFORM_OBJECTIVE_PROBS
 
     def vectorize(self, issues: Sequence[IssueRecord],
                   probs_file: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+        """One row per issue, each assembled vector written straight into X."""
         fp = self.feature_pipeline
-        rows = (fp.assemble(i, self.objective_probs(i, probs_file)).to_dense() for i in issues)
-        return _fill_rows(rows, len(issues))
+        X = np.zeros((len(issues), fp.width))
+        for row, issue in zip(X, issues):
+            fp.assemble(issue, self.objective_probs(issue, probs_file)).fill(row)
+        return X
 
     def predict(self, issues: Sequence[IssueRecord],
                 probs_file: Mapping[str, np.ndarray] | None = None
@@ -206,31 +217,23 @@ class PriorityPipeline:
         return self.classifier.predict(X), self.classifier.predict_proba(X)
 
 
-def _fill_rows(rows: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """Copy ``n`` equal-length rows into one matrix allocated at the first row,
-    so no list of rows and stacked copy exist together; no rows give (0, 0)."""
-    X = np.empty((n, 0))
-    for i, row in enumerate(rows):
-        if i == 0:
-            X = np.empty((n, row.size))
-        X[i] = row
-    return X
-
-
 def train_objective_model(issues: Sequence[IssueRecord], maps: LabelMaps,
                           pipeline: FeaturePipeline, spec: ModelSpec) -> TrainedModel | None:
     """The ``spec.stage1`` model (nb or logreg, at its fitter's defaults) over
     issues carrying a mono objective label; None when fewer than two
-    objective classes are represented."""
+    objective classes are represented. NB reads the term counts as sparse
+    rows; logreg gets them dense."""
     labeled = [(i, labelmap.objective_of(i.labels, maps.objective)) for i in issues]
     labeled = [(i, obj) for i, obj in labeled if obj is not None]
     present = {obj for _, obj in labeled}
     if len(present) < 2:
         return None
-    X = _fill_rows((pipeline.stage1_counts(i) for i, _ in labeled), len(labeled))
+    X = learn.SparseRows.from_rows([pipeline.stage1_columns(i) for i, _ in labeled],
+                                   pipeline.stage1_width)
     y = [obj.value for _, obj in labeled]
     if spec.stage1 == "logreg":
-        return learn.fit_logreg(X, y, seed=spec.seed, classes=learn.OBJECTIVE_CLASS_ORDER)
+        return learn.fit_logreg(X.to_dense(), y, seed=spec.seed,
+                                classes=learn.OBJECTIVE_CLASS_ORDER)
     return learn.fit_multinomial_nb(X, y, classes=learn.OBJECTIVE_CLASS_ORDER)
 
 

@@ -8,7 +8,24 @@ Three blocks, concatenated in fixed order:
 * NF: 28 metadata features, min-max scaled into [0, 1].
 
 Vectorizer and scaler are fitted once on training data and then reused
-unchanged; transforming never mutates them.
+unchanged; transforming never changes what they compute.
+
+Each text's work is done once per process, by memos below the call sites:
+
+* tokens: ``textnorm.normalize_pipeline``, per ``(text, source)``, for the
+  process's life; the returned doc also carries the text's abstraction
+  counts, which ``extract_metadata`` reads instead of a second regex pass;
+* n-gram columns: ``TfidfModel.memo``, per ``TokenizedDoc``, for the model's
+  life. ``TfidfModel.columns`` looks a doc's n-grams up once (through
+  ``term_counts``) and keeps their sorted column ids and counts, which
+  ``transform_tfidf`` and ``FeaturePipeline.stage1_columns`` read. The
+  memo belongs to the model, so it goes when the model does (a CV fold's
+  model, say) and two models never share entries;
+* sentiment: ``sentiment.Lexicon.scores``, per ``TokenizedDoc``, for the
+  lexicon's life (the default lexicon lives as long as the process).
+
+Each memo holds one entry per distinct doc its owner has seen. The arrays a
+memo returns are read-only, since every caller shares them.
 """
 
 from __future__ import annotations
@@ -67,10 +84,21 @@ class TfidfModel:
     idf: np.ndarray
     max_features: int
     ngram_range: tuple[int, int]
+    # doc -> (sorted column ids, their counts); see the module docstring
+    memo: dict[TokenizedDoc, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.vocabulary)
+
+    def columns(self, doc: TokenizedDoc) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted column ids of ``doc``'s in-vocabulary n-grams and how
+        often each occurs (floats); looked up once per doc, then memoized."""
+        hit = self.memo.get(doc)
+        if hit is None:
+            hit = self.memo[doc] = _sorted_columns(term_counts(self, doc))
+        return hit
 
     def fingerprint(self) -> str:
         payload = json.dumps(
@@ -102,8 +130,10 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
         grams = ngrams(doc.tokens, ngram_range)
         total.update(grams)
         df.update(set(grams))
-    chosen = sorted(total, key=lambda t: (-total[t], t))[:max_features]
-    chosen.sort()
+    # lexicographic, then a stable sort by count, highest first
+    ranked = sorted(total)
+    ranked.sort(key=total.__getitem__, reverse=True)
+    chosen = sorted(ranked[:max_features])
     vocabulary = {term: i for i, term in enumerate(chosen)}
     n_docs = len(docs)
     idf = np.array([math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in chosen])
@@ -112,18 +142,26 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
 
 def term_counts(model: TfidfModel, doc: TokenizedDoc) -> Counter[int]:
     """Occurrences of each in-vocabulary n-gram of ``doc``, keyed by column;
-    out-of-vocabulary n-grams are ignored."""
-    columns = (model.vocabulary.get(gram) for gram in ngrams(doc.tokens, model.ngram_range))
+    out-of-vocabulary n-grams are ignored. The one n-gram -> column lookup."""
+    columns = map(model.vocabulary.get, ngrams(doc.tokens, model.ngram_range))
     return Counter(idx for idx in columns if idx is not None)
+
+
+def _sorted_columns(counts: Counter[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``counts`` as read-only arrays: sorted column ids and their counts."""
+    ids = sorted(counts)
+    indices = np.array(ids, dtype=int)
+    values = np.array([counts[i] for i in ids], dtype=float)
+    indices.flags.writeable = values.flags.writeable = False
+    return indices, values
 
 
 def transform_tfidf(model: TfidfModel, doc: TokenizedDoc) -> SparseVec:
     """Term count times idf, L2-normalized; out-of-vocabulary n-grams ignored."""
-    counts = term_counts(model, doc)
-    if not counts:
-        return SparseVec(np.array([], dtype=int), np.array([]), model.size)
-    indices = np.array(sorted(counts), dtype=int)
-    values = np.array([counts[i] for i in indices], dtype=float) * model.idf[indices]
+    indices, counts = model.columns(doc)
+    if not indices.size:
+        return SparseVec(indices, counts, model.size)
+    values = counts * model.idf[indices]
     norm = np.sqrt(np.sum(values ** 2))
     if norm > 0:
         values = values / norm
@@ -170,7 +208,8 @@ def extract_metadata(issue: IssueRecord, lex: Lexicon | None = None) -> np.ndarr
     discussions default the four discussion features to zero.
     """
     lex = lex or _default_lexicon()
-    abstraction_counts = textnorm.count_abstractions(issue.description)
+    desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
+    abstractions = desc_doc.abstractions
 
     n_comments = len(issue.comments)
     if n_comments:
@@ -187,14 +226,13 @@ def extract_metadata(issue: IssueRecord, lex: Lexicon | None = None) -> np.ndarr
     else:
         account_age = 0.0
 
-    desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
     scores = sentiment.score_all(desc_doc, lex)
 
     values = {
         "title_words": float(len(issue.title.split())),
         "desc_words": float(len(issue.description.split())),
-        "code": float(abstraction_counts[AbstractToken.CODE]),
-        "url": float(abstraction_counts[AbstractToken.URL]),
+        "code": float(abstractions.get(AbstractToken.CODE, 0)),
+        "url": float(abstractions.get(AbstractToken.URL, 0)),
         "comments": float(n_comments),
         "cm_mean_len": cm_mean_len,
         "cm_developers_ratio": cm_developers_ratio,
@@ -274,6 +312,11 @@ def scale(params: ScalerParams, row: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Assembly
 
+# how far from 1 a row of objective probabilities may sum, here and in an
+# objective probability file (``cli.load_probs_file``)
+PROB_SUM_TOLERANCE = 1e-6
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     tf_title: SparseVec
@@ -283,20 +326,33 @@ class FeatureVector:
     nf: np.ndarray
 
     def __post_init__(self) -> None:
-        if abs(float(self.objective_probs.sum()) - 1.0) > 1e-9:
+        # every check is written so that NaN fails it
+        probs = self.objective_probs
+        if not abs(float(probs.sum()) - 1.0) <= PROB_SUM_TOLERANCE:
             raise ValueError("objective probabilities must sum to 1")
-        if np.any(self.objective_probs < 0) or np.any(self.objective_probs > 1):
+        if not np.all((probs >= 0) & (probs <= 1)):
             raise ValueError("objective probabilities outside [0, 1]")
         if self.lf.shape != (labelmap.N_CLUSTERS,):
             raise ValueError("label feature block must be 66-dim")
-        if np.any(self.nf < 0) or np.any(self.nf > 1):
+        if not np.all((self.nf >= 0) & (self.nf <= 1)):
             raise ValueError("normalized features outside [0, 1]")
 
+    def fill(self, row: np.ndarray) -> None:
+        """Write the vector into ``row``: all zeros, and as long as the
+        vector."""
+        start = self.tf_title.size
+        row[self.tf_title.indices] = self.tf_title.values
+        row[start + self.tf_desc.indices] = self.tf_desc.values
+        start += self.tf_desc.size
+        for block in (self.objective_probs, self.lf, self.nf):
+            row[start:start + block.size] = block
+            start += block.size
+
     def to_dense(self) -> np.ndarray:
-        return np.concatenate([
-            self.tf_title.to_dense(), self.tf_desc.to_dense(),
-            self.objective_probs, self.lf.astype(float), self.nf,
-        ])
+        row = np.zeros(sum(block.size for block in (
+            self.tf_title, self.tf_desc, self.objective_probs, self.lf, self.nf)))
+        self.fill(row)
+        return row
 
 
 @dataclass(frozen=True)
@@ -320,17 +376,27 @@ class FeaturePipeline:
     def stage1_width(self) -> int:
         return self.tfidf_title.size + self.tfidf_desc.size
 
-    def stage1_counts(self, issue: IssueRecord) -> np.ndarray:
-        """Raw term counts of title ++ description: the stage-one model's input,
-        ``stage1_width`` columns."""
+    @property
+    def width(self) -> int:
+        """Columns of an assembled vector: TF, LF and NF."""
+        return (self.stage1_width + len(learn.OBJECTIVE_CLASS_ORDER) + labelmap.N_CLUSTERS
+                + N_METADATA_FEATURES)
+
+    def stage1_columns(self, issue: IssueRecord) -> tuple[np.ndarray, np.ndarray]:
+        """The stage-one model's input row, sparse: the sorted columns of the
+        raw term counts of title ++ description, and those counts."""
         title_doc = textnorm.normalize_pipeline(issue.title, source="title")
         desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
-        vec = np.zeros(self.stage1_width)
-        for offset, model, doc in ((0, self.tfidf_title, title_doc),
-                                   (self.tfidf_title.size, self.tfidf_desc, desc_doc)):
-            for idx, n in term_counts(model, doc).items():
-                vec[offset + idx] = n
-        return vec
+        title, desc = self.tfidf_title.columns(title_doc), self.tfidf_desc.columns(desc_doc)
+        return (np.concatenate([title[0], desc[0] + self.tfidf_title.size]),
+                np.concatenate([title[1], desc[1]]))
+
+    def stage1_counts(self, issue: IssueRecord) -> np.ndarray:
+        """``stage1_columns`` as a dense row of ``stage1_width`` columns."""
+        indices, counts = self.stage1_columns(issue)
+        row = np.zeros(self.stage1_width)
+        row[indices] = counts
+        return row
 
     def assemble(self, issue: IssueRecord, objective_probs: np.ndarray) -> FeatureVector:
         title_doc = textnorm.normalize_pipeline(issue.title, source="title")

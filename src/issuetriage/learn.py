@@ -301,10 +301,12 @@ def _json_default(obj):
 
 
 def write_json(path: str | Path, doc) -> None:
-    """The one JSON writer for artifacts, reports and manifests: sorted keys,
-    one-space indent, ndarrays and numpy scalars as plain JSON values."""
+    """The one JSON writer for artifacts, reports and manifests: compact JSON
+    on one line (sorted keys, no indent, no spaces after separators; the
+    ``json`` module's C encoder), ndarrays and numpy scalars as plain JSON
+    values, and a final newline."""
     Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=1, default=_json_default) + "\n",
+        json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default) + "\n",
         encoding="utf-8")
 
 
@@ -387,25 +389,58 @@ def _encode_labels(labels: Sequence[str],
 _LOG_ZERO = -1e30
 
 
+class SparseRows(NamedTuple):
+    """A matrix of ``shape`` given by its non-zeros in row order: ``values[i]``
+    sits at (``rows[i]``, ``cols[i]``), and ``rows`` never decreases."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_dense(cls, X: np.ndarray) -> "SparseRows":
+        rows, cols = np.nonzero(X)
+        return cls(rows, cols, X[rows, cols], X.shape)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[np.ndarray, np.ndarray]], width: int
+                  ) -> "SparseRows":
+        """One (column ids, values) pair per row; at least one row."""
+        return cls(np.repeat(np.arange(len(rows)), [len(cols) for cols, _ in rows]),
+                   np.concatenate([cols for cols, _ in rows]),
+                   np.concatenate([values for _, values in rows]), (len(rows), width))
+
+    def to_dense(self) -> np.ndarray:
+        X = np.zeros(self.shape)
+        X[self.rows, self.cols] = self.values
+        return X
+
+
 def fit_multinomial_nb(
-    X: np.ndarray, labels: Sequence[str], alpha: float = 1.0,
+    X: np.ndarray | SparseRows, labels: Sequence[str], alpha: float = 1.0,
     classes: tuple[str, ...] | None = None,
 ) -> TrainedModel:
-    X = np.asarray(X, dtype=float)
-    if _require_finite(X, "multinomial NB") < 0:
+    """Multinomial NB over a dense X or its ``SparseRows``; both give the
+    same params, bit for bit."""
+    if not isinstance(X, SparseRows):
+        X = SparseRows.from_dense(np.asarray(X, dtype=float))
+    if _require_finite(X.values, "multinomial NB") < 0:
         raise TrainingError("multinomial NB requires non-negative feature values")
     classes, y = _encode_labels(labels, classes)
+    if y.size != X.shape[0]:
+        raise ValueError(f"{X.shape[0]} rows but {y.size} labels")
     n_classes = len(classes)
     class_counts = np.array([(y == c).sum() for c in range(n_classes)], dtype=float)
     with np.errstate(divide="ignore"):
         log_prior = np.where(class_counts > 0,
                              np.log(np.maximum(class_counts, 1) / class_counts.sum()),
                              _LOG_ZERO)
-    # row by row in row order: the float sums of X[y == c].sum(axis=0), bit for
-    # bit, without copying a class's rows
+    # each class's non-zeros added one by one in row order (``np.add.at`` is
+    # unbuffered and goes in index order): the float sums of
+    # X[y == c].sum(axis=0), bit for bit, since adding a zero changes no sum
     term_counts = np.zeros((n_classes, X.shape[1]))
-    for row, c in zip(X, y, strict=True):
-        term_counts[c] += row
+    np.add.at(term_counts, (y[X.rows], X.cols), X.values)
     smoothed = term_counts + alpha
     log_like = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
     return TrainedModel(

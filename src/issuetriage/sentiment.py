@@ -12,7 +12,7 @@ on pipeline output, so lexicon entries are lemma forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .textnorm import TokenizedDoc
@@ -43,6 +43,9 @@ class Lexicon:
     terms: dict[str, tuple[int, float]]  # term -> (strength, subjectivity weight)
     negators: frozenset[str]
     intensifiers: dict[str, float]
+    # score_all's results, per document, for the lexicon's life
+    scores: dict[TokenizedDoc, SentimentScores] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         overlap = self.negators & self.terms.keys()
@@ -125,6 +128,12 @@ def score_polarity_subjectivity(doc: TokenizedDoc, lex: Lexicon) -> tuple[float,
 
 
 def score_all(doc: TokenizedDoc, lex: Lexicon) -> SentimentScores:
-    pos, neg = score_dual(doc, lex)
-    pol, subj = score_polarity_subjectivity(doc, lex)
-    return SentimentScores(pos, neg, pol, subj)
+    """Both views of ``doc``; memoized per document in ``lex.scores``, so a
+    description is scored once per lexicon however often its issue is
+    featurized. A lexicon is never changed after it is built."""
+    scores = lex.scores.get(doc)
+    if scores is None:
+        pos, neg = score_dual(doc, lex)
+        pol, subj = score_polarity_subjectivity(doc, lex)
+        scores = lex.scores[doc] = SentimentScores(pos, neg, pol, subj)
+    return scores

@@ -40,10 +40,11 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from types import MappingProxyType
+from typing import Mapping
 
 
 class AbstractToken(Enum):
@@ -270,6 +271,11 @@ def _undouble(stem: str) -> str:
 class TokenizedDoc:
     tokens: tuple[str, ...]
     source: str = "description"
+    # spans each abstraction token replaced in the raw text, zero counts left
+    # out: read off the pass that tokenized it (None on a hand-built doc);
+    # not part of equality or the hash
+    abstractions: Mapping[AbstractToken, int] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # one pass over the whole tuple; only a failure walks it token by
@@ -298,10 +304,13 @@ def is_abstract(token: str) -> bool:
 def normalize_pipeline(text: str, source: str = "description") -> TokenizedDoc:
     """Run every stage on ``text``; memoized per ``(text, source)`` argument
     list (see the module docstring). The result is frozen and shared by all
-    callers. A new stage must be a pure function of the text and of constant
-    tables. Time the kernel through ``normalize_pipeline.__wrapped__``."""
+    callers, and carries the abstraction counts of the same pass
+    (``count_abstractions(text)``, zeros left out). A new stage must be a
+    pure function of the text and of constant tables. Time the kernel through
+    ``normalize_pipeline.__wrapped__``."""
     stops = stopwords()
-    cleaned = clean(abstract_entities(text))
+    abstracted, counts = _abstract(text)
+    cleaned = clean(abstracted)
     out: list[str] = []
     for raw_tok in cleaned.split():
         if raw_tok.isascii() and raw_tok.isalnum() and raw_tok.islower():
@@ -319,4 +328,5 @@ def normalize_pipeline(text: str, source: str = "description") -> TokenizedDoc:
             lemma = lemmatize(part)
             if lemma and not lemma.isdigit():
                 out.append(lemma)
-    return TokenizedDoc(tokens=tuple(out), source=source)
+    return TokenizedDoc(tokens=tuple(out), source=source,
+                        abstractions=MappingProxyType({t: n for t, n in counts.items() if n}))

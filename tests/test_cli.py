@@ -157,7 +157,8 @@ class TestTrainPredict:
                    "--in", workdir / "corpus.jsonl", "--model", model,
                    "--objective-probs", probs) == 0
 
-    @pytest.mark.parametrize("row", ["x\t0.5\t0.5", "-0.5\t1.5\t0", "nan\tnan\tnan"])
+    @pytest.mark.parametrize("row", ["x\t0.5\t0.5", "-0.5\t1.5\t0", "nan\tnan\tnan",
+                                     "0.5\t0.5\t0.000002"])
     def test_bad_probability_cell_exits_one(self, workdir, capsys, row):
         probs = workdir / "bad_probs.tsv"
         probs.write_text("issue_id\tBug\tEnhancement\tSupportDoc\n"
@@ -169,6 +170,24 @@ class TestTrainPredict:
                    "--objective-probs", probs) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {probs}:3: "), err
+
+    @pytest.mark.parametrize("command", ["train-priority", "predict"])
+    def test_probability_row_within_the_file_tolerance_is_used(self, workdir, capsys,
+                                                               command):
+        """A row the file check accepts (off from 1 by 5e-7) is accepted by the
+        feature vector too: one tolerance, ``features.PROB_SUM_TOLERANCE``."""
+        corpus = workdir / "corpus.jsonl"
+        ids = [issue.id for issue in load_corpus(corpus)[0].issues]
+        probs = workdir / "probs.tsv"
+        probs.write_text("issue_id\tBug\tEnhancement\tSupportDoc\n"
+                         + "".join(f"{i}\t0.5\t0.5\t0.0000005\n" for i in ids))
+        model = workdir / "m.json"
+        assert run("--config", workdir / "config.json", "train-priority", "--stage1",
+                   "uniform", "--classifier", "knn", "--in", corpus, "--model", model,
+                   *(["--objective-probs", probs] if command == "train-priority" else [])) == 0
+        assert run("predict", "--model", model, "--in", corpus, "--out", workdir / "p.tsv",
+                   "--objective-probs", probs) == 0
+        assert "error" not in capsys.readouterr().err
 
     def test_tuned_training_writes_trace(self, workdir):
         model = workdir / "tuned.json"
@@ -420,6 +439,22 @@ class TestArtifactErrors:
         path.write_text(json.dumps(doc))
         code, err = self._predict(workdir, model, capsys)
         assert code == 2 and f"{stage1} model artifact" in err and name in err
+
+    @pytest.mark.parametrize("where", ["model", "assets"])
+    def test_stage1_model_giving_nan_probabilities_exits_two(self, workdir, stage1_artifacts,
+                                                             capsys, where):
+        """Finite but extreme NB params (every log-likelihood -1e308) decode,
+        but make NaN objective probabilities, which are refused."""
+        model = workdir / "m.json"
+        for suffix in ("", ".assets.json"):
+            shutil.copy(f"{stage1_artifacts[where, 'nb']}{suffix}", f"{model}{suffix}")
+        path = model if where == "model" else Path(f"{model}.assets.json")
+        doc = json.loads(path.read_text())
+        params = (doc if where == "model" else doc["stage1_model"])["params"]
+        params["log_likelihood"] = [[-1e308] * len(row) for row in params["log_likelihood"]]
+        path.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, model, capsys)
+        assert code == 2 and "non-finite objective probabilities" in err
 
     @pytest.mark.parametrize("checksums", [5, [1], {"objective": 3}])
     def test_label_checksums_not_an_object_of_strings_exit_two(self, workdir, trained,

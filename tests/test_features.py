@@ -18,6 +18,7 @@ from issuetriage.features import (
     fit_tfidf,
     ngrams,
     scale,
+    term_counts,
     transform_tfidf,
 )
 from issuetriage.sentiment import Lexicon
@@ -103,6 +104,35 @@ class TestTransformTfidf:
         for d in docs + [doc("zzz"), doc()]:
             norm = transform_tfidf(model, d).norm()
             assert norm == pytest.approx(0.0) or norm == pytest.approx(1.0, abs=1e-9)
+
+    def test_memoized_columns_equal_a_fresh_lookup(self):
+        """``transform_tfidf`` reads the model's memo, filled on a doc's first
+        read; each read equals the result of a fresh ``term_counts`` lookup."""
+        rng = random.Random(5)
+        pool = ["a", "b", "c", "d", "e", "f", "g"]
+        docs = [doc(*(rng.choice(pool) for _ in range(rng.randint(0, 9)))) for _ in range(30)]
+        model = fit_tfidf(docs[:20], max_features=12)
+        for d in docs + docs:
+            counts = term_counts(model, d)
+            indices = np.array(sorted(counts), dtype=int)
+            values = np.array([counts[i] for i in indices], dtype=float) * model.idf[indices]
+            if indices.size:
+                values = values / np.sqrt(np.sum(values ** 2))
+            vec = transform_tfidf(model, d)
+            assert vec.indices.tobytes() == indices.tobytes()
+            assert vec.values.tobytes() == values.tobytes()
+        assert set(model.memo) == set(docs)
+
+    def test_models_fit_on_different_corpora_keep_their_own_columns(self):
+        d = doc("b", "c", "c")
+        first = fit_tfidf([doc("a", "b"), doc("c")], max_features=10, ngram_range=(1, 1))
+        second = fit_tfidf([doc("c", "z"), doc("b", "y")], max_features=10,
+                           ngram_range=(1, 1))
+        for model, want in ((first, [1, 2]), (second, [0, 1]), (first, [1, 2])):
+            indices, counts = model.columns(d)
+            assert indices.tolist() == want and counts.tolist() == [1.0, 2.0]
+            assert transform_tfidf(model, d).indices.tolist() == want
+        assert first.memo is not second.memo
 
     def test_model_not_mutated_by_transform(self):
         model = fit_tfidf([doc("a", "b"), doc("b", "c")], max_features=10)
@@ -263,9 +293,14 @@ class TestAssemble:
         assert len(dense) == (pipeline.tfidf_title.size + pipeline.tfidf_desc.size
                               + 3 + 66 + 28)
 
-    def test_stage1_counts_oracle(self, pipeline):
-        issue = make_issue(id="s1", title="Parser crash crash on load",
-                           description="It crashes on startup; unseen words here.")
+    @pytest.mark.parametrize("title,description", [
+        ("Parser crash crash on load", "It crashes on startup; unseen words here."),
+        ("Parser crash on load", "It crashes badly on startup every time."),
+    ], ids=["unseen", "fitted"])
+    def test_stage1_counts_oracle(self, pipeline, title, description):
+        """A fresh lookup of every n-gram, for an issue the fit never saw and
+        for one it was fit on; the second read is a memo hit."""
+        issue = make_issue(id="s1", title=title, description=description)
         from issuetriage.textnorm import normalize_pipeline
         expected = []
         for model, text, source in ((pipeline.tfidf_title, issue.title, "title"),
@@ -275,9 +310,10 @@ class TestAssemble:
                 if gram in model.vocabulary:
                     block[model.vocabulary[gram]] += 1.0
             expected.append(block)
-        counts = pipeline.stage1_counts(issue)
-        assert np.array_equal(counts, np.concatenate(expected))
-        assert counts.max() == 2.0
+        for _ in range(2):
+            counts = pipeline.stage1_counts(issue)
+            assert counts.tobytes() == np.concatenate(expected).tobytes()
+        assert counts.max() == (2.0 if title.count("crash") == 2 else 1.0)
 
     def test_label_order_invariance(self, pipeline):
         probs = np.array([0.5, 0.25, 0.25])

@@ -153,12 +153,14 @@ class TestMultinomialNB:
         with pytest.raises(TrainingError):
             fit_multinomial_nb(X, ["a", "b"])
 
+    @pytest.mark.parametrize("rows", ["dense", "sparse"])
     @pytest.mark.parametrize("seed", range(14))
-    def test_class_sums_match_mask_formula(self, seed):
+    def test_class_sums_match_mask_formula(self, seed, rows):
         """The fitted likelihoods equal those from X[y == c].sum(axis=0), bit
         for bit, on integer counts and on TF-IDF-like floats, with a class
-        that has no rows. The 2000-row cases are large enough that a one-hot
-        matmul, whose BLAS kernel reorders the row sum, is not identical."""
+        that has no rows, from a dense X and from its ``SparseRows`` built row
+        by row. The 2000-row cases are large enough that a one-hot matmul,
+        whose BLAS kernel reorders the row sum, is not identical."""
         rng = np.random.default_rng(seed)
         n, d = (2000, 200) if seed >= 12 else (int(rng.integers(1, 40)), int(rng.integers(1, 60)))
         if seed % 2:
@@ -172,6 +174,9 @@ class TestMultinomialNB:
         term_counts = np.vstack([X[y == c].sum(axis=0) for c in range(len(classes))])
         smoothed = term_counts + 0.5
         want = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
+        if rows == "sparse":
+            X = learn.SparseRows.from_rows(
+                [(np.flatnonzero(row), row[row != 0]) for row in X], d)
         got = fit_multinomial_nb(X, labels, alpha=0.5, classes=classes)
         assert got.params["log_likelihood"].tobytes() == want.tobytes()
 

@@ -86,6 +86,17 @@ class TestProperties:
             tokens = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 15)))
             scores = score_all(doc(*tokens), lexicon)
             assert isinstance(scores, SentimentScores)  # validates all ranges
+            # memoized per doc on the lexicon: a second call is the same
+            # object, and equals a fresh computation
+            assert score_all(doc(*tokens), lexicon) is scores
+            fresh = SentimentScores(*score_dual(doc(*tokens), lexicon),
+                                    *score_polarity_subjectivity(doc(*tokens), lexicon))
+            assert scores == fresh
+
+    def test_memo_belongs_to_its_lexicon(self):
+        d = doc("alpha")
+        assert score_all(d, lex({"alpha": (3, 0.5)})).positivity == 3
+        assert score_all(d, lex({"alpha": (-2, 0.5)})).negativity == -2
 
     def test_symmetry_on_symmetric_lexicon(self):
         base = {"alpha": (3, 0.5), "beta": (-3, 0.5), "gamma": (1, 0.2),

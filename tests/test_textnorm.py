@@ -252,7 +252,9 @@ def assert_matches_reference(text: str) -> None:
     want_text, want_counts = reference_abstract(text)
     assert abstract_entities(text) == want_text
     assert list(count_abstractions(text).items()) == list(want_counts.items())
-    assert normalize_pipeline(text).tokens == reference_normalize(text)
+    doc = normalize_pipeline(text)
+    assert doc.tokens == reference_normalize(text)
+    assert dict(doc.abstractions) == {t: n for t, n in want_counts.items() if n}
 
 
 def assert_gates_sound(text: str) -> None:
