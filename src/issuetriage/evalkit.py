@@ -211,10 +211,16 @@ class PriorityPipeline:
     def predict(self, issues: Sequence[IssueRecord],
                 probs_file: Mapping[str, np.ndarray] | None = None
                 ) -> tuple[list[str], np.ndarray]:
+        """Each issue's priority and class probabilities (a ``TrainingError``
+        if the classifier gives any that are not finite)."""
         if not issues:
             return [], np.empty((0, len(self.classifier.classes)))
         X = self.vectorize(issues, probs_file)
-        return self.classifier.predict(X), self.classifier.predict_proba(X)
+        with np.errstate(invalid="ignore", over="ignore"):
+            labels, probs = self.classifier.predict(X), self.classifier.predict_proba(X)
+        if not np.all(np.isfinite(probs)):
+            raise TrainingError("priority model gives non-finite probabilities")
+        return labels, probs
 
 
 def train_objective_model(issues: Sequence[IssueRecord], maps: LabelMaps,

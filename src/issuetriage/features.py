@@ -31,6 +31,7 @@ memo returns are read-only, since every caller shares them.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 from collections import Counter
@@ -71,10 +72,15 @@ class SparseVec:
 
 
 def ngrams(tokens: Sequence[str], ngram_range: tuple[int, int] = NGRAM_RANGE) -> list[str]:
+    """Every ``n``-gram of ``tokens`` for ``n`` in ``ngram_range``, by ``n``,
+    then by position; an ``n``-gram is its tokens joined by single spaces."""
     lo, hi = ngram_range
     out: list[str] = []
     for n in range(lo, hi + 1):
-        out.extend(" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+        if n == 1:
+            out += tokens
+        else:
+            out += map(" ".join, zip(*(tokens[i:] for i in range(n))))
     return out
 
 
@@ -124,16 +130,26 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
     count (ties broken lexicographically); idf(t) = ln((1+N)/(1+df(t))) + 1."""
     if not docs:
         raise ValueError("cannot fit TF-IDF on an empty corpus")
+    if max_features < 1:
+        raise ValueError("max_features must be at least 1")
     total: Counter[str] = Counter()
     df: Counter[str] = Counter()
     for doc in docs:
         grams = ngrams(doc.tokens, ngram_range)
         total.update(grams)
         df.update(set(grams))
-    # lexicographic, then a stable sort by count, highest first
-    ranked = sorted(total)
-    ranked.sort(key=total.__getitem__, reverse=True)
-    chosen = sorted(ranked[:max_features])
+    # The top ``max_features`` of a lexicographic sort followed by a stable
+    # sort by count, highest first, without either full sort: with ``cut``
+    # the count of the ``max_features``-th highest total, that is every term
+    # counted above ``cut``, filled up with the lexicographically smallest
+    # terms counted exactly ``cut``.
+    if len(total) <= max_features:
+        chosen = sorted(total)
+    else:
+        cut = sorted(total.values(), reverse=True)[max_features - 1]
+        above = [t for t, c in total.items() if c > cut]
+        tied = (t for t, c in total.items() if c == cut)
+        chosen = sorted(above + heapq.nsmallest(max_features - len(above), tied))
     vocabulary = {term: i for i, term in enumerate(chosen)}
     n_docs = len(docs)
     idf = np.array([math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in chosen])
@@ -143,15 +159,17 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
 def term_counts(model: TfidfModel, doc: TokenizedDoc) -> Counter[int]:
     """Occurrences of each in-vocabulary n-gram of ``doc``, keyed by column;
     out-of-vocabulary n-grams are ignored. The one n-gram -> column lookup."""
-    columns = map(model.vocabulary.get, ngrams(doc.tokens, model.ngram_range))
-    return Counter(idx for idx in columns if idx is not None)
+    counts = Counter(map(model.vocabulary.get, ngrams(doc.tokens, model.ngram_range)))
+    counts.pop(None, None)  # the out-of-vocabulary n-grams
+    return counts
 
 
 def _sorted_columns(counts: Counter[int]) -> tuple[np.ndarray, np.ndarray]:
     """``counts`` as read-only arrays: sorted column ids and their counts."""
-    ids = sorted(counts)
-    indices = np.array(ids, dtype=int)
-    values = np.array([counts[i] for i in ids], dtype=float)
+    indices = np.fromiter(counts.keys(), dtype=int, count=len(counts))
+    values = np.fromiter(counts.values(), dtype=float, count=len(counts))
+    order = np.argsort(indices)
+    indices, values = indices[order], values[order]
     indices.flags.writeable = values.flags.writeable = False
     return indices, values
 

@@ -106,9 +106,8 @@ def _effective_strengths(doc: TokenizedDoc, lex: Lexicon) -> list[tuple[float, f
     return scored
 
 
-def score_dual(doc: TokenizedDoc, lex: Lexicon) -> tuple[int, int]:
-    """Positivity / negativity pair; (1, -1) for text with no scored terms."""
-    strengths = [v for v, _ in _effective_strengths(doc, lex)]
+def _dual(scored: list[tuple[float, float]]) -> tuple[int, int]:
+    strengths = [v for v, _ in scored]
     positives = [v for v in strengths if v > 0]
     negatives = [v for v in strengths if v < 0]
     positivity = int(round(max(positives))) if positives else 1
@@ -116,10 +115,7 @@ def score_dual(doc: TokenizedDoc, lex: Lexicon) -> tuple[int, int]:
     return max(1, min(5, positivity)), max(-5, min(-1, negativity))
 
 
-def score_polarity_subjectivity(doc: TokenizedDoc, lex: Lexicon) -> tuple[float, float]:
-    """Mean strength rescaled to [-1, 1] plus mean subjectivity weight;
-    (0.0, 0.0) when nothing in the document is scored."""
-    scored = _effective_strengths(doc, lex)
+def _polarity_subjectivity(scored: list[tuple[float, float]]) -> tuple[float, float]:
     if not scored:
         return 0.0, 0.0
     polarity = sum(v for v, _ in scored) / (5.0 * len(scored))
@@ -127,13 +123,25 @@ def score_polarity_subjectivity(doc: TokenizedDoc, lex: Lexicon) -> tuple[float,
     return max(-1.0, min(1.0, polarity)), max(0.0, min(1.0, subjectivity))
 
 
+def score_dual(doc: TokenizedDoc, lex: Lexicon) -> tuple[int, int]:
+    """Positivity / negativity pair; (1, -1) for text with no scored terms."""
+    return _dual(_effective_strengths(doc, lex))
+
+
+def score_polarity_subjectivity(doc: TokenizedDoc, lex: Lexicon) -> tuple[float, float]:
+    """Mean strength rescaled to [-1, 1] plus mean subjectivity weight;
+    (0.0, 0.0) when nothing in the document is scored."""
+    return _polarity_subjectivity(_effective_strengths(doc, lex))
+
+
 def score_all(doc: TokenizedDoc, lex: Lexicon) -> SentimentScores:
-    """Both views of ``doc``; memoized per document in ``lex.scores``, so a
-    description is scored once per lexicon however often its issue is
-    featurized. A lexicon is never changed after it is built."""
+    """Both views of ``doc``, from one pass over its tokens; memoized per
+    document in ``lex.scores``, so a description is scored once per lexicon
+    however often its issue is featurized. A lexicon is never changed after
+    it is built."""
     scores = lex.scores.get(doc)
     if scores is None:
-        pos, neg = score_dual(doc, lex)
-        pol, subj = score_polarity_subjectivity(doc, lex)
-        scores = lex.scores[doc] = SentimentScores(pos, neg, pol, subj)
+        scored = _effective_strengths(doc, lex)
+        scores = lex.scores[doc] = SentimentScores(
+            *_dual(scored), *_polarity_subjectivity(scored))
     return scores

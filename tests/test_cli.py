@@ -456,6 +456,21 @@ class TestArtifactErrors:
         code, err = self._predict(workdir, model, capsys)
         assert code == 2 and "non-finite objective probabilities" in err
 
+    def test_priority_model_giving_nan_probabilities_exits_two(self, workdir, capsys):
+        """The same extreme params in a stage-two NB model: refused, not
+        written out as NaN probabilities with exit 0."""
+        model = workdir / "m.json"
+        assert run("--config", workdir / "config.json", "train-priority",
+                   "--classifier", "nb", "--in", workdir / "corpus.jsonl",
+                   "--model", model) == 0
+        doc = json.loads(model.read_text())
+        doc["params"]["log_likelihood"] = [
+            [-1e308] * len(row) for row in doc["params"]["log_likelihood"]]
+        model.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, model, capsys)
+        assert code == 2 and "non-finite probabilities" in err
+        assert not (workdir / "p.tsv").exists()
+
     @pytest.mark.parametrize("checksums", [5, [1], {"objective": 3}])
     def test_label_checksums_not_an_object_of_strings_exit_two(self, workdir, trained,
                                                                capsys, checksums):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from datetime import timedelta
 
 import numpy as np
@@ -59,8 +60,62 @@ class TestFitTfidf:
         with pytest.raises(ValueError):
             fit_tfidf([], max_features=10)
 
+    def test_no_features_rejected(self):
+        with pytest.raises(ValueError):
+            fit_tfidf([doc("bug")], max_features=0)
+
     def test_ngrams_helper(self):
         assert ngrams(("a", "b", "c"), (1, 2)) == ["a", "b", "c", "a b", "b c"]
+
+    @pytest.mark.parametrize("ngram_range", [(1, 1), (1, 2), (2, 3), (1, 3)])
+    def test_ngrams_match_slices(self, ngram_range):
+        rng = random.Random(ngram_range[0] * 10 + ngram_range[1])
+        for length in [0, 1, 2, 3, 4] + [rng.randint(0, 30) for _ in range(40)]:
+            tokens = tuple(rng.choice("abcde") for _ in range(length))
+            assert ngrams(tokens, ngram_range) == reference_ngrams(tokens, ngram_range)
+            assert ngrams(list(tokens), ngram_range) == reference_ngrams(tokens, ngram_range)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_top_k_matches_two_sort_rule_under_heavy_ties(self, seed):
+        """Most terms are counted once, as in a real description vocabulary,
+        so the cut nearly always falls inside a tie."""
+        rng = random.Random(seed)
+        common = [f"c{i}" for i in range(15)]
+        docs = [doc(*(rng.choice(common) if rng.random() < 0.3 else f"r{rng.randrange(400)}"
+                      for _ in range(rng.randint(0, 12))))
+                for _ in range(rng.randint(1, 60))]
+        docs.append(doc("r1"))  # at least one term, so the corpus is not all empty
+        n_terms = len({g for d in docs for g in ngrams(d.tokens)})
+        for max_features in {1, 2, 7, n_terms // 3, n_terms // 2, n_terms - 1, n_terms,
+                             n_terms + 5, rng.randint(1, n_terms)} - {0}:
+            model = fit_tfidf(docs, max_features)
+            vocabulary, idf = reference_fit_tfidf(docs, max_features)
+            assert model.vocabulary == vocabulary
+            assert list(model.vocabulary) == list(vocabulary)
+            assert model.idf.tobytes() == idf.tobytes()
+
+
+def reference_ngrams(tokens, ngram_range):
+    lo, hi = ngram_range
+    out = []
+    for n in range(lo, hi + 1):
+        out.extend(" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return out
+
+
+def reference_fit_tfidf(docs, max_features, ngram_range=features.NGRAM_RANGE):
+    """The vocabulary and idf by the rule as first written: a lexicographic
+    sort, then a stable sort by count, highest first."""
+    total, df = Counter(), Counter()
+    for d in docs:
+        grams = reference_ngrams(d.tokens, ngram_range)
+        total.update(grams)
+        df.update(set(grams))
+    ranked = sorted(total)
+    ranked.sort(key=total.__getitem__, reverse=True)
+    chosen = sorted(ranked[:max_features])
+    idf = np.array([math.log((1 + len(docs)) / (1 + df[t])) + 1.0 for t in chosen])
+    return {t: i for i, t in enumerate(chosen)}, idf
 
 
 class TestTransformTfidf:
@@ -121,6 +176,9 @@ class TestTransformTfidf:
             vec = transform_tfidf(model, d)
             assert vec.indices.tobytes() == indices.tobytes()
             assert vec.values.tobytes() == values.tobytes()
+            columns, counted = model.columns(d)
+            assert (columns.dtype, counted.dtype) == (np.dtype(int), np.dtype(float))
+            assert not columns.flags.writeable and not counted.flags.writeable
         assert set(model.memo) == set(docs)
 
     def test_models_fit_on_different_corpora_keep_their_own_columns(self):

@@ -87,11 +87,14 @@ class TestProperties:
             scores = score_all(doc(*tokens), lexicon)
             assert isinstance(scores, SentimentScores)  # validates all ranges
             # memoized per doc on the lexicon: a second call is the same
-            # object, and equals a fresh computation
+            # object
             assert score_all(doc(*tokens), lexicon) is scores
-            fresh = SentimentScores(*score_dual(doc(*tokens), lexicon),
-                                    *score_polarity_subjectivity(doc(*tokens), lexicon))
-            assert scores == fresh
+            # score_all makes one pass over the tokens for all four scores;
+            # each equals its public function's, to the bit
+            dual = score_dual(doc(*tokens), lexicon)
+            pol_subj = score_polarity_subjectivity(doc(*tokens), lexicon)
+            assert (scores.positivity, scores.negativity) == dual
+            assert [repr(scores.polarity), repr(scores.subjectivity)] == list(map(repr, pol_subj))
 
     def test_memo_belongs_to_its_lexicon(self):
         d = doc("alpha")

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -204,10 +205,40 @@ def reference_abstract(text: str) -> tuple[str, Counter]:
     return text, counts
 
 
+# ``clean`` as it was before the kernel memoized whitespace chunks: it runs
+# on the whole abstracted text, and its patterns are frozen here, so the
+# oracle does not follow the code it checks.
+REFERENCE_SURFACE_RE = re.compile(r"⟨[A-Z]+⟩")
+REFERENCE_CLEAN_SUBS = (
+    (re.compile(r"[^\x20-\x7e\s⟨⟩]"), ""),
+    (re.compile(r"(?<=[A-Za-z])['’](?=[A-Za-z])"), ""),
+    (re.compile(r"\?+"), " ? "),
+    (re.compile(r"[^\w\s?⟨⟩]|_"), " "),
+    (re.compile(r"\b\d+\b"), " "),
+)
+
+
+def reference_clean(text: str) -> str:
+    parts = []
+    pos = 0
+    for m in REFERENCE_SURFACE_RE.finditer(text):
+        parts.append(reference_clean_segment(text[pos:m.start()]))
+        parts.append(m.group(0))
+        pos = m.end()
+    parts.append(reference_clean_segment(text[pos:]))
+    return " ".join(p for p in parts if p)
+
+
+def reference_clean_segment(segment: str) -> str:
+    for pattern, repl in REFERENCE_CLEAN_SUBS:
+        segment = pattern.sub(repl, segment)
+    return " ".join(segment.split())
+
+
 def reference_normalize(text: str) -> tuple[str, ...]:
     stops = stopwords()
     out = []
-    for raw_tok in clean(reference_abstract(text)[0]).split():
+    for raw_tok in reference_clean(reference_abstract(text)[0]).split():
         if is_abstract(raw_tok) or raw_tok == "?":
             out.append(raw_tok)
             continue
@@ -277,9 +308,42 @@ class TestKernelMatchesReference:
     @given(TEXTS)
     @example("qtek⟩")
     @example("C:\\x 9:05 am a/b/c `x` f(y) @u a@b.co www.x ## t")
+    # surfaces glued to words, from the raw text and from abstraction
+    @example("x⟨URL⟩y a⟨CODE⟩⟨PATH⟩b ⟨USER⟩⟨")
+    @example("xhttps://a.b/c,y a`code`b?c f(x)g")
+    # question-mark runs inside words
+    @example("wh??at a?b?c ?x x? ??")
+    # apostrophes at chunk edges and between letters
+    @example("'ab ab' ab'' 'ab' don't it’s ’t a'1 1'a")
+    # digit runs next to punctuation
+    @example("a.22 22.b v1.22.b 3-4 x_22 22_x 1,000 (7)")
+    # separators other than the ASCII space
+    @example("a\xa0b c\u3000d e\x1cf\x1dg\x1eh\x1fi\u2028j \x85k")
+    # non-ASCII letters and digits
+    @example("naïve café ÀBc ﬁle x²y ٣ Straße")
+    # camelCase, PascalCase, acronyms and snake_case
+    @example("parseHTTPRequest snake_case_word XMLHttpRequest get_URL2 __init__")
     def test_generated_text(self, text):
         assert_matches_reference(text)
         assert_gates_sound(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TEXTS, TEXTS)
+    @example("a?b", "a?b ?")
+    @example("x⟨URL⟩y", "⟨URL⟩y x⟨URL⟩")
+    @example("camelCase HTTPServer", "camelcase httpserver")
+    def test_warm_chunk_memo(self, text, other):
+        """The kernel run with its chunk memo filled by other texts first
+        (another text, this one's chunks in reverse order, and this one in
+        other cases) gives the reference tokens, as it does from an empty
+        memo."""
+        kernel = normalize_pipeline.__wrapped__
+        textnorm._CHUNK_LEMMAS.clear()
+        assert kernel(text).tokens == reference_normalize(text)
+        textnorm._CHUNK_LEMMAS.clear()
+        for warm in (other, " ".join(reversed(text.split())), text.lower(), text.swapcase()):
+            kernel(warm)
+        assert kernel(text).tokens == reference_normalize(text)
 
     def test_stray_bracket_is_not_a_fast_path_token(self):
         # "qtek⟩".islower() is true, but the bracket is not ASCII, so the
