@@ -216,7 +216,10 @@ def assets_path_for(model_path: Path) -> Path:
 def load_probs_file(path: Path) -> dict[str, np.ndarray]:
     """Imported stage-one probabilities: TSV of issue_id and one column per
     objective class."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read probabilities file: {exc}") from None
     if not lines:
         raise ValidationError(f"{path}: empty probabilities file")
     header = lines[0].split("\t")

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 SCHEMA_VERSION = 1
+_MAX_COUNT = 2 ** 63 - 1  # a profile count must fit in 64 bits
 
 ASSOCIATIONS = ("None", "Contributor", "Collaborator", "Member", "Owner")
 
@@ -71,8 +72,8 @@ class UserProfile:
     def __post_init__(self) -> None:
         for name in ("followers", "following", "public_repos", "public_gists",
                      "issue_count", "github_contributions", "repo_contributions"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) <= _MAX_COUNT:
+                raise ValueError(f"{name} must be in [0, 2**63)")
         if self.association not in ASSOCIATIONS:
             raise ValueError(f"unknown association {self.association!r}")
 
@@ -195,46 +196,95 @@ _KNOWN_KEYS = {
 }
 
 
-def _issue_from_doc(doc: dict) -> IssueRecord:
-    author_doc = doc.get("author") or {"login": ""}
-    author = UserProfile(
-        login=author_doc.get("login", ""),
-        followers=author_doc.get("followers", 0),
-        following=author_doc.get("following", 0),
-        public_repos=author_doc.get("public_repos", 0),
-        public_gists=author_doc.get("public_gists", 0),
-        issue_count=author_doc.get("issue_count", 0),
-        github_contributions=author_doc.get("github_contributions", 0),
-        account_created_at=(
-            parse_ts(author_doc["account_created_at"])
-            if author_doc.get("account_created_at") else None
-        ),
-        repo_contributions=author_doc.get("repo_contributions", 0),
-        association=author_doc.get("association", "None"),
-    )
+_REQUIRED = object()
+# Each field of a record and of its parts: its JSON types, and its value when
+# absent or null (``_REQUIRED``: none, the field must be given). A decoded
+# JSON value's type is exactly one of these, so a bool is never an int.
+_FIELDS = {
+    "record": {"id": ((str, int), _REQUIRED), "repo": ((str,), _REQUIRED),
+               "title": ((str,), _REQUIRED), "description": ((str,), ""),
+               "state": ((str,), "closed"), "created_at": ((str,), _REQUIRED),
+               "closed_at": ((str,), ""), "labels": ((list,), []),
+               "comments": ((list,), []), "events": ((list,), []),
+               "author": ((dict,), {}), "closer_login": ((str,), None),
+               **dict.fromkeys(("is_pull_request", "milestone_present", "assignee_present",
+                                "referenced_commit", "hydration_failed"), ((bool,), False))},
+    "record author": {"login": ((str,), ""), "account_created_at": ((str,), ""),
+                      "association": ((str,), "None"),
+                      **dict.fromkeys(("followers", "following", "public_repos",
+                                       "public_gists", "issue_count", "github_contributions",
+                                       "repo_contributions"), ((int,), 0))},
+    "record comment": {"author_login": ((str,), _REQUIRED), "body": ((str,), _REQUIRED),
+                       "created_at": ((str,), _REQUIRED)},
+    "record event": {"kind": ((str,), _REQUIRED), "created_at": ((str,), _REQUIRED)},
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false", list: "a list",
+               dict: "an object"}
+
+
+def _fields(doc, what: str) -> dict:
+    """The ``_FIELDS[what]`` of ``doc``, each of its types or its default. A
+    ``doc`` that is not an object, a required field that is absent or null,
+    and a value of another type are each a ``ValueError`` naming the field."""
+    if type(doc) is not dict:
+        raise ValueError(f"{what} {doc!r:.40} is not an object")
+    out = {}
+    for key, (types, default) in _FIELDS[what].items():
+        value = doc.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ValueError(f"{what} has no {key!r}")
+            value = default
+        elif type(value) not in types:
+            raise ValueError(f"{what} field {key!r} must be "
+                             f"{' or '.join(_TYPE_NAMES[t] for t in types)}, got {value!r:.40}")
+        out[key] = value
+    return out
+
+
+def _comment(doc) -> CommentRecord:
+    if not (type(doc) is dict and type(doc.get("author_login")) is str
+            and type(doc.get("body")) is str and type(doc.get("created_at")) is str):
+        _fields(doc, "record comment")  # raises, naming the field
+    return CommentRecord(doc["author_login"], doc["body"], parse_ts(doc["created_at"]))
+
+
+def _event(doc) -> EventRecord:
+    if not (type(doc) is dict and type(doc.get("kind")) is str
+            and type(doc.get("created_at")) is str):
+        _fields(doc, "record event")  # raises, naming the field
+    return EventRecord(doc["kind"], parse_ts(doc["created_at"]))
+
+
+def _issue_from_doc(doc) -> IssueRecord:
+    """One corpus line's record, each field checked against ``_FIELDS``: no
+    value is converted into another. Comments and events are checked one
+    test per field, and ``_fields`` then only names the fault."""
+    rec = _fields(doc, "record")
+    author = _fields(rec["author"], "record author")
+    if not set(map(type, rec["labels"])) <= {str}:
+        raise ValueError(f"record field 'labels' must hold strings, got {rec['labels']!r:.40}")
+    account_created_at = author.pop("account_created_at")
     return IssueRecord(
-        id=str(doc["id"]),
-        repo=doc["repo"],
-        title=doc["title"],
-        description=doc.get("description") or "",
-        state=doc.get("state", "closed"),
-        created_at=parse_ts(doc["created_at"]),
-        closed_at=parse_ts(doc["closed_at"]) if doc.get("closed_at") else None,
-        labels=tuple(doc.get("labels", [])),
-        is_pull_request=bool(doc.get("is_pull_request", False)),
-        milestone_present=bool(doc.get("milestone_present", False)),
-        assignee_present=bool(doc.get("assignee_present", False)),
-        comments=tuple(
-            CommentRecord(c["author_login"], c["body"], parse_ts(c["created_at"]))
-            for c in doc.get("comments", [])
-        ),
-        events=tuple(
-            EventRecord(e["kind"], parse_ts(e["created_at"])) for e in doc.get("events", [])
-        ),
-        author=author,
-        closer_login=doc.get("closer_login"),
-        referenced_commit=bool(doc.get("referenced_commit", False)),
-        hydration_failed=bool(doc.get("hydration_failed", False)),
+        id=str(rec["id"]),
+        repo=rec["repo"],
+        title=rec["title"],
+        description=rec["description"],
+        state=rec["state"],
+        created_at=parse_ts(rec["created_at"]),
+        closed_at=parse_ts(rec["closed_at"]) if rec["closed_at"] else None,
+        labels=tuple(rec["labels"]),
+        is_pull_request=rec["is_pull_request"],
+        milestone_present=rec["milestone_present"],
+        assignee_present=rec["assignee_present"],
+        comments=tuple(map(_comment, rec["comments"])),
+        events=tuple(map(_event, rec["events"])),
+        author=UserProfile(
+            account_created_at=parse_ts(account_created_at) if account_created_at else None,
+            **author),
+        closer_login=rec["closer_login"],
+        referenced_commit=rec["referenced_commit"],
+        hydration_failed=rec["hydration_failed"],
         extra={k: v for k, v in doc.items() if k not in _KNOWN_KEYS},
     )
 
@@ -266,7 +316,9 @@ def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, LoadRep
     """Load a line-delimited corpus file.
 
     Malformed lines are collected into the report with their 1-based line
-    numbers; with ``strict`` the first such line raises instead.
+    numbers; with ``strict`` the first such line raises instead. A line is
+    malformed if it is not UTF-8, not JSON, not a record with every field of
+    its type (see ``_issue_from_doc``), or if it repeats an earlier line's id.
     """
     path = Path(path)
     if not path.exists():
@@ -289,18 +341,26 @@ def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, LoadRep
         provenance = meta.get("provenance", {})
 
     issues: list[IssueRecord] = []
+    ids: set[str] = set()
     report = LoadReport()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with path.open("rb") as fh:  # each line decoded on its own, so one bad byte costs one line
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                issues.append(_issue_from_doc(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                issue = _issue_from_doc(json.loads(line))
+                if issue.id in ids:
+                    raise ValueError(f"issue id {issue.id!r} repeats an earlier line's")
+            except (ValueError, OverflowError, RecursionError) as exc:
+                # ValueError covers bad UTF-8, bad JSON and a bad record;
+                # OverflowError a timestamp whose UTC time is out of range
                 if strict:
                     raise CorpusError(f"line {lineno}: {exc}") from exc
                 report.errors.append((lineno, str(exc)))
+                continue
+            ids.add(issue.id)
+            issues.append(issue)
     return Corpus(issues=tuple(issues), provenance=provenance, schema_version=schema_version), report
 
 

@@ -200,13 +200,12 @@ class PriorityPipeline:
         return UNIFORM_OBJECTIVE_PROBS
 
     def vectorize(self, issues: Sequence[IssueRecord],
-                  probs_file: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
-        """One row per issue, each assembled vector written straight into X."""
+                  probs_file: Mapping[str, np.ndarray] | None = None) -> learn.SparseRows:
+        """One row per issue: the non-zeros of its assembled vector."""
         fp = self.feature_pipeline
-        X = np.zeros((len(issues), fp.width))
-        for row, issue in zip(X, issues):
-            fp.assemble(issue, self.objective_probs(issue, probs_file)).fill(row)
-        return X
+        return learn.SparseRows.from_rows(
+            [fp.assemble(issue, self.objective_probs(issue, probs_file)).columns()
+             for issue in issues], fp.width)
 
     def predict(self, issues: Sequence[IssueRecord],
                 probs_file: Mapping[str, np.ndarray] | None = None
@@ -227,8 +226,8 @@ def train_objective_model(issues: Sequence[IssueRecord], maps: LabelMaps,
                           pipeline: FeaturePipeline, spec: ModelSpec) -> TrainedModel | None:
     """The ``spec.stage1`` model (nb or logreg, at its fitter's defaults) over
     issues carrying a mono objective label; None when fewer than two
-    objective classes are represented. NB reads the term counts as sparse
-    rows; logreg gets them dense."""
+    objective classes are represented. Both read the term counts as
+    ``SparseRows``."""
     labeled = [(i, labelmap.objective_of(i.labels, maps.objective)) for i in issues]
     labeled = [(i, obj) for i, obj in labeled if obj is not None]
     present = {obj for _, obj in labeled}
@@ -238,19 +237,21 @@ def train_objective_model(issues: Sequence[IssueRecord], maps: LabelMaps,
                                    pipeline.stage1_width)
     y = [obj.value for _, obj in labeled]
     if spec.stage1 == "logreg":
-        return learn.fit_logreg(X.to_dense(), y, seed=spec.seed,
+        return learn.fit_logreg(X, y, seed=spec.seed,
                                 classes=learn.OBJECTIVE_CLASS_ORDER)
     return learn.fit_multinomial_nb(X, y, classes=learn.OBJECTIVE_CLASS_ORDER)
 
 
-def fit_classifier(spec: ModelSpec, X: np.ndarray, labels: Sequence[str]) -> TrainedModel:
+def fit_classifier(spec: ModelSpec, X: np.ndarray | learn.SparseRows,
+                   labels: Sequence[str]) -> TrainedModel:
     """Fit the spec's priority classifier on ``X``, balanced as the spec says:
     class weights (manual grid or inverse frequency), SMOTE, or neither.
 
     The fitter is looked up on ``learn`` at each call, so a rebound fitter is
     the one used, and it gets only the class weights, seed and known
-    hyperparameters that its signature takes; every default is its own. NB
-    needs no shift: every block of the assembled vector is non-negative."""
+    hyperparameters that its signature takes; every default is its own. Each
+    fitter densifies ``X`` itself if it needs to. NB needs no shift: every
+    block of the assembled vector is non-negative."""
     hp = {name: value for name, value in spec.hyperparams.items() if name in learn.HYPERPARAMS}
     weights = None
     if spec.balancing == "weights":

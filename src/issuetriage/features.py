@@ -355,21 +355,22 @@ class FeatureVector:
         if not np.all((self.nf >= 0) & (self.nf <= 1)):
             raise ValueError("normalized features outside [0, 1]")
 
-    def fill(self, row: np.ndarray) -> None:
-        """Write the vector into ``row``: all zeros, and as long as the
-        vector."""
-        start = self.tf_title.size
-        row[self.tf_title.indices] = self.tf_title.values
-        row[start + self.tf_desc.indices] = self.tf_desc.values
-        start += self.tf_desc.size
-        for block in (self.objective_probs, self.lf, self.nf):
-            row[start:start + block.size] = block
-            start += block.size
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted column ids and the values (floats) of the vector's
+        non-zeros. A TF-IDF weight is never zero (a count of at least one
+        times an idf of at least one, over a finite norm), so only the dense
+        blocks after the two TF-IDF blocks are filtered."""
+        tail = np.concatenate([self.objective_probs, self.lf, self.nf])
+        kept = tail.nonzero()[0]
+        cols = np.concatenate([self.tf_title.indices, self.tf_title.size + self.tf_desc.indices,
+                               self.tf_title.size + self.tf_desc.size + kept])
+        return cols, np.concatenate([self.tf_title.values, self.tf_desc.values, tail[kept]])
 
     def to_dense(self) -> np.ndarray:
         row = np.zeros(sum(block.size for block in (
             self.tf_title, self.tf_desc, self.objective_probs, self.lf, self.nf)))
-        self.fill(row)
+        cols, values = self.columns()
+        row[cols] = values
         return row
 
 

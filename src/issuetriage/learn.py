@@ -17,12 +17,15 @@ its assets, ``TrainedModel.require_width`` checks that it takes the columns
 they give: ``cli.load_assets`` for the assets' stage-one model and
 ``cli.cmd_predict`` for the model file.
 
-A forest fit indexes X's non-zeros by column once (``column_index``), each
-column's in value order, and every tree shares that index. A node's split
-scans the drawn columns' non-zeros with all of a column's zeros as one tied
-entry, so it sorts nothing and its work follows X's density; it picks the
-same split a sort of the node's dense block would. The dense X only
-partitions a node's rows once its split is chosen.
+The feature matrix is ``SparseRows`` (see there for which learners densify
+it). A forest fit indexes X's non-zeros by column once (``column_index``),
+each column's in value order, and every tree shares that index. A node's
+split scans the drawn columns' non-zeros with all of a column's zeros as one
+tied entry, so it sorts nothing and its work follows X's density; it picks
+the same split a sort of the node's dense block would. The same index
+partitions a node's rows once its split is chosen (``ColumnIndex.column_at``),
+and a forest's prediction indexes its input the same way, so no dense n x d
+array is made on the forest's path.
 """
 
 from __future__ import annotations
@@ -123,11 +126,14 @@ class TrainedModel:
     metadata: dict = field(default_factory=dict)
     asset_fingerprints: dict = field(default_factory=dict)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+    def predict_proba(self, X: np.ndarray | SparseRows) -> np.ndarray:
+        """One row of class probabilities per row of ``X``. A forest reads
+        ``SparseRows`` as they are; every other kind gets ``X`` dense."""
+        if not (self.kind == "forest" and isinstance(X, SparseRows)):
+            X = _dense(X)
         return _PREDICTORS[self.kind](self.params, X, len(self.classes))
 
-    def predict(self, X: np.ndarray) -> list[str]:
+    def predict(self, X: np.ndarray | SparseRows) -> list[str]:
         probs = self.predict_proba(X)
         return [self.classes[i] for i in probs.argmax(axis=1)]
 
@@ -389,9 +395,19 @@ def _encode_labels(labels: Sequence[str],
 _LOG_ZERO = -1e30
 
 
-class SparseRows(NamedTuple):
-    """A matrix of ``shape`` given by its non-zeros in row order: ``values[i]``
-    sits at (``rows[i]``, ``cols[i]``), and ``rows`` never decreases."""
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """The one feature-matrix type: a float matrix of ``shape`` given by its
+    non-zeros in row order. ``values[i]`` sits at (``rows[i]``, ``cols[i]``),
+    ``rows`` never decreases, and a row's columns ascend. A zero (0.0 or
+    -0.0) is never stored; NaN and the infinities are, as ``X != 0`` keeps them.
+
+    ``PriorityPipeline.vectorize`` builds one, and the forest and NB read it
+    as it is; logistic regression, kNN and SMOTE densify it at their own door
+    (``_dense``), and so does ``TrainedModel.predict_proba`` for every kind
+    but the forest. ``len``, ``shape``, ``size`` and ``(X != 0).sum()``
+    answer as an ndarray of the same matrix would; ``nbytes`` is what its
+    arrays hold."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -406,15 +422,52 @@ class SparseRows(NamedTuple):
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[np.ndarray, np.ndarray]], width: int
                   ) -> "SparseRows":
-        """One (column ids, values) pair per row; at least one row."""
-        return cls(np.repeat(np.arange(len(rows)), [len(cols) for cols, _ in rows]),
-                   np.concatenate([cols for cols, _ in rows]),
-                   np.concatenate([values for _, values in rows]), (len(rows), width))
+        """One (ascending column ids, values) pair per row; zeros are dropped."""
+        cols = np.concatenate([np.zeros(0, dtype=np.intp), *(c for c, _ in rows)])
+        values = np.concatenate([np.zeros(0), *(v for _, v in rows)])
+        row_ids = np.repeat(np.arange(len(rows)), [len(c) for c, _ in rows])
+        keep = values != 0
+        if not keep.all():
+            row_ids, cols, values = row_ids[keep], cols[keep], values[keep]
+        return cls(row_ids, cols, values, (len(rows), width))
+
+    @classmethod
+    def of(cls, X) -> "SparseRows":
+        """``X`` itself if it is ``SparseRows``, else its non-zeros as floats."""
+        return X if isinstance(X, cls) else cls.from_dense(np.asarray(X, dtype=float))
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cols.nbytes + self.values.nbytes
+
+    def __ne__(self, other) -> "SparseRows":
+        """``X != 0``: a boolean matrix, True where ``X`` has its non-zeros."""
+        if not (np.isscalar(other) and other == 0):
+            return NotImplemented
+        return SparseRows(self.rows, self.cols, np.ones(self.values.size, dtype=bool),
+                          self.shape)
+
+    def sum(self):
+        """The sum of all entries, a numpy scalar."""
+        return self.values.sum()
 
     def to_dense(self) -> np.ndarray:
         X = np.zeros(self.shape)
         X[self.rows, self.cols] = self.values
         return X
+
+
+def _dense(X) -> np.ndarray:
+    """``X`` as a dense float array: ``SparseRows`` densified, anything else
+    through ``np.asarray``."""
+    return X.to_dense() if isinstance(X, SparseRows) else np.asarray(X, dtype=float)
 
 
 def fit_multinomial_nb(
@@ -423,8 +476,7 @@ def fit_multinomial_nb(
 ) -> TrainedModel:
     """Multinomial NB over a dense X or its ``SparseRows``; both give the
     same params, bit for bit."""
-    if not isinstance(X, SparseRows):
-        X = SparseRows.from_dense(np.asarray(X, dtype=float))
+    X = SparseRows.of(X)
     if _require_finite(X.values, "multinomial NB") < 0:
         raise TrainingError("multinomial NB requires non-negative feature values")
     classes, y = _encode_labels(labels, classes)
@@ -481,11 +533,11 @@ def logreg_loss_and_grad(
 
 
 def fit_logreg(
-    X: np.ndarray, labels: Sequence[str], weights: ClassWeights | None = None,
+    X: np.ndarray | SparseRows, labels: Sequence[str], weights: ClassWeights | None = None,
     lr: float = 0.5, l2: float = 1e-4, epochs: int = 300,
     seed: int = 0, classes: tuple[str, ...] | None = None,
 ) -> TrainedModel:
-    X = np.asarray(X, dtype=float)
+    X = _dense(X)
     _require_finite(X, "logistic regression")
     classes, y = _encode_labels(labels, classes)
     sw = weights.per_sample(labels) if weights else np.ones(len(labels))
@@ -542,30 +594,44 @@ class ColumnIndex:
     and ``values``, ascending by value. They are its non-zeros and, between
     the negatives and the positives, a slot of value 0 and row ``n_rows``
     (no row) standing for all its zero cells; ``zero_slot[j]`` is the
-    slot's entry."""
+    slot's entry. ``scratch`` is ``n_rows + 1`` zeros that ``column_at``
+    borrows and leaves as it found them."""
     indptr: np.ndarray
     rows: np.ndarray
     values: np.ndarray
     zero_slot: np.ndarray
     n_rows: int
+    scratch: np.ndarray
+
+    @property
+    def n_cols(self) -> int:
+        return self.indptr.size - 1
+
+    def column_at(self, j: int, rows: np.ndarray) -> np.ndarray:
+        """Column ``j``'s values at ``rows``: its entries are scattered into
+        ``scratch``, read at ``rows``, and wiped again."""
+        span = slice(self.indptr[j], self.indptr[j + 1])
+        at = self.rows[span]
+        self.scratch[at] = self.values[span]
+        out = self.scratch[rows]
+        self.scratch[at] = 0.0
+        return out
 
 
-def column_index(X: np.ndarray) -> ColumnIndex:
-    """Build ``X``'s ``ColumnIndex``. The non-zeros are found a block of rows
-    at a time, so the boolean mask is at most about 2 MB."""
+def column_index(X: np.ndarray | SparseRows) -> ColumnIndex:
+    """Build ``X``'s ``ColumnIndex`` from its ``SparseRows`` (a dense ``X``
+    is converted first). A stable sort of the entries in row order by
+    column, then value, keeps tied values in row order."""
+    X = SparseRows.of(X)
     n, d = X.shape
-    step = max(1, (1 << 21) // max(d, 1))
-    flat = np.concatenate([np.flatnonzero(X[i:i + step] != 0) + i * d
-                           for i in range(0, n, step)])
-    rows, cols = np.divmod(flat, d)
-    values = np.concatenate([X[rows, cols], np.zeros(d)])
-    rows = np.concatenate([rows, np.full(d, n)])
-    cols = np.concatenate([cols, np.arange(d)])
+    values = np.concatenate([X.values, np.zeros(d)])
+    rows = np.concatenate([X.rows, np.full(d, n)])
+    cols = np.concatenate([X.cols, np.arange(d)])
     order = np.lexsort((values, cols))
     rows, values = rows[order], values[order]
     indptr = np.zeros(d + 1, dtype=np.intp)
     np.cumsum(np.bincount(cols, minlength=d), out=indptr[1:])
-    return ColumnIndex(indptr, rows, values, np.flatnonzero(rows == n), n)
+    return ColumnIndex(indptr, rows, values, np.flatnonzero(rows == n), n, np.zeros(n + 1))
 
 
 def _best_split(cols: ColumnIndex, y: np.ndarray, idx: np.ndarray,
@@ -633,7 +699,7 @@ def _best_split(cols: ColumnIndex, y: np.ndarray, idx: np.ndarray,
     return int(features[seg[i]]), float(threshold), float(weighted[pos])
 
 
-def _grow_tree(X, cols, y, idx, rng, n_classes, max_depth, min_leaf, m_features,
+def _grow_tree(cols, y, idx, rng, n_classes, max_depth, min_leaf, m_features,
                depth, importances, n_root):
     node_y = y[idx]
     counts = np.bincount(node_y, minlength=n_classes).astype(float)
@@ -641,43 +707,42 @@ def _grow_tree(X, cols, y, idx, rng, n_classes, max_depth, min_leaf, m_features,
     if (gini_node == 0.0 or len(idx) < 2 * min_leaf or len(idx) < 2
             or (max_depth is not None and depth >= max_depth)):
         return {"leaf": (counts / counts.sum()).tolist()}
-    features = rng.choice(X.shape[1], size=m_features, replace=False)
+    features = rng.choice(cols.n_cols, size=m_features, replace=False)
     split = _best_split(cols, y, idx, features, counts, min_leaf)
     if split is None or split[2] >= gini_node:
         return {"leaf": (counts / counts.sum()).tolist()}
     f, threshold, weighted = split
     importances[f] += (len(idx) / n_root) * (gini_node - weighted)
-    mask = X[idx, f] <= threshold
-    left = _grow_tree(X, cols, y, idx[mask], rng, n_classes, max_depth, min_leaf,
+    mask = cols.column_at(f, idx) <= threshold
+    left = _grow_tree(cols, y, idx[mask], rng, n_classes, max_depth, min_leaf,
                       m_features, depth + 1, importances, n_root)
-    right = _grow_tree(X, cols, y, idx[~mask], rng, n_classes, max_depth, min_leaf,
+    right = _grow_tree(cols, y, idx[~mask], rng, n_classes, max_depth, min_leaf,
                        m_features, depth + 1, importances, n_root)
     return {"f": f, "t": threshold, "l": left, "r": right}
 
 
-def _tree_predict(tree: dict, X: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
+def _tree_predict(tree: dict, cols: ColumnIndex, out: np.ndarray, rows: np.ndarray) -> None:
     if "leaf" in tree:
         out[rows] += np.asarray(tree["leaf"], dtype=float)
         return
-    mask = X[rows, tree["f"]] <= tree["t"]
+    mask = cols.column_at(tree["f"], rows) <= tree["t"]
     if mask.any():
-        _tree_predict(tree["l"], X, out, rows[mask])
+        _tree_predict(tree["l"], cols, out, rows[mask])
     if (~mask).any():
-        _tree_predict(tree["r"], X, out, rows[~mask])
+        _tree_predict(tree["r"], cols, out, rows[~mask])
 
 
 def fit_random_forest(
-    X: np.ndarray, labels: Sequence[str], weights: ClassWeights | None = None,
+    X: np.ndarray | SparseRows, labels: Sequence[str], weights: ClassWeights | None = None,
     n_trees: int = 60, max_depth: int | None = 12, min_leaf: int = 1,
     max_features: int | str | None = "sqrt", seed: int = 0,
     classes: tuple[str, ...] | None = None,
 ) -> TrainedModel:
-    X = np.asarray(X, dtype=float)
     classes, y = _encode_labels(labels, classes)
     if len(classes) < 2:
         raise TrainingError("random forest needs at least two classes")
-    n, d = X.shape
     cols = column_index(X)
+    n, d = cols.n_rows, cols.n_cols
     _require_finite(cols.values, "random forest")  # a NaN or an infinity is a non-zero
     if max_features == "sqrt" or max_features is None:
         m = max(1, int(math.sqrt(d)))
@@ -692,7 +757,7 @@ def fit_random_forest(
         rng = np.random.default_rng(tree_seed)
         idx = rng.choice(n, size=n, replace=True, p=p)
         importances = np.zeros(d)
-        tree = _grow_tree(X, cols, y, idx, rng, len(classes), max_depth, min_leaf,
+        tree = _grow_tree(cols, y, idx, rng, len(classes), max_depth, min_leaf,
                           m, 0, importances, n_root=len(idx))
         total = importances.sum()
         if total > 0:
@@ -708,24 +773,26 @@ def fit_random_forest(
                   "class_weights": weights.weights if weights else None})
 
 
-def _forest_predict(params: dict, X: np.ndarray, n_classes: int) -> np.ndarray:
+def _forest_predict(params: dict, X: np.ndarray | SparseRows, n_classes: int) -> np.ndarray:
     trees = params["trees"]
-    out = np.zeros((X.shape[0], n_classes))
-    rows = np.arange(X.shape[0])
+    cols = column_index(X)
+    out = np.zeros((cols.n_rows, n_classes))
+    rows = np.arange(cols.n_rows)
     for tree in trees:
-        _tree_predict(tree, X, out, rows)
+        _tree_predict(tree, cols, out, rows)
     return out / len(trees)
 
 
 # ---------------------------------------------------------------------------
 # K nearest neighbors
 
-def fit_knn(X: np.ndarray, labels: Sequence[str], k: int = 5,
+def fit_knn(X: np.ndarray | SparseRows, labels: Sequence[str], k: int = 5,
             classes: tuple[str, ...] | None = None) -> TrainedModel:
     classes, y = _encode_labels(labels, classes)
+    train = X.to_dense() if isinstance(X, SparseRows) else np.array(X, dtype=float)
     return TrainedModel(
         kind="knn", classes=classes,
-        params={"X": np.array(X, dtype=float), "y": y, "k": min(k, len(labels))},
+        params={"X": train, "y": y, "k": min(k, len(labels))},
         metadata={"k": k})
 
 
@@ -782,9 +849,9 @@ def smote(minority: np.ndarray, majority_count: int, k: int = 5,
     return base + lams[:, None] * (neighbors - base)
 
 
-def balance_with_smote(X: np.ndarray, labels: Sequence[str], k: int = 5,
+def balance_with_smote(X: np.ndarray | SparseRows, labels: Sequence[str], k: int = 5,
                        seed: int = 0) -> tuple[np.ndarray, list[str]]:
-    X = np.asarray(X, dtype=float)
+    X = _dense(X)
     labels = list(labels)
     counts = {cls: labels.count(cls) for cls in sorted(set(labels))}
     majority = max(counts.values())

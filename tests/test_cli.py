@@ -77,6 +77,22 @@ class TestPreprocess:
         assert manifest["command"] == "preprocess"
         assert str(workdir / "corpus.jsonl") in manifest["inputs"]
 
+    @pytest.mark.parametrize("fault", ["array", "title", "utf-8"])
+    def test_bad_record_is_a_warning_and_under_strict_exits_two(self, workdir, capsys, fault):
+        corpus = workdir / "corpus.jsonl"
+        record = json.loads(corpus.read_text().splitlines()[0])
+        line = {"array": b"[1, 2]", "utf-8": b"\xff{",
+                "title": json.dumps({**record, "id": "new", "title": 5}).encode()}[fault]
+        corpus.write_bytes(corpus.read_bytes() + line + b"\n")
+        out = workdir / "o.jsonl"
+        assert run("preprocess", "--in", corpus, "--out", out) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"warning: {corpus}:201: "), err
+        assert len(out.read_text().splitlines()) == 200
+        assert run("--strict", "preprocess", "--in", corpus, "--out", out) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 201: "), err
+
     def test_corrupt_sidecar_exits_two(self, workdir, capsys):
         (workdir / "corpus.jsonl.meta.json").write_text("{bad")
         assert run("preprocess", "--in", workdir / "corpus.jsonl",
@@ -170,6 +186,27 @@ class TestTrainPredict:
                    "--objective-probs", probs) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {probs}:3: "), err
+
+    @pytest.mark.parametrize("content", [None, b"issue_id\tBug\tEnhancement\tSupportDoc\n"
+                                               b"engine-1\t1\t0\t0 \xff\n"],
+                             ids=["missing", "not-utf-8"])
+    @pytest.mark.parametrize("command", ["train-priority", "predict"])
+    def test_unreadable_probability_file_exits_one(self, workdir, capsys, command, content):
+        """A missing probabilities file, or one that is not UTF-8."""
+        probs = workdir / "probs.tsv"
+        if content is not None:
+            probs.write_bytes(content)
+        model = workdir / "m.json"
+        if command == "predict":
+            assert run("--config", workdir / "config.json", "train-priority", "--stage1",
+                       "uniform", "--in", workdir / "corpus.jsonl", "--model", model) == 0
+        capsys.readouterr()
+        argv = (["train-priority", "--model", model] if command == "train-priority"
+                else ["predict", "--model", model, "--out", workdir / "p.tsv"])
+        assert run("--config", workdir / "config.json", *argv, "--in", workdir / "corpus.jsonl",
+                   "--objective-probs", probs) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {probs}: cannot read"), err
 
     @pytest.mark.parametrize("command", ["train-priority", "predict"])
     def test_probability_row_within_the_file_tolerance_is_used(self, workdir, capsys,

@@ -242,3 +242,94 @@ def test_any_mutated_artifact_gives_a_known_exit_code(small_corpus, trained_arti
         if code == 0:
             header, *rows = (Path(tmp) / "p.tsv").read_text().splitlines()
             assert rows and all(len(r.split("\t")) == len(header.split("\t")) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract over mutated corpus records and probability rows
+
+@pytest.fixture(scope="module")
+def probs_inputs(small_corpus, tmp_path_factory):
+    """A priority model trained without stage one, next to its assets, and an
+    objective probability file with one row per small-corpus issue."""
+    d = tmp_path_factory.mktemp("probs")
+    model = d / "model.json"
+    code, errors = _main(["--config", _write(d / "config.json", {"model": SMALL_MODEL}),
+                          "train-priority", "--stage1", "uniform", "--in", small_corpus,
+                          "--model", model])
+    assert code == 0, errors
+    rows = [f"{issue.id}\t0.2\t0.3\t0.5" for issue in load_corpus(small_corpus)[0].issues]
+    return model, ["issue_id\tBug\tEnhancement\tSupportDoc", *rows]
+
+
+def _write(path: Path, doc) -> Path:
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# wrong in type or range, for records: strings, numbers, lists, objects,
+# timestamps that do not parse or whose UTC time is out of range
+RECORD_VALUES = BAD_VALUES + [True, "", [], {}, ["x", 1], {"login": 3}, 1.5,
+                              "2021-13-45T00:00:00Z", "9999-12-31T23:59:59-14:00"]
+PROB_CELLS = ["x", "", "nan", "inf", "-1", "1e400", "0.5", "1", "0"]
+
+
+def _mutate_record(data, doc):
+    """One key or value of ``doc``, at any depth, renamed, set to a bad value
+    or (a list) cut one element short, as the artifact mutator does."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node:
+        if parent is not None and not data.draw(st.integers(0, 2)):
+            break
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))), "key")
+        parent, node = node, node[key]
+    how = data.draw(st.sampled_from(["rename", "set", "cut"]), "how")
+    if how == "rename" and isinstance(parent, dict):
+        parent[f"{key}x"] = parent.pop(key)
+    elif how == "cut" and isinstance(node, list) and node:
+        parent[key] = node[:-1]
+    else:
+        parent[key] = data.draw(st.sampled_from(RECORD_VALUES), "value")
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_mutated_corpus_or_probability_file_gives_a_known_exit_code(
+        small_corpus, probs_inputs, data):
+    """One corpus line is mutated (a record's key or value, or the whole line
+    made bad bytes, bad JSON, a non-object or a copy of another line), and
+    one row of the probability file (a cell, the cell count or its bytes);
+    ``predict``, with and without that file, and ``preprocess`` then exit 0,
+    1 or 2 with at most one error line, and with one exactly when they do
+    not exit 0."""
+    model, prob_lines = probs_inputs
+    lines = Path(small_corpus).read_bytes().splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1), "line")
+    how = data.draw(st.sampled_from(["record", "record", "bytes", "json", "array", "copy"]))
+    lines[at] = {"bytes": lambda: lines[at][:20] + b"\xff" + lines[at][20:],
+                 "json": lambda: lines[at][:-1],
+                 "array": lambda: b"[" + lines[at] + b"]",
+                 "copy": lambda: lines[(at + 1) % len(lines)],
+                 "record": lambda: _mutate_record(data, json.loads(lines[at]))}[how]()
+    rows = [line.encode() for line in prob_lines]
+    row = data.draw(st.integers(0, len(rows) - 1), "row")
+    cells = prob_lines[row].split("\t")
+    change = data.draw(st.sampled_from(["cell", "cell", "drop", "add", "bytes", "none"]))
+    if change == "cell":
+        cells[data.draw(st.integers(0, 3))] = data.draw(st.sampled_from(PROB_CELLS))
+    elif change in ("drop", "add"):
+        cells = cells[:-1] if change == "drop" else cells + ["0"]
+    rows[row] = b"\xfe" + rows[row] if change == "bytes" else "\t".join(cells).encode()
+    strict = ["--strict"] if data.draw(st.booleans(), "strict") else []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "c.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+        (tmp / "p.tsv").write_bytes(b"\n".join(rows) + b"\n")
+        predict = ["predict", "--model", model, "--out", tmp / "out.tsv"]
+        for argv in (predict + ["--objective-probs", tmp / "p.tsv"], predict,
+                     ["preprocess", "--out", tmp / "o.jsonl"]):
+            code, errors = _main([*strict, *argv, "--in", tmp / "c.jsonl"])
+            assert code in (0, 1, 2), (argv[0], code)
+            assert len(errors) <= 1, errors
+            assert (code == 0) == (not errors), (argv[0], code, errors)

@@ -62,6 +62,59 @@ class TestRoundTrip:
         assert len(report.errors) == 1
         assert report.errors[0][0] == 3
 
+    # one case per record fault that used to end in a traceback or be misread
+    @pytest.mark.parametrize("fault, message", [
+        (lambda doc: [doc], "is not an object"),
+        (lambda doc: {**doc, "title": 5}, "'title' must be a string"),
+        (lambda doc: {**doc, "description": ["a"]}, "'description' must be a string"),
+        (lambda doc: {**doc, "author": "bob"}, "'author' must be an object"),
+        (lambda doc: {**doc, "labels": "bug"}, "'labels' must be a list"),
+        (lambda doc: {**doc, "labels": ["bug", 3]}, "'labels' must hold strings"),
+        (lambda doc: {**doc, "id": None}, "has no 'id'"),
+        (lambda doc: {**doc, "id": True}, "'id' must be a string or an integer"),
+        (lambda doc: {**doc, "created_at": 5}, "'created_at' must be a string"),
+        (lambda doc: {**doc, "is_pull_request": "no"}, "'is_pull_request' must be true or false"),
+        (lambda doc: {**doc, "author": {"followers": 10 ** 400}}, "followers must be in [0, 2**63)"),
+        (lambda doc: {**doc, "comments": [{"author_login": "x", "body": 1,
+                                           "created_at": "2021-01-01T00:00:00Z"}]},
+         "'body' must be a string"),
+        (lambda doc: {**doc, "events": ["labeled"]}, "record event 'labeled' is not an object"),
+        (lambda doc: {**doc, "id": "a"}, "repeats an earlier line"),
+    ], ids=["array", "title", "description", "author", "labels", "label", "id-null", "id-bool",
+            "created_at", "flag", "count", "comment", "event", "repeated-id"])
+    def test_mistyped_record_is_a_malformed_line(self, tmp_path, fault, message):
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus_of(make_issue(id="a"), make_issue(id="b")), path)
+        lines = path.read_text().splitlines()
+        lines.insert(1, json.dumps(fault(dict(json.loads(lines[1]), id="z"))))
+        path.write_text("\n".join(lines) + "\n")
+        corpus, report = load_corpus(path)
+        assert [i.id for i in corpus.issues] == ["a", "b"]
+        assert len(report.errors) == 1 and report.errors[0][0] == 2
+        assert message in report.errors[0][1], report.errors
+        with pytest.raises(CorpusError, match="line 2: "):
+            load_corpus(path, strict=True)
+
+    def test_integer_id_is_read_as_a_string(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus_of(make_issue(id="a")), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "id": 17}) + "\n")
+        corpus, report = load_corpus(path)
+        assert report.ok and corpus.issues[0].id == "17"
+
+    def test_line_that_is_not_utf8_is_a_malformed_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus_of(make_issue(id="a"), make_issue(id="b", title="Caf\u00e9 crash"),
+                              make_issue(id="c")), path)
+        lines = path.read_bytes().splitlines()
+        lines[1] = lines[1].replace("\u00e9".encode(), b"\xe9")  # Latin-1, not UTF-8
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        corpus, report = load_corpus(path)
+        assert [i.id for i in corpus.issues] == ["a", "c"]
+        assert report.errors[0][0] == 2 and "utf-8" in report.errors[0][1]
+        with pytest.raises(CorpusError, match="line 2: "):
+            load_corpus(path, strict=True)
+
     def test_strict_raises_on_malformed(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("{broken\n")

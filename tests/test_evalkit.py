@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -325,3 +326,69 @@ class TestPipelineStages:
     def test_unlabeled_issue_rejected(self, maps):
         with pytest.raises(learn.TrainingError, match="priority"):
             train_pipeline([make_issue(labels=("bug",))], ModelSpec(), maps)
+
+
+class TestSparseFeatureMatrix:
+    """``vectorize`` gives ``SparseRows``, and every learner fits and predicts
+    the same from them as from the dense X."""
+
+    @pytest.fixture(scope="class")
+    def vectorized(self, planted_corpus, maps):
+        issues, labels = evalkit.labeled_issues(planted_corpus.issues[:80], maps)
+        bundle = evalkit.fit_preprocessing(issues, ModelSpec(), maps)
+        return bundle, issues, labels
+
+    def test_rows_are_the_assembled_vectors(self, vectorized):
+        bundle, issues, _ = vectorized
+        X = bundle.vectorize(issues)
+        assert isinstance(X, learn.SparseRows)
+        assert X.shape == (len(issues), bundle.feature_pipeline.width)
+        # row order, and ascending columns within a row
+        assert np.all(np.diff(X.rows * X.shape[1] + X.cols) > 0)
+        want = np.vstack([bundle.feature_pipeline.assemble(i, bundle.objective_probs(i))
+                          .to_dense() for i in issues])
+        assert np.array_equal(X.to_dense(), want)
+        assert int((X != 0).sum()) == np.count_nonzero(want)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(classifier="nb"),
+        ModelSpec(classifier="logreg", hyperparams={"epochs": 20}),
+        ModelSpec(classifier="knn", hyperparams={"k": 3}),
+        ModelSpec(hyperparams={"n_trees": 5, "max_depth": 6}),
+        ModelSpec(balancing="smote", hyperparams={"n_trees": 5, "max_depth": 6}),
+    ], ids=["nb", "logreg", "knn", "forest", "forest-smote"])
+    def test_every_learner_is_the_same_from_dense_and_sparse(self, vectorized, spec):
+        bundle, issues, labels = vectorized
+        X = bundle.vectorize(issues)
+        dense = X.to_dense()
+        from_dense, from_sparse = (evalkit.fit_classifier(spec, M, labels) for M in (dense, X))
+        assert from_sparse.fingerprint() == from_dense.fingerprint()
+        assert from_sparse.metadata == from_dense.metadata
+        want = from_dense.predict_proba(dense).tobytes()
+        for model in (from_dense, from_sparse):
+            for M in (dense, X):
+                assert model.predict_proba(M).tobytes() == want
+
+    def test_vectorize_and_forest_fit_build_no_dense_matrix(self, maps):
+        """About 400 issues x 20k columns: ``vectorize`` and the forest fit
+        together peak below a tenth of the bytes of the dense X."""
+        rng = random.Random(3)
+        syllables = [c + v for c in "bdfgklmnprtvz" for v in "aeiou"]
+        pool = sorted({"".join(rng.choices(syllables, k=3)) for _ in range(12_000)})
+        issues = [make_issue(id=f"i{n}", title=" ".join(rng.choices(pool, k=5)),
+                             description=" ".join(rng.choices(pool, k=50)),
+                             labels=("p1", "bug") if n % 2 else ("p3", "enhancement"))
+                  for n in range(400)]
+        spec = ModelSpec(hyperparams={"n_trees": 5, "max_depth": 8})
+        issues, labels = evalkit.labeled_issues(issues, maps)
+        bundle = evalkit.fit_preprocessing(issues, spec, maps)
+        dense_bytes = len(issues) * bundle.feature_pipeline.width * 8
+        assert len(issues) == 400 and bundle.feature_pipeline.width > 20_000
+        tracemalloc.start()
+        try:
+            model = evalkit.fit_classifier(spec, bundle.vectorize(issues), labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.kind == "forest" and model.params["n_features"] == bundle.feature_pipeline.width
+        assert peak < 0.1 * dense_bytes, (peak, dense_bytes)

@@ -421,6 +421,51 @@ def indexed_best_split(X, y, idx, features, n_classes, min_leaf):
     return learn._best_split(learn.column_index(X), y, idx, features, counts, min_leaf)
 
 
+def reference_column_index(X):
+    """The dense block scan ``learn.column_index`` used before it read
+    ``SparseRows``, kept verbatim as its oracle."""
+    n, d = X.shape
+    step = max(1, (1 << 21) // max(d, 1))
+    flat = np.concatenate([np.flatnonzero(X[i:i + step] != 0) + i * d
+                           for i in range(0, n, step)])
+    rows, cols = np.divmod(flat, d)
+    values = np.concatenate([X[rows, cols], np.zeros(d)])
+    rows = np.concatenate([rows, np.full(d, n)])
+    cols = np.concatenate([cols, np.arange(d)])
+    order = np.lexsort((values, cols))
+    rows, values = rows[order], values[order]
+    indptr = np.zeros(d + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=d), out=indptr[1:])
+    return indptr, rows, values, np.flatnonzero(rows == n), n
+
+
+def _tfidf_forest_case():
+    """(X, labels, fit options) near the 2k training shape: a 1 %-dense block
+    of TF-IDF-like weights beside a few dense [0, 1] columns, 3 classes,
+    class weights and sqrt(d) drawn features."""
+    rng = np.random.default_rng(23)
+    n, d_text = 240, 900
+    text = rng.uniform(0.02, 0.6, size=(n, d_text)).round(3) * (rng.random((n, d_text)) < 0.01)
+    meta = rng.integers(0, 5, size=(n, 6)) / 4
+    X = np.hstack([text, meta])
+    label = (text[:, :40] > 0).sum(axis=1) + (meta[:, 0] > 0.5)
+    y = [("Bug", "Enhancement", "SupportDoc")[int(v) % 3] for v in label]
+    return X, y, {"weights": compute_class_weights(y), "n_trees": 4, "max_depth": 12,
+                  "max_features": "sqrt", "seed": 9}
+
+
+def _mixed_forest_case(min_leaf, n_classes):
+    """(X, labels, fit options): a small integer block and a scaled one
+    beside all-zero columns."""
+    rng = np.random.default_rng(17)
+    X = np.hstack([rng.integers(0, 4, size=(80, 12)).astype(float),
+                   rng.integers(0, 3, size=(80, 6)) * 0.37,
+                   np.zeros((80, 3))])
+    y = [("a", "b", "c")[(int(r[0]) + int(r[13] > 0)) % n_classes] for r in X]
+    return X, y, {"weights": compute_class_weights(y), "n_trees": 6, "max_depth": 6,
+                  "min_leaf": min_leaf, "max_features": 5, "seed": 9}
+
+
 def dense_reference_splitter(X):
     """``reference_best_split`` on the dense ``X``, called as ``learn._best_split`` is."""
     return lambda cols, y, idx, features, counts, min_leaf: \
@@ -430,6 +475,23 @@ def dense_reference_splitter(X):
 class TestColumnIndex:
     @pytest.mark.parametrize("column_kind", ["integer", "scaled", "normal", "constant",
                                              "sparse"])
+    def test_sparse_rows_give_the_dense_scan_index(self, column_kind):
+        """From ``SparseRows`` and from the dense X, the same index as the
+        dense block scan, tie order included."""
+        rng = np.random.default_rng(7 + len(column_kind))
+        cases = [_split_case(rng, column_kind)[0] for _ in range(50)]
+        wide = np.zeros((3, 1 << 20))
+        wide[[0, 0, 1, 2, 2], [5, (1 << 20) - 1, 5, 0, 7]] = [0.5, -1.0, 0.25, 2.0, -0.125]
+        for X in cases + [wide, np.where(cases[0] > 0, cases[0], -0.0)]:
+            want = reference_column_index(X)
+            for source in (X, learn.SparseRows.from_dense(X)):
+                cols = learn.column_index(source)
+                got = (cols.indptr, cols.rows, cols.values, cols.zero_slot, cols.n_rows)
+                assert all(np.array_equal(a, b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                           for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("column_kind", ["integer", "scaled", "normal", "constant",
+                                             "sparse"])
     def test_round_trip_rebuilds_x(self, column_kind):
         rng = np.random.default_rng(len(column_kind))
         for _ in range(50):
@@ -437,7 +499,7 @@ class TestColumnIndex:
             self._assert_rebuilds(X)
 
     def test_round_trip_over_row_blocks(self):
-        # 2**20 columns make a 2-row block, so the non-zeros come from two blocks
+        # a wide X: 2**20 columns, five non-zeros in three rows
         X = np.zeros((3, 1 << 20))
         X[[0, 0, 1, 2, 2], [5, (1 << 20) - 1, 5, 0, 7]] = [0.5, -1.0, 0.25, 2.0, -0.125]
         self._assert_rebuilds(X)
@@ -504,35 +566,75 @@ class TestBestSplitOracle:
     @pytest.mark.parametrize("min_leaf, n_classes", [(1, 2), (2, 3)])
     def test_forest_params_equal_with_reference_splitter(self, monkeypatch, min_leaf,
                                                          n_classes):
-        rng = np.random.default_rng(17)
-        X = np.hstack([rng.integers(0, 4, size=(80, 12)).astype(float),
-                       rng.integers(0, 3, size=(80, 6)) * 0.37,
-                       np.zeros((80, 3))])
-        y = [("a", "b", "c")[(int(r[0]) + int(r[13] > 0)) % n_classes] for r in X]
-        weights = compute_class_weights(y)
-        fit = lambda: fit_random_forest(X, y, weights=weights, n_trees=6, max_depth=6,
-                                        min_leaf=min_leaf, max_features=5, seed=9).params
+        X, y, options = _mixed_forest_case(min_leaf, n_classes)
+        fit = lambda: fit_random_forest(X, y, **options).params
         new = fit()
         monkeypatch.setattr(learn, "_best_split", dense_reference_splitter(X))
         assert new == fit()
 
     def test_forest_equals_reference_on_sparse_tfidf_like_input(self, monkeypatch):
-        """Near the 2k training shape: a 1 %-dense block of TF-IDF-like
-        weights beside a few dense [0, 1] columns, 3 classes, class weights
-        and sqrt(d) drawn features."""
-        rng = np.random.default_rng(23)
-        n, d_text = 240, 900
-        text = rng.uniform(0.02, 0.6, size=(n, d_text)).round(3) * (rng.random((n, d_text)) < 0.01)
-        meta = rng.integers(0, 5, size=(n, 6)) / 4
-        X = np.hstack([text, meta])
-        label = (text[:, :40] > 0).sum(axis=1) + (meta[:, 0] > 0.5)
-        y = [("Bug", "Enhancement", "SupportDoc")[int(v) % 3] for v in label]
-        weights = compute_class_weights(y)
-        fit = lambda: fit_random_forest(X, y, weights=weights, n_trees=4, max_depth=12,
-                                        max_features="sqrt", seed=9).params
+        X, y, options = _tfidf_forest_case()
+        fit = lambda: fit_random_forest(X, y, **options).params
         new = fit()
         monkeypatch.setattr(learn, "_best_split", dense_reference_splitter(X))
         assert new == fit()
+
+
+class TestSparseForest:
+    """A forest fit on ``SparseRows`` equals one fit on the dense X, and its
+    predictions from either form are the same bytes."""
+
+    @pytest.mark.parametrize("case", [(1, 2), (2, 3), "tfidf"],
+                             ids=["mixed-2", "mixed-3", "tfidf"])
+    def test_params_and_probabilities_equal_from_dense_and_sparse(self, case):
+        X, y, options = _tfidf_forest_case() if case == "tfidf" else _mixed_forest_case(*case)
+        sparse = learn.SparseRows.from_dense(X)
+        dense_model, sparse_model = (fit_random_forest(M, y, **options) for M in (X, sparse))
+        assert sparse_model.params == dense_model.params
+        probe = X[::-1] * (np.arange(len(X))[:, None] % 3 > 0)  # new rows, new zeros
+        want = dense_model.predict_proba(probe).tobytes()
+        for model in (dense_model, sparse_model):
+            for rows in (probe, learn.SparseRows.from_dense(probe)):
+                assert model.predict_proba(rows).tobytes() == want
+
+    def test_column_at_leaves_the_scratch_buffer_zero(self):
+        X = _tfidf_forest_case()[0]
+        cols = learn.column_index(X)
+        rows = np.array([5, 0, 5, 239])
+        for j in (0, 450, 905):
+            assert np.array_equal(cols.column_at(j, rows), X[rows, j])
+            assert not cols.scratch.any()
+
+
+class TestSparseRows:
+    @pytest.mark.parametrize("n, d", [(0, 4), (1, 1), (3, 5), (7, 40)])
+    def test_answers_as_the_dense_matrix_does(self, n, d):
+        rng = np.random.default_rng(n * 100 + d)
+        X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.3)
+        for sparse in (learn.SparseRows.from_dense(X),
+                       learn.SparseRows.from_rows([(np.flatnonzero(r), r[r != 0]) for r in X], d)):
+            assert len(sparse) == len(X) and sparse.shape == X.shape and sparse.size == X.size
+            assert int((sparse != 0).sum()) == int((X != 0).sum())
+            assert sparse.nbytes == sparse.rows.nbytes + sparse.cols.nbytes + sparse.values.nbytes
+            assert np.array_equal(sparse.to_dense(), X)
+
+    def test_signed_zeros_are_never_stored(self):
+        X = np.array([[0.0, -0.0, 2.0], [-0.0, 1.5, 0.0]])
+        rows = [(np.array([0, 1, 2]), np.array([0.0, -0.0, 2.0])),
+                (np.array([0, 1, 2]), np.array([-0.0, 1.5, 0.0]))]
+        for sparse in (learn.SparseRows.from_dense(X), learn.SparseRows.from_rows(rows, 3)):
+            assert sparse.rows.tolist() == [0, 1] and sparse.cols.tolist() == [2, 1]
+            assert sparse.values.tolist() == [2.0, 1.5]
+
+    def test_non_finite_values_are_stored(self):
+        X = np.array([[np.nan, 0.0], [0.0, -np.inf]])
+        sparse = learn.SparseRows.from_dense(X)
+        assert int((sparse != 0).sum()) == int((X != 0).sum()) == 2
+
+    def test_no_rows(self):
+        sparse = learn.SparseRows.from_rows([], 6)
+        assert sparse.shape == (0, 6) and len(sparse) == 0 and sparse.nbytes == 0
+        assert sparse.to_dense().shape == (0, 6)
 
 
 class TestKnn:
