@@ -48,8 +48,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import agreement as agreement_mod
-from . import evalkit, features, ingest, labelmap, learn
+from . import evalkit, features, labelmap, learn
 from .corpus import (Corpus, CorpusError, FilterConfig, SettingError, filter_corpus, load_corpus,
                      save_corpus)
 from .evalkit import ModelSpec, PriorityPipeline, train_pipeline
@@ -247,6 +246,7 @@ def load_probs_file(path: Path) -> dict[str, np.ndarray]:
 # Commands
 
 def cmd_fetch(args, config) -> int:
+    from . import ingest
     out = Path(args.out)
     cfg = ingest.ClientConfig(
         cache_dir=Path(args.cache_dir or args.cache),
@@ -304,21 +304,22 @@ def cmd_features(args, config) -> int:
     header += [f"nf:{n}" for n in features.FEATURE_NAMES]
     header += [f"lf:{rep}" for rep in maps.clusters.representatives]
     header += ["tf"]
+    fp, issues = bundle.feature_pipeline, corpus.issues
+    title_docs, desc_docs, probs, lf, nf = fp.blocks(issues, [bundle.objective_probs(i)
+                                                              for i in issues])
+    tf: list[list[str]] = [[] for _ in issues]  # each row's "column:value" cells
+    for model, docs, offset in ((fp.tfidf_title, title_docs, 0),
+                                (fp.tfidf_desc, desc_docs, fp.tfidf_title.size)):
+        lengths, cols, values = features.transform_tfidf(model, docs)
+        cuts = np.cumsum(lengths)[:-1]
+        for cells, c, v in zip(tf, np.split(cols + offset, cuts), np.split(values, cuts)):
+            cells += map("{}:{}".format, c.tolist(), map(_format_float, v.tolist()))
     lines = ["\t".join(header)]
-    for issue in corpus.issues:
-        vec = bundle.feature_pipeline.assemble(issue, bundle.objective_probs(issue))
-        tf_dense_offset = 0
-        pairs = []
-        for sparse in (vec.tf_title, vec.tf_desc):
-            pairs.extend((idx + tf_dense_offset, val) for idx, val in sparse.pairs())
-            tf_dense_offset += sparse.size
-        pairs.extend((tf_dense_offset + j, float(p))
-                     for j, p in enumerate(vec.objective_probs))
-        cells = [issue.id]
-        cells += [_format_float(v) for v in vec.nf]
-        cells += [str(int(v)) for v in vec.lf]
-        cells.append(" ".join(f"{i}:{_format_float(v)}" for i, v in pairs))
-        lines.append("\t".join(cells))
+    for issue, cells, p_row, lf_row, nf_row in zip(issues, tf, probs.tolist(), lf.tolist(),
+                                                   nf.tolist()):
+        cells += map("{}:{}".format, range(fp.stage1_width, fp.width), map(_format_float, p_row))
+        lines.append("\t".join([issue.id, *map(_format_float, nf_row), *map(str, lf_row),
+                                " ".join(cells)]))
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote feature matrix for {len(corpus)} issues to {out}")
     write_manifest(out, "features", config, args.seed, [Path(args.input)], [out])
@@ -463,6 +464,7 @@ def cmd_evaluate(args, config) -> int:
 
 
 def cmd_agreement(args, config) -> int:
+    from . import agreement as agreement_mod
     report_path = Path(args.report)
     matrix = agreement_mod.load_rating_matrix(args.ratings)
     reports = agreement_mod.compute_agreement_by_group(matrix, mode=args.agreement_mode)
@@ -592,6 +594,13 @@ _COMMANDS = {
 }
 
 
+def _command_errors() -> tuple[type[Exception], ...]:
+    """``fetch``'s and ``agreement``'s runtime errors, imported only while an
+    error is being handled: no other command imports those modules."""
+    from . import agreement, ingest
+    return ingest.IngestError, agreement.RatingMatrixError
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -621,8 +630,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValidationError, SettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, TrainingError, ChecksumMismatchError,
-            ingest.IngestError, agreement_mod.RatingMatrixError) as exc:
+    except (CorpusError, TrainingError, ChecksumMismatchError, *_command_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -201,11 +201,9 @@ class PriorityPipeline:
 
     def vectorize(self, issues: Sequence[IssueRecord],
                   probs_file: Mapping[str, np.ndarray] | None = None) -> learn.SparseRows:
-        """One row per issue: the non-zeros of its assembled vector."""
-        fp = self.feature_pipeline
-        return learn.SparseRows.from_rows(
-            [fp.assemble(issue, self.objective_probs(issue, probs_file)).columns()
-             for issue in issues], fp.width)
+        """One row per issue: its assembled feature vector."""
+        return self.feature_pipeline.assemble(
+            issues, [self.objective_probs(issue, probs_file) for issue in issues])
 
     def predict(self, issues: Sequence[IssueRecord],
                 probs_file: Mapping[str, np.ndarray] | None = None
@@ -233,8 +231,7 @@ def train_objective_model(issues: Sequence[IssueRecord], maps: LabelMaps,
     present = {obj for _, obj in labeled}
     if len(present) < 2:
         return None
-    X = learn.SparseRows.from_rows([pipeline.stage1_columns(i) for i, _ in labeled],
-                                   pipeline.stage1_width)
+    X = pipeline.stage1_rows([i for i, _ in labeled])
     y = [obj.value for _, obj in labeled]
     if spec.stage1 == "logreg":
         return learn.fit_logreg(X, y, seed=spec.seed,

@@ -16,25 +16,31 @@ Each text's work is done once per process, by memos below the call sites:
   process's life; the returned doc also carries the text's abstraction
   counts, which ``extract_metadata`` reads instead of a second regex pass;
 * n-gram columns: ``TfidfModel.memo``, per ``TokenizedDoc``, for the model's
-  life. ``TfidfModel.columns`` looks a doc's n-grams up once (through
-  ``term_counts``) and keeps their sorted column ids and counts, which
-  ``transform_tfidf`` and ``FeaturePipeline.stage1_columns`` read. The
-  memo belongs to the model, so it goes when the model does (a CV fold's
-  model, say) and two models never share entries;
+  life: a doc's sorted column ids and counts, which ``transform_tfidf`` and
+  the stage-one rows read. ``fit_tfidf`` writes each training doc's entry
+  from the n-gram ids it counts with; ``TfidfModel.columns`` looks up any
+  other doc (``term_counts``) on its first read. The memo belongs to the
+  model, so it goes when the model does (a CV fold's model, say) and two
+  models never share entries;
 * sentiment: ``sentiment.Lexicon.scores``, per ``TokenizedDoc``, for the
   lexicon's life (the default lexicon lives as long as the process).
 
 Each memo holds one entry per distinct doc its owner has seen. The arrays a
 memo returns are read-only, since every caller shares them.
+
+``FeaturePipeline.assemble`` builds many issues' rows at once: per issue it
+only tokenizes (a memo hit) and extracts metadata, and it checks, scales and
+weighs whole blocks, writing rows in place ``ASSEMBLY_CHUNK`` at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -49,26 +55,6 @@ from .textnorm import AbstractToken, TokenizedDoc
 TITLE_MAX_FEATURES = 10_000
 DESC_MAX_FEATURES = 20_000
 NGRAM_RANGE = (1, 2)
-
-
-@dataclass(frozen=True)
-class SparseVec:
-    """Sorted-index sparse vector; dense enough for everything downstream."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    size: int
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.size)
-        dense[self.indices] = self.values
-        return dense
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.values ** 2)))
-
-    def pairs(self) -> list[tuple[int, float]]:
-        return [(int(i), float(v)) for i, v in zip(self.indices, self.values)]
 
 
 def ngrams(tokens: Sequence[str], ngram_range: tuple[int, int] = NGRAM_RANGE) -> list[str]:
@@ -103,12 +89,15 @@ class TfidfModel:
         often each occurs (floats); looked up once per doc, then memoized."""
         hit = self.memo.get(doc)
         if hit is None:
-            hit = self.memo[doc] = _sorted_columns(term_counts(self, doc))
+            counts = term_counts(self, doc)
+            hit = self.memo[doc] = _sorted_columns(
+                np.fromiter(counts, int, len(counts)),
+                np.fromiter(counts.values(), float, len(counts)))
         return hit
 
     def fingerprint(self) -> str:
         payload = json.dumps(
-            {"vocab": sorted(self.vocabulary.items()), "idf": [repr(x) for x in self.idf],
+            {"vocab": sorted(self.vocabulary.items()), "idf": _float_reprs(self.idf),
              "max_features": self.max_features, "ngram_range": list(self.ngram_range)},
             sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -127,63 +116,92 @@ class TfidfModel:
 def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
               ngram_range: tuple[int, int] = NGRAM_RANGE) -> TfidfModel:
     """Vocabulary is the ``max_features`` most frequent n-grams by total corpus
-    count (ties broken lexicographically); idf(t) = ln((1+N)/(1+df(t))) + 1."""
+    count (ties broken lexicographically); idf(t) = ln((1+N)/(1+df(t))) + 1.
+    Counts each distinct doc's interned n-gram ids once, times its number of
+    copies, and writes its memo entry from the same ids."""
     if not docs:
         raise ValueError("cannot fit TF-IDF on an empty corpus")
     if max_features < 1:
         raise ValueError("max_features must be at least 1")
-    total: Counter[str] = Counter()
-    df: Counter[str] = Counter()
-    for doc in docs:
-        grams = ngrams(doc.tokens, ngram_range)
-        total.update(grams)
-        df.update(set(grams))
+    multiplicity = Counter(docs)
+    ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    grams: dict[TokenizedDoc, tuple[np.ndarray, np.ndarray]] = {}  # doc -> ids, counts
+    for doc in multiplicity:
+        counted = Counter(ngrams(doc.tokens, ngram_range))
+        grams[doc] = (np.fromiter(map(ids.__getitem__, counted), np.int32, len(counted)),
+                      np.fromiter(counted.values(), np.int32, len(counted)))
+    terms = list(ids)  # id -> n-gram
+    del ids
+    at, counts = map(np.concatenate, zip(*grams.values()))
+    weight = np.repeat(np.fromiter(multiplicity.values(), float, len(grams)),
+                       [a.size for a, _ in grams.values()])
+    df, total = np.bincount(at, weight, len(terms)), np.bincount(at, weight * counts, len(terms))
+    del at, counts, weight
     # The top ``max_features`` of a lexicographic sort followed by a stable
     # sort by count, highest first, without either full sort: with ``cut``
     # the count of the ``max_features``-th highest total, that is every term
     # counted above ``cut``, filled up with the lexicographically smallest
     # terms counted exactly ``cut``.
-    if len(total) <= max_features:
-        chosen = sorted(total)
+    if len(terms) <= max_features:
+        chosen = sorted(range(len(terms)), key=terms.__getitem__)
     else:
-        cut = sorted(total.values(), reverse=True)[max_features - 1]
-        above = [t for t, c in total.items() if c > cut]
-        tied = (t for t, c in total.items() if c == cut)
-        chosen = sorted(above + heapq.nsmallest(max_features - len(above), tied))
-    vocabulary = {term: i for i, term in enumerate(chosen)}
+        cut = np.partition(total, len(terms) - max_features)[len(terms) - max_features]
+        above = np.flatnonzero(total > cut).tolist()
+        tied = np.flatnonzero(total == cut).tolist()
+        chosen = sorted(above + heapq.nsmallest(max_features - len(above), tied,
+                                                key=terms.__getitem__),
+                        key=terms.__getitem__)
+    column = np.full(len(terms), -1)
+    column[chosen] = np.arange(len(chosen))
     n_docs = len(docs)
-    idf = np.array([math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in chosen])
-    return TfidfModel(vocabulary, idf, max_features, ngram_range)
+    model = TfidfModel({terms[i]: c for c, i in enumerate(chosen)},
+                       np.array([math.log((1 + n_docs) / (1 + d)) + 1.0
+                                 for d in df[chosen].tolist()]),
+                       max_features, ngram_range)
+    while grams:  # each doc's ids go as its entry is written
+        doc, (at, counts) = grams.popitem()
+        cols = column[at]
+        kept = cols >= 0
+        model.memo[doc] = _sorted_columns(cols[kept], counts[kept].astype(float))
+    return model
 
 
 def term_counts(model: TfidfModel, doc: TokenizedDoc) -> Counter[int]:
     """Occurrences of each in-vocabulary n-gram of ``doc``, keyed by column;
-    out-of-vocabulary n-grams are ignored. The one n-gram -> column lookup."""
+    out-of-vocabulary n-grams are ignored. The n-gram -> column lookup of a
+    doc the fit never saw."""
     counts = Counter(map(model.vocabulary.get, ngrams(doc.tokens, model.ngram_range)))
     counts.pop(None, None)  # the out-of-vocabulary n-grams
     return counts
 
 
-def _sorted_columns(counts: Counter[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``counts`` as read-only arrays: sorted column ids and their counts."""
-    indices = np.fromiter(counts.keys(), dtype=int, count=len(counts))
-    values = np.fromiter(counts.values(), dtype=float, count=len(counts))
+def _sorted_columns(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column ids (ints) and their counts (floats) as read-only arrays, by column."""
     order = np.argsort(indices)
     indices, values = indices[order], values[order]
     indices.flags.writeable = values.flags.writeable = False
     return indices, values
 
 
-def transform_tfidf(model: TfidfModel, doc: TokenizedDoc) -> SparseVec:
-    """Term count times idf, L2-normalized; out-of-vocabulary n-grams ignored."""
-    indices, counts = model.columns(doc)
-    if not indices.size:
-        return SparseVec(indices, counts, model.size)
-    values = counts * model.idf[indices]
-    norm = np.sqrt(np.sum(values ** 2))
-    if norm > 0:
-        values = values / norm
-    return SparseVec(indices, values, model.size)
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """Each value as numpy 2 writes a float64 scalar's repr, under any numpy."""
+    return [f"np.float64({x!r})" for x in values.tolist()]
+
+
+def transform_tfidf(model: TfidfModel, docs: Sequence[TokenizedDoc]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The TF-IDF rows of ``docs``: each row's length, then their sorted column
+    ids and weights back to back. Term count times idf, out-of-vocabulary
+    n-grams ignored, each row L2-normalized by its own ``np.add.reduce``."""
+    pairs = [model.columns(doc) for doc in docs]
+    lengths = np.fromiter((cols.size for cols, _ in pairs), np.intp, len(pairs))
+    cols = np.concatenate([np.zeros(0, int), *(cols for cols, _ in pairs)])
+    values = np.concatenate([np.zeros(0), *(counts for _, counts in pairs)]) * model.idf[cols]
+    squares = values ** 2
+    ends = np.cumsum(lengths).tolist()
+    norms = np.sqrt([np.add.reduce(squares[a:b]) for a, b in zip([0] + ends, ends)])
+    norms[~(norms > 0)] = 1.0  # an empty row, or a NaN, stays as it is
+    return lengths, cols, values / np.repeat(norms, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -246,40 +264,24 @@ def extract_metadata(issue: IssueRecord, lex: Lexicon | None = None) -> np.ndarr
 
     scores = sentiment.score_all(desc_doc, lex)
 
-    values = {
-        "title_words": float(len(issue.title.split())),
-        "desc_words": float(len(issue.description.split())),
-        "code": float(abstractions.get(AbstractToken.CODE, 0)),
-        "url": float(abstractions.get(AbstractToken.URL, 0)),
-        "comments": float(n_comments),
-        "cm_mean_len": cm_mean_len,
-        "cm_developers_ratio": cm_developers_ratio,
-        "time_to_discuss": time_to_discuss,
-        "events": float(len(issue.events)),
-        "assigned": float(issue.assignee_present),
-        "is_pull_request": float(issue.is_pull_request),
-        "has_commit": float(issue.referenced_commit),
-        "has_milestone": float(issue.milestone_present),
-        "labels": float(len(issue.labels)),
-        "author_followers": float(issue.author.followers),
-        "author_following": float(issue.author.following),
-        "author_public_repos": float(issue.author.public_repos),
-        "author_public_gists": float(issue.author.public_gists),
-        "author_issue_counts": float(issue.author.issue_count),
-        "author_github_cntrb": float(issue.author.github_contributions),
-        "author_account_age": account_age,
-        "author_repo_cntrb": float(issue.author.repo_contributions),
-        "association": float(_ASSOCIATION_ORDINAL[issue.author.association]),
-        "same_author_closer": float(
-            bool(issue.closer_login) and issue.closer_login == issue.author.login),
-        "desc_positivity": float(scores.positivity),
-        "desc_negativity": float(scores.negativity),
-        # positive part of the polarity score; raw polarity is recoverable
-        # from positivity/negativity if the alternative reading is wanted
-        "desc_pos_polarity": max(scores.polarity, 0.0),
-        "desc_subjectivity": scores.subjectivity,
-    }
-    return np.array([values[name] for name in FEATURE_NAMES])
+    author = issue.author
+    return np.array([  # in FEATURE_NAMES order, one line per group
+        float(len(issue.title.split())), float(len(issue.description.split())),
+        float(abstractions.get(AbstractToken.CODE, 0)),
+        float(abstractions.get(AbstractToken.URL, 0)),
+        float(n_comments), cm_mean_len, cm_developers_ratio, time_to_discuss,
+        float(len(issue.events)), float(issue.assignee_present), float(issue.is_pull_request),
+        float(issue.referenced_commit), float(issue.milestone_present), float(len(issue.labels)),
+        float(author.followers), float(author.following), float(author.public_repos),
+        float(author.public_gists), float(author.issue_count), float(author.github_contributions),
+        account_age, float(author.repo_contributions),
+        float(_ASSOCIATION_ORDINAL[author.association]),
+        float(bool(issue.closer_login) and issue.closer_login == author.login),
+        # desc_pos_polarity is the positive part of the polarity score; raw
+        # polarity is recoverable from positivity/negativity if wanted
+        float(scores.positivity), float(scores.negativity), max(scores.polarity, 0.0),
+        scores.subjectivity,
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +297,8 @@ class ScalerParams:
             raise ValueError("per-feature minimum exceeds maximum")
 
     def fingerprint(self) -> str:
-        payload = json.dumps({"min": [repr(x) for x in self.minimums],
-                              "max": [repr(x) for x in self.maximums]})
+        payload = json.dumps({"min": _float_reprs(self.minimums),
+                              "max": _float_reprs(self.maximums)})
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_doc(self) -> dict:
@@ -317,13 +319,13 @@ def fit_scaler(rows: Sequence[np.ndarray]) -> ScalerParams:
     return ScalerParams(matrix.min(axis=0), matrix.max(axis=0))
 
 
-def scale(params: ScalerParams, row: np.ndarray) -> np.ndarray:
-    """(x - min) / (max - min), constant features pinned to 0, results
-    clipped into [0, 1] so unseen test values stay in range."""
+def scale(params: ScalerParams, rows: np.ndarray) -> np.ndarray:
+    """(x - min) / (max - min) of a row or a block of rows, constant features
+    pinned to 0, clipped into [0, 1] so unseen test values stay in range."""
     span = params.maximums - params.minimums
-    out = np.zeros_like(row, dtype=float)
+    out = np.zeros_like(rows, dtype=float)
     nonconst = span > 0
-    out[nonconst] = (row[nonconst] - params.minimums[nonconst]) / span[nonconst]
+    out[..., nonconst] = (rows[..., nonconst] - params.minimums[nonconst]) / span[nonconst]
     return np.clip(out, 0.0, 1.0)
 
 
@@ -335,43 +337,14 @@ def scale(params: ScalerParams, row: np.ndarray) -> np.ndarray:
 PROB_SUM_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    tf_title: SparseVec
-    tf_desc: SparseVec
-    objective_probs: np.ndarray
-    lf: np.ndarray
-    nf: np.ndarray
+ASSEMBLY_CHUNK = 1024  # rows that ``FeaturePipeline.assemble`` weighs at a time
+_ROW_CHECKS = ("objective probabilities must sum to 1", "objective probabilities outside [0, 1]",
+               "normalized features outside [0, 1]")
 
-    def __post_init__(self) -> None:
-        # every check is written so that NaN fails it
-        probs = self.objective_probs
-        if not abs(float(probs.sum()) - 1.0) <= PROB_SUM_TOLERANCE:
-            raise ValueError("objective probabilities must sum to 1")
-        if not np.all((probs >= 0) & (probs <= 1)):
-            raise ValueError("objective probabilities outside [0, 1]")
-        if self.lf.shape != (labelmap.N_CLUSTERS,):
-            raise ValueError("label feature block must be 66-dim")
-        if not np.all((self.nf >= 0) & (self.nf <= 1)):
-            raise ValueError("normalized features outside [0, 1]")
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted column ids and the values (floats) of the vector's
-        non-zeros. A TF-IDF weight is never zero (a count of at least one
-        times an idf of at least one, over a finite norm), so only the dense
-        blocks after the two TF-IDF blocks are filtered."""
-        tail = np.concatenate([self.objective_probs, self.lf, self.nf])
-        kept = tail.nonzero()[0]
-        cols = np.concatenate([self.tf_title.indices, self.tf_title.size + self.tf_desc.indices,
-                               self.tf_title.size + self.tf_desc.size + kept])
-        return cols, np.concatenate([self.tf_title.values, self.tf_desc.values, tail[kept]])
-
-    def to_dense(self) -> np.ndarray:
-        row = np.zeros(sum(block.size for block in (
-            self.tf_title, self.tf_desc, self.objective_probs, self.lf, self.nf)))
-        cols, values = self.columns()
-        row[cols] = values
-        return row
+def _spans(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions of runs of ``lengths[i]`` entries from ``first[i]`` on."""
+    return np.repeat(first - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
 @dataclass(frozen=True)
@@ -401,32 +374,82 @@ class FeaturePipeline:
         return (self.stage1_width + len(learn.OBJECTIVE_CLASS_ORDER) + labelmap.N_CLUSTERS
                 + N_METADATA_FEATURES)
 
-    def stage1_columns(self, issue: IssueRecord) -> tuple[np.ndarray, np.ndarray]:
-        """The stage-one model's input row, sparse: the sorted columns of the
-        raw term counts of title ++ description, and those counts."""
-        title_doc = textnorm.normalize_pipeline(issue.title, source="title")
-        desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
-        title, desc = self.tfidf_title.columns(title_doc), self.tfidf_desc.columns(desc_doc)
-        return (np.concatenate([title[0], desc[0] + self.tfidf_title.size]),
-                np.concatenate([title[1], desc[1]]))
+    def _columns(self, issue: IssueRecord) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The memo entries of the issue's title and description."""
+        return [self.tfidf_title.columns(textnorm.normalize_pipeline(issue.title, source="title")),
+                self.tfidf_desc.columns(
+                    textnorm.normalize_pipeline(issue.description, source="description"))]
+
+    def stage1_rows(self, issues: Sequence[IssueRecord]) -> learn.SparseRows:
+        """The stage-one model's input, one row per issue: the raw term counts
+        of title ++ description at their sorted columns, joined from the memo."""
+        parts = [part for issue in issues for part in self._columns(issue)]
+        lengths = [cols.size for cols, _ in parts]
+        cols = np.concatenate([np.zeros(0, int), *(cols for cols, _ in parts)])
+        cols += np.repeat(np.tile([0, self.tfidf_title.size], len(issues)), lengths)
+        return learn.SparseRows(np.arange(len(issues)).repeat(2).repeat(lengths), cols,
+                                np.concatenate([np.zeros(0), *(counts for _, counts in parts)]),
+                                (len(issues), self.stage1_width))
 
     def stage1_counts(self, issue: IssueRecord) -> np.ndarray:
-        """``stage1_columns`` as a dense row of ``stage1_width`` columns."""
-        indices, counts = self.stage1_columns(issue)
+        """``stage1_rows([issue])`` as a dense row of ``stage1_width`` columns."""
+        (title, title_counts), (desc, desc_counts) = self._columns(issue)
         row = np.zeros(self.stage1_width)
-        row[indices] = counts
+        row[title], row[desc + self.tfidf_title.size] = title_counts, desc_counts
         return row
 
-    def assemble(self, issue: IssueRecord, objective_probs: np.ndarray) -> FeatureVector:
-        title_doc = textnorm.normalize_pipeline(issue.title, source="title")
-        desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
-        return FeatureVector(
-            tf_title=transform_tfidf(self.tfidf_title, title_doc),
-            tf_desc=transform_tfidf(self.tfidf_desc, desc_doc),
-            objective_probs=np.asarray(objective_probs, dtype=float),
-            lf=labelmap.label_features(issue.labels, self.maps.clusters),
-            nf=scale(self.scaler, extract_metadata(issue, self.lexicon)),
-        )
+    def blocks(self, issues: Sequence[IssueRecord], objective_probs) -> tuple:
+        """The issues' title docs and description docs, and blocks of a row
+        per issue: objective probabilities (``objective_probs``), label
+        clusters and scaled metadata. The first row failing a check (written
+        so that NaN fails it) raises its ``ValueError``."""
+        title_docs, desc_docs, labels, metadata = [], [], [], []
+        for issue in issues:
+            title_docs.append(textnorm.normalize_pipeline(issue.title, source="title"))
+            desc_docs.append(textnorm.normalize_pipeline(issue.description, source="description"))
+            labels.append(labelmap.label_features(issue.labels, self.maps.clusters))
+            metadata.append(extract_metadata(issue, self.lexicon))
+        n = len(issues)
+        probs = np.array(objective_probs, dtype=float).reshape(n, len(learn.OBJECTIVE_CLASS_ORDER))
+        lf = np.array(labels, dtype=np.uint8).reshape(n, labelmap.N_CLUSTERS)
+        nf = scale(self.scaler, np.array(metadata).reshape(n, N_METADATA_FEATURES))
+        failed = np.column_stack([~(abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOLERANCE),
+                                  ~np.all((probs >= 0) & (probs <= 1), axis=1),
+                                  ~np.all((nf >= 0) & (nf <= 1), axis=1)])
+        if failed.any():
+            raise ValueError(_ROW_CHECKS[np.argwhere(failed)[0][1]])
+        return title_docs, desc_docs, probs, lf, nf
+
+    def assemble(self, issues: Sequence[IssueRecord], objective_probs) -> learn.SparseRows:
+        """The issues' feature vectors, one row each, checked as ``blocks``
+        says: each row's non-zeros are counted, then written in place."""
+        title_docs, desc_docs, probs, lf, nf = self.blocks(issues, objective_probs)
+        tf = ((self.tfidf_title, title_docs, 0),
+              (self.tfidf_desc, desc_docs, self.tfidf_title.size))
+        widths = [np.fromiter((model.columns(doc)[0].size for doc in docs), np.intp, len(docs))
+                  for model, docs, _ in tf]
+        widths.append(np.count_nonzero(probs, axis=1) + np.count_nonzero(lf, axis=1)
+                      + np.count_nonzero(nf, axis=1))
+        per_row = sum(widths)
+        rows = np.repeat(np.arange(len(issues)), per_row)
+        cols, values = np.empty(rows.size, dtype=int), np.empty(rows.size)
+        starts = np.cumsum(per_row) - per_row
+        for a in range(0, len(issues), ASSEMBLY_CHUNK):
+            chunk = slice(a, a + ASSEMBLY_CHUNK)
+            first = starts[chunk]
+            for model, docs, offset in tf:
+                lengths, block_cols, block_values = transform_tfidf(model, docs[chunk])
+                at = _spans(first, lengths)
+                cols[at], values[at] = block_cols + offset, block_values
+                first = first + lengths
+            tail = np.hstack([probs[chunk], lf[chunk], nf[chunk]])
+            kept = tail != 0
+            at = _spans(first, widths[2][chunk])
+            cols[at], values[at] = kept.nonzero()[1] + self.stage1_width, tail[kept]
+        kept = values != 0  # a TF-IDF weight of 0: an idf of 0, or a norm that overflows
+        if not kept.all():
+            rows, cols, values = rows[kept], cols[kept], values[kept]
+        return learn.SparseRows(rows, cols, values, (len(issues), self.width))
 
     def feature_names(self) -> list[str]:
         inv_title = {i: t for t, i in self.tfidf_title.vocabulary.items()}

@@ -24,12 +24,14 @@ split scans the drawn columns' non-zeros with all of a column's zeros as one
 tied entry, so it sorts nothing and its work follows X's density; it picks
 the same split a sort of the node's dense block would. The same index
 partitions a node's rows once its split is chosen (``ColumnIndex.column_at``),
-and a forest's prediction indexes its input the same way, so no dense n x d
-array is made on the forest's path.
+and a forest's prediction reads its input through one index by column
+(``SparseRows.by_column``, kept with the matrix for the next prediction on
+it), so no dense n x d array is made on the forest's path.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -372,8 +374,8 @@ def _require_finite(X: np.ndarray, model: str) -> float:
     """The smallest of X's values and 0. Raises TrainingError if any value is
     NaN or infinite, read from two reductions rather than an (n, d) mask: a
     NaN makes both NaN, and an infinity makes one of them infinite."""
-    low = X.min(initial=0.0)
-    if not (math.isfinite(low) and math.isfinite(X.max(initial=0.0))):
+    low = np.minimum.reduce(X, axis=None, initial=0.0)
+    if not (math.isfinite(low) and math.isfinite(np.maximum.reduce(X, axis=None, initial=0.0))):
         raise TrainingError(f"{model} requires finite features")
     return low
 
@@ -420,18 +422,6 @@ class SparseRows:
         return cls(rows, cols, X[rows, cols], X.shape)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple[np.ndarray, np.ndarray]], width: int
-                  ) -> "SparseRows":
-        """One (ascending column ids, values) pair per row; zeros are dropped."""
-        cols = np.concatenate([np.zeros(0, dtype=np.intp), *(c for c, _ in rows)])
-        values = np.concatenate([np.zeros(0), *(v for _, v in rows)])
-        row_ids = np.repeat(np.arange(len(rows)), [len(c) for c, _ in rows])
-        keep = values != 0
-        if not keep.all():
-            row_ids, cols, values = row_ids[keep], cols[keep], values[keep]
-        return cls(row_ids, cols, values, (len(rows), width))
-
-    @classmethod
     def of(cls, X) -> "SparseRows":
         """``X`` itself if it is ``SparseRows``, else its non-zeros as floats."""
         return X if isinstance(X, cls) else cls.from_dense(np.asarray(X, dtype=float))
@@ -463,6 +453,12 @@ class SparseRows:
         X[self.rows, self.cols] = self.values
         return X
 
+    @functools.cached_property
+    def by_column(self) -> "ColumnIndex":
+        """``column_index(self, by_value=False)``, built once and kept for every
+        forest prediction on this matrix."""
+        return column_index(self, by_value=False)
+
 
 def _dense(X) -> np.ndarray:
     """``X`` as a dense float array: ``SparseRows`` densified, anything else
@@ -483,18 +479,18 @@ def fit_multinomial_nb(
     if y.size != X.shape[0]:
         raise ValueError(f"{X.shape[0]} rows but {y.size} labels")
     n_classes = len(classes)
-    class_counts = np.array([(y == c).sum() for c in range(n_classes)], dtype=float)
-    with np.errstate(divide="ignore"):
-        log_prior = np.where(class_counts > 0,
-                             np.log(np.maximum(class_counts, 1) / class_counts.sum()),
-                             _LOG_ZERO)
+    class_counts = np.bincount(y, minlength=n_classes).astype(float)
+    # max(..., 1): with no rows every class is absent, and nothing divides by 0
+    log_prior = np.where(class_counts > 0,
+                         np.log(np.maximum(class_counts, 1) / max(class_counts.sum(), 1.0)),
+                         _LOG_ZERO)
     # each class's non-zeros added one by one in row order (``np.add.at`` is
     # unbuffered and goes in index order): the float sums of
     # X[y == c].sum(axis=0), bit for bit, since adding a zero changes no sum
     term_counts = np.zeros((n_classes, X.shape[1]))
     np.add.at(term_counts, (y[X.rows], X.cols), X.values)
     smoothed = term_counts + alpha
-    log_like = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
+    log_like = np.log(smoothed) - np.log(np.add.reduce(smoothed, axis=1, keepdims=True))
     return TrainedModel(
         kind="nb", classes=classes,
         params={"log_prior": log_prior, "log_likelihood": log_like},
@@ -591,11 +587,11 @@ def _gini(counts: np.ndarray) -> float:
 class ColumnIndex:
     """A matrix by column (CSC layout) with each column's zeros folded into
     one slot: column ``j`` is entries ``indptr[j]:indptr[j + 1]`` of ``rows``
-    and ``values``, ascending by value. They are its non-zeros and, between
-    the negatives and the positives, a slot of value 0 and row ``n_rows``
-    (no row) standing for all its zero cells; ``zero_slot[j]`` is the
-    slot's entry. ``scratch`` is ``n_rows + 1`` zeros that ``column_at``
-    borrows and leaves as it found them."""
+    and ``values``, ascending by value (by row if not built ``by_value``).
+    They are its non-zeros and, between the negatives and the positives (or
+    last), a slot of value 0 and row ``n_rows`` (no row) standing for all its
+    zero cells; ``zero_slot[j]`` is the slot's entry. ``scratch`` is
+    ``n_rows + 1`` zeros that ``column_at`` borrows and leaves as it found them."""
     indptr: np.ndarray
     rows: np.ndarray
     values: np.ndarray
@@ -618,16 +614,17 @@ class ColumnIndex:
         return out
 
 
-def column_index(X: np.ndarray | SparseRows) -> ColumnIndex:
+def column_index(X: np.ndarray | SparseRows, by_value: bool = True) -> ColumnIndex:
     """Build ``X``'s ``ColumnIndex`` from its ``SparseRows`` (a dense ``X``
     is converted first). A stable sort of the entries in row order by
-    column, then value, keeps tied values in row order."""
+    column, then value, keeps tied values in row order; without ``by_value``
+    a column stays in row order, enough for prediction's ``column_at``."""
     X = SparseRows.of(X)
     n, d = X.shape
     values = np.concatenate([X.values, np.zeros(d)])
     rows = np.concatenate([X.rows, np.full(d, n)])
     cols = np.concatenate([X.cols, np.arange(d)])
-    order = np.lexsort((values, cols))
+    order = np.lexsort((values, cols)) if by_value else np.argsort(cols, kind="stable")
     rows, values = rows[order], values[order]
     indptr = np.zeros(d + 1, dtype=np.intp)
     np.cumsum(np.bincount(cols, minlength=d), out=indptr[1:])
@@ -775,7 +772,7 @@ def fit_random_forest(
 
 def _forest_predict(params: dict, X: np.ndarray | SparseRows, n_classes: int) -> np.ndarray:
     trees = params["trees"]
-    cols = column_index(X)
+    cols = SparseRows.of(X).by_column
     out = np.zeros((cols.n_rows, n_classes))
     rows = np.arange(cols.n_rows)
     for tree in trees:

@@ -832,6 +832,13 @@ class TestAgreementCommand:
         assert "percent agreement" in out
         assert "randolph kappa" in out
 
+    def test_bad_rating_matrix_exits_two(self, workdir, capsys):
+        ratings = workdir / "ratings.csv"
+        ratings.write_text("project,r1,r2,r3\nweb,H,H\n")
+        assert run("agreement", "--ratings", ratings, "--report", workdir / "a.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "expected 4 cells" in err[0]
+
 
 class TestConfig:
     def test_config_seed_used(self, workdir):

@@ -345,7 +345,7 @@ class TestSparseFeatureMatrix:
         assert X.shape == (len(issues), bundle.feature_pipeline.width)
         # row order, and ascending columns within a row
         assert np.all(np.diff(X.rows * X.shape[1] + X.cols) > 0)
-        want = np.vstack([bundle.feature_pipeline.assemble(i, bundle.objective_probs(i))
+        want = np.vstack([bundle.feature_pipeline.assemble([i], [bundle.objective_probs(i)])
                           .to_dense() for i in issues])
         assert np.array_equal(X.to_dense(), want)
         assert int((X != 0).sum()) == np.count_nonzero(want)

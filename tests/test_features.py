@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -5,13 +6,15 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_features as ref
 from conftest import T0, make_issue
-from issuetriage import features, labelmap
+from issuetriage import evalkit, features, labelmap
 from issuetriage.corpus import CommentRecord, EventRecord, UserProfile
 from issuetriage.features import (
     FEATURE_NAMES,
-    FeatureVector,
     ScalerParams,
     extract_metadata,
     fit_feature_pipeline,
@@ -23,11 +26,29 @@ from issuetriage.features import (
     transform_tfidf,
 )
 from issuetriage.sentiment import Lexicon
-from issuetriage.textnorm import TokenizedDoc
+from issuetriage.textnorm import TokenizedDoc, normalize_pipeline
 
 
 def doc(*tokens):
     return TokenizedDoc(tokens=tokens)
+
+
+def tfidf_row(model, d):
+    """``d``'s TF-IDF row: its sorted column ids and weights."""
+    lengths, cols, values = transform_tfidf(model, [d])
+    assert lengths.tolist() == [cols.size]
+    return cols, values
+
+
+def dense_tfidf(model, d):
+    row = np.zeros(model.size)
+    cols, values = tfidf_row(model, d)
+    row[cols] = values
+    return row
+
+
+def norm(values):
+    return float(np.sqrt(np.sum(values ** 2)))
 
 
 class TestFitTfidf:
@@ -121,16 +142,15 @@ def reference_fit_tfidf(docs, max_features, ngram_range=features.NGRAM_RANGE):
 class TestTransformTfidf:
     def test_empty_doc_zero_vector(self):
         model = fit_tfidf([doc("bug")], max_features=10)
-        vec = transform_tfidf(model, doc())
-        assert vec.norm() == 0.0
-        assert not vec.to_dense().any()
+        cols, values = tfidf_row(model, doc())
+        assert cols.size == values.size == 0
+        assert not dense_tfidf(model, doc()).any()
 
     def test_single_term_unit_vector(self):
         model = fit_tfidf([doc("bug"), doc("ui")], max_features=10, ngram_range=(1, 1))
-        vec = transform_tfidf(model, doc("bug"))
-        dense = vec.to_dense()
+        dense = dense_tfidf(model, doc("bug"))
         assert dense[model.vocabulary["bug"]] == pytest.approx(1.0)
-        assert vec.norm() == pytest.approx(1.0)
+        assert norm(dense) == pytest.approx(1.0)
 
     def test_two_doc_fixture_hand_computed(self):
         d1, d2 = doc("a", "a", "b"), doc("b", "c")
@@ -140,15 +160,15 @@ class TestTransformTfidf:
         idf_b = math.log(3 / 3) + 1
         raw = {"a": 2 * idf_a, "b": 1 * idf_b}
         norm = math.sqrt(sum(v * v for v in raw.values()))
-        dense = transform_tfidf(model, d1).to_dense()
+        dense = dense_tfidf(model, d1)
         assert dense[model.vocabulary["a"]] == pytest.approx(raw["a"] / norm, abs=1e-9)
         assert dense[model.vocabulary["b"]] == pytest.approx(raw["b"] / norm, abs=1e-9)
 
     def test_out_of_vocabulary_ignored(self):
         model = fit_tfidf([doc("bug")], max_features=10)
-        vec = transform_tfidf(model, doc("unseen", "bug"))
-        assert vec.norm() == pytest.approx(1.0)
-        assert len(vec.indices) == 1
+        cols, values = tfidf_row(model, doc("unseen", "bug"))
+        assert norm(values) == pytest.approx(1.0)
+        assert len(cols) == 1
 
     def test_norms_zero_or_one(self):
         rng = random.Random(3)
@@ -157,12 +177,13 @@ class TestTransformTfidf:
                 for _ in range(20)]
         model = fit_tfidf(docs, max_features=30)
         for d in docs + [doc("zzz"), doc()]:
-            norm = transform_tfidf(model, d).norm()
-            assert norm == pytest.approx(0.0) or norm == pytest.approx(1.0, abs=1e-9)
+            length = norm(tfidf_row(model, d)[1])
+            assert length == pytest.approx(0.0) or length == pytest.approx(1.0, abs=1e-9)
 
     def test_memoized_columns_equal_a_fresh_lookup(self):
-        """``transform_tfidf`` reads the model's memo, filled on a doc's first
-        read; each read equals the result of a fresh ``term_counts`` lookup."""
+        """``transform_tfidf`` reads the model's memo, filled by the fit for
+        its docs and on the first read of any other; each read equals the
+        result of a fresh ``term_counts`` lookup."""
         rng = random.Random(5)
         pool = ["a", "b", "c", "d", "e", "f", "g"]
         docs = [doc(*(rng.choice(pool) for _ in range(rng.randint(0, 9)))) for _ in range(30)]
@@ -173,9 +194,9 @@ class TestTransformTfidf:
             values = np.array([counts[i] for i in indices], dtype=float) * model.idf[indices]
             if indices.size:
                 values = values / np.sqrt(np.sum(values ** 2))
-            vec = transform_tfidf(model, d)
-            assert vec.indices.tobytes() == indices.tobytes()
-            assert vec.values.tobytes() == values.tobytes()
+            cols, weights = tfidf_row(model, d)
+            assert cols.tobytes() == indices.tobytes()
+            assert weights.tobytes() == values.tobytes()
             columns, counted = model.columns(d)
             assert (columns.dtype, counted.dtype) == (np.dtype(int), np.dtype(float))
             assert not columns.flags.writeable and not counted.flags.writeable
@@ -189,14 +210,13 @@ class TestTransformTfidf:
         for model, want in ((first, [1, 2]), (second, [0, 1]), (first, [1, 2])):
             indices, counts = model.columns(d)
             assert indices.tolist() == want and counts.tolist() == [1.0, 2.0]
-            assert transform_tfidf(model, d).indices.tolist() == want
+            assert tfidf_row(model, d)[0].tolist() == want
         assert first.memo is not second.memo
 
     def test_model_not_mutated_by_transform(self):
         model = fit_tfidf([doc("a", "b"), doc("b", "c")], max_features=10)
         before = model.fingerprint()
-        for d in (doc("a"), doc("zzz"), doc()):
-            transform_tfidf(model, d)
+        transform_tfidf(model, [doc("a"), doc("zzz"), doc()])
         assert model.fingerprint() == before
 
 
@@ -322,28 +342,31 @@ def pipeline(maps):
     return fit_feature_pipeline(issues, maps)
 
 
+def one_row(pipeline, issue, probs):
+    """The assembled row of ``issue``, dense."""
+    return pipeline.assemble([issue], [probs]).to_dense()[0]
+
+
 class TestAssemble:
     def test_degenerate_issue(self, pipeline):
         issue = make_issue(id="zz", title="xxx", description="yyy", labels=())
         probs = np.array([1 / 3, 1 / 3, 1 / 3])
-        vec = pipeline.assemble(issue, probs)
-        assert vec.tf_title.norm() == 0.0
-        assert not vec.lf.any()
-        assert np.allclose(vec.objective_probs, probs)
-        assert np.all((vec.nf >= 0) & (vec.nf <= 1))
+        row = one_row(pipeline, issue, probs)
+        title_size, tf_size = pipeline.tfidf_title.size, pipeline.stage1_width
+        assert not row[:title_size].any()
+        assert np.allclose(row[tf_size:tf_size + 3], probs)
+        assert not row[tf_size + 3:tf_size + 3 + 66].any()
+        assert np.all((row[-28:] >= 0) & (row[-28:] <= 1))
 
     def test_blockwise_concatenation_oracle(self, pipeline, maps):
         issue = make_issue(id="a2", title="Parser crash on load",
                            description="It crashes badly on startup every time.",
                            labels=("bug", "ui"), n_comments=1)
         probs = np.array([0.7, 0.2, 0.1])
-        vec = pipeline.assemble(issue, probs)
-        dense = vec.to_dense()
+        dense = one_row(pipeline, issue, probs)
         from issuetriage.textnorm import normalize_pipeline
-        t = transform_tfidf(pipeline.tfidf_title,
-                            normalize_pipeline(issue.title, "title")).to_dense()
-        d = transform_tfidf(pipeline.tfidf_desc,
-                            normalize_pipeline(issue.description, "description")).to_dense()
+        t = dense_tfidf(pipeline.tfidf_title, normalize_pipeline(issue.title, "title"))
+        d = dense_tfidf(pipeline.tfidf_desc, normalize_pipeline(issue.description, "description"))
         lf = labelmap.label_features(issue.labels, maps.clusters).astype(float)
         nf = scale(pipeline.scaler, extract_metadata(issue))
         expected = np.concatenate([t, d, probs, lf, nf])
@@ -377,18 +400,17 @@ class TestAssemble:
         probs = np.array([0.5, 0.25, 0.25])
         a = make_issue(id="p1", labels=("bug", "ui", "windows"))
         b = make_issue(id="p2", labels=("windows", "bug", "ui"))
-        va = pipeline.assemble(a, probs)
-        vb = pipeline.assemble(b, probs)
-        assert np.array_equal(va.lf, vb.lf)
+        lf = pipeline.blocks([a, b], [probs, probs])[3]
+        assert np.array_equal(lf[0], lf[1]) and lf[0].any()
 
     def test_bad_probs_rejected(self, pipeline):
         with pytest.raises(ValueError):
-            pipeline.assemble(make_issue(id="q"), np.array([0.5, 0.2, 0.2]))
+            pipeline.assemble([make_issue(id="q")], [np.array([0.5, 0.2, 0.2])])
 
     def test_feature_names_align_with_dense_width(self, pipeline):
         names = pipeline.feature_names()
-        vec = pipeline.assemble(make_issue(id="r"), np.array([1 / 3, 1 / 3, 1 / 3]))
-        assert len(names) == len(vec.to_dense())
+        row = one_row(pipeline, make_issue(id="r"), np.array([1 / 3, 1 / 3, 1 / 3]))
+        assert len(names) == len(row) == pipeline.width
         assert names[-28:] == [f"nf:{n}" for n in FEATURE_NAMES]
 
 
@@ -402,3 +424,134 @@ class TestScalerParams:
         again = ScalerParams.from_doc(params.to_doc())
         assert np.array_equal(again.minimums, params.minimums)
         assert np.array_equal(again.maximums, params.maximums)
+
+    def test_fingerprints_are_pinned(self):
+        """The strings hashed are those numpy 2 writes for float64 scalars,
+        under any numpy, so assets keep their fingerprints across numpy 1
+        and 2."""
+        model = features.TfidfModel({"bug": 0, "crash": 1, "null pointer": 2},
+                                    np.array([1.0, 1.4054651081081644, 2.09861228866811]),
+                                    10, (1, 2))
+        params = ScalerParams(np.array([0.0, -2.5, 1e-7]), np.array([0.1, 3e16, 1e-5]))
+        assert model.fingerprint() == \
+            "adbb73aabd7215a5508c2335a9679de952cf4c3aa50cd61849cfc3107601b62e"
+        assert params.fingerprint() == \
+            "dff55f725eabc6605c8014934db55b19c9ebd1d3b86fec8eaebb4f809ae78cc5"
+
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                        reason="numpy 1 writes a float64 scalar as a bare float")
+    def test_float_strings_are_numpy_2_reprs(self):
+        rng = np.random.default_rng(2)
+        bits = rng.integers(0, 2 ** 63, size=20_000, dtype=np.uint64)
+        values = np.concatenate([bits.view(np.float64), rng.normal(size=2000) * 1e-5,
+                                 np.arange(-50, 50) * 0.25, [0.0, -0.0, 1e16, 1e-5, 1e-4]])
+        values = values[np.isfinite(values)]
+        assert features._float_reprs(values) == [repr(x) for x in values]
+
+
+# ---------------------------------------------------------------------------
+# The block code against the code it replaced (``reference_features``)
+
+def assert_same_model(model, reference, docs):
+    """Vocabulary (and its order), idf and settings equal, and a memo entry
+    for each distinct doc equal in bytes to a fresh lookup."""
+    assert model.vocabulary == reference.vocabulary
+    assert list(model.vocabulary) == list(reference.vocabulary)
+    assert (model.idf.dtype, model.idf.tobytes()) == (reference.idf.dtype, reference.idf.tobytes())
+    assert (model.max_features, model.ngram_range) == (reference.max_features,
+                                                       reference.ngram_range)
+    assert set(model.memo) == set(docs)
+    for d in docs:
+        for got, want in zip(model.memo[d], ref.columns(reference, d)):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+            assert not got.flags.writeable
+
+
+def assert_same_rows(X, Y):
+    assert X.shape == Y.shape
+    for got, want in ((X.rows, Y.rows), (X.cols, Y.cols), (X.values, Y.values)):
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
+WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+DOCS = st.lists(st.lists(WORDS, max_size=8).map(lambda tokens: doc(*tokens)),
+                min_size=1, max_size=12)
+LABELS = st.lists(st.sampled_from(["bug", "ui", "windows", "question", "p1", "p3",
+                                   "enhancement", "no such label"]), max_size=4, unique=True)
+
+
+def _probs_row():
+    valid = st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3).map(
+        lambda w: np.array(w) / sum(w))
+    fixed = st.sampled_from([[1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0], [0.5, 0.2, 0.2],
+                             [0.6, 0.6, -0.2], [np.nan, 0.5, 0.5], [0.2, 0.8, 0.0]])
+    return st.one_of(valid, valid, fixed.map(np.array))
+
+
+class TestMatchesReference:
+    def test_planted_fixture(self, planted_corpus, maps):
+        issues = planted_corpus.issues
+        train, held_out = issues[:150], issues[150:]
+        bundle = evalkit.fit_preprocessing(train, evalkit.ModelSpec(), maps)
+        fp = bundle.feature_pipeline
+        for model, source in ((fp.tfidf_title, "title"), (fp.tfidf_desc, "description")):
+            docs = [normalize_pipeline(i.title if source == "title" else i.description, source)
+                    for i in train]
+            assert_same_model(model, ref.fit_tfidf(docs, model.max_features), docs)
+        assert_same_rows(fp.stage1_rows(train), ref.stage1_rows(fp, train))
+        for part in (train, held_out):
+            probs = [bundle.objective_probs(i) for i in part]
+            assert_same_rows(bundle.vectorize(part), ref.vectorize(fp, part, probs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 3)]))
+    def test_fit_and_transform_on_generated_docs(self, data, ngram_range):
+        """Ties at the top-k cut, repeated and empty docs, and ``max_features``
+        up to past the vocabulary; then rows of fitted, unseen and
+        all-out-of-vocabulary docs."""
+        docs = data.draw(DOCS)
+        docs = data.draw(st.permutations(docs + data.draw(st.lists(st.sampled_from(docs),
+                                                                   max_size=6))))
+        n_terms = len({g for d in docs for g in ngrams(d.tokens, ngram_range)})
+        max_features = data.draw(st.integers(1, n_terms + 3))
+        model = fit_tfidf(docs, max_features, ngram_range)
+        assert_same_model(model, ref.fit_tfidf(docs, max_features, ngram_range), docs)
+        probe = docs + data.draw(DOCS) + [doc(), doc("zz", "zz"), doc("zz")]
+        lengths, cols, values = transform_tfidf(model, probe)
+        want = [ref.transform_tfidf(model, d) for d in probe]
+        assert lengths.tolist() == [w.indices.size for w in want]
+        assert cols.tobytes() == np.concatenate([np.zeros(0, int)]
+                                                + [w.indices for w in want]).tobytes()
+        assert values.tobytes() == np.concatenate([np.zeros(0)]
+                                                  + [w.values for w in want]).tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_assembly_on_generated_issues(self, pipeline, data):
+        """Rows written in chunks of any size, idf zeros (their weights are
+        dropped), and the first failing row's error: probabilities that do not
+        sum to 1, lie outside [0, 1] or are NaN."""
+        words = st.lists(st.sampled_from(["parser", "crash", "export", "cache", "load",
+                                          "option", "zz", "qq"]), max_size=7).map(" ".join)
+        issues = [make_issue(id=f"g{n}", title=data.draw(words), description=data.draw(words),
+                             labels=data.draw(LABELS), n_comments=data.draw(st.integers(0, 3)),
+                             followers=data.draw(st.integers(0, 50)))
+                  for n in range(data.draw(st.integers(0, 9)))]
+        probs = [data.draw(_probs_row()) for _ in issues]
+        title = pipeline.tfidf_title
+        zeroed = data.draw(st.lists(st.booleans(), min_size=title.size, max_size=title.size))
+        idf = np.where(zeroed, 0.0, title.idf) if data.draw(st.booleans()) else title.idf
+        fp = dataclasses.replace(pipeline, tfidf_title=features.TfidfModel(
+            title.vocabulary, idf, title.max_features, title.ngram_range))
+        chunk, features.ASSEMBLY_CHUNK = features.ASSEMBLY_CHUNK, data.draw(st.integers(1, 4))
+        try:
+            try:
+                want = ref.vectorize(fp, issues, probs)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    fp.assemble(issues, probs)
+                assert str(raised.value) == str(exc)
+                return
+            assert_same_rows(fp.assemble(issues, probs), want)
+        finally:
+            features.ASSEMBLY_CHUNK = chunk

@@ -10,7 +10,10 @@ the oldest supported Python.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,19 @@ def test_checker_counts_annotations_and_attribute_roots():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_imports_ingest_and_agreement_only_for_their_commands():
+    """Every CLI run imports ``cli``; only ``fetch`` and ``agreement`` need
+    ``ingest`` and ``agreement``, so importing ``cli`` loads neither."""
+    code = ("import sys, issuetriage.cli; "
+            "print(sorted({'issuetriage.ingest', 'issuetriage.agreement'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # Possessive quantifiers and atomic groups compile only on Python >= 3.11;

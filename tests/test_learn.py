@@ -153,6 +153,12 @@ class TestMultinomialNB:
         with pytest.raises(TrainingError):
             fit_multinomial_nb(X, ["a", "b"])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_rows_gives_every_class_the_log_zero_prior(self):
+        model = fit_multinomial_nb(np.zeros((0, 3)), [], classes=("a", "b"))
+        assert model.params["log_prior"].tolist() == [learn._LOG_ZERO] * 2
+        assert np.array_equal(model.params["log_likelihood"], np.full((2, 3), -math.log(3)))
+
     @pytest.mark.parametrize("rows", ["dense", "sparse"])
     @pytest.mark.parametrize("seed", range(14))
     def test_class_sums_match_mask_formula(self, seed, rows):
@@ -175,8 +181,7 @@ class TestMultinomialNB:
         smoothed = term_counts + 0.5
         want = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
         if rows == "sparse":
-            X = learn.SparseRows.from_rows(
-                [(np.flatnonzero(row), row[row != 0]) for row in X], d)
+            X = learn.SparseRows.from_dense(X)
         got = fit_multinomial_nb(X, labels, alpha=0.5, classes=classes)
         assert got.params["log_likelihood"].tobytes() == want.tobytes()
 
@@ -597,6 +602,27 @@ class TestSparseForest:
             for rows in (probe, learn.SparseRows.from_dense(probe)):
                 assert model.predict_proba(rows).tobytes() == want
 
+    def test_prediction_builds_one_index_per_matrix(self, monkeypatch):
+        """Both of a predict's forest calls read the index kept with X. It
+        keeps each column's entries in row order, and predicts the same bytes
+        as the fit's index, sorted by value."""
+        X, y, options = _tfidf_forest_case()
+        model = fit_random_forest(X, y, **options)
+        sparse = learn.SparseRows.from_dense(X[::-1])
+        built, column_index = [], learn.column_index
+        monkeypatch.setattr(learn, "column_index",
+                            lambda M, **kw: built.append(kw) or column_index(M, **kw))
+        first, second = model.predict_proba(sparse), model.predict_proba(sparse)
+        assert built == [{"by_value": False}] and first.tobytes() == second.tobytes()
+        by_value, by_row = column_index(sparse), sparse.by_column
+        for j in range(by_row.n_cols):
+            rows = by_row.rows[by_row.indptr[j]:by_row.indptr[j + 1]]
+            assert np.all(np.diff(rows) > 0) and rows[-1] == len(X)
+        want = np.zeros_like(first)
+        for tree in model.params["trees"]:
+            learn._tree_predict(tree, by_value, want, np.arange(len(X)))
+        assert (want / len(model.params["trees"])).tobytes() == first.tobytes()
+
     def test_column_at_leaves_the_scratch_buffer_zero(self):
         X = _tfidf_forest_case()[0]
         cols = learn.column_index(X)
@@ -611,20 +637,16 @@ class TestSparseRows:
     def test_answers_as_the_dense_matrix_does(self, n, d):
         rng = np.random.default_rng(n * 100 + d)
         X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.3)
-        for sparse in (learn.SparseRows.from_dense(X),
-                       learn.SparseRows.from_rows([(np.flatnonzero(r), r[r != 0]) for r in X], d)):
-            assert len(sparse) == len(X) and sparse.shape == X.shape and sparse.size == X.size
-            assert int((sparse != 0).sum()) == int((X != 0).sum())
-            assert sparse.nbytes == sparse.rows.nbytes + sparse.cols.nbytes + sparse.values.nbytes
-            assert np.array_equal(sparse.to_dense(), X)
+        sparse = learn.SparseRows.from_dense(X)
+        assert len(sparse) == len(X) and sparse.shape == X.shape and sparse.size == X.size
+        assert int((sparse != 0).sum()) == int((X != 0).sum())
+        assert sparse.nbytes == sparse.rows.nbytes + sparse.cols.nbytes + sparse.values.nbytes
+        assert np.array_equal(sparse.to_dense(), X)
 
     def test_signed_zeros_are_never_stored(self):
-        X = np.array([[0.0, -0.0, 2.0], [-0.0, 1.5, 0.0]])
-        rows = [(np.array([0, 1, 2]), np.array([0.0, -0.0, 2.0])),
-                (np.array([0, 1, 2]), np.array([-0.0, 1.5, 0.0]))]
-        for sparse in (learn.SparseRows.from_dense(X), learn.SparseRows.from_rows(rows, 3)):
-            assert sparse.rows.tolist() == [0, 1] and sparse.cols.tolist() == [2, 1]
-            assert sparse.values.tolist() == [2.0, 1.5]
+        sparse = learn.SparseRows.from_dense(np.array([[0.0, -0.0, 2.0], [-0.0, 1.5, 0.0]]))
+        assert sparse.rows.tolist() == [0, 1] and sparse.cols.tolist() == [2, 1]
+        assert sparse.values.tolist() == [2.0, 1.5]
 
     def test_non_finite_values_are_stored(self):
         X = np.array([[np.nan, 0.0], [0.0, -np.inf]])
@@ -632,7 +654,7 @@ class TestSparseRows:
         assert int((sparse != 0).sum()) == int((X != 0).sum()) == 2
 
     def test_no_rows(self):
-        sparse = learn.SparseRows.from_rows([], 6)
+        sparse = learn.SparseRows.from_dense(np.zeros((0, 6)))
         assert sparse.shape == (0, 6) and len(sparse) == 0 and sparse.nbytes == 0
         assert sparse.to_dense().shape == (0, 6)
 
