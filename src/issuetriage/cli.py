@@ -28,12 +28,24 @@ once and checks every setting before any corpus is loaded:
 ``--objective-probs`` sources stage one from that file, so no stage-one
 model is fit. A bad value or an unknown key exits 1 naming the setting.
 
+Artifacts. ``train-priority`` writes the model and, next to it, the assets
+(``*.assets.json``: both TF-IDF vectorizers, the scaler, the label-table
+checksums and the stage-one model); both are format version 2, and a file
+of version 1 is refused. They store counts, not the floats derived from
+them: a vectorizer its vocabulary in column order, each column's document
+frequency ``df`` and ``n_docs``, from which the idf is derived on load; NB
+its class and term counts and ``alpha``, from which its log prior and log
+likelihood are. A forest's importances and kNN's training matrix are stored
+as their non-zeros; forest trees as nested objects.
+
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure. A
 missing ``--model`` file is a usage error; a model or assets file that is
 corrupt, unusable, of another format or of another version is a runtime
 failure. Unusable means a block with a missing key, a value of the wrong
-type, a number that is not finite or out of bounds, or an array whose shape
-does not fit the model's classes or the assets' widths (``learn.BLOCKS``).
+type, a number that is not finite or out of bounds (a negative count, a
+``df`` outside [1, ``n_docs``]), a repeated term or sparse index, or an
+array whose shape does not fit the model's classes or the assets' widths
+(``learn.BLOCKS``).
 """
 
 from __future__ import annotations

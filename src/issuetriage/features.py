@@ -72,13 +72,23 @@ def ngrams(tokens: Sequence[str], ngram_range: tuple[int, int] = NGRAM_RANGE) ->
 
 @dataclass(frozen=True)
 class TfidfModel:
+    """A fitted vectorizer: its vocabulary, each column's document frequency
+    over the ``n_docs`` training docs, and the settings it was fit with. The
+    idf is derived from ``df`` and ``n_docs`` as the model is made
+    (``idf_of``), so an artifact stores the counts and never the idf."""
+
     vocabulary: dict[str, int]  # term -> column
-    idf: np.ndarray
+    df: np.ndarray  # column -> training docs that hold its term (ints)
+    n_docs: int
     max_features: int
     ngram_range: tuple[int, int]
+    idf: np.ndarray = field(init=False, compare=False, repr=False)
     # doc -> (sorted column ids, their counts); see the module docstring
     memo: dict[TokenizedDoc, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "idf", idf_of(self.df, self.n_docs))
 
     @property
     def size(self) -> int:
@@ -103,14 +113,23 @@ class TfidfModel:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_doc(self) -> dict:
-        return {"vocabulary": self.vocabulary, "idf": [float(x) for x in self.idf],
-                "max_features": self.max_features, "ngram_range": list(self.ngram_range)}
+        return learn.encode_block(
+            {"vocabulary": self.vocabulary, "df": self.df, "n_docs": self.n_docs,
+             "max_features": self.max_features, "ngram_range": list(self.ngram_range)},
+            learn.BLOCKS["tfidf"])
 
     @classmethod
     def from_doc(cls, doc, what: str = "TF-IDF block") -> "TfidfModel":
+        """The model ``doc`` holds. Its decoder keeps each ``df`` in [1,
+        ``n_docs``], so every idf is at least 1."""
         block = learn.decode_block(doc, learn.BLOCKS["tfidf"], what, {})
-        return cls(block["vocabulary"], block["idf"], block["max_features"],
+        return cls(block["vocabulary"], block["df"], block["n_docs"], block["max_features"],
                    tuple(block["ngram_range"].tolist()))
+
+
+def idf_of(df: np.ndarray, n_docs: int) -> np.ndarray:
+    """idf(t) = ln((1+N)/(1+df(t))) + 1, each in Python floats, for a fit and a load."""
+    return np.array([math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df.tolist()], dtype=float)
 
 
 def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
@@ -153,11 +172,8 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
                         key=terms.__getitem__)
     column = np.full(len(terms), -1)
     column[chosen] = np.arange(len(chosen))
-    n_docs = len(docs)
     model = TfidfModel({terms[i]: c for c, i in enumerate(chosen)},
-                       np.array([math.log((1 + n_docs) / (1 + d)) + 1.0
-                                 for d in df[chosen].tolist()]),
-                       max_features, ngram_range)
+                       df[chosen].astype(np.int64), len(docs), max_features, ngram_range)
     while grams:  # each doc's ids go as its entry is written
         doc, (at, counts) = grams.popitem()
         cols = column[at]
@@ -446,9 +462,6 @@ class FeaturePipeline:
             kept = tail != 0
             at = _spans(first, widths[2][chunk])
             cols[at], values[at] = kept.nonzero()[1] + self.stage1_width, tail[kept]
-        kept = values != 0  # a TF-IDF weight of 0: an idf of 0, or a norm that overflows
-        if not kept.all():
-            rows, cols, values = rows[kept], cols[kept], values[kept]
         return learn.SparseRows(rows, cols, values, (len(issues), self.width))
 
     def feature_names(self) -> list[str]:

@@ -8,14 +8,22 @@ JSON artifacts that pin the fingerprints of the preprocessing assets they
 were trained with; prediction refuses to run against different assets.
 
 Model params are ndarrays in memory, except a forest's trees (nested dicts)
-and, until it is saved and loaded, its importances (a list). Every artifact
-is read through ``read_artifact``, which checks its format and version, and
-each of its blocks is decoded once by ``decode_block`` against its row of
-``BLOCKS``: a model's params in ``TrainedModel.from_doc``, against its
-classes, and the assets' blocks in ``cli.load_assets``. Where a model meets
-its assets, ``TrainedModel.require_width`` checks that it takes the columns
-they give: ``cli.load_assets`` for the assets' stage-one model and
-``cli.cmd_predict`` for the model file.
+and the scalars (NB's ``alpha``, kNN's ``k``, a forest's ``n_features``).
+Artifacts are format version 2, and a block stores what a fit counts, not
+the floats derived from it. NB stores its class and term counts and
+``alpha``; ``nb_logs`` derives the log prior and log likelihood from them,
+once per fit or load (``TrainedModel`` runs it as it is made). A forest's
+importances and kNN's training matrix are stored as their non-zeros and
+expanded on load; whole-valued float arrays are written as JSON integers
+(``encode_block``). A version-1 file is refused; no reader of it is kept.
+
+Every artifact is read through ``read_artifact``, which checks its format
+and version, and each of its blocks is decoded once by ``decode_block``
+against its row of ``BLOCKS``: a model's params in ``TrainedModel.from_doc``,
+against its classes, and the assets' blocks in ``cli.load_assets``. Where a
+model meets its assets, ``TrainedModel.require_width`` checks that it takes
+the columns they give: ``cli.load_assets`` for the assets' stage-one model
+and ``cli.cmd_predict`` for the model file.
 
 The feature matrix is ``SparseRows`` (see there for which learners densify
 it). A forest fit indexes X's non-zeros by column once (``column_index``),
@@ -49,7 +57,7 @@ from .textnorm import TokenizedDoc
 OBJECTIVE_CLASS_ORDER = tuple(cls.value for cls in ObjectiveClass)
 PRIORITY_CLASS_ORDER = tuple(cls.value for cls in PriorityClass)
 MODEL_FORMAT = "issuetriage-model"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 DEFAULT_KEYWORD_RULES: dict[str, frozenset[str]] = {
     "Bug": frozenset({
@@ -128,6 +136,10 @@ class TrainedModel:
     metadata: dict = field(default_factory=dict)
     asset_fingerprints: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.kind == "nb":  # once per fit or load, never per prediction
+            self.params.update(nb_logs(self.params))
+
     def predict_proba(self, X: np.ndarray | SparseRows) -> np.ndarray:
         """One row of class probabilities per row of ``X``. A forest reads
         ``SparseRows`` as they are; every other kind gets ``X`` dense."""
@@ -156,16 +168,23 @@ class TrainedModel:
                                 f"{width} feature columns its assets give")
 
     def fingerprint(self) -> str:
+        """The hash of kind, classes and the params that define the model's
+        predictions, as they are in memory: NB's derived logs (not the counts
+        they come from), every other kind's stored params (a forest's
+        importances dense). No fingerprint depends on how a file encodes them."""
+        keys = NB_LOGS if self.kind == "nb" else BLOCKS[self.kind]
         payload = json.dumps(
-            {"kind": self.kind, "classes": list(self.classes), "params": self.params},
+            {"kind": self.kind, "classes": list(self.classes),
+             "params": {key: self.params[key] for key in keys}},
             sort_keys=True, default=_json_default)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_doc(self) -> dict:
-        """Kind, classes, params and metadata; fingerprints only when pinned,
-        which a stage-one model inside an assets bundle never is."""
+        """Kind, classes, stored params (``encode_block``) and metadata;
+        fingerprints only when pinned, which a stage-one model inside an
+        assets bundle never is."""
         doc = {"kind": self.kind, "classes": list(self.classes),
-               "params": self.params, "metadata": self.metadata}
+               "params": encode_block(self.params, BLOCKS[self.kind]), "metadata": self.metadata}
         if self.asset_fingerprints:
             doc["asset_fingerprints"] = self.asset_fingerprints
         return doc
@@ -194,6 +213,11 @@ class TrainedModel:
 # ---------------------------------------------------------------------------
 # Artifact blocks: one declarative check each
 
+# The most cells a "sparse" array may expand to (1 GiB of floats), so that a
+# small file cannot claim a huge one
+MAX_SPARSE_CELLS = 2 ** 27
+
+
 class Field(NamedTuple):
     """What one key of an artifact block holds; see ``BLOCKS``."""
     dtype: str
@@ -205,19 +229,23 @@ class Field(NamedTuple):
 
 # Each block's keys. "float" is an array of finite numbers and "int" one of
 # integers, of ``shape`` (a scalar's is ()) and each value in [low, high];
-# "vocab" maps terms to the column ids 0..V-1, "strings" names to strings, and
-# "tree" is a non-empty list of forest trees. A dimension is a number or a
-# named width, bound where it first appears: K classes, d feature columns, n
-# training rows, V terms, F metadata features. A bound is a number, a width
-# (K-1 is one less) or an earlier key of the block, compared elementwise.
+# "sparse" is a "float" array stored as its non-zeros (``_encode``); "terms"
+# is a list of distinct strings, the terms of columns 0..V-1, decoded to a
+# term -> column dict; "strings" maps names to strings, and "tree" is a
+# non-empty list of forest trees. A dimension is a number or a named width,
+# bound where it first appears: K classes, d feature columns, n training
+# rows, V terms, F metadata features. A bound is a number, a width (K-1 is
+# one less) or an earlier key of the block, compared elementwise.
 BLOCKS: dict[str, dict[str, Field]] = {
-    "nb": {"log_prior": Field("float", ("K",)), "log_likelihood": Field("float", ("K", "d"))},
+    "nb": {"class_counts": Field("float", ("K",), 0),
+           "term_counts": Field("float", ("K", "d"), 0), "alpha": Field("float", (), 0)},
     "logreg": {"b": Field("float", ("K",)), "W": Field("float", ("d", "K"))},
-    "forest": {"importances": Field("float", ("d",)), "n_features": Field("int", (), "d", "d"),
+    "forest": {"importances": Field("sparse", ("d",)), "n_features": Field("int", (), "d", "d"),
                "trees": Field("tree")},
-    "knn": {"X": Field("float", ("n", "d")), "y": Field("int", ("n",), 0, "K-1"),
+    "knn": {"y": Field("int", ("n",), 0, "K-1"), "X": Field("sparse", ("n", "d")),
             "k": Field("int", (), 1, "n")},
-    "tfidf": {"idf": Field("float", ("V",)), "vocabulary": Field("vocab", ("V",)),
+    "tfidf": {"vocabulary": Field("terms", ("V",)), "n_docs": Field("int", (), 1),
+              "df": Field("int", ("V",), 1, "n_docs"),
               "max_features": Field("int", (), 1), "ngram_range": Field("int", (2,), 1)},
     "scaler": {"min": Field("float", ("F",)), "max": Field("float", ("F",), "min")},
     "pinned": {"asset_fingerprints": Field("strings", optional=True)},
@@ -257,19 +285,38 @@ def _decode(doc: dict, key: str, spec: Field, dims: dict[str, int], what: str):
                                 f"of {n_classes} numbers >= 0 nor a split on a feature in "
                                 f"[0, {n_features})")
         return value
-    if spec.dtype in ("strings", "vocab"):
-        kind, noun = (str, "strings") if spec.dtype == "strings" else (int, "column ids")
-        if not (isinstance(value, dict) and all(type(v) is kind for v in value.values())):
-            raise ArtifactError(f"{fail} it is not an object of {noun}")
-        if kind is int:
-            _bind(spec.shape, (len(value),), dims, fail)
-            if set(value.values()) != set(range(len(value))):
-                raise ArtifactError(f"{fail} its column ids are not 0..{len(value) - 1}")
+    if spec.dtype == "strings":
+        if not (isinstance(value, dict) and all(type(v) is str for v in value.values())):
+            raise ArtifactError(f"{fail} it is not an object of strings")
         return value
+    if spec.dtype == "terms":
+        if not (isinstance(value, list) and all(type(v) is str for v in value)):
+            raise ArtifactError(f"{fail} it is not a list of strings")
+        _bind(spec.shape, (len(value),), dims, fail)
+        columns = {term: column for column, term in enumerate(value)}
+        if len(columns) != len(value):
+            raise ArtifactError(f"{fail} it repeats a term")
+        return columns
+    if spec.dtype == "sparse":
+        parts = decode_block(value, {"shape": Field("int", (len(spec.shape),), 0),
+                                     "index": Field("int", ("nnz",), 0),
+                                     "value": Field("float", ("nnz",))}, f"{what} {key}", {})
+        shape = tuple(parts["shape"].tolist())
+        _bind(spec.shape, shape, dims, fail)
+        size, index = math.prod(shape), parts["index"]
+        if size > MAX_SPARSE_CELLS:
+            raise ArtifactError(f"{fail} its shape {shape} has more than {MAX_SPARSE_CELLS} cells")
+        if index.size and (index[-1] >= size or np.any(index[1:] <= index[:-1])):
+            raise ArtifactError(f"{fail} its index repeats, is out of order or leaves [0, {size})")
+        array = np.zeros(size)
+        array[index] = parts["value"]
+        return array.reshape(shape)
     try:
         array = np.array(value)
     except ValueError:  # nested lists of unequal lengths
         array = np.array(None)
+    if not array.size:  # [] reads as floats
+        array = array.astype(int if spec.dtype == "int" else float)
     if array.dtype.kind not in ("iu" if spec.dtype == "int" else "iuf"):
         raise ArtifactError(f"{fail} it is not made of "
                             f"{'integers' if spec.dtype == 'int' else 'numbers'}")
@@ -289,6 +336,34 @@ def _decode(doc: dict, key: str, spec: Field, dims: dict[str, int], what: str):
             raise ArtifactError(f"{fail} it holds a value {side} {name}"
                                 + (f" = {bound}" if named else ""))
     return array if spec.shape else array.item()
+
+
+def encode_block(block: dict, fields: dict[str, Field]) -> dict:
+    """``block``'s keys in ``fields`` as an artifact stores them, which
+    ``decode_block`` reads back to the same values: see ``_encode``."""
+    return {key: _encode(block[key], spec) for key, spec in fields.items()}
+
+
+def _encode(value, spec: Field):
+    """A "terms" dict as its terms in column order; a "sparse" array as an
+    object of its ``shape`` and the ``index`` (flat, in C order, ascending)
+    and ``value`` of each entry that is not 0.0 (a -0.0 is kept); and a
+    "float" array whose values are all whole numbers that a float holds
+    exactly, none of them -0.0, as integers, which JSON writes without a
+    fraction. Anything else as it is."""
+    if spec.dtype == "terms":
+        return sorted(value, key=value.__getitem__)
+    if spec.dtype == "sparse":
+        flat = np.asarray(value, dtype=float).ravel()
+        index = np.flatnonzero((flat != 0) | np.signbit(flat))
+        return {"shape": list(np.shape(value)), "index": index,
+                "value": _encode(flat[index], Field("float"))}
+    if spec.dtype == "float" and isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        if np.all(np.abs(value) <= 2 ** 53) and np.all(value % 1 == 0):
+            whole = value.astype(np.int64)
+            if not np.any(np.signbit(value) & (whole == 0)):
+                return whole
+    return value
 
 
 def _bind(shape: tuple, actual: tuple, dims: dict[str, int], fail: str) -> None:
@@ -479,22 +554,36 @@ def fit_multinomial_nb(
     if y.size != X.shape[0]:
         raise ValueError(f"{X.shape[0]} rows but {y.size} labels")
     n_classes = len(classes)
-    class_counts = np.bincount(y, minlength=n_classes).astype(float)
-    # max(..., 1): with no rows every class is absent, and nothing divides by 0
-    log_prior = np.where(class_counts > 0,
-                         np.log(np.maximum(class_counts, 1) / max(class_counts.sum(), 1.0)),
-                         _LOG_ZERO)
     # each class's non-zeros added one by one in row order (``np.add.at`` is
     # unbuffered and goes in index order): the float sums of
     # X[y == c].sum(axis=0), bit for bit, since adding a zero changes no sum
     term_counts = np.zeros((n_classes, X.shape[1]))
     np.add.at(term_counts, (y[X.rows], X.cols), X.values)
-    smoothed = term_counts + alpha
-    log_like = np.log(smoothed) - np.log(np.add.reduce(smoothed, axis=1, keepdims=True))
     return TrainedModel(
         kind="nb", classes=classes,
-        params={"log_prior": log_prior, "log_likelihood": log_like},
-        metadata={"alpha": alpha, "n_train": len(labels)})
+        params={"class_counts": np.bincount(y, minlength=n_classes).astype(float),
+                "term_counts": term_counts, "alpha": float(alpha)},
+        metadata={"n_train": len(labels)})
+
+
+# NB's params derived from its stored ones, which its fingerprint hashes
+NB_LOGS = ("log_prior", "log_likelihood")
+
+
+def nb_logs(params: dict) -> dict:
+    """NB's ``log_prior`` and ``log_likelihood`` from its stored counts and
+    ``alpha``: the one formula of a fit and a load. Counts whose sum
+    overflows (only a crafted file holds them) give logs that are not
+    finite, and so probabilities that are not finite, which prediction
+    refuses; they raise no warning here."""
+    class_counts, smoothed = params["class_counts"], params["term_counts"] + params["alpha"]
+    with np.errstate(all="ignore"):
+        # max(..., 1): with no rows every class is absent, and nothing divides by 0
+        log_prior = np.where(class_counts > 0,
+                             np.log(np.maximum(class_counts, 1) / max(class_counts.sum(), 1.0)),
+                             _LOG_ZERO)
+        log_like = np.log(smoothed) - np.log(np.add.reduce(smoothed, axis=1, keepdims=True))
+    return {"log_prior": log_prior, "log_likelihood": log_like}
 
 
 def _nb_predict(params: dict, X: np.ndarray, n_classes: int) -> np.ndarray:
@@ -762,9 +851,7 @@ def fit_random_forest(
         trees.append(tree)
     return TrainedModel(
         kind="forest", classes=classes,
-        params={"trees": trees,
-                "importances": (importance_sum / n_trees).tolist(),
-                "n_features": d},
+        params={"trees": trees, "importances": importance_sum / n_trees, "n_features": d},
         metadata={"n_trees": n_trees, "max_depth": max_depth, "min_leaf": min_leaf,
                   "max_features": max_features, "seed": seed,
                   "class_weights": weights.weights if weights else None})

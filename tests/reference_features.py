@@ -47,9 +47,13 @@ def fit_tfidf(docs, max_features, ngram_range=(1, 2)) -> TfidfModel:
         tied = (t for t, c in total.items() if c == cut)
         chosen = sorted(above + heapq.nsmallest(max_features - len(above), tied))
     vocabulary = {term: i for i, term in enumerate(chosen)}
-    n_docs = len(docs)
-    idf = np.array([math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in chosen])
-    return TfidfModel(vocabulary, idf, max_features, ngram_range)
+    return TfidfModel(vocabulary, np.array([df[t] for t in chosen], dtype=np.int64), len(docs),
+                      max_features, ngram_range)
+
+
+def idf(model) -> np.ndarray:
+    """The model's idf by the formula above, from its ``df`` and ``n_docs``."""
+    return np.array([math.log((1 + model.n_docs) / (1 + d)) + 1.0 for d in model.df.tolist()])
 
 
 def term_counts(model, doc) -> Counter[int]:

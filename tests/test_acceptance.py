@@ -126,20 +126,31 @@ def test_criterion_04_class_weight_formula():
                 assert w[a] / w[b] == pytest.approx(counts[b] / counts[a], rel=1e-12)
 
 
-def _bayes_oracle(doc_rows, labels, x, alpha=1.0):
-    """Plain-float Bayes with Laplace smoothing, independent arithmetic."""
-    posts = []
+def _bayes_oracle(doc_rows, labels, alpha=1.0):
+    """Plain-float Bayes with Laplace smoothing, independent arithmetic: each
+    class's prior and smoothed term probabilities, computed once per corpus
+    (None for a class with no rows), for ``_bayes_posterior``."""
+    fitted = []
     for cls in (0, 1):
         rows = [d for d, lb in zip(doc_rows, labels) if lb == cls]
         if not rows:
-            posts.append(0.0)
+            fitted.append(None)
             continue
-        prior = len(rows) / len(doc_rows)
         totals = [sum(r[j] for r in rows) for j in range(4)]
         denom = sum(totals) + alpha * 4
-        p = prior
+        fitted.append((len(rows) / len(doc_rows), [(t + alpha) / denom for t in totals]))
+    return fitted
+
+
+def _bayes_posterior(fitted, x):
+    posts = []
+    for cls in fitted:
+        if cls is None:
+            posts.append(0.0)
+            continue
+        p, theta = cls
         for j in range(4):
-            p *= ((totals[j] + alpha) / denom) ** x[j]
+            p *= theta[j] ** x[j]
         posts.append(p)
     total = sum(posts)
     return [p / total for p in posts]
@@ -158,13 +169,14 @@ def test_criterion_05_nb_exhaustive_oracle():
                 model = fit_multinomial_nb(X, [str(lb) for lb in labels],
                                            alpha=1.0, classes=("0", "1"))
                 probs = model.predict_proba(X)
+                fitted = _bayes_oracle(doc_rows, labels)
                 for row, x in zip(probs, doc_rows):
-                    want = _bayes_oracle(doc_rows, labels, x)
+                    want = _bayes_posterior(fitted, x)
                     assert abs(row[0] - want[0]) <= 1e-9
                     assert abs(row[1] - want[1]) <= 1e-9
                 checked += 1
         assert checked == sum(
-            _n_multisets(len(labeled), s) for s in range(1, 6))
+            _n_multisets(len(labeled), s) for s in range(1, 6)) == 324_631
 
 
 def _n_multisets(options, size):

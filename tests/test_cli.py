@@ -317,6 +317,17 @@ class TestArtifactErrors:
         code, err = self._predict(workdir, trained, capsys)
         assert code == 2 and "version 99" in err
 
+    @pytest.mark.parametrize("suffix", ["", ".assets.json"])
+    def test_version_one_artifact_exits_two(self, workdir, trained, capsys, suffix):
+        """Version 1 stored derived floats (NB log likelihoods, idf, dense
+        importances); no reader of it is kept."""
+        path = Path(f"{trained}{suffix}")
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        path.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and "unsupported" in err and "version 1" in err
+
     def test_wrong_format_assets_exits_two(self, workdir, trained, capsys):
         assets = Path(str(trained) + ".assets.json")
         doc = json.loads(assets.read_text())
@@ -335,8 +346,9 @@ class TestArtifactErrors:
 
     @pytest.mark.parametrize("block,key", [
         ("scaler", "min"), ("scaler", "max"),
-        *(("tfidf_title", k) for k in ("vocabulary", "idf", "max_features", "ngram_range")),
-        ("tfidf_desc", "idf")])
+        *(("tfidf_title", k) for k in ("vocabulary", "df", "n_docs", "max_features",
+                                       "ngram_range")),
+        ("tfidf_desc", "df")])
     def test_assets_block_without_key_exits_two(self, workdir, trained, capsys, block, key):
         assets = Path(str(trained) + ".assets.json")
         doc = json.loads(assets.read_text())
@@ -348,10 +360,21 @@ class TestArtifactErrors:
     @pytest.mark.parametrize("block,key,value", [
         ("tfidf_title", "max_features", lambda b: "x"),
         ("tfidf_title", "vocabulary", lambda b: [1, 2]),
-        ("tfidf_desc", "idf", lambda b: ["x", *b["idf"][1:]]),
+        ("tfidf_title", "vocabulary", lambda b: {t: i for i, t in enumerate(b["vocabulary"])}),
+        ("tfidf_title", "vocabulary", lambda b: [b["vocabulary"][1], *b["vocabulary"][1:]]),
+        ("tfidf_title", "vocabulary", lambda b: b["vocabulary"][:-1]),
+        ("tfidf_desc", "df", lambda b: ["x", *b["df"][1:]]),
+        ("tfidf_desc", "df", lambda b: [0, *b["df"][1:]]),
+        ("tfidf_desc", "df", lambda b: [-2, *b["df"][1:]]),
+        ("tfidf_desc", "df", lambda b: [b["n_docs"] + 1, *b["df"][1:]]),
+        ("tfidf_desc", "df", lambda b: b["df"][:-1]),
+        ("tfidf_desc", "n_docs", lambda b: 0),
+        ("tfidf_desc", "n_docs", lambda b: "x"),
         ("scaler", "min", lambda b: [0.0, 0.0, 0.0]),
         ("scaler", "min", lambda b: [m + 1.0 for m in b["max"]]),
-    ], ids=["max_features-x", "vocabulary-list", "idf-x", "min-3-long", "min-above-max"])
+    ], ids=["max_features-x", "vocabulary-ints", "vocabulary-object", "vocabulary-repeated",
+            "vocabulary-short", "df-x", "df-zero", "df-negative", "df-above-n_docs",
+            "df-short", "n_docs-zero", "n_docs-x", "min-3-long", "min-above-max"])
     def test_assets_block_that_does_not_decode_exits_two(self, workdir, trained, capsys,
                                                          block, key, value):
         assets = Path(str(trained) + ".assets.json")
@@ -406,7 +429,10 @@ class TestArtifactErrors:
 
     @pytest.mark.parametrize("fault", [
         "trees=5", "node={}", "f=x", "f=10**7", "f=-1", "f=true", "t=x",
-        "leaf=3-long", "leaf=x", "no-n_features", "n_features=10**7"])
+        "leaf=3-long", "leaf=x", "no-n_features", "n_features=10**7",
+        "importances-dense", "importances-index-out-of-range", "importances-index-repeated",
+        "importances-index-x", "importances-value-nan", "importances-value-short",
+        "importances-shape-long", "importances-shape-huge"])
     def test_malformed_forest_exits_two(self, workdir, trained, capsys, fault):
         doc = json.loads(trained.read_text())
         params = doc["params"]
@@ -426,8 +452,26 @@ class TestArtifactErrors:
             leaf["leaf"] = ["x", 1.0]
         elif fault == "n_features=10**7":  # a split past the width its assets give
             params["n_features"], split["f"] = 10 ** 7, 10 ** 6
-        else:
+        elif fault == "no-n_features":
             del params["n_features"]
+        else:
+            pairs = params["importances"]
+            if fault == "importances-dense":  # the version-1 form
+                params["importances"] = [0.0] * params["n_features"]
+            elif fault == "importances-index-out-of-range":
+                pairs["index"][-1] = params["n_features"]
+            elif fault == "importances-index-repeated":
+                pairs["index"][1] = pairs["index"][0]
+            elif fault == "importances-index-x":
+                pairs["index"][0] = "x"
+            elif fault == "importances-value-nan":
+                pairs["value"][0] = float("nan")
+            elif fault == "importances-value-short":
+                pairs["value"] = pairs["value"][:-1]
+            elif fault == "importances-shape-long":
+                pairs["shape"] = [params["n_features"] + 1]
+            else:
+                pairs["shape"] = [10 ** 12]
         trained.write_text(json.dumps(doc))
         code, err = self._predict(workdir, trained, capsys)
         assert code == 2 and "forest model artifact" in err
@@ -444,20 +488,28 @@ class TestArtifactErrors:
         assert code == 2 and "does not decode" in err
 
     @pytest.mark.parametrize("stage1,name,cut", [
-        ("nb", "log_likelihood", lambda v: v[:1]),
-        ("nb", "log_prior", lambda v: v[:-1]),
-        ("nb", "log_likelihood", None),
+        ("nb", "term_counts", lambda v: v[:1]),
+        ("nb", "class_counts", lambda v: v[:-1]),
+        ("nb", "term_counts", None),
         ("logreg", "W", lambda v: [row[:1] for row in v]),
         ("logreg", "b", lambda v: [*v, 0.0]),
         ("logreg", "b", None),
-        ("nb", "log_likelihood", lambda v: [row[:-1] for row in v]),
+        ("nb", "term_counts", lambda v: [row[:-1] for row in v]),
         ("logreg", "W", lambda v: v[:-1]),
-        ("nb", "log_likelihood", lambda v: [[None, *v[0][1:]], *v[1:]]),
-        ("nb", "log_likelihood", lambda v: [[float("nan"), *v[0][1:]], *v[1:]]),
-    ], ids=["nb-likelihood-one-row", "nb-prior-short", "nb-no-likelihood",
+        ("nb", "term_counts", lambda v: [[None, *v[0][1:]], *v[1:]]),
+        ("nb", "term_counts", lambda v: [[float("nan"), *v[0][1:]], *v[1:]]),
+        ("nb", "term_counts", lambda v: [[-1, *v[0][1:]], *v[1:]]),
+        ("nb", "term_counts", lambda v: [[float("inf"), *v[0][1:]], *v[1:]]),
+        ("nb", "class_counts", lambda v: [-1, *v[1:]]),
+        ("nb", "class_counts", lambda v: [float("inf"), *v[1:]]),
+        ("nb", "class_counts", None),
+        ("nb", "alpha", None),
+    ], ids=["nb-term-counts-one-row", "nb-class-counts-short", "nb-no-term-counts",
             "logreg-W-one-column", "logreg-b-long", "logreg-no-b",
-            "nb-likelihood-column-cut", "logreg-W-row-cut", "nb-likelihood-null",
-            "nb-likelihood-nan"])
+            "nb-term-counts-column-cut", "logreg-W-row-cut", "nb-term-counts-null",
+            "nb-term-counts-nan", "nb-term-counts-negative", "nb-term-counts-inf",
+            "nb-class-counts-negative", "nb-class-counts-inf", "nb-no-class-counts",
+            "nb-no-alpha"])
     @pytest.mark.parametrize("where", ["model", "assets"])
     def test_linear_params_that_do_not_fit_the_classes_exit_two(
             self, workdir, stage1_artifacts, capsys, where, stage1, name, cut):
@@ -480,29 +532,30 @@ class TestArtifactErrors:
     @pytest.mark.parametrize("where", ["model", "assets"])
     def test_stage1_model_giving_nan_probabilities_exits_two(self, workdir, stage1_artifacts,
                                                              capsys, where):
-        """Finite but extreme NB params (every log-likelihood -1e308) decode,
-        but make NaN objective probabilities, which are refused."""
+        """Finite but extreme NB counts (every term count 1e308) decode, but
+        each class's sum overflows, so every log likelihood is -inf and the
+        objective probabilities are NaN, which are refused."""
         model = workdir / "m.json"
         for suffix in ("", ".assets.json"):
             shutil.copy(f"{stage1_artifacts[where, 'nb']}{suffix}", f"{model}{suffix}")
         path = model if where == "model" else Path(f"{model}.assets.json")
         doc = json.loads(path.read_text())
         params = (doc if where == "model" else doc["stage1_model"])["params"]
-        params["log_likelihood"] = [[-1e308] * len(row) for row in params["log_likelihood"]]
+        params["term_counts"] = [[1e308] * len(row) for row in params["term_counts"]]
         path.write_text(json.dumps(doc))
         code, err = self._predict(workdir, model, capsys)
         assert code == 2 and "non-finite objective probabilities" in err
 
     def test_priority_model_giving_nan_probabilities_exits_two(self, workdir, capsys):
-        """The same extreme params in a stage-two NB model: refused, not
+        """The same extreme counts in a stage-two NB model: refused, not
         written out as NaN probabilities with exit 0."""
         model = workdir / "m.json"
         assert run("--config", workdir / "config.json", "train-priority",
                    "--classifier", "nb", "--in", workdir / "corpus.jsonl",
                    "--model", model) == 0
         doc = json.loads(model.read_text())
-        doc["params"]["log_likelihood"] = [
-            [-1e308] * len(row) for row in doc["params"]["log_likelihood"]]
+        doc["params"]["term_counts"] = [
+            [1e308] * len(row) for row in doc["params"]["term_counts"]]
         model.write_text(json.dumps(doc))
         code, err = self._predict(workdir, model, capsys)
         assert code == 2 and "non-finite probabilities" in err
@@ -532,8 +585,8 @@ class TestArtifactErrors:
         stage1_doc["classes"] = stage1_doc["classes"][:2]
         params = stage1_doc["params"]
         if stage1 == "nb":
-            params["log_prior"], params["log_likelihood"] = (
-                params["log_prior"][:2], params["log_likelihood"][:2])
+            params["class_counts"], params["term_counts"] = (
+                params["class_counts"][:2], params["term_counts"][:2])
         else:
             params["b"], params["W"] = params["b"][:2], [row[:2] for row in params["W"]]
         assets.write_text(json.dumps(doc))
@@ -549,23 +602,38 @@ class TestArtifactErrors:
         code, err = self._predict(workdir, trained, capsys)
         assert code == 2 and "asset_fingerprints" in err
 
-    @pytest.mark.parametrize("fault", ["X-row-short", "X-rows-short", "X=x", "y=7"])
+    @pytest.mark.parametrize("fault", [
+        "X-row-short", "X-rows-short", "X=x", "y=7", "X-dense", "X-index-repeated",
+        "X-index-out-of-range", "X-value-short", "X-huge"])
     def test_malformed_knn_exits_two(self, workdir, capsys, fault):
-        """Training rows that do not fit the width the assets give, or a label
-        outside the classes, are refused on load."""
+        """Training rows that do not fit the width the assets give, a label
+        outside the classes, or non-zeros that do not fit the matrix's shape
+        are refused on load."""
         model = workdir / "knn.json"
         assert run("--config", workdir / "config.json", "train-priority", "--classifier",
                    "knn", "--in", workdir / "corpus.jsonl", "--model", model) == 0
         doc = json.loads(model.read_text())
         params = doc["params"]
-        if fault == "X-row-short":
-            params["X"][0] = params["X"][0][:-1]
+        X = params["X"]
+        n, d = X["shape"]
+        if fault == "X-row-short":  # each row one column short
+            X["shape"], X["index"] = [n, d - 1], [i - i // d for i in X["index"]]
         elif fault == "X-rows-short":
-            params["X"] = [row[:-1] for row in params["X"]]
+            X["shape"][0] = n - 1
         elif fault == "X=x":
             params["X"] = "x"
-        else:
+        elif fault == "y=7":
             params["y"][0] = 7
+        elif fault == "X-dense":  # the version-1 form
+            params["X"] = [[0.0] * d] * n
+        elif fault == "X-index-repeated":
+            X["index"][1] = X["index"][0]
+        elif fault == "X-index-out-of-range":
+            X["index"][-1] = n * d
+        elif fault == "X-value-short":
+            X["value"] = X["value"][:-1]
+        else:
+            X["shape"][1] = 10 ** 9
         model.write_text(json.dumps(doc))
         code, err = self._predict(workdir, model, capsys)
         assert code == 2 and "knn model artifact" in err
@@ -724,8 +792,14 @@ class TestAssetsBundle:
         cli.save_assets(path, pipeline, stage1)
         loaded_pipeline, loaded = cli.load_assets(path)
         assert loaded_pipeline.fingerprints() == pipeline.fingerprints()
+        for name in ("tfidf_title", "tfidf_desc"):  # derived on load, by the fit's formula
+            got, want = getattr(loaded_pipeline, name), getattr(pipeline, name)
+            assert list(got.vocabulary.items()) == list(want.vocabulary.items())
+            assert got.idf.tobytes() == want.idf.tobytes()
+        for key in ("log_prior", "log_likelihood"):
+            assert loaded.params[key].tobytes() == stage1.params[key].tobytes()
         X = np.vstack([pipeline.stage1_counts(i) for i in issues[:20]])
-        assert np.array_equal(loaded.predict_proba(X), stage1.predict_proba(X))
+        assert loaded.predict_proba(X).tobytes() == stage1.predict_proba(X).tobytes()
         again = tmp_path / "again.json"
         cli.save_assets(again, loaded_pipeline, loaded)
         assert again.read_bytes() == path.read_bytes()

@@ -333,3 +333,40 @@ def test_any_mutated_corpus_or_probability_file_gives_a_known_exit_code(
             assert code in (0, 1, 2), (argv[0], code)
             assert len(errors) <= 1, errors
             assert (code == 0) == (not errors), (argv[0], code, errors)
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract over mutated corpus sidecars
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_mutated_sidecar_gives_a_known_exit_code(small_corpus, probs_inputs, data):
+    """The corpus's ``.meta.json`` sidecar (the planted fixture's, so that
+    its provenance has keys to mutate) has one key or value, at any depth,
+    renamed, set to a bad value or cut short, as ``_mutate_record`` does, or
+    is made bad bytes, bad JSON, a non-object, or removed; ``preprocess`` and
+    ``predict`` then exit 0, 1 or 2, with one error line exactly when they do
+    not exit 0, and never a traceback."""
+    model, _ = probs_inputs
+    sidecar = (FIXTURES / "planted_corpus.jsonl.meta.json").read_bytes()
+    how = data.draw(st.sampled_from(["record", "record", "record", "bytes", "json", "array",
+                                     "missing"]), "how")
+    mutated = {"bytes": lambda: b"\xff" + sidecar,
+               "json": lambda: sidecar[:-3],
+               "array": lambda: b"[" + sidecar + b"]",
+               "missing": lambda: None,
+               "record": lambda: _mutate_record(data, json.loads(sidecar))}[how]()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        shutil.copy(small_corpus, tmp / "c.jsonl")
+        if mutated is not None:
+            (tmp / "c.jsonl.meta.json").write_bytes(mutated)
+        for argv in (["preprocess", "--out", tmp / "o.jsonl"],
+                     ["predict", "--model", model, "--out", tmp / "out.tsv"]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = cli.main([str(a) for a in [*argv, "--in", tmp / "c.jsonl"]])
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            assert code in (0, 1, 2), (argv[0], code)
+            assert "Traceback" not in err.getvalue()
+            assert (code == 0) == (not errors) and len(errors) <= 1, (argv[0], code, errors)

@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 import random
 from collections import Counter
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference_features as ref
 from conftest import T0, make_issue
-from issuetriage import evalkit, features, labelmap
+from issuetriage import evalkit, features, labelmap, learn
 from issuetriage.corpus import CommentRecord, EventRecord, UserProfile
 from issuetriage.features import (
     FEATURE_NAMES,
@@ -430,8 +430,8 @@ class TestScalerParams:
         under any numpy, so assets keep their fingerprints across numpy 1
         and 2."""
         model = features.TfidfModel({"bug": 0, "crash": 1, "null pointer": 2},
-                                    np.array([1.0, 1.4054651081081644, 2.09861228866811]),
-                                    10, (1, 2))
+                                    np.array([5, 3, 1]), 5, 10, (1, 2))
+        assert model.idf.tolist() == [1.0, 1.4054651081081644, 2.09861228866811]
         params = ScalerParams(np.array([0.0, -2.5, 1e-7]), np.array([0.1, 3e16, 1e-5]))
         assert model.fingerprint() == \
             "adbb73aabd7215a5508c2335a9679de952cf4c3aa50cd61849cfc3107601b62e"
@@ -449,15 +449,66 @@ class TestScalerParams:
         assert features._float_reprs(values) == [repr(x) for x in values]
 
 
+class TestTfidfDecoder:
+    """A TF-IDF block stores its vocabulary in column order, ``df`` and
+    ``n_docs``; the idf is derived on load by the fit's formula."""
+
+    DOCS = [doc("null", "pointer", "crash"), doc("crash"), doc("crash", "crash"), doc()]
+
+    def test_round_trip_keeps_order_counts_idf_and_fingerprint(self):
+        model = fit_tfidf(self.DOCS, max_features=4)
+        stored = json.loads(json.dumps(model.to_doc(), default=learn._json_default))
+        assert stored["vocabulary"] == list(model.vocabulary)
+        assert (stored["df"], stored["n_docs"]) == (model.df.tolist(), 4)
+        again = features.TfidfModel.from_doc(stored)
+        assert list(again.vocabulary.items()) == list(model.vocabulary.items())
+        assert again.idf.tobytes() == model.idf.tobytes()
+        assert again.fingerprint() == model.fingerprint()
+        assert json.dumps(again.to_doc(), default=learn._json_default) == json.dumps(stored)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("df", lambda b: [0, *b["df"][1:]], "below 1"),
+        ("df", lambda b: [-1, *b["df"][1:]], "below 1"),
+        ("df", lambda b: [b["n_docs"] + 1, *b["df"][1:]], "above n_docs = 4"),
+        ("df", lambda b: b["df"][:-1], "shape"),
+        ("df", lambda b: [1.5, *b["df"][1:]], "not made of integers"),
+        ("n_docs", lambda b: 0, "below 1"),
+        ("n_docs", lambda b: 1, "above n_docs = 1"),
+        ("vocabulary", lambda b: [b["vocabulary"][1], *b["vocabulary"][1:]], "repeats a term"),
+        ("vocabulary", lambda b: {t: i for i, t in enumerate(b["vocabulary"])},
+         "not a list of strings"),
+        ("vocabulary", lambda b: [1, *b["vocabulary"][1:]], "not a list of strings"),
+    ])
+    def test_bad_block_is_refused(self, key, value, message):
+        block = json.loads(json.dumps(fit_tfidf(self.DOCS, max_features=4).to_doc(),
+                                      default=learn._json_default))
+        block[key] = value(block)
+        with pytest.raises(learn.ArtifactError, match=message):
+            features.TfidfModel.from_doc(block)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_docs=st.integers(1, 10 ** 12), data=st.data())
+    def test_a_decoded_idf_is_at_least_one(self, n_docs, data):
+        df = data.draw(st.lists(st.integers(1, n_docs), max_size=6))
+        block = {"vocabulary": [f"t{i}" for i in range(len(df))], "df": df, "n_docs": n_docs,
+                 "max_features": 10, "ngram_range": [1, 2]}
+        idf = features.TfidfModel.from_doc(block).idf
+        assert np.all(np.isfinite(idf)) and np.all(idf >= 1.0)
+
+
 # ---------------------------------------------------------------------------
 # The block code against the code it replaced (``reference_features``)
 
 def assert_same_model(model, reference, docs):
-    """Vocabulary (and its order), idf and settings equal, and a memo entry
-    for each distinct doc equal in bytes to a fresh lookup."""
+    """Vocabulary (and its order), document frequencies, idf and settings
+    equal, and a memo entry for each distinct doc equal in bytes to a fresh
+    lookup."""
     assert model.vocabulary == reference.vocabulary
     assert list(model.vocabulary) == list(reference.vocabulary)
-    assert (model.idf.dtype, model.idf.tobytes()) == (reference.idf.dtype, reference.idf.tobytes())
+    assert (model.df.dtype, model.df.tobytes(), model.n_docs) == (
+        reference.df.dtype, reference.df.tobytes(), reference.n_docs)
+    want = ref.idf(reference)
+    assert (model.idf.dtype, model.idf.tobytes()) == (want.dtype, want.tobytes())
     assert (model.max_features, model.ngram_range) == (reference.max_features,
                                                        reference.ngram_range)
     assert set(model.memo) == set(docs)
@@ -528,9 +579,10 @@ class TestMatchesReference:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_assembly_on_generated_issues(self, pipeline, data):
-        """Rows written in chunks of any size, idf zeros (their weights are
-        dropped), and the first failing row's error: probabilities that do not
-        sum to 1, lie outside [0, 1] or are NaN."""
+        """Rows written in chunks of any size, and the first failing row's
+        error: probabilities that do not sum to 1, lie outside [0, 1] or are
+        NaN. (An idf of 0 cannot be built: a decoded ``df`` lies in [1,
+        ``n_docs``], so every idf is at least 1; see ``TestTfidfDecoder``.)"""
         words = st.lists(st.sampled_from(["parser", "crash", "export", "cache", "load",
                                           "option", "zz", "qq"]), max_size=7).map(" ".join)
         issues = [make_issue(id=f"g{n}", title=data.draw(words), description=data.draw(words),
@@ -538,20 +590,15 @@ class TestMatchesReference:
                              followers=data.draw(st.integers(0, 50)))
                   for n in range(data.draw(st.integers(0, 9)))]
         probs = [data.draw(_probs_row()) for _ in issues]
-        title = pipeline.tfidf_title
-        zeroed = data.draw(st.lists(st.booleans(), min_size=title.size, max_size=title.size))
-        idf = np.where(zeroed, 0.0, title.idf) if data.draw(st.booleans()) else title.idf
-        fp = dataclasses.replace(pipeline, tfidf_title=features.TfidfModel(
-            title.vocabulary, idf, title.max_features, title.ngram_range))
         chunk, features.ASSEMBLY_CHUNK = features.ASSEMBLY_CHUNK, data.draw(st.integers(1, 4))
         try:
             try:
-                want = ref.vectorize(fp, issues, probs)
+                want = ref.vectorize(pipeline, issues, probs)
             except ValueError as exc:
                 with pytest.raises(ValueError) as raised:
-                    fp.assemble(issues, probs)
+                    pipeline.assemble(issues, probs)
                 assert str(raised.value) == str(exc)
                 return
-            assert_same_rows(fp.assemble(issues, probs), want)
+            assert_same_rows(pipeline.assemble(issues, probs), want)
         finally:
             features.ASSEMBLY_CHUNK = chunk

@@ -25,9 +25,9 @@ from issuetriage import cli
 MADE_WITH = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 
 GOLDEN_SHA256 = {
-    "model.json": "29aff82e02caaf56dcaf89e1cf66a98da15a541b3d078955f84fa8e9358d659d",
+    "model.json": "c69960506bc338b471b2d0e9cfc1fcd41a9b6fad73b52c96fd88036ecc90c0ca",
     "model.json.assets.json":
-        "832acfb64c2250b430da69da1d835f93bde8c8a23f839b4d70bcba2252632823",
+        "6810a139214864fd34baaa92aadbb030d0f2616eaeb1132ac7a92bdb35ad54b1",
     "predict.tsv": "967e53ef35397e29d06d8d488e7b6ec4dd64b0487099b5c35c7b9336a4f9244a",
     "features.tsv": "9139a33e5dc835881d9948e5c966a2461f7fa0c07ba357e57bf8c68fcb1d8125",
     "xproj.json": "887051ca097ce2cfc8bcdc3876c4aaa92cc53483b9daca1c91a8a7ac5357f379",

@@ -295,6 +295,12 @@ def best_split_oracle(x, y_binary):
     return best
 
 
+def listed(params: dict) -> dict:
+    """Forest params with the importances ndarray as a list, so ``==``
+    compares every value."""
+    return {**params, "importances": params["importances"].tolist()}
+
+
 class TestRandomForest:
     def test_single_tree_reproduces_threshold(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0], [12.0], [13.0]])
@@ -332,7 +338,7 @@ class TestRandomForest:
         y = ["a" if r[0] > 0 else "b" for r in X]
         m1 = fit_random_forest(X, y, n_trees=8, seed=123)
         m2 = fit_random_forest(X, y, n_trees=8, seed=123)
-        assert m1.params == m2.params
+        assert listed(m1.params) == listed(m2.params)
         probe = rng.normal(size=(10, 5))
         assert np.array_equal(m1.predict_proba(probe), m2.predict_proba(probe))
         m3 = fit_random_forest(X, y, n_trees=8, seed=124)
@@ -572,14 +578,14 @@ class TestBestSplitOracle:
     def test_forest_params_equal_with_reference_splitter(self, monkeypatch, min_leaf,
                                                          n_classes):
         X, y, options = _mixed_forest_case(min_leaf, n_classes)
-        fit = lambda: fit_random_forest(X, y, **options).params
+        fit = lambda: listed(fit_random_forest(X, y, **options).params)
         new = fit()
         monkeypatch.setattr(learn, "_best_split", dense_reference_splitter(X))
         assert new == fit()
 
     def test_forest_equals_reference_on_sparse_tfidf_like_input(self, monkeypatch):
         X, y, options = _tfidf_forest_case()
-        fit = lambda: fit_random_forest(X, y, **options).params
+        fit = lambda: listed(fit_random_forest(X, y, **options).params)
         new = fit()
         monkeypatch.setattr(learn, "_best_split", dense_reference_splitter(X))
         assert new == fit()
@@ -595,7 +601,7 @@ class TestSparseForest:
         X, y, options = _tfidf_forest_case() if case == "tfidf" else _mixed_forest_case(*case)
         sparse = learn.SparseRows.from_dense(X)
         dense_model, sparse_model = (fit_random_forest(M, y, **options) for M in (X, sparse))
-        assert sparse_model.params == dense_model.params
+        assert listed(sparse_model.params) == listed(dense_model.params)
         probe = X[::-1] * (np.arange(len(X))[:, None] % 3 > 0)  # new rows, new zeros
         want = dense_model.predict_proba(probe).tobytes()
         for model in (dense_model, sparse_model):
@@ -854,18 +860,59 @@ class TestSerializationPath:
         save_model(loaded, second)
         assert first.read_bytes() == second.read_bytes()
         assert loaded.kind == kind
-        assert np.array_equal(loaded.predict_proba(_ROUNDTRIP_X),
-                              model.predict_proba(_ROUNDTRIP_X))
+        assert (loaded.predict_proba(_ROUNDTRIP_X).tobytes()
+                == model.predict_proba(_ROUNDTRIP_X).tobytes())
+        for key, value in model.params.items():  # NB's derived logs too
+            if isinstance(value, np.ndarray):
+                assert loaded.params[key].tobytes() == value.tobytes(), key
         assert loaded.fingerprint() == model.fingerprint()
 
-    @pytest.mark.parametrize("kind", ["nb", "logreg", "knn"])
+    def test_fingerprints_are_those_of_version_1(self):
+        """Version 2 stores NB's counts and sparse importances and training
+        rows, but a fingerprint hashes what the model predicts with, as it
+        is in memory, so each of these is the one version 1 gave."""
+        signed = _ROUNDTRIP_X * np.array([1.0, -0.0, 0.5])  # -0.0 cells, which kNN keeps
+        assert _FITTERS["nb"](_ROUNDTRIP_X, _ROUNDTRIP_Y).fingerprint() == \
+            "2ce80ed45f26b69a2f08f5da860883078b1b25e7f5a5fb5b613fb195d105393b"
+        assert _FITTERS["forest"](_ROUNDTRIP_X, _ROUNDTRIP_Y).fingerprint() == \
+            "1cd30fe1dcc850dab20c7919628b01fd8879b77ea117bdefa6d4497dc38d93e5"
+        assert _FITTERS["knn"](signed, _ROUNDTRIP_Y).fingerprint() == \
+            "01fe5aeabbdb106752986ad047a095cff6d46672ff1ec91982ddc9dad363e0dd"
+
+    def test_stored_forms(self, tmp_path):
+        """NB's whole counts are JSON integers and its TF-IDF-like sums
+        floats; importances and kNN rows are their non-zeros, a -0.0 among
+        them, and load back to the same bytes."""
+        weights = _ROUNDTRIP_X / 7.0
+        signed = _ROUNDTRIP_X * np.array([1.0, -0.0, 0.5])
+        for model, key, stored in (
+                (_FITTERS["nb"](_ROUNDTRIP_X, _ROUNDTRIP_Y), "term_counts", int),
+                (_FITTERS["nb"](weights, _ROUNDTRIP_Y), "term_counts", float),
+                (_FITTERS["nb"](weights, _ROUNDTRIP_Y), "class_counts", int),
+                (_FITTERS["forest"](_ROUNDTRIP_X, _ROUNDTRIP_Y), "importances", "sparse"),
+                (_FITTERS["knn"](signed, _ROUNDTRIP_Y), "X", "sparse")):
+            save_model(model, tmp_path / "m.json")
+            value = json.loads((tmp_path / "m.json").read_text())["params"][key]
+            if stored == "sparse":
+                dense = np.asarray(model.params[key], dtype=float)
+                want = np.flatnonzero((dense != 0) | np.signbit(dense)).tolist()
+                assert value["shape"] == list(dense.shape) and value["index"] == want
+            else:
+                assert {type(v) for v in np.ravel(value).tolist()} == {stored}, key
+            again = load_model(tmp_path / "m.json").params[key]
+            assert again.tobytes() == np.asarray(model.params[key]).tobytes()
+
+    @pytest.mark.parametrize("kind", ["nb", "logreg", "knn", "forest"])
     def test_params_are_arrays_after_fit_and_after_load(self, kind, tmp_path):
         model = _FITTERS[kind](_ROUNDTRIP_X, _ROUNDTRIP_Y)
         path = tmp_path / "model.json"
         save_model(model, path)
         for m in (model, load_model(path)):
             others = {name for name, v in m.params.items() if not isinstance(v, np.ndarray)}
-            assert m.params and others == ({"k"} if kind == "knn" else set())  # k is an int
+            # kNN's k, NB's alpha and a forest's n_features are scalars, its trees nested
+            # dicts; a forest's importances are an array after a fit too
+            assert m.params and others == {"knn": {"k"}, "nb": {"alpha"},
+                                           "forest": {"n_features", "trees"}}.get(kind, set())
 
     def test_doc_pair_round_trips(self, tmp_path):
         model = _FITTERS["nb"](_ROUNDTRIP_X, _ROUNDTRIP_Y)
