@@ -45,7 +45,12 @@ failure. Unusable means a block with a missing key, a value of the wrong
 type, a number that is not finite or out of bounds (a negative count, a
 ``df`` outside [1, ``n_docs``]), a repeated term or sparse index, or an
 array whose shape does not fit the model's classes or the assets' widths
-(``learn.BLOCKS``).
+(its tables: ``learn.MODEL`` and ``learn.BLOCKS``, or ``ASSETS``).
+
+An ``--objective-probs`` row that does not decode or sum to 1, or repeats an
+issue id, exits 1 naming its line (and the earlier one). ``fetch`` exits 2
+on an issue list that does not decode or lists an issue twice; a comment,
+event or profile that does not decode only flags its issue, with a warning.
 """
 
 from __future__ import annotations
@@ -62,9 +67,10 @@ import numpy as np
 
 from . import evalkit, features, labelmap, learn
 from .corpus import (Corpus, CorpusError, FilterConfig, SettingError, filter_corpus, load_corpus,
-                     save_corpus)
+                     parse_ts, save_corpus)
 from .evalkit import ModelSpec, PriorityPipeline, train_pipeline
 from .features import FeaturePipeline, ScalerParams, TfidfModel
+from .decode import Field, Table
 from .learn import ArtifactError, ChecksumMismatchError, TrainedModel, TrainingError
 
 EXIT_OK = 0
@@ -90,7 +96,7 @@ def load_config(path: str | None) -> dict:
     if not path:
         return {}
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ValidationError(f"config file not found: {p}")
     try:
         config = json.loads(p.read_text(encoding="utf-8"))
@@ -188,16 +194,19 @@ def save_assets(path: Path, pipeline: FeaturePipeline,
     })
 
 
+ASSETS = Table({"tfidf_title": Field("object"), "tfidf_desc": Field("object"),
+                "scaler": Field("object"), "label_checksums": Field("strings", default={}),
+                "stage1_model": Field("object", default=None)}, ArtifactError)
+
+
 def load_assets(path: Path) -> tuple[FeaturePipeline, TrainedModel | None]:
     """The assets' pipeline and stage-one model (None when null); the latter
     must be over the objective classes and take ``stage1_width`` columns."""
-    doc = learn.read_artifact(path, ASSETS_FORMAT)
     what = f"{path}: assets"
-    learn.require_keys(doc, ("tfidf_title", "tfidf_desc", "scaler"), what)
+    doc = ASSETS.decode(learn.read_artifact(path, ASSETS_FORMAT), what)
     maps = labelmap.load_label_maps()
     current = maps.checksums()
-    recorded = learn.decode_block(doc, learn.BLOCKS["checksums"], what, {})
-    for name, checksum in recorded.get("label_checksums", {}).items():
+    for name, checksum in doc["label_checksums"].items():
         if current.get(name) != checksum:
             raise ChecksumMismatchError(
                 f"label table {name!r} changed since the assets were built")
@@ -209,7 +218,7 @@ def load_assets(path: Path) -> tuple[FeaturePipeline, TrainedModel | None]:
         maps=maps,
         lexicon=None,
     )
-    if doc.get("stage1_model") is None:
+    if doc["stage1_model"] is None:
         return pipeline, None
     where = f"{what} block 'stage1_model': "
     stage1 = TrainedModel.from_doc(doc["stage1_model"], where)
@@ -224,9 +233,14 @@ def assets_path_for(model_path: Path) -> Path:
     return Path(str(model_path) + ".assets.json")
 
 
+PROB_ROW = Table({"issue_id": Field("string"),
+                  **dict.fromkeys(learn.OBJECTIVE_CLASS_ORDER, Field("decimal", (), 0, 1))},
+                 ValidationError)
+
+
 def load_probs_file(path: Path) -> dict[str, np.ndarray]:
     """Imported stage-one probabilities: TSV of issue_id and one column per
-    objective class."""
+    objective class, each row a ``PROB_ROW``, no issue id given twice."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -234,23 +248,21 @@ def load_probs_file(path: Path) -> dict[str, np.ndarray]:
     if not lines:
         raise ValidationError(f"{path}: empty probabilities file")
     header = lines[0].split("\t")
-    expected = ["issue_id", *learn.OBJECTIVE_CLASS_ORDER]
-    if header != expected:
-        raise ValidationError(f"{path}: header must be {expected}, got {header}")
-    probs = {}
+    if header != list(PROB_ROW.fields):
+        raise ValidationError(f"{path}: header must be {list(PROB_ROW.fields)}, got {header}")
+    probs, seen = {}, {}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
-        if len(cells) != len(expected):
-            raise ValidationError(f"{path}:{lineno}: expected {len(expected)} columns")
-        try:
-            vec = np.array([float(c) for c in cells[1:]])
-        except ValueError:
-            raise ValidationError(f"{path}:{lineno}: probabilities must be numbers") from None
-        if not np.all((vec >= 0.0) & (vec <= 1.0)):  # NaN fails both comparisons
-            raise ValidationError(f"{path}:{lineno}: probabilities must lie in [0, 1]")
+        if len(cells) != len(header):
+            raise ValidationError(f"{path}:{lineno}: expected {len(header)} columns")
+        issue_id, *vec = PROB_ROW.decode(dict(zip(header, cells)), f"{path}:{lineno}:").values()
+        vec = np.array(vec)
         if not abs(vec.sum() - 1.0) <= features.PROB_SUM_TOLERANCE:
             raise ValidationError(f"{path}:{lineno}: probabilities sum to {vec.sum()}")
-        probs[cells[0]] = vec
+        if issue_id in seen:
+            raise ValidationError(f"{path}:{lineno}: issue id {issue_id!r} repeats line "
+                                  f"{seen[issue_id]}")
+        probs[issue_id], seen[issue_id] = vec, lineno
     return probs
 
 
@@ -316,22 +328,23 @@ def cmd_features(args, config) -> int:
     header += [f"nf:{n}" for n in features.FEATURE_NAMES]
     header += [f"lf:{rep}" for rep in maps.clusters.representatives]
     header += ["tf"]
-    fp, issues = bundle.feature_pipeline, corpus.issues
-    title_docs, desc_docs, probs, lf, nf = fp.blocks(issues, [bundle.objective_probs(i)
-                                                              for i in issues])
-    tf: list[list[str]] = [[] for _ in issues]  # each row's "column:value" cells
-    for model, docs, offset in ((fp.tfidf_title, title_docs, 0),
-                                (fp.tfidf_desc, desc_docs, fp.tfidf_title.size)):
-        lengths, cols, values = features.transform_tfidf(model, docs)
-        cuts = np.cumsum(lengths)[:-1]
-        for cells, c, v in zip(tf, np.split(cols + offset, cuts), np.split(values, cuts)):
-            cells += map("{}:{}".format, c.tolist(), map(_format_float, v.tolist()))
+    # each row of X: its TF cells (below stage1_width) as "column:value", and
+    # from its densified tail, all three probabilities and the LF and NF cells
+    X, stage1_width = bundle.vectorize(corpus.issues), bundle.feature_pipeline.stage1_width
+    tf = X.cols < stage1_width
+    cuts = np.cumsum(np.bincount(X.rows[tf], minlength=len(X)))[:-1]
+    tail = np.zeros((len(X), X.shape[1] - stage1_width))
+    tail[X.rows[~tf], X.cols[~tf] - stage1_width] = X.values[~tf]
+    n_probs = len(learn.OBJECTIVE_CLASS_ORDER)
+    lf_end = n_probs + labelmap.N_CLUSTERS
     lines = ["\t".join(header)]
-    for issue, cells, p_row, lf_row, nf_row in zip(issues, tf, probs.tolist(), lf.tolist(),
-                                                   nf.tolist()):
-        cells += map("{}:{}".format, range(fp.stage1_width, fp.width), map(_format_float, p_row))
-        lines.append("\t".join([issue.id, *map(_format_float, nf_row), *map(str, lf_row),
-                                " ".join(cells)]))
+    for issue, cols, values, row in zip(corpus.issues, np.split(X.cols[tf], cuts),
+                                        np.split(X.values[tf], cuts), tail.tolist()):
+        cols = [*cols.tolist(), *range(stage1_width, stage1_width + n_probs)]
+        values = [*values.tolist(), *row[:n_probs]]
+        lines.append("\t".join([issue.id, *map(_format_float, row[lf_end:]),
+                                *(str(int(v)) for v in row[n_probs:lf_end]),
+                                " ".join(map("{}:{}".format, cols, map(_format_float, values)))]))
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote feature matrix for {len(corpus)} issues to {out}")
     write_manifest(out, "features", config, args.seed, [Path(args.input)], [out])
@@ -546,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", dest="cache_dir")
     p.add_argument("--parallel", type=int, default=4)
     p.add_argument("--no-pull-requests", action="store_true")
-    p.add_argument("--created-before")
+    p.add_argument("--created-before", type=parse_ts, help="ISO-8601 timestamp")
 
     p = sub.add_parser("preprocess", parents=[common], help="filter a corpus")
     p.add_argument("--in", dest="input", required=True)
@@ -636,7 +649,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                                              [f.name for f in fields(FilterConfig)]))
         for attr in ("input", "ratings"):
             value = getattr(args, attr, None)
-            if value and not Path(value).exists():
+            if value and not Path(value).is_file():
                 raise ValidationError(f"input file not found: {value}")
         return _COMMANDS[args.command](args, config)
     except (ValidationError, SettingError) as exc:

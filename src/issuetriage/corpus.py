@@ -3,7 +3,8 @@
 A corpus is a flat sequence of issue records plus provenance. On disk it is
 one JSON document per line (UTF-8) with a small sidecar metadata file that
 carries the schema version and provenance. Unknown keys on a record are kept
-in ``extra`` and written back untouched on save.
+in ``extra`` and written back untouched on save. Each part of a line, and
+the sidecar, is read against its table (``decode``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
+from .decode import Field, Table
+
 SCHEMA_VERSION = 1
-_MAX_COUNT = 2 ** 63 - 1  # a profile count must fit in 64 bits
 
 ASSOCIATIONS = ("None", "Contributor", "Collaborator", "Member", "Owner")
 
@@ -45,11 +47,14 @@ class PriorityClass(Enum):
 
 
 def parse_ts(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
+    """Parse an ISO-8601 timestamp, naive ones as UTC; any failure is a ``ValueError``."""
     ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+        return ts.replace(tzinfo=timezone.utc)
+    try:
+        return ts if ts.tzinfo is timezone.utc else ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {value!r} is out of range in UTC") from None
 
 
 def format_ts(ts: datetime) -> str:
@@ -70,10 +75,6 @@ class UserProfile:
     association: str = "None"
 
     def __post_init__(self) -> None:
-        for name in ("followers", "following", "public_repos", "public_gists",
-                     "issue_count", "github_contributions", "repo_contributions"):
-            if not 0 <= getattr(self, name) <= _MAX_COUNT:
-                raise ValueError(f"{name} must be in [0, 2**63)")
         if self.association not in ASSOCIATIONS:
             raise ValueError(f"unknown association {self.association!r}")
 
@@ -147,146 +148,67 @@ class Corpus:
 # ---------------------------------------------------------------------------
 # Serialization
 
+# a corpus line's and its sidecar's tables, whose keys are the fields of
+# ``IssueRecord``, ``UserProfile`` and ``Corpus`` (read and written by key)
+RECORD = Table({
+    "id": Field(("string", "integer")), "repo": Field("string"), "title": Field("string"),
+    "description": Field("string", default=""), "state": Field("string", default="closed"),
+    "created_at": Field("string"), "closed_at": Field("string", default=""),
+    "labels": Field("list", default=()), "comments": Field("list", default=()),
+    "events": Field("list", default=()), "author": Field("object", default={}),
+    "closer_login": Field("string", default=None),
+    **dict.fromkeys(("is_pull_request", "milestone_present", "assignee_present",
+                     "referenced_commit", "hydration_failed"), Field("bool", default=False))})
+AUTHOR = Table({
+    "login": Field("string", default=""), "account_created_at": Field("string", default=""),
+    "association": Field("string", default="None"),
+    **dict.fromkeys(("followers", "following", "public_repos", "public_gists", "issue_count",
+                     "github_contributions", "repo_contributions"), Field("count", default=0))})
+COMMENT = Table({"author_login": Field("string"), "body": Field("string"),
+                 "created_at": Field("string")})
+EVENT = Table({"kind": Field("string"), "created_at": Field("string")})
+SIDECAR = Table({"schema_version": Field("integer", default=SCHEMA_VERSION),
+                 "provenance": Field("object", default={})}, CorpusError)
+
+
 def _issue_to_doc(issue: IssueRecord) -> dict:
-    doc = {
-        "id": issue.id,
-        "repo": issue.repo,
-        "title": issue.title,
-        "description": issue.description,
-        "state": issue.state,
-        "created_at": format_ts(issue.created_at),
-        "closed_at": format_ts(issue.closed_at) if issue.closed_at else None,
-        "labels": list(issue.labels),
-        "is_pull_request": issue.is_pull_request,
-        "milestone_present": issue.milestone_present,
-        "assignee_present": issue.assignee_present,
-        "comments": [
-            {"author_login": c.author_login, "body": c.body, "created_at": format_ts(c.created_at)}
-            for c in issue.comments
-        ],
-        "events": [{"kind": e.kind, "created_at": format_ts(e.created_at)} for e in issue.events],
-        "author": {
-            "login": issue.author.login,
-            "followers": issue.author.followers,
-            "following": issue.author.following,
-            "public_repos": issue.author.public_repos,
-            "public_gists": issue.author.public_gists,
-            "issue_count": issue.author.issue_count,
-            "github_contributions": issue.author.github_contributions,
-            "account_created_at": (
-                format_ts(issue.author.account_created_at)
-                if issue.author.account_created_at else None
-            ),
-            "repo_contributions": issue.author.repo_contributions,
-            "association": issue.author.association,
-        },
-        "closer_login": issue.closer_login,
-        "referenced_commit": issue.referenced_commit,
-        "hydration_failed": issue.hydration_failed,
-    }
+    """``issue`` as a corpus line: a key per ``RECORD`` and ``AUTHOR`` row,
+    timestamps formatted, then the unknown keys it was read with."""
+    author = {key: getattr(issue.author, key) for key in AUTHOR.fields}
+    if issue.author.account_created_at:
+        author["account_created_at"] = format_ts(issue.author.account_created_at)
+    doc = {key: getattr(issue, key) for key in RECORD.fields}
+    doc.update(
+        created_at=format_ts(issue.created_at),
+        closed_at=format_ts(issue.closed_at) if issue.closed_at else None,
+        labels=list(issue.labels),
+        comments=[{"author_login": c.author_login, "body": c.body,
+                   "created_at": format_ts(c.created_at)} for c in issue.comments],
+        events=[{"kind": e.kind, "created_at": format_ts(e.created_at)} for e in issue.events],
+        author=author)
     doc.update(issue.extra)
     return doc
 
 
-_KNOWN_KEYS = {
-    "id", "repo", "title", "description", "state", "created_at", "closed_at",
-    "labels", "is_pull_request", "milestone_present", "assignee_present",
-    "comments", "events", "author", "closer_login", "referenced_commit",
-    "hydration_failed",
-}
-
-
-_REQUIRED = object()
-# Each field of a record and of its parts: its JSON types, and its value when
-# absent or null (``_REQUIRED``: none, the field must be given). A decoded
-# JSON value's type is exactly one of these, so a bool is never an int.
-_FIELDS = {
-    "record": {"id": ((str, int), _REQUIRED), "repo": ((str,), _REQUIRED),
-               "title": ((str,), _REQUIRED), "description": ((str,), ""),
-               "state": ((str,), "closed"), "created_at": ((str,), _REQUIRED),
-               "closed_at": ((str,), ""), "labels": ((list,), []),
-               "comments": ((list,), []), "events": ((list,), []),
-               "author": ((dict,), {}), "closer_login": ((str,), None),
-               **dict.fromkeys(("is_pull_request", "milestone_present", "assignee_present",
-                                "referenced_commit", "hydration_failed"), ((bool,), False))},
-    "record author": {"login": ((str,), ""), "account_created_at": ((str,), ""),
-                      "association": ((str,), "None"),
-                      **dict.fromkeys(("followers", "following", "public_repos",
-                                       "public_gists", "issue_count", "github_contributions",
-                                       "repo_contributions"), ((int,), 0))},
-    "record comment": {"author_login": ((str,), _REQUIRED), "body": ((str,), _REQUIRED),
-                       "created_at": ((str,), _REQUIRED)},
-    "record event": {"kind": ((str,), _REQUIRED), "created_at": ((str,), _REQUIRED)},
-}
-_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false", list: "a list",
-               dict: "an object"}
-
-
-def _fields(doc, what: str) -> dict:
-    """The ``_FIELDS[what]`` of ``doc``, each of its types or its default. A
-    ``doc`` that is not an object, a required field that is absent or null,
-    and a value of another type are each a ``ValueError`` naming the field."""
-    if type(doc) is not dict:
-        raise ValueError(f"{what} {doc!r:.40} is not an object")
-    out = {}
-    for key, (types, default) in _FIELDS[what].items():
-        value = doc.get(key)
-        if value is None:
-            if default is _REQUIRED:
-                raise ValueError(f"{what} has no {key!r}")
-            value = default
-        elif type(value) not in types:
-            raise ValueError(f"{what} field {key!r} must be "
-                             f"{' or '.join(_TYPE_NAMES[t] for t in types)}, got {value!r:.40}")
-        out[key] = value
-    return out
-
-
-def _comment(doc) -> CommentRecord:
-    if not (type(doc) is dict and type(doc.get("author_login")) is str
-            and type(doc.get("body")) is str and type(doc.get("created_at")) is str):
-        _fields(doc, "record comment")  # raises, naming the field
-    return CommentRecord(doc["author_login"], doc["body"], parse_ts(doc["created_at"]))
-
-
-def _event(doc) -> EventRecord:
-    if not (type(doc) is dict and type(doc.get("kind")) is str
-            and type(doc.get("created_at")) is str):
-        _fields(doc, "record event")  # raises, naming the field
-    return EventRecord(doc["kind"], parse_ts(doc["created_at"]))
-
-
 def _issue_from_doc(doc) -> IssueRecord:
-    """One corpus line's record, each field checked against ``_FIELDS``: no
-    value is converted into another. Comments and events are checked one
-    test per field, and ``_fields`` then only names the fault."""
-    rec = _fields(doc, "record")
-    author = _fields(rec["author"], "record author")
+    """One corpus line's record, each part decoded against its table: no
+    value is converted into another but timestamps (an empty one is absent)."""
+    rec = RECORD.decode(doc, "record")
+    author = AUTHOR.decode(rec["author"], "record author")
     if not set(map(type, rec["labels"])) <= {str}:
         raise ValueError(f"record field 'labels' must hold strings, got {rec['labels']!r:.40}")
-    account_created_at = author.pop("account_created_at")
-    return IssueRecord(
-        id=str(rec["id"]),
-        repo=rec["repo"],
-        title=rec["title"],
-        description=rec["description"],
-        state=rec["state"],
-        created_at=parse_ts(rec["created_at"]),
+    created = author["account_created_at"]
+    author["account_created_at"] = parse_ts(created) if created else None
+    rec.update(
+        id=str(rec["id"]), labels=tuple(rec["labels"]), created_at=parse_ts(rec["created_at"]),
         closed_at=parse_ts(rec["closed_at"]) if rec["closed_at"] else None,
-        labels=tuple(rec["labels"]),
-        is_pull_request=rec["is_pull_request"],
-        milestone_present=rec["milestone_present"],
-        assignee_present=rec["assignee_present"],
-        comments=tuple(map(_comment, rec["comments"])),
-        events=tuple(map(_event, rec["events"])),
-        author=UserProfile(
-            account_created_at=parse_ts(account_created_at) if account_created_at else None,
-            **author),
-        closer_login=rec["closer_login"],
-        referenced_commit=rec["referenced_commit"],
-        hydration_failed=rec["hydration_failed"],
-        extra={k: v for k, v in doc.items() if k not in _KNOWN_KEYS},
-    )
+        comments=tuple([CommentRecord(login, body, parse_ts(ts))
+                        for login, body, ts in COMMENT.rows(rec["comments"], "record comment")]),
+        events=tuple([EventRecord(kind, parse_ts(ts))
+                      for kind, ts in EVENT.rows(rec["events"], "record event")]),
+        author=UserProfile(**author))
+    known = RECORD.fields
+    return IssueRecord(**rec, extra={k: v for k, v in doc.items() if k not in known})
 
 
 def _meta_path(path: Path) -> Path:
@@ -299,7 +221,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         for issue in corpus.issues:
             fh.write(json.dumps(_issue_to_doc(issue), sort_keys=True, ensure_ascii=False))
             fh.write("\n")
-    meta = {"schema_version": corpus.schema_version, "provenance": corpus.provenance}
+    meta = {key: getattr(corpus, key) for key in SIDECAR.fields}
     _meta_path(path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -321,24 +243,19 @@ def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, LoadRep
     its type (see ``_issue_from_doc``), or if it repeats an earlier line's id.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise CorpusError(f"corpus file not found: {path}")
     meta_file = _meta_path(path)
-    provenance: dict = {}
-    schema_version = SCHEMA_VERSION
+    meta = {}
     if meta_file.exists():
         try:
             meta = json.loads(meta_file.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorpusError(f"{meta_file}: cannot read schema sidecar: {exc}") from None
-        if not isinstance(meta, dict):
-            raise CorpusError(f"{meta_file}: schema sidecar is not a JSON object")
-        schema_version = meta.get("schema_version", SCHEMA_VERSION)
-        if schema_version != SCHEMA_VERSION:
-            raise CorpusError(
-                f"schema version mismatch: file has {schema_version}, reader expects {SCHEMA_VERSION}"
-            )
-        provenance = meta.get("provenance", {})
+    meta = SIDECAR.decode(meta, f"{meta_file}: schema sidecar")
+    if meta["schema_version"] != SCHEMA_VERSION:
+        raise CorpusError(f"schema version mismatch: file has {meta['schema_version']}, "
+                          f"reader expects {SCHEMA_VERSION}")
 
     issues: list[IssueRecord] = []
     ids: set[str] = set()
@@ -352,16 +269,15 @@ def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, LoadRep
                 issue = _issue_from_doc(json.loads(line))
                 if issue.id in ids:
                     raise ValueError(f"issue id {issue.id!r} repeats an earlier line's")
-            except (ValueError, OverflowError, RecursionError) as exc:
-                # ValueError covers bad UTF-8, bad JSON and a bad record;
-                # OverflowError a timestamp whose UTC time is out of range
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers bad UTF-8, bad JSON and a bad record
                 if strict:
                     raise CorpusError(f"line {lineno}: {exc}") from exc
                 report.errors.append((lineno, str(exc)))
                 continue
             ids.add(issue.id)
             issues.append(issue)
-    return Corpus(issues=tuple(issues), provenance=provenance, schema_version=schema_version), report
+    return Corpus(issues=tuple(issues), **meta), report
 
 
 # ---------------------------------------------------------------------------

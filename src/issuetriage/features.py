@@ -48,6 +48,7 @@ import numpy as np
 
 from . import labelmap, learn, sentiment, textnorm
 from .corpus import ASSOCIATIONS, IssueRecord
+from .decode import Field, Table
 from .labelmap import LabelMaps
 from .sentiment import Lexicon
 from .textnorm import AbstractToken, TokenizedDoc
@@ -113,18 +114,24 @@ class TfidfModel:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_doc(self) -> dict:
-        return learn.encode_block(
+        return TFIDF.encode(
             {"vocabulary": self.vocabulary, "df": self.df, "n_docs": self.n_docs,
-             "max_features": self.max_features, "ngram_range": list(self.ngram_range)},
-            learn.BLOCKS["tfidf"])
+             "max_features": self.max_features, "ngram_range": list(self.ngram_range)})
 
     @classmethod
     def from_doc(cls, doc, what: str = "TF-IDF block") -> "TfidfModel":
-        """The model ``doc`` holds. Its decoder keeps each ``df`` in [1,
+        """The model ``doc`` holds. Its table keeps each ``df`` in [1,
         ``n_docs``], so every idf is at least 1."""
-        block = learn.decode_block(doc, learn.BLOCKS["tfidf"], what, {})
+        block = TFIDF.decode(doc, what)
         return cls(block["vocabulary"], block["df"], block["n_docs"], block["max_features"],
                    tuple(block["ngram_range"].tolist()))
+
+
+TFIDF = Table({"vocabulary": Field("terms", ("V",)), "n_docs": Field("int", (), 1),
+               "df": Field("int", ("V",), 1, "n_docs"), "max_features": Field("int", (), 1),
+               "ngram_range": Field("int", (2,), 1)}, learn.ArtifactError)
+SCALER = Table({"min": Field("float", ("F",)), "max": Field("float", ("F",), "min")},
+               learn.ArtifactError)
 
 
 def idf_of(df: np.ndarray, n_docs: int) -> np.ndarray:
@@ -324,7 +331,7 @@ class ScalerParams:
     @classmethod
     def from_doc(cls, doc, what: str = "scaler block", dims: dict | None = None
                  ) -> "ScalerParams":
-        block = learn.decode_block(doc, learn.BLOCKS["scaler"], what, dims or {})
+        block = SCALER.decode(doc, what, dims)
         return cls(block["min"], block["max"])
 
 
@@ -414,11 +421,12 @@ class FeaturePipeline:
         row[title], row[desc + self.tfidf_title.size] = title_counts, desc_counts
         return row
 
-    def blocks(self, issues: Sequence[IssueRecord], objective_probs) -> tuple:
-        """The issues' title docs and description docs, and blocks of a row
-        per issue: objective probabilities (``objective_probs``), label
+    def assemble(self, issues: Sequence[IssueRecord], objective_probs) -> learn.SparseRows:
+        """The issues' feature vectors, one row each: TF-IDF of title and
+        description, objective probabilities (``objective_probs``), label
         clusters and scaled metadata. The first row failing a check (written
-        so that NaN fails it) raises its ``ValueError``."""
+        so that NaN fails it) raises its ``ValueError``; then each row's
+        non-zeros are counted and written in place."""
         title_docs, desc_docs, labels, metadata = [], [], [], []
         for issue in issues:
             title_docs.append(textnorm.normalize_pipeline(issue.title, source="title"))
@@ -434,12 +442,6 @@ class FeaturePipeline:
                                   ~np.all((nf >= 0) & (nf <= 1), axis=1)])
         if failed.any():
             raise ValueError(_ROW_CHECKS[np.argwhere(failed)[0][1]])
-        return title_docs, desc_docs, probs, lf, nf
-
-    def assemble(self, issues: Sequence[IssueRecord], objective_probs) -> learn.SparseRows:
-        """The issues' feature vectors, one row each, checked as ``blocks``
-        says: each row's non-zeros are counted, then written in place."""
-        title_docs, desc_docs, probs, lf, nf = self.blocks(issues, objective_probs)
         tf = ((self.tfidf_title, title_docs, 0),
               (self.tfidf_desc, desc_docs, self.tfidf_title.size))
         widths = [np.fromiter((model.columns(doc)[0].size for doc in docs), np.intp, len(docs))

@@ -4,6 +4,7 @@ Every response is cached on disk keyed by the full request URL (token
 independent), so a warm cache replays a whole run without any network
 traffic and two hydrations from the same cache are byte-identical. The
 transport is injectable; tests drive the client with canned responses.
+Each API document and cache entry is read against its table (``decode``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .corpus import (
     UserProfile,
     parse_ts,
 )
+from .decode import Field, Table
 
 
 class IngestError(Exception):
@@ -69,7 +71,7 @@ _REPO_RE = re.compile(r"^[\w.-]+/[\w.-]+$")
 class FetchQuery:
     repo: str
     state: str = "closed"  # open | closed | all
-    created_before: Optional[str] = None  # ISO timestamp
+    created_before: Optional[datetime] = None
     include_pull_requests: bool = True
 
     def __post_init__(self) -> None:
@@ -131,6 +133,10 @@ def _json_body(response: Response, url: str, kind: type):
     return doc
 
 
+CACHE_ENTRY = Table({"status": Field("integer"), "headers": Field("strings"),
+                     "body": Field("string")})
+
+
 class IssueClient:
     def __init__(self, cfg: ClientConfig, transport: Transport | None = None,
                  sleeper: Callable[[float], None] = time.sleep) -> None:
@@ -155,13 +161,11 @@ class IssueClient:
 
     def _read_cache(self, url: str) -> Optional[Response]:
         path = self._cache_path(url)
-        if not path.exists():
-            return None
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            return Response(doc["status"], doc["headers"], doc["body"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None  # a corrupt entry is a miss: refetched and rewritten
+            entry = CACHE_ENTRY.decode(json.loads(path.read_text(encoding="utf-8")), str(path))
+        except (OSError, ValueError):
+            return None  # a missing or corrupt entry is a miss: fetched and written
+        return Response(**entry)
 
     def _write_cache(self, url: str, response: Response) -> None:
         doc = {"url": url, "status": response.status,
@@ -239,27 +243,46 @@ class IssueClient:
 
 
 # ---------------------------------------------------------------------------
-# Issue mapping
+# Issue mapping: one table (``decode``) per API document
 
-def _issue_from_api(doc: dict, repo: str) -> IssueRecord:
-    labels = []
-    for lb in doc.get("labels", []):
-        labels.append(lb["name"] if isinstance(lb, dict) else str(lb))
-    closed_by = doc.get("closed_by")
+USER = Table({"login": Field("string", default="")})
+ISSUE = Table({
+    "number": Field("integer"), "title": Field("string", default=""),
+    "body": Field("string", default=""), "state": Field("string", default="closed"),
+    "created_at": Field("string"), "closed_at": Field("string", default=""),
+    "labels": Field("list", default=()), "user": Field("object", default={}),
+    "closed_by": Field("object", default={}), "assignees": Field("list", default=()),
+    **dict.fromkeys(("milestone", "assignee", "pull_request"), Field("object", default=None))})
+LABEL = Table({"name": Field("string")})
+COMMENT = Table({"user": Field("object", default={}), "body": Field("string", default=""),
+                 "created_at": Field("string")})
+EVENT = Table({"event": Field("string", default="unknown"), "created_at": Field("string"),
+               "commit_id": Field("string", default=""), "actor": Field("object", default={})})
+PROFILE = Table({
+    "login": Field("string", default=""), "created_at": Field("string", default=""),
+    "contributions": Field("count", default=None), "association": Field("string", default="None"),
+    **dict.fromkeys(("followers", "following", "public_repos", "public_gists", "issue_count",
+                     "github_contributions", "repo_contributions"), Field("count", default=0))})
+
+
+def _issue_from_api(doc, repo: str) -> IssueRecord:
+    issue = ISSUE.decode(doc, "issue")
+    labels = [lb if type(lb) is str else LABEL.decode(lb, "issue label")["name"]
+              for lb in issue["labels"]]
     return IssueRecord(
-        id=str(doc["number"]),
+        id=str(issue["number"]),
         repo=repo,
-        title=doc.get("title") or "",
-        description=doc.get("body") or "",
-        state=doc.get("state", "closed"),
-        created_at=parse_ts(doc["created_at"]),
-        closed_at=parse_ts(doc["closed_at"]) if doc.get("closed_at") else None,
+        title=issue["title"],
+        description=issue["body"],
+        state=issue["state"],
+        created_at=parse_ts(issue["created_at"]),
+        closed_at=parse_ts(issue["closed_at"]) if issue["closed_at"] else None,
         labels=tuple(dict.fromkeys(labels)),
-        is_pull_request="pull_request" in doc,
-        milestone_present=doc.get("milestone") is not None,
-        assignee_present=bool(doc.get("assignee") or doc.get("assignees")),
-        author=UserProfile(login=(doc.get("user") or {}).get("login", "")),
-        closer_login=closed_by.get("login") if isinstance(closed_by, dict) else None,
+        is_pull_request=issue["pull_request"] is not None,
+        milestone_present=issue["milestone"] is not None,
+        assignee_present=bool(issue["assignee"] or issue["assignees"]),
+        author=UserProfile(login=USER.decode(issue["user"], "issue user")["login"]),
+        closer_login=USER.decode(issue["closed_by"], "issue closed_by")["login"] or None,
     )
 
 
@@ -268,45 +291,33 @@ def fetch_issues(cfg: ClientConfig, query: FetchQuery,
                  sleeper: Callable[[float], None] = time.sleep,
                  client: IssueClient | None = None) -> list[IssueRecord]:
     """All issues of a repository (partially hydrated), pagination followed
-    to exhaustion, every response cached."""
+    to exhaustion, every response cached. An issue document that does not
+    decode, or repeats an earlier issue's number, is an ``IngestError``."""
     client = client or IssueClient(cfg, transport, sleeper)
     params = urlencode({"state": query.state, "per_page": 100})
     url = f"{cfg.base_url}/repos/{query.repo}/issues?{params}"
     issues = []
     for doc in client.paginated(url):
-        record = _issue_from_api(doc, query.repo)
+        try:
+            record = _issue_from_api(doc, query.repo)
+        except ValueError as exc:  # a document that does not decode, or a bad record
+            raise IngestError(f"{url}: {exc}") from None
         if not query.include_pull_requests and record.is_pull_request:
             continue
-        if query.created_before and record.created_at >= parse_ts(query.created_before):
+        if query.created_before and record.created_at >= query.created_before:
             continue
         issues.append(record)
+    if len({issue.id for issue in issues}) < len(issues):
+        raise IngestError(f"{url}: an issue is listed twice")
     return issues
 
 
-def _zeroed_profile(login: str) -> UserProfile:
-    return UserProfile(login=login)
-
-
-def _profile_from_api(doc: dict) -> UserProfile:
-    return UserProfile(
-        login=doc.get("login", ""),
-        followers=int(doc.get("followers", 0)),
-        following=int(doc.get("following", 0)),
-        public_repos=int(doc.get("public_repos", 0)),
-        public_gists=int(doc.get("public_gists", 0)),
-        issue_count=int(doc.get("issue_count", 0)),
-        github_contributions=int(doc.get("contributions", doc.get("github_contributions", 0))),
-        account_created_at=parse_ts(doc["created_at"]) if doc.get("created_at") else None,
-        repo_contributions=int(doc.get("repo_contributions", 0)),
-        association=doc.get("association", "None"),
-    )
-
-
-def _created_at(doc: dict) -> datetime:
-    try:
-        return parse_ts(doc["created_at"])
-    except (KeyError, AttributeError, TypeError, ValueError) as exc:
-        raise IngestError(f"record without a valid created_at: {exc!r}") from None
+def _profile_from_api(doc) -> UserProfile:
+    profile = PROFILE.decode(doc, "user profile")
+    contributions, created = profile.pop("contributions"), profile.pop("created_at")
+    if contributions is not None:
+        profile["github_contributions"] = contributions
+    return UserProfile(account_created_at=parse_ts(created) if created else None, **profile)
 
 
 def _hydrate_one(client: IssueClient, cfg: ClientConfig,
@@ -316,38 +327,34 @@ def _hydrate_one(client: IssueClient, cfg: ClientConfig,
 
     comments: tuple[CommentRecord, ...] = ()
     try:
-        docs = client.paginated(f"{base}/comments?per_page=100")
-        comments = tuple(
-            CommentRecord(author_login=(d.get("user") or {}).get("login", ""),
-                          body=d.get("body") or "",
-                          created_at=_created_at(d))
-            for d in docs)
-    except IngestError as exc:
+        docs = [COMMENT.decode(d, "comment")
+                for d in client.paginated(f"{base}/comments?per_page=100")]
+        comments = tuple(CommentRecord(USER.decode(d["user"], "comment user")["login"],
+                                       d["body"], parse_ts(d["created_at"])) for d in docs)
+    except (IngestError, ValueError) as exc:
         failures.append(HydrationFailure(issue.id, "comments", str(exc)))
 
     events: tuple[EventRecord, ...] = ()
     referenced_commit = issue.referenced_commit
     closer = issue.closer_login
     try:
-        docs = client.paginated(f"{base}/events?per_page=100")
-        events = tuple(EventRecord(kind=d.get("event", "unknown"),
-                                   created_at=_created_at(d))
-                       for d in docs)
+        docs = [EVENT.decode(d, "event") for d in client.paginated(f"{base}/events?per_page=100")]
+        events = tuple(EventRecord(d["event"], parse_ts(d["created_at"])) for d in docs)
         referenced_commit = referenced_commit or any(
-            d.get("event") == "referenced" and d.get("commit_id") for d in docs)
+            d["event"] == "referenced" and d["commit_id"] for d in docs)
         if closer is None:
             for d in docs:
-                if d.get("event") == "closed" and d.get("actor"):
-                    closer = d["actor"].get("login")
-    except IngestError as exc:
+                if d["event"] == "closed" and d["actor"]:
+                    closer = USER.decode(d["actor"], "event actor")["login"] or None
+    except (IngestError, ValueError) as exc:
         failures.append(HydrationFailure(issue.id, "events", str(exc)))
 
-    profile = _zeroed_profile(issue.author.login)
+    profile = UserProfile(login=issue.author.login)
     if issue.author.login:
         try:
             url = f"{cfg.base_url}/users/{issue.author.login}"
             profile = _profile_from_api(_json_body(client.request(url), url, dict))
-        except IngestError as exc:
+        except (IngestError, ValueError) as exc:
             failures.append(HydrationFailure(issue.id, "author", str(exc)))
 
     hydrated = replace(

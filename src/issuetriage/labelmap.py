@@ -59,9 +59,6 @@ class ClusterTable:
                 f"cluster table must have exactly {N_CLUSTERS} clusters, "
                 f"got {len(self.representatives)}")
 
-    def index_of(self, representative: str) -> int:
-        return self.representatives.index(representative)
-
     def cluster_of(self, raw_label: str) -> str | None:
         idx = self.lookup.get(canonicalize_label(raw_label))
         return self.representatives[idx] if idx is not None else None

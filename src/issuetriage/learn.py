@@ -15,15 +15,14 @@ the floats derived from it. NB stores its class and term counts and
 once per fit or load (``TrainedModel`` runs it as it is made). A forest's
 importances and kNN's training matrix are stored as their non-zeros and
 expanded on load; whole-valued float arrays are written as JSON integers
-(``encode_block``). A version-1 file is refused; no reader of it is kept.
+(``Table.encode``). A version-1 file is refused; no reader of it is kept.
 
 Every artifact is read through ``read_artifact``, which checks its format
-and version, and each of its blocks is decoded once by ``decode_block``
-against its row of ``BLOCKS``: a model's params in ``TrainedModel.from_doc``,
-against its classes, and the assets' blocks in ``cli.load_assets``. Where a
-model meets its assets, ``TrainedModel.require_width`` checks that it takes
-the columns they give: ``cli.load_assets`` for the assets' stage-one model
-and ``cli.cmd_predict`` for the model file.
+and version, and each of its blocks is decoded once against its table
+(``decode``): a model's against ``MODEL`` and its kind's ``BLOCKS``, the
+assets' in ``cli.load_assets``. ``TrainedModel.require_width`` checks that
+a model takes the columns its assets give: ``cli.load_assets`` for the
+assets' stage-one model and ``cli.cmd_predict`` for the model file.
 
 The feature matrix is ``SparseRows`` (see there for which learners densify
 it). A forest fit indexes X's non-zeros by column once (``column_index``),
@@ -44,14 +43,14 @@ import hashlib
 import json
 import math
 import statistics
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import IssueRecord, ObjectiveClass, PriorityClass, SettingError
+from .decode import Field, Table, is_int, is_number
 from .textnorm import TokenizedDoc
 
 OBJECTIVE_CLASS_ORDER = tuple(cls.value for cls in ObjectiveClass)
@@ -162,7 +161,7 @@ class TrainedModel:
     def require_width(self, width: int, where: str = "") -> None:
         """``ArtifactError`` unless the model takes ``width`` feature columns: the
         ``d`` of its first param in ``BLOCKS`` that has one."""
-        key, spec = next((k, f) for k, f in BLOCKS[self.kind].items() if "d" in f.shape)
+        key, spec = next((k, f) for k, f in BLOCKS[self.kind].fields.items() if "d" in f.shape)
         if np.shape(self.params[key])[spec.shape.index("d")] != width:
             raise ArtifactError(f"{where}{self.kind} model artifact {key} does not take the "
                                 f"{width} feature columns its assets give")
@@ -172,7 +171,7 @@ class TrainedModel:
         predictions, as they are in memory: NB's derived logs (not the counts
         they come from), every other kind's stored params (a forest's
         importances dense). No fingerprint depends on how a file encodes them."""
-        keys = NB_LOGS if self.kind == "nb" else BLOCKS[self.kind]
+        keys = NB_LOGS if self.kind == "nb" else BLOCKS[self.kind].fields
         payload = json.dumps(
             {"kind": self.kind, "classes": list(self.classes),
              "params": {key: self.params[key] for key in keys}},
@@ -180,63 +179,37 @@ class TrainedModel:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_doc(self) -> dict:
-        """Kind, classes, stored params (``encode_block``) and metadata;
+        """Kind, classes, stored params (``Table.encode``) and metadata;
         fingerprints only when pinned, which a stage-one model inside an
         assets bundle never is."""
         doc = {"kind": self.kind, "classes": list(self.classes),
-               "params": encode_block(self.params, BLOCKS[self.kind]), "metadata": self.metadata}
+               "params": BLOCKS[self.kind].encode(self.params), "metadata": self.metadata}
         if self.asset_fingerprints:
             doc["asset_fingerprints"] = self.asset_fingerprints
         return doc
 
     @classmethod
     def from_doc(cls, doc, where: str = "") -> "TrainedModel":
-        """The model ``doc`` describes, its params decoded against its classes;
-        ``where`` (a path and a colon, say) starts every error message."""
-        what = f"{where}model artifact"
-        require_keys(doc, ("kind", "classes", "params"), what)
-        kind, classes = doc["kind"], doc["classes"]
-        if not (isinstance(kind, str) and kind in _PREDICTORS):
+        """The model ``doc`` describes (``MODEL``), its params decoded against
+        its classes; ``where`` (a path and a colon, say) starts every error
+        message."""
+        what, dims = f"{where}model artifact", {}
+        model = MODEL.decode(doc, what, dims)
+        kind, classes = model["kind"], tuple(model["classes"])
+        if kind not in _PREDICTORS:
             raise ArtifactError(f"{what} has unknown kind {kind!r}")
-        if not (isinstance(classes, list) and len(classes) >= 2
-                and all(isinstance(c, str) for c in classes)
-                and len(set(classes)) == len(classes)):
-            raise ArtifactError(f"{what} classes {classes!r} are not a list "
-                                "of at least two distinct names")
-        params = decode_block(doc["params"], BLOCKS[kind], f"{where}{kind} model artifact",
-                              {"K": len(classes)})
-        return cls(kind=kind, classes=tuple(classes), params=params,
-                   metadata=doc.get("metadata", {}),
-                   **decode_block(doc, BLOCKS["pinned"], what, {}))
+        if len(classes) < 2:
+            raise ArtifactError(f"{what} classes {list(classes)!r} are fewer than two")
+        return cls(kind=kind, classes=classes, metadata=dict(model["metadata"]),
+                   asset_fingerprints=model["asset_fingerprints"],
+                   params=BLOCKS[kind].decode(model["params"], f"{where}{kind} model artifact",
+                                              dims))
 
 
 # ---------------------------------------------------------------------------
-# Artifact blocks: one declarative check each
+# Artifact tables (``decode``): a model's document and each kind's params
 
-# The most cells a "sparse" array may expand to (1 GiB of floats), so that a
-# small file cannot claim a huge one
-MAX_SPARSE_CELLS = 2 ** 27
-
-
-class Field(NamedTuple):
-    """What one key of an artifact block holds; see ``BLOCKS``."""
-    dtype: str
-    shape: tuple = ()
-    low: float | str | None = None
-    high: float | str | None = None
-    optional: bool = False  # may be absent, and is then absent from the decoded block
-
-
-# Each block's keys. "float" is an array of finite numbers and "int" one of
-# integers, of ``shape`` (a scalar's is ()) and each value in [low, high];
-# "sparse" is a "float" array stored as its non-zeros (``_encode``); "terms"
-# is a list of distinct strings, the terms of columns 0..V-1, decoded to a
-# term -> column dict; "strings" maps names to strings, and "tree" is a
-# non-empty list of forest trees. A dimension is a number or a named width,
-# bound where it first appears: K classes, d feature columns, n training
-# rows, V terms, F metadata features. A bound is a number, a width (K-1 is
-# one less) or an earlier key of the block, compared elementwise.
-BLOCKS: dict[str, dict[str, Field]] = {
+BLOCKS: dict[str, Table] = {kind: Table(fields, ArtifactError) for kind, fields in {
     "nb": {"class_counts": Field("float", ("K",), 0),
            "term_counts": Field("float", ("K", "d"), 0), "alpha": Field("float", (), 0)},
     "logreg": {"b": Field("float", ("K",)), "W": Field("float", ("d", "K"))},
@@ -244,135 +217,10 @@ BLOCKS: dict[str, dict[str, Field]] = {
                "trees": Field("tree")},
     "knn": {"y": Field("int", ("n",), 0, "K-1"), "X": Field("sparse", ("n", "d")),
             "k": Field("int", (), 1, "n")},
-    "tfidf": {"vocabulary": Field("terms", ("V",)), "n_docs": Field("int", (), 1),
-              "df": Field("int", ("V",), 1, "n_docs"),
-              "max_features": Field("int", (), 1), "ngram_range": Field("int", (2,), 1)},
-    "scaler": {"min": Field("float", ("F",)), "max": Field("float", ("F",), "min")},
-    "pinned": {"asset_fingerprints": Field("strings", optional=True)},
-    "checksums": {"label_checksums": Field("strings", optional=True)},
-}
-
-
-def decode_block(doc, fields: dict[str, Field], what: str, dims: dict[str, int]) -> dict:
-    """``doc``'s keys in ``fields``, decoded as their ``Field`` says: number
-    arrays as ndarrays, scalars as Python numbers, the rest as they are. Named
-    widths are bound in ``dims``. The first key that is missing or does not
-    decode raises one ``ArtifactError``, which starts with ``what``."""
-    require_keys(doc, [key for key, spec in fields.items() if not spec.optional], what)
-    return {key: _decode(doc, key, spec, dims, what) for key, spec in fields.items()
-            if key in doc}
-
-
-def _decode(doc: dict, key: str, spec: Field, dims: dict[str, int], what: str):
-    value = doc[key]
-    label = key if isinstance(value, (list, dict)) else f"{key} {value!r:.40}"
-    fail = f"{what} {label} does not decode:"
-    if spec.dtype == "tree":  # one stack walk over every node of every tree
-        n_classes, n_features = dims["K"], dims["d"]
-        stack = list(value) if isinstance(value, list) and value else [None]
-        while stack:
-            node = stack.pop()
-            keys = set(node) if isinstance(node, dict) else None
-            leaf = node["leaf"] if keys == {"leaf"} else None
-            if (isinstance(leaf, list) and len(leaf) == n_classes
-                    and all(_is_number(p, 0, strict=False) for p in leaf)):
-                continue
-            if (keys == {"f", "t", "l", "r"} and _is_int(node["f"], 0, n_features - 1)
-                    and _is_number(node["t"], -math.inf, strict=True)):
-                stack += (node["l"], node["r"])
-                continue
-            raise ArtifactError(f"{fail} it holds no trees, or a node that is neither a leaf "
-                                f"of {n_classes} numbers >= 0 nor a split on a feature in "
-                                f"[0, {n_features})")
-        return value
-    if spec.dtype == "strings":
-        if not (isinstance(value, dict) and all(type(v) is str for v in value.values())):
-            raise ArtifactError(f"{fail} it is not an object of strings")
-        return value
-    if spec.dtype == "terms":
-        if not (isinstance(value, list) and all(type(v) is str for v in value)):
-            raise ArtifactError(f"{fail} it is not a list of strings")
-        _bind(spec.shape, (len(value),), dims, fail)
-        columns = {term: column for column, term in enumerate(value)}
-        if len(columns) != len(value):
-            raise ArtifactError(f"{fail} it repeats a term")
-        return columns
-    if spec.dtype == "sparse":
-        parts = decode_block(value, {"shape": Field("int", (len(spec.shape),), 0),
-                                     "index": Field("int", ("nnz",), 0),
-                                     "value": Field("float", ("nnz",))}, f"{what} {key}", {})
-        shape = tuple(parts["shape"].tolist())
-        _bind(spec.shape, shape, dims, fail)
-        size, index = math.prod(shape), parts["index"]
-        if size > MAX_SPARSE_CELLS:
-            raise ArtifactError(f"{fail} its shape {shape} has more than {MAX_SPARSE_CELLS} cells")
-        if index.size and (index[-1] >= size or np.any(index[1:] <= index[:-1])):
-            raise ArtifactError(f"{fail} its index repeats, is out of order or leaves [0, {size})")
-        array = np.zeros(size)
-        array[index] = parts["value"]
-        return array.reshape(shape)
-    try:
-        array = np.array(value)
-    except ValueError:  # nested lists of unequal lengths
-        array = np.array(None)
-    if not array.size:  # [] reads as floats
-        array = array.astype(int if spec.dtype == "int" else float)
-    if array.dtype.kind not in ("iu" if spec.dtype == "int" else "iuf"):
-        raise ArtifactError(f"{fail} it is not made of "
-                            f"{'integers' if spec.dtype == 'int' else 'numbers'}")
-    _bind(spec.shape, array.shape, dims, fail)
-    if spec.dtype == "float":
-        array = array.astype(float, copy=False)
-        if not np.isfinite(array).all():
-            raise ArtifactError(f"{fail} it holds a number that is not finite")
-    for name, side, outside in ((spec.low, "below", np.less),
-                                (spec.high, "above", np.greater)):
-        bound = name
-        if isinstance(name, str):  # a width, less what follows a "-", or a key of the block
-            width, _, less = name.partition("-")
-            bound = dims[width] - int(less or 0) if width in dims else doc[name]
-        if bound is not None and np.any(outside(array, bound)):
-            named = isinstance(name, str) and np.ndim(bound) == 0
-            raise ArtifactError(f"{fail} it holds a value {side} {name}"
-                                + (f" = {bound}" if named else ""))
-    return array if spec.shape else array.item()
-
-
-def encode_block(block: dict, fields: dict[str, Field]) -> dict:
-    """``block``'s keys in ``fields`` as an artifact stores them, which
-    ``decode_block`` reads back to the same values: see ``_encode``."""
-    return {key: _encode(block[key], spec) for key, spec in fields.items()}
-
-
-def _encode(value, spec: Field):
-    """A "terms" dict as its terms in column order; a "sparse" array as an
-    object of its ``shape`` and the ``index`` (flat, in C order, ascending)
-    and ``value`` of each entry that is not 0.0 (a -0.0 is kept); and a
-    "float" array whose values are all whole numbers that a float holds
-    exactly, none of them -0.0, as integers, which JSON writes without a
-    fraction. Anything else as it is."""
-    if spec.dtype == "terms":
-        return sorted(value, key=value.__getitem__)
-    if spec.dtype == "sparse":
-        flat = np.asarray(value, dtype=float).ravel()
-        index = np.flatnonzero((flat != 0) | np.signbit(flat))
-        return {"shape": list(np.shape(value)), "index": index,
-                "value": _encode(flat[index], Field("float"))}
-    if spec.dtype == "float" and isinstance(value, np.ndarray) and value.dtype.kind == "f":
-        if np.all(np.abs(value) <= 2 ** 53) and np.all(value % 1 == 0):
-            whole = value.astype(np.int64)
-            if not np.any(np.signbit(value) & (whole == 0)):
-                return whole
-    return value
-
-
-def _bind(shape: tuple, actual: tuple, dims: dict[str, int], fail: str) -> None:
-    """Check ``actual`` against ``shape``, binding each named width not yet in ``dims``."""
-    want = tuple(dims.get(w, w) for w in shape)
-    if len(actual) != len(want) or any(isinstance(w, int) and w != a
-                                       for w, a in zip(want, actual)):
-        raise ArtifactError(f"{fail} its shape is {actual}, not ({', '.join(map(str, want))})")
-    dims.update((w, a) for w, a in zip(want, actual) if isinstance(w, str))
+}.items()}
+MODEL = Table({"kind": Field("string"), "classes": Field("terms", ("K",)),
+               "params": Field("object"), "metadata": Field("object", default={}),
+               "asset_fingerprints": Field("strings", default={})}, ArtifactError)
 
 
 def _json_default(obj):
@@ -405,16 +253,6 @@ def read_artifact(path: str | Path, fmt: str) -> dict:
     if doc.get("version") != ARTIFACT_VERSION:
         raise ArtifactError(f"{path}: unsupported {fmt} version {doc.get('version')!r}")
     return doc
-
-
-def require_keys(doc, keys: Sequence[str], what: str) -> None:
-    """Raise ``ArtifactError`` unless ``doc`` is an object, naming the first of
-    ``keys`` that it lacks."""
-    if not isinstance(doc, dict):
-        raise ArtifactError(f"{what} is not an object")
-    for key in keys:
-        if key not in doc:
-            raise ArtifactError(f"{what} has no {key!r} key")
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -954,21 +792,10 @@ def balance_with_smote(X: np.ndarray | SparseRows, labels: Sequence[str], k: int
 # ---------------------------------------------------------------------------
 # Setting checks, hyperparameter sampling and fold assignment
 
-def _is_int(value, low: int, high: int | None = None) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool) and value >= low
-            and (high is None or value <= high))
-
-
-def _is_number(value, low: float, strict: bool) -> bool:
-    # an int too large for a float is not finite
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max and (value > low if strict else value >= low))
-
-
 def checked_int(name: str, value, low: int, high: int | None = None) -> int:
     """``value`` if it is an integer (not a bool) in [low, high], else a
     ``SettingError``."""
-    if not _is_int(value, low, high):
+    if not is_int(value, low, high):
         bounds = f"in [{low}, {high}]" if high is not None else f">= {low}"
         raise SettingError(f"{name} must be an integer {bounds}, got {value!r}")
     return value
@@ -977,17 +804,17 @@ def checked_int(name: str, value, low: int, high: int | None = None) -> int:
 # Every hyperparameter the fitters above (and SMOTE, as ``smote_k``) take by
 # name, with what makes its value valid; the defaults are the fitters' own.
 HYPERPARAMS: dict[str, tuple[str, Callable[[object], bool]]] = {
-    "n_trees": ("an integer >= 1", lambda v: _is_int(v, 1)),
-    "max_depth": ("null or an integer >= 1", lambda v: v is None or _is_int(v, 1)),
-    "min_leaf": ("an integer >= 1", lambda v: _is_int(v, 1)),
+    "n_trees": ("an integer >= 1", lambda v: is_int(v, 1)),
+    "max_depth": ("null or an integer >= 1", lambda v: v is None or is_int(v, 1)),
+    "min_leaf": ("an integer >= 1", lambda v: is_int(v, 1)),
     "max_features": ('"sqrt", null or an integer >= 1',
-                     lambda v: v is None or v == "sqrt" or _is_int(v, 1)),
-    "lr": ("a finite number > 0", lambda v: _is_number(v, 0, strict=True)),
-    "l2": ("a finite number >= 0", lambda v: _is_number(v, 0, strict=False)),
-    "epochs": ("an integer >= 1", lambda v: _is_int(v, 1)),
-    "alpha": ("a finite number > 0", lambda v: _is_number(v, 0, strict=True)),
-    "k": ("an integer >= 1", lambda v: _is_int(v, 1)),
-    "smote_k": ("an integer >= 1", lambda v: _is_int(v, 1)),
+                     lambda v: v is None or v == "sqrt" or is_int(v, 1)),
+    "lr": ("a finite number > 0", lambda v: is_number(v, 0, strict=True)),
+    "l2": ("a finite number >= 0", lambda v: is_number(v, 0, strict=False)),
+    "epochs": ("an integer >= 1", lambda v: is_int(v, 1)),
+    "alpha": ("a finite number > 0", lambda v: is_number(v, 0, strict=True)),
+    "k": ("an integer >= 1", lambda v: is_int(v, 1)),
+    "smote_k": ("an integer >= 1", lambda v: is_int(v, 1)),
 }
 
 

@@ -107,6 +107,7 @@ def _effective_strengths(doc: TokenizedDoc, lex: Lexicon) -> list[tuple[float, f
 
 
 def _dual(scored: list[tuple[float, float]]) -> tuple[int, int]:
+    """Positivity / negativity pair; (1, -1) for text with no scored terms."""
     strengths = [v for v, _ in scored]
     positives = [v for v in strengths if v > 0]
     negatives = [v for v in strengths if v < 0]
@@ -116,22 +117,13 @@ def _dual(scored: list[tuple[float, float]]) -> tuple[int, int]:
 
 
 def _polarity_subjectivity(scored: list[tuple[float, float]]) -> tuple[float, float]:
+    """Mean strength rescaled to [-1, 1] plus mean subjectivity weight;
+    (0.0, 0.0) when nothing in the document is scored."""
     if not scored:
         return 0.0, 0.0
     polarity = sum(v for v, _ in scored) / (5.0 * len(scored))
     subjectivity = sum(s for _, s in scored) / len(scored)
     return max(-1.0, min(1.0, polarity)), max(0.0, min(1.0, subjectivity))
-
-
-def score_dual(doc: TokenizedDoc, lex: Lexicon) -> tuple[int, int]:
-    """Positivity / negativity pair; (1, -1) for text with no scored terms."""
-    return _dual(_effective_strengths(doc, lex))
-
-
-def score_polarity_subjectivity(doc: TokenizedDoc, lex: Lexicon) -> tuple[float, float]:
-    """Mean strength rescaled to [-1, 1] plus mean subjectivity weight;
-    (0.0, 0.0) when nothing in the document is scored."""
-    return _polarity_subjectivity(_effective_strengths(doc, lex))
 
 
 def score_all(doc: TokenizedDoc, lex: Lexicon) -> SentimentScores:

@@ -129,16 +129,6 @@ def _abstract(text: str) -> tuple[str, Counter[AbstractToken]]:
     return text, counts
 
 
-def abstract_entities(text: str) -> str:
-    """Replace user-names, code, URLs, paths, dates etc. with abstract tokens."""
-    return _abstract(text)[0]
-
-
-def count_abstractions(text: str) -> Counter[AbstractToken]:
-    """How many spans each abstraction pattern matched on raw text."""
-    return _abstract(text)[1]
-
-
 _APOSTROPHE_RE = re.compile(r"(?<=[A-Za-z])['’](?=[A-Za-z])")
 _QUESTION_RE = re.compile(r"\?+")
 _PUNCT_RE = re.compile(r"[^\w\s?⟨⟩]|_")
@@ -353,7 +343,7 @@ def normalize_pipeline(text: str, source: str = "description") -> TokenizedDoc:
     """Run every stage on ``text``; memoized per ``(text, source)`` argument
     list, and below that per whitespace chunk (see the module docstring).
     The result is frozen and shared by all callers, and carries the
-    abstraction counts of the same pass (``count_abstractions(text)``, zeros
+    abstraction counts of the same pass (``_abstract(text)[1]``, zeros
     left out). A new stage must be a pure function of the text and of
     constant tables. Time the kernel through ``normalize_pipeline.__wrapped__``
     after ``_CHUNK_LEMMAS.clear()``."""

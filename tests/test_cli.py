@@ -65,6 +65,14 @@ class TestUsage:
                    "--out", tmp_path / "o.jsonl") == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("as_config", [True, False], ids=["config", "in"])
+    def test_directory_given_as_a_file_exits_one(self, tmp_path, capsys, as_config):
+        config = ["--config", tmp_path] if as_config else []
+        assert run(*config, "preprocess", "--in", PLANTED if as_config else tmp_path,
+                   "--out", tmp_path / "o.jsonl") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "not found" in err[0], err
+
 
 class TestPreprocess:
     def test_filters_and_reports(self, workdir):
@@ -186,6 +194,19 @@ class TestTrainPredict:
                    "--objective-probs", probs) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {probs}:3: "), err
+
+    def test_repeated_probability_id_exits_one(self, workdir, capsys):
+        probs = workdir / "probs.tsv"
+        probs.write_text("issue_id\tBug\tEnhancement\tSupportDoc\n"
+                         "engine-1\t0.2\t0.3\t0.5\n"
+                         "engine-2\t0.2\t0.3\t0.5\n"
+                         "engine-1\t1\t0\t0\n")
+        capsys.readouterr()
+        assert run("--config", workdir / "config.json", "train-priority",
+                   "--in", workdir / "corpus.jsonl", "--model", workdir / "m.json",
+                   "--objective-probs", probs) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {probs}:4: issue id 'engine-1' repeats line 2"], err
 
     @pytest.mark.parametrize("content", [None, b"issue_id\tBug\tEnhancement\tSupportDoc\n"
                                                b"engine-1\t1\t0\t0 \xff\n"],

@@ -1,10 +1,13 @@
-"""Process-level contracts of the CLI: the exit code of any config or any
-mutated model or assets file, and output bytes that do not depend on the
-interpreter's string hash seed."""
+"""Process-level contracts of the CLI: the exit code of any config, and of
+any mutated input document (model or assets file, corpus line, sidecar,
+probability row or cached API page), and output bytes that do not depend on
+the interpreter's string hash seed."""
 
+import importlib
 import io
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -12,15 +15,19 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import issuetriage
 from conftest import FIXTURES
-from issuetriage import cli, labelmap, learn
+from issuetriage import cli, ingest, labelmap, learn
 from issuetriage.corpus import Corpus, FilterConfig, load_corpus, save_corpus
+from issuetriage.decode import Table
 from issuetriage.evalkit import ModelSpec
+from test_ingest import REPO, FakeTransport, hydration_routes, issue_doc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -183,6 +190,80 @@ def test_any_config_gives_a_known_exit_code(small_corpus, config):
 
 
 # ---------------------------------------------------------------------------
+# One mutator for every input document, driven by the decoder's tables
+
+# one value of each JSON type but null, and the types each Field kind takes
+JSON_VALUES = ["x", True, 7, 1.5, {}, ["x"]]
+TAKES = {"string": (str,), "bool": (bool,), "integer": (int,), "count": (int,),
+         "object": (dict,), "list": (list,), "decimal": (str,), "float": (list, int, float),
+         "int": (list, int), "sparse": (dict,), "terms": (list,), "strings": (dict,),
+         "tree": (list,)}
+
+
+def declared_tables() -> list[Table]:
+    """Every ``Table`` that a module of the package declares, by name or in a
+    dict of tables."""
+    found = []
+    for info in pkgutil.iter_modules(issuetriage.__path__):
+        for value in vars(importlib.import_module(f"issuetriage.{info.name}")).values():
+            found += [table for table in (value.values() if isinstance(value, dict) else [value])
+                      if isinstance(table, Table)]
+    return found
+
+
+def wrong_types() -> dict[str, list]:
+    """Per key that a table declares, the values of ``JSON_VALUES`` whose
+    JSON type its row does not take."""
+    wrong: dict[str, list] = {}
+    for table in declared_tables():
+        for key, spec in table.fields.items():
+            kinds = (spec.kind,) if isinstance(spec.kind, str) else spec.kind
+            takes = {t for kind in kinds for t in TAKES[kind]}
+            wrong.setdefault(key, []).extend(v for v in JSON_VALUES if type(v) not in takes)
+    return wrong
+
+
+WRONG = wrong_types()
+
+
+def test_every_declared_field_is_fuzzed():
+    tables = declared_tables()
+    corpus_tables = (issuetriage.corpus.RECORD, issuetriage.corpus.AUTHOR,
+                     issuetriage.corpus.COMMENT, issuetriage.corpus.EVENT,
+                     issuetriage.corpus.SIDECAR)
+    assert {*corpus_tables, cli.PROB_ROW, cli.ASSETS, issuetriage.features.TFIDF,
+            issuetriage.features.SCALER, learn.MODEL, *learn.BLOCKS.values(), ingest.ISSUE,
+            ingest.COMMENT, ingest.EVENT, ingest.PROFILE, ingest.CACHE_ENTRY} <= set(tables)
+    assert all(WRONG[key] for table in tables for key in table.fields)
+
+
+def mutate(data, doc, values: list, descend: int):
+    """``doc`` with one key, value or list element changed, at least one
+    level down and then one more level ``descend`` times in ``descend + 1``:
+    renamed, cut one element short (a list), set to one of ``values`` or, for
+    a key a table declares, to a value of a JSON type its row does not take,
+    or given a sibling key that some table declares, with such a value."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node:
+        if parent is not None and not data.draw(st.integers(0, descend)):
+            break
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))), "key")
+        parent, node = node, node[key]
+    how = data.draw(st.sampled_from(["rename", "set", "cut", "add"]), "how")
+    if how == "rename" and isinstance(parent, dict):
+        parent[f"{key}x"] = parent.pop(key)
+    elif how == "cut" and isinstance(node, list) and node:
+        parent[key] = node[:-1]
+    elif how == "add" and isinstance(parent, dict):
+        added = data.draw(st.sampled_from(sorted(WRONG)), "added")
+        parent[added] = data.draw(st.sampled_from(WRONG[added]), "value")
+    else:
+        parent[key] = data.draw(st.sampled_from(values + WRONG.get(key, [])), "value")
+    return doc
+
+
+# ---------------------------------------------------------------------------
 # Exit-code contract over mutated model and assets files
 
 @pytest.fixture(scope="module")
@@ -210,26 +291,12 @@ BAD_VALUES = ["x", float("nan"), None, -1, 10 ** 7, 10 ** 400]
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_any_mutated_artifact_gives_a_known_exit_code(small_corpus, trained_artifacts, data):
-    """One key, value or array cell of a model or its assets is renamed, set
-    to a bad value, or (a list) cut one element short; predict then exits 0,
-    1 or 2 with at most one error line, and on 0 writes whole rows."""
+    """A model or its assets is mutated (``mutate``, which reaches the
+    nested trees five levels in six); predict then exits 0, 1 or 2 with at
+    most one error line, and on 0 writes whole rows."""
     model = trained_artifacts[data.draw(st.sampled_from(sorted(trained_artifacts)), "model")]
     suffix = data.draw(st.sampled_from(["", ".assets.json"]), "file")
-    doc = json.loads(Path(f"{model}{suffix}").read_text())
-    parent, key, node = None, None, doc
-    while isinstance(node, (dict, list)) and node:
-        if parent is not None and not data.draw(st.integers(0, 5)):
-            break  # one level down at least, then one more five times in six
-        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
-                                        else range(len(node))), "key")
-        parent, node = node, node[key]
-    how = data.draw(st.sampled_from(["rename", "set", "cut"]), "how")
-    if how == "rename" and isinstance(parent, dict):
-        parent[f"{key}x"] = parent.pop(key)
-    elif how == "cut" and isinstance(node, list) and node:
-        parent[key] = node[:-1]
-    else:
-        parent[key] = data.draw(st.sampled_from(BAD_VALUES), "value")
+    doc = mutate(data, json.loads(Path(f"{model}{suffix}").read_text()), BAD_VALUES, 5)
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "m.json"
         for name in ("", ".assets.json"):
@@ -273,24 +340,8 @@ RECORD_VALUES = BAD_VALUES + [True, "", [], {}, ["x", 1], {"login": 3}, 1.5,
 PROB_CELLS = ["x", "", "nan", "inf", "-1", "1e400", "0.5", "1", "0"]
 
 
-def _mutate_record(data, doc):
-    """One key or value of ``doc``, at any depth, renamed, set to a bad value
-    or (a list) cut one element short, as the artifact mutator does."""
-    parent, key, node = None, None, doc
-    while isinstance(node, (dict, list)) and node:
-        if parent is not None and not data.draw(st.integers(0, 2)):
-            break
-        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
-                                        else range(len(node))), "key")
-        parent, node = node, node[key]
-    how = data.draw(st.sampled_from(["rename", "set", "cut"]), "how")
-    if how == "rename" and isinstance(parent, dict):
-        parent[f"{key}x"] = parent.pop(key)
-    elif how == "cut" and isinstance(node, list) and node:
-        parent[key] = node[:-1]
-    else:
-        parent[key] = data.draw(st.sampled_from(RECORD_VALUES), "value")
-    return json.dumps(doc).encode()
+def _mutated_json(data, doc) -> bytes:
+    return json.dumps(mutate(data, doc, RECORD_VALUES, 2)).encode()
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -311,7 +362,7 @@ def test_any_mutated_corpus_or_probability_file_gives_a_known_exit_code(
                  "json": lambda: lines[at][:-1],
                  "array": lambda: b"[" + lines[at] + b"]",
                  "copy": lambda: lines[(at + 1) % len(lines)],
-                 "record": lambda: _mutate_record(data, json.loads(lines[at]))}[how]()
+                 "record": lambda: _mutated_json(data, json.loads(lines[at]))}[how]()
     rows = [line.encode() for line in prob_lines]
     row = data.draw(st.integers(0, len(rows) - 1), "row")
     cells = prob_lines[row].split("\t")
@@ -343,7 +394,7 @@ def test_any_mutated_corpus_or_probability_file_gives_a_known_exit_code(
 def test_any_mutated_sidecar_gives_a_known_exit_code(small_corpus, probs_inputs, data):
     """The corpus's ``.meta.json`` sidecar (the planted fixture's, so that
     its provenance has keys to mutate) has one key or value, at any depth,
-    renamed, set to a bad value or cut short, as ``_mutate_record`` does, or
+    changed as ``mutate`` changes any document, or
     is made bad bytes, bad JSON, a non-object, or removed; ``preprocess`` and
     ``predict`` then exit 0, 1 or 2, with one error line exactly when they do
     not exit 0, and never a traceback."""
@@ -355,7 +406,7 @@ def test_any_mutated_sidecar_gives_a_known_exit_code(small_corpus, probs_inputs,
                "json": lambda: sidecar[:-3],
                "array": lambda: b"[" + sidecar + b"]",
                "missing": lambda: None,
-               "record": lambda: _mutate_record(data, json.loads(sidecar))}[how]()
+               "record": lambda: _mutated_json(data, json.loads(sidecar))}[how]()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         shutil.copy(small_corpus, tmp / "c.jsonl")
@@ -370,3 +421,54 @@ def test_any_mutated_sidecar_gives_a_known_exit_code(small_corpus, probs_inputs,
             assert code in (0, 1, 2), (argv[0], code)
             assert "Traceback" not in err.getvalue()
             assert (code == 0) == (not errors) and len(errors) <= 1, (argv[0], code, errors)
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract over mutated API pages
+
+@pytest.fixture(scope="module")
+def api_cache(tmp_path_factory):
+    """``fetch``'s response cache for one repository: two issues (one with a
+    label given as a bare string), their comments and events, and their
+    authors' profiles, made through a canned transport."""
+    cache = tmp_path_factory.mktemp("api") / "cache"
+    transport = FakeTransport()
+    transport.add(f"https://api.github.com/repos/{REPO}/issues?state=closed&per_page=100",
+                  [issue_doc(1), issue_doc(2, user={"login": "bob"}, labels=["ui"])])
+    for number, login in ((1, "alice"), (2, "bob")):
+        hydration_routes(transport, number, login)
+    config = ingest.ClientConfig(cache_dir=cache)
+    client = ingest.IssueClient(config, transport)
+    issues = ingest.fetch_issues(config, ingest.FetchQuery(repo=REPO), client=client)
+    assert not ingest.hydrate(config, issues, client=client)[1]
+    return cache
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_mutated_api_page_gives_a_known_exit_code(api_cache, data):
+    """One cached response (the issue list, or an issue's comments, events or
+    author profile) has its body, or the cache entry itself, changed as
+    ``mutate`` changes any document; ``fetch``, run offline through the
+    cache, then exits 0 or 2, with one error line exactly when it exits 2,
+    and never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = Path(tmp) / "cache"
+        shutil.copytree(api_cache, cache)
+        path = data.draw(st.sampled_from(sorted(cache.glob("*.json"))), "page")
+        entry = json.loads(path.read_text())
+        if data.draw(st.integers(0, 3), "entry"):
+            entry["body"] = json.dumps(mutate(data, json.loads(entry["body"]), RECORD_VALUES, 2))
+        else:
+            mutate(data, entry, RECORD_VALUES, 0)
+        path.write_text(json.dumps(entry))
+        offline = FakeTransport()  # a request the cache misses is answered 404
+        err = io.StringIO()
+        with mock.patch.object(ingest, "RequestsTransport", lambda: offline), \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main(["fetch", "--repo", REPO, "--out", str(Path(tmp) / "c.jsonl"),
+                             "--cache-dir", str(cache)])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 2), code
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (not errors) and len(errors) <= 1, (code, errors)

@@ -74,7 +74,8 @@ class TestRoundTrip:
         (lambda doc: {**doc, "id": True}, "'id' must be a string or an integer"),
         (lambda doc: {**doc, "created_at": 5}, "'created_at' must be a string"),
         (lambda doc: {**doc, "is_pull_request": "no"}, "'is_pull_request' must be true or false"),
-        (lambda doc: {**doc, "author": {"followers": 10 ** 400}}, "followers must be in [0, 2**63)"),
+        (lambda doc: {**doc, "author": {"followers": 10 ** 400}},
+         "'followers' must be an integer in [0, 2**63)"),
         (lambda doc: {**doc, "comments": [{"author_login": "x", "body": 1,
                                            "created_at": "2021-01-01T00:00:00Z"}]},
          "'body' must be a string"),
@@ -131,6 +132,19 @@ class TestRoundTrip:
         meta = path.with_name(path.name + ".meta.json")
         meta.write_text(json.dumps({"schema_version": 99}))
         with pytest.raises(CorpusError, match="schema version"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("meta, named", [
+        ({"schema_version": True}, "'schema_version' must be an integer"),
+        ({"schema_version": 1.0}, "'schema_version' must be an integer"),
+        ({"schema_version": 1, "provenance": "api"}, "'provenance' must be an object"),
+        ({"schema_version": 1, "provenance": ["api"]}, "'provenance' must be an object"),
+    ], ids=["version-true", "version-float", "provenance-string", "provenance-list"])
+    def test_mistyped_sidecar(self, tmp_path, meta, named):
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus_of(make_issue()), path)
+        path.with_name(path.name + ".meta.json").write_text(json.dumps(meta))
+        with pytest.raises(CorpusError, match=f"sidecar field {named}"):
             load_corpus(path)
 
     @pytest.mark.parametrize("sidecar", [b"{bad", b"[]", b"\xff\xfe"])

@@ -400,7 +400,9 @@ class TestAssemble:
         probs = np.array([0.5, 0.25, 0.25])
         a = make_issue(id="p1", labels=("bug", "ui", "windows"))
         b = make_issue(id="p2", labels=("windows", "bug", "ui"))
-        lf = pipeline.blocks([a, b], [probs, probs])[3]
+        lf_start = pipeline.stage1_width + len(probs)
+        lf = pipeline.assemble([a, b], [probs, probs]).to_dense()[
+            :, lf_start:lf_start + labelmap.N_CLUSTERS]
         assert np.array_equal(lf[0], lf[1]) and lf[0].any()
 
     def test_bad_probs_rejected(self, pipeline):

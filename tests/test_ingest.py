@@ -1,6 +1,8 @@
+import hashlib
 import json
 import threading
 import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -175,6 +177,20 @@ class TestFetchIssues:
         with pytest.raises(ValueError):
             FetchQuery(repo="not-a-repo")
 
+    def test_created_before_filters_and_a_bad_one_exits_one(self, tmp_path, capsys):
+        transport = FakeTransport()
+        transport.add(ISSUES_URL, [issue_doc(1), issue_doc(2, created_at="2021-03-01T00:00:00Z",
+                                                             closed_at=None)])
+        before = datetime(2021, 2, 15, tzinfo=timezone.utc)
+        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO, created_before=before),
+                              transport=transport, sleeper=no_sleep)
+        assert [i.id for i in issues] == ["1"]
+        code = cli.main(["fetch", "--repo", REPO, "--out", str(tmp_path / "c.jsonl"),
+                         "--cache-dir", str(tmp_path / "cache"), "--created-before", "soon"])
+        err = capsys.readouterr().err.strip().splitlines()
+        errors = [line for line in err if line.startswith("error: ")]
+        assert code == 1 and len(errors) == 1 and "--created-before" in errors[0], err
+
 
 def hydration_routes(transport, number=1, login="alice"):
     base = f"{BASE}/repos/{REPO}/issues/{number}"
@@ -301,7 +317,9 @@ class CountingLock:
 class TestRobustness:
     @pytest.mark.parametrize("entry", [
         "{bad", "[]", json.dumps({"status": 200, "headers": {}}),
-        json.dumps({"status": 200, "body": "[]"})])
+        json.dumps({"status": 200, "body": "[]"}),
+        json.dumps({"status": 200, "headers": {}, "body": 5}),
+        json.dumps({"status": 200, "headers": [], "body": "[]"})])
     def test_corrupt_cache_entry_is_refetched(self, tmp_path, entry):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(1)])
@@ -361,6 +379,71 @@ class TestRobustness:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ") and "not JSON" in err[0], err
         assert transport.calls == [ISSUES_URL]
+
+    @pytest.mark.parametrize("doc, named", [
+        (5, "is not an object"),
+        (issue_doc(1, user="bob"), "'user' must be an object"),
+        (issue_doc(1, labels=[{"color": "red"}]), "has no 'name'"),
+        ({"number": 1}, "has no 'created_at'"),
+    ], ids=["not-an-object", "user-string", "label-without-name", "no-created_at"])
+    def test_bad_issue_document_is_an_ingest_error(self, tmp_path, doc, named):
+        transport = FakeTransport()
+        transport.add(ISSUES_URL, [issue_doc(2), doc])
+        with pytest.raises(IngestError, match=named):
+            fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
+                         transport=transport, sleeper=no_sleep)
+
+    def test_issue_listed_twice_is_an_ingest_error(self, tmp_path):
+        transport = FakeTransport()
+        transport.add(ISSUES_URL, [issue_doc(1), issue_doc(1)])
+        with pytest.raises(IngestError, match="an issue is listed twice"):
+            fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
+                         transport=transport, sleeper=no_sleep)
+
+    @pytest.mark.parametrize("resource, route, change, named", [
+        ("author", "users/alice", lambda doc: {**doc, "followers": "many"}, "'followers'"),
+        ("author", "users/alice", lambda doc: {**doc, "followers": -1}, "'followers'"),
+        ("events", "repos/octo/widgets/issues/1/events?per_page=100",
+         lambda docs: [*docs[:-1], {**docs[-1], "actor": "bob"}], "'actor' must be an object"),
+        ("comments", "repos/octo/widgets/issues/1/comments?per_page=100",
+         lambda docs: [{**docs[0], "user": "bob"}, *docs[1:]], "'user' must be an object"),
+    ], ids=["followers-many", "followers-negative", "actor-string", "comment-user-string"])
+    def test_bad_sub_resource_fails_only_its_resource(self, tmp_path, resource, route, change,
+                                                      named):
+        transport = FakeTransport()
+        hydration_routes(transport)
+        url = f"{BASE}/{route}"
+        transport.add(url, change(json.loads(transport.routes[url].body)))
+        transport.add(ISSUES_URL, [issue_doc(1)])
+        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
+                              transport=transport, sleeper=no_sleep)
+        corpus, failures = hydrate(cfg(tmp_path), issues, transport=transport,
+                                   sleeper=no_sleep)
+        assert [(f.issue_id, f.resource) for f in failures] == [("1", resource)]
+        assert named in failures[0].error, failures
+        issue = corpus.issues[0]
+        assert issue.hydration_failed is True
+        assert (len(issue.comments), len(issue.events), issue.author.followers) == {
+            "author": (3, 5, 0), "events": (3, 0, 42), "comments": (0, 5, 42)}[resource]
+
+    def test_fetch_of_cached_issue_without_created_at_exits_two(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        """A cached issue list (``paths.cache``) whose one issue has no
+        ``created_at``: one error line, exit 2, and no request made."""
+        url = f"{BASE}/repos/o/r/issues?state=closed&per_page=100"
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / f"{hashlib.sha256(url.encode()).hexdigest()}.json").write_text(json.dumps(
+            {"url": url, "status": 200, "headers": {}, "body": json.dumps([{"number": 1}])}))
+        (tmp_path / "config.json").write_text(json.dumps({"paths": {"cache": str(cache)}}))
+        transport = FakeTransport()
+        monkeypatch.setattr(ingest, "RequestsTransport", lambda: transport)
+        code = cli.main(["--config", str(tmp_path / "config.json"), "fetch", "--repo", "o/r",
+                         "--out", str(tmp_path / "c.jsonl")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and "'created_at'" in err[0], err
+        assert transport.calls == []
 
     def test_request_counter_is_locked(self, tmp_path):
         transport = FakeTransport(delay=0.002)

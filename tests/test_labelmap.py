@@ -150,12 +150,12 @@ class TestLabelFeatures:
     def test_wontfix_single_bit(self, maps):
         vec = label_features(["wontfix"], maps.clusters)
         assert vec.sum() == 1
-        assert vec[maps.clusters.index_of("won't fix")] == 1
+        assert vec[maps.clusters.representatives.index("won't fix")] == 1
 
     def test_no_double_count(self, maps):
         vec = label_features(["duplicate", "t-duplicate"], maps.clusters)
         assert vec.sum() == 1
-        assert vec[maps.clusters.index_of("duplicate")] == 1
+        assert vec[maps.clusters.representatives.index("duplicate")] == 1
 
     def test_binary_permutation_invariant_monotone(self, maps):
         pool = list(maps.clusters.lookup.keys()) + ["unmapped-one", "unmapped-two"]

@@ -7,14 +7,24 @@ from issuetriage.sentiment import (
     SentimentScores,
     load_lexicon,
     score_all,
-    score_dual,
-    score_polarity_subjectivity,
 )
 from issuetriage.textnorm import TokenizedDoc
 
 
 def doc(*tokens):
     return TokenizedDoc(tokens=tokens)
+
+
+def dual(d, lexicon):
+    """``score_all``'s positivity and negativity."""
+    scores = score_all(d, lexicon)
+    return scores.positivity, scores.negativity
+
+
+def polarity_subjectivity(d, lexicon):
+    """``score_all``'s polarity and subjectivity."""
+    scores = score_all(d, lexicon)
+    return scores.polarity, scores.subjectivity
 
 
 def lex(terms=None, negators=("not", "no", "never", "cannot"), intensifiers=None):
@@ -25,50 +35,50 @@ def lex(terms=None, negators=("not", "no", "never", "cannot"), intensifiers=None
 
 class TestScoreDual:
     def test_empty_doc_neutral_baseline(self):
-        assert score_dual(doc(), lex()) == (1, -1)
+        assert dual(doc(), lex()) == (1, -1)
 
     def test_single_positive(self):
-        assert score_dual(doc("love", "it"), lex({"love": (3, 0.6)})) == (3, -1)
+        assert dual(doc("love", "it"), lex({"love": (3, 0.6)})) == (3, -1)
 
     def test_negation_flip(self):
-        assert score_dual(doc("not", "good"), lex({"good": (2, 0.5)})) == (1, -2)
+        assert dual(doc("not", "good"), lex({"good": (2, 0.5)})) == (1, -2)
 
     def test_negator_within_two_tokens(self):
         l = lex({"good": (2, 0.5)})
-        assert score_dual(doc("not", "so", "good"), l) == (1, -2)
-        assert score_dual(doc("not", "a", "b", "good"), l) == (2, -1)
+        assert dual(doc("not", "so", "good"), l) == (1, -2)
+        assert dual(doc("not", "a", "b", "good"), l) == (2, -1)
 
     def test_max_and_min_selected(self):
         l = lex({"fine": (2, 0.4), "great": (4, 0.8),
                  "bad": (-2, 0.4), "awful": (-5, 1.0)})
-        assert score_dual(doc("fine", "great", "bad", "awful"), l) == (4, -5)
+        assert dual(doc("fine", "great", "bad", "awful"), l) == (4, -5)
 
     def test_intensifier_scales(self):
         l = lex({"good": (2, 0.5)}, intensifiers={"very": 1.5})
-        assert score_dual(doc("very", "good"), l) == (3, -1)
+        assert dual(doc("very", "good"), l) == (3, -1)
 
     def test_intensifier_clamped(self):
         l = lex({"great": (4, 0.8)}, intensifiers={"extremely": 2.0})
-        assert score_dual(doc("extremely", "great"), l) == (5, -1)
+        assert dual(doc("extremely", "great"), l) == (5, -1)
 
 
 class TestPolaritySubjectivity:
     def test_empty_doc(self):
-        assert score_polarity_subjectivity(doc(), lex()) == (0.0, 0.0)
+        assert polarity_subjectivity(doc(), lex()) == (0.0, 0.0)
 
     def test_scale_endpoint(self):
         l = lex({"perfect": (5, 1.0)})
-        assert score_polarity_subjectivity(doc("perfect",), l) == (1.0, 1.0)
+        assert polarity_subjectivity(doc("perfect",), l) == (1.0, 1.0)
 
     def test_mean_of_opposites(self):
         l = lex({"up": (3, 0.4), "down": (-3, 0.6)})
-        pol, subj = score_polarity_subjectivity(doc("up", "down"), l)
+        pol, subj = polarity_subjectivity(doc("up", "down"), l)
         assert pol == pytest.approx(0.0)
         assert subj == pytest.approx(0.5)
 
     def test_negation_affects_polarity(self):
         l = lex({"good": (2, 0.5)})
-        pol, _ = score_polarity_subjectivity(doc("not", "good"), l)
+        pol, _ = polarity_subjectivity(doc("not", "good"), l)
         assert pol == pytest.approx(-2 / 5)
 
 
@@ -89,12 +99,6 @@ class TestProperties:
             # memoized per doc on the lexicon: a second call is the same
             # object
             assert score_all(doc(*tokens), lexicon) is scores
-            # score_all makes one pass over the tokens for all four scores;
-            # each equals its public function's, to the bit
-            dual = score_dual(doc(*tokens), lexicon)
-            pol_subj = score_polarity_subjectivity(doc(*tokens), lexicon)
-            assert (scores.positivity, scores.negativity) == dual
-            assert [repr(scores.polarity), repr(scores.subjectivity)] == list(map(repr, pol_subj))
 
     def test_memo_belongs_to_its_lexicon(self):
         d = doc("alpha")
@@ -109,11 +113,11 @@ class TestProperties:
         vocab = list(base) + ["plain"]
         for _ in range(100):
             tokens = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 10)))
-            pos1, neg1 = score_dual(doc(*tokens), lex(base))
-            pos2, neg2 = score_dual(doc(*tokens), lex(flipped))
+            pos1, neg1 = dual(doc(*tokens), lex(base))
+            pos2, neg2 = dual(doc(*tokens), lex(flipped))
             assert (pos1 - 1, abs(neg1) - 1) == (abs(neg2) - 1, pos2 - 1)
-            pol1, sub1 = score_polarity_subjectivity(doc(*tokens), lex(base))
-            pol2, sub2 = score_polarity_subjectivity(doc(*tokens), lex(flipped))
+            pol1, sub1 = polarity_subjectivity(doc(*tokens), lex(base))
+            pol2, sub2 = polarity_subjectivity(doc(*tokens), lex(flipped))
             assert pol1 == pytest.approx(-pol2)
             assert sub1 == pytest.approx(sub2)
 
@@ -123,8 +127,8 @@ class TestProperties:
         vocab = ["good", "great", "bad", "not", "plain"]
         for _ in range(200):
             tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
-            before, _ = score_dual(doc(*tokens), l)
-            after, _ = score_dual(doc(*tokens, "great"), l)
+            before, _ = dual(doc(*tokens), l)
+            after, _ = dual(doc(*tokens, "great"), l)
             assert after >= before
 
 
