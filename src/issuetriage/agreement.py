@@ -81,7 +81,10 @@ def load_rating_matrix(path: str | Path,
     """Delimited ratings file: header row of rater ids (optionally preceded
     by an id column and/or a group column), one issue per row, cells
     H/L/High/Low/1/0 or empty."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RatingMatrixError(f"{path}: cannot read ratings file: {exc}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise RatingMatrixError(f"{path}: empty ratings file")

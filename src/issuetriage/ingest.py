@@ -194,26 +194,34 @@ class IssueClient:
             return response
 
     def _fetch_with_retry(self, url: str) -> Response:
+        """The URL's 200 response. A 401, a 404 or a 403 that is no rate limit
+        ends it; any other status or a transport error (an ``OSError``, as
+        requests' ``ConnectionError`` and ``Timeout`` are) is tried again, up
+        to ``max_attempts`` more times. ``network_requests`` counts every try."""
         attempt = 0
         while True:
             with self._requests_guard:
                 self.network_requests += 1
-            response = self.transport.get(url, self._headers())
-            if response.status == 200:
-                return response
-            if response.status == 401:
-                raise AuthError(f"authentication failed for {url}")
-            if response.status == 404:
-                raise NotFoundError(f"resource not found: {url}")
-            retriable_rate_limit = response.status in (403, 429) and (
-                response.header("Retry-After") is not None
-                or response.header("X-RateLimit-Remaining") == "0")
-            if response.status == 403 and not retriable_rate_limit:
-                raise AuthError(f"access forbidden for {url}")
+            retriable_rate_limit = False
+            try:
+                response = self.transport.get(url, self._headers())
+            except OSError as exc:
+                last = f"last error: {exc}"
+            else:
+                if response.status == 200:
+                    return response
+                if response.status == 401:
+                    raise AuthError(f"authentication failed for {url}")
+                if response.status == 404:
+                    raise NotFoundError(f"resource not found: {url}")
+                retriable_rate_limit = response.status in (403, 429) and (
+                    response.header("Retry-After") is not None
+                    or response.header("X-RateLimit-Remaining") == "0")
+                if response.status == 403 and not retriable_rate_limit:
+                    raise AuthError(f"access forbidden for {url}")
+                last = f"last status {response.status}"
             if attempt >= self.cfg.max_attempts:
-                raise IngestError(
-                    f"giving up on {url} after {attempt + 1} attempts "
-                    f"(last status {response.status})")
+                raise IngestError(f"giving up on {url} after {attempt + 1} attempts ({last})")
             if retriable_rate_limit:
                 self.sleep(self._rate_limit_delay(response))
             else:

@@ -34,6 +34,14 @@ partitions a node's rows once its split is chosen (``ColumnIndex.column_at``),
 and a forest's prediction reads its input through one index by column
 (``SparseRows.by_column``, kept with the matrix for the next prediction on
 it), so no dense n x d array is made on the forest's path.
+
+A forest's trees are grown on every CPU the process may run on: one
+process per CPU, each after the first a forked child that reads the fit's
+``ColumnIndex`` copy-on-write, takes the trees' seeds one at a time from a
+shared pipe, and sends its trees back through a pipe of its own. A tree
+depends on its seed alone, and the trees are put back in seed order and
+their importances summed in that order, so a model's bytes do not depend on
+the number of CPUs, nor on which process grew which tree.
 """
 
 from __future__ import annotations
@@ -42,6 +50,9 @@ import functools
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -656,12 +667,126 @@ def _tree_predict(tree: dict, cols: ColumnIndex, out: np.ndarray, rows: np.ndarr
         _tree_predict(tree["r"], cols, out, rows[~mask])
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on; 1 where the system cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity (macOS, Windows)
+        return 1
+
+
+# at most this many tickets, 2 bytes each: 4096 bytes, which any pipe holds
+# at once, so dealing them out never waits for a reader
+_TICKETS = 2048
+
+
+def _on_every_cpu(work: Callable, items: Sequence) -> list:
+    """``[work(item) for item in items]`` on ``w = min(_cpus(), len(items))``
+    processes: the caller and ``w - 1`` children made by ``os.fork`` (the
+    caller alone where there is no ``os.fork``). The items are dealt out by
+    ticket, ticket ``t`` being items ``t::T`` (``T = min(len(items),
+    _TICKETS)``): each process takes the next ticket from one pipe until none
+    is left, so a process that runs slower, as on a busier CPU, takes fewer.
+    A child reads the caller's memory copy-on-write, pickles its results
+    into a pipe and leaves by ``os._exit``, so it flushes no inherited stdio
+    buffer. Each result goes back to its item's place, whoever worked it out.
+    A child holds only the calling thread, so ``work`` may take no lock that
+    another thread could hold at the fork: a tree calls no BLAS routine and
+    does no I/O.
+
+    A child that fails or dies is a ``TrainingError``. Every child is reaped
+    before this returns or raises; one still running then, as on
+    ``KeyboardInterrupt``, is killed."""
+    w = min(_cpus(), len(items)) if hasattr(os, "fork") else 1
+    n_tickets = min(len(items), _TICKETS)
+    tickets, deal = os.pipe()
+    take = functools.partial(_take_tickets, work, items, tickets, n_tickets)
+    children: dict[int, int] = {}  # pid -> the read end of its pipe, until reaped
+    try:
+        with open(deal, "wb") as pipe:
+            pipe.write(b"".join(t.to_bytes(2, "little") for t in range(n_tickets)))
+        for _ in range(1, w):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(read)
+                os.close(write)
+                raise TrainingError(f"cannot start a forest worker process: {exc}") from None
+            if pid == 0:
+                _work_in_child(take, read, write)
+            os.close(write)
+            children[pid] = read
+        shares = [take()]
+        for pid, read in list(children.items()):
+            sent = b"".join(iter(functools.partial(os.read, read, 1 << 20), b""))
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                how = f"exit status {code}" if code > 0 else f"signal {-code}"
+                raise TrainingError(f"forest worker process {pid} died ({how})")
+            ok, result = pickle.loads(sent)
+            if not ok:
+                raise TrainingError(f"forest worker process {pid} failed: {result}")
+            shares.append(result)
+    finally:
+        os.close(tickets)
+        for pid, read in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    results = [None] * len(items)
+    for share in shares:
+        for t, worked in share:
+            results[t::n_tickets] = worked
+    return results
+
+
+def _take_tickets(work: Callable, items: Sequence, tickets: int, n_tickets: int) -> list:
+    """``(t, [work(item) for item in items[t::n_tickets]])`` for each ticket
+    ``t`` this process reads from the pipe ``tickets``, until it is empty.
+    Every ticket was written before any was read, and a 2-byte read of a pipe
+    is never split, so no two processes take the same ticket."""
+    taken = []
+    while ticket := os.read(tickets, 2):
+        t = int.from_bytes(ticket, "little")
+        taken.append((t, [work(item) for item in items[t::n_tickets]]))
+    return taken
+
+
+def _work_in_child(job: Callable[[], list], read: int, write: int):
+    """A forked child's whole life: ``(True, job())`` or ``(False, the
+    error)`` pickled into ``write``, then ``os._exit``, with status 0 once sent."""
+    status = 1
+    try:
+        os.close(read)
+        try:
+            result = True, job()
+        except Exception as exc:
+            result = False, f"{type(exc).__name__}: {exc}"
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def fit_random_forest(
     X: np.ndarray | SparseRows, labels: Sequence[str], weights: ClassWeights | None = None,
     n_trees: int = 60, max_depth: int | None = 12, min_leaf: int = 1,
     max_features: int | str | None = "sqrt", seed: int = 0,
     classes: tuple[str, ...] | None = None,
 ) -> TrainedModel:
+    """A random forest of ``n_trees`` Gini trees, each grown on a weighted
+    bootstrap of X's rows and drawing ``max_features`` columns per split
+    ("sqrt" or None: sqrt(d)).
+
+    Each tree has its own seed, spawned from ``seed``, and the trees are
+    grown on every CPU the process may run on (``_on_every_cpu``), all over
+    the one ``column_index``. They come back in seed order and their
+    importances are summed in that order, so the model's bytes do not
+    depend on the number of CPUs or on which process grew which tree."""
     classes, y = _encode_labels(labels, classes)
     if len(classes) < 2:
         raise TrainingError("random forest needs at least two classes")
@@ -674,18 +799,23 @@ def fit_random_forest(
         m = max(1, min(int(max_features), d))
     sw = weights.per_sample(labels) if weights else np.ones(n)
     p = sw / sw.sum()
-    trees: list[dict] = []
-    importance_sum = np.zeros(d)
-    child_seeds = np.random.SeedSequence(seed).spawn(n_trees)
-    for tree_seed in child_seeds:
+
+    def grow(tree_seed):
+        """One tree and its importances' non-zeros, as shares of their sum."""
         rng = np.random.default_rng(tree_seed)
         idx = rng.choice(n, size=n, replace=True, p=p)
         importances = np.zeros(d)
         tree = _grow_tree(cols, y, idx, rng, len(classes), max_depth, min_leaf,
                           m, 0, importances, n_root=len(idx))
-        total = importances.sum()
-        if total > 0:
-            importance_sum += importances / total
+        at = importances.nonzero()[0]
+        return tree, at, importances[at] / importances.sum()
+
+    trees: list[dict] = []
+    importance_sum = np.zeros(d)
+    # adding a tree's shares at its non-zeros alone gives the bits of adding
+    # its dense vector: x + 0.0 is x for the non-negative x summed here
+    for tree, at, shares in _on_every_cpu(grow, np.random.SeedSequence(seed).spawn(n_trees)):
+        importance_sum[at] += shares
         trees.append(tree)
     return TrainedModel(
         kind="forest", classes=classes,

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import os
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
-from issuetriage import labelmap, sentiment
+from issuetriage import labelmap, learn, sentiment
 from issuetriage.corpus import (
     CommentRecord,
     Corpus,
@@ -57,3 +59,26 @@ def planted_corpus() -> Corpus:
     corpus, report = load_corpus(FIXTURES / "planted_corpus.jsonl")
     assert not report.errors
     return corpus
+
+
+def wait_for(path, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def in_child(fault, started):
+    """``learn._grow_tree`` that, in a forked worker, creates the file
+    ``started`` and runs ``fault()`` before each node, and in the process
+    that made it waits for ``started`` first: a worker has taken a tree
+    before the caller grows one."""
+    parent, grow = os.getpid(), learn._grow_tree
+
+    def grow_tree(*args, **kwargs):
+        if os.getpid() != parent:
+            started.touch()
+            fault()
+        else:
+            wait_for(started)
+        return grow(*args, **kwargs)
+    return grow_tree

@@ -1,11 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, in_child
 from issuetriage import cli, evalkit, labelmap, learn
 from issuetriage.corpus import load_corpus
 
@@ -915,6 +918,40 @@ class TestEvaluateCommand:
         assert "accuracy" in doc["mean"]
 
 
+class TestForestWorkers:
+    def test_a_failing_worker_exits_two(self, workdir, monkeypatch, capsys):
+        def fault():
+            raise MemoryError("planted in a worker")
+        monkeypatch.setattr(learn, "_grow_tree", in_child(fault, workdir / "started"))
+        monkeypatch.setattr(learn, "_cpus", lambda: 2)
+        assert run("--config", workdir / "config.json", "train-priority",
+                   "--in", workdir / "corpus.jsonl", "--model", workdir / "m.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: forest worker process "), err
+        assert err[0].endswith("failed: MemoryError: planted in a worker")
+        with pytest.raises(ChildProcessError):  # the worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_piped_output_is_written_once(self, workdir):
+        """A worker leaves without flushing the stdout buffer it inherited:
+        with stdout a pipe, a line printed before the fits and every report
+        line appear once."""
+        code = ("import sys; from issuetriage import cli; print('before the fits'); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "--config", str(workdir / "config.json"), "evaluate",
+             "--in", str(workdir / "corpus.jsonl"), "--mode", "project",
+             "--report", str(workdir / "proj.json")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "before the fits" and lines[-1].startswith("mean accuracy: ")
+        assert len(lines) == len(set(lines)) == 6, lines
+
+
 class TestAgreementCommand:
     def test_agreement_report(self, workdir, capsys):
         ratings = workdir / "ratings.csv"
@@ -933,6 +970,14 @@ class TestAgreementCommand:
         assert run("agreement", "--ratings", ratings, "--report", workdir / "a.json") == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "expected 4 cells" in err[0]
+
+    def test_ratings_that_are_not_utf8_exit_two(self, workdir, capsys):
+        ratings = workdir / "ratings.csv"
+        ratings.write_bytes(b"project,r1,r2\nweb,H,\xff\n")
+        assert run("agreement", "--ratings", ratings, "--report", workdir / "a.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {ratings}: cannot read ratings file: ")
+        assert "'utf-8' codec can't decode byte 0xff" in err[0]
 
 
 class TestConfig:

@@ -140,17 +140,30 @@ def test_every_definition_is_reached():
     assert {name.rsplit(".", 1)[-1] for name in found} == set(UNREACHED_ON_PURPOSE), found
 
 
-def test_cli_imports_ingest_and_agreement_only_for_their_commands():
-    """Every CLI run imports ``cli``; only ``fetch`` and ``agreement`` need
-    ``ingest`` and ``agreement``, so importing ``cli`` loads neither."""
-    code = ("import sys, issuetriage.cli; "
-            "print(sorted({'issuetriage.ingest', 'issuetriage.agreement'} & set(sys.modules)))")
+def loaded_after(code: str, modules: set[str]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after running ``code``."""
+    code += f"; import sys; print(sorted({sorted(modules)!r} & sys.modules.keys()))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return ast.literal_eval(proc.stdout.strip())
+
+
+def test_cli_imports_ingest_and_agreement_only_for_their_commands():
+    """Every CLI run imports ``cli``; only ``fetch`` and ``agreement`` need
+    ``ingest`` and ``agreement``, so importing ``cli`` loads neither."""
+    assert loaded_after("import issuetriage.cli",
+                        {"issuetriage.ingest", "issuetriage.agreement"}) == []
+
+
+def test_forest_fit_loads_no_process_pool():
+    """A forest fit forks its workers itself: a process pool (``multiprocessing``,
+    ``concurrent.futures``) would copy X to each worker, and costs more memory."""
+    code = ("import numpy as np, issuetriage.cli; from issuetriage import learn; "
+            "learn.fit_random_forest(np.eye(6), ['a', 'b'] * 3, n_trees=4)")
+    assert loaded_after(code, {"multiprocessing", "concurrent.futures"}) == []
 
 
 # Possessive quantifiers and atomic groups compile only on Python >= 3.11;

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import threading
@@ -6,6 +7,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+import requests
 
 from issuetriage import cli, ingest
 from issuetriage.corpus import save_corpus
@@ -56,7 +58,9 @@ class FakeTransport:
                 return Response(404, {}, json.dumps({"message": "Not Found"}))
             entry = self.routes[url]
             if isinstance(entry, list):
-                return entry.pop(0) if len(entry) > 1 else entry[0]
+                entry = entry.pop(0) if len(entry) > 1 else entry[0]
+            if isinstance(entry, OSError):  # the network failed
+                raise entry
             return entry
         finally:
             with self._lock:
@@ -163,6 +167,36 @@ class TestFetchIssues:
         with pytest.raises(IngestError, match="giving up"):
             fetch_issues(cfg(tmp_path, max_attempts=2), FetchQuery(repo=REPO),
                          transport=transport, sleeper=no_sleep)
+
+    def test_transport_error_is_retried(self, tmp_path):
+        transport = FakeTransport()
+        transport.add_sequence(ISSUES_URL, [
+            requests.Timeout("read timed out"),
+            Response(200, {}, json.dumps([issue_doc(1)])),
+        ])
+        sleeps = []
+        client = IssueClient(cfg(tmp_path, backoff_base_seconds=0.5), transport, sleeps.append)
+        issues = fetch_issues(client.cfg, FetchQuery(repo=REPO), client=client)
+        assert [i.id for i in issues] == ["1"]
+        assert sleeps == [0.5] and client.network_requests == 2
+
+    def test_fetch_through_a_lasting_transport_error_exits_two(self, tmp_path, monkeypatch,
+                                                                capsys):
+        """Each try backs off and counts as a request; then one error line
+        names the URL and the last error."""
+        transport = FakeTransport()
+        transport.routes[ISSUES_URL] = requests.ConnectionError("network is down")
+        sleeps = []
+        monkeypatch.setattr(ingest, "RequestsTransport", lambda: transport)
+        monkeypatch.setattr(ingest, "IssueClient",
+                            functools.partial(IssueClient, sleeper=sleeps.append))
+        code = cli.main(["fetch", "--repo", REPO, "--out", str(tmp_path / "c.jsonl"),
+                         "--cache-dir", str(tmp_path / "cache")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err == [f"error: giving up on {ISSUES_URL} after 4 attempts "
+                       "(last error: network is down)"], err
+        assert sleeps == [1.0, 2.0, 4.0] and transport.calls == [ISSUES_URL] * 4
 
     def test_pull_requests_filtered_when_asked(self, tmp_path):
         transport = FakeTransport()

@@ -1,7 +1,11 @@
+import functools
 import itertools
 import json
 import math
+import os
 import random
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_issue
-from issuetriage import learn
+from conftest import in_child, make_issue, wait_for
+from issuetriage import evalkit, learn
 from issuetriage.corpus import PriorityClass
 from issuetriage.learn import (
     ClassWeights,
@@ -636,6 +640,119 @@ class TestSparseForest:
         for j in (0, 450, 905):
             assert np.array_equal(cols.column_at(j, rows), X[rows, j])
             assert not cols.scratch.any()
+
+
+@pytest.fixture(scope="module")
+def planted_forest_case(planted_corpus, maps):
+    """(X, labels, fit options) of the criterion-09 spec's forest fit on the
+    planted fixture, as ``evaluate --mode cross-project`` makes it."""
+    calls, fit = [], learn.fit_random_forest
+
+    @functools.wraps(fit)
+    def spy(X, labels, **options):
+        calls.append((X, labels, options))
+        return fit(X, labels, **options)
+
+    spec = evalkit.ModelSpec(classifier="forest", balancing="weights", seed=11,
+                             hyperparams={"n_trees": 100, "max_depth": 12, "max_features": 128})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learn, "fit_random_forest", spy)
+        evalkit.evaluate_cross_project(planted_corpus, spec, seed=11, maps=maps)
+    (case,) = calls
+    return case
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForestWorkers:
+    """The trees are grown by one process per CPU (``learn._cpus``), all but
+    the first forked from the fit. The model is the same bytes for any
+    number of them, a worker's failure is a ``TrainingError``, and no child
+    outlives a fit."""
+
+    @pytest.mark.parametrize("case", ["mixed-2", "mixed-3", "tfidf", "criterion-09"])
+    def test_model_bytes_do_not_depend_on_the_worker_count(self, request, monkeypatch,
+                                                           tmp_path, case):
+        X, y, options = {
+            "mixed-2": lambda: _mixed_forest_case(1, 2),
+            "mixed-3": lambda: _mixed_forest_case(2, 3),
+            "tfidf": _tfidf_forest_case,
+            "criterion-09": lambda: request.getfixturevalue("planted_forest_case"),
+        }[case]()
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        got = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(learn, "_cpus", lambda: cpus)
+            model = fit_random_forest(X, y, **options)
+            assert_no_child_left()
+            assert len(forks) == cpus - 1
+            forks.clear()
+            save_model(model, tmp_path / "model.json")
+            got.append(((tmp_path / "model.json").read_bytes(),
+                         model.params["importances"].tobytes(),
+                         model.predict_proba(X).tobytes()))
+        assert got[1] == got[0] and got[2] == got[0]
+
+    def test_each_result_comes_back_to_its_place(self, monkeypatch, tmp_path):
+        """More items than tickets, so a ticket carries several; the caller
+        and its worker both take some."""
+        started, parent = tmp_path / "started", os.getpid()
+
+        def work(i):
+            if os.getpid() != parent:
+                started.touch()
+            else:
+                wait_for(started)
+            return i * i, os.getpid()
+        monkeypatch.setattr(learn, "_cpus", lambda: 2)
+        items = list(range(2 * learn._TICKETS + 5))
+        got = learn._on_every_cpu(work, items)
+        assert_no_child_left()
+        assert [square for square, _ in got] == [i * i for i in items]
+        assert len({pid for _, pid in got}) == 2
+
+    @pytest.mark.parametrize("fault, message", [
+        (lambda: 1 / 0, "failed: ZeroDivisionError: division by zero"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), r"died \(signal 9\)"),
+        (lambda: os._exit(3), r"died \(exit status 3\)"),
+    ], ids=["raises", "killed", "exits"])
+    def test_a_failing_worker_is_a_training_error(self, monkeypatch, tmp_path, fault, message):
+        X, y, options = _tfidf_forest_case()
+        monkeypatch.setattr(learn, "_grow_tree", in_child(fault, tmp_path / "started"))
+        monkeypatch.setattr(learn, "_cpus", lambda: 3)
+        with pytest.raises(TrainingError, match=message):
+            fit_random_forest(X, y, **options)
+        assert_no_child_left()
+
+    def test_an_interrupted_fit_kills_its_workers(self, monkeypatch, tmp_path):
+        """The caller is interrupted at its first tree while its worker
+        sleeps 20 s in its first: the worker is killed and reaped at once."""
+        X, y, options = _tfidf_forest_case()
+        parent, slept = os.getpid(), []
+        grow = in_child(lambda: slept or slept.append(time.sleep(20)), tmp_path / "started")
+
+        def grow_tree(*args, **kwargs):
+            tree = grow(*args, **kwargs)
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return tree
+        monkeypatch.setattr(learn, "_grow_tree", grow_tree)
+        monkeypatch.setattr(learn, "_cpus", lambda: 2)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            fit_random_forest(X, y, **options)
+        assert_no_child_left()
+        assert time.monotonic() - started < 10
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        X, y, options = _mixed_forest_case(1, 2)
+        monkeypatch.setattr(learn, "_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+        assert len(fit_random_forest(X, y, **options).params["trees"]) == options["n_trees"]
 
 
 class TestSparseRows:
