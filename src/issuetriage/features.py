@@ -17,11 +17,12 @@ Each text's work is done once per process, by memos below the call sites:
   counts, which ``extract_metadata`` reads instead of a second regex pass;
 * n-gram columns: ``TfidfModel.memo``, per ``TokenizedDoc``, for the model's
   life: a doc's sorted column ids and counts, which ``transform_tfidf`` and
-  the stage-one rows read. ``fit_tfidf`` writes each training doc's entry
-  from the n-gram ids it counts with; ``TfidfModel.columns`` looks up any
-  other doc (``term_counts``) on its first read. The memo belongs to the
-  model, so it goes when the model does (a CV fold's model, say) and two
-  models never share entries;
+  the stage-one rows read. ``fit_tfidf`` counts n-grams as integer codes,
+  builds strings for the vocabulary alone, and writes every training doc's
+  entry as views into one block of columns and one of counts for the whole
+  fit; ``TfidfModel.columns`` looks up any other doc (``term_counts``) on its
+  first read. The memo belongs to the model, so it goes when the model does
+  (a CV fold's model, say) and two models never share entries;
 * sentiment: ``sentiment.Lexicon.scores``, per ``TokenizedDoc``, for the
   lexicon's life (the default lexicon lives as long as the process).
 
@@ -36,11 +37,10 @@ weighs whole blocks, writing rows in place ``ASSEMBLY_CHUNK`` at a time.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 import json
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -143,50 +143,125 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
               ngram_range: tuple[int, int] = NGRAM_RANGE) -> TfidfModel:
     """Vocabulary is the ``max_features`` most frequent n-grams by total corpus
     count (ties broken lexicographically); idf(t) = ln((1+N)/(1+df(t))) + 1.
-    Counts each distinct doc's interned n-gram ids once, times its number of
-    copies, and writes its memo entry from the same ids."""
+
+    No n-gram string is built but those of the vocabulary. Each distinct
+    token is ranked 1, 2, ... in string order, and an n-gram is the tuple of
+    its tokens' ranks, padded with 0s to ``ngram_range[1]`` places, so a
+    shorter n-gram sorts before its own extensions. The tuples sort as the
+    n-grams' strings do, because every token character sorts after the
+    joining ``' '`` (``TokenizedDoc`` refuses any character below ``'!'``):
+    take two n-grams and the first place where their tokens differ; all
+    before it is the same text in both strings. If neither token there is a
+    prefix of the other, their first differing character decides both
+    orders. If token ``s`` is a proper prefix of token ``t``, the string
+    holding ``s`` goes on with ``' '`` or ends where the other goes on with
+    a character of ``t``, above ``' '``; so it sorts first, as ``s``'s rank
+    does. If one n-gram runs out first, it is a prefix of the other string,
+    and its padding 0 sorts first. (A token holding ``'\\x01'`` would break
+    this: ``"a\\x01"`` sorts before ``"a b"`` as a string, after it as ranks.)
+
+    The tuples are folded into one integer code a place at a time, each
+    fold from the third place on renumbering the codes so far by their
+    distinct values, so a code stays below (occurrences + 1) x (tokens + 1)
+    for any ``ngram_range``. The final
+    codes number the distinct n-grams in string order, so the top-k rule's
+    lexicographic tie break takes the smallest codes. ``df`` and the totals
+    count each distinct doc's (doc, n-gram) pairs once, times its number of
+    copies. The memo is one block of columns and one of counts, ordered by
+    doc, then column; each distinct doc's entry is a view into them."""
     if not docs:
         raise ValueError("cannot fit TF-IDF on an empty corpus")
     if max_features < 1:
         raise ValueError("max_features must be at least 1")
     multiplicity = Counter(docs)
-    ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    grams: dict[TokenizedDoc, tuple[np.ndarray, np.ndarray]] = {}  # doc -> ids, counts
-    for doc in multiplicity:
-        counted = Counter(ngrams(doc.tokens, ngram_range))
-        grams[doc] = (np.fromiter(map(ids.__getitem__, counted), np.int32, len(counted)),
-                      np.fromiter(counted.values(), np.int32, len(counted)))
-    terms = list(ids)  # id -> n-gram
-    del ids
-    at, counts = map(np.concatenate, zip(*grams.values()))
-    weight = np.repeat(np.fromiter(multiplicity.values(), float, len(grams)),
-                       [a.size for a, _ in grams.values()])
-    df, total = np.bincount(at, weight, len(terms)), np.bincount(at, weight * counts, len(terms))
-    del at, counts, weight
-    # The top ``max_features`` of a lexicographic sort followed by a stable
-    # sort by count, highest first, without either full sort: with ``cut``
-    # the count of the ``max_features``-th highest total, that is every term
-    # counted above ``cut``, filled up with the lexicographically smallest
-    # terms counted exactly ``cut``.
-    if len(terms) <= max_features:
-        chosen = sorted(range(len(terms)), key=terms.__getitem__)
-    else:
-        cut = np.partition(total, len(terms) - max_features)[len(terms) - max_features]
-        above = np.flatnonzero(total > cut).tolist()
-        tied = np.flatnonzero(total == cut).tolist()
-        chosen = sorted(above + heapq.nsmallest(max_features - len(above), tied,
-                                                key=terms.__getitem__),
-                        key=terms.__getitem__)
-    column = np.full(len(terms), -1)
-    column[chosen] = np.arange(len(chosen))
-    model = TfidfModel({terms[i]: c for c, i in enumerate(chosen)},
-                       df[chosen].astype(np.int64), len(docs), max_features, ngram_range)
-    while grams:  # each doc's ids go as its entry is written
-        doc, (at, counts) = grams.popitem()
-        cols = column[at]
-        kept = cols >= 0
-        model.memo[doc] = _sorted_columns(cols[kept], counts[kept].astype(float))
+    distinct = list(multiplicity)
+    lo, hi = max(ngram_range[0], 1), ngram_range[1]
+    words = [""] + sorted(set(itertools.chain.from_iterable(distinct)))  # rank -> token
+    rank = dict(zip(words, range(len(words))))
+    lengths = np.fromiter(map(len, distinct), np.intp, len(distinct))
+    flat = np.fromiter(map(rank.__getitem__, itertools.chain.from_iterable(distinct)),
+                       np.int64, lengths.sum())
+    del rank
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size)  # tokens from here on
+    # one row per n-gram occurrence, by its number of tokens n, then by
+    # where it starts; the rows of n tokens begin at ``offsets[n - lo]``
+    start = np.concatenate([np.zeros(0, np.intp)]
+                           + [np.flatnonzero(left >= n) for n in range(lo, hi + 1)])
+    offsets = np.cumsum([0] + [np.count_nonzero(left >= n) for n in range(lo, hi + 1)])
+    del left
+    code = flat[start]
+    for k in range(1, hi):
+        if k > 1:  # renumbered by distinct value, so the next fold cannot overflow
+            code = np.unique(code, return_inverse=True)[1]
+        code *= len(words)
+        more = offsets[max(k + 1 - lo, 0)]  # the rows of more than k tokens
+        code[more:] += flat[start[more:] + k]
+    order = np.argsort(code, kind="stable")  # rows of equal codes stay by doc
+    code.sort()
+    new_gram = np.ones(code.size, bool)
+    np.not_equal(code[1:], code[:-1], out=new_gram[1:])
+    del code
+    first = order[new_gram]  # each n-gram's first row
+    doc_of = np.repeat(np.arange(len(distinct)), lengths)[start[order]]
+    del order
+    first_start, first_size = start[first], lo + np.searchsorted(offsets[1:], first, "right")
+    del start, first
+    # the distinct (doc, n-gram) pairs, by n-gram, then doc, and their counts
+    new_pair = new_gram.copy()
+    new_pair[1:] |= doc_of[1:] != doc_of[:-1]
+    pair = np.flatnonzero(new_pair)
+    del new_pair
+    gram = np.cumsum(new_gram[pair]) - 1
+    del new_gram
+    count = np.diff(pair, append=doc_of.size)
+    doc_of = doc_of[pair]
+    del pair
+    weight = np.fromiter(multiplicity.values(), float, len(distinct))[doc_of]
+    df = np.bincount(gram, weight, first_start.size)
+    chosen = _top_k(np.bincount(gram, weight * count, first_start.size), max_features)
+    del weight
+    terms = _joined(words, flat, first_start[chosen], first_size[chosen])
+    del flat, first_start, first_size, words
+    model = TfidfModel(dict(zip(terms, range(len(terms)))), df[chosen].astype(np.int64),
+                       len(docs), max_features, ngram_range)
+    column = np.full(df.size, -1)
+    column[chosen] = np.arange(chosen.size)
+    kept = column[gram] >= 0
+    doc_of = doc_of[kept]
+    by_doc = np.argsort(doc_of, kind="stable")
+    cols = column[gram[kept][by_doc]]
+    counts = count[kept][by_doc].astype(float)
+    cols.flags.writeable = counts.flags.writeable = False
+    ends = np.cumsum(np.bincount(doc_of, minlength=len(distinct))).tolist()
+    for doc, a, b in zip(distinct, [0] + ends, ends):
+        model.memo[doc] = cols[a:b], counts[a:b]
     return model
+
+
+def _top_k(total: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` n-grams with the highest ``total``, ties going to the
+    smallest codes, as ascending codes: the top ``k`` of a lexicographic
+    sort followed by a stable sort by count, highest first, without either
+    full sort. With ``cut`` the ``k``-th highest total, that is every n-gram
+    counted above ``cut``, filled up with the smallest counted exactly ``cut``."""
+    if total.size <= k:
+        return np.arange(total.size)
+    cut = np.partition(total, total.size - k)[total.size - k]
+    keep = total > cut
+    keep[np.flatnonzero(total == cut)[:k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
+
+
+def _joined(words: list[str], flat: np.ndarray, starts: np.ndarray,
+            sizes: np.ndarray) -> list[str]:
+    """The strings of the n-grams of ``sizes[i]`` tokens at ``starts[i]`` of
+    ``flat``: each token rank's word, joined by single spaces."""
+    by_rank = np.array(words, dtype=object)
+    terms = np.empty(starts.size, dtype=object)
+    for n in set(sizes.tolist()):
+        at = np.flatnonzero(sizes == n)
+        terms[at] = list(map(" ".join, zip(*(by_rank[flat[starts[at] + i]] for i in range(n)))))
+    return terms.tolist()
 
 
 def term_counts(model: TfidfModel, doc: TokenizedDoc) -> Counter[int]:

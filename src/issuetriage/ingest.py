@@ -9,15 +9,17 @@ Each API document and cache entry is read against its table (``decode``).
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import json
+import math
 import os
 import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 from urllib.parse import urlencode
@@ -222,20 +224,25 @@ class IssueClient:
                 last = f"last status {response.status}"
             if attempt >= self.cfg.max_attempts:
                 raise IngestError(f"giving up on {url} after {attempt + 1} attempts ({last})")
-            if retriable_rate_limit:
-                self.sleep(self._rate_limit_delay(response))
-            else:
-                self.sleep(self.cfg.backoff_base_seconds * (2 ** attempt))
+            delay = self._rate_limit_delay(response) if retriable_rate_limit else None
+            self.sleep(self.cfg.backoff_base_seconds * (2 ** attempt) if delay is None else delay)
             attempt += 1
 
-    def _rate_limit_delay(self, response: Response) -> float:
+    @staticmethod
+    def _rate_limit_delay(response: Response) -> float | None:
+        """Seconds a rate-limited response asks to wait, at least 0: its
+        ``Retry-After`` as seconds or as an HTTP date, else its
+        ``X-RateLimit-Reset`` as epoch seconds. None when neither header
+        holds a finite number or a date; the caller then backs off as it
+        does for any other retry."""
         retry_after = response.header("Retry-After")
-        if retry_after is not None:
-            return max(0.0, float(retry_after))
-        reset = response.header("X-RateLimit-Reset")
-        if reset is not None:
-            return max(0.0, float(reset) - time.time())
-        return self.cfg.backoff_base_seconds
+        wait = _finite_seconds(retry_after)
+        if wait is None:
+            when = _http_date(retry_after)
+            if when is None:
+                when = _finite_seconds(response.header("X-RateLimit-Reset"))
+            wait = None if when is None else when - time.time()
+        return None if wait is None else max(0.0, wait)
 
     def paginated(self, url: str) -> list[dict]:
         """Follow Link rel="next" headers to exhaustion."""
@@ -271,6 +278,27 @@ PROFILE = Table({
     "contributions": Field("count", default=None), "association": Field("string", default="None"),
     **dict.fromkeys(("followers", "following", "public_repos", "public_gists", "issue_count",
                      "github_contributions", "repo_contributions"), Field("count", default=0))})
+
+
+def _finite_seconds(value: str | None) -> float | None:
+    """``value`` as a finite number; None if it is missing or no such number."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) else None
+
+
+def _http_date(value: str | None) -> float | None:
+    """``value`` as an HTTP date (RFC 9110 section 5.6.7) in epoch seconds;
+    None if it is missing or no date."""
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:  # a "-0000" zone, which RFC 5322 reads as UTC
+        when = when.replace(tzinfo=timezone.utc)
+    return when.timestamp()
 
 
 def _issue_from_api(doc, repo: str) -> IssueRecord:

@@ -525,10 +525,10 @@ def _gini(counts: np.ndarray) -> float:
 class ColumnIndex:
     """A matrix by column (CSC layout) with each column's zeros folded into
     one slot: column ``j`` is entries ``indptr[j]:indptr[j + 1]`` of ``rows``
-    and ``values``, ascending by value (by row if not built ``by_value``).
-    They are its non-zeros and, between the negatives and the positives (or
-    last), a slot of value 0 and row ``n_rows`` (no row) standing for all its
-    zero cells; ``zero_slot[j]`` is the slot's entry. ``scratch`` is
+    (int32) and ``values`` (float64), ascending by value (by row if not built
+    ``by_value``). They are its non-zeros and, between the negatives and the
+    rest (or last), a slot of value 0 and row ``n_rows`` (no row) standing for
+    all its zero cells; ``zero_slot[j]`` is the slot's entry. ``scratch`` is
     ``n_rows + 1`` zeros that ``column_at`` borrows and leaves as it found them."""
     indptr: np.ndarray
     rows: np.ndarray
@@ -545,7 +545,7 @@ class ColumnIndex:
         """Column ``j``'s values at ``rows``: its entries are scattered into
         ``scratch``, read at ``rows``, and wiped again."""
         span = slice(self.indptr[j], self.indptr[j + 1])
-        at = self.rows[span]
+        at = self.rows[span].astype(np.intp)  # an index twice below: cast once
         self.scratch[at] = self.values[span]
         out = self.scratch[rows]
         self.scratch[at] = 0.0
@@ -554,18 +554,32 @@ class ColumnIndex:
 
 def column_index(X: np.ndarray | SparseRows, by_value: bool = True) -> ColumnIndex:
     """Build ``X``'s ``ColumnIndex`` from its ``SparseRows`` (a dense ``X``
-    is converted first). A stable sort of the entries in row order by
-    column, then value, keeps tied values in row order; without ``by_value``
-    a column stays in row order, enough for prediction's ``column_at``."""
+    is converted first). X's own entries, in row order, are sorted stably by
+    column, then value (``lexsort``, which puts NaN last), so tied values
+    keep their row order; without ``by_value`` a column stays in row order,
+    enough for prediction's ``column_at``. Sorted entry ``k`` of column ``j``
+    goes straight to slot ``k + j``, plus 1 if it is built ``by_value`` and
+    the value is not below 0: the ``j`` zero slots of the columns before it,
+    and its own when that sorts first. So column ``j``'s zero slot is at
+    ``indptr[j]`` plus its number of negatives (at its end without
+    ``by_value``), and a NaN goes with the positives. ``rows`` is int32, so
+    X may have at most 2**31 - 1 rows."""
     X = SparseRows.of(X)
     n, d = X.shape
-    values = np.concatenate([X.values, np.zeros(d)])
-    rows = np.concatenate([X.rows, np.full(d, n)])
-    cols = np.concatenate([X.cols, np.arange(d)])
-    order = np.lexsort((values, cols)) if by_value else np.argsort(cols, kind="stable")
-    rows, values = rows[order], values[order]
+    if n >= 2 ** 31:
+        raise TrainingError(f"a column index holds at most 2**31 - 1 rows, not {n}")
+    order = np.lexsort((X.values, X.cols)) if by_value else np.argsort(X.cols, kind="stable")
+    slot = X.cols[order]
+    slot += np.arange(slot.size)
+    if by_value:
+        slot += ~(X.values[order] < 0)
+    rows = np.full(slot.size + d, n, dtype=np.int32)
+    rows[slot] = X.rows[order]
+    values = np.zeros(slot.size + d)
+    values[slot] = X.values[order]
+    del order, slot
     indptr = np.zeros(d + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cols, minlength=d), out=indptr[1:])
+    np.cumsum(np.bincount(X.cols, minlength=d) + 1, out=indptr[1:])
     return ColumnIndex(indptr, rows, values, np.flatnonzero(rows == n), n, np.zeros(n + 1))
 
 
@@ -604,7 +618,7 @@ def _best_split(cols: ColumnIndex, y: np.ndarray, idx: np.ndarray,
     first = size.cumsum() - size
     seg = np.arange(len(features)).repeat(size)
     at = np.arange(seg.size) + (start - first)[seg]
-    rows = cols.rows[at]
+    rows = cols.rows[at].astype(np.intp)  # an index twice below: cast once
     slot = first + cols.zero_slot[features] - start
     weight = np.bincount(idx, minlength=width)[rows]
     weight[slot] = n - np.add.reduceat(weight, first)

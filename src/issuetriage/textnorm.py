@@ -83,6 +83,7 @@ class AbstractToken(Enum):
 
 
 _SURFACE_RE = re.compile(r"⟨[A-Z]+⟩")
+_CONTROL_RE = re.compile(r"[\x00-\x1f]")
 
 # (token, pattern, literals) triples, applied in order. Inner character
 # classes exclude the ⟨⟩ markers so a second application can never re-match
@@ -286,12 +287,16 @@ class TokenizedDoc:
 
     def __post_init__(self) -> None:
         # one pass over the whole tuple; only a failure walks it token by
-        # token, so the first bad token is the one named
+        # token, so the first bad token is the one named. A token character
+        # below "!" is refused, so every one sorts after the " " that joins
+        # an n-gram (``features.fit_tfidf`` relies on it)
         tokens = list(self.tokens)
-        if " ".join(tokens).split() == tokens and not any(map(str.isdigit, tokens)):
+        joined = " ".join(tokens)
+        if (joined.split() == tokens and not _CONTROL_RE.search(joined)
+                and not any(map(str.isdigit, tokens))):
             return
         for tok in tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            if not tok or any(ch.isspace() or ch < "!" for ch in tok):
                 raise ValueError(f"bad token {tok!r}")
             if tok.isdigit():
                 raise ValueError(f"digits-only token {tok!r}")

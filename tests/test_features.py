@@ -85,6 +85,31 @@ class TestFitTfidf:
         with pytest.raises(ValueError):
             fit_tfidf([doc("bug")], max_features=0)
 
+    def test_fit_builds_no_ngram_strings(self, monkeypatch):
+        """Only the vocabulary's strings are made: the fit never calls
+        ``ngrams``, and still keeps the top terms and fills the memo."""
+        def refuse(*args):
+            raise AssertionError("fit_tfidf built every n-gram's string")
+
+        monkeypatch.setattr(features, "ngrams", refuse)
+        docs = [doc("null", "pointer", "crash"), doc("crash"), doc("crash")]
+        model = fit_tfidf(docs, max_features=4, ngram_range=(1, 3))
+        assert model.vocabulary == {"crash": 0, "null": 1, "null pointer": 2,
+                                    "null pointer crash": 3}
+        assert model.df.tolist() == [3, 1, 1, 1]
+        assert [c.tolist() for c in model.memo[docs[0]]] == [[0, 1, 2, 3], [1.0] * 4]
+        assert [c.tolist() for c in model.memo[docs[1]]] == [[0], [1.0]]
+
+    def test_long_ngrams_over_many_tokens_keep_string_order(self):
+        """(1, 5)-grams over 7,000 distinct tokens, each counted once, so the
+        top k are the lexicographically smallest: a code of five token ranks
+        would pass 2**63 here."""
+        words = [f"w{i}" for i in range(7000)]
+        random.Random(5).shuffle(words)
+        docs = [doc(*words[i:i + 700]) for i in range(0, 7000, 700)]
+        model = fit_tfidf(docs, 1000, (1, 5))
+        assert_same_model(model, ref.fit_tfidf(docs, 1000, (1, 5)), docs)
+
     def test_ngrams_helper(self):
         assert ngrams(("a", "b", "c"), (1, 2)) == ["a", "b", "c", "a b", "b c"]
 
@@ -526,7 +551,10 @@ def assert_same_rows(X, Y):
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
-WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+# tokens that are prefixes of one another, or hold punctuation, a surface
+# token or a non-ASCII letter: each must sort as its n-grams' strings do
+WORDS = st.sampled_from(["a", "b", "c", "ab", "abc", "b!", "a?", "?", "~", "c~", "⟨URL⟩",
+                         "⟨URL⟩s", "é", "éa", "e"])
 DOCS = st.lists(st.lists(WORDS, max_size=8).map(lambda tokens: doc(*tokens)),
                 min_size=1, max_size=12)
 LABELS = st.lists(st.sampled_from(["bug", "ui", "windows", "question", "p1", "p3",
@@ -557,7 +585,7 @@ class TestMatchesReference:
             assert_same_rows(bundle.vectorize(part), ref.vectorize(fp, part, probs))
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 3)]))
+    @given(data=st.data(), ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 3), (1, 3)]))
     def test_fit_and_transform_on_generated_docs(self, data, ngram_range):
         """Ties at the top-k cut, repeated and empty docs, and ``max_features``
         up to past the vocabulary; then rows of fitted, unseen and

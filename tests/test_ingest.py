@@ -3,6 +3,7 @@ import hashlib
 import json
 import threading
 import time
+import types
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -160,6 +161,26 @@ class TestFetchIssues:
                               transport=transport, sleeper=sleeps.append)
         assert len(issues) == 1
         assert sleeps == [7.0]
+
+    @pytest.mark.parametrize("retry_after, want", [
+        ("Wed, 21 Oct 2015 07:28:30 GMT", 30.0),  # an HTTP date, 30 s from now
+        ("soon", 1.0),  # neither a number nor a date: the usual backoff
+        ("1e999", 1.0),  # a number, but not a finite one: the usual backoff
+    ], ids=["http-date", "no-number", "infinite"])
+    def test_rate_limit_delay_as_a_date_or_no_number(self, tmp_path, monkeypatch,
+                                                      retry_after, want):
+        now = datetime(2015, 10, 21, 7, 28, tzinfo=timezone.utc).timestamp()
+        monkeypatch.setattr(ingest, "time", types.SimpleNamespace(time=lambda: now))
+        transport = FakeTransport()
+        transport.add_sequence(ISSUES_URL, [
+            Response(429, {"Retry-After": retry_after}, "{}"),
+            Response(200, {}, json.dumps([issue_doc(1)])),
+        ])
+        sleeps = []
+        issues = fetch_issues(cfg(tmp_path, backoff_base_seconds=1.0), FetchQuery(repo=REPO),
+                              transport=transport, sleeper=sleeps.append)
+        assert [i.id for i in issues] == ["1"]
+        assert sleeps == [want] and transport.calls == [ISSUES_URL] * 2
 
     def test_retries_exhausted(self, tmp_path):
         transport = FakeTransport()

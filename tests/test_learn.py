@@ -436,9 +436,11 @@ def indexed_best_split(X, y, idx, features, n_classes, min_leaf):
     return learn._best_split(learn.column_index(X), y, idx, features, counts, min_leaf)
 
 
-def reference_column_index(X):
+def reference_column_index(X, by_value=True):
     """The dense block scan ``learn.column_index`` used before it read
-    ``SparseRows``, kept verbatim as its oracle."""
+    ``SparseRows``, kept verbatim as its oracle, with the row-order sort that
+    ``by_value=False`` made before the index was written in place. Its
+    ``rows`` are int64; the index keeps them as int32."""
     n, d = X.shape
     step = max(1, (1 << 21) // max(d, 1))
     flat = np.concatenate([np.flatnonzero(X[i:i + step] != 0) + i * d
@@ -447,7 +449,7 @@ def reference_column_index(X):
     values = np.concatenate([X[rows, cols], np.zeros(d)])
     rows = np.concatenate([rows, np.full(d, n)])
     cols = np.concatenate([cols, np.arange(d)])
-    order = np.lexsort((values, cols))
+    order = np.lexsort((values, cols)) if by_value else np.argsort(cols, kind="stable")
     rows, values = rows[order], values[order]
     indptr = np.zeros(d + 1, dtype=np.intp)
     np.cumsum(np.bincount(cols, minlength=d), out=indptr[1:])
@@ -498,12 +500,36 @@ class TestColumnIndex:
         wide = np.zeros((3, 1 << 20))
         wide[[0, 0, 1, 2, 2], [5, (1 << 20) - 1, 5, 0, 7]] = [0.5, -1.0, 0.25, 2.0, -0.125]
         for X in cases + [wide, np.where(cases[0] > 0, cases[0], -0.0)]:
-            want = reference_column_index(X)
-            for source in (X, learn.SparseRows.from_dense(X)):
-                cols = learn.column_index(source)
-                got = (cols.indptr, cols.rows, cols.values, cols.zero_slot, cols.n_rows)
-                assert all(np.array_equal(a, b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
-                           for a, b in zip(got, want))
+            self._assert_matches_reference(X)
+
+    @pytest.mark.parametrize("by_value", [True, False], ids=["by_value", "by_row"])
+    def test_special_columns_give_the_dense_scan_index(self, by_value):
+        """NaN (which sorts last, with the positives), the infinities, and
+        columns all negative, all positive and empty."""
+        nan, inf = np.nan, np.inf
+        X = np.array([[nan, -inf, -1.0, 2.0, 0.0, -3.0, 0.0],
+                      [1.0, inf, -2.0, 1.0, 0.0, 0.0, nan],
+                      [-1.0, 0.0, -2.0, 0.5, 0.0, nan, nan],
+                      [nan, 2.0, -0.5, inf, 0.0, -inf, 0.0]])
+        for M in (X, X[:, 2:3], X[:, 3:4], X[:, 4:5], np.zeros((3, 2))):
+            self._assert_matches_reference(M, by_value)
+
+    def test_too_many_rows_for_int32_is_a_training_error(self):
+        X = learn.SparseRows(np.zeros(0, int), np.zeros(0, int), np.zeros(0), (2 ** 31, 1))
+        with pytest.raises(TrainingError, match="2\\*\\*31 - 1 rows"):
+            learn.column_index(X)
+
+    @staticmethod
+    def _assert_matches_reference(X, by_value=True):
+        """The same index from ``X`` and from its ``SparseRows`` as the
+        oracle's, in bytes, with its rows as int32."""
+        indptr, rows, values, zero_slot, n = reference_column_index(X, by_value)
+        want = (indptr, rows.astype(np.int32), values, zero_slot)
+        for source in (X, learn.SparseRows.from_dense(X)):
+            cols = learn.column_index(source, by_value=by_value)
+            got = (cols.indptr, cols.rows, cols.values, cols.zero_slot)
+            assert cols.n_rows == n
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     @pytest.mark.parametrize("column_kind", ["integer", "scaled", "normal", "constant",
                                              "sparse"])

@@ -254,7 +254,7 @@ def reference_normalize(text: str) -> tuple[str, ...]:
 
 def reference_token_check(tokens) -> None:
     for tok in tokens:
-        if not tok or any(ch.isspace() for ch in tok):
+        if not tok or any(ch.isspace() or ch < "!" for ch in tok):
             raise ValueError(f"bad token {tok!r}")
         if tok.isdigit():
             raise ValueError(f"digits-only token {tok!r}")
@@ -360,6 +360,7 @@ class TestTokenCheckMatchesReference:
         (("ok", "", "a b"), "bad token ''"),
         (("12", "a b"), "digits-only token '12'"),
         (("x\ty", "7"), "bad token 'x\\ty'"),
+        (("ok", "a\x01", "12"), "bad token 'a\\x01'"),
     ])
     def test_first_bad_token_is_named(self, tokens, message):
         with pytest.raises(ValueError) as exc:
@@ -367,7 +368,7 @@ class TestTokenCheckMatchesReference:
         assert str(exc.value) == message
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.text(alphabet="ab1٣ \t\n\u3000\x1c", max_size=3), max_size=5))
+    @given(st.lists(st.text(alphabet="ab1٣ \t\n\u3000\x1c\x01!", max_size=3), max_size=5))
     def test_generated_tokens(self, tokens):
         try:
             reference_token_check(tokens)
