@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_CATEGORIES = ("High", "Low")
+OUTLIER_SHARE = 0.5  # see outlier_raters
 
 # Interpretation bands, inclusive on the lower bound of each band; anything
 # below the first slight-agreement cutoff counts as poor.
@@ -76,11 +77,10 @@ _CELL_ALIASES = {"h": "High", "high": "High", "1": "High",
                  "l": "Low", "low": "Low", "0": "Low"}
 
 
-def load_rating_matrix(path: str | Path,
-                       categories: tuple[str, ...] = DEFAULT_CATEGORIES) -> RatingMatrix:
+def load_rating_matrix(path: str | Path) -> RatingMatrix:
     """Delimited ratings file: header row of rater ids (optionally preceded
     by an id column and/or a group column), one issue per row, cells
-    H/L/High/Low/1/0 or empty."""
+    H/L/High/Low/1/0 or empty; rated in the ``DEFAULT_CATEGORIES``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -116,7 +116,7 @@ def load_rating_matrix(path: str | Path,
                 mapped = _CELL_ALIASES.get(cell.lower(), cell)
                 row.append(mapped)
         rows.append(tuple(row))
-    return RatingMatrix(tuple(rows), raters, categories, tuple(ids),
+    return RatingMatrix(tuple(rows), raters, DEFAULT_CATEGORIES, tuple(ids),
                         tuple(groups) if group_col is not None else ())
 
 
@@ -197,9 +197,9 @@ def majority_labels(matrix: RatingMatrix) -> tuple[list[Optional[str]], list[int
     return labels, ties
 
 
-def outlier_raters(matrix: RatingMatrix, threshold: float = 0.5) -> set[str]:
+def outlier_raters(matrix: RatingMatrix) -> set[str]:
     """Raters whose label differs from the majority of the *other* raters in
-    more than ``threshold`` of the items they rated; majority ties count
+    more than ``OUTLIER_SHARE`` of the items they rated; majority ties count
     as agreement."""
     flagged: set[str] = set()
     for col, rater in enumerate(matrix.raters):
@@ -217,7 +217,7 @@ def outlier_raters(matrix: RatingMatrix, threshold: float = 0.5) -> set[str]:
             rated += 1
             if len(winners) == 1 and own not in winners:
                 disagreements += 1
-        if rated and disagreements / rated > threshold:
+        if rated and disagreements / rated > OUTLIER_SHARE:
             flagged.add(rater)
     return flagged
 

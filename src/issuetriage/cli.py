@@ -216,7 +216,6 @@ def load_assets(path: Path) -> tuple[FeaturePipeline, TrainedModel | None]:
         scaler=ScalerParams.from_doc(doc["scaler"], f"{what} block 'scaler'",
                                      {"F": features.N_METADATA_FEATURES}),
         maps=maps,
-        lexicon=None,
     )
     if doc["stage1_model"] is None:
         return pipeline, None
@@ -422,11 +421,12 @@ def cmd_predict(args, config) -> int:
             probs = bundle.objective_probs(issue)
             lines.append("\t".join([issue.id, *(_format_float(p) for p in probs)]))
     else:
-        bundle = PriorityPipeline(pipeline, classifier=model, stage1_model=stage1)
+        bundle = PriorityPipeline(pipeline, classifier=model, stage1_model=stage1,
+                                  probs_file=probs_file)
         lines = ["\t".join(["issue_id", "predicted",
                             *(f"p_{c}" for c in model.classes), "model_fingerprint"])]
         if len(corpus):
-            predicted, probs = bundle.predict(list(corpus.issues), probs_file)
+            predicted, probs = bundle.predict(list(corpus.issues))
             for issue, label, row in zip(corpus.issues, predicted, probs):
                 lines.append("\t".join(
                     [issue.id, label, *(_format_float(p) for p in row), fingerprint]))

@@ -330,17 +330,11 @@ def _non_ascii_fraction(text: str) -> float:
     return outside / len(meaningful)
 
 
-def filter_corpus(
-    corpus: Corpus,
-    rules: FilterConfig | None = None,
-    cluster_of: Optional[Callable[[str], Optional[str]]] = None,
-) -> tuple[Corpus, FilterReport]:
-    """Drop issues with too little text, mostly non-English text, or noise labels.
-
-    ``cluster_of`` maps a raw label to its cluster representative; when given,
-    exclusion matches at the cluster level (so e.g. "t-duplicate" is removed),
-    otherwise raw labels are compared after case-folding.
-    """
+def filter_corpus(corpus: Corpus, rules: FilterConfig | None = None, *,
+                  cluster_of: Callable[[str], Optional[str]]) -> tuple[Corpus, FilterReport]:
+    """Drop issues with too little text, mostly non-English text, or a noise
+    label: one whose cluster (``cluster_of``), case-folded, is one of
+    ``rules.excluded_clusters``. A label outside every cluster is no noise."""
     rules = rules or FilterConfig()
     kept: list[IssueRecord] = []
     report = FilterReport()
@@ -353,17 +347,8 @@ def filter_corpus(
         if _non_ascii_fraction(text) > rules.non_english_threshold:
             report.removed_non_english += 1
             continue
-        hit = False
-        for label in issue.labels:
-            if cluster_of is not None:
-                rep = cluster_of(label)
-                hit = rep is not None and rep.casefold() in excluded
-            else:
-                hit = any(marker in label.casefold() for marker in excluded) or \
-                    label.casefold() in ("not an issue", "not-an-issue")
-            if hit:
-                break
-        if hit:
+        if any(rep is not None and rep.casefold() in excluded
+               for rep in map(cluster_of, issue.labels)):
             report.removed_excluded_label += 1
             continue
         kept.append(issue)

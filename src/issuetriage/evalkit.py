@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import features, labelmap, learn, sentiment
+from . import features, labelmap, learn
 from .corpus import Corpus, IssueRecord, SettingError, stratified_split, subset
 from .features import FeaturePipeline, fit_feature_pipeline
 from .labelmap import LabelMaps
@@ -25,6 +25,7 @@ from .learn import TrainedModel, TrainingError
 
 UNIFORM_OBJECTIVE_PROBS = np.full(len(learn.OBJECTIVE_CLASS_ORDER),
                                   1.0 / len(learn.OBJECTIVE_CLASS_ORDER))
+TRAIN_SHARE = 0.8  # of a repo's issues in project mode, of the repos in cross-project
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +175,22 @@ class ModelSpec:
 
 @dataclass
 class PriorityPipeline:
-    """Everything needed to score unseen issues: fitted preprocessing,
-    optional stage-one objective model, and the priority classifier."""
+    """Everything needed to score unseen issues: fitted preprocessing, an
+    objective probability file's rows by issue id (``probs_file``, set where
+    the bundle is made), optional stage-one model, and the priority classifier."""
 
     feature_pipeline: FeaturePipeline
     classifier: TrainedModel | None = None
     stage1_model: TrainedModel | None = None
     notes: list[str] = field(default_factory=list)
+    probs_file: Mapping[str, np.ndarray] | None = None
 
-    def objective_probs(self, issue: IssueRecord,
-                        probs_file: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+    def objective_probs(self, issue: IssueRecord) -> np.ndarray:
         """The issue's objective probabilities: from ``probs_file``, from the
         stage-one model (a ``TrainingError`` if they are not finite), or
         uniform."""
-        if probs_file is not None and issue.id in probs_file:
-            return np.asarray(probs_file[issue.id], dtype=float)
+        if self.probs_file is not None and issue.id in self.probs_file:
+            return np.asarray(self.probs_file[issue.id], dtype=float)
         if self.stage1_model is not None:
             counts = self.feature_pipeline.stage1_counts(issue)
             with np.errstate(invalid="ignore", over="ignore"):
@@ -199,20 +201,16 @@ class PriorityPipeline:
             return probs
         return UNIFORM_OBJECTIVE_PROBS
 
-    def vectorize(self, issues: Sequence[IssueRecord],
-                  probs_file: Mapping[str, np.ndarray] | None = None) -> learn.SparseRows:
+    def vectorize(self, issues: Sequence[IssueRecord]) -> learn.SparseRows:
         """One row per issue: its assembled feature vector."""
-        return self.feature_pipeline.assemble(
-            issues, [self.objective_probs(issue, probs_file) for issue in issues])
+        return self.feature_pipeline.assemble(issues, list(map(self.objective_probs, issues)))
 
-    def predict(self, issues: Sequence[IssueRecord],
-                probs_file: Mapping[str, np.ndarray] | None = None
-                ) -> tuple[list[str], np.ndarray]:
+    def predict(self, issues: Sequence[IssueRecord]) -> tuple[list[str], np.ndarray]:
         """Each issue's priority and class probabilities (a ``TrainingError``
         if the classifier gives any that are not finite)."""
         if not issues:
             return [], np.empty((0, len(self.classifier.classes)))
-        X = self.vectorize(issues, probs_file)
+        X = self.vectorize(issues)
         with np.errstate(invalid="ignore", over="ignore"):
             labels, probs = self.classifier.predict(X), self.classifier.predict_proba(X)
         if not np.all(np.isfinite(probs)):
@@ -264,13 +262,8 @@ def fit_classifier(spec: ModelSpec, X: np.ndarray | learn.SparseRows,
                **{name: value for name, value in options.items() if name in takes})
 
 
-def fit_preprocessing(
-    issues: Sequence[IssueRecord],
-    spec: ModelSpec,
-    maps: LabelMaps,
-    lex: sentiment.Lexicon | None = None,
-    probs_file: Mapping[str, np.ndarray] | None = None,
-) -> PriorityPipeline:
+def fit_preprocessing(issues: Sequence[IssueRecord], spec: ModelSpec, maps: LabelMaps,
+                      probs_file: Mapping[str, np.ndarray] | None = None) -> PriorityPipeline:
     """Fit preprocessing and stage one on ``issues``: the one path that fits
     either. The bundle's priority classifier is not fit.
 
@@ -280,10 +273,8 @@ def fit_preprocessing(
     if not issues:
         raise TrainingError("no issues to fit preprocessing on")
     notes: list[str] = []
-    fp = fit_feature_pipeline(
-        issues, maps, lex,
-        title_max_features=spec.title_max_features,
-        desc_max_features=spec.desc_max_features)
+    fp = fit_feature_pipeline(issues, maps, title_max_features=spec.title_max_features,
+                              desc_max_features=spec.desc_max_features)
 
     stage1_model = None
     if probs_file is None and spec.stage1 != "uniform":
@@ -292,16 +283,11 @@ def fit_preprocessing(
             notes.append("stage1: fewer than two objective classes in training "
                          "data; falling back to uniform probabilities")
 
-    return PriorityPipeline(fp, stage1_model=stage1_model, notes=notes)
+    return PriorityPipeline(fp, stage1_model=stage1_model, notes=notes, probs_file=probs_file)
 
 
-def train_pipeline(
-    issues: Sequence[IssueRecord],
-    spec: ModelSpec,
-    maps: LabelMaps,
-    lex: sentiment.Lexicon | None = None,
-    probs_file: Mapping[str, np.ndarray] | None = None,
-) -> PriorityPipeline:
+def train_pipeline(issues: Sequence[IssueRecord], spec: ModelSpec, maps: LabelMaps,
+                   probs_file: Mapping[str, np.ndarray] | None = None) -> PriorityPipeline:
     """Fit preprocessing + stage one + the priority classifier on ``issues``,
     which must all carry a priority label."""
     issues = list(issues)
@@ -310,8 +296,8 @@ def train_pipeline(
         raise TrainingError(f"{len(issues) - len(labels)} issues have no priority label")
     if len(set(labels)) < 2:
         raise TrainingError("training data must contain both priority classes")
-    bundle = fit_preprocessing(issues, spec, maps, lex, probs_file)
-    classifier = fit_classifier(spec, bundle.vectorize(issues, probs_file), labels)
+    bundle = fit_preprocessing(issues, spec, maps, probs_file)
+    classifier = fit_classifier(spec, bundle.vectorize(issues), labels)
     classifier.asset_fingerprints = bundle.feature_pipeline.fingerprints()
     classifier.metadata.setdefault("seed", spec.seed)
     classifier.metadata["balancing"] = spec.balancing
@@ -341,9 +327,9 @@ def tune_hyperparams(issues: Sequence[IssueRecord], spec: ModelSpec, maps: Label
     for fold_no, train_idx, test_idx in _folds(labels, cv_folds, spec.seed):
         fold_spec = replace(spec, seed=spec.seed + fold_no)
         train = [issues[i] for i in train_idx]
-        bundle = fit_preprocessing(train, fold_spec, maps, probs_file=probs_file)
-        X_train = bundle.vectorize(train, probs_file)
-        X_test = bundle.vectorize([issues[i] for i in test_idx], probs_file)
+        bundle = fit_preprocessing(train, fold_spec, maps, probs_file)
+        X_train = bundle.vectorize(train)
+        X_test = bundle.vectorize([issues[i] for i in test_idx])
         train_labels = [labels[i] for i in train_idx]
         truth = [labels[i] for i in test_idx]
         for config, config_scores in zip(configs, scores):
@@ -358,9 +344,8 @@ def tune_hyperparams(issues: Sequence[IssueRecord], spec: ModelSpec, maps: Label
 
 
 def evaluate_predictions(truth: Sequence[str], predicted: Sequence[str],
-                         classes: tuple[str, ...] = learn.PRIORITY_CLASS_ORDER,
                          **metadata) -> EvalReport:
-    report = metrics(ConfusionMatrix.from_pairs(truth, predicted, classes))
+    report = metrics(ConfusionMatrix.from_pairs(truth, predicted, learn.PRIORITY_CLASS_ORDER))
     report.metadata.update(metadata)
     return report
 
@@ -475,8 +460,7 @@ class ProjectBasedResult:
 
 
 def evaluate_project_based(corpus: Corpus, spec: ModelSpec,
-                           maps: LabelMaps | None = None,
-                           ratio: float = 0.8) -> ProjectBasedResult:
+                           maps: LabelMaps | None = None) -> ProjectBasedResult:
     """One model per repository on its own 80/20 stratified split. Repos
     without at least two issues per class are skipped, not merged."""
     maps = maps or labelmap.load_label_maps()
@@ -490,7 +474,7 @@ def evaluate_project_based(corpus: Corpus, spec: ModelSpec,
             continue
         train, test = stratified_split(
             subset(corpus, issues), lambda i: labelmap.priority_of(i.labels, maps.priority).value,
-            ratio, spec.seed)
+            TRAIN_SHARE, spec.seed)
         if not len(test):
             skipped[repo] = "empty test side after split"
             continue
@@ -526,8 +510,7 @@ CROSS_PROJECT_WEIGHTS_I = 6  # tuned grid point: slight extra emphasis on High
 
 
 def evaluate_cross_project(corpus: Corpus, spec: ModelSpec, seed: int,
-                           maps: LabelMaps | None = None,
-                           ratio: float = 0.8) -> EvalReport:
+                           maps: LabelMaps | None = None) -> EvalReport:
     """Split at repository granularity, train one generic model on the
     training repositories, evaluate on the held-out ones.
 
@@ -536,7 +519,7 @@ def evaluate_cross_project(corpus: Corpus, spec: ModelSpec, seed: int,
     maps = maps or labelmap.load_label_maps()
     if spec.balancing == "weights" and spec.weights_i is None:
         spec = replace(spec, weights_i=CROSS_PROJECT_WEIGHTS_I)
-    train_repos, test_repos = split_repos(corpus.repos(), ratio, seed)
+    train_repos, test_repos = split_repos(corpus.repos(), TRAIN_SHARE, seed)
     assert not set(train_repos) & set(test_repos)
     train, _ = labeled_issues((i for i in corpus.issues if i.repo in train_repos), maps)
     test = [i for i in corpus.issues if i.repo in test_repos]

@@ -12,9 +12,10 @@ unchanged; transforming never changes what they compute.
 
 Each text's work is done once per process, by memos below the call sites:
 
-* tokens: ``textnorm.normalize_pipeline``, per ``(text, source)``, for the
-  process's life; the returned doc also carries the text's abstraction
-  counts, which ``extract_metadata`` reads instead of a second regex pass;
+* tokens: ``textnorm.normalize_pipeline``, per text, for the process's
+  life, so a title and a description of the same text share one doc; the
+  returned doc also carries the text's abstraction counts, which
+  ``extract_metadata`` reads instead of a second regex pass;
 * n-gram columns: ``TfidfModel.memo``, per ``TokenizedDoc``, for the model's
   life: a doc's sorted column ids and counts, which ``transform_tfidf`` and
   the stage-one rows read. ``fit_tfidf`` counts n-grams as integer codes,
@@ -24,7 +25,7 @@ Each text's work is done once per process, by memos below the call sites:
   first read. The memo belongs to the model, so it goes when the model does
   (a CV fold's model, say) and two models never share entries;
 * sentiment: ``sentiment.Lexicon.scores``, per ``TokenizedDoc``, for the
-  lexicon's life (the default lexicon lives as long as the process).
+  life of the bundled lexicon, which is loaded once per process.
 
 Each memo holds one entry per distinct doc its owner has seen. The arrays a
 memo returns are read-only, since every caller shares them.
@@ -36,6 +37,7 @@ weighs whole blocks, writing rows in place ``ASSEMBLY_CHUNK`` at a time.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -325,24 +327,21 @@ assert N_METADATA_FEATURES == 28
 
 _ASSOCIATION_ORDINAL = {name: i for i, name in enumerate(ASSOCIATIONS)}
 
-_lexicon_cache: Lexicon | None = None
 
-
+@functools.cache
 def _default_lexicon() -> Lexicon:
-    global _lexicon_cache
-    if _lexicon_cache is None:
-        _lexicon_cache = sentiment.load_lexicon()
-    return _lexicon_cache
+    return sentiment.load_lexicon()
 
 
 def extract_metadata(issue: IssueRecord, lex: Lexicon | None = None) -> np.ndarray:
     """The 28 Table-style metadata features, unscaled, in FEATURE_NAMES order.
 
     All values reflect the issue's final (closed-time) state. Empty
-    discussions default the four discussion features to zero.
+    discussions default the four discussion features to zero. Sentiment is
+    scored with the bundled lexicon; ``lex`` replaces it in tests.
     """
     lex = lex or _default_lexicon()
-    desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
+    desc_doc = textnorm.normalize_pipeline(issue.description)
     abstractions = desc_doc.abstractions
 
     n_comments = len(issue.comments)
@@ -453,7 +452,6 @@ class FeaturePipeline:
     tfidf_desc: TfidfModel
     scaler: ScalerParams
     maps: LabelMaps
-    lexicon: Lexicon = field(repr=False, default=None)  # type: ignore[assignment]
 
     def fingerprints(self) -> dict[str, str]:
         out = {"tfidf_title": self.tfidf_title.fingerprint(),
@@ -474,9 +472,8 @@ class FeaturePipeline:
 
     def _columns(self, issue: IssueRecord) -> list[tuple[np.ndarray, np.ndarray]]:
         """The memo entries of the issue's title and description."""
-        return [self.tfidf_title.columns(textnorm.normalize_pipeline(issue.title, source="title")),
-                self.tfidf_desc.columns(
-                    textnorm.normalize_pipeline(issue.description, source="description"))]
+        return [self.tfidf_title.columns(textnorm.normalize_pipeline(issue.title)),
+                self.tfidf_desc.columns(textnorm.normalize_pipeline(issue.description))]
 
     def stage1_rows(self, issues: Sequence[IssueRecord]) -> learn.SparseRows:
         """The stage-one model's input, one row per issue: the raw term counts
@@ -504,10 +501,10 @@ class FeaturePipeline:
         non-zeros are counted and written in place."""
         title_docs, desc_docs, labels, metadata = [], [], [], []
         for issue in issues:
-            title_docs.append(textnorm.normalize_pipeline(issue.title, source="title"))
-            desc_docs.append(textnorm.normalize_pipeline(issue.description, source="description"))
+            title_docs.append(textnorm.normalize_pipeline(issue.title))
+            desc_docs.append(textnorm.normalize_pipeline(issue.description))
             labels.append(labelmap.label_features(issue.labels, self.maps.clusters))
-            metadata.append(extract_metadata(issue, self.lexicon))
+            metadata.append(extract_metadata(issue))
         n = len(issues)
         probs = np.array(objective_probs, dtype=float).reshape(n, len(learn.OBJECTIVE_CLASS_ORDER))
         lf = np.array(labels, dtype=np.uint8).reshape(n, labelmap.N_CLUSTERS)
@@ -552,22 +549,15 @@ class FeaturePipeline:
         return names
 
 
-def fit_feature_pipeline(
-    issues: Iterable[IssueRecord],
-    maps: LabelMaps,
-    lex: Lexicon | None = None,
-    title_max_features: int = TITLE_MAX_FEATURES,
-    desc_max_features: int = DESC_MAX_FEATURES,
-    ngram_range: tuple[int, int] = NGRAM_RANGE,
-) -> FeaturePipeline:
+def fit_feature_pipeline(issues: Iterable[IssueRecord], maps: LabelMaps,
+                         title_max_features: int = TITLE_MAX_FEATURES,
+                         desc_max_features: int = DESC_MAX_FEATURES) -> FeaturePipeline:
     issues = list(issues)
-    lex = lex or _default_lexicon()
-    title_docs = [textnorm.normalize_pipeline(i.title, source="title") for i in issues]
-    desc_docs = [textnorm.normalize_pipeline(i.description, source="description") for i in issues]
+    title_docs = [textnorm.normalize_pipeline(i.title) for i in issues]
+    desc_docs = [textnorm.normalize_pipeline(i.description) for i in issues]
     return FeaturePipeline(
-        tfidf_title=fit_tfidf(title_docs, title_max_features, ngram_range),
-        tfidf_desc=fit_tfidf(desc_docs, desc_max_features, ngram_range),
-        scaler=fit_scaler([extract_metadata(i, lex) for i in issues]),
+        tfidf_title=fit_tfidf(title_docs, title_max_features),
+        tfidf_desc=fit_tfidf(desc_docs, desc_max_features),
+        scaler=fit_scaler([extract_metadata(i) for i in issues]),
         maps=maps,
-        lexicon=lex,
     )

@@ -122,6 +122,7 @@ class HydrationFailure:
 
 
 _LINK_NEXT_RE = re.compile(r'<([^>]+)>\s*;\s*rel="next"')
+MAX_RATE_LIMIT_WAIT = 3600.0  # GitHub's rate-limit window; a longer wait ends a fetch
 
 
 def _json_body(response: Response, url: str, kind: type):
@@ -199,7 +200,9 @@ class IssueClient:
         """The URL's 200 response. A 401, a 404 or a 403 that is no rate limit
         ends it; any other status or a transport error (an ``OSError``, as
         requests' ``ConnectionError`` and ``Timeout`` are) is tried again, up
-        to ``max_attempts`` more times. ``network_requests`` counts every try."""
+        to ``max_attempts`` more times. A rate limit that asks for a wait over
+        ``MAX_RATE_LIMIT_WAIT`` ends it without a sleep. ``network_requests``
+        counts every try."""
         attempt = 0
         while True:
             with self._requests_guard:
@@ -225,6 +228,9 @@ class IssueClient:
             if attempt >= self.cfg.max_attempts:
                 raise IngestError(f"giving up on {url} after {attempt + 1} attempts ({last})")
             delay = self._rate_limit_delay(response) if retriable_rate_limit else None
+            if delay is not None and delay > MAX_RATE_LIMIT_WAIT:
+                raise IngestError(f"{url} is rate limited for {delay:.0f} s, over the "
+                                  f"{MAX_RATE_LIMIT_WAIT:.0f} s this client waits")
             self.sleep(self.cfg.backoff_base_seconds * (2 ** attempt) if delay is None else delay)
             attempt += 1
 

@@ -140,7 +140,7 @@ def manual_priority_weights(i: int) -> ClassWeights:
 
 @dataclass
 class TrainedModel:
-    kind: str  # keyword | nb | logreg | forest | knn
+    kind: str  # nb | logreg | forest | knn: a key of _PREDICTORS and BLOCKS
     classes: tuple[str, ...]
     params: dict
     metadata: dict = field(default_factory=dict)

@@ -18,9 +18,10 @@ cannot match, so the skip never changes the output. A new or edited pattern
 needs literals with that property, and ``tests/test_textnorm.py`` checks it
 on generated text.
 
-``normalize_pipeline`` is memoized for the life of the process: each
-distinct ``(text, source)`` is tokenized once, and every later call with it
-returns the same frozen ``TokenizedDoc``. Training reads each issue's title
+``normalize_pipeline`` is memoized for the life of the process, keyed by
+the text alone: each distinct text is tokenized once, and every later call
+with it returns the same frozen ``TokenizedDoc``, whether the text is a
+title or a description. Training reads each issue's title
 and description several times (TF-IDF fit and transform, stage-one counts,
 sentiment), and CV folds, tuning and project runs read the same issues
 again, so most calls are lookups. This holds only while the kernel stays a
@@ -278,7 +279,6 @@ def _undouble(stem: str) -> str:
 @dataclass(frozen=True)
 class TokenizedDoc:
     tokens: tuple[str, ...]
-    source: str = "description"
     # spans each abstraction token replaced in the raw text, zero counts left
     # out: read off the pass that tokenized it (None on a hand-built doc);
     # not part of equality or the hash
@@ -344,9 +344,9 @@ def _chunk_lemmas(chunk: str) -> tuple[str, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def normalize_pipeline(text: str, source: str = "description") -> TokenizedDoc:
-    """Run every stage on ``text``; memoized per ``(text, source)`` argument
-    list, and below that per whitespace chunk (see the module docstring).
+def normalize_pipeline(text: str) -> TokenizedDoc:
+    """Run every stage on ``text``; memoized per text, and below that per
+    whitespace chunk (see the module docstring).
     The result is frozen and shared by all callers, and carries the
     abstraction counts of the same pass (``_abstract(text)[1]``, zeros
     left out). A new stage must be a pure function of the text and of
@@ -360,5 +360,5 @@ def normalize_pipeline(text: str, source: str = "description") -> TokenizedDoc:
         if lemmas is None:
             lemmas = memo[chunk] = _chunk_lemmas(chunk)
         out += lemmas
-    return TokenizedDoc(tokens=tuple(out), source=source,
+    return TokenizedDoc(tokens=tuple(out),
                         abstractions=MappingProxyType({t: n for t, n in counts.items() if n}))

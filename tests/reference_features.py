@@ -96,7 +96,7 @@ def transform_tfidf(model, doc) -> SparseVec:
 
 def extract_metadata(issue, lex=None) -> np.ndarray:
     lex = lex or _default_lexicon()
-    desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
+    desc_doc = textnorm.normalize_pipeline(issue.description)
     abstractions = desc_doc.abstractions
 
     n_comments = len(issue.comments)
@@ -187,14 +187,14 @@ class FeatureVector:
 
 
 def assemble(pipeline, issue, objective_probs) -> FeatureVector:
-    title_doc = textnorm.normalize_pipeline(issue.title, source="title")
-    desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
+    title_doc = textnorm.normalize_pipeline(issue.title)
+    desc_doc = textnorm.normalize_pipeline(issue.description)
     return FeatureVector(
         tf_title=transform_tfidf(pipeline.tfidf_title, title_doc),
         tf_desc=transform_tfidf(pipeline.tfidf_desc, desc_doc),
         objective_probs=np.asarray(objective_probs, dtype=float),
         lf=labelmap.label_features(issue.labels, pipeline.maps.clusters),
-        nf=scale(pipeline.scaler, extract_metadata(issue, pipeline.lexicon)),
+        nf=scale(pipeline.scaler, extract_metadata(issue)),
     )
 
 
@@ -217,8 +217,8 @@ def vectorize(pipeline, issues, probs) -> learn.SparseRows:
 def stage1_rows(pipeline, issues) -> learn.SparseRows:
     rows = []
     for issue in issues:
-        title_doc = textnorm.normalize_pipeline(issue.title, source="title")
-        desc_doc = textnorm.normalize_pipeline(issue.description, source="description")
+        title_doc = textnorm.normalize_pipeline(issue.title)
+        desc_doc = textnorm.normalize_pipeline(issue.description)
         title = columns(pipeline.tfidf_title, title_doc)
         desc = columns(pipeline.tfidf_desc, desc_doc)
         rows.append((np.concatenate([title[0], desc[0] + pipeline.tfidf_title.size]),

@@ -171,29 +171,36 @@ class TestInvariants:
 
 
 class TestFilter:
-    def test_short_title_removed(self):
+    def test_short_title_removed(self, maps):
         c = corpus_of(make_issue(id="short", title="ok"), make_issue(id="fine"))
-        kept, report = filter_corpus(c)
+        kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
         assert [i.id for i in kept.issues] == ["fine"]
         assert report.removed_short_text == 1
 
-    def test_duplicate_label_removed(self):
+    def test_duplicate_label_removed(self, maps):
         c = corpus_of(make_issue(labels=("duplicate",)))
-        kept, report = filter_corpus(c)
+        kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
         assert len(kept) == 0
         assert report.removed_excluded_label == 1
 
     def test_cluster_level_exclusion(self, maps):
+        """Exclusion goes by cluster, never by substring: "non-duplicate
+        work" holds "duplicate" but belongs to no cluster."""
         c = corpus_of(make_issue(id="d", labels=("t-duplicate",)),
                       make_issue(id="n", labels=("not an issue",)),
-                      make_issue(id="k", labels=("bug",)))
+                      make_issue(id="k", labels=("bug",)),
+                      make_issue(id="x", labels=("non-duplicate work",)))
         kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
-        assert [i.id for i in kept.issues] == ["k"]
+        assert [i.id for i in kept.issues] == ["k", "x"]
         assert report.removed_excluded_label == 2
 
-    def test_non_english_removed(self):
+    def test_cluster_of_is_required(self):
+        with pytest.raises(TypeError, match="cluster_of"):
+            filter_corpus(corpus_of(make_issue()))
+
+    def test_non_english_removed(self, maps):
         c = corpus_of(make_issue(description="синтаксическая ошибка при разборе"))
-        kept, report = filter_corpus(c)
+        kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
         assert len(kept) == 0
         assert report.removed_non_english == 1
 

@@ -310,10 +310,10 @@ class TestPipelineStages:
         bundle = train_pipeline(issues, ModelSpec(classifier="knn",
                                                   hyperparams={"k": 3}), maps,
                                 probs_file=table)
-        assert np.allclose(bundle.objective_probs(issues[0], table),
-                           [0.8, 0.1, 0.1])
+        assert bundle.probs_file is table and bundle.stage1_model is None
+        assert np.allclose(bundle.objective_probs(issues[0]), [0.8, 0.1, 0.1])
         # issues absent from the file fall back to uniform
-        assert np.allclose(bundle.objective_probs(issues[1], table), 1 / 3)
+        assert np.allclose(bundle.objective_probs(issues[1]), 1 / 3)
 
     def test_smote_balancing_trains(self, planted_corpus, maps):
         issues = list(planted_corpus.issues[:50])

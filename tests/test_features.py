@@ -390,8 +390,8 @@ class TestAssemble:
         probs = np.array([0.7, 0.2, 0.1])
         dense = one_row(pipeline, issue, probs)
         from issuetriage.textnorm import normalize_pipeline
-        t = dense_tfidf(pipeline.tfidf_title, normalize_pipeline(issue.title, "title"))
-        d = dense_tfidf(pipeline.tfidf_desc, normalize_pipeline(issue.description, "description"))
+        t = dense_tfidf(pipeline.tfidf_title, normalize_pipeline(issue.title))
+        d = dense_tfidf(pipeline.tfidf_desc, normalize_pipeline(issue.description))
         lf = labelmap.label_features(issue.labels, maps.clusters).astype(float)
         nf = scale(pipeline.scaler, extract_metadata(issue))
         expected = np.concatenate([t, d, probs, lf, nf])
@@ -409,10 +409,10 @@ class TestAssemble:
         issue = make_issue(id="s1", title=title, description=description)
         from issuetriage.textnorm import normalize_pipeline
         expected = []
-        for model, text, source in ((pipeline.tfidf_title, issue.title, "title"),
-                                    (pipeline.tfidf_desc, issue.description, "description")):
+        for model, text in ((pipeline.tfidf_title, issue.title),
+                            (pipeline.tfidf_desc, issue.description)):
             block = np.zeros(model.size)
-            for gram in ngrams(normalize_pipeline(text, source).tokens, model.ngram_range):
+            for gram in ngrams(normalize_pipeline(text).tokens, model.ngram_range):
                 if gram in model.vocabulary:
                     block[model.vocabulary[gram]] += 1.0
             expected.append(block)
@@ -575,9 +575,8 @@ class TestMatchesReference:
         train, held_out = issues[:150], issues[150:]
         bundle = evalkit.fit_preprocessing(train, evalkit.ModelSpec(), maps)
         fp = bundle.feature_pipeline
-        for model, source in ((fp.tfidf_title, "title"), (fp.tfidf_desc, "description")):
-            docs = [normalize_pipeline(i.title if source == "title" else i.description, source)
-                    for i in train]
+        for model, field in ((fp.tfidf_title, "title"), (fp.tfidf_desc, "description")):
+            docs = [normalize_pipeline(getattr(i, field)) for i in train]
             assert_same_model(model, ref.fit_tfidf(docs, model.max_features), docs)
         assert_same_rows(fp.stage1_rows(train), ref.stage1_rows(fp, train))
         for part in (train, held_out):

@@ -3,8 +3,9 @@
 A change that only alters how the pipeline is computed (its data layout,
 batching or memoization) must leave every output byte-identical; these pins
 make that a standing check. They cover the ``train-priority`` model and
-assets, the ``predict`` TSV, the ``features`` TSV and the criterion-09
-``evaluate --mode cross-project`` report. Stage-one NB scores through a BLAS
+assets, the ``predict`` TSV, the ``features`` TSV, the ``evaluate --mode
+cv`` and ``--mode project`` reports and the criterion-09 ``evaluate --mode
+cross-project`` report. Stage-one NB scores through a BLAS
 matrix product, so the bytes may differ under another numpy or BLAS build:
 the pins name the builds they were made with, and the test skips under any
 other.
@@ -31,6 +32,8 @@ GOLDEN_SHA256 = {
     "predict.tsv": "967e53ef35397e29d06d8d488e7b6ec4dd64b0487099b5c35c7b9336a4f9244a",
     "features.tsv": "9139a33e5dc835881d9948e5c966a2461f7fa0c07ba357e57bf8c68fcb1d8125",
     "xproj.json": "887051ca097ce2cfc8bcdc3876c4aaa92cc53483b9daca1c91a8a7ac5357f379",
+    "cv.json": "86b49bee74bcf4607e946d05a16080821a4602cd3d93621a3d90eca193aa2f91",
+    "project.json": "383482b66ddaa27b8b9c1a5b706c42353ef271adaebbef57c95465e8d47d9307",
 }
 
 TRAIN_CONFIG = {"seed": 7, "model": {"classifier": "forest",
@@ -65,6 +68,10 @@ def test_outputs_match_their_goldens(tmp_path):
             ["--config", train, "predict", "--in", corpus, "--model", model,
              "--out", tmp_path / "predict.tsv"],
             ["--config", train, "features", "--in", corpus, "--out", tmp_path / "features.tsv"],
+            ["--config", train, "evaluate", "--in", corpus, "--mode", "cv",
+             "--report", tmp_path / "cv.json"],
+            ["--config", train, "evaluate", "--in", corpus, "--mode", "project",
+             "--report", tmp_path / "project.json"],
             ["--config", xproj, "evaluate", "--in", corpus, "--mode", "cross-project",
              "--report", tmp_path / "xproj.json"]):
         assert cli.main([str(a) for a in argv]) == 0, argv

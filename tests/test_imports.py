@@ -1,5 +1,5 @@
-"""Every module-level import in the package is used, and every function,
-class and method is reached.
+"""Every module-level import in the package is used, every function,
+class and method is reached, and every defaulted parameter is passed.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by a top-level ``import`` must be read somewhere in the module,
@@ -9,6 +9,11 @@ method of one, must be named by some code of the package or of
 ``perfbench``: read as a name or an attribute, imported, or given as a
 string that is exactly its name (as ``perfbench/layertrace.py`` names the
 functions it traces). Dunder methods are called by Python itself.
+
+A parameter with a default must be passed by some call in the package or in
+``perfbench``, by position or by keyword; a default that no call changes is a
+constant in disguise. Calls are matched by the called name alone, and a
+class call passes its ``__init__``'s parameters.
 
 The same file checks that the text patterns use no regex syntax newer than
 the oldest supported Python.
@@ -138,6 +143,97 @@ def test_every_definition_is_reached():
     callers = [path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py")]
     found = unreached(sources, callers)
     assert {name.rsplit(".", 1)[-1] for name in found} == set(UNREACHED_ON_PURPOSE), found
+
+
+# Passed by no call of the package, and kept as a seam that tests set.
+UNPASSED_ON_PURPOSE = {
+    "features.extract_metadata(lex)": "tests score sentiment with a lexicon of their own",
+    "features.fit_tfidf(ngram_range)": "tests fit other n-gram ranges against the reference",
+    "evalkit.feature_importance(names)": "the column names that evaluate is to report",
+}
+# Not checked: ``learn``'s fitters are called through ``evalkit.fit_classifier``,
+# which passes whatever their signatures take, and ``ingest``'s transport and
+# sleeper are seams for tests.
+UNPASSED_SKIPPED = ("learn", "ingest")
+
+
+def _defaulted(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(called name, parameter, its call position) of each defaulted
+    parameter of a top-level function or method; a keyword-only one has no
+    position, a method's first parameter takes none, and ``__init__`` is
+    called by its class's name."""
+    found = []
+
+    def add(fn: ast.FunctionDef, called: str, bound: int) -> None:
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        found.extend((called, arg.arg, i - bound)
+                     for i, arg in enumerate(positional) if i >= first)
+        found.extend((called, arg.arg, None)
+                     for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                     if default is not None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            add(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    add(item, node.name if item.name == "__init__" else item.name,
+                        0 if static else 1)
+    return found
+
+
+def _passed(tree: ast.Module, passes: dict[str, tuple[int, set[str]]]) -> None:
+    """Add each call of ``tree`` to ``passes``: called name -> (the most
+    positional arguments of any call, every keyword given). A ``*`` argument
+    fills every position; a ``**`` one names no keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            most, keywords = passes.get(name, (0, set()))
+            given = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            passes[name] = (max(most, given), keywords | {k.arg for k in node.keywords})
+
+
+def unpassed(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of the
+    ``sources`` modules that no call in them or in ``callers`` passes."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    passes: dict[str, tuple[int, set[str]]] = {}
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        _passed(tree, passes)
+    found = []
+    for module, tree in trees.items():
+        for called, param, position in _defaulted(tree):
+            most, keywords = passes.get(called, (0, set()))
+            if param not in keywords and (position is None or position >= most):
+                found.append(f"{module}.{called}({param})")
+    return found
+
+
+def test_checker_flags_an_unpassed_default():
+    sources = {"a": "def f(x, y=1, z=2, *, w=3):\n    pass\n\n\n"
+                    "class Box:\n    def __init__(self, size=0):\n        pass\n\n"
+                    "    def grow(self, by=1):\n        pass\n\n"
+                    "    @staticmethod\n    def make(size=0):\n        pass\n",
+               "b": "from a import f\n\n\ndef g():\n    f(0, 5, **{'w': 4})\n"}
+    assert unpassed(sources, []) == ["a.f(z)", "a.f(w)", "a.Box(size)", "a.grow(by)",
+                                     "a.make(size)"]
+    callers = ["f(0, z=1, w=2)\nBox(3).grow(2)\nBox.make(*sizes)\n"]
+    assert unpassed(sources, callers) == []
+
+
+def test_every_default_is_passed():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES
+               if path.stem not in UNPASSED_SKIPPED}
+    callers = [path.read_text(encoding="utf-8")
+               for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]]
+    found = unpassed(sources, callers)
+    assert sorted(found) == sorted(UNPASSED_ON_PURPOSE), found
 
 
 def loaded_after(code: str, modules: set[str]) -> list[str]:

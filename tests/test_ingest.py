@@ -182,6 +182,52 @@ class TestFetchIssues:
         assert [i.id for i in issues] == ["1"]
         assert sleeps == [want] and transport.calls == [ISSUES_URL] * 2
 
+    @pytest.mark.parametrize("headers, wait", [
+        ({"Retry-After": "1e10"}, "10000000000"),
+        ({"Retry-After": "Fri, 31 Dec 9999 23:59:59 GMT"}, "251956888319"),
+        ({"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "99999999999"}, "98554587519"),
+    ], ids=["seconds", "year-9999-date", "far-reset"])
+    def test_rate_limit_wait_over_an_hour_is_an_error_without_a_sleep(
+            self, tmp_path, monkeypatch, headers, wait):
+        """A wait longer than ``time.sleep`` takes used to end in its
+        ``OverflowError``; any wait over the hour is refused untried."""
+        now = datetime(2015, 10, 21, 7, 28, tzinfo=timezone.utc).timestamp()
+        monkeypatch.setattr(ingest, "time", types.SimpleNamespace(time=lambda: now))
+        transport = FakeTransport()
+        transport.routes[ISSUES_URL] = Response(403, headers, "{}")
+        sleeps = []
+        with pytest.raises(IngestError) as caught:
+            fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
+                         transport=transport, sleeper=sleeps.append)
+        assert str(caught.value) == (f"{ISSUES_URL} is rate limited for {wait} s, "
+                                     "over the 3600 s this client waits")
+        assert sleeps == [] and transport.calls == [ISSUES_URL]
+
+    def test_rate_limit_wait_of_an_hour_is_slept(self, tmp_path):
+        transport = FakeTransport()
+        transport.add_sequence(ISSUES_URL, [
+            Response(429, {"Retry-After": "3600"}, "{}"),
+            Response(200, {}, json.dumps([issue_doc(1)])),
+        ])
+        sleeps = []
+        fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
+                     transport=transport, sleeper=sleeps.append)
+        assert sleeps == [3600.0]
+
+    def test_fetch_with_a_huge_retry_after_exits_two(self, tmp_path, monkeypatch, capsys):
+        transport = FakeTransport()
+        transport.routes[ISSUES_URL] = Response(429, {"Retry-After": "1e10"}, "{}")
+        sleeps = []
+        monkeypatch.setattr(ingest, "RequestsTransport", lambda: transport)
+        monkeypatch.setattr(ingest, "IssueClient",
+                            functools.partial(IssueClient, sleeper=sleeps.append))
+        code = cli.main(["fetch", "--repo", REPO, "--out", str(tmp_path / "c.jsonl"),
+                         "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2 and sleeps == []
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {ISSUES_URL} is rate limited for 10000000000 s, "
+            "over the 3600 s this client waits"]
+
     def test_retries_exhausted(self, tmp_path):
         transport = FakeTransport()
         transport.routes[ISSUES_URL] = Response(500, {}, "{}")

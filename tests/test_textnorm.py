@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from issuetriage import textnorm
 from issuetriage.evalkit import ModelSpec, cross_validate, labeled_issues, train_pipeline
+from issuetriage.features import fit_feature_pipeline
 from issuetriage.textnorm import (
     RETAINED_WORDS,
     AbstractToken,
@@ -384,15 +385,14 @@ class TestTokenCheckMatchesReference:
 
 
 # ---------------------------------------------------------------------------
-# The memo: each distinct (text, source) is tokenized once per process.
+# The memo: each distinct text is tokenized once per process.
 
 class TestMemo:
     SPEC = ModelSpec(classifier="knn")
 
     def test_each_text_tokenized_once(self, planted_corpus, maps):
         issues, _ = labeled_issues(planted_corpus.issues, maps)
-        distinct = ({(i.title, "title") for i in issues}
-                    | {(i.description, "description") for i in issues})
+        distinct = {i.title for i in issues} | {i.description for i in issues}
         normalize_pipeline.cache_clear()
         train_pipeline(issues, self.SPEC, maps)
         misses = normalize_pipeline.cache_info().misses
@@ -400,27 +400,34 @@ class TestMemo:
         cross_validate(planted_corpus, self.SPEC, k=3, seed=0, maps=maps)
         assert normalize_pipeline.cache_info().misses == misses
 
-    def assert_cached_matches_kernel(self, text: str, source: str) -> None:
-        first = normalize_pipeline(text, source=source)
-        assert normalize_pipeline(text, source=source) is first
-        assert first == normalize_pipeline.__wrapped__(text, source)
+    def assert_cached_matches_kernel(self, text: str) -> None:
+        first = normalize_pipeline(text)
+        assert normalize_pipeline(text) is first
+        assert first == normalize_pipeline.__wrapped__(text)
 
     def test_cached_matches_kernel_on_fixture(self, planted_corpus):
         for issue in planted_corpus.issues:
-            self.assert_cached_matches_kernel(issue.title, "title")
-            self.assert_cached_matches_kernel(issue.description, "description")
+            self.assert_cached_matches_kernel(issue.title)
+            self.assert_cached_matches_kernel(issue.description)
 
     @settings(max_examples=200, deadline=None)
-    @given(TEXTS, st.sampled_from(["title", "description"]))
-    def test_cached_matches_kernel_on_generated_text(self, text, source):
-        self.assert_cached_matches_kernel(text, source)
+    @given(TEXTS)
+    def test_cached_matches_kernel_on_generated_text(self, text):
+        self.assert_cached_matches_kernel(text)
+
+    def test_title_and_description_of_one_text_share_a_doc(self, planted_corpus, maps):
+        issue = planted_corpus.issues[0]
+        issue = dataclasses.replace(issue, description=issue.title)
+        pipeline = fit_feature_pipeline([issue], maps)
+        (title_doc,), (desc_doc,) = pipeline.tfidf_title.memo, pipeline.tfidf_desc.memo
+        assert title_doc is desc_doc is normalize_pipeline(issue.title)
 
     def test_result_is_frozen(self):
-        doc = normalize_pipeline("Parser fails on nested input", source="title")
+        doc = normalize_pipeline("Parser fails on nested input")
         with pytest.raises(dataclasses.FrozenInstanceError):
             doc.tokens = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            doc.source = "description"
+            doc.abstractions = None
 
     def test_kernel_tables_are_read_only(self):
         with pytest.raises(TypeError):
