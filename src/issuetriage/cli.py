@@ -48,9 +48,12 @@ array whose shape does not fit the model's classes or the assets' widths
 (its tables: ``learn.MODEL`` and ``learn.BLOCKS``, or ``ASSETS``).
 
 An ``--objective-probs`` row that does not decode or sum to 1, or repeats an
-issue id, exits 1 naming its line (and the earlier one). ``fetch`` exits 2
-on an issue list that does not decode or lists an issue twice; a comment,
-event or profile that does not decode only flags its issue, with a warning.
+issue id, exits 1 naming its line (and the earlier one). ``predict`` with a
+stage-one model and ``--objective-probs`` exits 1 naming the flag: that
+model makes the objective probabilities, so the file would go unread.
+``fetch`` exits 2 on an issue list that does not decode or lists an issue
+twice; a comment, event or profile that does not decode only flags its
+issue, with a warning.
 """
 
 from __future__ import annotations
@@ -108,7 +111,13 @@ def load_config(path: str | None) -> dict:
 
 
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The sha256 of ``path``'s bytes, read 1 MiB at a time, so a large
+    corpus is never held whole."""
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        while chunk := f.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_manifest(primary_output: Path, command: str, config: dict,
@@ -330,10 +339,10 @@ def cmd_features(args, config) -> int:
     # each row of X: its TF cells (below stage1_width) as "column:value", and
     # from its densified tail, all three probabilities and the LF and NF cells
     X, stage1_width = bundle.vectorize(corpus.issues), bundle.feature_pipeline.stage1_width
-    tf = X.cols < stage1_width
-    cuts = np.cumsum(np.bincount(X.rows[tf], minlength=len(X)))[:-1]
+    rows, tf = X.row_ids(), X.cols < stage1_width
+    cuts = np.cumsum(np.bincount(rows[tf], minlength=len(X)))[:-1]
     tail = np.zeros((len(X), X.shape[1] - stage1_width))
-    tail[X.rows[~tf], X.cols[~tf] - stage1_width] = X.values[~tf]
+    tail[rows[~tf], X.cols[~tf] - stage1_width] = X.values[~tf]
     n_probs = len(learn.OBJECTIVE_CLASS_ORDER)
     lf_end = n_probs + labelmap.N_CLUSTERS
     lines = ["\t".join(header)]
@@ -407,6 +416,9 @@ def cmd_predict(args, config) -> int:
     pipeline, stage1 = load_assets(assets_path_for(Path(args.model)))
     model.verify_assets(pipeline.fingerprints())
     stage_one = model.classes == learn.OBJECTIVE_CLASS_ORDER
+    if stage_one and args.objective_probs:
+        raise ValidationError(f"--objective-probs applies to a priority model, not to the "
+                              f"stage-one model {args.model}")
     model.require_width(pipeline.stage1_width if stage_one else pipeline.width,
                         f"{args.model}: ")
     corpus = _load_input_corpus(args.input, args.strict)

@@ -17,13 +17,15 @@ Each text's work is done once per process, by memos below the call sites:
   returned doc also carries the text's abstraction counts, which
   ``extract_metadata`` reads instead of a second regex pass;
 * n-gram columns: ``TfidfModel.memo``, per ``TokenizedDoc``, for the model's
-  life: a doc's sorted column ids and counts, which ``transform_tfidf`` and
-  the stage-one rows read. ``fit_tfidf`` counts n-grams as integer codes,
-  builds strings for the vocabulary alone, and writes every training doc's
-  entry as views into one block of columns and one of counts for the whole
-  fit; ``TfidfModel.columns`` looks up any other doc (``term_counts``) on its
-  first read. The memo belongs to the model, so it goes when the model does
-  (a CV fold's model, say) and two models never share entries;
+  life: a doc's sorted column ids (int32, the dtype of X's columns) and
+  counts (float64), which ``transform_tfidf`` and the stage-one rows read.
+  ``fit_tfidf`` counts n-grams as integer codes, builds strings for the
+  vocabulary alone, and writes every training doc's entry as views into one
+  block of columns and one of counts for the whole fit, 12 bytes per (doc,
+  column) pair; ``TfidfModel.columns`` looks up any other doc
+  (``term_counts``) on its first read, with the same dtypes. The memo
+  belongs to the model, so it goes when the model does (a CV fold's model,
+  say) and two models never share entries;
 * sentiment: ``sentiment.Lexicon.scores``, per ``TokenizedDoc``, for the
   life of the bundled lexicon, which is loaded once per process.
 
@@ -86,7 +88,7 @@ class TfidfModel:
     max_features: int
     ngram_range: tuple[int, int]
     idf: np.ndarray = field(init=False, compare=False, repr=False)
-    # doc -> (sorted column ids, their counts); see the module docstring
+    # doc -> (sorted int32 column ids, their float counts); see the module docstring
     memo: dict[TokenizedDoc, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
@@ -98,13 +100,13 @@ class TfidfModel:
         return len(self.vocabulary)
 
     def columns(self, doc: TokenizedDoc) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted column ids of ``doc``'s in-vocabulary n-grams and how
-        often each occurs (floats); looked up once per doc, then memoized."""
+        """The sorted column ids (int32) of ``doc``'s in-vocabulary n-grams
+        and how often each occurs (floats); looked up once per doc, then memoized."""
         hit = self.memo.get(doc)
         if hit is None:
             counts = term_counts(self, doc)
             hit = self.memo[doc] = _sorted_columns(
-                np.fromiter(counts, int, len(counts)),
+                np.fromiter(counts, np.int32, len(counts)),
                 np.fromiter(counts.values(), float, len(counts)))
         return hit
 
@@ -226,7 +228,7 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
     del flat, first_start, first_size, words
     model = TfidfModel(dict(zip(terms, range(len(terms)))), df[chosen].astype(np.int64),
                        len(docs), max_features, ngram_range)
-    column = np.full(df.size, -1)
+    column = np.full(df.size, -1, dtype=np.int32)
     column[chosen] = np.arange(chosen.size)
     kept = column[gram] >= 0
     doc_of = doc_of[kept]
@@ -276,7 +278,7 @@ def term_counts(model: TfidfModel, doc: TokenizedDoc) -> Counter[int]:
 
 
 def _sorted_columns(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column ids (ints) and their counts (floats) as read-only arrays, by column."""
+    """Column ids and their counts (floats) as read-only arrays, by column."""
     order = np.argsort(indices)
     indices, values = indices[order], values[order]
     indices.flags.writeable = values.flags.writeable = False
@@ -295,7 +297,7 @@ def transform_tfidf(model: TfidfModel, docs: Sequence[TokenizedDoc]
     n-grams ignored, each row L2-normalized by its own ``np.add.reduce``."""
     pairs = [model.columns(doc) for doc in docs]
     lengths = np.fromiter((cols.size for cols, _ in pairs), np.intp, len(pairs))
-    cols = np.concatenate([np.zeros(0, int), *(cols for cols, _ in pairs)])
+    cols = np.concatenate([np.zeros(0, np.int32), *(cols for cols, _ in pairs)])
     values = np.concatenate([np.zeros(0), *(counts for _, counts in pairs)]) * model.idf[cols]
     squares = values ** 2
     ends = np.cumsum(lengths).tolist()
@@ -479,10 +481,13 @@ class FeaturePipeline:
         """The stage-one model's input, one row per issue: the raw term counts
         of title ++ description at their sorted columns, joined from the memo."""
         parts = [part for issue in issues for part in self._columns(issue)]
-        lengths = [cols.size for cols, _ in parts]
-        cols = np.concatenate([np.zeros(0, int), *(cols for cols, _ in parts)])
-        cols += np.repeat(np.tile([0, self.tfidf_title.size], len(issues)), lengths)
-        return learn.SparseRows(np.arange(len(issues)).repeat(2).repeat(lengths), cols,
+        lengths = np.fromiter((cols.size for cols, _ in parts), np.intp, len(parts))
+        indptr = np.zeros(len(issues) + 1, dtype=np.intp)
+        np.cumsum(lengths.reshape(-1, 2).sum(axis=1), out=indptr[1:])
+        cols = np.concatenate([np.zeros(0, np.int32), *(cols for cols, _ in parts)])
+        cols += np.repeat(np.tile(np.array([0, self.tfidf_title.size], np.int32), len(issues)),
+                          lengths)
+        return learn.SparseRows(indptr, cols,
                                 np.concatenate([np.zeros(0), *(counts for _, counts in parts)]),
                                 (len(issues), self.stage1_width))
 
@@ -498,7 +503,8 @@ class FeaturePipeline:
         description, objective probabilities (``objective_probs``), label
         clusters and scaled metadata. The first row failing a check (written
         so that NaN fails it) raises its ``ValueError``; then each row's
-        non-zeros are counted and written in place."""
+        non-zeros are counted, the counts' running sum is X's ``indptr``, and
+        the columns (int32) and values are written in place."""
         title_docs, desc_docs, labels, metadata = [], [], [], []
         for issue in issues:
             title_docs.append(textnorm.normalize_pipeline(issue.title))
@@ -520,10 +526,10 @@ class FeaturePipeline:
                   for model, docs, _ in tf]
         widths.append(np.count_nonzero(probs, axis=1) + np.count_nonzero(lf, axis=1)
                       + np.count_nonzero(nf, axis=1))
-        per_row = sum(widths)
-        rows = np.repeat(np.arange(len(issues)), per_row)
-        cols, values = np.empty(rows.size, dtype=int), np.empty(rows.size)
-        starts = np.cumsum(per_row) - per_row
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(sum(widths), out=indptr[1:])
+        cols, values = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+        starts = indptr[:-1]
         for a in range(0, len(issues), ASSEMBLY_CHUNK):
             chunk = slice(a, a + ASSEMBLY_CHUNK)
             first = starts[chunk]
@@ -536,7 +542,7 @@ class FeaturePipeline:
             kept = tail != 0
             at = _spans(first, widths[2][chunk])
             cols[at], values[at] = kept.nonzero()[1] + self.stage1_width, tail[kept]
-        return learn.SparseRows(rows, cols, values, (len(issues), self.width))
+        return learn.SparseRows(indptr, cols, values, (n, self.width))
 
     def feature_names(self) -> list[str]:
         inv_title = {i: t for t, i in self.tfidf_title.vocabulary.items()}

@@ -324,9 +324,13 @@ _LOG_ZERO = -1e30
 @dataclass(frozen=True, eq=False)
 class SparseRows:
     """The one feature-matrix type: a float matrix of ``shape`` given by its
-    non-zeros in row order. ``values[i]`` sits at (``rows[i]``, ``cols[i]``),
-    ``rows`` never decreases, and a row's columns ascend. A zero (0.0 or
-    -0.0) is never stored; NaN and the infinities are, as ``X != 0`` keeps them.
+    non-zeros row by row (CSR). Row ``i`` is entries ``indptr[i]:indptr[i +
+    1]`` of ``cols`` (int32, strictly ascending within the row) and
+    ``values`` (float64); ``indptr`` (intp, ``n + 1`` long) never decreases.
+    That is 12 bytes per non-zero and 8 per row; no row id is stored, and
+    ``row_ids`` expands them for the few callers that index by row. A zero
+    (0.0 or -0.0) is never stored; NaN and the infinities are, as ``X != 0``
+    keeps them.
 
     ``PriorityPipeline.vectorize`` builds one, and the forest and NB read it
     as it is; logistic regression, kNN and SMOTE densify it at their own door
@@ -335,7 +339,7 @@ class SparseRows:
     answer as an ndarray of the same matrix would; ``nbytes`` is what its
     arrays hold."""
 
-    rows: np.ndarray
+    indptr: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     shape: tuple[int, int]
@@ -343,7 +347,9 @@ class SparseRows:
     @classmethod
     def from_dense(cls, X: np.ndarray) -> "SparseRows":
         rows, cols = np.nonzero(X)
-        return cls(rows, cols, X[rows, cols], X.shape)
+        indptr = np.zeros(X.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=X.shape[0]), out=indptr[1:])
+        return cls(indptr, cols.astype(np.int32), X[rows, cols], X.shape)
 
     @classmethod
     def of(cls, X) -> "SparseRows":
@@ -359,13 +365,17 @@ class SparseRows:
 
     @property
     def nbytes(self) -> int:
-        return self.rows.nbytes + self.cols.nbytes + self.values.nbytes
+        return self.indptr.nbytes + self.cols.nbytes + self.values.nbytes
+
+    def row_ids(self) -> np.ndarray:
+        """Each non-zero's row (int32), made on each call and kept by none."""
+        return np.arange(self.shape[0], dtype=np.int32).repeat(np.diff(self.indptr))
 
     def __ne__(self, other) -> "SparseRows":
         """``X != 0``: a boolean matrix, True where ``X`` has its non-zeros."""
         if not (np.isscalar(other) and other == 0):
             return NotImplemented
-        return SparseRows(self.rows, self.cols, np.ones(self.values.size, dtype=bool),
+        return SparseRows(self.indptr, self.cols, np.ones(self.values.size, dtype=bool),
                           self.shape)
 
     def sum(self):
@@ -374,7 +384,7 @@ class SparseRows:
 
     def to_dense(self) -> np.ndarray:
         X = np.zeros(self.shape)
-        X[self.rows, self.cols] = self.values
+        X[self.row_ids(), self.cols] = self.values
         return X
 
     @functools.cached_property
@@ -407,7 +417,7 @@ def fit_multinomial_nb(
     # unbuffered and goes in index order): the float sums of
     # X[y == c].sum(axis=0), bit for bit, since adding a zero changes no sum
     term_counts = np.zeros((n_classes, X.shape[1]))
-    np.add.at(term_counts, (y[X.rows], X.cols), X.values)
+    np.add.at(term_counts, (y[X.row_ids()], X.cols), X.values)
     return TrainedModel(
         kind="nb", classes=classes,
         params={"class_counts": np.bincount(y, minlength=n_classes).astype(float),
@@ -524,12 +534,14 @@ def _gini(counts: np.ndarray) -> float:
 @dataclass(frozen=True)
 class ColumnIndex:
     """A matrix by column (CSC layout) with each column's zeros folded into
-    one slot: column ``j`` is entries ``indptr[j]:indptr[j + 1]`` of ``rows``
-    (int32) and ``values`` (float64), ascending by value (by row if not built
-    ``by_value``). They are its non-zeros and, between the negatives and the
-    rest (or last), a slot of value 0 and row ``n_rows`` (no row) standing for
-    all its zero cells; ``zero_slot[j]`` is the slot's entry. ``scratch`` is
-    ``n_rows + 1`` zeros that ``column_at`` borrows and leaves as it found them."""
+    one slot: column ``j`` is entries ``indptr[j]:indptr[j + 1]`` (intp) of
+    ``rows`` (int32) and ``values`` (float64), ascending by value (by row if
+    not built ``by_value``). They are its non-zeros and, between the
+    negatives and the rest (or last), a slot of value 0 and row ``n_rows``
+    (no row) standing for all its zero cells; ``zero_slot[j]`` (intp) is the
+    slot's entry. So it holds ``nnz + n_cols`` entries at 12 bytes each,
+    fewer than 2**31 (``column_index`` checks). ``scratch`` is ``n_rows + 1``
+    zeros that ``column_at`` borrows and leaves as it found them."""
     indptr: np.ndarray
     rows: np.ndarray
     values: np.ndarray
@@ -562,19 +574,27 @@ def column_index(X: np.ndarray | SparseRows, by_value: bool = True) -> ColumnInd
     the value is not below 0: the ``j`` zero slots of the columns before it,
     and its own when that sorts first. So column ``j``'s zero slot is at
     ``indptr[j]`` plus its number of negatives (at its end without
-    ``by_value``), and a NaN goes with the positives. ``rows`` is int32, so
-    X may have at most 2**31 - 1 rows."""
+    ``by_value``), and a NaN goes with the positives.
+
+    The slots and the rows written to them are int32, beside the sort's
+    intp order, so X may have at most 2**31 - 1 rows, and its non-zeros
+    plus its columns (the index's entries) must stay below 2**31. Both are
+    checked from ``X``'s shape and ``cols.size`` before anything is
+    allocated; either failing is a ``TrainingError``."""
     X = SparseRows.of(X)
     n, d = X.shape
     if n >= 2 ** 31:
         raise TrainingError(f"a column index holds at most 2**31 - 1 rows, not {n}")
+    if X.cols.size + d >= 2 ** 31:
+        raise TrainingError(f"a column index holds at most 2**31 - 1 entries, not "
+                            f"{X.cols.size} non-zeros plus {d} zero slots")
     order = np.lexsort((X.values, X.cols)) if by_value else np.argsort(X.cols, kind="stable")
     slot = X.cols[order]
-    slot += np.arange(slot.size)
+    slot += np.arange(slot.size, dtype=np.int32)
     if by_value:
         slot += ~(X.values[order] < 0)
     rows = np.full(slot.size + d, n, dtype=np.int32)
-    rows[slot] = X.rows[order]
+    rows[slot] = X.row_ids()[order]
     values = np.zeros(slot.size + d)
     values[slot] = X.values[order]
     del order, slot

@@ -7,8 +7,11 @@ dict-based ``extract_metadata``, the one-row ``scale``, and
 ``SparseRows.from_rows``. Methods became functions of the pipeline
 (``assemble``, ``stage1_rows``, ``vectorize``), and a memo read became a
 fresh lookup (``columns``), so the oracle shares no state with the code it
-checks. ``tests/test_features.py`` requires the same bytes and the same
-errors from the block code.
+checks. Two dtypes follow the code's layout: ``sorted_columns`` gives int32
+column ids, as the memo keeps them, and ``from_rows`` builds the CSR
+``SparseRows`` (an ``indptr`` and int32 columns) from the rows it joins.
+``tests/test_features.py`` requires the same bytes and the same errors from
+the block code.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def term_counts(model, doc) -> Counter[int]:
 
 
 def sorted_columns(counts: Counter[int]) -> tuple[np.ndarray, np.ndarray]:
-    indices = np.fromiter(counts.keys(), dtype=int, count=len(counts))
+    indices = np.fromiter(counts.keys(), dtype=np.int32, count=len(counts))
     values = np.fromiter(counts.values(), dtype=float, count=len(counts))
     order = np.argsort(indices)
     indices, values = indices[order], values[order]
@@ -205,7 +208,9 @@ def from_rows(rows, width: int) -> learn.SparseRows:
     keep = values != 0
     if not keep.all():
         row_ids, cols, values = row_ids[keep], cols[keep], values[keep]
-    return learn.SparseRows(row_ids, cols, values, (len(rows), width))
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row_ids, minlength=len(rows)), out=indptr[1:])
+    return learn.SparseRows(indptr, cols.astype(np.int32), values, (len(rows), width))
 
 
 def vectorize(pipeline, issues, probs) -> learn.SparseRows:

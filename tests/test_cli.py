@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -867,6 +868,23 @@ class TestStageOne:
         assert len(err) == 1 and err[0].startswith("error: ") and "stage1" in err[0], err
         assert loads == [] and not (workdir / "o.json").exists()
 
+    def test_predict_with_a_stage_one_model_rejects_objective_probs(self, workdir, capsys,
+                                                                    stage1_artifacts):
+        """The stage-one model makes the objective probabilities, so a valid
+        file beside it is a usage error, not a file read and then ignored."""
+        corpus = workdir / "corpus.jsonl"
+        probs = workdir / "probs.tsv"
+        probs.write_text("issue_id\tBug\tEnhancement\tSupportDoc\n"
+                         + "".join(f"{issue.id}\t0.2\t0.3\t0.5\n"
+                                   for issue in load_corpus(corpus)[0].issues))
+        out = workdir / "p.tsv"
+        capsys.readouterr()
+        assert run("predict", "--model", stage1_artifacts["model", "nb"], "--in", corpus,
+                   "--out", out, "--objective-probs", probs) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --objective-probs "), err
+        assert not out.exists()
+
     def test_train_objective_on_an_empty_corpus_exits_two(self, workdir, capsys):
         empty = workdir / "empty.jsonl"
         empty.write_text("")
@@ -874,6 +892,27 @@ class TestStageOne:
         assert run("train-objective", "--in", empty, "--model", workdir / "o.json") == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+class TestManifest:
+    """``write_manifest`` hashes each input a chunk at a time, never holding
+    the whole file."""
+
+    @pytest.mark.parametrize("size", [0, 1 << 20, (1 << 20) + 1],
+                             ids=["empty", "one-mib", "one-mib-and-a-byte"])
+    def test_digest_equals_sha256_of_the_bytes(self, tmp_path, monkeypatch, size):
+        data = (bytes(range(256)) * (size // 256 + 1))[:size]
+        path = tmp_path / "input.bin"
+        path.write_bytes(data)
+
+        def whole_file(self):
+            raise AssertionError(f"{self} read whole")
+
+        monkeypatch.setattr(Path, "read_bytes", whole_file)
+        out = tmp_path / "out.txt"
+        cli.write_manifest(out, "features", {}, 7, [path, tmp_path / "missing"], [out])
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["inputs"] == {str(path): hashlib.sha256(data).hexdigest()}
 
 
 class TestDeterminism:

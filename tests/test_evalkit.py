@@ -344,7 +344,7 @@ class TestSparseFeatureMatrix:
         assert isinstance(X, learn.SparseRows)
         assert X.shape == (len(issues), bundle.feature_pipeline.width)
         # row order, and ascending columns within a row
-        assert np.all(np.diff(X.rows * X.shape[1] + X.cols) > 0)
+        assert np.all(np.diff(X.row_ids() * np.int64(X.shape[1]) + X.cols) > 0)
         want = np.vstack([bundle.feature_pipeline.assemble([i], [bundle.objective_probs(i)])
                           .to_dense() for i in issues])
         assert np.array_equal(X.to_dense(), want)
@@ -368,6 +368,22 @@ class TestSparseFeatureMatrix:
         for model in (from_dense, from_sparse):
             for M in (dense, X):
                 assert model.predict_proba(M).tobytes() == want
+
+    def test_x_and_the_memo_columns_are_compact(self, planted_corpus, maps):
+        """On the planted fixture, X holds 8 bytes per row (plus one) and 12
+        per non-zero, and both TF-IDF memos keep their columns as int32: the
+        fit's block and every entry."""
+        issues, _ = evalkit.labeled_issues(planted_corpus.issues, maps)
+        bundle = evalkit.fit_preprocessing(issues, ModelSpec(), maps)
+        X = bundle.vectorize(planted_corpus.issues)
+        n, nnz = len(planted_corpus.issues), int((X != 0).sum())
+        assert X.nbytes == 8 * (n + 1) + 12 * nnz
+        pipeline = bundle.feature_pipeline
+        for model in (pipeline.tfidf_title, pipeline.tfidf_desc):
+            blocks = {id(cols.base): cols.base for cols, _ in model.memo.values()
+                      if cols.base is not None}
+            assert blocks and all(block.dtype == np.int32 for block in blocks.values())
+            assert all(cols.dtype == np.int32 for cols, _ in model.memo.values())
 
     def test_vectorize_and_forest_fit_build_no_dense_matrix(self, maps):
         """About 400 issues x 20k columns: ``vectorize`` and the forest fit

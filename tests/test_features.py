@@ -215,7 +215,7 @@ class TestTransformTfidf:
         model = fit_tfidf(docs[:20], max_features=12)
         for d in docs + docs:
             counts = term_counts(model, d)
-            indices = np.array(sorted(counts), dtype=int)
+            indices = np.array(sorted(counts), dtype=np.int32)
             values = np.array([counts[i] for i in indices], dtype=float) * model.idf[indices]
             if indices.size:
                 values = values / np.sqrt(np.sum(values ** 2))
@@ -223,7 +223,7 @@ class TestTransformTfidf:
             assert cols.tobytes() == indices.tobytes()
             assert weights.tobytes() == values.tobytes()
             columns, counted = model.columns(d)
-            assert (columns.dtype, counted.dtype) == (np.dtype(int), np.dtype(float))
+            assert (columns.dtype, counted.dtype) == (np.dtype(np.int32), np.dtype(float))
             assert not columns.flags.writeable and not counted.flags.writeable
         assert set(model.memo) == set(docs)
 
@@ -547,7 +547,7 @@ def assert_same_model(model, reference, docs):
 
 def assert_same_rows(X, Y):
     assert X.shape == Y.shape
-    for got, want in ((X.rows, Y.rows), (X.cols, Y.cols), (X.values, Y.values)):
+    for got, want in ((X.indptr, Y.indptr), (X.cols, Y.cols), (X.values, Y.values)):
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
@@ -600,7 +600,7 @@ class TestMatchesReference:
         lengths, cols, values = transform_tfidf(model, probe)
         want = [ref.transform_tfidf(model, d) for d in probe]
         assert lengths.tolist() == [w.indices.size for w in want]
-        assert cols.tobytes() == np.concatenate([np.zeros(0, int)]
+        assert cols.tobytes() == np.concatenate([np.zeros(0, np.int32)]
                                                 + [w.indices for w in want]).tobytes()
         assert values.tobytes() == np.concatenate([np.zeros(0)]
                                                   + [w.values for w in want]).tobytes()

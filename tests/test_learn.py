@@ -515,9 +515,27 @@ class TestColumnIndex:
             self._assert_matches_reference(M, by_value)
 
     def test_too_many_rows_for_int32_is_a_training_error(self):
-        X = learn.SparseRows(np.zeros(0, int), np.zeros(0, int), np.zeros(0), (2 ** 31, 1))
+        # 2**31 empty rows: a zero-stride indptr, so nothing large is allocated
+        indptr = np.broadcast_to(np.intp(0), (2 ** 31 + 1,))
+        X = learn.SparseRows(indptr, np.zeros(0, np.int32), np.zeros(0), (2 ** 31, 1))
         with pytest.raises(TrainingError, match="2\\*\\*31 - 1 rows"):
             learn.column_index(X)
+
+    @pytest.mark.parametrize("nnz, d", [(1, 2 ** 31 - 1), (2 ** 31 - 1, 1), (2 ** 31, 0)])
+    def test_too_many_entries_for_int32_is_a_training_error(self, nnz, d):
+        """Non-zeros plus zero slots of 2**31 or more are refused from the
+        shape and ``cols.size`` alone, before anything is allocated: the
+        entries here are zero-stride views of one value."""
+        X = learn.SparseRows(np.array([0, nnz]), np.broadcast_to(np.int32(0), (nnz,)),
+                             np.broadcast_to(1.0, (nnz,)), (1, d))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TrainingError, match="2\\*\\*31 - 1 entries"):
+                learn.column_index(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @staticmethod
     def _assert_matches_reference(X, by_value=True):
@@ -789,12 +807,13 @@ class TestSparseRows:
         sparse = learn.SparseRows.from_dense(X)
         assert len(sparse) == len(X) and sparse.shape == X.shape and sparse.size == X.size
         assert int((sparse != 0).sum()) == int((X != 0).sum())
-        assert sparse.nbytes == sparse.rows.nbytes + sparse.cols.nbytes + sparse.values.nbytes
+        assert sparse.nbytes == 8 * (n + 1) + 12 * int((X != 0).sum())
         assert np.array_equal(sparse.to_dense(), X)
 
     def test_signed_zeros_are_never_stored(self):
         sparse = learn.SparseRows.from_dense(np.array([[0.0, -0.0, 2.0], [-0.0, 1.5, 0.0]]))
-        assert sparse.rows.tolist() == [0, 1] and sparse.cols.tolist() == [2, 1]
+        assert sparse.indptr.tolist() == [0, 1, 2] and sparse.cols.tolist() == [2, 1]
+        assert sparse.row_ids().tolist() == [0, 1]
         assert sparse.values.tolist() == [2.0, 1.5]
 
     def test_non_finite_values_are_stored(self):
@@ -804,8 +823,69 @@ class TestSparseRows:
 
     def test_no_rows(self):
         sparse = learn.SparseRows.from_dense(np.zeros((0, 6)))
-        assert sparse.shape == (0, 6) and len(sparse) == 0 and sparse.nbytes == 0
+        assert sparse.shape == (0, 6) and len(sparse) == 0 and sparse.nbytes == 8
         assert sparse.to_dense().shape == (0, 6)
+
+
+# a cell of a layout case: zeros of both signs (never stored), NaN, the
+# infinities and finite values of both signs
+CELLS = st.sampled_from([0.0, 0.0, 0.0, 0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0,
+                         np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def layout_cases(draw):
+    """A dense matrix with empty rows and columns, NaN, the infinities, -0.0
+    and some columns made all-negative."""
+    n, d = draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    X = np.array(draw(st.lists(CELLS, min_size=n * d, max_size=n * d))).reshape(n, d)
+    negative = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    X[:, negative] = -np.abs(X[:, negative])
+    return X
+
+
+class TestSparseRowsLayout:
+    """The CSR layout on generated matrices: it round-trips, its ``indptr``
+    and int32 ``cols`` are well formed, and the column index and NB read it
+    as they read the dense matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(X=layout_cases())
+    def test_layout_round_trips(self, X):
+        n, d = X.shape
+        sparse = learn.SparseRows.from_dense(X)
+        assert np.array_equal(sparse.to_dense(), X, equal_nan=True)
+        assert sparse.indptr.dtype == np.intp and sparse.indptr.size == n + 1
+        assert sparse.indptr[0] == 0 and sparse.indptr[-1] == sparse.cols.size
+        assert np.all(np.diff(sparse.indptr) >= 0)
+        assert sparse.cols.dtype == np.int32 and sparse.values.dtype == np.float64
+        assert sparse.nbytes == 8 * (n + 1) + 12 * int((X != 0).sum())
+        for i in range(n):
+            row = sparse.cols[sparse.indptr[i]:sparse.indptr[i + 1]]
+            assert np.all(np.diff(row) > 0) and np.all((row >= 0) & (row < d))
+        assert np.array_equal(sparse.row_ids(), np.nonzero(X)[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(X=layout_cases(), by_value=st.booleans())
+    def test_column_index_equals_the_reference(self, X, by_value):
+        TestColumnIndex._assert_matches_reference(X, by_value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(X=layout_cases(), data=st.data())
+    def test_nb_params_equal_a_dense_fit(self, X, data):
+        """The counts NB stores are the dense per-class sums, bit for bit. NB
+        takes finite, non-negative values: the case's magnitudes, its
+        non-finite cells as 0; class "c" has no rows."""
+        X = np.abs(np.where(np.isfinite(X), X, 0.0))
+        classes = ("a", "b", "c")
+        labels = data.draw(st.lists(st.sampled_from(classes[:2]), min_size=len(X),
+                                    max_size=len(X)))
+        y = np.array([classes.index(lb) for lb in labels])
+        got = fit_multinomial_nb(learn.SparseRows.from_dense(X), labels, classes=classes)
+        want = {"class_counts": np.bincount(y, minlength=3).astype(float),
+                "term_counts": np.vstack([X[y == c].sum(axis=0) for c in range(3)])}
+        for key, value in want.items():
+            assert got.params[key].tobytes() == value.tobytes()
 
 
 class TestKnn:
