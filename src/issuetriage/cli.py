@@ -41,11 +41,14 @@ as their non-zeros; forest trees as nested objects.
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure. A
 missing ``--model`` file is a usage error; a model or assets file that is
 corrupt, unusable, of another format or of another version is a runtime
-failure. Unusable means a block with a missing key, a value of the wrong
-type, a number that is not finite or out of bounds (a negative count, a
-``df`` outside [1, ``n_docs``]), a repeated term or sparse index, or an
-array whose shape does not fit the model's classes or the assets' widths
-(its tables: ``learn.MODEL`` and ``learn.BLOCKS``, or ``ASSETS``).
+failure, and so is any file that cannot be read or written (an
+``OSError``), such as an output under a missing directory. Unusable means a
+block with a missing key, a value of the wrong type, a number that is not
+finite or out of bounds (a negative count, a ``df`` outside [1,
+``n_docs``]), an ``ngram_range`` other than [1, 2], a repeated term or
+sparse index, or an array whose shape does not fit the model's classes or
+the assets' widths (its tables: ``learn.MODEL`` and ``learn.BLOCKS``, or
+``ASSETS``).
 
 An ``--objective-probs`` row that does not decode or sum to 1, or repeats an
 issue id, exits 1 naming its line (and the earlier one). ``predict`` with a
@@ -103,7 +106,7 @@ def load_config(path: str | None) -> dict:
         raise ValidationError(f"config file not found: {p}")
     try:
         config = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"config file {p} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise ValidationError(f"config file {p} must hold a JSON object")
@@ -667,7 +670,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValidationError, SettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, TrainingError, ChecksumMismatchError, *_command_errors()) as exc:
+    except (CorpusError, TrainingError, ChecksumMismatchError, OSError,
+            *_command_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

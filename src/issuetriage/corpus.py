@@ -250,7 +250,7 @@ def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, LoadRep
     if meta_file.exists():
         try:
             meta = json.loads(meta_file.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CorpusError(f"{meta_file}: cannot read schema sidecar: {exc}") from None
     meta = SIDECAR.decode(meta, f"{meta_file}: schema sidecar")
     if meta["schema_version"] != SCHEMA_VERSION:

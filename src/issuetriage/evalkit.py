@@ -496,7 +496,8 @@ def evaluate_project_based(corpus: Corpus, spec: ModelSpec,
 def split_repos(repos: Sequence[str], ratio: float, seed: int) -> tuple[list[str], list[str]]:
     repos = sorted(repos)
     if len(repos) < 2:
-        raise ValueError("cross-project evaluation needs at least two repositories")
+        raise TrainingError("cross-project evaluation needs at least two repositories, "
+                            f"got {len(repos)}")
     rng = np.random.default_rng(seed)
     order = list(rng.permutation(len(repos)))
     n_train = int(round(len(repos) * ratio))

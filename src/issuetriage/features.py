@@ -2,8 +2,8 @@
 
 Three blocks, concatenated in fixed order:
 
-* TF: title TF-IDF ++ description TF-IDF ++ the three objective-class
-  probabilities coming out of stage one,
+* TF: title TF-IDF ++ description TF-IDF (unigrams and bigrams) ++ the
+  three objective-class probabilities coming out of stage one,
 * LF: 66-dim binary label-cluster vector,
 * NF: 28 metadata features, min-max scaled into [0, 1].
 
@@ -62,17 +62,10 @@ DESC_MAX_FEATURES = 20_000
 NGRAM_RANGE = (1, 2)
 
 
-def ngrams(tokens: Sequence[str], ngram_range: tuple[int, int] = NGRAM_RANGE) -> list[str]:
-    """Every ``n``-gram of ``tokens`` for ``n`` in ``ngram_range``, by ``n``,
-    then by position; an ``n``-gram is its tokens joined by single spaces."""
-    lo, hi = ngram_range
-    out: list[str] = []
-    for n in range(lo, hi + 1):
-        if n == 1:
-            out += tokens
-        else:
-            out += map(" ".join, zip(*(tokens[i:] for i in range(n))))
-    return out
+def ngrams(tokens: Sequence[str]) -> list[str]:
+    """Every unigram of ``tokens``, then every bigram, each by position; a
+    bigram is its two tokens joined by a single space."""
+    return [*tokens, *map(" ".join, zip(tokens, tokens[1:]))]
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,6 @@ class TfidfModel:
     df: np.ndarray  # column -> training docs that hold its term (ints)
     n_docs: int
     max_features: int
-    ngram_range: tuple[int, int]
     idf: np.ndarray = field(init=False, compare=False, repr=False)
     # doc -> (sorted int32 column ids, their float counts); see the module docstring
     memo: dict[TokenizedDoc, tuple[np.ndarray, np.ndarray]] = field(
@@ -113,22 +105,25 @@ class TfidfModel:
     def fingerprint(self) -> str:
         payload = json.dumps(
             {"vocab": sorted(self.vocabulary.items()), "idf": _float_reprs(self.idf),
-             "max_features": self.max_features, "ngram_range": list(self.ngram_range)},
+             "max_features": self.max_features, "ngram_range": list(NGRAM_RANGE)},
             sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_doc(self) -> dict:
         return TFIDF.encode(
             {"vocabulary": self.vocabulary, "df": self.df, "n_docs": self.n_docs,
-             "max_features": self.max_features, "ngram_range": list(self.ngram_range)})
+             "max_features": self.max_features, "ngram_range": list(NGRAM_RANGE)})
 
     @classmethod
     def from_doc(cls, doc, what: str = "TF-IDF block") -> "TfidfModel":
         """The model ``doc`` holds. Its table keeps each ``df`` in [1,
-        ``n_docs``], so every idf is at least 1."""
+        ``n_docs``], so every idf is at least 1; an ``ngram_range`` other
+        than ``NGRAM_RANGE`` is refused, since no other is applied."""
         block = TFIDF.decode(doc, what)
-        return cls(block["vocabulary"], block["df"], block["n_docs"], block["max_features"],
-                   tuple(block["ngram_range"].tolist()))
+        if (ngram_range := block["ngram_range"].tolist()) != list(NGRAM_RANGE):
+            raise learn.ArtifactError(f"{what} ngram_range {ngram_range} is not "
+                                      f"{list(NGRAM_RANGE)}, the only range this version applies")
+        return cls(block["vocabulary"], block["df"], block["n_docs"], block["max_features"])
 
 
 TFIDF = Table({"vocabulary": Field("terms", ("V",)), "n_docs": Field("int", (), 1),
@@ -143,43 +138,36 @@ def idf_of(df: np.ndarray, n_docs: int) -> np.ndarray:
     return np.array([math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df.tolist()], dtype=float)
 
 
-def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
-              ngram_range: tuple[int, int] = NGRAM_RANGE) -> TfidfModel:
-    """Vocabulary is the ``max_features`` most frequent n-grams by total corpus
-    count (ties broken lexicographically); idf(t) = ln((1+N)/(1+df(t))) + 1.
+def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int) -> TfidfModel:
+    """Vocabulary is the ``max_features`` most frequent unigrams and bigrams
+    by total corpus count (ties broken lexicographically); idf(t) =
+    ln((1+N)/(1+df(t))) + 1.
 
     No n-gram string is built but those of the vocabulary. Each distinct
-    token is ranked 1, 2, ... in string order, and an n-gram is the tuple of
-    its tokens' ranks, padded with 0s to ``ngram_range[1]`` places, so a
-    shorter n-gram sorts before its own extensions. The tuples sort as the
-    n-grams' strings do, because every token character sorts after the
-    joining ``' '`` (``TokenizedDoc`` refuses any character below ``'!'``):
-    take two n-grams and the first place where their tokens differ; all
-    before it is the same text in both strings. If neither token there is a
+    token is ranked 1, 2, ... in string order, and an n-gram is coded as
+    first rank x (tokens + 1) + second rank, a unigram's second rank 0. The
+    codes sort as the n-grams' strings do, because every token character
+    sorts after the joining ``' '`` (``TokenizedDoc`` refuses any character
+    below ``'!'``). Of two first tokens ``s`` and ``t``, if neither is a
     prefix of the other, their first differing character decides both
-    orders. If token ``s`` is a proper prefix of token ``t``, the string
-    holding ``s`` goes on with ``' '`` or ends where the other goes on with
-    a character of ``t``, above ``' '``; so it sorts first, as ``s``'s rank
-    does. If one n-gram runs out first, it is a prefix of the other string,
-    and its padding 0 sorts first. (A token holding ``'\\x01'`` would break
-    this: ``"a\\x01"`` sorts before ``"a b"`` as a string, after it as ranks.)
-
-    The tuples are folded into one integer code a place at a time, each
-    fold from the third place on renumbering the codes so far by their
-    distinct values, so a code stays below (occurrences + 1) x (tokens + 1)
-    for any ``ngram_range``. The final
-    codes number the distinct n-grams in string order, so the top-k rule's
-    lexicographic tie break takes the smallest codes. ``df`` and the totals
-    count each distinct doc's (doc, n-gram) pairs once, times its number of
-    copies. The memo is one block of columns and one of counts, ordered by
-    doc, then column; each distinct doc's entry is a view into them."""
+    orders; if ``s`` is a proper prefix of ``t``, the string starting with
+    ``s`` goes on with ``' '`` or ends where the other goes on with a
+    character of ``t``, above ``' '``, so it sorts first, as ``s``'s rank
+    does. With equal first tokens, a unigram's string is a prefix of the
+    bigram's, as its 0 is below any rank, and two bigrams' second tokens
+    decide by the same two cases. (A token holding ``'\\x01'`` would break
+    this: ``"a\\x01"`` sorts before ``"a b"`` as a string, after it as
+    ranks.) So the top-k rule's lexicographic tie break takes the smallest
+    codes. ``df`` and the totals count each distinct doc's (doc, n-gram)
+    pairs once, times its number of copies. The memo is one block of
+    columns and one of counts, ordered by doc, then column; each distinct
+    doc's entry is a view into them."""
     if not docs:
         raise ValueError("cannot fit TF-IDF on an empty corpus")
     if max_features < 1:
         raise ValueError("max_features must be at least 1")
     multiplicity = Counter(docs)
     distinct = list(multiplicity)
-    lo, hi = max(ngram_range[0], 1), ngram_range[1]
     words = [""] + sorted(set(itertools.chain.from_iterable(distinct)))  # rank -> token
     rank = dict(zip(words, range(len(words))))
     lengths = np.fromiter(map(len, distinct), np.intp, len(distinct))
@@ -187,19 +175,14 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
                        np.int64, lengths.sum())
     del rank
     left = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size)  # tokens from here on
-    # one row per n-gram occurrence, by its number of tokens n, then by
-    # where it starts; the rows of n tokens begin at ``offsets[n - lo]``
-    start = np.concatenate([np.zeros(0, np.intp)]
-                           + [np.flatnonzero(left >= n) for n in range(lo, hi + 1)])
-    offsets = np.cumsum([0] + [np.count_nonzero(left >= n) for n in range(lo, hi + 1)])
+    # one row per n-gram occurrence: each unigram, then each bigram, by
+    # where it starts; the bigram rows begin at ``n_unigrams``
+    n_unigrams = flat.size
+    start = np.concatenate([np.arange(n_unigrams), np.flatnonzero(left >= 2)])
     del left
     code = flat[start]
-    for k in range(1, hi):
-        if k > 1:  # renumbered by distinct value, so the next fold cannot overflow
-            code = np.unique(code, return_inverse=True)[1]
-        code *= len(words)
-        more = offsets[max(k + 1 - lo, 0)]  # the rows of more than k tokens
-        code[more:] += flat[start[more:] + k]
+    code *= len(words)
+    code[n_unigrams:] += flat[start[n_unigrams:] + 1]
     order = np.argsort(code, kind="stable")  # rows of equal codes stay by doc
     code.sort()
     new_gram = np.ones(code.size, bool)
@@ -208,7 +191,7 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
     first = order[new_gram]  # each n-gram's first row
     doc_of = np.repeat(np.arange(len(distinct)), lengths)[start[order]]
     del order
-    first_start, first_size = start[first], lo + np.searchsorted(offsets[1:], first, "right")
+    first_start, first_size = start[first], 1 + (first >= n_unigrams)
     del start, first
     # the distinct (doc, n-gram) pairs, by n-gram, then doc, and their counts
     new_pair = new_gram.copy()
@@ -227,7 +210,7 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int,
     terms = _joined(words, flat, first_start[chosen], first_size[chosen])
     del flat, first_start, first_size, words
     model = TfidfModel(dict(zip(terms, range(len(terms)))), df[chosen].astype(np.int64),
-                       len(docs), max_features, ngram_range)
+                       len(docs), max_features)
     column = np.full(df.size, -1, dtype=np.int32)
     column[chosen] = np.arange(chosen.size)
     kept = column[gram] >= 0
@@ -272,7 +255,7 @@ def term_counts(model: TfidfModel, doc: TokenizedDoc) -> Counter[int]:
     """Occurrences of each in-vocabulary n-gram of ``doc``, keyed by column;
     out-of-vocabulary n-grams are ignored. The n-gram -> column lookup of a
     doc the fit never saw."""
-    counts = Counter(map(model.vocabulary.get, ngrams(doc.tokens, model.ngram_range)))
+    counts = Counter(map(model.vocabulary.get, ngrams(doc.tokens)))
     counts.pop(None, None)  # the out-of-vocabulary n-grams
     return counts
 

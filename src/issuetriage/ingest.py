@@ -129,7 +129,7 @@ def _json_body(response: Response, url: str, kind: type):
     """The decoded body of a 200 response, which must be a JSON ``kind``."""
     try:
         doc = json.loads(response.body)
-    except ValueError:
+    except (ValueError, RecursionError):
         raise IngestError(f"response from {url} is not JSON") from None
     if not isinstance(doc, kind):
         raise IngestError(f"expected a JSON {kind.__name__} from {url}")
@@ -166,7 +166,7 @@ class IssueClient:
         path = self._cache_path(url)
         try:
             entry = CACHE_ENTRY.decode(json.loads(path.read_text(encoding="utf-8")), str(path))
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return None  # a missing or corrupt entry is a miss: fetched and written
         return Response(**entry)
 

@@ -809,12 +809,12 @@ def _work_in_child(job: Callable[[], list], read: int, write: int):
 def fit_random_forest(
     X: np.ndarray | SparseRows, labels: Sequence[str], weights: ClassWeights | None = None,
     n_trees: int = 60, max_depth: int | None = 12, min_leaf: int = 1,
-    max_features: int | str | None = "sqrt", seed: int = 0,
+    max_features: int | str = "sqrt", seed: int = 0,
     classes: tuple[str, ...] | None = None,
 ) -> TrainedModel:
     """A random forest of ``n_trees`` Gini trees, each grown on a weighted
     bootstrap of X's rows and drawing ``max_features`` columns per split
-    ("sqrt" or None: sqrt(d)).
+    ("sqrt": sqrt(d)).
 
     Each tree has its own seed, spawned from ``seed``, and the trees are
     grown on every CPU the process may run on (``_on_every_cpu``), all over
@@ -827,7 +827,7 @@ def fit_random_forest(
     cols = column_index(X)
     n, d = cols.n_rows, cols.n_cols
     _require_finite(cols.values, "random forest")  # a NaN or an infinity is a non-zero
-    if max_features == "sqrt" or max_features is None:
+    if max_features == "sqrt":
         m = max(1, int(math.sqrt(d)))
     else:
         m = max(1, min(int(max_features), d))
@@ -882,12 +882,27 @@ def fit_knn(X: np.ndarray | SparseRows, labels: Sequence[str], k: int = 5,
         metadata={"k": k})
 
 
+def _nearest(points: np.ndarray, queries: np.ndarray, k: int, *, skip_self: bool) -> np.ndarray:
+    """The ids of the ``k`` ``points`` nearest each query row, nearest first,
+    ties by id (a stable sort of Euclidean distances); with ``skip_self`` the
+    queries are the points, and none is its own neighbour. One buffer of
+    ``points``' shape holds the differences, query after query."""
+    nearest = np.empty((queries.shape[0], k), dtype=np.intp)
+    diff = np.empty(points.shape)
+    for i, row in enumerate(queries):
+        np.subtract(row, points, out=diff)
+        np.square(diff, out=diff)
+        dist = np.sqrt(diff.sum(axis=1))
+        if skip_self:
+            dist[i] = np.inf
+        nearest[i] = np.argsort(dist, kind="stable")[:k]
+    return nearest
+
+
 def _knn_predict(params: dict, X: np.ndarray, n_classes: int) -> np.ndarray:
     train, y, k = params["X"], params["y"], params["k"]
     out = np.zeros((X.shape[0], n_classes))
-    for i, row in enumerate(X):
-        dist = np.sqrt(((train - row) ** 2).sum(axis=1))
-        nearest = np.argsort(dist, kind="stable")[:k]
+    for i, nearest in enumerate(_nearest(train, X, k, skip_self=False)):
         votes = np.bincount(y[nearest], minlength=n_classes)
         out[i] = votes / votes.sum()
     return out
@@ -915,17 +930,7 @@ def smote(minority: np.ndarray, majority_count: int, k: int = 5,
     if n_synthetic <= 0:
         return np.empty((0, minority.shape[1]))
     k = max(1, min(k, n - 1))
-    # one row of the pairwise distances at a time, so the working memory is
-    # one (n, d) buffer rather than an (n, n, d) difference array; self is
-    # excluded by an infinite distance
-    neighbor_ids = np.empty((n, k), dtype=np.intp)
-    diff = np.empty(minority.shape)
-    for i in range(n):
-        np.subtract(minority[i], minority, out=diff)
-        np.square(diff, out=diff)
-        dist = np.sqrt(diff.sum(axis=1))
-        dist[i] = np.inf
-        neighbor_ids[i] = np.argsort(dist, kind="stable")[:k]
+    neighbor_ids = _nearest(minority, minority, k, skip_self=True)
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, n, size=n_synthetic)
     picks = rng.integers(0, k, size=n_synthetic)
@@ -971,8 +976,7 @@ HYPERPARAMS: dict[str, tuple[str, Callable[[object], bool]]] = {
     "n_trees": ("an integer >= 1", lambda v: is_int(v, 1)),
     "max_depth": ("null or an integer >= 1", lambda v: v is None or is_int(v, 1)),
     "min_leaf": ("an integer >= 1", lambda v: is_int(v, 1)),
-    "max_features": ('"sqrt", null or an integer >= 1',
-                     lambda v: v is None or v == "sqrt" or is_int(v, 1)),
+    "max_features": ('"sqrt" or an integer >= 1', lambda v: v == "sqrt" or is_int(v, 1)),
     "lr": ("a finite number > 0", lambda v: is_number(v, 0, strict=True)),
     "l2": ("a finite number >= 0", lambda v: is_number(v, 0, strict=False)),
     "epochs": ("an integer >= 1", lambda v: is_int(v, 1)),

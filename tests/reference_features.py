@@ -29,9 +29,10 @@ from issuetriage.features import (PROB_SUM_TOLERANCE, FEATURE_NAMES, TfidfModel,
 from issuetriage.textnorm import AbstractToken
 
 
-def fit_tfidf(docs, max_features, ngram_range=(1, 2)) -> TfidfModel:
-    """Vocabulary is the ``max_features`` most frequent n-grams by total corpus
-    count (ties broken lexicographically); idf(t) = ln((1+N)/(1+df(t))) + 1."""
+def fit_tfidf(docs, max_features) -> TfidfModel:
+    """Vocabulary is the ``max_features`` most frequent unigrams and bigrams
+    by total corpus count (ties broken lexicographically); idf(t) =
+    ln((1+N)/(1+df(t))) + 1."""
     if not docs:
         raise ValueError("cannot fit TF-IDF on an empty corpus")
     if max_features < 1:
@@ -39,7 +40,7 @@ def fit_tfidf(docs, max_features, ngram_range=(1, 2)) -> TfidfModel:
     total: Counter[str] = Counter()
     df: Counter[str] = Counter()
     for doc in docs:
-        grams = ngrams(doc.tokens, ngram_range)
+        grams = ngrams(doc.tokens)
         total.update(grams)
         df.update(set(grams))
     if len(total) <= max_features:
@@ -51,7 +52,7 @@ def fit_tfidf(docs, max_features, ngram_range=(1, 2)) -> TfidfModel:
         chosen = sorted(above + heapq.nsmallest(max_features - len(above), tied))
     vocabulary = {term: i for i, term in enumerate(chosen)}
     return TfidfModel(vocabulary, np.array([df[t] for t in chosen], dtype=np.int64), len(docs),
-                      max_features, ngram_range)
+                      max_features)
 
 
 def idf(model) -> np.ndarray:
@@ -60,7 +61,7 @@ def idf(model) -> np.ndarray:
 
 
 def term_counts(model, doc) -> Counter[int]:
-    counts = Counter(map(model.vocabulary.get, ngrams(doc.tokens, model.ngram_range)))
+    counts = Counter(map(model.vocabulary.get, ngrams(doc.tokens)))
     counts.pop(None, None)  # the out-of-vocabulary n-grams
     return counts
 

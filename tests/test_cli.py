@@ -105,6 +105,13 @@ class TestPreprocess:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: line 201: "), err
 
+    def test_deeply_nested_sidecar_exits_two(self, workdir, capsys):
+        (workdir / "corpus.jsonl.meta.json").write_text("[" * 100_000)
+        assert run("preprocess", "--in", workdir / "corpus.jsonl",
+                   "--out", workdir / "o.jsonl") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "cannot read schema sidecar" in err[0], err
+
     def test_corrupt_sidecar_exits_two(self, workdir, capsys):
         (workdir / "corpus.jsonl.meta.json").write_text("{bad")
         assert run("preprocess", "--in", workdir / "corpus.jsonl",
@@ -409,6 +416,18 @@ class TestArtifactErrors:
         code, err = self._predict(workdir, trained, capsys)
         assert code == 2 and repr(block) in err
 
+    @pytest.mark.parametrize("block,value", [("tfidf_title", [1, 3]), ("tfidf_desc", [1, 1])])
+    def test_assets_of_another_ngram_range_exit_two(self, workdir, trained, capsys, block,
+                                                    value):
+        """Refused as the block is decoded, before any fingerprint is
+        compared: no other range is applied."""
+        assets = Path(str(trained) + ".assets.json")
+        doc = json.loads(assets.read_text())
+        doc[block]["ngram_range"] = value
+        assets.write_text(json.dumps(doc))
+        code, err = self._predict(workdir, trained, capsys)
+        assert code == 2 and f"block {block!r} ngram_range {value} is not [1, 2]" in err
+
     @pytest.mark.parametrize("key", ["kind", "params"])
     def test_model_without_key_exits_two(self, workdir, trained, capsys, key):
         doc = json.loads(trained.read_text())
@@ -701,6 +720,7 @@ BAD_SETTINGS = [
     ({"model": {"hyperparams": {"n_trees": "x"}}}, "train", [], "n_trees"),
     ({"model": {"hyperparams": {"n_trees": 2.5}}}, "train", [], "n_trees"),
     ({"model": {"hyperparams": {"max_features": "log2"}}}, "train", [], "max_features"),
+    ({"model": {"hyperparams": {"max_features": None}}}, "train", [], "max_features"),
     ({"model": {"title_max_features": "x"}}, "train", [], "title_max_features"),
     ({"model": {"classifier": "bogus"}}, "train", [], "classifier"),
     ({"model": {"balancing": "bogus"}}, "evaluate", [], "balancing"),
@@ -956,6 +976,18 @@ class TestEvaluateCommand:
         assert len(doc["folds"]) == 2
         assert "accuracy" in doc["mean"]
 
+    @pytest.mark.parametrize("repo", ["acme/engine", None], ids=["one-repo", "empty"])
+    def test_cross_project_on_fewer_than_two_repos_exits_two(self, workdir, capsys, repo):
+        corpus = workdir / "corpus.jsonl"
+        lines = [line for line in corpus.read_text().splitlines()
+                 if json.loads(line)["repo"] == repo]
+        corpus.write_text("".join(line + "\n" for line in lines))
+        assert run("--config", workdir / "config.json", "evaluate", "--in", corpus,
+                   "--mode", "cross-project", "--report", workdir / "x.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: cross-project evaluation needs at least two repositories, "
+                       f"got {1 if repo else 0}"], err
+
 
 class TestForestWorkers:
     def test_a_failing_worker_exits_two(self, workdir, monkeypatch, capsys):
@@ -989,6 +1021,34 @@ class TestForestWorkers:
         lines = proc.stdout.splitlines()
         assert lines[0] == "before the fits" and lines[-1].startswith("mean accuracy: ")
         assert len(lines) == len(set(lines)) == 6, lines
+
+
+class TestUnwritableOutput:
+    """An output under a missing directory is a runtime failure of every
+    command that writes one: exit 2 and one ``error:`` line naming it."""
+
+    @pytest.mark.parametrize("command", ["preprocess", "features", "train-objective",
+                                         "train-priority", "predict", "evaluate", "agreement"])
+    def test_output_under_a_missing_directory_exits_two(self, workdir, stage1_artifacts,
+                                                        capsys, command):
+        missing = workdir / "missing"
+        corpus = ["--in", workdir / "corpus.jsonl"]
+        ratings = workdir / "ratings.csv"
+        ratings.write_text("project,r1,r2\nweb,H,H\napi,L,H\n")
+        argv = {"preprocess": ["preprocess", *corpus, "--out", missing / "o.jsonl"],
+                "features": ["features", *corpus, "--out", missing / "f.tsv"],
+                "train-objective": ["train-objective", *corpus, "--model", missing / "o.json"],
+                "train-priority": ["train-priority", *corpus, "--model", missing / "m.json"],
+                "predict": ["predict", "--model", stage1_artifacts["assets", "nb"], *corpus,
+                            "--out", missing / "p.tsv"],
+                "evaluate": ["evaluate", *corpus, "--mode", "cross-project",
+                             "--report", missing / "r.json"],
+                "agreement": ["agreement", "--ratings", ratings,
+                              "--report", missing / "a.json"]}[command]
+        assert run("--config", workdir / "config.json", *argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0], err
+        assert not missing.exists()
 
 
 class TestAgreementCommand:
@@ -1033,6 +1093,14 @@ class TestConfig:
             "--in", workdir / "corpus.jsonl", "--out", out)
         manifest = json.loads((workdir / "g.jsonl.manifest.json").read_text())
         assert manifest["seed"] == 99
+
+    def test_deeply_nested_config_exits_one(self, workdir, capsys):
+        bad = workdir / "bad.json"
+        bad.write_text("[" * 100_000)
+        assert run("--config", bad, "preprocess",
+                   "--in", workdir / "corpus.jsonl", "--out", workdir / "x.jsonl") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config file {bad} is not valid JSON")
 
     def test_malformed_config_exits_one(self, workdir):
         bad = workdir / "bad.json"

@@ -107,7 +107,7 @@ VALID = {
     "n_trees": [1, 3],
     "max_depth": [None, 1, 3],
     "min_leaf": [1, 3],
-    "max_features": [None, "sqrt", 2],
+    "max_features": ["sqrt", 2],
     "lr": [0.05, 1],
     "l2": [0, 0.01],
     "epochs": [1, 5],

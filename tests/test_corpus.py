@@ -147,7 +147,8 @@ class TestRoundTrip:
         with pytest.raises(CorpusError, match=f"sidecar field {named}"):
             load_corpus(path)
 
-    @pytest.mark.parametrize("sidecar", [b"{bad", b"[]", b"\xff\xfe"])
+    @pytest.mark.parametrize("sidecar", [b"{bad", b"[]", b"\xff\xfe",
+                                         pytest.param(b"[" * 100_000, id="nested")])
     def test_unreadable_sidecar(self, tmp_path, sidecar):
         path = tmp_path / "c.jsonl"
         save_corpus(corpus_of(make_issue()), path)

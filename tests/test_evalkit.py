@@ -252,9 +252,10 @@ class TestCrossProject:
             assert not set(train) & set(test)
             assert sorted(train + test) == planted_corpus.repos()
 
-    def test_needs_two_repos(self, planted_corpus, maps):
-        issues = [i for i in planted_corpus.issues if i.repo == "acme/engine"]
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("repo", ["acme/engine", None], ids=["one-repo", "empty"])
+    def test_needs_two_repos(self, planted_corpus, maps, repo):
+        issues = [i for i in planted_corpus.issues if i.repo == repo]
+        with pytest.raises(learn.TrainingError, match="at least two repositories"):
             evaluate_cross_project(subset(planted_corpus, issues),
                                    ModelSpec(), seed=0, maps=maps)
 
@@ -263,7 +264,7 @@ class TestFeatureImportance:
     def test_single_feature_forest_scores_one(self):
         X = np.hstack([np.linspace(0, 1, 20)[:, None], np.full((20, 1), 3.0)])
         y = ["a" if v < 0.5 else "b" for v in X[:, 0]]
-        forest = learn.fit_random_forest(X, y, n_trees=5, max_features=None, seed=0)
+        forest = learn.fit_random_forest(X, y, n_trees=5, max_features="sqrt", seed=0)
         report = feature_importance(forest, ["signal", "constant"])
         assert report.scores[0] == pytest.approx(1.0)
         assert report.ranked()[0][0] == "signal"

@@ -59,18 +59,18 @@ class TestFitTfidf:
 
     def test_ubiquitous_term_floor(self):
         docs = [doc("crash", "a"), doc("crash", "b"), doc("crash")]
-        model = fit_tfidf(docs, max_features=100, ngram_range=(1, 1))
+        model = fit_tfidf(docs, max_features=100)
         assert model.idf[model.vocabulary["crash"]] == pytest.approx(
             math.log(4 / 4) + 1.0)
 
     def test_max_features_keeps_most_frequent(self):
-        docs = [doc("a", "a", "a", "b", "b", "c", "c", "d", "e")]
-        model = fit_tfidf(docs, max_features=3, ngram_range=(1, 1))
+        docs = [doc(t) for t in ("a", "a", "a", "b", "b", "c", "c", "d", "e")]
+        model = fit_tfidf(docs, max_features=3)
         assert set(model.vocabulary) == {"a", "b", "c"}
 
     def test_frequency_ties_break_lexicographically(self):
-        docs = [doc("zed", "ant", "mid")]
-        model = fit_tfidf(docs, max_features=2, ngram_range=(1, 1))
+        docs = [doc("zed"), doc("ant"), doc("mid")]
+        model = fit_tfidf(docs, max_features=2)
         assert set(model.vocabulary) == {"ant", "mid"}
 
     def test_bigrams_in_vocabulary(self):
@@ -93,33 +93,30 @@ class TestFitTfidf:
 
         monkeypatch.setattr(features, "ngrams", refuse)
         docs = [doc("null", "pointer", "crash"), doc("crash"), doc("crash")]
-        model = fit_tfidf(docs, max_features=4, ngram_range=(1, 3))
-        assert model.vocabulary == {"crash": 0, "null": 1, "null pointer": 2,
-                                    "null pointer crash": 3}
+        model = fit_tfidf(docs, max_features=4)
+        assert model.vocabulary == {"crash": 0, "null": 1, "null pointer": 2, "pointer": 3}
         assert model.df.tolist() == [3, 1, 1, 1]
         assert [c.tolist() for c in model.memo[docs[0]]] == [[0, 1, 2, 3], [1.0] * 4]
         assert [c.tolist() for c in model.memo[docs[1]]] == [[0], [1.0]]
 
-    def test_long_ngrams_over_many_tokens_keep_string_order(self):
-        """(1, 5)-grams over 7,000 distinct tokens, each counted once, so the
-        top k are the lexicographically smallest: a code of five token ranks
-        would pass 2**63 here."""
+    def test_bigrams_over_many_tokens_keep_string_order(self):
+        """Unigrams and bigrams over 7,000 distinct tokens, each counted
+        once, so the top k are the lexicographically smallest."""
         words = [f"w{i}" for i in range(7000)]
         random.Random(5).shuffle(words)
         docs = [doc(*words[i:i + 700]) for i in range(0, 7000, 700)]
-        model = fit_tfidf(docs, 1000, (1, 5))
-        assert_same_model(model, ref.fit_tfidf(docs, 1000, (1, 5)), docs)
+        model = fit_tfidf(docs, 1000)
+        assert_same_model(model, ref.fit_tfidf(docs, 1000), docs)
 
     def test_ngrams_helper(self):
-        assert ngrams(("a", "b", "c"), (1, 2)) == ["a", "b", "c", "a b", "b c"]
+        assert ngrams(("a", "b", "c")) == ["a", "b", "c", "a b", "b c"]
 
-    @pytest.mark.parametrize("ngram_range", [(1, 1), (1, 2), (2, 3), (1, 3)])
-    def test_ngrams_match_slices(self, ngram_range):
-        rng = random.Random(ngram_range[0] * 10 + ngram_range[1])
+    def test_ngrams_match_slices(self):
+        rng = random.Random(12)
         for length in [0, 1, 2, 3, 4] + [rng.randint(0, 30) for _ in range(40)]:
             tokens = tuple(rng.choice("abcde") for _ in range(length))
-            assert ngrams(tokens, ngram_range) == reference_ngrams(tokens, ngram_range)
-            assert ngrams(list(tokens), ngram_range) == reference_ngrams(tokens, ngram_range)
+            assert ngrams(tokens) == reference_ngrams(tokens)
+            assert ngrams(list(tokens)) == reference_ngrams(tokens)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_top_k_matches_two_sort_rule_under_heavy_ties(self, seed):
@@ -141,20 +138,19 @@ class TestFitTfidf:
             assert model.idf.tobytes() == idf.tobytes()
 
 
-def reference_ngrams(tokens, ngram_range):
-    lo, hi = ngram_range
+def reference_ngrams(tokens):
     out = []
-    for n in range(lo, hi + 1):
+    for n in (1, 2):
         out.extend(" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
     return out
 
 
-def reference_fit_tfidf(docs, max_features, ngram_range=features.NGRAM_RANGE):
+def reference_fit_tfidf(docs, max_features):
     """The vocabulary and idf by the rule as first written: a lexicographic
     sort, then a stable sort by count, highest first."""
     total, df = Counter(), Counter()
     for d in docs:
-        grams = reference_ngrams(d.tokens, ngram_range)
+        grams = reference_ngrams(d.tokens)
         total.update(grams)
         df.update(set(grams))
     ranked = sorted(total)
@@ -172,22 +168,23 @@ class TestTransformTfidf:
         assert not dense_tfidf(model, doc()).any()
 
     def test_single_term_unit_vector(self):
-        model = fit_tfidf([doc("bug"), doc("ui")], max_features=10, ngram_range=(1, 1))
+        model = fit_tfidf([doc("bug"), doc("ui")], max_features=10)
         dense = dense_tfidf(model, doc("bug"))
         assert dense[model.vocabulary["bug"]] == pytest.approx(1.0)
         assert norm(dense) == pytest.approx(1.0)
 
     def test_two_doc_fixture_hand_computed(self):
         d1, d2 = doc("a", "a", "b"), doc("b", "c")
-        model = fit_tfidf([d1, d2], max_features=10, ngram_range=(1, 1))
+        model = fit_tfidf([d1, d2], max_features=10)
         # independent arithmetic: idf(t) = ln((1+2)/(1+df)) + 1, counts * idf, L2
-        idf_a = math.log(3 / 2) + 1
+        idf_once = math.log(3 / 2) + 1  # a, "a a", "a b": in d1 alone
         idf_b = math.log(3 / 3) + 1
-        raw = {"a": 2 * idf_a, "b": 1 * idf_b}
+        raw = {"a": 2 * idf_once, "b": 1 * idf_b, "a a": idf_once, "a b": idf_once}
         norm = math.sqrt(sum(v * v for v in raw.values()))
         dense = dense_tfidf(model, d1)
-        assert dense[model.vocabulary["a"]] == pytest.approx(raw["a"] / norm, abs=1e-9)
-        assert dense[model.vocabulary["b"]] == pytest.approx(raw["b"] / norm, abs=1e-9)
+        for term, value in raw.items():
+            assert dense[model.vocabulary[term]] == pytest.approx(value / norm, abs=1e-9)
+        assert np.count_nonzero(dense) == len(raw)
 
     def test_out_of_vocabulary_ignored(self):
         model = fit_tfidf([doc("bug")], max_features=10)
@@ -229,10 +226,9 @@ class TestTransformTfidf:
 
     def test_models_fit_on_different_corpora_keep_their_own_columns(self):
         d = doc("b", "c", "c")
-        first = fit_tfidf([doc("a", "b"), doc("c")], max_features=10, ngram_range=(1, 1))
-        second = fit_tfidf([doc("c", "z"), doc("b", "y")], max_features=10,
-                           ngram_range=(1, 1))
-        for model, want in ((first, [1, 2]), (second, [0, 1]), (first, [1, 2])):
+        first = fit_tfidf([doc("a", "b"), doc("c")], max_features=10)
+        second = fit_tfidf([doc("c", "z"), doc("b", "y")], max_features=10)
+        for model, want in ((first, [2, 3]), (second, [0, 2]), (first, [2, 3])):
             indices, counts = model.columns(d)
             assert indices.tolist() == want and counts.tolist() == [1.0, 2.0]
             assert tfidf_row(model, d)[0].tolist() == want
@@ -412,7 +408,7 @@ class TestAssemble:
         for model, text in ((pipeline.tfidf_title, issue.title),
                             (pipeline.tfidf_desc, issue.description)):
             block = np.zeros(model.size)
-            for gram in ngrams(normalize_pipeline(text).tokens, model.ngram_range):
+            for gram in ngrams(normalize_pipeline(text).tokens):
                 if gram in model.vocabulary:
                     block[model.vocabulary[gram]] += 1.0
             expected.append(block)
@@ -457,7 +453,7 @@ class TestScalerParams:
         under any numpy, so assets keep their fingerprints across numpy 1
         and 2."""
         model = features.TfidfModel({"bug": 0, "crash": 1, "null pointer": 2},
-                                    np.array([5, 3, 1]), 5, 10, (1, 2))
+                                    np.array([5, 3, 1]), 5, 10)
         assert model.idf.tolist() == [1.0, 1.4054651081081644, 2.09861228866811]
         params = ScalerParams(np.array([0.0, -2.5, 1e-7]), np.array([0.1, 3e16, 1e-5]))
         assert model.fingerprint() == \
@@ -505,6 +501,8 @@ class TestTfidfDecoder:
         ("vocabulary", lambda b: {t: i for i, t in enumerate(b["vocabulary"])},
          "not a list of strings"),
         ("vocabulary", lambda b: [1, *b["vocabulary"][1:]], "not a list of strings"),
+        ("ngram_range", lambda b: [1, 3], r"ngram_range \[1, 3\] is not \[1, 2\]"),
+        ("ngram_range", lambda b: [2, 2], r"ngram_range \[2, 2\] is not \[1, 2\]"),
     ])
     def test_bad_block_is_refused(self, key, value, message):
         block = json.loads(json.dumps(fit_tfidf(self.DOCS, max_features=4).to_doc(),
@@ -536,8 +534,7 @@ def assert_same_model(model, reference, docs):
         reference.df.dtype, reference.df.tobytes(), reference.n_docs)
     want = ref.idf(reference)
     assert (model.idf.dtype, model.idf.tobytes()) == (want.dtype, want.tobytes())
-    assert (model.max_features, model.ngram_range) == (reference.max_features,
-                                                       reference.ngram_range)
+    assert model.max_features == reference.max_features
     assert set(model.memo) == set(docs)
     for d in docs:
         for got, want in zip(model.memo[d], ref.columns(reference, d)):
@@ -584,18 +581,18 @@ class TestMatchesReference:
             assert_same_rows(bundle.vectorize(part), ref.vectorize(fp, part, probs))
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 3), (1, 3)]))
-    def test_fit_and_transform_on_generated_docs(self, data, ngram_range):
+    @given(data=st.data())
+    def test_fit_and_transform_on_generated_docs(self, data):
         """Ties at the top-k cut, repeated and empty docs, and ``max_features``
         up to past the vocabulary; then rows of fitted, unseen and
         all-out-of-vocabulary docs."""
         docs = data.draw(DOCS)
         docs = data.draw(st.permutations(docs + data.draw(st.lists(st.sampled_from(docs),
                                                                    max_size=6))))
-        n_terms = len({g for d in docs for g in ngrams(d.tokens, ngram_range)})
+        n_terms = len({g for d in docs for g in ngrams(d.tokens)})
         max_features = data.draw(st.integers(1, n_terms + 3))
-        model = fit_tfidf(docs, max_features, ngram_range)
-        assert_same_model(model, ref.fit_tfidf(docs, max_features, ngram_range), docs)
+        model = fit_tfidf(docs, max_features)
+        assert_same_model(model, ref.fit_tfidf(docs, max_features), docs)
         probe = docs + data.draw(DOCS) + [doc(), doc("zz", "zz"), doc("zz")]
         lengths, cols, values = transform_tfidf(model, probe)
         want = [ref.transform_tfidf(model, d) for d in probe]

@@ -148,7 +148,6 @@ def test_every_definition_is_reached():
 # Passed by no call of the package, and kept as a seam that tests set.
 UNPASSED_ON_PURPOSE = {
     "features.extract_metadata(lex)": "tests score sentiment with a lexicon of their own",
-    "features.fit_tfidf(ngram_range)": "tests fit other n-gram ranges against the reference",
     "evalkit.feature_importance(names)": "the column names that evaluate is to report",
 }
 # Not checked: ``learn``'s fitters are called through ``evalkit.fit_classifier``,

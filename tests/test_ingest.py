@@ -420,7 +420,8 @@ class TestRobustness:
         "{bad", "[]", json.dumps({"status": 200, "headers": {}}),
         json.dumps({"status": 200, "body": "[]"}),
         json.dumps({"status": 200, "headers": {}, "body": 5}),
-        json.dumps({"status": 200, "headers": [], "body": "[]"})])
+        json.dumps({"status": 200, "headers": [], "body": "[]"}),
+        pytest.param("[" * 100_000, id="nested")])
     def test_corrupt_cache_entry_is_refetched(self, tmp_path, entry):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(1)])
@@ -470,9 +471,10 @@ class TestRobustness:
         assert issue.author.followers == 0
         assert (len(issue.comments), len(issue.events)) == (3, 5)
 
-    def test_fetch_of_non_json_issue_list_exits_two(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("body", ["<html>oops", "[" * 100_000], ids=["html", "nested"])
+    def test_fetch_of_non_json_issue_list_exits_two(self, tmp_path, monkeypatch, capsys, body):
         transport = FakeTransport()
-        transport.routes[ISSUES_URL] = Response(200, {}, "<html>oops")
+        transport.routes[ISSUES_URL] = Response(200, {}, body)
         monkeypatch.setattr(ingest, "RequestsTransport", lambda: transport)
         code = cli.main(["fetch", "--repo", REPO, "--out", str(tmp_path / "c.jsonl"),
                          "--cache-dir", str(tmp_path / "cache")])

@@ -310,7 +310,7 @@ class TestRandomForest:
         X = np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0], [12.0], [13.0]])
         y = ["lo"] * 4 + ["hi"] * 4
         model = fit_random_forest(X, y, n_trees=1, max_depth=1,
-                                  max_features=None, seed=5)
+                                  max_features="sqrt", seed=5)
         tree = model.params["trees"][0]
         # bootstrap resamples rows, so compare against the oracle on the
         # resampled node rather than the raw training set
@@ -325,7 +325,7 @@ class TestRandomForest:
         X = np.array([[0.0], [0.2], [5.0], [5.2]])
         y = ["a", "a", "b", "b"]
         model = fit_random_forest(X, y, n_trees=3, max_depth=None,
-                                  max_features=None, seed=0)
+                                  max_features="sqrt", seed=0)
         def leaves(tree):
             if "leaf" in tree:
                 yield tree["leaf"]
@@ -899,6 +899,35 @@ class TestKnn:
         model = fit_knn(X, ["a", "a", "b", "b"], k=3)
         probs = model.predict_proba(np.array([[0.1]]))[0]
         assert probs.tolist() == [pytest.approx(2 / 3), pytest.approx(1 / 3)]
+
+    @staticmethod
+    def _subtracting_knn(params, X, n_classes):
+        """Reference: the search as first written, a fresh ``train - row``
+        difference and its square for every query."""
+        train, y, k = params["X"], params["y"], params["k"]
+        out = np.zeros((X.shape[0], n_classes))
+        for i, row in enumerate(X):
+            dist = np.sqrt(((train - row) ** 2).sum(axis=1))
+            nearest = np.argsort(dist, kind="stable")[:k]
+            votes = np.bincount(y[nearest], minlength=n_classes)
+            out[i] = votes / votes.sum()
+        return out
+
+    @pytest.mark.parametrize("n,d,k", [(2, 1, 1), (5, 3, 2), (12, 17, 5), (30, 200, 5),
+                                       (9, 1000, 3), (7, 40, 10)])
+    def test_buffered_search_matches_the_subtracting_loop(self, n, d, k):
+        rng = np.random.default_rng(n * d + 1)
+        labels = [("a", "b", "c")[i % 3] for i in range(n)]
+        cases = [rng.normal(size=(n, d)),
+                 # ties: integer grid values and duplicated rows
+                 rng.integers(0, 3, size=(n, d)).astype(float),
+                 np.repeat(rng.random((1, d)), n, axis=0)]
+        for train in cases:
+            queries = np.vstack([train, rng.integers(0, 3, size=(4, d)).astype(float),
+                                 rng.normal(size=(2, d))])
+            model = fit_knn(train, labels, k=k)
+            want = self._subtracting_knn(model.params, queries, len(model.classes))
+            assert model.predict_proba(queries).tobytes() == want.tobytes()
 
 
 class TestSmote:
