@@ -50,6 +50,11 @@ sparse index, or an array whose shape does not fit the model's classes or
 the assets' widths (its tables: ``learn.MODEL`` and ``learn.BLOCKS``, or
 ``ASSETS``).
 
+A run that would score nothing is a runtime failure too: ``train-priority
+--tune`` with no usable fold, ``evaluate --mode project`` that skips every
+repository for want of labeled issues, and ``evaluate --mode cross-project``
+whose held-out repositories hold no priority-labeled issue.
+
 An ``--objective-probs`` row that does not decode or sum to 1, or repeats an
 issue id, exits 1 naming its line (and the earlier one). ``predict`` with a
 stage-one model and ``--objective-probs`` exits 1 naming the flag: that
@@ -283,19 +288,17 @@ def load_probs_file(path: Path) -> dict[str, np.ndarray]:
 def cmd_fetch(args, config) -> int:
     from . import ingest
     out = Path(args.out)
-    cfg = ingest.ClientConfig(
+    client = ingest.IssueClient(ingest.ClientConfig(
         cache_dir=Path(args.cache_dir or args.cache),
         max_parallel_requests=args.parallel,
         refresh=args.refresh,
-    )
+    ))
     query = ingest.FetchQuery(repo=args.repo, state=args.state,
                               include_pull_requests=not args.no_pull_requests,
                               created_before=args.created_before)
-    client = ingest.IssueClient(cfg)
-    issues = ingest.fetch_issues(cfg, query, client=client)
+    issues = ingest.fetch_issues(client, query)
     corpus, failures = ingest.hydrate(
-        cfg, issues, client=client,
-        provenance={"source": f"api:{args.repo}", "state": query.state})
+        client, issues, provenance={"source": f"api:{args.repo}", "state": query.state})
     save_corpus(corpus, out)
     for failure in failures:
         print(f"warning: issue {failure.issue_id}: {failure.resource}: {failure.error}",
@@ -395,9 +398,8 @@ def cmd_train_priority(args, config) -> int:
               file=sys.stderr)
     if args.tune:
         best, trace = evalkit.tune_hyperparams(
-            issues, spec, maps, args.space, budget=args.tune,
-            cv_folds=args.cv_folds, probs_file=probs_file,
-            objective=evalkit.macro_f1 if args.tune_metric == "macro-f1" else None)
+            issues, spec, maps, args.space, budget=args.tune, cv_folds=args.cv_folds,
+            objective=args.tune_metric, probs_file=probs_file)
         spec = replace(spec, hyperparams={**spec.hyperparams, **best})
         learn.write_json(Path(str(out) + ".search.json"), {"best": best, "trace": trace})
     bundle = train_pipeline(issues, spec, maps, probs_file=probs_file)
@@ -459,36 +461,28 @@ def cmd_evaluate(args, config) -> int:
     spec = args.spec
     outputs = [report_path]
     if args.mode == "cv":
-        result = evalkit.cross_validate(corpus, spec, k=args.cv_folds,
-                                        seed=args.seed, maps=maps)
-        doc = result.as_dict()
-        print(f"cv accuracy: {result.mean['accuracy']:.3f} "
-              f"(+/- {result.std['accuracy']:.3f})")
+        doc = evalkit.cross_validate(corpus, spec, args.cv_folds, maps)
+        print(f"cv accuracy: {doc['mean']['accuracy']:.3f} "
+              f"(+/- {doc['std']['accuracy']:.3f})")
     elif args.mode == "project":
-        result = evalkit.evaluate_project_based(corpus, spec, maps=maps)
-        doc = result.as_dict()
-        for repo, rep in sorted(result.per_repo.items()):
-            print(f"{repo:<40} accuracy={rep.accuracy:.3f} n={rep.n}")
-        for repo, reason in sorted(result.skipped.items()):
+        doc = evalkit.evaluate_project_based(corpus, spec, maps)
+        per_repo = sorted(doc["per_repo"].items())
+        for repo, rep in per_repo:
+            print(f"{repo:<40} accuracy={rep['accuracy']:.3f} n={rep['n']}")
+        for repo, reason in sorted(doc["skipped"].items()):
             print(f"{repo:<40} skipped: {reason}")
-        print(f"mean accuracy: {result.mean_accuracy:.3f}  "
-              f"pooled accuracy: {result.pooled_accuracy:.3f}")
+        print(f"mean accuracy: {doc['aggregate']['mean_of_repo_accuracies']:.3f}  "
+              f"pooled accuracy: {doc['aggregate']['pooled_micro_accuracy']:.3f}")
         if args.emit_csv:
             csv_path = report_path.with_suffix(".csv")
-            rows = ["repo,n,accuracy," + ",".join(
-                f"{m}_{c}" for c in learn.PRIORITY_CLASS_ORDER
-                for m in ("precision", "recall", "f1"))]
-            for repo, rep in sorted(result.per_repo.items()):
-                cells = [repo, str(rep.n), _format_float(rep.accuracy)]
-                for cls in learn.PRIORITY_CLASS_ORDER:
-                    c = rep.per_class[cls]
-                    cells += [_format_float(c.precision), _format_float(c.recall),
-                              _format_float(c.f1)]
-                rows.append(",".join(cells))
+            metrics = [evalkit.report_metrics(rep) for _, rep in per_repo]
+            rows = [",".join(["repo", "n", *(key.replace(":", "_") for key in metrics[0])])]
+            rows += [",".join([repo, str(rep["n"]), *map(_format_float, values.values())])
+                     for (repo, rep), values in zip(per_repo, metrics)]
             csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
             outputs.append(csv_path)
     elif args.mode == "cross-project":
-        report = evalkit.evaluate_cross_project(corpus, spec, seed=args.seed, maps=maps)
+        report = evalkit.evaluate_cross_project(corpus, spec, maps)
         doc = report.as_dict()
         print(f"cross-project accuracy: {report.accuracy:.3f} on "
               f"{len(report.metadata['test_repos'])} held-out repos")
@@ -598,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tune", type=int, default=0,
                    help="random-search budget (0 disables tuning)")
     p.add_argument("--tune-metric", dest="tune_metric", default="accuracy",
-                   choices=["accuracy", "macro-f1"])
+                   choices=evalkit.TUNE_METRICS)
     p.add_argument("--cv-folds", dest="cv_folds", type=int, default=3)
 
     p = sub.add_parser("predict", parents=[common], help="score a corpus with a trained model")

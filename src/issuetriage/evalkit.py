@@ -4,6 +4,8 @@ Also home of the end-to-end priority pipeline glue (fit preprocessing,
 resolve stage-one objective probabilities, train, predict) shared by the
 experiment drivers and the CLI. Every protocol trains and scores through
 ``holdout``, and k-fold CV and ``--tune`` share one fold loop, ``_folds``.
+Every protocol takes its seed from the spec (``ModelSpec.seed``), and the
+cv and project drivers return the report document that ``evaluate`` writes.
 Preprocessing and stage one are refit inside each fold or split on its
 training side only; held-out issues never influence the vocabulary, the
 idf, the scaler, the stage-one model or the tuned hyperparameters.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -120,9 +122,28 @@ def metrics(cm: ConfusionMatrix) -> EvalReport:
                       flags=report_flags)
 
 
+def accuracy(truth: Sequence[str], predicted: Sequence[str]) -> float:
+    return float(np.mean([t == p for t, p in zip(truth, predicted)]))
+
+
 def macro_f1(truth: Sequence[str], predicted: Sequence[str]) -> float:
     report = metrics(ConfusionMatrix.from_pairs(truth, predicted))
     return float(np.mean([r.f1 for r in report.per_class.values()]))
+
+
+# ``--tune-metric`` name -> the score ``tune_hyperparams`` maximizes
+TUNE_METRICS = {"accuracy": accuracy, "macro-f1": macro_f1}
+# the per-class scores that the cv and project summaries and the CSV carry
+CLASS_METRICS = ("precision", "recall", "f1")
+
+
+def report_metrics(report: dict) -> dict[str, float]:
+    """A report document's accuracy and each priority class's
+    ``CLASS_METRICS``, keyed ``accuracy`` and ``metric:class``, class by class."""
+    values = {"accuracy": report["accuracy"]}
+    for cls in learn.PRIORITY_CLASS_ORDER:
+        values.update((f"{name}:{cls}", report["per_class"][cls][name]) for name in CLASS_METRICS)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +239,13 @@ class PriorityPipeline:
         return labels, probs
 
 
-def train_objective_model(issues: Sequence[IssueRecord], maps: LabelMaps,
-                          pipeline: FeaturePipeline, spec: ModelSpec) -> TrainedModel | None:
+def train_objective_model(issues: Sequence[IssueRecord], pipeline: FeaturePipeline,
+                          spec: ModelSpec) -> TrainedModel | None:
     """The ``spec.stage1`` model (nb or logreg, at its fitter's defaults) over
-    issues carrying a mono objective label; None when fewer than two
-    objective classes are represented. Both read the term counts as
-    ``SparseRows``."""
-    labeled = [(i, labelmap.objective_of(i.labels, maps.objective)) for i in issues]
+    issues carrying a mono objective label in ``pipeline.maps``; None when
+    fewer than two objective classes are represented. Both read the term
+    counts as ``SparseRows``."""
+    labeled = [(i, labelmap.objective_of(i.labels, pipeline.maps.objective)) for i in issues]
     labeled = [(i, obj) for i, obj in labeled if obj is not None]
     present = {obj for _, obj in labeled}
     if len(present) < 2:
@@ -278,7 +299,7 @@ def fit_preprocessing(issues: Sequence[IssueRecord], spec: ModelSpec, maps: Labe
 
     stage1_model = None
     if probs_file is None and spec.stage1 != "uniform":
-        stage1_model = train_objective_model(issues, maps, fp, spec)
+        stage1_model = train_objective_model(issues, fp, spec)
         if stage1_model is None:
             notes.append("stage1: fewer than two objective classes in training "
                          "data; falling back to uniform probabilities")
@@ -306,20 +327,19 @@ def train_pipeline(issues: Sequence[IssueRecord], spec: ModelSpec, maps: LabelMa
 
 
 def tune_hyperparams(issues: Sequence[IssueRecord], spec: ModelSpec, maps: LabelMaps,
-                     space: dict, budget: int, cv_folds: int,
-                     objective: Callable[[Sequence[str], Sequence[str]], float] | None = None,
+                     space: dict, budget: int, cv_folds: int, objective: str,
                      probs_file: Mapping[str, np.ndarray] | None = None,
                      ) -> tuple[dict, list[dict]]:
     """Random search over ``space``: ``budget`` configs, merged into the spec's
-    hyperparameters, are each scored by the k-fold CV mean of ``objective``
-    (accuracy by default); returns the first best config and the trace.
+    hyperparameters, are each scored by the k-fold CV mean of the
+    ``TUNE_METRICS`` score named ``objective``; returns the first best
+    config and the trace, or a ``TrainingError`` when no fold is usable.
     Preprocessing and stage one are refit on each fold's training side, so
     held-out issues never shape them; issues without a priority label are
     ignored."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if objective is None:
-        objective = lambda truth, pred: float(np.mean([t == p for t, p in zip(truth, pred)]))
+    score = TUNE_METRICS[objective]
     rng = np.random.default_rng(spec.seed)
     configs = [learn.sample_config(space, rng) for _ in range(budget)]
     scores: list[list[float]] = [[] for _ in configs]
@@ -336,9 +356,11 @@ def tune_hyperparams(issues: Sequence[IssueRecord], spec: ModelSpec, maps: Label
             model = fit_classifier(
                 replace(fold_spec, hyperparams={**spec.hyperparams, **config}),
                 X_train, train_labels)
-            config_scores.append(objective(truth, model.predict(X_test)))
+            config_scores.append(score(truth, model.predict(X_test)))
+    if not scores[0]:
+        raise TrainingError("no usable folds")
     trace = [{"trial": trial, "config": config, "fold_scores": fold_scores,
-              "mean_score": float(np.mean(fold_scores)) if fold_scores else 0.0}
+              "mean_score": float(np.mean(fold_scores))}
              for trial, (config, fold_scores) in enumerate(zip(configs, scores))]
     return max(trace, key=lambda t: t["mean_score"])["config"], trace
 
@@ -369,9 +391,12 @@ def holdout(train: Sequence[IssueRecord], test: Sequence[IssueRecord], spec: Mod
             maps: LabelMaps, **metadata) -> EvalReport:
     """Fit ``spec`` on ``train`` (all priority-labeled), predict the labeled
     issues of ``test`` and score them; ``metadata`` and the model fingerprint
-    go into the report."""
-    bundle = train_pipeline(train, spec, maps)
+    go into the report. A test side with no labeled issue is a
+    ``TrainingError``."""
     test, truth = labeled_issues(test, maps)
+    if not test:
+        raise TrainingError("the test side holds no priority-labeled issue")
+    bundle = train_pipeline(train, spec, maps)
     predicted, _ = bundle.predict(test)
     return evaluate_predictions(truth, predicted, **metadata,
                                 model_fingerprint=bundle.classifier.fingerprint())
@@ -388,49 +413,31 @@ def _folds(labels: Sequence[str], k: int,
             yield fold_no, train_idx, test_idx
 
 
-@dataclass
-class CrossValidationResult:
-    mean: dict[str, float]
-    std: dict[str, float]
-    fold_reports: list[EvalReport]
-    flags: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "flags": self.flags,
-                "folds": [r.as_dict() for r in self.fold_reports]}
-
-
-def cross_validate(corpus: Corpus, spec: ModelSpec, k: int, seed: int,
-                   maps: LabelMaps | None = None) -> CrossValidationResult:
-    """k rounds of train/eval with preprocessing refit per fold."""
+def cross_validate(corpus: Corpus, spec: ModelSpec, k: int, maps: LabelMaps) -> dict:
+    """k rounds of train/eval with preprocessing refit per fold; returns the
+    report document, with the mean and std of ``report_metrics`` over the folds."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    maps = maps or labelmap.load_label_maps()
     issues, labels = labeled_issues(corpus.issues, maps)
-    reports: list[EvalReport] = []
+    folds: list[dict] = []
     notes = dict.fromkeys(range(k), "class absent, skipped")
-    for fold_no, train_idx, test_idx in _folds(labels, k, seed):
+    for fold_no, train_idx, test_idx in _folds(labels, k, spec.seed):
         del notes[fold_no]
         if len({labels[i] for i in test_idx}) < 2:
             notes[fold_no] = "class absent from test side"
-        reports.append(holdout([issues[i] for i in train_idx], [issues[i] for i in test_idx],
-                               replace(spec, seed=seed + fold_no), maps, fold=fold_no))
-    flags = [f"fold {n}: {note}" for n, note in sorted(notes.items())]
-    if not reports:
+        folds.append(holdout([issues[i] for i in train_idx], [issues[i] for i in test_idx],
+                             replace(spec, seed=spec.seed + fold_no), maps,
+                             fold=fold_no).as_dict())
+    if not folds:
         raise TrainingError("no usable folds")
-    keys = {"accuracy": lambda r: r.accuracy}
-    for cls in learn.PRIORITY_CLASS_ORDER:
-        keys[f"f1:{cls}"] = lambda r, c=cls: r.per_class[c].f1
-        keys[f"precision:{cls}"] = lambda r, c=cls: r.per_class[c].precision
-        keys[f"recall:{cls}"] = lambda r, c=cls: r.per_class[c].recall
-    mean = {name: float(np.mean([fn(r) for r in reports])) for name, fn in keys.items()}
-    std = {name: float(np.std([fn(r) for r in reports])) for name, fn in keys.items()}
-    return CrossValidationResult(mean, std, reports, flags)
+    rows = [report_metrics(fold) for fold in folds]
+    return {"folds": folds,
+            "flags": [f"fold {n}: {note}" for n, note in sorted(notes.items())],
+            "mean": {key: float(np.mean([row[key] for row in rows])) for key in rows[0]},
+            "std": {key: float(np.std([row[key] for row in rows])) for key in rows[0]}}
 
 
 def _quartiles(values: Sequence[float]) -> dict[str, float]:
-    if not values:
-        return {}
     ordered = sorted(values)
     return {
         "min": ordered[0],
@@ -441,30 +448,11 @@ def _quartiles(values: Sequence[float]) -> dict[str, float]:
     }
 
 
-@dataclass
-class ProjectBasedResult:
-    per_repo: dict[str, EvalReport]
-    skipped: dict[str, str]
-    summary: dict[str, dict[str, float]]
-    mean_accuracy: float
-    pooled_accuracy: float
-
-    def as_dict(self) -> dict:
-        return {
-            "per_repo": {r: rep.as_dict() for r, rep in self.per_repo.items()},
-            "skipped": self.skipped,
-            "summary": self.summary,
-            "aggregate": {"mean_of_repo_accuracies": self.mean_accuracy,
-                          "pooled_micro_accuracy": self.pooled_accuracy},
-        }
-
-
-def evaluate_project_based(corpus: Corpus, spec: ModelSpec,
-                           maps: LabelMaps | None = None) -> ProjectBasedResult:
-    """One model per repository on its own 80/20 stratified split. Repos
-    without at least two issues per class are skipped, not merged."""
-    maps = maps or labelmap.load_label_maps()
-    per_repo: dict[str, EvalReport] = {}
+def evaluate_project_based(corpus: Corpus, spec: ModelSpec, maps: LabelMaps) -> dict:
+    """One model per repository on its own 80/20 stratified split; returns the
+    report document. Repos without at least two issues per class are skipped,
+    not merged; a ``TrainingError`` when every repo is."""
+    per_repo: dict[str, dict] = {}
     skipped: dict[str, str] = {}
     for repo in corpus.repos():
         issues, labels = labeled_issues((i for i in corpus.issues if i.repo == repo), maps)
@@ -479,28 +467,30 @@ def evaluate_project_based(corpus: Corpus, spec: ModelSpec,
             skipped[repo] = "empty test side after split"
             continue
         per_repo[repo] = holdout(train.issues, test.issues, spec, maps,
-                                 repo=repo, seed=spec.seed)
-    summary = {"accuracy": _quartiles([r.accuracy for r in per_repo.values()])}
-    for cls in learn.PRIORITY_CLASS_ORDER:
-        summary[f"f1:{cls}"] = _quartiles([r.per_class[cls].f1 for r in per_repo.values()])
-        summary[f"recall:{cls}"] = _quartiles([r.per_class[cls].recall for r in per_repo.values()])
-        summary[f"precision:{cls}"] = _quartiles(
-            [r.per_class[cls].precision for r in per_repo.values()])
-    mean_acc = float(np.mean([r.accuracy for r in per_repo.values()])) if per_repo else 0.0
-    pooled_total = sum(r.n for r in per_repo.values())
-    pooled_correct = sum(round(r.accuracy * r.n) for r in per_repo.values())
-    pooled_acc = pooled_correct / pooled_total if pooled_total else 0.0
-    return ProjectBasedResult(per_repo, skipped, summary, mean_acc, pooled_acc)
+                                 repo=repo, seed=spec.seed).as_dict()
+    if not per_repo:
+        raise TrainingError(f"no repository can be evaluated ({len(skipped)} skipped)")
+    rows = [report_metrics(report) for report in per_repo.values()]
+    pooled_correct = sum(round(r["accuracy"] * r["n"]) for r in per_repo.values())
+    return {
+        "per_repo": per_repo,
+        "skipped": skipped,
+        "summary": {key: _quartiles([row[key] for row in rows]) for key in rows[0]},
+        "aggregate": {
+            "mean_of_repo_accuracies": float(np.mean([row["accuracy"] for row in rows])),
+            "pooled_micro_accuracy": pooled_correct / sum(r["n"] for r in per_repo.values())},
+    }
 
 
-def split_repos(repos: Sequence[str], ratio: float, seed: int) -> tuple[list[str], list[str]]:
+def split_repos(repos: Sequence[str], seed: int) -> tuple[list[str], list[str]]:
+    """A ``seed``-drawn ``TRAIN_SHARE`` of the repos and the rest, neither empty."""
     repos = sorted(repos)
     if len(repos) < 2:
         raise TrainingError("cross-project evaluation needs at least two repositories, "
                             f"got {len(repos)}")
     rng = np.random.default_rng(seed)
     order = list(rng.permutation(len(repos)))
-    n_train = int(round(len(repos) * ratio))
+    n_train = int(round(len(repos) * TRAIN_SHARE))
     n_train = max(1, min(len(repos) - 1, n_train))
     train = sorted(repos[i] for i in order[:n_train])
     test = sorted(repos[i] for i in order[n_train:])
@@ -510,22 +500,20 @@ def split_repos(repos: Sequence[str], ratio: float, seed: int) -> tuple[list[str
 CROSS_PROJECT_WEIGHTS_I = 6  # tuned grid point: slight extra emphasis on High
 
 
-def evaluate_cross_project(corpus: Corpus, spec: ModelSpec, seed: int,
-                           maps: LabelMaps | None = None) -> EvalReport:
+def evaluate_cross_project(corpus: Corpus, spec: ModelSpec, maps: LabelMaps) -> EvalReport:
     """Split at repository granularity, train one generic model on the
     training repositories, evaluate on the held-out ones.
 
     Unless the spec pins its own class weights, the generic model uses the
     manual override grid at i=6 rather than pure inverse frequency."""
-    maps = maps or labelmap.load_label_maps()
     if spec.balancing == "weights" and spec.weights_i is None:
         spec = replace(spec, weights_i=CROSS_PROJECT_WEIGHTS_I)
-    train_repos, test_repos = split_repos(corpus.repos(), TRAIN_SHARE, seed)
+    train_repos, test_repos = split_repos(corpus.repos(), spec.seed)
     assert not set(train_repos) & set(test_repos)
     train, _ = labeled_issues((i for i in corpus.issues if i.repo in train_repos), maps)
     test = [i for i in corpus.issues if i.repo in test_repos]
     return holdout(train, test, spec, maps,
-                   train_repos=train_repos, test_repos=test_repos, seed=seed)
+                   train_repos=train_repos, test_repos=test_repos, seed=spec.seed)
 
 
 # ---------------------------------------------------------------------------

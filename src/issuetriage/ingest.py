@@ -2,9 +2,11 @@
 
 Every response is cached on disk keyed by the full request URL (token
 independent), so a warm cache replays a whole run without any network
-traffic and two hydrations from the same cache are byte-identical. The
-transport is injectable; tests drive the client with canned responses.
-Each API document and cache entry is read against its table (``decode``).
+traffic and two hydrations from the same cache are byte-identical. One
+``IssueClient`` carries the config, the transport and the sleep between
+retries, and ``fetch_issues`` and ``hydrate`` take it alone; tests give it
+canned responses and a fake sleep. Each API document and cache entry is
+read against its table (``decode``).
 """
 
 from __future__ import annotations
@@ -100,17 +102,19 @@ class Transport(Protocol):
     def get(self, url: str, headers: dict[str, str]) -> Response: ...
 
 
+REQUEST_TIMEOUT_SECONDS = 30.0
+
+
 class RequestsTransport:
     """Default network transport (lazy import keeps tests network-free)."""
 
-    def __init__(self, timeout: float = 30.0) -> None:
+    def __init__(self) -> None:
         import requests
 
         self._session = requests.Session()
-        self._timeout = timeout
 
     def get(self, url: str, headers: dict[str, str]) -> Response:
-        resp = self._session.get(url, headers=headers, timeout=self._timeout)
+        resp = self._session.get(url, headers=headers, timeout=REQUEST_TIMEOUT_SECONDS)
         return Response(resp.status_code, dict(resp.headers), resp.text)
 
 
@@ -328,16 +332,12 @@ def _issue_from_api(doc, repo: str) -> IssueRecord:
     )
 
 
-def fetch_issues(cfg: ClientConfig, query: FetchQuery,
-                 transport: Transport | None = None,
-                 sleeper: Callable[[float], None] = time.sleep,
-                 client: IssueClient | None = None) -> list[IssueRecord]:
+def fetch_issues(client: IssueClient, query: FetchQuery) -> list[IssueRecord]:
     """All issues of a repository (partially hydrated), pagination followed
     to exhaustion, every response cached. An issue document that does not
     decode, or repeats an earlier issue's number, is an ``IngestError``."""
-    client = client or IssueClient(cfg, transport, sleeper)
     params = urlencode({"state": query.state, "per_page": 100})
-    url = f"{cfg.base_url}/repos/{query.repo}/issues?{params}"
+    url = f"{client.cfg.base_url}/repos/{query.repo}/issues?{params}"
     issues = []
     for doc in client.paginated(url):
         try:
@@ -362,10 +362,10 @@ def _profile_from_api(doc) -> UserProfile:
     return UserProfile(account_created_at=parse_ts(created) if created else None, **profile)
 
 
-def _hydrate_one(client: IssueClient, cfg: ClientConfig,
+def _hydrate_one(client: IssueClient,
                  issue: IssueRecord) -> tuple[IssueRecord, list[HydrationFailure]]:
     failures: list[HydrationFailure] = []
-    base = f"{cfg.base_url}/repos/{issue.repo}/issues/{issue.id}"
+    base = f"{client.cfg.base_url}/repos/{issue.repo}/issues/{issue.id}"
 
     comments: tuple[CommentRecord, ...] = ()
     try:
@@ -394,7 +394,7 @@ def _hydrate_one(client: IssueClient, cfg: ClientConfig,
     profile = UserProfile(login=issue.author.login)
     if issue.author.login:
         try:
-            url = f"{cfg.base_url}/users/{issue.author.login}"
+            url = f"{client.cfg.base_url}/users/{issue.author.login}"
             profile = _profile_from_api(_json_body(client.request(url), url, dict))
         except (IngestError, ValueError) as exc:
             failures.append(HydrationFailure(issue.id, "author", str(exc)))
@@ -406,20 +406,15 @@ def _hydrate_one(client: IssueClient, cfg: ClientConfig,
     return hydrated, failures
 
 
-def hydrate(cfg: ClientConfig, issues: Sequence[IssueRecord],
-            transport: Transport | None = None,
-            sleeper: Callable[[float], None] = time.sleep,
-            client: IssueClient | None = None,
-            provenance: dict | None = None,
-            ) -> tuple[Corpus, list[HydrationFailure]]:
+def hydrate(client: IssueClient, issues: Sequence[IssueRecord],
+            provenance: dict | None = None) -> tuple[Corpus, list[HydrationFailure]]:
     """Attach comments, events and author profiles. Issues whose
     sub-resources keep failing are flagged, never dropped."""
-    client = client or IssueClient(cfg, transport, sleeper)
     results: list[IssueRecord] = [None] * len(issues)  # type: ignore[list-item]
     failures: list[HydrationFailure] = []
     # worker count bounds in-flight requests: each worker issues one at a time
-    with ThreadPoolExecutor(max_workers=cfg.max_parallel_requests) as pool:
-        futures = {pool.submit(_hydrate_one, client, cfg, issue): pos
+    with ThreadPoolExecutor(max_workers=client.cfg.max_parallel_requests) as pool:
+        futures = {pool.submit(_hydrate_one, client, issue): pos
                    for pos, issue in enumerate(issues)}
         for future, pos in futures.items():
             hydrated, issue_failures = future.result()

@@ -277,7 +277,7 @@ def test_criterion_09_end_to_end_planted_signal(planted_corpus, maps):
         spec = ModelSpec(classifier="forest", balancing="weights", seed=11,
                          hyperparams={"n_trees": 100, "max_depth": 12,
                                       "max_features": 128})
-        result = evalkit.evaluate_cross_project(filtered, spec, seed=11, maps=maps)
+        result = evalkit.evaluate_cross_project(filtered, spec, maps)
         test_repos = set(result.metadata["test_repos"])
         test_issues = [i for i in filtered.issues if i.repo in test_repos]
         truth = [labelmap.priority_of(i.labels, maps.priority).value
@@ -307,7 +307,7 @@ def test_criterion_10_split_correctness():
                 assert abs(got - n * 0.8) <= 1
         for trial in range(50):
             repos = [f"org/repo{i}" for i in range(rng.randint(2, 12))]
-            train_repos, test_repos = evalkit.split_repos(repos, 0.8, seed=trial)
+            train_repos, test_repos = evalkit.split_repos(repos, seed=trial)
             assert not set(train_repos) & set(test_repos)
             assert sorted(train_repos + test_repos) == sorted(repos)
             assert train_repos and test_repos

@@ -832,7 +832,7 @@ class TestAssetsBundle:
 
         issues = list(planted_corpus.issues)
         pipeline = features.fit_feature_pipeline(issues, maps)
-        stage1 = evalkit.train_objective_model(issues, maps, pipeline, evalkit.ModelSpec())
+        stage1 = evalkit.train_objective_model(issues, pipeline, evalkit.ModelSpec())
         path = tmp_path / "assets.json"
         cli.save_assets(path, pipeline, stage1)
         loaded_pipeline, loaded = cli.load_assets(path)
@@ -987,6 +987,69 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: cross-project evaluation needs at least two repositories, "
                        f"got {1 if repo else 0}"], err
+
+
+class TestNothingToScore:
+    """A run that would score no issue exits 2 with one ``error:`` line and
+    writes no output."""
+
+    @staticmethod
+    def rewrite(workdir, change):
+        """The fixture corpus with each issue document ``change``d, and those
+        it makes None dropped."""
+        corpus = workdir / "corpus.jsonl"
+        docs = [change(json.loads(line)) for line in corpus.read_text().splitlines()]
+        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs if doc is not None))
+        return corpus
+
+    @staticmethod
+    def assert_one_error(capsys, code, message):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert (code, err) == (2, [f"error: {message}"])
+
+    def test_tune_that_scores_no_fold(self, workdir, capsys):
+        """One High and one Low issue: each of two folds trains on one class."""
+        priority = labelmap.load_label_maps().priority
+        kept = {}
+
+        def first_of_each_class(doc):
+            cls = labelmap.priority_of(doc["labels"], priority)
+            if cls is None or cls in kept:
+                return None
+            kept[cls] = doc
+            return doc
+
+        corpus = self.rewrite(workdir, first_of_each_class)
+        model = workdir / "m.json"
+        code = run("--config", workdir / "config.json", "train-priority", "--in", corpus,
+                   "--model", model, "--tune", "2", "--cv-folds", "2")
+        self.assert_one_error(capsys, code, "no usable folds")
+        assert len(kept) == 2 and not list(workdir.glob("m.json*"))
+
+    def test_project_mode_on_an_empty_corpus(self, workdir, capsys):
+        corpus = self.rewrite(workdir, lambda doc: None)
+        report = workdir / "p.json"
+        code = run("--config", workdir / "config.json", "--emit-csv", "evaluate",
+                   "--in", corpus, "--mode", "project", "--report", report)
+        self.assert_one_error(capsys, code, "no repository can be evaluated (0 skipped)")
+        assert not list(workdir.glob("p.*"))
+
+    def test_cross_project_with_no_labeled_held_out_issue(self, workdir, capsys):
+        """Seed 11 holds out blue/notifier, whose priority labels are removed."""
+        priority = labelmap.load_label_maps().priority
+
+        def unlabeled_notifier(doc):
+            if doc["repo"] == "blue/notifier":
+                doc["labels"] = [label for label in doc["labels"]
+                                 if labelmap.priority_of([label], priority) is None]
+            return doc
+
+        corpus = self.rewrite(workdir, unlabeled_notifier)
+        report = workdir / "x.json"
+        code = run("--config", workdir / "config.json", "--seed", "11", "evaluate",
+                   "--in", corpus, "--mode", "cross-project", "--report", report)
+        self.assert_one_error(capsys, code, "the test side holds no priority-labeled issue")
+        assert not list(workdir.glob("x.*"))
 
 
 class TestForestWorkers:

@@ -437,10 +437,9 @@ def api_cache(tmp_path_factory):
                   [issue_doc(1), issue_doc(2, user={"login": "bob"}, labels=["ui"])])
     for number, login in ((1, "alice"), (2, "bob")):
         hydration_routes(transport, number, login)
-    config = ingest.ClientConfig(cache_dir=cache)
-    client = ingest.IssueClient(config, transport)
-    issues = ingest.fetch_issues(config, ingest.FetchQuery(repo=REPO), client=client)
-    assert not ingest.hydrate(config, issues, client=client)[1]
+    client = ingest.IssueClient(ingest.ClientConfig(cache_dir=cache), transport)
+    issues = ingest.fetch_issues(client, ingest.FetchQuery(repo=REPO))
+    assert not ingest.hydrate(client, issues)[1]
     return cache
 
 

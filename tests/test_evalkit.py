@@ -89,23 +89,22 @@ def memorizable_corpus():
 
 
 class TestCrossValidate:
-    def test_memorizable_data_scores_one(self):
+    def test_memorizable_data_scores_one(self, maps):
         spec = ModelSpec(classifier="knn", balancing="none", stage1="uniform",
                          hyperparams={"k": 1}, seed=0)
-        result = cross_validate(memorizable_corpus(), spec, k=3, seed=0)
-        assert result.mean["accuracy"] == pytest.approx(1.0)
+        result = cross_validate(memorizable_corpus(), spec, 3, maps)
+        assert result["mean"]["accuracy"] == pytest.approx(1.0)
 
-    def test_same_seed_same_folds(self):
+    def test_same_seed_same_folds(self, maps):
         spec = ModelSpec(classifier="knn", balancing="none", stage1="uniform",
                          hyperparams={"k": 1}, seed=4)
-        r1 = cross_validate(memorizable_corpus(), spec, k=3, seed=4)
-        r2 = cross_validate(memorizable_corpus(), spec, k=3, seed=4)
-        assert [f.as_dict() for f in r1.fold_reports] == \
-            [f.as_dict() for f in r2.fold_reports]
+        r1 = cross_validate(memorizable_corpus(), spec, 3, maps)
+        r2 = cross_validate(memorizable_corpus(), spec, 3, maps)
+        assert r1["folds"] == r2["folds"]
 
-    def test_k_too_small(self):
+    def test_k_too_small(self, maps):
         with pytest.raises(ValueError):
-            cross_validate(memorizable_corpus(), ModelSpec(), k=1, seed=0)
+            cross_validate(memorizable_corpus(), ModelSpec(), 1, maps)
 
 
 class ConstantModel:
@@ -130,7 +129,8 @@ class TestTuneHyperparams:
     def tune(self, space, budget, cv_folds, seed, maps):
         return evalkit.tune_hyperparams(memorizable_corpus().issues,
                                         replace(self.SPEC, seed=seed), maps,
-                                        space, budget=budget, cv_folds=cv_folds)
+                                        space, budget=budget, cv_folds=cv_folds,
+                                        objective="accuracy")
 
     def test_budget_one_returns_single_config(self, maps):
         best, trace = self.tune({"magic": [3]}, 1, 2, 0, maps)
@@ -195,43 +195,47 @@ class TestNoLeak:
 @pytest.fixture(scope="module")
 def result(planted_corpus, maps):
     spec = ModelSpec(seed=3, hyperparams={"n_trees": 40, "max_features": 128})
-    return evaluate_project_based(planted_corpus, spec, maps=maps)
+    return evaluate_project_based(planted_corpus, spec, maps)
 
 
 class TestProjectBased:
     def test_one_report_per_repo(self, result, planted_corpus):
-        assert sorted(result.per_repo) == planted_corpus.repos()
-        assert not result.skipped
+        assert sorted(result["per_repo"]) == planted_corpus.repos()
+        assert not result["skipped"]
 
     def test_beats_majority_in_every_repo(self, result, planted_corpus, maps):
-        for repo, report in result.per_repo.items():
-            supports = [r.support for r in report.per_class.values()]
+        for repo, report in result["per_repo"].items():
+            supports = [r["support"] for r in report["per_class"].values()]
             majority = max(supports) / sum(supports)
-            assert report.accuracy >= majority, repo
+            assert report["accuracy"] >= majority, repo
 
     def test_summary_quartiles_present(self, result):
-        assert set(result.summary["accuracy"]) == {"min", "q1", "median", "q3", "max"}
-        assert 0 <= result.summary["accuracy"]["min"] <= \
-            result.summary["accuracy"]["max"] <= 1
+        assert set(result["summary"]["accuracy"]) == {"min", "q1", "median", "q3", "max"}
+        assert 0 <= result["summary"]["accuracy"]["min"] <= \
+            result["summary"]["accuracy"]["max"] <= 1
 
     def test_both_aggregations_emitted(self, result):
-        doc = result.as_dict()
-        assert "mean_of_repo_accuracies" in doc["aggregate"]
-        assert "pooled_micro_accuracy" in doc["aggregate"]
+        assert "mean_of_repo_accuracies" in result["aggregate"]
+        assert "pooled_micro_accuracy" in result["aggregate"]
 
     def test_underpopulated_repo_skipped(self, planted_corpus, maps):
         extra = [make_issue(id=f"tiny{i}", repo="tiny/repo", labels=("p1",))
                  for i in range(3)]
         corpus = Corpus(issues=planted_corpus.issues[:60] + tuple(extra))
         spec = ModelSpec(seed=1, hyperparams={"n_trees": 10})
-        result = evaluate_project_based(corpus, spec, maps=maps)
-        assert "tiny/repo" in result.skipped
+        result = evaluate_project_based(corpus, spec, maps)
+        assert "tiny/repo" in result["skipped"]
+
+    def test_no_evaluable_repo_is_an_error(self, planted_corpus, maps):
+        issues = [i for i in planted_corpus.issues if i.repo == "acme/engine"][:3]
+        with pytest.raises(learn.TrainingError, match=r"evaluated \(1 skipped\)"):
+            evaluate_project_based(subset(planted_corpus, issues), ModelSpec(), maps)
 
     def test_single_repo_corpus(self, planted_corpus, maps):
         issues = [i for i in planted_corpus.issues if i.repo == "acme/engine"]
         spec = ModelSpec(seed=1, hyperparams={"n_trees": 10})
-        result = evaluate_project_based(subset(planted_corpus, issues), spec, maps=maps)
-        assert list(result.per_repo) == ["acme/engine"]
+        result = evaluate_project_based(subset(planted_corpus, issues), spec, maps)
+        assert list(result["per_repo"]) == ["acme/engine"]
 
 
 class TestCrossProject:
@@ -242,13 +246,13 @@ class TestCrossProject:
                  for i in range(10)]
         corpus = Corpus(issues=planted_corpus.issues + tuple(extra))
         spec = ModelSpec(seed=2, hyperparams={"n_trees": 10})
-        report = evaluate_cross_project(corpus, spec, seed=2, maps=maps)
+        report = evaluate_cross_project(corpus, spec, maps)
         assert len(report.metadata["train_repos"]) == 4
         assert len(report.metadata["test_repos"]) == 1
 
     def test_repo_disjointness(self, planted_corpus, maps):
         for seed in range(5):
-            train, test = evalkit.split_repos(planted_corpus.repos(), 0.8, seed)
+            train, test = evalkit.split_repos(planted_corpus.repos(), seed)
             assert not set(train) & set(test)
             assert sorted(train + test) == planted_corpus.repos()
 
@@ -256,8 +260,7 @@ class TestCrossProject:
     def test_needs_two_repos(self, planted_corpus, maps, repo):
         issues = [i for i in planted_corpus.issues if i.repo == repo]
         with pytest.raises(learn.TrainingError, match="at least two repositories"):
-            evaluate_cross_project(subset(planted_corpus, issues),
-                                   ModelSpec(), seed=0, maps=maps)
+            evaluate_cross_project(subset(planted_corpus, issues), ModelSpec(), maps)
 
 
 class TestFeatureImportance:

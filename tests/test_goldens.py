@@ -4,11 +4,12 @@ A change that only alters how the pipeline is computed (its data layout,
 batching or memoization) must leave every output byte-identical; these pins
 make that a standing check. They cover the ``train-priority`` model and
 assets, the ``predict`` TSV, the ``features`` TSV, the ``evaluate --mode
-cv`` and ``--mode project`` reports and the criterion-09 ``evaluate --mode
-cross-project`` report. Stage-one NB scores through a BLAS
-matrix product, so the bytes may differ under another numpy or BLAS build:
-the pins name the builds they were made with, and the test skips under any
-other.
+cv`` report, the ``--mode project`` report and its ``--emit-csv`` CSV, the
+criterion-09 ``evaluate --mode cross-project`` report, and the
+``train-priority --tune`` search trace under each ``--tune-metric``.
+Stage-one NB scores through a BLAS matrix product, so the bytes may differ
+under another numpy or BLAS build: the pins name the builds they were made
+with, and the test skips under any other.
 """
 
 from __future__ import annotations
@@ -34,10 +35,17 @@ GOLDEN_SHA256 = {
     "xproj.json": "887051ca097ce2cfc8bcdc3876c4aaa92cc53483b9daca1c91a8a7ac5357f379",
     "cv.json": "86b49bee74bcf4607e946d05a16080821a4602cd3d93621a3d90eca193aa2f91",
     "project.json": "383482b66ddaa27b8b9c1a5b706c42353ef271adaebbef57c95465e8d47d9307",
+    "project.csv": "df3cb6a6823d2ce9f4cabe2c726034ed9e7c7214f5b2c83fb9d1be3a2977e301",
+    "tuned-accuracy.json.search.json":
+        "200bb24412b95a792d0f82b41a29877dca5c12884b08134028b848fbec5601ec",
+    "tuned-macro-f1.json.search.json":
+        "67a068ead093359175f2e5e958911116940e0c7da4809e1c1ed311b3fdba15fa",
 }
 
 TRAIN_CONFIG = {"seed": 7, "model": {"classifier": "forest",
                                      "hyperparams": {"n_trees": 10, "max_depth": 8}}}
+# a small search space keeps the two --tune runs to a few seconds
+TUNE_CONFIG = {**TRAIN_CONFIG, "search_space": {"n_trees": [4, 6, 8], "max_depth": [4, 5, 6]}}
 # the criterion-09 spec, as the benchmark's xproj-planted workload runs it
 XPROJ_CONFIG = {"seed": 11, "model": {
     "classifier": "forest", "balancing": "weights",
@@ -60,8 +68,10 @@ def test_outputs_match_their_goldens(tmp_path):
     shutil.copy(FIXTURES / "planted_corpus.jsonl", corpus)
     shutil.copy(FIXTURES / "planted_corpus.jsonl.meta.json", f"{corpus}.meta.json")
     train, xproj = tmp_path / "train.json", tmp_path / "xproj-config.json"
+    tune = tmp_path / "tune.json"
     train.write_text(json.dumps(TRAIN_CONFIG))
     xproj.write_text(json.dumps(XPROJ_CONFIG))
+    tune.write_text(json.dumps(TUNE_CONFIG))
     model = tmp_path / "model.json"
     for argv in (
             ["--config", train, "train-priority", "--in", corpus, "--model", model],
@@ -71,9 +81,13 @@ def test_outputs_match_their_goldens(tmp_path):
             ["--config", train, "evaluate", "--in", corpus, "--mode", "cv",
              "--report", tmp_path / "cv.json"],
             ["--config", train, "evaluate", "--in", corpus, "--mode", "project",
-             "--report", tmp_path / "project.json"],
+             "--report", tmp_path / "project.json", "--emit-csv"],
             ["--config", xproj, "evaluate", "--in", corpus, "--mode", "cross-project",
-             "--report", tmp_path / "xproj.json"]):
+             "--report", tmp_path / "xproj.json"],
+            *(["--config", tune, "train-priority", "--in", corpus,
+               "--model", tmp_path / f"tuned-{metric}.json",
+               "--tune", 2, "--cv-folds", 2, "--tune-metric", metric]
+              for metric in ("accuracy", "macro-f1"))):
         assert cli.main([str(a) for a in argv]) == 0, argv
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_SHA256}

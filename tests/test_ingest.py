@@ -92,12 +92,15 @@ def no_sleep(_):
     pass
 
 
+def client_for(tmp_path, transport, sleeper=no_sleep, **kw):
+    return IssueClient(cfg(tmp_path, **kw), transport, sleeper)
+
+
 class TestFetchIssues:
     def test_empty_repo(self, tmp_path):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [])
-        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                              transport=transport, sleeper=no_sleep)
+        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
         assert issues == []
 
     def test_two_page_fixture(self, tmp_path):
@@ -107,8 +110,7 @@ class TestFetchIssues:
             200, {"Link": f'<{page2}>; rel="next"'},
             json.dumps([issue_doc(i) for i in range(1, 101)]))
         transport.add(page2, [issue_doc(i) for i in range(101, 151)])
-        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                              transport=transport, sleeper=no_sleep)
+        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
         assert len(issues) == 150
         assert len(transport.calls) == 2
         assert issues[0].repo == REPO
@@ -117,38 +119,33 @@ class TestFetchIssues:
     def test_warm_cache_issues_no_requests(self, tmp_path):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(1), issue_doc(2)])
-        first = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                             transport=transport, sleeper=no_sleep)
+        first = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
         cold_transport = FakeTransport()  # would 404 on any request
-        second = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                              transport=cold_transport, sleeper=no_sleep)
+        second = fetch_issues(client_for(tmp_path, cold_transport), FetchQuery(repo=REPO))
         assert second == first
         assert cold_transport.calls == []
 
     def test_refresh_bypasses_cache(self, tmp_path):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(1)])
-        fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                     transport=transport, sleeper=no_sleep)
+        fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
         transport2 = FakeTransport()
         transport2.add(ISSUES_URL, [issue_doc(1), issue_doc(2)])
-        refreshed = fetch_issues(cfg(tmp_path, refresh=True), FetchQuery(repo=REPO),
-                                 transport=transport2, sleeper=no_sleep)
+        refreshed = fetch_issues(client_for(tmp_path, transport2, refresh=True),
+                                 FetchQuery(repo=REPO))
         assert len(refreshed) == 2
         assert transport2.calls == [ISSUES_URL]
 
     def test_missing_repo_fatal(self, tmp_path):
         transport = FakeTransport()  # unrouted URLs respond 404
         with pytest.raises(NotFoundError, match=REPO):
-            fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                         transport=transport, sleeper=no_sleep)
+            fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
 
     def test_auth_failure_fatal(self, tmp_path):
         transport = FakeTransport()
         transport.routes[ISSUES_URL] = Response(401, {}, "{}")
         with pytest.raises(AuthError):
-            fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                         transport=transport, sleeper=no_sleep)
+            fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
 
     def test_rate_limit_waits_server_advised_delay(self, tmp_path):
         transport = FakeTransport()
@@ -157,8 +154,8 @@ class TestFetchIssues:
             Response(200, {}, json.dumps([issue_doc(1)])),
         ])
         sleeps = []
-        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                              transport=transport, sleeper=sleeps.append)
+        issues = fetch_issues(client_for(tmp_path, transport, sleeps.append),
+                              FetchQuery(repo=REPO))
         assert len(issues) == 1
         assert sleeps == [7.0]
 
@@ -177,8 +174,8 @@ class TestFetchIssues:
             Response(200, {}, json.dumps([issue_doc(1)])),
         ])
         sleeps = []
-        issues = fetch_issues(cfg(tmp_path, backoff_base_seconds=1.0), FetchQuery(repo=REPO),
-                              transport=transport, sleeper=sleeps.append)
+        client = client_for(tmp_path, transport, sleeps.append, backoff_base_seconds=1.0)
+        issues = fetch_issues(client, FetchQuery(repo=REPO))
         assert [i.id for i in issues] == ["1"]
         assert sleeps == [want] and transport.calls == [ISSUES_URL] * 2
 
@@ -197,8 +194,7 @@ class TestFetchIssues:
         transport.routes[ISSUES_URL] = Response(403, headers, "{}")
         sleeps = []
         with pytest.raises(IngestError) as caught:
-            fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                         transport=transport, sleeper=sleeps.append)
+            fetch_issues(client_for(tmp_path, transport, sleeps.append), FetchQuery(repo=REPO))
         assert str(caught.value) == (f"{ISSUES_URL} is rate limited for {wait} s, "
                                      "over the 3600 s this client waits")
         assert sleeps == [] and transport.calls == [ISSUES_URL]
@@ -210,8 +206,7 @@ class TestFetchIssues:
             Response(200, {}, json.dumps([issue_doc(1)])),
         ])
         sleeps = []
-        fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                     transport=transport, sleeper=sleeps.append)
+        fetch_issues(client_for(tmp_path, transport, sleeps.append), FetchQuery(repo=REPO))
         assert sleeps == [3600.0]
 
     def test_fetch_with_a_huge_retry_after_exits_two(self, tmp_path, monkeypatch, capsys):
@@ -232,8 +227,7 @@ class TestFetchIssues:
         transport = FakeTransport()
         transport.routes[ISSUES_URL] = Response(500, {}, "{}")
         with pytest.raises(IngestError, match="giving up"):
-            fetch_issues(cfg(tmp_path, max_attempts=2), FetchQuery(repo=REPO),
-                         transport=transport, sleeper=no_sleep)
+            fetch_issues(client_for(tmp_path, transport, max_attempts=2), FetchQuery(repo=REPO))
 
     def test_transport_error_is_retried(self, tmp_path):
         transport = FakeTransport()
@@ -243,7 +237,7 @@ class TestFetchIssues:
         ])
         sleeps = []
         client = IssueClient(cfg(tmp_path, backoff_base_seconds=0.5), transport, sleeps.append)
-        issues = fetch_issues(client.cfg, FetchQuery(repo=REPO), client=client)
+        issues = fetch_issues(client, FetchQuery(repo=REPO))
         assert [i.id for i in issues] == ["1"]
         assert sleeps == [0.5] and client.network_requests == 2
 
@@ -269,9 +263,8 @@ class TestFetchIssues:
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(1),
                                    issue_doc(2, pull_request={"url": "x"})])
-        issues = fetch_issues(cfg(tmp_path),
-                              FetchQuery(repo=REPO, include_pull_requests=False),
-                              transport=transport, sleeper=no_sleep)
+        issues = fetch_issues(client_for(tmp_path, transport),
+                              FetchQuery(repo=REPO, include_pull_requests=False))
         assert [i.id for i in issues] == ["1"]
 
     def test_bad_repo_shape_rejected(self):
@@ -283,8 +276,8 @@ class TestFetchIssues:
         transport.add(ISSUES_URL, [issue_doc(1), issue_doc(2, created_at="2021-03-01T00:00:00Z",
                                                              closed_at=None)])
         before = datetime(2021, 2, 15, tzinfo=timezone.utc)
-        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO, created_before=before),
-                              transport=transport, sleeper=no_sleep)
+        issues = fetch_issues(client_for(tmp_path, transport),
+                              FetchQuery(repo=REPO, created_before=before))
         assert [i.id for i in issues] == ["1"]
         code = cli.main(["fetch", "--repo", REPO, "--out", str(tmp_path / "c.jsonl"),
                          "--cache-dir", str(tmp_path / "cache"), "--created-before", "soon"])
@@ -316,15 +309,13 @@ def hydration_routes(transport, number=1, login="alice"):
 class TestHydrate:
     def fetch_one(self, tmp_path, transport):
         transport.add(ISSUES_URL, [issue_doc(1)])
-        return fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                            transport=transport, sleeper=no_sleep)
+        return fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
 
     def test_fixture_counts(self, tmp_path):
         transport = FakeTransport()
         hydration_routes(transport)
         issues = self.fetch_one(tmp_path, transport)
-        corpus, failures = hydrate(cfg(tmp_path), issues, transport=transport,
-                                   sleeper=no_sleep)
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
         assert failures == []
         issue = corpus.issues[0]
         assert len(issue.comments) == 3
@@ -341,8 +332,7 @@ class TestHydrate:
         transport.add(f"{base}/events?per_page=100", [])
         transport.add(f"{BASE}/users/alice", {"login": "alice"})
         issues = self.fetch_one(tmp_path, transport)
-        corpus, failures = hydrate(cfg(tmp_path), issues, transport=transport,
-                                   sleeper=no_sleep)
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
         assert corpus.issues[0].comments == ()
         assert failures == []
 
@@ -353,8 +343,7 @@ class TestHydrate:
         transport.add(f"{base}/events?per_page=100", [])
         # no /users/alice route -> 404
         issues = self.fetch_one(tmp_path, transport)
-        corpus, failures = hydrate(cfg(tmp_path), issues, transport=transport,
-                                   sleeper=no_sleep)
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
         issue = corpus.issues[0]
         assert issue.hydration_failed is True
         assert issue.author.followers == 0
@@ -364,11 +353,9 @@ class TestHydrate:
         transport = FakeTransport()
         hydration_routes(transport)
         issues = self.fetch_one(tmp_path, transport)
-        corpus1, _ = hydrate(cfg(tmp_path), issues, transport=transport,
-                             sleeper=no_sleep)
+        corpus1, _ = hydrate(client_for(tmp_path, transport), issues)
         cold = FakeTransport()
-        corpus2, _ = hydrate(cfg(tmp_path), issues, transport=cold,
-                             sleeper=no_sleep)
+        corpus2, _ = hydrate(client_for(tmp_path, cold), issues)
         assert cold.calls == []
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_corpus(corpus1, p1)
@@ -383,15 +370,14 @@ class TestHydrate:
             transport.add(f"{base}/comments?per_page=100", [])
             transport.add(f"{base}/events?per_page=100", [])
         transport.add(f"{BASE}/users/alice", {"login": "alice"})
-        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                              transport=transport, sleeper=no_sleep)
+        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
         bounded = cfg(tmp_path, max_parallel_requests=2)
         # fresh cache dir so hydration actually goes over the transport
         bounded = ClientConfig(cache_dir=tmp_path / "cache2",
                                max_parallel_requests=2,
                                backoff_base_seconds=0.0)
         transport.max_in_flight = 0
-        corpus, _ = hydrate(bounded, issues, transport=transport, sleeper=no_sleep)
+        corpus, _ = hydrate(IssueClient(bounded, transport), issues)
         assert len(corpus) == 8
         assert transport.max_in_flight <= 2
 
@@ -425,12 +411,10 @@ class TestRobustness:
     def test_corrupt_cache_entry_is_refetched(self, tmp_path, entry):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(1)])
-        first = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                             transport=transport, sleeper=no_sleep)
+        first = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
         [cache_file] = (tmp_path / "cache").glob("*.json")
         cache_file.write_text(entry)
-        again = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                             transport=transport, sleeper=no_sleep)
+        again = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
         assert again == first
         assert transport.calls == [ISSUES_URL, ISSUES_URL]
         assert set(json.loads(cache_file.read_text())) >= {"status", "headers", "body"}
@@ -444,10 +428,8 @@ class TestRobustness:
         del docs[1]["created_at"]
         transport.add(url, docs)
         transport.add(ISSUES_URL, [issue_doc(1)])
-        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                              transport=transport, sleeper=no_sleep)
-        corpus, failures = hydrate(cfg(tmp_path), issues, transport=transport,
-                                   sleeper=no_sleep)
+        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
         assert [(f.issue_id, f.resource) for f in failures] == [("1", resource)]
         assert isinstance(failures[0], HydrationFailure)
         issue = corpus.issues[0]
@@ -461,10 +443,8 @@ class TestRobustness:
         hydration_routes(transport)
         transport.routes[f"{BASE}/users/alice"] = Response(200, {}, "<html>oops")
         transport.add(ISSUES_URL, [issue_doc(1)])
-        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                              transport=transport, sleeper=no_sleep)
-        corpus, failures = hydrate(cfg(tmp_path), issues, transport=transport,
-                                   sleeper=no_sleep)
+        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
         assert [(f.issue_id, f.resource) for f in failures] == [("1", "author")]
         issue = corpus.issues[0]
         assert issue.hydration_failed is True
@@ -493,15 +473,13 @@ class TestRobustness:
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(2), doc])
         with pytest.raises(IngestError, match=named):
-            fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                         transport=transport, sleeper=no_sleep)
+            fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
 
     def test_issue_listed_twice_is_an_ingest_error(self, tmp_path):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(1), issue_doc(1)])
         with pytest.raises(IngestError, match="an issue is listed twice"):
-            fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                         transport=transport, sleeper=no_sleep)
+            fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
 
     @pytest.mark.parametrize("resource, route, change, named", [
         ("author", "users/alice", lambda doc: {**doc, "followers": "many"}, "'followers'"),
@@ -518,10 +496,8 @@ class TestRobustness:
         url = f"{BASE}/{route}"
         transport.add(url, change(json.loads(transport.routes[url].body)))
         transport.add(ISSUES_URL, [issue_doc(1)])
-        issues = fetch_issues(cfg(tmp_path), FetchQuery(repo=REPO),
-                              transport=transport, sleeper=no_sleep)
-        corpus, failures = hydrate(cfg(tmp_path), issues, transport=transport,
-                                   sleeper=no_sleep)
+        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
         assert [(f.issue_id, f.resource) for f in failures] == [("1", resource)]
         assert named in failures[0].error, failures
         issue = corpus.issues[0]
@@ -554,8 +530,8 @@ class TestRobustness:
         for n in range(1, 9):
             hydration_routes(transport, number=n)
         config = cfg(tmp_path, max_parallel_requests=4)
-        client = IssueClient(config, transport, no_sleep)
+        client = IssueClient(config, transport)
         guard = client._requests_guard = CountingLock()
-        issues = fetch_issues(config, FetchQuery(repo=REPO), client=client)
-        hydrate(config, issues, client=client)
+        issues = fetch_issues(client, FetchQuery(repo=REPO))
+        hydrate(client, issues)
         assert guard.entries == client.network_requests == len(transport.calls) == 18

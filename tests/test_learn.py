@@ -701,7 +701,7 @@ def planted_forest_case(planted_corpus, maps):
                              hyperparams={"n_trees": 100, "max_depth": 12, "max_features": 128})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learn, "fit_random_forest", spy)
-        evalkit.evaluate_cross_project(planted_corpus, spec, seed=11, maps=maps)
+        evalkit.evaluate_cross_project(planted_corpus, spec, maps)
     (case,) = calls
     return case
 

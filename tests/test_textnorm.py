@@ -397,7 +397,7 @@ class TestMemo:
         train_pipeline(issues, self.SPEC, maps)
         misses = normalize_pipeline.cache_info().misses
         assert misses == len(distinct)
-        cross_validate(planted_corpus, self.SPEC, k=3, seed=0, maps=maps)
+        cross_validate(planted_corpus, self.SPEC, 3, maps)
         assert normalize_pipeline.cache_info().misses == misses
 
     def assert_cached_matches_kernel(self, text: str) -> None:
