@@ -5,6 +5,11 @@ pairs, which is the observed-agreement term both kappas build on. Randolph's
 free-marginal kappa corrects it by the 1/k chance level; Fleiss' kappa uses
 the observed category marginals instead and therefore needs an equal number
 of ratings per item.
+
+A report is a plain dict: ``compute_agreement`` builds the document that
+``agreement`` writes for the items of one group, and
+``compute_agreement_by_group`` keys one per group and the one over every
+item, ``overall``.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ class RatingMatrix:
     def __post_init__(self) -> None:
         if len(self.categories) < 2:
             raise RatingMatrixError("need at least two categories")
+        if not self.rows:
+            raise RatingMatrixError("no items to rate")
         for r, row in enumerate(self.rows):
             if len(row) != len(self.raters):
                 raise RatingMatrixError(f"row {r}: width != number of raters")
@@ -229,34 +236,11 @@ def landis_koch_band(kappa: float) -> str:
     return "poor"
 
 
-@dataclass
-class AgreementReport:
-    percent_agreement: float
-    randolph_kappa: float
-    fleiss_kappa: Optional[float]
-    band: str
-    per_item: list[float]
-    majority: list[Optional[str]]
-    ties: list[int]
-    outliers: list[str]
-    flags: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "percent_agreement": self.percent_agreement,
-            "randolph_kappa": self.randolph_kappa,
-            "fleiss_kappa": self.fleiss_kappa,
-            "band": self.band,
-            "per_item_agreement": self.per_item,
-            "majority_labels": self.majority,
-            "tied_items": self.ties,
-            "outlier_raters": self.outliers,
-            "flags": self.flags,
-        }
-
-
-def compute_agreement(matrix: RatingMatrix, mode: str = "pairwise") -> AgreementReport:
-    p_o = percent_agreement(matrix, mode)
+def compute_agreement(matrix: RatingMatrix, mode: str = "pairwise") -> dict:
+    """The agreement report document: percent agreement and both kappas (a
+    null Fleiss' kappa and a flag when it is unavailable), the Randolph
+    kappa's band, each item's agreement, the majority labels and their
+    ties, and the outlier raters."""
     kappa = randolph_kappa(matrix, mode)
     try:
         fleiss = fleiss_kappa(matrix)
@@ -266,23 +250,26 @@ def compute_agreement(matrix: RatingMatrix, mode: str = "pairwise") -> Agreement
         fleiss_value = None
         flags = [f"fleiss kappa unavailable: {exc}"]
     majority, ties = majority_labels(matrix)
-    return AgreementReport(
-        percent_agreement=p_o,
-        randolph_kappa=kappa,
-        fleiss_kappa=fleiss_value,
-        band=landis_koch_band(kappa),
-        per_item=[item_agreement(matrix, row, mode) for row in matrix.rows],
-        majority=majority,
-        ties=ties,
-        outliers=sorted(outlier_raters(matrix)),
-        flags=flags,
-    )
+    return {
+        "percent_agreement": percent_agreement(matrix, mode),
+        "randolph_kappa": kappa,
+        "fleiss_kappa": fleiss_value,
+        "band": landis_koch_band(kappa),
+        "per_item_agreement": [item_agreement(matrix, row, mode) for row in matrix.rows],
+        "majority_labels": majority,
+        "tied_items": ties,
+        "outlier_raters": sorted(outlier_raters(matrix)),
+        "flags": flags,
+    }
 
 
-def compute_agreement_by_group(matrix: RatingMatrix,
-                               mode: str = "pairwise") -> dict[str, AgreementReport]:
+def compute_agreement_by_group(matrix: RatingMatrix, mode: str = "pairwise") -> dict:
     """Overall report under the key "overall", plus one per group when the
-    ratings file carried a grouping column."""
+    ratings file carried a grouping column; a group named "overall" is a
+    ``RatingMatrixError``, as its report would take the overall one's key."""
+    if "overall" in matrix.groups:
+        raise RatingMatrixError('group "overall" would replace the overall report; '
+                                "rename it")
     reports = {"overall": compute_agreement(matrix, mode)}
     if matrix.groups:
         for group in sorted(set(matrix.groups)):

@@ -50,10 +50,19 @@ sparse index, or an array whose shape does not fit the model's classes or
 the assets' widths (its tables: ``learn.MODEL`` and ``learn.BLOCKS``, or
 ``ASSETS``).
 
+Reports. Each is the plain dict that its module builds, written as
+compact JSON: ``evaluate`` writes the protocol's document from ``evalkit``;
+``agreement`` writes ``agreement.compute_agreement_by_group``'s, one report
+per group and the one over every item under ``overall``; ``preprocess``
+writes ``corpus.filter_corpus``'s counts of removed issues next to the
+corpus (``*.report.json``) and prints them.
+
 A run that would score nothing is a runtime failure too: ``train-priority
 --tune`` with no usable fold, ``evaluate --mode project`` that skips every
 repository for want of labeled issues, and ``evaluate --mode cross-project``
-whose held-out repositories hold no priority-labeled issue.
+whose held-out repositories hold no priority-labeled issue. So is
+``agreement`` on a ratings file with no item, or with a group named
+``overall``, whose report would take the key of the one over every item.
 
 An ``--objective-probs`` row that does not decode or sum to 1, or repeats an
 issue id, exits 1 naming its line (and the earlier one). ``predict`` with a
@@ -181,15 +190,16 @@ def search_space_from(config: dict) -> dict:
     raw = (_section(config, "search_space", learn.HYPERPARAMS) if "search_space" in config
            else DEFAULT_SEARCH_SPACE)
     for name, entry in raw.items():
+        values = entry
         if isinstance(entry, dict) and set(entry) == {"low", "high"}:
-            entry = (entry["low"], entry["high"])
-            if not all(isinstance(end, (int, float)) for end in entry) or entry[0] > entry[1]:
+            values = (entry["low"], entry["high"])
+            if not all(isinstance(end, (int, float)) for end in values) or values[0] > values[1]:
                 raise ValidationError(f"search space range for {name} must have "
-                                      f"numbers low <= high, got {entry}")
+                                      f"numbers low <= high, got {values}")
         elif not (isinstance(entry, list) and entry):
             raise ValidationError(f"search space entry for {name} must be a non-empty "
                                   f"list or a low/high object, got {entry!r}")
-        for value in entry:
+        for value in values:
             learn.check_hyperparam(name, value)
         space[name] = entry
     return space
@@ -315,9 +325,8 @@ def cmd_preprocess(args, config) -> int:
     maps = labelmap.load_label_maps()
     filtered, report = filter_corpus(corpus, args.rules, cluster_of=maps.clusters.cluster_of)
     save_corpus(filtered, out)
-    learn.write_json(Path(str(out) + ".report.json"), report.as_dict())
-    print(f"kept {len(filtered)} / {len(corpus)} issues "
-          f"(removed: {report.as_dict()})")
+    learn.write_json(Path(str(out) + ".report.json"), report)
+    print(f"kept {len(filtered)} / {len(corpus)} issues (removed: {report})")
     write_manifest(out, "preprocess", config, args.seed, [Path(args.input)], [out])
     return EXIT_OK
 
@@ -482,13 +491,12 @@ def cmd_evaluate(args, config) -> int:
             csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
             outputs.append(csv_path)
     elif args.mode == "cross-project":
-        report = evalkit.evaluate_cross_project(corpus, spec, maps)
-        doc = report.as_dict()
-        print(f"cross-project accuracy: {report.accuracy:.3f} on "
-              f"{len(report.metadata['test_repos'])} held-out repos")
-        for cls, rep in report.per_class.items():
-            print(f"  {cls:<6} precision={rep.precision:.3f} recall={rep.recall:.3f} "
-                  f"f1={rep.f1:.3f} support={rep.support}")
+        doc = evalkit.evaluate_cross_project(corpus, spec, maps)
+        print(f"cross-project accuracy: {doc['accuracy']:.3f} on "
+              f"{len(doc['metadata']['test_repos'])} held-out repos")
+        for cls, rep in doc["per_class"].items():
+            print(f"  {cls:<6} precision={rep['precision']:.3f} recall={rep['recall']:.3f} "
+                  f"f1={rep['f1']:.3f} support={rep['support']}")
     else:
         raise ValidationError(f"unknown evaluate mode {args.mode!r}")
     learn.write_json(report_path, doc)
@@ -501,16 +509,15 @@ def cmd_agreement(args, config) -> int:
     from . import agreement as agreement_mod
     report_path = Path(args.report)
     matrix = agreement_mod.load_rating_matrix(args.ratings)
-    reports = agreement_mod.compute_agreement_by_group(matrix, mode=args.agreement_mode)
-    doc = {name: rep.as_dict() for name, rep in reports.items()}
+    doc = agreement_mod.compute_agreement_by_group(matrix, mode=args.agreement_mode)
     learn.write_json(report_path, doc)
-    overall = reports["overall"]
-    print(f"percent agreement: {overall.percent_agreement:.3f}")
-    print(f"randolph kappa:    {overall.randolph_kappa:.3f} ({overall.band})")
-    if overall.fleiss_kappa is not None:
-        print(f"fleiss kappa:      {overall.fleiss_kappa:.3f}")
-    if overall.outliers:
-        print(f"outlier raters:    {', '.join(overall.outliers)}")
+    overall = doc["overall"]
+    print(f"percent agreement: {overall['percent_agreement']:.3f}")
+    print(f"randolph kappa:    {overall['randolph_kappa']:.3f} ({overall['band']})")
+    if overall["fleiss_kappa"] is not None:
+        print(f"fleiss kappa:      {overall['fleiss_kappa']:.3f}")
+    if overall["outlier_raters"]:
+        print(f"outlier raters:    {', '.join(overall['outlier_raters'])}")
     write_manifest(report_path, "agreement", config, args.seed,
                    [Path(args.ratings)], [report_path])
     return EXIT_OK

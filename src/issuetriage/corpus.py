@@ -303,25 +303,6 @@ class FilterConfig:
         object.__setattr__(self, "excluded_clusters", tuple(clusters))
 
 
-@dataclass
-class FilterReport:
-    removed_short_text: int = 0
-    removed_non_english: int = 0
-    removed_excluded_label: int = 0
-
-    @property
-    def total_removed(self) -> int:
-        return self.removed_short_text + self.removed_non_english + self.removed_excluded_label
-
-    def as_dict(self) -> dict:
-        return {
-            "removed_short_text": self.removed_short_text,
-            "removed_non_english": self.removed_non_english,
-            "removed_excluded_label": self.removed_excluded_label,
-            "total_removed": self.total_removed,
-        }
-
-
 def _non_ascii_fraction(text: str) -> float:
     meaningful = [ch for ch in text if not ch.isspace()]
     if not meaningful:
@@ -331,29 +312,33 @@ def _non_ascii_fraction(text: str) -> float:
 
 
 def filter_corpus(corpus: Corpus, rules: FilterConfig | None = None, *,
-                  cluster_of: Callable[[str], Optional[str]]) -> tuple[Corpus, FilterReport]:
+                  cluster_of: Callable[[str], Optional[str]]) -> tuple[Corpus, dict]:
     """Drop issues with too little text, mostly non-English text, or a noise
     label: one whose cluster (``cluster_of``), case-folded, is one of
-    ``rules.excluded_clusters``. A label outside every cluster is no noise."""
+    ``rules.excluded_clusters``. A label outside every cluster is no noise.
+    Returns the kept issues and the filter report: the count removed by each
+    rule, in that order, then ``total_removed``."""
     rules = rules or FilterConfig()
     kept: list[IssueRecord] = []
-    report = FilterReport()
+    removed = dict.fromkeys(("removed_short_text", "removed_non_english",
+                             "removed_excluded_label"), 0)
     excluded = {c.casefold() for c in rules.excluded_clusters}
     for issue in corpus.issues:
         if len(issue.title.strip()) < rules.min_text_chars or len(issue.description.strip()) < rules.min_text_chars:
-            report.removed_short_text += 1
+            removed["removed_short_text"] += 1
             continue
         text = issue.title + " " + issue.description
         if _non_ascii_fraction(text) > rules.non_english_threshold:
-            report.removed_non_english += 1
+            removed["removed_non_english"] += 1
             continue
         if any(rep is not None and rep.casefold() in excluded
                for rep in map(cluster_of, issue.labels)):
-            report.removed_excluded_label += 1
+            removed["removed_excluded_label"] += 1
             continue
         kept.append(issue)
-    return Corpus(issues=tuple(kept), provenance=corpus.provenance,
-                  schema_version=corpus.schema_version), report
+    return (Corpus(issues=tuple(kept), provenance=corpus.provenance,
+                   schema_version=corpus.schema_version),
+            {**removed, "total_removed": sum(removed.values())})
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Also home of the end-to-end priority pipeline glue (fit preprocessing,
 resolve stage-one objective probabilities, train, predict) shared by the
 experiment drivers and the CLI. Every protocol trains and scores through
 ``holdout``, and k-fold CV and ``--tune`` share one fold loop, ``_folds``.
-Every protocol takes its seed from the spec (``ModelSpec.seed``), and the
-cv and project drivers return the report document that ``evaluate`` writes.
+Every protocol takes its seed from the spec (``ModelSpec.seed``). Each
+report is a plain dict, built once where it is computed: ``score`` builds a
+split's, and ``holdout`` and the cv, project and cross-project drivers
+return the document that ``evaluate`` writes.
 Preprocessing and stage one are refit inside each fold or split on its
 training side only; held-out issues never influence the vocabulary, the
 idf, the scaler, the stage-one model or the tuned hyperparameters.
@@ -14,6 +16,7 @@ idf, the scaler, the stage-one model or the tuned hyperparameters.
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -31,95 +34,42 @@ TRAIN_SHARE = 0.8  # of a repo's issues in project mode, of the repos in cross-p
 
 
 # ---------------------------------------------------------------------------
-# Confusion matrix and metrics
+# Metrics
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    classes: tuple[str, ...]
-    counts: np.ndarray  # rows = truth, columns = prediction
+def score(truth: Sequence[str], predicted: Sequence[str], classes: Sequence[str] | None,
+          **metadata) -> dict:
+    """The report document of ``predicted`` against ``truth``: accuracy, n,
+    and per class of ``classes`` (None: every label seen, sorted) the
+    one-vs-rest precision, recall, F1, accuracy and support. A zero
+    denominator scores 0 and adds a ``zero_division:`` flag to the class and
+    to the report instead of dividing; ``metadata`` is carried as given."""
+    if len(truth) != len(predicted):
+        raise ValueError("truth/prediction length mismatch")
+    n, pairs = len(truth), Counter(zip(truth, predicted))
 
-    @classmethod
-    def from_pairs(cls, truth: Sequence[str], predicted: Sequence[str],
-                   classes: tuple[str, ...] | None = None) -> "ConfusionMatrix":
-        if len(truth) != len(predicted):
-            raise ValueError("truth/prediction length mismatch")
-        classes = classes or tuple(sorted(set(truth) | set(predicted)))
-        index = {c: i for i, c in enumerate(classes)}
-        counts = np.zeros((len(classes), len(classes)), dtype=int)
-        for t, p in zip(truth, predicted):
-            counts[index[t], index[p]] += 1
-        return cls(classes, counts)
+    def ratio(num: float, den: float, flags: list[str], label: str) -> float:
+        if den == 0:
+            flags.append(f"zero_division:{label}")
+            return 0.0
+        return num / den
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def one_vs_rest(self, cls: str) -> tuple[int, int, int, int]:
-        """(TP, FP, TN, FN) for the one-vs-rest reduction of ``cls``."""
-        i = self.classes.index(cls)
-        tp = int(self.counts[i, i])
-        fp = int(self.counts[:, i].sum() - tp)
-        fn = int(self.counts[i, :].sum() - tp)
-        tn = self.total - tp - fp - fn
-        return tp, fp, tn, fn
-
-
-@dataclass
-class ClassReport:
-    precision: float
-    recall: float
-    f1: float
-    ovr_accuracy: float
-    support: int
-    flags: list[str] = field(default_factory=list)
-
-
-@dataclass
-class EvalReport:
-    accuracy: float
-    per_class: dict[str, ClassReport]
-    n: int
-    flags: list[str] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "n": self.n,
-            "per_class": {
-                cls: {"precision": r.precision, "recall": r.recall, "f1": r.f1,
-                      "ovr_accuracy": r.ovr_accuracy, "support": r.support,
-                      "flags": r.flags}
-                for cls, r in self.per_class.items()},
-            "flags": self.flags,
-            "metadata": self.metadata,
-        }
-
-
-def _safe_div(num: float, den: float, flags: list[str], label: str) -> float:
-    if den == 0:
-        flags.append(f"zero_division:{label}")
-        return 0.0
-    return num / den
-
-
-def metrics(cm: ConfusionMatrix) -> EvalReport:
-    """Precision, recall, F1 and accuracy from the confusion counts;
-    zero denominators score 0 and raise a flag instead of dividing."""
-    per_class: dict[str, ClassReport] = {}
-    report_flags: list[str] = []
-    for cls in cm.classes:
-        tp, fp, tn, fn = cm.one_vs_rest(cls)
+    per_class, report_flags = {}, []
+    for cls in classes or sorted(set(truth) | set(predicted)):
+        tp = pairs[cls, cls]
+        fp = sum(count for (_, p), count in pairs.items() if p == cls) - tp
+        fn = sum(count for (t, _), count in pairs.items() if t == cls) - tp
         flags: list[str] = []
-        precision = _safe_div(tp, tp + fp, flags, f"precision:{cls}")
-        recall = _safe_div(tp, tp + fn, flags, f"recall:{cls}")
-        f1 = _safe_div(2 * precision * recall, precision + recall, flags, f"f1:{cls}")
-        ovr_acc = _safe_div(tp + tn, tp + fp + tn + fn, flags, f"accuracy:{cls}")
-        per_class[cls] = ClassReport(precision, recall, f1, ovr_acc, tp + fn, flags)
+        precision = ratio(tp, tp + fp, flags, f"precision:{cls}")
+        recall = ratio(tp, tp + fn, flags, f"recall:{cls}")
+        per_class[cls] = {
+            "precision": precision, "recall": recall,
+            "f1": ratio(2 * precision * recall, precision + recall, flags, f"f1:{cls}"),
+            "ovr_accuracy": ratio(n - fp - fn, n, flags, f"accuracy:{cls}"),
+            "support": tp + fn, "flags": flags}
         report_flags.extend(flags)
-    accuracy = _safe_div(float(np.trace(cm.counts)), cm.total, report_flags, "accuracy")
-    return EvalReport(accuracy=accuracy, per_class=per_class, n=cm.total,
-                      flags=report_flags)
+    accuracy = ratio(sum(pairs[cls, cls] for cls in per_class), n, report_flags, "accuracy")
+    return {"accuracy": accuracy, "n": n, "per_class": per_class, "flags": report_flags,
+            "metadata": metadata}
 
 
 def accuracy(truth: Sequence[str], predicted: Sequence[str]) -> float:
@@ -127,11 +77,10 @@ def accuracy(truth: Sequence[str], predicted: Sequence[str]) -> float:
 
 
 def macro_f1(truth: Sequence[str], predicted: Sequence[str]) -> float:
-    report = metrics(ConfusionMatrix.from_pairs(truth, predicted))
-    return float(np.mean([r.f1 for r in report.per_class.values()]))
+    return float(np.mean([r["f1"] for r in score(truth, predicted, None)["per_class"].values()]))
 
 
-# ``--tune-metric`` name -> the score ``tune_hyperparams`` maximizes
+# ``--tune-metric`` name -> the metric ``tune_hyperparams`` maximizes
 TUNE_METRICS = {"accuracy": accuracy, "macro-f1": macro_f1}
 # the per-class scores that the cv and project summaries and the CSV carry
 CLASS_METRICS = ("precision", "recall", "f1")
@@ -332,17 +281,19 @@ def tune_hyperparams(issues: Sequence[IssueRecord], spec: ModelSpec, maps: Label
                      ) -> tuple[dict, list[dict]]:
     """Random search over ``space``: ``budget`` configs, merged into the spec's
     hyperparameters, are each scored by the k-fold CV mean of the
-    ``TUNE_METRICS`` score named ``objective``; returns the first best
+    ``TUNE_METRICS`` metric named ``objective``; returns the first best
     config and the trace, or a ``TrainingError`` when no fold is usable.
-    Preprocessing and stage one are refit on each fold's training side, so
-    held-out issues never shape them; issues without a priority label are
-    ignored."""
+    A config drawn more than once is fit once per fold, and each of its
+    trials carries those fold scores. Preprocessing and stage one are refit
+    on each fold's training side, so held-out issues never shape them;
+    issues without a priority label are ignored."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    score = TUNE_METRICS[objective]
+    metric = TUNE_METRICS[objective]
     rng = np.random.default_rng(spec.seed)
     configs = [learn.sample_config(space, rng) for _ in range(budget)]
-    scores: list[list[float]] = [[] for _ in configs]
+    distinct = {repr(config): config for config in configs}
+    scores: dict[str, list[float]] = {key: [] for key in distinct}
     issues, labels = labeled_issues(issues, maps)
     for fold_no, train_idx, test_idx in _folds(labels, cv_folds, spec.seed):
         fold_spec = replace(spec, seed=spec.seed + fold_no)
@@ -352,24 +303,18 @@ def tune_hyperparams(issues: Sequence[IssueRecord], spec: ModelSpec, maps: Label
         X_test = bundle.vectorize([issues[i] for i in test_idx])
         train_labels = [labels[i] for i in train_idx]
         truth = [labels[i] for i in test_idx]
-        for config, config_scores in zip(configs, scores):
+        for key, config in distinct.items():
             model = fit_classifier(
                 replace(fold_spec, hyperparams={**spec.hyperparams, **config}),
                 X_train, train_labels)
-            config_scores.append(score(truth, model.predict(X_test)))
-    if not scores[0]:
+            scores[key].append(metric(truth, model.predict(X_test)))
+    trial_scores = [scores[repr(config)] for config in configs]
+    if not trial_scores[0]:
         raise TrainingError("no usable folds")
     trace = [{"trial": trial, "config": config, "fold_scores": fold_scores,
               "mean_score": float(np.mean(fold_scores))}
-             for trial, (config, fold_scores) in enumerate(zip(configs, scores))]
+             for trial, (config, fold_scores) in enumerate(zip(configs, trial_scores))]
     return max(trace, key=lambda t: t["mean_score"])["config"], trace
-
-
-def evaluate_predictions(truth: Sequence[str], predicted: Sequence[str],
-                         **metadata) -> EvalReport:
-    report = metrics(ConfusionMatrix.from_pairs(truth, predicted, learn.PRIORITY_CLASS_ORDER))
-    report.metadata.update(metadata)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +333,18 @@ def labeled_issues(issues: Iterable[IssueRecord],
 
 
 def holdout(train: Sequence[IssueRecord], test: Sequence[IssueRecord], spec: ModelSpec,
-            maps: LabelMaps, **metadata) -> EvalReport:
+            maps: LabelMaps, **metadata) -> dict:
     """Fit ``spec`` on ``train`` (all priority-labeled), predict the labeled
-    issues of ``test`` and score them; ``metadata`` and the model fingerprint
-    go into the report. A test side with no labeled issue is a
-    ``TrainingError``."""
+    issues of ``test`` and return their ``score`` report over the priority
+    classes; ``metadata`` and the model fingerprint go into its metadata. A
+    test side with no labeled issue is a ``TrainingError``."""
     test, truth = labeled_issues(test, maps)
     if not test:
         raise TrainingError("the test side holds no priority-labeled issue")
     bundle = train_pipeline(train, spec, maps)
     predicted, _ = bundle.predict(test)
-    return evaluate_predictions(truth, predicted, **metadata,
-                                model_fingerprint=bundle.classifier.fingerprint())
+    return score(truth, predicted, learn.PRIORITY_CLASS_ORDER, **metadata,
+                 model_fingerprint=bundle.classifier.fingerprint())
 
 
 def _folds(labels: Sequence[str], k: int,
@@ -427,7 +372,7 @@ def cross_validate(corpus: Corpus, spec: ModelSpec, k: int, maps: LabelMaps) -> 
             notes[fold_no] = "class absent from test side"
         folds.append(holdout([issues[i] for i in train_idx], [issues[i] for i in test_idx],
                              replace(spec, seed=spec.seed + fold_no), maps,
-                             fold=fold_no).as_dict())
+                             fold=fold_no))
     if not folds:
         raise TrainingError("no usable folds")
     rows = [report_metrics(fold) for fold in folds]
@@ -467,7 +412,7 @@ def evaluate_project_based(corpus: Corpus, spec: ModelSpec, maps: LabelMaps) -> 
             skipped[repo] = "empty test side after split"
             continue
         per_repo[repo] = holdout(train.issues, test.issues, spec, maps,
-                                 repo=repo, seed=spec.seed).as_dict()
+                                 repo=repo, seed=spec.seed)
     if not per_repo:
         raise TrainingError(f"no repository can be evaluated ({len(skipped)} skipped)")
     rows = [report_metrics(report) for report in per_repo.values()]
@@ -500,9 +445,10 @@ def split_repos(repos: Sequence[str], seed: int) -> tuple[list[str], list[str]]:
 CROSS_PROJECT_WEIGHTS_I = 6  # tuned grid point: slight extra emphasis on High
 
 
-def evaluate_cross_project(corpus: Corpus, spec: ModelSpec, maps: LabelMaps) -> EvalReport:
+def evaluate_cross_project(corpus: Corpus, spec: ModelSpec, maps: LabelMaps) -> dict:
     """Split at repository granularity, train one generic model on the
-    training repositories, evaluate on the held-out ones.
+    training repositories, evaluate on the held-out ones; returns the
+    ``holdout`` report, the repos of each side in its metadata.
 
     Unless the spec pins its own class weights, the generic model uses the
     manual override grid at i=6 rather than pure inverse frequency."""
@@ -519,23 +465,11 @@ def evaluate_cross_project(corpus: Corpus, spec: ModelSpec, maps: LabelMaps) -> 
 # ---------------------------------------------------------------------------
 # Feature importance
 
-@dataclass
-class FeatureImportanceReport:
-    scores: np.ndarray
-    names: list[str]
-
-    def ranked(self) -> list[tuple[str, float]]:
-        order = np.argsort(-self.scores, kind="stable")
-        return [(self.names[i], float(self.scores[i])) for i in order]
-
-    def as_dict(self) -> dict:
-        return {"importances": {n: float(s) for n, s in zip(self.names, self.scores)},
-                "ranked": self.ranked()}
-
-
 def feature_importance(forest: TrainedModel,
-                       names: Sequence[str] | None = None) -> FeatureImportanceReport:
-    """Mean decrease in Gini impurity per feature, normalized to sum one."""
+                       names: Sequence[str] | None = None) -> dict:
+    """Mean decrease in Gini impurity per feature, normalized to sum one:
+    ``importances`` by feature name, and ``ranked`` (name, importance) pairs
+    from the highest, ties in column order."""
     if forest.kind != "forest":
         raise TrainingError(f"feature importance requires a forest, got {forest.kind!r}")
     raw = np.asarray(forest.params["importances"], dtype=float)
@@ -546,4 +480,6 @@ def feature_importance(forest: TrainedModel,
     names = list(names) if names is not None else [f"f{i}" for i in range(len(scores))]
     if len(names) != len(scores):
         raise ValueError("feature name count does not match the trained width")
-    return FeatureImportanceReport(scores, names)
+    order = np.argsort(-scores, kind="stable")
+    return {"importances": {name: float(value) for name, value in zip(names, scores)},
+            "ranked": [(names[i], float(scores[i])) for i in order]}

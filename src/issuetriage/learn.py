@@ -994,23 +994,19 @@ def check_hyperparam(name: str, value) -> None:
 
 
 def sample_config(space: dict, rng: np.random.Generator) -> dict:
-    """Lists are discrete choices; (lo, hi) tuples are uniform ranges,
+    """Lists are discrete choices; {"low", "high"} objects are uniform ranges,
     integer-valued when both ends are ints."""
     config = {}
     for name in sorted(space):
         spec = space[name]
-        if isinstance(spec, (list, tuple)) and len(spec) == 2 \
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in spec) \
-                and isinstance(spec, tuple):
-            lo, hi = spec
+        if isinstance(spec, dict):
+            lo, hi = spec["low"], spec["high"]
             if isinstance(lo, int) and isinstance(hi, int):
                 config[name] = int(rng.integers(lo, hi + 1))
             else:
                 config[name] = float(rng.uniform(lo, hi))
-        elif isinstance(spec, list):
-            config[name] = spec[int(rng.integers(0, len(spec)))]
         else:
-            raise ValueError(f"bad search-space entry for {name!r}: {spec!r}")
+            config[name] = spec[int(rng.integers(0, len(spec)))]
     return config
 
 

@@ -16,7 +16,7 @@ from conftest import FIXTURES, make_issue
 from issuetriage import cli, evalkit, labelmap, learn
 from issuetriage.agreement import RatingMatrix, percent_agreement, randolph_kappa
 from issuetriage.corpus import Corpus, filter_corpus, load_corpus, stratified_split
-from issuetriage.evalkit import ConfusionMatrix, ModelSpec, metrics
+from issuetriage.evalkit import ModelSpec, score
 from issuetriage.features import fit_scaler, scale
 from issuetriage.learn import (
     compute_class_weights,
@@ -72,23 +72,23 @@ def test_criterion_02_metric_oracle_equivalence():
             n = rng.randint(1, 50)
             truth = [rng.choice(classes) for _ in range(n)]
             pred = [rng.choice(classes) for _ in range(n)]
-            report = metrics(ConfusionMatrix.from_pairs(truth, pred, classes))
+            report = score(truth, pred, classes)
             for cls in classes:
                 tp = sum(1 for t, p in zip(truth, pred) if t == cls and p == cls)
                 fp = sum(1 for t, p in zip(truth, pred) if t != cls and p == cls)
                 fn = sum(1 for t, p in zip(truth, pred) if t == cls and p != cls)
                 tn = n - tp - fp - fn
-                r = report.per_class[cls]
+                r = report["per_class"][cls]
                 want_p = tp / (tp + fp) if tp + fp else 0.0
                 want_r = tp / (tp + fn) if tp + fn else 0.0
                 want_f = (2 * want_p * want_r / (want_p + want_r)
                           if want_p + want_r else 0.0)
-                assert abs(r.precision - want_p) <= 1e-12
-                assert abs(r.recall - want_r) <= 1e-12
-                assert abs(r.f1 - want_f) <= 1e-12
-                assert abs(r.ovr_accuracy - (tp + tn) / n) <= 1e-12
+                assert abs(r["precision"] - want_p) <= 1e-12
+                assert abs(r["recall"] - want_r) <= 1e-12
+                assert abs(r["f1"] - want_f) <= 1e-12
+                assert abs(r["ovr_accuracy"] - (tp + tn) / n) <= 1e-12
             micro = sum(1 for t, p in zip(truth, pred) if t == p) / n
-            assert abs(report.accuracy - micro) <= 1e-12
+            assert abs(report["accuracy"] - micro) <= 1e-12
 
 
 def test_criterion_03_minmax_scaling_properties():
@@ -273,20 +273,20 @@ def test_criterion_09_end_to_end_planted_signal(planted_corpus, maps):
     with criterion(9, "planted-signal pipeline beats the comments baseline by 10 points"):
         filtered, report = filter_corpus(planted_corpus,
                                          cluster_of=maps.clusters.cluster_of)
-        assert report.total_removed == 0
+        assert report["total_removed"] == 0
         spec = ModelSpec(classifier="forest", balancing="weights", seed=11,
                          hyperparams={"n_trees": 100, "max_depth": 12,
                                       "max_features": 128})
         result = evalkit.evaluate_cross_project(filtered, spec, maps)
-        test_repos = set(result.metadata["test_repos"])
+        test_repos = set(result["metadata"]["test_repos"])
         test_issues = [i for i in filtered.issues if i.repo in test_repos]
         truth = [labelmap.priority_of(i.labels, maps.priority).value
                  for i in test_issues]
         baseline = [p.value for p in rank_baseline(test_issues, "comments")]
         baseline_acc = float(np.mean([t == b for t, b in zip(truth, baseline)]))
-        print(f"\n  model accuracy {result.accuracy:.3f} vs comments baseline "
+        print(f"\n  model accuracy {result['accuracy']:.3f} vs comments baseline "
               f"{baseline_acc:.3f}")
-        assert result.accuracy >= baseline_acc + 0.10
+        assert result["accuracy"] >= baseline_acc + 0.10
 
 
 def test_criterion_10_split_correctness():

@@ -205,7 +205,7 @@ class TestRatingsFile:
         assert m.rows[2] == (L, L, None)
         reports = compute_agreement_by_group(m)
         assert set(reports) == {"overall", "web", "api"}
-        assert reports["web"].percent_agreement == pytest.approx((1 / 3 + 1.0) / 2)
+        assert reports["web"]["percent_agreement"] == pytest.approx((1 / 3 + 1.0) / 2)
 
     def test_tab_delimited_with_ids(self, tmp_path):
         path = tmp_path / "ratings.tsv"
@@ -218,15 +218,27 @@ class TestRatingsFile:
         path = tmp_path / "r.csv"
         path.write_text("a,b,c\nH,H,H\nH,H,L\nL,L,L\n")
         report = compute_agreement(load_rating_matrix(path))
-        assert report.band == landis_koch_band(report.randolph_kappa)
-        assert len(report.per_item) == 3
-        assert report.fleiss_kappa is not None
-        doc = report.as_dict()
-        assert set(doc) >= {"percent_agreement", "randolph_kappa", "fleiss_kappa",
-                            "band", "per_item_agreement", "majority_labels"}
+        assert report["band"] == landis_koch_band(report["randolph_kappa"])
+        assert len(report["per_item_agreement"]) == 3
+        assert report["fleiss_kappa"] is not None
+        assert list(report) == ["percent_agreement", "randolph_kappa", "fleiss_kappa", "band",
+                                "per_item_agreement", "majority_labels", "tied_items",
+                                "outlier_raters", "flags"]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(RatingMatrixError):
             load_rating_matrix(path)
+
+    def test_header_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("r1,r2\n")
+        with pytest.raises(RatingMatrixError, match="no items"):
+            load_rating_matrix(path)
+
+    def test_group_named_overall_rejected(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text("project,r1,r2\noverall,H,H\noverall,L,L\nweb,H,L\nweb,L,H\n")
+        with pytest.raises(RatingMatrixError, match='group "overall"'):
+            compute_agreement_by_group(load_rating_matrix(path))

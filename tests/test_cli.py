@@ -1133,6 +1133,25 @@ class TestAgreementCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "expected 4 cells" in err[0]
 
+    def test_group_named_overall_exits_two(self, workdir, capsys):
+        """Its report would replace the one over every item: percent agreement
+        1.000 printed for items that agree 0.500."""
+        ratings = workdir / "ratings.csv"
+        ratings.write_text("project,r1,r2\noverall,H,H\noverall,L,L\nweb,H,L\nweb,L,H\n")
+        report = workdir / "a.json"
+        assert run("agreement", "--ratings", ratings, "--report", report) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith('error: group "overall"'), err
+        assert captured.out == "" and not report.exists()
+
+    def test_header_without_rows_exits_two(self, workdir, capsys):
+        ratings = workdir / "ratings.csv"
+        ratings.write_text("r1,r2\n")
+        assert run("agreement", "--ratings", ratings, "--report", workdir / "a.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0] == "error: no items to rate", err
+
     def test_ratings_that_are_not_utf8_exit_two(self, workdir, capsys):
         ratings = workdir / "ratings.csv"
         ratings.write_bytes(b"project,r1,r2\nweb,H,\xff\n")

@@ -176,13 +176,13 @@ class TestFilter:
         c = corpus_of(make_issue(id="short", title="ok"), make_issue(id="fine"))
         kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
         assert [i.id for i in kept.issues] == ["fine"]
-        assert report.removed_short_text == 1
+        assert report["removed_short_text"] == 1
 
     def test_duplicate_label_removed(self, maps):
         c = corpus_of(make_issue(labels=("duplicate",)))
         kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
         assert len(kept) == 0
-        assert report.removed_excluded_label == 1
+        assert report["removed_excluded_label"] == 1
 
     def test_cluster_level_exclusion(self, maps):
         """Exclusion goes by cluster, never by substring: "non-duplicate
@@ -193,7 +193,7 @@ class TestFilter:
                       make_issue(id="x", labels=("non-duplicate work",)))
         kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
         assert [i.id for i in kept.issues] == ["k", "x"]
-        assert report.removed_excluded_label == 2
+        assert report["removed_excluded_label"] == 2
 
     def test_cluster_of_is_required(self):
         with pytest.raises(TypeError, match="cluster_of"):
@@ -203,13 +203,13 @@ class TestFilter:
         c = corpus_of(make_issue(description="синтаксическая ошибка при разборе"))
         kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
         assert len(kept) == 0
-        assert report.removed_non_english == 1
+        assert report["removed_non_english"] == 1
 
     def test_idempotent(self, planted_corpus, maps):
         once, report1 = filter_corpus(planted_corpus, cluster_of=maps.clusters.cluster_of)
         twice, report2 = filter_corpus(once, cluster_of=maps.clusters.cluster_of)
         assert twice == once
-        assert report2.total_removed == 0
+        assert report2["total_removed"] == 0
 
 
 class TestStratifiedSplit:

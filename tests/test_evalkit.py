@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 from dataclasses import replace
@@ -9,41 +10,75 @@ from conftest import make_issue
 from issuetriage import evalkit, labelmap, learn
 from issuetriage.corpus import Corpus, subset
 from issuetriage.evalkit import (
-    ConfusionMatrix,
     ModelSpec,
     cross_validate,
     evaluate_cross_project,
-    evaluate_predictions,
     evaluate_project_based,
     feature_importance,
-    metrics,
+    score,
     train_pipeline,
 )
 
 
+def pairs(counts):
+    """(truth, predicted) holding ``counts[t][p]`` pairs of each (t, p)."""
+    truth, predicted = [], []
+    for t, row in counts.items():
+        for p, count in row.items():
+            truth += [t] * count
+            predicted += [p] * count
+    return truth, predicted
+
+
 class TestConfusionAndMetrics:
     def test_symmetric_matrix(self):
-        cm = ConfusionMatrix(("X", "other"), np.array([[5, 5], [5, 5]]))
-        report = metrics(cm)
-        x = report.per_class["X"]
-        assert (x.precision, x.recall, x.f1) == (0.5, 0.5, 0.5)
-        assert report.accuracy == 0.5
+        truth, pred = pairs({"X": {"X": 5, "other": 5}, "other": {"X": 5, "other": 5}})
+        report = score(truth, pred, ("X", "other"))
+        x = report["per_class"]["X"]
+        assert (x["precision"], x["recall"], x["f1"]) == (0.5, 0.5, 0.5)
+        assert report["accuracy"] == 0.5
 
     def test_hand_evaluated_counts(self):
         # TP=6, FP=1, FN=1, TN=4
-        cm = ConfusionMatrix(("X", "other"), np.array([[6, 1], [1, 4]]))
-        report = metrics(cm)
-        x = report.per_class["X"]
-        assert x.precision == pytest.approx(6 / 7)
-        assert x.recall == pytest.approx(6 / 7)
-        assert x.f1 == pytest.approx(6 / 7)
-        assert report.accuracy == pytest.approx(10 / 12)
+        truth, pred = pairs({"X": {"X": 6, "other": 1}, "other": {"X": 1, "other": 4}})
+        report = score(truth, pred, ("X", "other"))
+        x = report["per_class"]["X"]
+        assert x["precision"] == pytest.approx(6 / 7)
+        assert x["recall"] == pytest.approx(6 / 7)
+        assert x["f1"] == pytest.approx(6 / 7)
+        assert report["accuracy"] == pytest.approx(10 / 12)
 
     def test_zero_denominator_flagged(self):
-        cm = ConfusionMatrix(("X", "other"), np.array([[0, 3], [0, 5]]))
-        report = metrics(cm)
-        assert report.per_class["X"].precision == 0.0
-        assert any(f.startswith("zero_division:precision:X") for f in report.flags)
+        truth, pred = pairs({"X": {"other": 3}, "other": {"other": 5}})
+        report = score(truth, pred, ("X", "other"))
+        assert report["per_class"]["X"]["precision"] == 0.0
+        assert report["per_class"]["X"]["flags"] == ["zero_division:precision:X",
+                                                      "zero_division:f1:X"]
+        assert report["flags"] == ["zero_division:precision:X", "zero_division:f1:X"]
+
+    def test_no_pairs_flag_every_ratio(self):
+        report = score([], [], ("X",))
+        assert report["flags"] == ["zero_division:precision:X", "zero_division:recall:X",
+                                   "zero_division:f1:X", "zero_division:accuracy:X",
+                                   "zero_division:accuracy"]
+        assert (report["accuracy"], report["n"]) == (0.0, 0)
+
+    def test_classes_none_takes_every_label_seen_sorted(self):
+        report = score(["b", "c"], ["a", "c"], None)
+        assert list(report["per_class"]) == ["a", "b", "c"]
+        assert evalkit.macro_f1(["b", "c"], ["a", "c"]) == pytest.approx(1 / 3)
+
+    def test_document_keys_and_metadata(self):
+        report = score(["High", "Low"], ["High", "High"], learn.PRIORITY_CLASS_ORDER,
+                       fold=2, seed=5)
+        assert list(report) == ["accuracy", "n", "per_class", "flags", "metadata"]
+        assert list(report["per_class"]["High"]) == ["precision", "recall", "f1",
+                                                     "ovr_accuracy", "support", "flags"]
+        assert report["metadata"] == {"fold": 2, "seed": 5}
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            score(["a"], [], None)
 
     def test_oracle_equivalence_on_random_pairs(self):
         rng = random.Random(12)
@@ -52,25 +87,26 @@ class TestConfusionAndMetrics:
             n = rng.randint(1, 40)
             truth = [rng.choice(classes) for _ in range(n)]
             pred = [rng.choice(classes) for _ in range(n)]
-            report = metrics(ConfusionMatrix.from_pairs(truth, pred, classes))
+            report = score(truth, pred, classes)
             for cls in classes:
                 tp = sum(1 for t, p in zip(truth, pred) if t == cls and p == cls)
                 fp = sum(1 for t, p in zip(truth, pred) if t != cls and p == cls)
                 fn = sum(1 for t, p in zip(truth, pred) if t == cls and p != cls)
                 tn = n - tp - fp - fn
-                r = report.per_class[cls]
-                assert r.precision == (tp / (tp + fp) if tp + fp else 0.0)
-                assert r.recall == (tp / (tp + fn) if tp + fn else 0.0)
-                pr = r.precision + r.recall
-                assert r.f1 == (2 * r.precision * r.recall / pr if pr else 0.0)
-                assert r.ovr_accuracy == (tp + tn) / n
-            assert report.accuracy == sum(
+                r = report["per_class"][cls]
+                assert r["precision"] == (tp / (tp + fp) if tp + fp else 0.0)
+                assert r["recall"] == (tp / (tp + fn) if tp + fn else 0.0)
+                pr = r["precision"] + r["recall"]
+                assert r["f1"] == (2 * r["precision"] * r["recall"] / pr if pr else 0.0)
+                assert r["ovr_accuracy"] == (tp + tn) / n
+                assert r["support"] == tp + fn
+            assert report["accuracy"] == sum(
                 1 for t, p in zip(truth, pred) if t == p) / n
 
     def test_constant_prediction_on_60_40(self):
         truth = ["High"] * 60 + ["Low"] * 40
-        report = evaluate_predictions(truth, ["High"] * 100)
-        assert report.accuracy == pytest.approx(0.6)
+        report = score(truth, ["High"] * 100, learn.PRIORITY_CLASS_ORDER)
+        assert report["accuracy"] == pytest.approx(0.6)
 
 
 def memorizable_corpus():
@@ -144,7 +180,7 @@ class TestTuneHyperparams:
         assert max(t["mean_score"] for t in trace) == pytest.approx(1.0)
 
     def test_same_seed_identical_trace(self, maps):
-        space = {"magic": [1, 7], "extra": (1, 9)}
+        space = {"magic": [1, 7], "extra": {"low": 1, "high": 9}}
         _, t1 = self.tune(space, 6, 2, 5, maps)
         _, t2 = self.tune(space, 6, 2, 5, maps)
         assert t1 == t2
@@ -155,6 +191,25 @@ class TestTuneHyperparams:
     def test_bad_budget(self, maps):
         with pytest.raises(ValueError):
             self.tune({}, 0, 2, 0, maps)
+
+
+def test_tune_fits_a_repeated_config_once_per_fold(monkeypatch, maps):
+    fit, fits = learn.fit_knn, []
+
+    @functools.wraps(fit)
+    def counting_fit(X, labels, **options):
+        fits.append(len(labels))
+        return fit(X, labels, **options)
+
+    monkeypatch.setattr(learn, "fit_knn", counting_fit)
+    spec = ModelSpec(classifier="knn", balancing="none", stage1="uniform")
+    _, trace = evalkit.tune_hyperparams(memorizable_corpus().issues, spec, maps,
+                                        {"magic": [3]}, budget=4, cv_folds=2,
+                                        objective="accuracy")
+    assert len(fits) == 2  # one per fold, where each of the four draws was fit
+    assert [t["config"] for t in trace] == [{"magic": 3}] * 4
+    assert len(trace[0]["fold_scores"]) == 2
+    assert all(t["fold_scores"] == trace[0]["fold_scores"] for t in trace)
 
 
 class TestNoLeak:
@@ -247,8 +302,8 @@ class TestCrossProject:
         corpus = Corpus(issues=planted_corpus.issues + tuple(extra))
         spec = ModelSpec(seed=2, hyperparams={"n_trees": 10})
         report = evaluate_cross_project(corpus, spec, maps)
-        assert len(report.metadata["train_repos"]) == 4
-        assert len(report.metadata["test_repos"]) == 1
+        assert len(report["metadata"]["train_repos"]) == 4
+        assert len(report["metadata"]["test_repos"]) == 1
 
     def test_repo_disjointness(self, planted_corpus, maps):
         for seed in range(5):
@@ -269,8 +324,8 @@ class TestFeatureImportance:
         y = ["a" if v < 0.5 else "b" for v in X[:, 0]]
         forest = learn.fit_random_forest(X, y, n_trees=5, max_features="sqrt", seed=0)
         report = feature_importance(forest, ["signal", "constant"])
-        assert report.scores[0] == pytest.approx(1.0)
-        assert report.ranked()[0][0] == "signal"
+        assert report["importances"]["signal"] == pytest.approx(1.0)
+        assert report["ranked"][0][0] == "signal"
 
     def test_signal_outranks_noise(self):
         rng = np.random.default_rng(6)
@@ -280,7 +335,7 @@ class TestFeatureImportance:
         y = ["hi" if s > 0.5 else "lo" for s in signal]
         forest = learn.fit_random_forest(X, y, n_trees=20, seed=1)
         report = feature_importance(forest)
-        assert report.ranked()[0][0] == "f2"
+        assert report["ranked"][0][0] == "f2"
 
     def test_scores_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -288,8 +343,10 @@ class TestFeatureImportance:
         y = ["a" if r[0] + r[3] > 0 else "b" for r in X]
         forest = learn.fit_random_forest(X, y, n_trees=12, seed=3)
         report = feature_importance(forest)
-        assert report.scores.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(report.scores >= 0)
+        scores = list(report["importances"].values())
+        assert sum(scores) == pytest.approx(1.0, abs=1e-9)
+        assert min(scores) >= 0
+        assert [value for _, value in report["ranked"]] == sorted(scores, reverse=True)
 
     def test_non_forest_rejected(self):
         knn = learn.fit_knn(np.array([[0.0], [1.0]]), ["a", "b"])

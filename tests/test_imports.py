@@ -15,6 +15,9 @@ A parameter with a default must be passed by some call in the package or in
 constant in disguise. Calls are matched by the called name alone, and a
 class call passes its ``__init__``'s parameters.
 
+No class defines an ``as_dict`` method: a report is the plain dict that
+the code computing it builds, not an object copied into one.
+
 The same file checks that the text patterns use no regex syntax newer than
 the oldest supported Python.
 """
@@ -234,6 +237,29 @@ def test_every_default_is_passed():
                for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]]
     found = unpassed(sources, callers)
     assert sorted(found) == sorted(UNPASSED_ON_PURPOSE), found
+
+
+def as_dict_methods(source: str) -> list[str]:
+    """``Class.as_dict`` for each class, nested ones too, that defines an
+    ``as_dict`` method."""
+    return [f"{node.name}.as_dict" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "as_dict"]
+
+
+def test_checker_flags_an_as_dict_method():
+    source = ("class Report:\n    def as_dict(self):\n        return {}\n\n\n"
+              "def as_dict(report):\n    return {}\n\n\n"
+              "class Outer:\n    as_dict = None\n\n"
+              "    class Inner:\n        def as_dict(self):\n            return {}\n")
+    assert as_dict_methods(source) == ["Report.as_dict", "Inner.as_dict"]
+
+
+def test_no_class_defines_as_dict():
+    found = {path.name: as_dict_methods(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    assert {name: methods for name, methods in found.items() if methods} == {}
 
 
 def loaded_after(code: str, modules: set[str]) -> list[str]:
