@@ -12,7 +12,6 @@ from .corpus import (
     filter_corpus,
     load_corpus,
     save_corpus,
-    stratified_split,
 )
 from .labelmap import canonicalize_label, label_features, load_label_maps
 from .textnorm import TokenizedDoc, normalize_pipeline
@@ -36,6 +35,5 @@ __all__ = [
     "load_label_maps",
     "normalize_pipeline",
     "save_corpus",
-    "stratified_split",
     "__version__",
 ]

@@ -64,6 +64,10 @@ whose held-out repositories hold no priority-labeled issue. So is
 ``agreement`` on a ratings file with no item, or with a group named
 ``overall``, whose report would take the key of the one over every item.
 
+``train-priority --tune`` exits 1 when its search space names a
+hyperparameter that the spec's fit does not read (``evalkit.hyperparams_read``):
+every trial would score the same.
+
 An ``--objective-probs`` row that does not decode or sum to 1, or repeats an
 issue id, exits 1 naming its line (and the earlier one). ``predict`` with a
 stage-one model and ``--objective-probs`` exits 1 naming the flag: that
@@ -661,6 +665,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not isinstance(args.cache, str):
             raise ValidationError(f"config paths.cache must be a string, got {args.cache!r}")
         args.space = search_space_from(config)
+        unread = getattr(args, "tune", 0) and sorted(
+            set(args.space) - evalkit.hyperparams_read(args.spec))
+        if unread:
+            raise ValidationError(f"search space {', '.join(unread)}: not read by the "
+                                  f"{args.spec.classifier} classifier under "
+                                  f"{args.spec.balancing} balancing")
         args.rules = FilterConfig(**_section(config, "filter",
                                              [f.name for f in fields(FilterConfig)]))
         for attr in ("input", "ratings"):

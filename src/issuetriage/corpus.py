@@ -1,4 +1,4 @@
-"""Issue corpus: domain records, line-delimited persistence, filtering, splits.
+"""Issue corpus: domain records, line-delimited persistence, filtering.
 
 A corpus is a flat sequence of issue records plus provenance. On disk it is
 one JSON document per line (UTF-8) with a small sidecar metadata file that
@@ -10,12 +10,11 @@ the sidecar, is read against its table (``decode``).
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .decode import Field, Table
 
@@ -339,57 +338,3 @@ def filter_corpus(corpus: Corpus, rules: FilterConfig | None = None, *,
     return (Corpus(issues=tuple(kept), provenance=corpus.provenance,
                    schema_version=corpus.schema_version),
             {**removed, "total_removed": sum(removed.values())})
-
-
-# ---------------------------------------------------------------------------
-# Splitting
-
-def stratified_split(
-    corpus: Corpus,
-    target: Callable[[IssueRecord], object],
-    ratio: float,
-    seed: int,
-) -> tuple[Corpus, Corpus]:
-    """Split per class, keeping each part's class counts within one of count*ratio.
-
-    Each class is shuffled with its own deterministic generator, then the first
-    ceil(count * ratio) members go to the first part. Classes with fewer than
-    two members go entirely to the larger part.
-    """
-    if not 0 < ratio < 1:
-        raise ValueError("ratio must be in (0, 1)")
-    by_class: dict[object, list[IssueRecord]] = {}
-    for issue in corpus.issues:
-        key = target(issue)
-        if key is None:
-            raise ValueError(f"issue {issue.id} yields no target label")
-        by_class.setdefault(key, []).append(issue)
-
-    first: list[IssueRecord] = []
-    second: list[IssueRecord] = []
-    larger_is_first = ratio >= 0.5
-    rng = random.Random(seed)
-    for key in sorted(by_class, key=str):
-        members = list(by_class[key])
-        rng.shuffle(members)
-        if len(members) < 2:
-            (first if larger_is_first else second).extend(members)
-            continue
-        # remainder rounding favors the first (training) part
-        n_first = int(-(-len(members) * ratio // 1))
-        n_first = min(n_first, len(members))
-        first.extend(members[:n_first])
-        second.extend(members[n_first:])
-
-    def ordered(part: list[IssueRecord]) -> tuple[IssueRecord, ...]:
-        chosen = {i.id for i in part}
-        return tuple(i for i in corpus.issues if i.id in chosen)
-
-    return (
-        Corpus(ordered(first), corpus.provenance, corpus.schema_version),
-        Corpus(ordered(second), corpus.provenance, corpus.schema_version),
-    )
-
-
-def subset(corpus: Corpus, issues: Iterable[IssueRecord]) -> Corpus:
-    return Corpus(tuple(issues), corpus.provenance, corpus.schema_version)

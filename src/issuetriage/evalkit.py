@@ -1,9 +1,12 @@
-"""Evaluation: metrics, cross-validation, experiment drivers, importance.
+"""Evaluation: metrics, splits, cross-validation, experiment drivers, importance.
 
 Also home of the end-to-end priority pipeline glue (fit preprocessing,
 resolve stage-one objective probabilities, train, predict) shared by the
 experiment drivers and the CLI. Every protocol trains and scores through
 ``holdout``, and k-fold CV and ``--tune`` share one fold loop, ``_folds``.
+Every train/test split lives here. ``project_split`` and ``_folds`` take
+the labels that ``labeled_issues`` returns and give index arrays into them,
+each in input order; ``split_repos`` splits repository names.
 Every protocol takes its seed from the spec (``ModelSpec.seed``). Each
 report is a plain dict, built once where it is computed: ``score`` builds a
 split's, and ``holdout`` and the cv, project and cross-project drivers
@@ -16,14 +19,16 @@ idf, the scaler, the stage-one model or the tuned hyperparameters.
 from __future__ import annotations
 
 import inspect
+import math
+import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import features, labelmap, learn
-from .corpus import Corpus, IssueRecord, SettingError, stratified_split, subset
+from .corpus import Corpus, IssueRecord, SettingError
 from .features import FeaturePipeline, fit_feature_pipeline
 from .labelmap import LabelMaps
 from .learn import TrainedModel, TrainingError
@@ -207,13 +212,26 @@ def train_objective_model(issues: Sequence[IssueRecord], pipeline: FeaturePipeli
     return learn.fit_multinomial_nb(X, y, classes=learn.OBJECTIVE_CLASS_ORDER)
 
 
+def _fitter(spec: ModelSpec) -> tuple[Callable, set[str]]:
+    """The spec's priority fitter, looked up on ``learn`` at each call so
+    that a rebound fitter is the one used, and the names it takes."""
+    fit = getattr(learn, CLASSIFIERS[spec.classifier])
+    return fit, set(inspect.signature(fit).parameters)
+
+
+def hyperparams_read(spec: ModelSpec) -> set[str]:
+    """The ``learn.HYPERPARAMS`` that ``fit_classifier`` reads for ``spec``:
+    its fitter's, and ``smote_k`` under SMOTE balancing."""
+    takes = _fitter(spec)[1] | ({"smote_k"} if spec.balancing == "smote" else set())
+    return takes & learn.HYPERPARAMS.keys()
+
+
 def fit_classifier(spec: ModelSpec, X: np.ndarray | learn.SparseRows,
                    labels: Sequence[str]) -> TrainedModel:
     """Fit the spec's priority classifier on ``X``, balanced as the spec says:
     class weights (manual grid or inverse frequency), SMOTE, or neither.
 
-    The fitter is looked up on ``learn`` at each call, so a rebound fitter is
-    the one used, and it gets only the class weights, seed and known
+    The fitter (``_fitter``) gets only the class weights, seed and known
     hyperparameters that its signature takes; every default is its own. Each
     fitter densifies ``X`` itself if it needs to. NB needs no shift: every
     block of the assembled vector is non-negative."""
@@ -225,8 +243,7 @@ def fit_classifier(spec: ModelSpec, X: np.ndarray | learn.SparseRows,
     elif spec.balancing == "smote":
         smote_k = {"k": hp["smote_k"]} if "smote_k" in hp else {}
         X, labels = learn.balance_with_smote(X, labels, seed=spec.seed, **smote_k)
-    fit = getattr(learn, CLASSIFIERS[spec.classifier])
-    takes = inspect.signature(fit).parameters
+    fit, takes = _fitter(spec)
     options = {"weights": weights, "seed": spec.seed, **hp}
     return fit(X, labels, classes=learn.PRIORITY_CLASS_ORDER,
                **{name: value for name, value in options.items() if name in takes})
@@ -350,19 +367,42 @@ def holdout(train: Sequence[IssueRecord], test: Sequence[IssueRecord], spec: Mod
 def _folds(labels: Sequence[str], k: int,
            seed: int) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
     """(fold_no, train_idx, test_idx) of each usable stratified fold: one whose
-    training side has two classes and whose test side is not empty."""
-    all_idx = np.arange(len(labels))
-    for fold_no, test_idx in enumerate(learn.stratified_kfold_indices(labels, k, seed)):
-        train_idx = all_idx[~np.isin(all_idx, test_idx)]
+    training side has two classes and whose test side is not empty. One
+    ``seed``-drawn generator shuffles each class's members in turn, classes
+    in name order, and deals them to the k test sides like cards."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    rng = np.random.default_rng(seed)
+    fold_of = np.empty(len(labels), dtype=np.intp)
+    for cls in sorted(set(labels)):
+        members = np.array([i for i, label in enumerate(labels) if label == cls])
+        rng.shuffle(members)
+        fold_of[members] = np.arange(members.size) % k
+    for fold_no in range(k):
+        train_idx, test_idx = (np.flatnonzero(fold_of != fold_no),
+                               np.flatnonzero(fold_of == fold_no))
         if len({labels[i] for i in train_idx}) >= 2 and test_idx.size:
             yield fold_no, train_idx, test_idx
+
+
+def project_split(labels: Sequence[str], seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Project mode's split of one repository, stratified by class: the
+    training side's and the test side's indices into ``labels``. One
+    ``random.Random(seed)`` shuffles each class's members in turn, classes
+    in name order, and the first ceil(count * ``TRAIN_SHARE``) of each go to
+    training, so a lone member does too."""
+    rng = random.Random(seed)
+    is_train = np.zeros(len(labels), dtype=bool)
+    for cls in sorted(set(labels)):
+        members = [i for i, label in enumerate(labels) if label == cls]
+        rng.shuffle(members)
+        is_train[members[:math.ceil(len(members) * TRAIN_SHARE)]] = True
+    return np.flatnonzero(is_train), np.flatnonzero(~is_train)
 
 
 def cross_validate(corpus: Corpus, spec: ModelSpec, k: int, maps: LabelMaps) -> dict:
     """k rounds of train/eval with preprocessing refit per fold; returns the
     report document, with the mean and std of ``report_metrics`` over the folds."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
     issues, labels = labeled_issues(corpus.issues, maps)
     folds: list[dict] = []
     notes = dict.fromkeys(range(k), "class absent, skipped")
@@ -405,14 +445,12 @@ def evaluate_project_based(corpus: Corpus, spec: ModelSpec, maps: LabelMaps) -> 
         if len(counts) < 2 or min(counts.values()) < 2:
             skipped[repo] = f"insufficient class support: {counts}"
             continue
-        train, test = stratified_split(
-            subset(corpus, issues), lambda i: labelmap.priority_of(i.labels, maps.priority).value,
-            TRAIN_SHARE, spec.seed)
-        if not len(test):
+        train_idx, test_idx = project_split(labels, spec.seed)
+        if not test_idx.size:
             skipped[repo] = "empty test side after split"
             continue
-        per_repo[repo] = holdout(train.issues, test.issues, spec, maps,
-                                 repo=repo, seed=spec.seed)
+        per_repo[repo] = holdout([issues[i] for i in train_idx], [issues[i] for i in test_idx],
+                                 spec, maps, repo=repo, seed=spec.seed)
     if not per_repo:
         raise TrainingError(f"no repository can be evaluated ({len(skipped)} skipped)")
     rows = [report_metrics(report) for report in per_repo.values()]

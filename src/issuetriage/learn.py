@@ -69,7 +69,7 @@ PRIORITY_CLASS_ORDER = tuple(cls.value for cls in PriorityClass)
 MODEL_FORMAT = "issuetriage-model"
 ARTIFACT_VERSION = 2
 
-DEFAULT_KEYWORD_RULES: dict[str, frozenset[str]] = {
+KEYWORD_RULES: dict[str, frozenset[str]] = {
     "Bug": frozenset({
         "crash", "fix", "bug", "error", "fail", "failure", "broken", "break",
         "exception", "defect", "wrong", "regression", "freeze", "segfault",
@@ -278,18 +278,14 @@ def load_model(path: str | Path) -> TrainedModel:
 # ---------------------------------------------------------------------------
 # Keyword baseline
 
-def keyword_classify(
-    doc: TokenizedDoc,
-    rules: dict[str, frozenset[str]] | None = None,
-    class_order: tuple[str, ...] = OBJECTIVE_CLASS_ORDER,
-) -> np.ndarray:
-    """Most keyword hits wins with probability one; ties split uniformly;
-    no hits at all give the uninformed uniform distribution."""
-    rules = rules or DEFAULT_KEYWORD_RULES
-    hits = np.array([sum(1 for tok in doc.tokens if tok in rules.get(cls, frozenset()))
-                     for cls in class_order], dtype=float)
+def keyword_classify(doc: TokenizedDoc) -> np.ndarray:
+    """The objective probabilities, in ``OBJECTIVE_CLASS_ORDER``, of the
+    ``KEYWORD_RULES`` baseline: most keyword hits wins with probability one;
+    ties split uniformly; no hits at all give the uniform distribution."""
+    hits = np.array([sum(1 for tok in doc.tokens if tok in KEYWORD_RULES[cls])
+                     for cls in OBJECTIVE_CLASS_ORDER], dtype=float)
     if hits.max() == 0:
-        return np.full(len(class_order), 1.0 / len(class_order))
+        return np.full(len(OBJECTIVE_CLASS_ORDER), 1.0 / len(OBJECTIVE_CLASS_ORDER))
     winners = hits == hits.max()
     return winners / winners.sum()
 
@@ -564,6 +560,11 @@ class ColumnIndex:
         return out
 
 
+# sorted entries that ``column_index`` gathers at a time (8 MiB of gathered
+# values): a 2k-issue fit's non-zeros take one chunk
+_GATHER_CHUNK = 2 ** 20
+
+
 def column_index(X: np.ndarray | SparseRows, by_value: bool = True) -> ColumnIndex:
     """Build ``X``'s ``ColumnIndex`` from its ``SparseRows`` (a dense ``X``
     is converted first). X's own entries, in row order, are sorted stably by
@@ -580,7 +581,10 @@ def column_index(X: np.ndarray | SparseRows, by_value: bool = True) -> ColumnInd
     intp order, so X may have at most 2**31 - 1 rows, and its non-zeros
     plus its columns (the index's entries) must stay below 2**31. Both are
     checked from ``X``'s shape and ``cols.size`` before anything is
-    allocated; either failing is a ``TrainingError``."""
+    allocated; either failing is a ``TrainingError``. Rows and values are
+    gathered ``_GATHER_CHUNK`` sorted entries at a time, so no sorted copy
+    of either is made whole, and X's row ids are dropped before ``values``
+    is allocated."""
     X = SparseRows.of(X)
     n, d = X.shape
     if n >= 2 ** 31:
@@ -593,10 +597,14 @@ def column_index(X: np.ndarray | SparseRows, by_value: bool = True) -> ColumnInd
     slot += np.arange(slot.size, dtype=np.int32)
     if by_value:
         slot += ~(X.values[order] < 0)
-    rows = np.full(slot.size + d, n, dtype=np.int32)
-    rows[slot] = X.row_ids()[order]
-    values = np.zeros(slot.size + d)
-    values[slot] = X.values[order]
+
+    def gather(out: np.ndarray, source: np.ndarray) -> np.ndarray:
+        for at in range(0, slot.size, _GATHER_CHUNK):
+            out[slot[at:at + _GATHER_CHUNK]] = source[order[at:at + _GATHER_CHUNK]]
+        return out
+
+    rows = gather(np.full(slot.size + d, n, dtype=np.int32), X.row_ids())
+    values = gather(np.zeros(slot.size + d), X.values)
     del order, slot
     indptr = np.zeros(d + 1, dtype=np.intp)
     np.cumsum(np.bincount(X.cols, minlength=d) + 1, out=indptr[1:])
@@ -959,7 +967,7 @@ def balance_with_smote(X: np.ndarray | SparseRows, labels: Sequence[str], k: int
 
 
 # ---------------------------------------------------------------------------
-# Setting checks, hyperparameter sampling and fold assignment
+# Setting checks and hyperparameter sampling
 
 def checked_int(name: str, value, low: int, high: int | None = None) -> int:
     """``value`` if it is an integer (not a bool) in [low, high], else a
@@ -1008,24 +1016,6 @@ def sample_config(space: dict, rng: np.random.Generator) -> dict:
         else:
             config[name] = spec[int(rng.integers(0, len(spec)))]
     return config
-
-
-def stratified_kfold_indices(labels: Sequence[str], k: int, seed: int) -> list[np.ndarray]:
-    """Deterministic stratified fold assignment; fold i gets every k-th
-    member of each class after a seeded shuffle."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    by_class: dict[str, list[int]] = {}
-    for i, lb in enumerate(labels):
-        by_class.setdefault(lb, []).append(i)
-    for cls in sorted(by_class):
-        members = np.array(by_class[cls])
-        rng.shuffle(members)
-        for j, idx in enumerate(members):
-            folds[j % k].append(int(idx))
-    return [np.array(sorted(f), dtype=int) for f in folds]
 
 
 # ---------------------------------------------------------------------------

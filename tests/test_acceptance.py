@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, make_issue
+from conftest import FIXTURES
 from issuetriage import cli, evalkit, labelmap, learn
 from issuetriage.agreement import RatingMatrix, percent_agreement, randolph_kappa
-from issuetriage.corpus import Corpus, filter_corpus, load_corpus, stratified_split
+from issuetriage.corpus import filter_corpus, load_corpus
 from issuetriage.evalkit import ModelSpec, score
 from issuetriage.features import fit_scaler, scale
 from issuetriage.learn import (
@@ -294,16 +294,12 @@ def test_criterion_10_split_correctness():
         rng = random.Random(4)
         for trial in range(100):
             counts = {"hp": rng.randint(2, 40), "lp": rng.randint(2, 40)}
-            issues = [make_issue(id=f"{cls}{i}", labels=(cls,))
-                      for cls, n in counts.items() for i in range(n)]
-            corpus = Corpus(issues=tuple(issues))
-            train, test = stratified_split(corpus, lambda i: i.labels[0],
-                                           0.8, seed=trial)
-            assert {i.id for i in train.issues} | {i.id for i in test.issues} == \
-                {i.id for i in corpus.issues}
-            assert not {i.id for i in train.issues} & {i.id for i in test.issues}
+            labels = [cls for cls, n in counts.items() for _ in range(n)]
+            train, test = evalkit.project_split(labels, seed=trial)
+            assert set(train) | set(test) == set(range(len(labels)))
+            assert not set(train) & set(test)
             for cls, n in counts.items():
-                got = sum(1 for i in train.issues if i.labels[0] == cls)
+                got = sum(1 for i in train if labels[i] == cls)
                 assert abs(got - n * 0.8) <= 1
         for trial in range(50):
             repos = [f"org/repo{i}" for i in range(rng.randint(2, 12))]

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_splits
 from conftest import FIXTURES, in_child
 from issuetriage import cli, evalkit, labelmap, learn
 from issuetriage.corpus import load_corpus
@@ -272,16 +274,32 @@ class TestTrainPredict:
             raise AssertionError("a forest was fit for --classifier knn")
 
         monkeypatch.setattr(learn, "fit_random_forest", no_forest)
-        model = workdir / "tuned_knn.json"
-        assert run("--config", workdir / "config.json", "train-priority",
+        model, config = workdir / "tuned_knn.json", workdir / "knn.json"
+        config.write_text(json.dumps({"seed": 7, "search_space": {"k": [1, 3]}}))
+        assert run("--config", config, "train-priority",
                    "--in", workdir / "corpus.jsonl", "--model", model,
                    "--tune", "2", "--cv-folds", "2", "--classifier", "knn") == 0
         assert json.loads(model.read_text())["kind"] == "knn"
+
+    def test_tuning_what_the_classifier_ignores_exits_one(self, workdir, capsys):
+        """The default search space is the forest's: NB would score one
+        config however many were drawn."""
+        model = workdir / "tuned_nb.json"
+        capsys.readouterr()
+        assert run("--config", workdir / "config.json", "train-priority",
+                   "--in", workdir / "corpus.jsonl", "--model", model,
+                   "--tune", "2", "--cv-folds", "2", "--classifier", "nb") == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: search space max_depth, min_leaf, n_trees: not read by "
+                          "the nb classifier under weights balancing"]
+        assert not list(workdir.glob("tuned_nb.json*"))
 
     def test_tuning_fits_no_discarded_forest(self, workdir, monkeypatch):
         calls = []
         real = learn.fit_random_forest
 
+        @functools.wraps(real)  # its signature says what the search space may name
         def spy(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
@@ -307,7 +325,7 @@ class TestTrainPredict:
         corpus, _ = load_corpus(workdir / "corpus.jsonl")
         issues, labels = evalkit.labeled_issues(corpus.issues, labelmap.load_label_maps())
         ids = {i.id for i in issues}
-        folds = learn.stratified_kfold_indices(labels, 3, seed=7)
+        folds = reference_splits.stratified_kfold_indices(labels, 3, seed=7)
         *tune_calls, final = calls
         # one fit per fold on exactly its training side, then the final model
         assert tune_calls == [ids - {issues[i].id for i in test_idx} for test_idx in folds]
@@ -730,6 +748,9 @@ BAD_SETTINGS = [
     ({"search_space": {"n_trees": {"low": 5, "high": 1}}}, "tune", [], "n_trees"),
     ({"search_space": {"n_trees": []}}, "tune", [], "n_trees"),
     ({"search_space": {"n_tree": [1]}}, "tune", [], "'n_tree'"),
+    ({}, "tune", ["--classifier", "nb"], "max_depth, min_leaf, n_trees: not read by the nb"),
+    ({"search_space": {"smote_k": [1, 3]}}, "tune", ["--balancing", "weights"],
+     "smote_k: not read by the forest classifier under weights balancing"),
     ({"filter": {"min_text_chars": "x"}}, "preprocess", [], "min_text_chars"),
     ({"filter": {"excluded_clusters": 5}}, "preprocess", [], "excluded_clusters"),
     ({"filter": {"non_english_threshold": 2}}, "preprocess", [], "non_english_threshold"),

@@ -1,5 +1,4 @@
 import json
-import random
 from datetime import timedelta
 
 import pytest
@@ -12,7 +11,6 @@ from issuetriage.corpus import (
     filter_corpus,
     load_corpus,
     save_corpus,
-    stratified_split,
 )
 from conftest import T0, make_issue
 
@@ -211,68 +209,3 @@ class TestFilter:
         assert twice == once
         assert report2["total_removed"] == 0
 
-
-class TestStratifiedSplit:
-    def priority(self, issue):
-        return issue.labels[0]
-
-    def balanced_corpus(self, n_hp, n_lp):
-        issues = [make_issue(id=f"h{i}", labels=("hp",)) for i in range(n_hp)]
-        issues += [make_issue(id=f"l{i}", labels=("lp",)) for i in range(n_lp)]
-        return Corpus(issues=tuple(issues))
-
-    def test_exact_divisibility(self):
-        train, test = stratified_split(self.balanced_corpus(50, 50),
-                                       self.priority, 0.8, seed=1)
-        counts = {}
-        for issue in train.issues:
-            counts[issue.labels[0]] = counts.get(issue.labels[0], 0) + 1
-        assert counts == {"hp": 40, "lp": 40}
-        assert len(test) == 20
-
-    def test_small_corpus_within_one(self):
-        train, _ = stratified_split(self.balanced_corpus(7, 3), self.priority,
-                                    0.8, seed=3)
-        n_hp = sum(1 for i in train.issues if i.labels[0] == "hp")
-        n_lp = sum(1 for i in train.issues if i.labels[0] == "lp")
-        assert abs(n_hp - 5.6) <= 1
-        assert abs(n_lp - 2.4) <= 1
-
-    def test_determinism(self):
-        c = self.balanced_corpus(13, 9)
-        a = stratified_split(c, self.priority, 0.7, seed=42)
-        b = stratified_split(c, self.priority, 0.7, seed=42)
-        assert a == b
-
-    def test_partition_properties_random(self):
-        rng = random.Random(7)
-        for trial in range(100):
-            n_hp, n_lp = rng.randint(2, 30), rng.randint(2, 30)
-            ratio = rng.uniform(0.1, 0.9)
-            c = self.balanced_corpus(n_hp, n_lp)
-            train, test = stratified_split(c, self.priority, ratio, seed=trial)
-            train_ids = {i.id for i in train.issues}
-            test_ids = {i.id for i in test.issues}
-            assert not train_ids & test_ids
-            assert train_ids | test_ids == {i.id for i in c.issues}
-            for cls, total in (("hp", n_hp), ("lp", n_lp)):
-                got = sum(1 for i in train.issues if i.labels[0] == cls)
-                assert abs(got - total * ratio) <= 1
-
-    def test_singleton_class_goes_to_larger_part(self):
-        c = Corpus(issues=tuple(
-            [make_issue(id="only", labels=("rare",))]
-            + [make_issue(id=f"c{i}", labels=("common",)) for i in range(10)]))
-        train, test = stratified_split(c, self.priority, 0.8, seed=0)
-        assert any(i.id == "only" for i in train.issues)
-        train2, test2 = stratified_split(c, self.priority, 0.2, seed=0)
-        assert any(i.id == "only" for i in test2.issues)
-
-    def test_bad_ratio(self):
-        with pytest.raises(ValueError):
-            stratified_split(self.balanced_corpus(2, 2), self.priority, 1.0, 0)
-
-    def test_missing_target_label(self):
-        c = corpus_of(make_issue(labels=()))
-        with pytest.raises(ValueError, match="no target"):
-            stratified_split(c, lambda i: i.labels[0] if i.labels else None, 0.5, 0)

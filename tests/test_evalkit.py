@@ -1,14 +1,18 @@
 import functools
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_splits as ref
 from conftest import make_issue
 from issuetriage import evalkit, labelmap, learn
-from issuetriage.corpus import Corpus, subset
+from issuetriage.corpus import Corpus
 from issuetriage.evalkit import (
     ModelSpec,
     cross_validate,
@@ -107,6 +111,122 @@ class TestConfusionAndMetrics:
         truth = ["High"] * 60 + ["Low"] * 40
         report = score(truth, ["High"] * 100, learn.PRIORITY_CLASS_ORDER)
         assert report["accuracy"] == pytest.approx(0.6)
+
+
+def labels_of(counts):
+    """``counts[cls]`` labels of each class, class after class."""
+    return [cls for cls, n in counts.items() for _ in range(n)]
+
+
+@pytest.mark.parametrize("classifier,balancing,read", [
+    ("forest", "weights", {"n_trees", "max_depth", "min_leaf", "max_features"}),
+    ("forest", "smote", {"n_trees", "max_depth", "min_leaf", "max_features", "smote_k"}),
+    ("logreg", "none", {"lr", "l2", "epochs"}),
+    ("nb", "weights", {"alpha"}),
+    ("knn", "smote", {"k", "smote_k"}),
+])
+def test_hyperparams_read(classifier, balancing, read):
+    spec = ModelSpec(classifier=classifier, balancing=balancing)
+    assert evalkit.hyperparams_read(spec) == read
+
+
+class TestProjectSplit:
+    def test_exact_divisibility(self):
+        labels = labels_of({"hp": 50, "lp": 50})
+        train, test = evalkit.project_split(labels, seed=1)
+        assert Counter(labels[i] for i in train) == {"hp": 40, "lp": 40}
+        assert len(test) == 20
+
+    def test_small_split_within_one(self):
+        labels = labels_of({"hp": 7, "lp": 3})
+        train, _ = evalkit.project_split(labels, seed=3)
+        counts = Counter(labels[i] for i in train)
+        assert abs(counts["hp"] - 5.6) <= 1
+        assert abs(counts["lp"] - 2.4) <= 1
+
+    def test_determinism(self):
+        labels = labels_of({"hp": 13, "lp": 9})
+        a = evalkit.project_split(labels, seed=42)
+        b = evalkit.project_split(labels, seed=42)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_partition_properties_random(self):
+        rng = random.Random(7)
+        for trial in range(100):
+            counts = {"hp": rng.randint(2, 30), "lp": rng.randint(2, 30)}
+            labels = labels_of(counts)
+            train, test = evalkit.project_split(labels, seed=trial)
+            assert list(train) == sorted(train) and list(test) == sorted(test)
+            assert not set(train) & set(test)
+            assert set(train) | set(test) == set(range(len(labels)))
+            got = Counter(labels[i] for i in train)
+            for cls, total in counts.items():
+                assert abs(got[cls] - total * evalkit.TRAIN_SHARE) <= 1
+
+    def test_lone_member_goes_to_training(self):
+        labels = ["common"] * 5 + ["rare"] + ["common"] * 5
+        train, test = evalkit.project_split(labels, seed=0)
+        assert 5 in train and 5 not in test
+
+
+class TestFolds:
+    def test_every_index_in_exactly_one_test_side(self):
+        labels = ["a"] * 13 + ["b"] * 7
+        folds = list(evalkit._folds(labels, 4, seed=3))
+        assert [fold_no for fold_no, _, _ in folds] == [0, 1, 2, 3]
+        assert sorted(i for _, _, test in folds for i in test) == list(range(20))
+        for _, train, test in folds:
+            assert sorted([*train, *test]) == list(range(20))
+
+    def test_class_spread(self):
+        labels = ["a"] * 12 + ["b"] * 8
+        for _, _, test in evalkit._folds(labels, 4, seed=1):
+            assert Counter(labels[i] for i in test) == {"a": 3, "b": 2}
+
+    def test_determinism(self):
+        labels = ["a", "b"] * 10
+        f1, f2 = (list(evalkit._folds(labels, 5, seed=9)) for _ in range(2))
+        assert all(n1 == n2 and np.array_equal(tr1, tr2) and np.array_equal(te1, te2)
+                   for (n1, tr1, te1), (n2, tr2, te2) in zip(f1, f2))
+
+    def test_unusable_folds_are_skipped(self):
+        # one "b": the fold whose test side holds it trains on "a" alone
+        labels = ["a"] * 6 + ["b"]
+        folds = list(evalkit._folds(labels, 3, seed=0))
+        assert len(folds) == 2
+        assert all(6 in train for _, train, _ in folds)
+
+    def test_k_below_two(self):
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            list(evalkit._folds(["a", "b"], 1, seed=0))
+
+
+# label lists of up to three classes, in any order
+label_lists = st.lists(st.sampled_from(["High", "Low", "Mid"]), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=label_lists, seed=st.integers(0, 2 ** 32 - 1))
+def test_project_split_matches_the_corpus_split_it_replaced(labels, seed):
+    corpus = Corpus(tuple(make_issue(id=str(i), labels=(label,))
+                          for i, label in enumerate(labels)))
+    old = ref.stratified_split(corpus, lambda issue: issue.labels[0],
+                               evalkit.TRAIN_SHARE, seed)
+    train, test = evalkit.project_split(labels, seed)
+    assert [[int(i.id) for i in side.issues] for side in old] == [list(train), list(test)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=label_lists, k=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_folds_match_the_fold_assignment_they_replaced(labels, k, seed):
+    everything = np.arange(len(labels))
+    usable = [(fold_no, np.setdiff1d(everything, test), test)
+              for fold_no, test in enumerate(ref.stratified_kfold_indices(labels, k, seed))
+              if test.size and len({labels[i] for i in np.setdiff1d(everything, test)}) >= 2]
+    folds = list(evalkit._folds(labels, k, seed))
+    assert len(folds) == len(usable)
+    for (n1, tr1, te1), (n2, tr2, te2) in zip(folds, usable):
+        assert n1 == n2 and np.array_equal(tr1, tr2) and np.array_equal(te1, te2)
 
 
 def memorizable_corpus():
@@ -237,14 +357,11 @@ class TestNoLeak:
         spec = ModelSpec(classifier="knn", balancing="none", stage1="uniform",
                          hyperparams={"k": 3})
         labels = [labelmap.priority_of(i.labels, maps.priority).value for i in issues]
-        folds = learn.stratified_kfold_indices(labels, 3, seed=2)
         fingerprints = []
-        for test_idx in folds:
-            train_issues = [issues[i] for i in range(len(issues))
-                            if i not in set(test_idx.tolist())]
-            bundle = train_pipeline(train_issues, spec, maps)
+        for _, train_idx, _ in evalkit._folds(labels, 3, seed=2):
+            bundle = train_pipeline([issues[i] for i in train_idx], spec, maps)
             fingerprints.append(bundle.feature_pipeline.fingerprints()["tfidf_desc"])
-        assert len(set(fingerprints)) == len(fingerprints)
+        assert len(set(fingerprints)) == len(fingerprints) == 3
 
 
 @pytest.fixture(scope="module")
@@ -284,12 +401,12 @@ class TestProjectBased:
     def test_no_evaluable_repo_is_an_error(self, planted_corpus, maps):
         issues = [i for i in planted_corpus.issues if i.repo == "acme/engine"][:3]
         with pytest.raises(learn.TrainingError, match=r"evaluated \(1 skipped\)"):
-            evaluate_project_based(subset(planted_corpus, issues), ModelSpec(), maps)
+            evaluate_project_based(Corpus(tuple(issues)), ModelSpec(), maps)
 
     def test_single_repo_corpus(self, planted_corpus, maps):
         issues = [i for i in planted_corpus.issues if i.repo == "acme/engine"]
         spec = ModelSpec(seed=1, hyperparams={"n_trees": 10})
-        result = evaluate_project_based(subset(planted_corpus, issues), spec, maps)
+        result = evaluate_project_based(Corpus(tuple(issues)), spec, maps)
         assert list(result["per_repo"]) == ["acme/engine"]
 
 
@@ -315,7 +432,7 @@ class TestCrossProject:
     def test_needs_two_repos(self, planted_corpus, maps, repo):
         issues = [i for i in planted_corpus.issues if i.repo == repo]
         with pytest.raises(learn.TrainingError, match="at least two repositories"):
-            evaluate_cross_project(subset(planted_corpus, issues), ModelSpec(), maps)
+            evaluate_cross_project(Corpus(tuple(issues)), ModelSpec(), maps)
 
 
 class TestFeatureImportance:

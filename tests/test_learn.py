@@ -32,7 +32,6 @@ from issuetriage.learn import (
     rank_baseline,
     save_model,
     smote,
-    stratified_kfold_indices,
 )
 from issuetriage.textnorm import TokenizedDoc
 
@@ -489,6 +488,13 @@ def dense_reference_splitter(X):
         reference_best_split(X, y, idx, features, len(counts), min_leaf)
 
 
+# NaN, the infinities, and columns all negative, all positive and empty
+SPECIAL = np.array([[np.nan, -np.inf, -1.0, 2.0, 0.0, -3.0, 0.0],
+                    [1.0, np.inf, -2.0, 1.0, 0.0, 0.0, np.nan],
+                    [-1.0, 0.0, -2.0, 0.5, 0.0, np.nan, np.nan],
+                    [np.nan, 2.0, -0.5, np.inf, 0.0, -np.inf, 0.0]])
+
+
 class TestColumnIndex:
     @pytest.mark.parametrize("column_kind", ["integer", "scaled", "normal", "constant",
                                              "sparse"])
@@ -506,13 +512,18 @@ class TestColumnIndex:
     def test_special_columns_give_the_dense_scan_index(self, by_value):
         """NaN (which sorts last, with the positives), the infinities, and
         columns all negative, all positive and empty."""
-        nan, inf = np.nan, np.inf
-        X = np.array([[nan, -inf, -1.0, 2.0, 0.0, -3.0, 0.0],
-                      [1.0, inf, -2.0, 1.0, 0.0, 0.0, nan],
-                      [-1.0, 0.0, -2.0, 0.5, 0.0, nan, nan],
-                      [nan, 2.0, -0.5, inf, 0.0, -inf, 0.0]])
-        for M in (X, X[:, 2:3], X[:, 3:4], X[:, 4:5], np.zeros((3, 2))):
+        for M in (SPECIAL, SPECIAL[:, 2:3], SPECIAL[:, 3:4], SPECIAL[:, 4:5], np.zeros((3, 2))):
             self._assert_matches_reference(M, by_value)
+
+    @pytest.mark.parametrize("by_value", [True, False], ids=["by_value", "by_row"])
+    def test_gathered_in_chunks_gives_the_same_index(self, by_value, monkeypatch):
+        """Sorted entries gathered three at a time, in several chunks."""
+        monkeypatch.setattr(learn, "_GATHER_CHUNK", 3)
+        rng = np.random.default_rng(11)
+        cases = [_split_case(rng, kind)[0] for kind in ("integer", "normal", "sparse")]
+        for X in (SPECIAL, *cases):
+            assert np.count_nonzero(X) > 3
+            self._assert_matches_reference(X, by_value)
 
     def test_too_many_rows_for_int32_is_a_training_error(self):
         # 2**31 empty rows: a zero-stride indptr, so nothing large is allocated
@@ -1011,27 +1022,6 @@ class TestSmote:
             tracemalloc.stop()
         assert synthetic.shape == (4, d)
         assert peak < 3 * minority.nbytes, peak
-
-
-class TestStratifiedKfold:
-    def test_every_index_in_exactly_one_fold(self):
-        labels = ["a"] * 13 + ["b"] * 7
-        folds = stratified_kfold_indices(labels, 4, seed=3)
-        joined = sorted(i for f in folds for i in f)
-        assert joined == list(range(20))
-
-    def test_class_spread(self):
-        labels = ["a"] * 12 + ["b"] * 8
-        folds = stratified_kfold_indices(labels, 4, seed=1)
-        for fold in folds:
-            assert sum(1 for i in fold if labels[i] == "a") == 3
-            assert sum(1 for i in fold if labels[i] == "b") == 2
-
-    def test_determinism(self):
-        labels = ["a", "b"] * 10
-        f1 = stratified_kfold_indices(labels, 5, seed=9)
-        f2 = stratified_kfold_indices(labels, 5, seed=9)
-        assert all(np.array_equal(a, b) for a, b in zip(f1, f2))
 
 
 class TestRankBaseline:
