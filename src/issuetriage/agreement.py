@@ -4,7 +4,9 @@ Percent agreement is the mean over items of the fraction of agreeing rater
 pairs, which is the observed-agreement term both kappas build on. Randolph's
 free-marginal kappa corrects it by the 1/k chance level; Fleiss' kappa uses
 the observed category marginals instead and therefore needs an equal number
-of ratings per item.
+of ratings per item. ``compute_agreement`` scores each item once
+(``item_agreement``) and derives percent agreement and Randolph's kappa
+from that list.
 
 A report is a plain dict: ``compute_agreement`` builds the document that
 ``agreement`` writes for the items of one group, and
@@ -15,7 +17,7 @@ item, ``overall``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -143,27 +145,10 @@ def item_agreement(matrix: RatingMatrix, row: Sequence[Optional[str]],
     return agree / pairs
 
 
-def percent_agreement(matrix: RatingMatrix, mode: str = "pairwise") -> float:
-    return sum(item_agreement(matrix, row, mode) for row in matrix.rows) / len(matrix.rows)
-
-
-def randolph_kappa(matrix: RatingMatrix, mode: str = "pairwise") -> float:
-    """Free-marginal multi-rater kappa: (P_o - 1/k) / (1 - 1/k)."""
-    p_o = percent_agreement(matrix, mode)
-    chance = 1.0 / matrix.k
-    return (p_o - chance) / (1.0 - chance)
-
-
-@dataclass
-class FleissResult:
-    kappa: float
-    excluded_items: int
-    flags: list[str] = field(default_factory=list)
-
-
-def fleiss_kappa(matrix: RatingMatrix) -> FleissResult:
-    """Fixed-marginal multi-rater kappa. Items with missing ratings are
-    excluded (the statistic needs an equal rater count per item)."""
+def fleiss_kappa(matrix: RatingMatrix) -> tuple[float, list[str]]:
+    """Fixed-marginal multi-rater kappa and its flags. Items with missing
+    ratings are excluded (the statistic needs an equal rater count per
+    item), and a flag says how many."""
     full_rows = [row for row in matrix.rows if all(c is not None for c in row)]
     excluded = len(matrix.rows) - len(full_rows)
     flags: list[str] = []
@@ -183,8 +168,8 @@ def fleiss_kappa(matrix: RatingMatrix) -> FleissResult:
     p_e = sum(p * p for p in marginals)
     if math.isclose(p_e, 1.0):
         flags.append("degenerate marginals (one category holds all ratings)")
-        return FleissResult(1.0 if math.isclose(p_bar, 1.0) else 0.0, excluded, flags)
-    return FleissResult((p_bar - p_e) / (1.0 - p_e), excluded, flags)
+        return (1.0 if math.isclose(p_bar, 1.0) else 0.0), flags
+    return (p_bar - p_e) / (1.0 - p_e), flags
 
 
 def majority_labels(matrix: RatingMatrix) -> tuple[list[Optional[str]], list[int]]:
@@ -240,22 +225,24 @@ def compute_agreement(matrix: RatingMatrix, mode: str = "pairwise") -> dict:
     """The agreement report document: percent agreement and both kappas (a
     null Fleiss' kappa and a flag when it is unavailable), the Randolph
     kappa's band, each item's agreement, the majority labels and their
-    ties, and the outlier raters."""
-    kappa = randolph_kappa(matrix, mode)
+    ties, and the outlier raters. Each item is scored once; percent
+    agreement is the mean of those scores and Randolph's kappa
+    (P_o - 1/k) / (1 - 1/k)."""
+    per_item = [item_agreement(matrix, row, mode) for row in matrix.rows]
+    p_o = sum(per_item) / len(per_item)
+    chance = 1.0 / matrix.k
+    kappa = (p_o - chance) / (1.0 - chance)
     try:
-        fleiss = fleiss_kappa(matrix)
-        fleiss_value: Optional[float] = fleiss.kappa
-        flags = list(fleiss.flags)
+        fleiss, flags = fleiss_kappa(matrix)
     except RatingMatrixError as exc:
-        fleiss_value = None
-        flags = [f"fleiss kappa unavailable: {exc}"]
+        fleiss, flags = None, [f"fleiss kappa unavailable: {exc}"]
     majority, ties = majority_labels(matrix)
     return {
-        "percent_agreement": percent_agreement(matrix, mode),
+        "percent_agreement": p_o,
         "randolph_kappa": kappa,
-        "fleiss_kappa": fleiss_value,
+        "fleiss_kappa": fleiss,
         "band": landis_koch_band(kappa),
-        "per_item_agreement": [item_agreement(matrix, row, mode) for row in matrix.rows],
+        "per_item_agreement": per_item,
         "majority_labels": majority,
         "tied_items": ties,
         "outlier_raters": sorted(outlier_raters(matrix)),

@@ -2,9 +2,12 @@
 
 Subcommands: fetch, preprocess, features, train-objective, train-priority,
 predict, evaluate, agreement. A JSON config file provides defaults; flags
-override it. Every run writes a reproducibility manifest (config snapshot,
-seeds, input checksums) next to its primary output, and all artifacts are
-byte-identical across re-runs with the same config and seed.
+override it. Each command returns its primary output, its inputs and its
+outputs, and ``main`` writes the run's one reproducibility manifest next to
+the primary output (``*.manifest.json``: the command, ``evaluate:<mode>``
+for ``evaluate``, the config snapshot, the seed, each input's sha256 and
+the outputs). All artifacts are byte-identical across re-runs with the same
+config and seed.
 
 Settings. The config is one JSON object; ``main`` reads it and the flags
 once and checks every setting before any corpus is loaded:
@@ -71,7 +74,10 @@ every trial would score the same.
 An ``--objective-probs`` row that does not decode or sum to 1, or repeats an
 issue id, exits 1 naming its line (and the earlier one). ``predict`` with a
 stage-one model and ``--objective-probs`` exits 1 naming the flag: that
-model makes the objective probabilities, so the file would go unread.
+model makes the objective probabilities, so the file would go unread. So do
+``--refresh`` on any command but ``fetch`` and ``--emit-csv`` on any but
+``evaluate --mode project``, before any input is read: no other command
+reads them.
 ``fetch`` exits 2 on an issue list that does not decode or lists an issue
 twice; a comment, event or profile that does not decode only flags its
 issue, with a warning.
@@ -155,8 +161,8 @@ def write_manifest(primary_output: Path, command: str, config: dict,
 
 
 def _load_input_corpus(path: str, strict: bool) -> Corpus:
-    corpus, report = load_corpus(path, strict=strict)
-    for lineno, message in report.errors:
+    corpus, errors = load_corpus(path, strict=strict)
+    for lineno, message in errors:
         print(f"warning: {path}:{lineno}: {message}", file=sys.stderr)
     return corpus
 
@@ -297,9 +303,13 @@ def load_probs_file(path: Path) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the checked ``args`` and returns its primary output,
+# its inputs and its outputs, from which ``main`` writes the manifest
 
-def cmd_fetch(args, config) -> int:
+RunFiles = tuple[Path, list[Path], list[Path]]
+
+
+def cmd_fetch(args) -> RunFiles:
     from . import ingest
     out = Path(args.out)
     client = ingest.IssueClient(ingest.ClientConfig(
@@ -319,11 +329,10 @@ def cmd_fetch(args, config) -> int:
               file=sys.stderr)
     print(f"fetched {len(corpus)} issues from {args.repo} "
           f"({client.network_requests} network requests)")
-    write_manifest(out, "fetch", config, args.seed, [], [out])
-    return EXIT_OK
+    return out, [], [out]
 
 
-def cmd_preprocess(args, config) -> int:
+def cmd_preprocess(args) -> RunFiles:
     out = Path(args.out)
     corpus = _load_input_corpus(args.input, args.strict)
     maps = labelmap.load_label_maps()
@@ -331,23 +340,21 @@ def cmd_preprocess(args, config) -> int:
     save_corpus(filtered, out)
     learn.write_json(Path(str(out) + ".report.json"), report)
     print(f"kept {len(filtered)} / {len(corpus)} issues (removed: {report})")
-    write_manifest(out, "preprocess", config, args.seed, [Path(args.input)], [out])
-    return EXIT_OK
+    return out, [Path(args.input)], [out]
 
 
 def _format_float(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def cmd_features(args, config) -> int:
+def cmd_features(args) -> RunFiles:
     out = Path(args.out)
     corpus = _load_input_corpus(args.input, args.strict)
     maps = labelmap.load_label_maps()
     if not len(corpus):
         out.write_text("", encoding="utf-8")
-        write_manifest(out, "features", config, args.seed, [Path(args.input)], [out])
         print("empty corpus; wrote empty matrix")
-        return EXIT_OK
+        return out, [Path(args.input)], [out]
     bundle = evalkit.fit_preprocessing(corpus.issues, args.spec, maps)
     for note in bundle.notes:
         print(f"note: {note}", file=sys.stderr)
@@ -374,11 +381,10 @@ def cmd_features(args, config) -> int:
                                 " ".join(map("{}:{}".format, cols, map(_format_float, values)))]))
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote feature matrix for {len(corpus)} issues to {out}")
-    write_manifest(out, "features", config, args.seed, [Path(args.input)], [out])
-    return EXIT_OK
+    return out, [Path(args.input)], [out]
 
 
-def cmd_train_objective(args, config) -> int:
+def cmd_train_objective(args) -> RunFiles:
     if args.spec.stage1 == "uniform":
         raise ValidationError("train-objective needs a stage-one model: stage1 must be "
                               "nb or logreg, got 'uniform'")
@@ -393,12 +399,10 @@ def cmd_train_objective(args, config) -> int:
     learn.save_model(model, out)
     save_assets(assets_path_for(out), bundle.feature_pipeline, None)
     print(f"trained stage-one {model.kind} model -> {out}")
-    write_manifest(out, "train-objective", config, args.seed,
-                   [Path(args.input)], [out, assets_path_for(out)])
-    return EXIT_OK
+    return out, [Path(args.input)], [out, assets_path_for(out)]
 
 
-def cmd_train_priority(args, config) -> int:
+def cmd_train_priority(args) -> RunFiles:
     out = Path(args.model)
     corpus = _load_input_corpus(args.input, args.strict)
     maps = labelmap.load_label_maps()
@@ -421,12 +425,10 @@ def cmd_train_priority(args, config) -> int:
     for note in bundle.notes:
         print(f"note: {note}", file=sys.stderr)
     print(f"trained priority {bundle.classifier.kind} model on {len(issues)} issues -> {out}")
-    write_manifest(out, "train-priority", config, args.seed,
-                   [Path(args.input)], [out, assets_path_for(out)])
-    return EXIT_OK
+    return out, [Path(args.input)], [out, assets_path_for(out)]
 
 
-def cmd_predict(args, config) -> int:
+def cmd_predict(args) -> RunFiles:
     out = Path(args.out)
     if not Path(args.model).exists():
         raise ValidationError(f"model file not found: {args.model}")
@@ -462,12 +464,10 @@ def cmd_predict(args, config) -> int:
                     [issue.id, label, *(_format_float(p) for p in row), fingerprint]))
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote predictions for {len(corpus)} issues to {out}")
-    write_manifest(out, "predict", config, args.seed,
-                   [Path(args.input), Path(args.model)], [out])
-    return EXIT_OK
+    return out, [Path(args.input), Path(args.model)], [out]
 
 
-def cmd_evaluate(args, config) -> int:
+def cmd_evaluate(args) -> RunFiles:
     report_path = Path(args.report)
     corpus = _load_input_corpus(args.input, args.strict)
     maps = labelmap.load_label_maps()
@@ -494,22 +494,18 @@ def cmd_evaluate(args, config) -> int:
                      for (repo, rep), values in zip(per_repo, metrics)]
             csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
             outputs.append(csv_path)
-    elif args.mode == "cross-project":
+    else:
         doc = evalkit.evaluate_cross_project(corpus, spec, maps)
         print(f"cross-project accuracy: {doc['accuracy']:.3f} on "
               f"{len(doc['metadata']['test_repos'])} held-out repos")
         for cls, rep in doc["per_class"].items():
             print(f"  {cls:<6} precision={rep['precision']:.3f} recall={rep['recall']:.3f} "
                   f"f1={rep['f1']:.3f} support={rep['support']}")
-    else:
-        raise ValidationError(f"unknown evaluate mode {args.mode!r}")
     learn.write_json(report_path, doc)
-    write_manifest(report_path, f"evaluate:{args.mode}", config, args.seed,
-                   [Path(args.input)], outputs)
-    return EXIT_OK
+    return report_path, [Path(args.input)], outputs
 
 
-def cmd_agreement(args, config) -> int:
+def cmd_agreement(args) -> RunFiles:
     from . import agreement as agreement_mod
     report_path = Path(args.report)
     matrix = agreement_mod.load_rating_matrix(args.ratings)
@@ -522,9 +518,7 @@ def cmd_agreement(args, config) -> int:
         print(f"fleiss kappa:      {overall['fleiss_kappa']:.3f}")
     if overall["outlier_raters"]:
         print(f"outlier raters:    {', '.join(overall['outlier_raters'])}")
-    write_manifest(report_path, "agreement", config, args.seed,
-                   [Path(args.ratings)], [report_path])
-    return EXIT_OK
+    return report_path, [Path(args.ratings)], [report_path]
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +647,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        # a flag that the command would not read is a usage error
+        if args.refresh and args.command != "fetch":
+            raise ValidationError("--refresh applies to fetch only")
+        if args.emit_csv and not (args.command == "evaluate" and args.mode == "project"):
+            raise ValidationError("--emit-csv applies to evaluate --mode project only")
         config = load_config(args.config)
         if args.seed is None:
             args.seed = config.get("seed", 0)
@@ -677,7 +676,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             value = getattr(args, attr, None)
             if value and not Path(value).is_file():
                 raise ValidationError(f"input file not found: {value}")
-        return _COMMANDS[args.command](args, config)
+        primary, inputs, outputs = _COMMANDS[args.command](args)
+        command = f"evaluate:{args.mode}" if args.command == "evaluate" else args.command
+        write_manifest(primary, command, config, args.seed, inputs, outputs)
+        return EXIT_OK
     except (ValidationError, SettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

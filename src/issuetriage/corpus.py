@@ -4,7 +4,10 @@ A corpus is a flat sequence of issue records plus provenance. On disk it is
 one JSON document per line (UTF-8) with a small sidecar metadata file that
 carries the schema version and provenance. Unknown keys on a record are kept
 in ``extra`` and written back untouched on save. Each part of a line, and
-the sidecar, is read against its table (``decode``).
+the sidecar, is read against its table (``decode``). ``load_corpus`` returns
+the corpus of a file's good lines and, for each bad line, the pair of its
+line number and message; under ``strict`` the first bad line raises a
+``CorpusError`` instead.
 """
 
 from __future__ import annotations
@@ -224,20 +227,11 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     _meta_path(path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-@dataclass
-class LoadReport:
-    errors: list[tuple[int, str]] = field(default_factory=list)  # (line number, message)
+def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, list[tuple[int, str]]]:
+    """Load a line-delimited corpus file: the corpus of its good lines and,
+    for each malformed line, its 1-based line number and the message.
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, LoadReport]:
-    """Load a line-delimited corpus file.
-
-    Malformed lines are collected into the report with their 1-based line
-    numbers; with ``strict`` the first such line raises instead. A line is
+    With ``strict`` the first malformed line raises instead. A line is
     malformed if it is not UTF-8, not JSON, not a record with every field of
     its type (see ``_issue_from_doc``), or if it repeats an earlier line's id.
     """
@@ -258,7 +252,7 @@ def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, LoadRep
 
     issues: list[IssueRecord] = []
     ids: set[str] = set()
-    report = LoadReport()
+    errors: list[tuple[int, str]] = []
     with path.open("rb") as fh:  # each line decoded on its own, so one bad byte costs one line
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -272,11 +266,11 @@ def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, LoadRep
                 # ValueError covers bad UTF-8, bad JSON and a bad record
                 if strict:
                     raise CorpusError(f"line {lineno}: {exc}") from exc
-                report.errors.append((lineno, str(exc)))
+                errors.append((lineno, str(exc)))
                 continue
             ids.add(issue.id)
             issues.append(issue)
-    return Corpus(issues=tuple(issues), **meta), report
+    return Corpus(issues=tuple(issues), **meta), errors
 
 
 # ---------------------------------------------------------------------------

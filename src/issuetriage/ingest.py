@@ -53,19 +53,13 @@ class NotFoundError(IngestError):
 @dataclass(frozen=True)
 class ClientConfig:
     cache_dir: Path
-    base_url: str = "https://api.github.com"
-    auth_token_env: str = "GITHUB_TOKEN"
     max_parallel_requests: int = 4
-    max_attempts: int = 3
-    backoff_base_seconds: float = 1.0
     refresh: bool = False
 
     def __post_init__(self) -> None:
         if self.max_parallel_requests < 1:
             raise SettingError(
                 f"max_parallel_requests must be >= 1, got {self.max_parallel_requests}")
-        if self.max_attempts < 0:
-            raise SettingError("max_attempts must be >= 0")
 
 
 _REPO_RE = re.compile(r"^[\w.-]+/[\w.-]+$")
@@ -102,7 +96,11 @@ class Transport(Protocol):
     def get(self, url: str, headers: dict[str, str]) -> Response: ...
 
 
+API_BASE_URL = "https://api.github.com"
+AUTH_TOKEN_ENV = "GITHUB_TOKEN"  # the environment variable that holds the API token
 REQUEST_TIMEOUT_SECONDS = 30.0
+MAX_RETRIES = 3  # tries of a request after its first
+BACKOFF_BASE_SECONDS = 1.0  # retry n (from 0) waits this times 2**n unless the server says
 
 
 class RequestsTransport:
@@ -185,7 +183,7 @@ class IssueClient:
 
     def _headers(self) -> dict[str, str]:
         headers = {"Accept": "application/vnd.github.v3+json"}
-        token = os.environ.get(self.cfg.auth_token_env)
+        token = os.environ.get(AUTH_TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         return headers
@@ -204,7 +202,7 @@ class IssueClient:
         """The URL's 200 response. A 401, a 404 or a 403 that is no rate limit
         ends it; any other status or a transport error (an ``OSError``, as
         requests' ``ConnectionError`` and ``Timeout`` are) is tried again, up
-        to ``max_attempts`` more times. A rate limit that asks for a wait over
+        to ``MAX_RETRIES`` more times. A rate limit that asks for a wait over
         ``MAX_RATE_LIMIT_WAIT`` ends it without a sleep. ``network_requests``
         counts every try."""
         attempt = 0
@@ -229,13 +227,13 @@ class IssueClient:
                 if response.status == 403 and not retriable_rate_limit:
                     raise AuthError(f"access forbidden for {url}")
                 last = f"last status {response.status}"
-            if attempt >= self.cfg.max_attempts:
+            if attempt >= MAX_RETRIES:
                 raise IngestError(f"giving up on {url} after {attempt + 1} attempts ({last})")
             delay = self._rate_limit_delay(response) if retriable_rate_limit else None
             if delay is not None and delay > MAX_RATE_LIMIT_WAIT:
                 raise IngestError(f"{url} is rate limited for {delay:.0f} s, over the "
                                   f"{MAX_RATE_LIMIT_WAIT:.0f} s this client waits")
-            self.sleep(self.cfg.backoff_base_seconds * (2 ** attempt) if delay is None else delay)
+            self.sleep(BACKOFF_BASE_SECONDS * (2 ** attempt) if delay is None else delay)
             attempt += 1
 
     @staticmethod
@@ -337,7 +335,7 @@ def fetch_issues(client: IssueClient, query: FetchQuery) -> list[IssueRecord]:
     to exhaustion, every response cached. An issue document that does not
     decode, or repeats an earlier issue's number, is an ``IngestError``."""
     params = urlencode({"state": query.state, "per_page": 100})
-    url = f"{client.cfg.base_url}/repos/{query.repo}/issues?{params}"
+    url = f"{API_BASE_URL}/repos/{query.repo}/issues?{params}"
     issues = []
     for doc in client.paginated(url):
         try:
@@ -365,7 +363,7 @@ def _profile_from_api(doc) -> UserProfile:
 def _hydrate_one(client: IssueClient,
                  issue: IssueRecord) -> tuple[IssueRecord, list[HydrationFailure]]:
     failures: list[HydrationFailure] = []
-    base = f"{client.cfg.base_url}/repos/{issue.repo}/issues/{issue.id}"
+    base = f"{API_BASE_URL}/repos/{issue.repo}/issues/{issue.id}"
 
     comments: tuple[CommentRecord, ...] = ()
     try:
@@ -394,7 +392,7 @@ def _hydrate_one(client: IssueClient,
     profile = UserProfile(login=issue.author.login)
     if issue.author.login:
         try:
-            url = f"{client.cfg.base_url}/users/{issue.author.login}"
+            url = f"{API_BASE_URL}/users/{issue.author.login}"
             profile = _profile_from_api(_json_body(client.request(url), url, dict))
         except (IngestError, ValueError) as exc:
             failures.append(HydrationFailure(issue.id, "author", str(exc)))

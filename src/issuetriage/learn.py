@@ -7,6 +7,11 @@ sampling draw from seeded generators. Models serialize to self-describing
 JSON artifacts that pin the fingerprints of the preprocessing assets they
 were trained with; prediction refuses to run against different assets.
 
+Class weights are a plain dict of class name to weight, inverse frequency
+(``compute_class_weights``) or the manual grid (``manual_priority_weights``).
+``fit_logreg`` and ``fit_random_forest`` weigh each sample by its class's
+entry and keep the dict as the model's ``class_weights`` metadata.
+
 Model params are ndarrays in memory, except a forest's trees (nested dicts)
 and the scalars (NB's ``alpha``, kNN's ``k``, a forest's ``n_features``).
 Artifacts are format version 2, and a block stores what a fit counts, not
@@ -99,22 +104,9 @@ class ArtifactError(TrainingError):
 
 
 # ---------------------------------------------------------------------------
-# Class weights (inverse frequency)
+# Class weights
 
-@dataclass(frozen=True)
-class ClassWeights:
-    weights: dict[str, float]
-
-    def __post_init__(self) -> None:
-        for cls, w in self.weights.items():
-            if w <= 0:
-                raise ValueError(f"class {cls!r} has non-positive weight {w}")
-
-    def per_sample(self, labels: Sequence[str]) -> np.ndarray:
-        return np.array([self.weights[lb] for lb in labels])
-
-
-def compute_class_weights(labels: Sequence[str]) -> ClassWeights:
+def compute_class_weights(labels: Sequence[str]) -> dict[str, float]:
     """weight_c = N / frequency_c over the training labels."""
     if not labels:
         raise TrainingError("no labels to weight")
@@ -122,17 +114,14 @@ def compute_class_weights(labels: Sequence[str]) -> ClassWeights:
     freq: dict[str, int] = {}
     for lb in labels:
         freq[lb] = freq.get(lb, 0) + 1
-    return ClassWeights({cls: total / count for cls, count in freq.items()})
+    return {cls: total / count for cls, count in freq.items()}
 
 
-def manual_priority_weights(i: int) -> ClassWeights:
+def manual_priority_weights(i: int) -> dict[str, float]:
     """The manual override grid: 0.1*i for High, 0.1*(10-i) for Low, i in [1, 9]."""
     if not 1 <= i <= 9:
         raise ValueError("i must be in [1, 9]")
-    return ClassWeights({
-        PriorityClass.HIGH.value: 0.1 * i,
-        PriorityClass.LOW.value: 0.1 * (10 - i),
-    })
+    return {PriorityClass.HIGH.value: 0.1 * i, PriorityClass.LOW.value: 0.1 * (10 - i)}
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +462,14 @@ def logreg_loss_and_grad(
 
 
 def fit_logreg(
-    X: np.ndarray | SparseRows, labels: Sequence[str], weights: ClassWeights | None = None,
+    X: np.ndarray | SparseRows, labels: Sequence[str], weights: dict[str, float] | None = None,
     lr: float = 0.5, l2: float = 1e-4, epochs: int = 300,
     seed: int = 0, classes: tuple[str, ...] | None = None,
 ) -> TrainedModel:
     X = _dense(X)
     _require_finite(X, "logistic regression")
     classes, y = _encode_labels(labels, classes)
-    sw = weights.per_sample(labels) if weights else np.ones(len(labels))
+    sw = np.array([weights[lb] for lb in labels]) if weights else np.ones(len(labels))
     n_feats, n_classes = X.shape[1], len(classes)
     W = np.zeros((n_feats, n_classes))
     b = np.zeros(n_classes)
@@ -506,7 +495,7 @@ def fit_logreg(
         params={"W": W, "b": b},
         metadata={"lr": lr, "l2": l2, "epochs": epochs, "seed": seed,
                   "loss_history": losses,
-                  "class_weights": weights.weights if weights else None})
+                  "class_weights": weights})
 
 
 def _logreg_predict(params: dict, X: np.ndarray, n_classes: int) -> np.ndarray:
@@ -815,7 +804,7 @@ def _work_in_child(job: Callable[[], list], read: int, write: int):
 
 
 def fit_random_forest(
-    X: np.ndarray | SparseRows, labels: Sequence[str], weights: ClassWeights | None = None,
+    X: np.ndarray | SparseRows, labels: Sequence[str], weights: dict[str, float] | None = None,
     n_trees: int = 60, max_depth: int | None = 12, min_leaf: int = 1,
     max_features: int | str = "sqrt", seed: int = 0,
     classes: tuple[str, ...] | None = None,
@@ -839,7 +828,7 @@ def fit_random_forest(
         m = max(1, int(math.sqrt(d)))
     else:
         m = max(1, min(int(max_features), d))
-    sw = weights.per_sample(labels) if weights else np.ones(n)
+    sw = np.array([weights[lb] for lb in labels]) if weights else np.ones(n)
     p = sw / sw.sum()
 
     def grow(tree_seed):
@@ -864,7 +853,7 @@ def fit_random_forest(
         params={"trees": trees, "importances": importance_sum / n_trees, "n_features": d},
         metadata={"n_trees": n_trees, "max_depth": max_depth, "min_leaf": min_leaf,
                   "max_features": max_features, "seed": seed,
-                  "class_weights": weights.weights if weights else None})
+                  "class_weights": weights})
 
 
 def _forest_predict(params: dict, X: np.ndarray | SparseRows, n_classes: int) -> np.ndarray:

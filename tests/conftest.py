@@ -56,8 +56,8 @@ def lexicon():
 
 @pytest.fixture(scope="session")
 def planted_corpus() -> Corpus:
-    corpus, report = load_corpus(FIXTURES / "planted_corpus.jsonl")
-    assert not report.errors
+    corpus, errors = load_corpus(FIXTURES / "planted_corpus.jsonl")
+    assert not errors
     return corpus
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import FIXTURES
 from issuetriage import cli, evalkit, labelmap, learn
-from issuetriage.agreement import RatingMatrix, percent_agreement, randolph_kappa
+from issuetriage.agreement import RatingMatrix, compute_agreement
 from issuetriage.corpus import filter_corpus, load_corpus
 from issuetriage.evalkit import ModelSpec, score
 from issuetriage.features import fit_scaler, scale
@@ -59,9 +59,9 @@ def test_criterion_01_agreement_consistency_with_reported_pair():
     with criterion(1, "percent agreement 0.853 with k=2 gives Randolph kappa 0.706"):
         rows = [("High", "High")] * 853 + [("High", "Low")] * 147
         matrix = RatingMatrix(rows=tuple(rows), raters=("r1", "r2"))
-        p_o = percent_agreement(matrix)
-        assert p_o == pytest.approx(0.853, abs=1e-12)
-        assert abs(randolph_kappa(matrix) - 0.706) <= 0.005
+        report = compute_agreement(matrix)
+        assert report["percent_agreement"] == pytest.approx(0.853, abs=1e-12)
+        assert abs(report["randolph_kappa"] - 0.706) <= 0.005
 
 
 def test_criterion_02_metric_oracle_equivalence():
@@ -116,12 +116,12 @@ def test_criterion_03_minmax_scaling_properties():
 def test_criterion_04_class_weight_formula():
     with criterion(4, "inverse-frequency weights match the reported counts"):
         weights = compute_class_weights(["HP"] * 44733 + ["LP"] * 37986)
-        assert abs(weights.weights["HP"] - 1.8492) <= 1e-3
+        assert abs(weights["HP"] - 1.8492) <= 1e-3
         rng = random.Random(3)
         for _ in range(100):
             counts = {c: rng.randint(1, 500) for c in ("x", "y", "z")}
             labels = [c for c, k in counts.items() for _ in range(k)]
-            w = compute_class_weights(labels).weights
+            w = compute_class_weights(labels)
             for a, b in itertools.combinations(counts, 2):
                 assert w[a] / w[b] == pytest.approx(counts[b] / counts[a], rel=1e-12)
 

@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from issuetriage.agreement import (
     RatingMatrix,
@@ -14,8 +17,6 @@ from issuetriage.agreement import (
     load_rating_matrix,
     majority_labels,
     outlier_raters,
-    percent_agreement,
-    randolph_kappa,
 )
 
 H, L = "High", "Low"
@@ -24,6 +25,15 @@ H, L = "High", "Low"
 def matrix(*rows, raters=None):
     raters = raters or tuple(f"r{i}" for i in range(len(rows[0])))
     return RatingMatrix(rows=tuple(tuple(r) for r in rows), raters=tuple(raters))
+
+
+# the two statistics as the report gives them
+def percent_agreement(m, mode="pairwise"):
+    return compute_agreement(m, mode)["percent_agreement"]
+
+
+def randolph_kappa(m):
+    return compute_agreement(m)["randolph_kappa"]
 
 
 class TestPercentAgreement:
@@ -79,13 +89,13 @@ class TestRandolphKappa:
 class TestFleissKappa:
     def test_all_identical(self):
         m = matrix((H, H, H), (H, H, H), (L, L, L))
-        assert fleiss_kappa(m).kappa == pytest.approx(1.0)
+        assert fleiss_kappa(m)[0] == pytest.approx(1.0)
 
     def test_degenerate_marginals_flagged(self):
         m = matrix((H, H), (H, H))
-        result = fleiss_kappa(m)
-        assert result.kappa == 1.0
-        assert any("degenerate" in f for f in result.flags)
+        kappa, flags = fleiss_kappa(m)
+        assert kappa == 1.0
+        assert any("degenerate" in f for f in flags)
 
     def test_three_rater_fixture_brute_force(self):
         m = matrix((H, H, H), (H, H, L), (L, L, H), (L, L, L))
@@ -96,13 +106,12 @@ class TestFleissKappa:
         high = sum(a for a, _ in counts) / 12
         p_e = high ** 2 + (1 - high) ** 2
         want = (p_bar - p_e) / (1 - p_e)
-        assert fleiss_kappa(m).kappa == pytest.approx(want)
+        assert fleiss_kappa(m)[0] == pytest.approx(want)
         assert want == pytest.approx(1 / 3)
 
     def test_items_with_missing_excluded(self):
         m = matrix((H, H, H), (H, None, L), (L, L, L))
-        result = fleiss_kappa(m)
-        assert result.excluded_items == 1
+        assert fleiss_kappa(m)[1] == ["excluded 1 items with missing ratings"]
 
 
 class TestOutlierRaters:
@@ -242,3 +251,49 @@ class TestRatingsFile:
         path.write_text("project,r1,r2\noverall,H,H\noverall,L,L\nweb,H,L\nweb,L,H\n")
         with pytest.raises(RatingMatrixError, match='group "overall"'):
             compute_agreement_by_group(load_rating_matrix(path))
+
+
+def fleiss_oracle(m):
+    """Fleiss' kappa and the report's flags, by the formulas the report used
+    before each item was scored once: items with a missing rating are
+    excluded, and degenerate marginals give 1 or 0."""
+    full_rows = [row for row in m.rows if all(c is not None for c in row)]
+    excluded = len(m.rows) - len(full_rows)
+    if not full_rows:
+        return None, ["fleiss kappa unavailable: no items with a full set of ratings"]
+    flags = [f"excluded {excluded} items with missing ratings"] if excluded else []
+    n, big_n = len(m.raters), len(full_rows)
+    count_rows = [m.counts(row) for row in full_rows]
+    p_bar = sum((sum(c * c for c in counts) - n) / (n * (n - 1))
+                for counts in count_rows) / big_n
+    marginals = [sum(counts[j] for counts in count_rows) / (big_n * n) for j in range(m.k)]
+    p_e = sum(p * p for p in marginals)
+    if math.isclose(p_e, 1.0):
+        flags.append("degenerate marginals (one category holds all ratings)")
+        return (1.0 if math.isclose(p_bar, 1.0) else 0.0), flags
+    return (p_bar - p_e) / (1.0 - p_e), flags
+
+
+@st.composite
+def rating_matrices(draw):
+    """Three to six raters over two or three categories; a cell may be
+    missing, as long as each item keeps two ratings."""
+    categories = ("High", "Low", "Medium")[:draw(st.integers(2, 3))]
+    n_raters = draw(st.integers(3, 6))
+    row = st.lists(st.sampled_from((*categories, None)), min_size=n_raters,
+                   max_size=n_raters).filter(lambda r: sum(c is not None for c in r) >= 2)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    return RatingMatrix(tuple(map(tuple, rows)), tuple(f"r{i}" for i in range(n_raters)),
+                        categories)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=rating_matrices(), mode=st.sampled_from(["pairwise", "majority"]))
+def test_report_is_derived_from_each_item_scored_once(m, mode):
+    report = compute_agreement(m, mode)
+    per_item = report["per_item_agreement"]
+    assert per_item == [item_agreement(m, row, mode) for row in m.rows]
+    p_o = report["percent_agreement"]
+    assert p_o == sum(per_item) / len(m.rows)  # bit for bit
+    assert report["randolph_kappa"] == (p_o - 1 / m.k) / (1 - 1 / m.k)
+    assert (report["fleiss_kappa"], report["flags"]) == fleiss_oracle(m)

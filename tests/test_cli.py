@@ -758,6 +758,9 @@ BAD_SETTINGS = [
     ({}, "fetch", ["--repo", "a/b", "--parallel", "0"], "parallel"),
     ({}, "fetch", ["--repo", "bad"], "repo"),
     ({"paths": {"cache": 5}}, "fetch", ["--repo", "a/b"], "paths.cache"),
+    # a flag that only another command reads
+    ({}, "train", ["--refresh"], "--refresh"),
+    ({}, "evaluate", ["--emit-csv"], "--emit-csv"),
 ]
 
 

@@ -23,9 +23,9 @@ class TestRoundTrip:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        corpus, report = load_corpus(path)
+        corpus, errors = load_corpus(path)
         assert len(corpus) == 0
-        assert report.ok
+        assert errors == []
 
     def test_save_load_identity(self, tmp_path):
         original = corpus_of(
@@ -36,9 +36,7 @@ class TestRoundTrip:
         )
         path = tmp_path / "c.jsonl"
         save_corpus(original, path)
-        loaded, report = load_corpus(path)
-        assert report.ok
-        assert loaded == original
+        assert load_corpus(path) == (original, [])
 
     def test_unknown_keys_preserved(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -55,10 +53,9 @@ class TestRoundTrip:
         lines = path.read_text().splitlines()
         lines.insert(2, "{not json")
         path.write_text("\n".join(lines) + "\n")
-        corpus, report = load_corpus(path)
+        corpus, errors = load_corpus(path)
         assert len(corpus) == 3
-        assert len(report.errors) == 1
-        assert report.errors[0][0] == 3
+        assert [lineno for lineno, _ in errors] == [3]
 
     # one case per record fault that used to end in a traceback or be misread
     @pytest.mark.parametrize("fault, message", [
@@ -87,10 +84,10 @@ class TestRoundTrip:
         lines = path.read_text().splitlines()
         lines.insert(1, json.dumps(fault(dict(json.loads(lines[1]), id="z"))))
         path.write_text("\n".join(lines) + "\n")
-        corpus, report = load_corpus(path)
+        corpus, errors = load_corpus(path)
         assert [i.id for i in corpus.issues] == ["a", "b"]
-        assert len(report.errors) == 1 and report.errors[0][0] == 2
-        assert message in report.errors[0][1], report.errors
+        assert len(errors) == 1 and errors[0][0] == 2
+        assert message in errors[0][1], errors
         with pytest.raises(CorpusError, match="line 2: "):
             load_corpus(path, strict=True)
 
@@ -98,8 +95,8 @@ class TestRoundTrip:
         path = tmp_path / "c.jsonl"
         save_corpus(corpus_of(make_issue(id="a")), path)
         path.write_text(json.dumps({**json.loads(path.read_text()), "id": 17}) + "\n")
-        corpus, report = load_corpus(path)
-        assert report.ok and corpus.issues[0].id == "17"
+        corpus, errors = load_corpus(path)
+        assert errors == [] and corpus.issues[0].id == "17"
 
     def test_line_that_is_not_utf8_is_a_malformed_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -108,9 +105,9 @@ class TestRoundTrip:
         lines = path.read_bytes().splitlines()
         lines[1] = lines[1].replace("\u00e9".encode(), b"\xe9")  # Latin-1, not UTF-8
         path.write_bytes(b"\n".join(lines) + b"\n")
-        corpus, report = load_corpus(path)
+        corpus, errors = load_corpus(path)
         assert [i.id for i in corpus.issues] == ["a", "c"]
-        assert report.errors[0][0] == 2 and "utf-8" in report.errors[0][1]
+        assert errors[0][0] == 2 and "utf-8" in errors[0][1]
         with pytest.raises(CorpusError, match="line 2: "):
             load_corpus(path, strict=True)
 

@@ -13,7 +13,9 @@ functions it traces). Dunder methods are called by Python itself.
 A parameter with a default must be passed by some call in the package or in
 ``perfbench``, by position or by keyword; a default that no call changes is a
 constant in disguise. Calls are matched by the called name alone, and a
-class call passes its ``__init__``'s parameters.
+class call passes its ``__init__``'s parameters, or its dataclass fields
+(an ``init=False`` field is no parameter). A ``cls(...)`` call inside a
+classmethod is a call of its class.
 
 No class defines an ``as_dict`` method: a report is the plain dict that
 the code computing it builds, not an object copied into one.
@@ -156,16 +158,46 @@ UNPASSED_ON_PURPOSE = {
     "ingest.IssueClient(sleeper)": "tests record the retry waits instead of sleeping",
 }
 # Not checked: the fitters that ``evalkit.fit_classifier`` calls through
-# ``**``, passing whatever their signatures take.
+# ``**``, passing whatever their signatures take, and the records built
+# through ``**`` from a decoded table or a config section.
 UNPASSED_SKIPPED = ("learn.fit_multinomial_nb", "learn.fit_logreg", "learn.fit_random_forest",
-                    "learn.fit_knn", "learn.balance_with_smote")
+                    "learn.fit_knn", "learn.balance_with_smote",
+                    "corpus.IssueRecord", "corpus.UserProfile", "evalkit.ModelSpec",
+                    "corpus.FilterConfig")
+
+
+def _decorated(node: ast.FunctionDef | ast.ClassDef, name: str) -> bool:
+    """Whether ``node`` has the decorator ``name``, called or not."""
+    return any(getattr(d, "id", None) == name or getattr(getattr(d, "func", None), "id", None)
+               == name for d in node.decorator_list)
+
+
+def _dataclass_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(name, has a default) of each ``__init__`` field of a dataclass, in
+    order: an ``init=False`` field and a ``ClassVar`` are none."""
+    fields = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            options = {k.arg: k.value for k in value.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                continue
+            fields.append((item.target.id, bool({"default", "default_factory"} & set(options))))
+        else:
+            fields.append((item.target.id, value is not None))
+    return fields
 
 
 def _defaulted(tree: ast.Module) -> list[tuple[str, str, int | None]]:
     """(called name, parameter, its call position) of each defaulted
-    parameter of a top-level function or method; a keyword-only one has no
-    position, a method's first parameter takes none, and ``__init__`` is
-    called by its class's name."""
+    parameter of a top-level function or method, and of each defaulted
+    field of a top-level dataclass; a keyword-only one has no position, a
+    method's first parameter takes none, and ``__init__`` and a dataclass
+    are called by the class's name."""
     found = []
 
     def add(fn: ast.FunctionDef, called: str, bound: int) -> None:
@@ -181,22 +213,42 @@ def _defaulted(tree: ast.Module) -> list[tuple[str, str, int | None]]:
         if isinstance(node, ast.FunctionDef):
             add(node, node.name, 0)
         elif isinstance(node, ast.ClassDef):
+            if _decorated(node, "dataclass"):
+                found.extend((node.name, name, i)
+                             for i, (name, default) in enumerate(_dataclass_fields(node))
+                             if default)
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    static = any(getattr(d, "id", None) == "staticmethod"
-                                 for d in item.decorator_list)
                     add(item, node.name if item.name == "__init__" else item.name,
-                        0 if static else 1)
+                        0 if _decorated(item, "staticmethod") else 1)
     return found
+
+
+def _class_calls(tree: ast.Module) -> dict[ast.Call, str]:
+    """Each call of a classmethod's first parameter -> the class's name."""
+    calls = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if (isinstance(method, ast.FunctionDef) and _decorated(method, "classmethod")
+                    and method.args.args):
+                first = method.args.args[0].arg
+                calls.update((node, cls.name) for node in ast.walk(method)
+                             if isinstance(node, ast.Call)
+                             and getattr(node.func, "id", None) == first)
+    return calls
 
 
 def _passed(tree: ast.Module, passes: dict[str, tuple[int, set[str]]]) -> None:
     """Add each call of ``tree`` to ``passes``: called name -> (the most
     positional arguments of any call, every keyword given). A ``*`` argument
     fills every position; a ``**`` one names no keyword."""
+    class_calls = _class_calls(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            name = (class_calls.get(node) or getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", None))
             most, keywords = passes.get(name, (0, set()))
             given = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
                      else len(node.args))
@@ -229,6 +281,18 @@ def test_checker_flags_an_unpassed_default():
                                      "a.make(size)"]
     callers = ["f(0, z=1, w=2)\nBox(3).grow(2)\nBox.make(*sizes)\n"]
     assert unpassed(sources, callers) == []
+
+
+def test_checker_flags_an_unpassed_dataclass_field():
+    sources = {"a": "from dataclasses import dataclass, field\n\n\n"
+                    "@dataclass(frozen=True)\nclass Box:\n    size: int\n    tag: str = ''\n"
+                    "    hits: list = field(default_factory=list)\n"
+                    "    cache: dict = field(default_factory=dict, init=False)\n"
+                    "    kind: ClassVar[str] = 'box'\n\n"
+                    "    @classmethod\n    def make(cls, size):\n        return cls(size, 'x')\n"
+                    "\n\nclass Plain:\n    size: int = 0\n"}
+    assert unpassed(sources, []) == ["a.Box(hits)"]
+    assert unpassed(sources, ["Box(1, hits=[])\n"]) == []
 
 
 def test_every_default_is_passed():

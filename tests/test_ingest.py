@@ -25,7 +25,9 @@ from issuetriage.ingest import (
     hydrate,
 )
 
-BASE = "https://api.github.com"
+BASE = ingest.API_BASE_URL
+# the backoff before retry n (from 0) when the server names no wait
+BACKOFF = [ingest.BACKOFF_BASE_SECONDS * 2 ** n for n in range(ingest.MAX_RETRIES)]
 REPO = "octo/widgets"
 ISSUES_URL = f"{BASE}/repos/{REPO}/issues?state=closed&per_page=100"
 
@@ -84,7 +86,6 @@ def issue_doc(number, **overrides):
 
 
 def cfg(tmp_path, **kw):
-    kw.setdefault("backoff_base_seconds", 0.0)
     return ClientConfig(cache_dir=tmp_path / "cache", **kw)
 
 
@@ -161,8 +162,8 @@ class TestFetchIssues:
 
     @pytest.mark.parametrize("retry_after, want", [
         ("Wed, 21 Oct 2015 07:28:30 GMT", 30.0),  # an HTTP date, 30 s from now
-        ("soon", 1.0),  # neither a number nor a date: the usual backoff
-        ("1e999", 1.0),  # a number, but not a finite one: the usual backoff
+        ("soon", BACKOFF[0]),  # neither a number nor a date: the usual backoff
+        ("1e999", BACKOFF[0]),  # a number, but not a finite one: the usual backoff
     ], ids=["http-date", "no-number", "infinite"])
     def test_rate_limit_delay_as_a_date_or_no_number(self, tmp_path, monkeypatch,
                                                       retry_after, want):
@@ -174,7 +175,7 @@ class TestFetchIssues:
             Response(200, {}, json.dumps([issue_doc(1)])),
         ])
         sleeps = []
-        client = client_for(tmp_path, transport, sleeps.append, backoff_base_seconds=1.0)
+        client = client_for(tmp_path, transport, sleeps.append)
         issues = fetch_issues(client, FetchQuery(repo=REPO))
         assert [i.id for i in issues] == ["1"]
         assert sleeps == [want] and transport.calls == [ISSUES_URL] * 2
@@ -226,8 +227,9 @@ class TestFetchIssues:
     def test_retries_exhausted(self, tmp_path):
         transport = FakeTransport()
         transport.routes[ISSUES_URL] = Response(500, {}, "{}")
-        with pytest.raises(IngestError, match="giving up"):
-            fetch_issues(client_for(tmp_path, transport, max_attempts=2), FetchQuery(repo=REPO))
+        with pytest.raises(IngestError, match=f"giving up .* after {ingest.MAX_RETRIES + 1} "):
+            fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        assert transport.calls == [ISSUES_URL] * (ingest.MAX_RETRIES + 1)
 
     def test_transport_error_is_retried(self, tmp_path):
         transport = FakeTransport()
@@ -236,10 +238,10 @@ class TestFetchIssues:
             Response(200, {}, json.dumps([issue_doc(1)])),
         ])
         sleeps = []
-        client = IssueClient(cfg(tmp_path, backoff_base_seconds=0.5), transport, sleeps.append)
+        client = client_for(tmp_path, transport, sleeps.append)
         issues = fetch_issues(client, FetchQuery(repo=REPO))
         assert [i.id for i in issues] == ["1"]
-        assert sleeps == [0.5] and client.network_requests == 2
+        assert sleeps == BACKOFF[:1] and client.network_requests == 2
 
     def test_fetch_through_a_lasting_transport_error_exits_two(self, tmp_path, monkeypatch,
                                                                 capsys):
@@ -255,9 +257,10 @@ class TestFetchIssues:
                          "--cache-dir", str(tmp_path / "cache")])
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2
-        assert err == [f"error: giving up on {ISSUES_URL} after 4 attempts "
+        tries = ingest.MAX_RETRIES + 1
+        assert err == [f"error: giving up on {ISSUES_URL} after {tries} attempts "
                        "(last error: network is down)"], err
-        assert sleeps == [1.0, 2.0, 4.0] and transport.calls == [ISSUES_URL] * 4
+        assert sleeps == BACKOFF and transport.calls == [ISSUES_URL] * tries
 
     def test_pull_requests_filtered_when_asked(self, tmp_path):
         transport = FakeTransport()
@@ -371,13 +374,10 @@ class TestHydrate:
             transport.add(f"{base}/events?per_page=100", [])
         transport.add(f"{BASE}/users/alice", {"login": "alice"})
         issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
-        bounded = cfg(tmp_path, max_parallel_requests=2)
         # fresh cache dir so hydration actually goes over the transport
-        bounded = ClientConfig(cache_dir=tmp_path / "cache2",
-                               max_parallel_requests=2,
-                               backoff_base_seconds=0.0)
+        bounded = ClientConfig(cache_dir=tmp_path / "cache2", max_parallel_requests=2)
         transport.max_in_flight = 0
-        corpus, _ = hydrate(IssueClient(bounded, transport), issues)
+        corpus, _ = hydrate(IssueClient(bounded, transport, no_sleep), issues)
         assert len(corpus) == 8
         assert transport.max_in_flight <= 2
 
@@ -530,7 +530,7 @@ class TestRobustness:
         for n in range(1, 9):
             hydration_routes(transport, number=n)
         config = cfg(tmp_path, max_parallel_requests=4)
-        client = IssueClient(config, transport)
+        client = IssueClient(config, transport, no_sleep)
         guard = client._requests_guard = CountingLock()
         issues = fetch_issues(client, FetchQuery(repo=REPO))
         hydrate(client, issues)
