@@ -50,8 +50,8 @@ block with a missing key, a value of the wrong type, a number that is not
 finite or out of bounds (a negative count, a ``df`` outside [1,
 ``n_docs``]), an ``ngram_range`` other than [1, 2], a repeated term or
 sparse index, or an array whose shape does not fit the model's classes or
-the assets' widths (its tables: ``learn.MODEL`` and ``learn.BLOCKS``, or
-``ASSETS``).
+the assets' widths (its tables: ``learn.MODEL`` and its kind's in
+``learn.KINDS``, or ``ASSETS``).
 
 Reports. Each is the plain dict that its module builds, written as
 compact JSON: ``evaluate`` writes the protocol's document from ``evalkit``;
@@ -75,9 +75,9 @@ An ``--objective-probs`` row that does not decode or sum to 1, or repeats an
 issue id, exits 1 naming its line (and the earlier one). ``predict`` with a
 stage-one model and ``--objective-probs`` exits 1 naming the flag: that
 model makes the objective probabilities, so the file would go unread. So do
-``--refresh`` on any command but ``fetch`` and ``--emit-csv`` on any but
-``evaluate --mode project``, before any input is read: no other command
-reads them.
+``--refresh`` on any command but ``fetch``, ``--emit-csv`` on any but
+``evaluate --mode project`` and ``--strict`` on ``fetch`` or ``agreement``,
+before any input is read: no other command reads them.
 ``fetch`` exits 2 on an issue list that does not decode or lists an issue
 twice; a comment, event or profile that does not decode only flags its
 issue, with a warning.
@@ -550,7 +550,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     # no defaults here: an absent flag leaves the config or ModelSpec value
-    parser.add_argument("--classifier", choices=evalkit.CLASSIFIERS)
+    parser.add_argument("--classifier", choices=learn.KINDS)
     parser.add_argument("--balancing", choices=evalkit.BALANCING)
     parser.add_argument("--weights-i", dest="weights_i", type=int)
     parser.add_argument("--stage1", choices=evalkit.STAGE1_SOURCES)
@@ -652,6 +652,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValidationError("--refresh applies to fetch only")
         if args.emit_csv and not (args.command == "evaluate" and args.mode == "project"):
             raise ValidationError("--emit-csv applies to evaluate --mode project only")
+        if args.strict and args.command in ("fetch", "agreement"):
+            raise ValidationError("--strict applies to the commands that load a corpus only")
         config = load_config(args.config)
         if args.seed is None:
             args.seed = config.get("seed", 0)

@@ -18,12 +18,11 @@ idf, the scaler, the stage-one model or the tuned hyperparameters.
 
 from __future__ import annotations
 
-import inspect
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -103,9 +102,6 @@ def report_metrics(report: dict) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # Model specification and the fitted pipeline bundle
 
-# classifier name -> the name of its fitter in ``learn``, looked up at fit time
-CLASSIFIERS = {"forest": "fit_random_forest", "logreg": "fit_logreg",
-               "nb": "fit_multinomial_nb", "knn": "fit_knn"}
 BALANCING = ("weights", "smote", "none")
 # the stage-one objective model; an objective probability file, when given,
 # always takes its place
@@ -116,10 +112,10 @@ STAGE1_SOURCES = ("nb", "logreg", "uniform")
 class ModelSpec:
     """One experiment's model settings and their defaults; a bad value is a
     ``SettingError``. ``stage1`` picks the objective model (or uniform
-    probabilities); ``classifier``, ``balancing``, ``weights_i`` and
-    ``hyperparams`` are stage two's. Hyperparameters outside
-    ``learn.HYPERPARAMS`` are left alone; those the classifier's fitter does
-    not take are ignored."""
+    probabilities); ``classifier`` (a key of ``learn.KINDS``), ``balancing``,
+    ``weights_i`` and ``hyperparams`` are stage two's. Hyperparameters outside
+    ``learn.HYPERPARAMS`` are left alone; those the classifier's kind does not
+    read are ignored."""
 
     classifier: str = "forest"
     balancing: str = "weights"
@@ -131,7 +127,7 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, choices in (("classifier", tuple(CLASSIFIERS)), ("balancing", BALANCING),
+        for name, choices in (("classifier", tuple(learn.KINDS)), ("balancing", BALANCING),
                               ("stage1", STAGE1_SOURCES)):
             if getattr(self, name) not in choices:
                 raise SettingError(f"{name} must be one of {', '.join(choices)}, "
@@ -206,33 +202,22 @@ def train_objective_model(issues: Sequence[IssueRecord], pipeline: FeaturePipeli
         return None
     X = pipeline.stage1_rows([i for i, _ in labeled])
     y = [obj.value for _, obj in labeled]
-    if spec.stage1 == "logreg":
-        return learn.fit_logreg(X, y, seed=spec.seed,
-                                classes=learn.OBJECTIVE_CLASS_ORDER)
-    return learn.fit_multinomial_nb(X, y, classes=learn.OBJECTIVE_CLASS_ORDER)
-
-
-def _fitter(spec: ModelSpec) -> tuple[Callable, set[str]]:
-    """The spec's priority fitter, looked up on ``learn`` at each call so
-    that a rebound fitter is the one used, and the names it takes."""
-    fit = getattr(learn, CLASSIFIERS[spec.classifier])
-    return fit, set(inspect.signature(fit).parameters)
+    return learn.fit(spec.stage1, X, y, learn.OBJECTIVE_CLASS_ORDER, seed=spec.seed)
 
 
 def hyperparams_read(spec: ModelSpec) -> set[str]:
     """The ``learn.HYPERPARAMS`` that ``fit_classifier`` reads for ``spec``:
-    its fitter's, and ``smote_k`` under SMOTE balancing."""
-    takes = _fitter(spec)[1] | ({"smote_k"} if spec.balancing == "smote" else set())
-    return takes & learn.HYPERPARAMS.keys()
+    its kind's, and ``smote_k`` under SMOTE balancing."""
+    smote = {"smote_k"} if spec.balancing == "smote" else set()
+    return (learn.KINDS[spec.classifier].reads | smote) & learn.HYPERPARAMS.keys()
 
 
 def fit_classifier(spec: ModelSpec, X: np.ndarray | learn.SparseRows,
                    labels: Sequence[str]) -> TrainedModel:
     """Fit the spec's priority classifier on ``X``, balanced as the spec says:
     class weights (manual grid or inverse frequency), SMOTE, or neither.
-
-    The fitter (``_fitter``) gets only the class weights, seed and known
-    hyperparameters that its signature takes; every default is its own. Each
+    ``learn.fit`` gives its fitter the class weights, seed and known
+    hyperparameters that it reads; every default is the fitter's own. Each
     fitter densifies ``X`` itself if it needs to. NB needs no shift: every
     block of the assembled vector is non-negative."""
     hp = {name: value for name, value in spec.hyperparams.items() if name in learn.HYPERPARAMS}
@@ -243,10 +228,8 @@ def fit_classifier(spec: ModelSpec, X: np.ndarray | learn.SparseRows,
     elif spec.balancing == "smote":
         smote_k = {"k": hp["smote_k"]} if "smote_k" in hp else {}
         X, labels = learn.balance_with_smote(X, labels, seed=spec.seed, **smote_k)
-    fit, takes = _fitter(spec)
-    options = {"weights": weights, "seed": spec.seed, **hp}
-    return fit(X, labels, classes=learn.PRIORITY_CLASS_ORDER,
-               **{name: value for name, value in options.items() if name in takes})
+    return learn.fit(spec.classifier, X, labels, learn.PRIORITY_CLASS_ORDER,
+                     weights=weights, seed=spec.seed, **hp)
 
 
 def fit_preprocessing(issues: Sequence[IssueRecord], spec: ModelSpec, maps: LabelMaps,

@@ -24,29 +24,17 @@ expanded on load; whole-valued float arrays are written as JSON integers
 
 Every artifact is read through ``read_artifact``, which checks its format
 and version, and each of its blocks is decoded once against its table
-(``decode``): a model's against ``MODEL`` and its kind's ``BLOCKS``, the
-assets' in ``cli.load_assets``. ``TrainedModel.require_width`` checks that
+(``decode``): a model's against ``MODEL`` and its kind's ``Kind.table``,
+the assets' in ``cli.load_assets``. ``TrainedModel.require_width`` checks that
 a model takes the columns its assets give: ``cli.load_assets`` for the
-assets' stage-one model and ``cli.cmd_predict`` for the model file.
+assets' stage-one model and ``cli.cmd_predict`` for the model file. A kind
+is its record in ``KINDS``, and ``fit`` fits one for either stage.
 
 The feature matrix is ``SparseRows`` (see there for which learners densify
-it). A forest fit indexes X's non-zeros by column once (``column_index``),
-each column's in value order, and every tree shares that index. A node's
-split scans the drawn columns' non-zeros with all of a column's zeros as one
-tied entry, so it sorts nothing and its work follows X's density; it picks
-the same split a sort of the node's dense block would. The same index
-partitions a node's rows once its split is chosen (``ColumnIndex.column_at``),
-and a forest's prediction reads its input through one index by column
-(``SparseRows.by_column``, kept with the matrix for the next prediction on
-it), so no dense n x d array is made on the forest's path.
-
-A forest's trees are grown on every CPU the process may run on: one
-process per CPU, each after the first a forked child that reads the fit's
-``ColumnIndex`` copy-on-write, takes the trees' seeds one at a time from a
-shared pipe, and sends its trees back through a pipe of its own. A tree
-depends on its seed alone, and the trees are put back in seed order and
-their importances summed in that order, so a model's bytes do not depend on
-the number of CPUs, nor on which process grew which tree.
+it). A forest reads it by column, through one ``ColumnIndex`` per fit and
+one per predicted matrix (``SparseRows.by_column``), so no dense n x d
+array is made on its path: a split sorts nothing (``_best_split``), and the
+trees, grown on every CPU (``_on_every_cpu``), are the same on any number.
 """
 
 from __future__ import annotations
@@ -129,22 +117,21 @@ def manual_priority_weights(i: int) -> dict[str, float]:
 
 @dataclass
 class TrainedModel:
-    kind: str  # nb | logreg | forest | knn: a key of _PREDICTORS and BLOCKS
+    kind: str  # a key of KINDS
     classes: tuple[str, ...]
     params: dict
     metadata: dict = field(default_factory=dict)
     asset_fingerprints: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind == "nb":  # once per fit or load, never per prediction
-            self.params.update(nb_logs(self.params))
+        if KINDS[self.kind].derive:  # once per fit or load, never per prediction
+            self.params.update(KINDS[self.kind].derive(self.params))
 
     def predict_proba(self, X: np.ndarray | SparseRows) -> np.ndarray:
-        """One row of class probabilities per row of ``X``. A forest reads
-        ``SparseRows`` as they are; every other kind gets ``X`` dense."""
-        if not (self.kind == "forest" and isinstance(X, SparseRows)):
-            X = _dense(X)
-        return _PREDICTORS[self.kind](self.params, X, len(self.classes))
+        """One row of class probabilities per row of ``X``, given as it is to a
+        kind whose predictor reads ``SparseRows`` and dense to every other."""
+        kind = KINDS[self.kind]
+        return kind.predict(self.params, X if kind.sparse else _dense(X), len(self.classes))
 
     def predict(self, X: np.ndarray | SparseRows) -> list[str]:
         probs = self.predict_proba(X)
@@ -160,21 +147,19 @@ class TrainedModel:
 
     def require_width(self, width: int, where: str = "") -> None:
         """``ArtifactError`` unless the model takes ``width`` feature columns: the
-        ``d`` of its first param in ``BLOCKS`` that has one."""
-        key, spec = next((k, f) for k, f in BLOCKS[self.kind].fields.items() if "d" in f.shape)
+        ``d`` of its first param in its kind's table that has one."""
+        key, spec = next((k, f) for k, f in KINDS[self.kind].table.fields.items() if "d" in f.shape)
         if np.shape(self.params[key])[spec.shape.index("d")] != width:
             raise ArtifactError(f"{where}{self.kind} model artifact {key} does not take the "
                                 f"{width} feature columns its assets give")
 
     def fingerprint(self) -> str:
         """The hash of kind, classes and the params that define the model's
-        predictions, as they are in memory: NB's derived logs (not the counts
-        they come from), every other kind's stored params (a forest's
-        importances dense). No fingerprint depends on how a file encodes them."""
-        keys = NB_LOGS if self.kind == "nb" else BLOCKS[self.kind].fields
+        predictions (``Kind.hashed``), as they are in memory. No fingerprint
+        depends on how a file encodes them."""
         payload = json.dumps(
             {"kind": self.kind, "classes": list(self.classes),
-             "params": {key: self.params[key] for key in keys}},
+             "params": {key: self.params[key] for key in KINDS[self.kind].hashed}},
             sort_keys=True, default=_json_default)
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -183,7 +168,7 @@ class TrainedModel:
         fingerprints only when pinned, which a stage-one model inside an
         assets bundle never is."""
         doc = {"kind": self.kind, "classes": list(self.classes),
-               "params": BLOCKS[self.kind].encode(self.params), "metadata": self.metadata}
+               "params": KINDS[self.kind].table.encode(self.params), "metadata": self.metadata}
         if self.asset_fingerprints:
             doc["asset_fingerprints"] = self.asset_fingerprints
         return doc
@@ -196,28 +181,19 @@ class TrainedModel:
         what, dims = f"{where}model artifact", {}
         model = MODEL.decode(doc, what, dims)
         kind, classes = model["kind"], tuple(model["classes"])
-        if kind not in _PREDICTORS:
+        if kind not in KINDS:
             raise ArtifactError(f"{what} has unknown kind {kind!r}")
         if len(classes) < 2:
             raise ArtifactError(f"{what} classes {list(classes)!r} are fewer than two")
         return cls(kind=kind, classes=classes, metadata=dict(model["metadata"]),
                    asset_fingerprints=model["asset_fingerprints"],
-                   params=BLOCKS[kind].decode(model["params"], f"{where}{kind} model artifact",
-                                              dims))
+                   params=KINDS[kind].table.decode(model["params"],
+                                                   f"{where}{kind} model artifact", dims))
 
 
 # ---------------------------------------------------------------------------
-# Artifact tables (``decode``): a model's document and each kind's params
+# Artifact table (``decode``) of a model's document
 
-BLOCKS: dict[str, Table] = {kind: Table(fields, ArtifactError) for kind, fields in {
-    "nb": {"class_counts": Field("float", ("K",), 0),
-           "term_counts": Field("float", ("K", "d"), 0), "alpha": Field("float", (), 0)},
-    "logreg": {"b": Field("float", ("K",)), "W": Field("float", ("d", "K"))},
-    "forest": {"importances": Field("sparse", ("d",)), "n_features": Field("int", (), "d", "d"),
-               "trees": Field("tree")},
-    "knn": {"y": Field("int", ("n",), 0, "K-1"), "X": Field("sparse", ("n", "d")),
-            "k": Field("int", (), 1, "n")},
-}.items()}
 MODEL = Table({"kind": Field("string"), "classes": Field("terms", ("K",)),
                "params": Field("object"), "metadata": Field("object", default={}),
                "asset_fingerprints": Field("strings", default={})}, ArtifactError)
@@ -320,9 +296,9 @@ class SparseRows:
     ``PriorityPipeline.vectorize`` builds one, and the forest and NB read it
     as it is; logistic regression, kNN and SMOTE densify it at their own door
     (``_dense``), and so does ``TrainedModel.predict_proba`` for every kind
-    but the forest. ``len``, ``shape``, ``size`` and ``(X != 0).sum()``
-    answer as an ndarray of the same matrix would; ``nbytes`` is what its
-    arrays hold."""
+    whose predictor does not read it (``Kind.sparse``). ``len``, ``shape``,
+    ``size`` and ``(X != 0).sum()`` answer as an ndarray of the same matrix
+    would; ``nbytes`` is what its arrays hold."""
 
     indptr: np.ndarray
     cols: np.ndarray
@@ -374,9 +350,9 @@ class SparseRows:
 
     @functools.cached_property
     def by_column(self) -> "ColumnIndex":
-        """``column_index(self, by_value=False)``, built once and kept for every
-        forest prediction on this matrix."""
-        return column_index(self, by_value=False)
+        """``column_index(self)``, built once and kept for every forest
+        prediction on this matrix."""
+        return column_index(self)
 
 
 def _dense(X) -> np.ndarray:
@@ -408,10 +384,6 @@ def fit_multinomial_nb(
         params={"class_counts": np.bincount(y, minlength=n_classes).astype(float),
                 "term_counts": term_counts, "alpha": float(alpha)},
         metadata={"n_train": len(labels)})
-
-
-# NB's params derived from its stored ones, which its fingerprint hashes
-NB_LOGS = ("log_prior", "log_likelihood")
 
 
 def nb_logs(params: dict) -> dict:
@@ -520,13 +492,13 @@ def _gini(counts: np.ndarray) -> float:
 class ColumnIndex:
     """A matrix by column (CSC layout) with each column's zeros folded into
     one slot: column ``j`` is entries ``indptr[j]:indptr[j + 1]`` (intp) of
-    ``rows`` (int32) and ``values`` (float64), ascending by value (by row if
-    not built ``by_value``). They are its non-zeros and, between the
-    negatives and the rest (or last), a slot of value 0 and row ``n_rows``
-    (no row) standing for all its zero cells; ``zero_slot[j]`` (intp) is the
-    slot's entry. So it holds ``nnz + n_cols`` entries at 12 bytes each,
-    fewer than 2**31 (``column_index`` checks). ``scratch`` is ``n_rows + 1``
-    zeros that ``column_at`` borrows and leaves as it found them."""
+    ``rows`` (int32) and ``values`` (float64), ascending by value. They are
+    its non-zeros and, between the negatives and the rest, a slot of value 0
+    and row ``n_rows`` (no row) standing for all its zero cells;
+    ``zero_slot[j]`` (intp) is the slot's entry. So it holds ``nnz + n_cols``
+    entries at 12 bytes each, fewer than 2**31 (``column_index`` checks).
+    ``scratch`` is ``n_rows + 1`` zeros that ``column_at`` borrows and leaves
+    as it found them."""
     indptr: np.ndarray
     rows: np.ndarray
     values: np.ndarray
@@ -554,17 +526,15 @@ class ColumnIndex:
 _GATHER_CHUNK = 2 ** 20
 
 
-def column_index(X: np.ndarray | SparseRows, by_value: bool = True) -> ColumnIndex:
+def column_index(X: np.ndarray | SparseRows) -> ColumnIndex:
     """Build ``X``'s ``ColumnIndex`` from its ``SparseRows`` (a dense ``X``
     is converted first). X's own entries, in row order, are sorted stably by
     column, then value (``lexsort``, which puts NaN last), so tied values
-    keep their row order; without ``by_value`` a column stays in row order,
-    enough for prediction's ``column_at``. Sorted entry ``k`` of column ``j``
-    goes straight to slot ``k + j``, plus 1 if it is built ``by_value`` and
-    the value is not below 0: the ``j`` zero slots of the columns before it,
-    and its own when that sorts first. So column ``j``'s zero slot is at
-    ``indptr[j]`` plus its number of negatives (at its end without
-    ``by_value``), and a NaN goes with the positives.
+    keep their row order. Sorted entry ``k`` of column ``j`` goes straight to
+    slot ``k + j``, plus 1 if the value is not below 0: the ``j`` zero slots
+    of the columns before it, and its own when that sorts first. So column
+    ``j``'s zero slot is at ``indptr[j]`` plus its number of negatives, and a
+    NaN goes with the positives.
 
     The slots and the rows written to them are int32, beside the sort's
     intp order, so X may have at most 2**31 - 1 rows, and its non-zeros
@@ -581,11 +551,10 @@ def column_index(X: np.ndarray | SparseRows, by_value: bool = True) -> ColumnInd
     if X.cols.size + d >= 2 ** 31:
         raise TrainingError(f"a column index holds at most 2**31 - 1 entries, not "
                             f"{X.cols.size} non-zeros plus {d} zero slots")
-    order = np.lexsort((X.values, X.cols)) if by_value else np.argsort(X.cols, kind="stable")
+    order = np.lexsort((X.values, X.cols))
     slot = X.cols[order]
     slot += np.arange(slot.size, dtype=np.int32)
-    if by_value:
-        slot += ~(X.values[order] < 0)
+    slot += ~(X.values[order] < 0)
 
     def gather(out: np.ndarray, source: np.ndarray) -> np.ndarray:
         for at in range(0, slot.size, _GATHER_CHUNK):
@@ -905,12 +874,51 @@ def _knn_predict(params: dict, X: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-_PREDICTORS: dict[str, Callable[[dict, np.ndarray, int], np.ndarray]] = {
-    "nb": _nb_predict,
-    "logreg": _logreg_predict,
-    "forest": _forest_predict,
-    "knn": _knn_predict,
+@dataclass(frozen=True)
+class Kind:
+    """A classifier kind: its fitter's name here, the spec settings it reads,
+    its predictor, whether that takes ``SparseRows`` as they are, its params'
+    table, the params it derives from them (NB's logs) and those it hashes."""
+    fitter: str
+    reads: frozenset[str]
+    predict: Callable[[dict, np.ndarray, int], np.ndarray]
+    sparse: bool
+    table: Table
+    derive: Callable[[dict], dict] | None
+    hashed: tuple[str, ...]
+
+
+KINDS: dict[str, Kind] = {
+    "forest": Kind(
+        "fit_random_forest",
+        frozenset({"weights", "seed", "n_trees", "max_depth", "min_leaf", "max_features"}),
+        _forest_predict, True,
+        Table({"importances": Field("sparse", ("d",)), "n_features": Field("int", (), "d", "d"),
+               "trees": Field("tree")}, ArtifactError),
+        None, ("importances", "n_features", "trees")),
+    "logreg": Kind(
+        "fit_logreg", frozenset({"weights", "seed", "lr", "l2", "epochs"}), _logreg_predict, False,
+        Table({"b": Field("float", ("K",)), "W": Field("float", ("d", "K"))}, ArtifactError),
+        None, ("b", "W")),
+    "nb": Kind(
+        "fit_multinomial_nb", frozenset({"alpha"}), _nb_predict, False,
+        Table({"class_counts": Field("float", ("K",), 0),
+               "term_counts": Field("float", ("K", "d"), 0), "alpha": Field("float", (), 0)},
+              ArtifactError), nb_logs, ("log_prior", "log_likelihood")),
+    "knn": Kind(
+        "fit_knn", frozenset({"k"}), _knn_predict, False,
+        Table({"y": Field("int", ("n",), 0, "K-1"), "X": Field("sparse", ("n", "d")),
+               "k": Field("int", (), 1, "n")}, ArtifactError), None, ("y", "X", "k")),
 }
+
+
+def fit(kind: str, X: np.ndarray | SparseRows, labels: Sequence[str], classes: tuple[str, ...],
+        **settings) -> TrainedModel:
+    """A ``kind`` model of ``X``, its fitter (looked up here at each call, so
+    a rebound one is used) given only the ``settings`` it reads."""
+    reads = KINDS[kind].reads
+    return globals()[KINDS[kind].fitter](
+        X, labels, classes=classes, **{k: v for k, v in settings.items() if k in reads})
 
 
 # ---------------------------------------------------------------------------

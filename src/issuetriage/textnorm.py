@@ -86,6 +86,14 @@ class AbstractToken(Enum):
 _SURFACE_RE = re.compile(r"⟨[A-Z]+⟩")
 _CONTROL_RE = re.compile(r"[\x00-\x1f]")
 
+# EMAIL's parts. EMAIL and PATH start a match only where no earlier start in
+# the same run of scanned characters could have: linear time. An EMAIL match
+# that ends inside a run takes in the next one's local part, up to its last
+# letter before a non-letter, where the next match (``_REST``) starts.
+_LOCAL = "[A-Za-z0-9._%+-]"
+_DOMAIN = r"@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"
+_REST = rf"(?<=[A-Za-z])[0-9._%+-]+[A-Za-z]*{_DOMAIN}"
+
 # (token, pattern, literals) triples, applied in order. Inner character
 # classes exclude the ⟨⟩ markers so a second application can never re-match
 # around an already-abstracted span. Every match of a pattern contains at
@@ -95,14 +103,15 @@ ABSTRACTION_TABLE: tuple[tuple[AbstractToken, re.Pattern, tuple[str, ...]], ...]
     (AbstractToken.CODE, re.compile(r"`[^`\n⟨⟩]+`"), ("`",)),
     (AbstractToken.URL, re.compile(r"(?:https?://|www\.)[^\s<>()\"'`⟨⟩]+"), ("://", "www.")),
     (AbstractToken.EMAIL, re.compile(
-        r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"), ("@",)),
+        rf"(?:(?<!{_LOCAL}){_LOCAL}+{_DOMAIN}|{_REST})(?:{_LOCAL}*(?={_REST}))?"), ("@",)),
     (AbstractToken.DATE, re.compile(
         r"\b(?:\d{4}-\d{2}-\d{2}|\d{1,2}[/-]\d{1,2}[/-]\d{2,4}|\d{4}/\d{1,2}/\d{1,2})\b"),
      ("-", "/")),
     (AbstractToken.TIME, re.compile(
         r"\b\d{1,2}:\d{2}(?::\d{2})?(?:\s?[ap]\.?m\.?)?\b", re.IGNORECASE), (":",)),
     (AbstractToken.PATH, re.compile(
-        r"(?:~|\.{1,2})?[\w.+-]*(?:/[\w.+-]+){2,}/?|\b[A-Za-z]:\\[\w.\\+-]+"), ("/", ":\\")),
+        r"(?:~|(?<![\w.+-])|(?=/))[\w.+-]*(?:/[\w.+-]+){2,}/?|\b[A-Za-z]:\\[\w.\\+-]+"),
+     ("/", ":\\")),
     (AbstractToken.USER, re.compile(
         r"(?<![\w@])@[A-Za-z0-9](?:[A-Za-z0-9-]*[A-Za-z0-9])?\b"), ("@",)),
     (AbstractToken.FUNC, re.compile(r"\b[A-Za-z_][\w.]*\([^()\n⟨⟩]*\)"), ("(",)),

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import os
@@ -299,7 +298,6 @@ class TestTrainPredict:
         calls = []
         real = learn.fit_random_forest
 
-        @functools.wraps(real)  # its signature says what the search space may name
         def spy(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
@@ -722,6 +720,8 @@ def _command(workdir, command):
         "evaluate": ["evaluate", "--in", corpus, "--mode", "cv", "--report", workdir / "r.json"],
         "preprocess": ["preprocess", "--in", corpus, "--out", workdir / "p.jsonl"],
         "fetch": ["fetch", "--out", workdir / "c.jsonl", "--cache-dir", workdir / "cache"],
+        "agreement": ["agreement", "--ratings", FIXTURES / "ratings_grouped.csv",
+                      "--report", workdir / "a.json"],
     }[command]
 
 
@@ -761,6 +761,8 @@ BAD_SETTINGS = [
     # a flag that only another command reads
     ({}, "train", ["--refresh"], "--refresh"),
     ({}, "evaluate", ["--emit-csv"], "--emit-csv"),
+    ({}, "fetch", ["--repo", "a/b", "--strict"], "--strict"),
+    ({}, "agreement", ["--strict"], "--strict"),
 ]
 
 
@@ -779,6 +781,13 @@ class TestSettings:
         errors = [line for line in err if line.startswith("error: ")]
         assert len(errors) == 1 and named in errors[0], err
         assert all(line.startswith(("error: ", "usage: ", "  ")) for line in err), err
+
+    @pytest.mark.parametrize("command,extra", [("fetch", ["--repo", "a/b"]), ("agreement", [])])
+    def test_strict_before_the_command_exits_one(self, workdir, capsys, command, extra):
+        capsys.readouterr()
+        assert run("--strict", *_command(workdir, command), *extra) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+        assert errors == ["error: --strict applies to the commands that load a corpus only"]
 
     def test_no_corpus_is_loaded_when_a_setting_is_bad(self, workdir, monkeypatch):
         loads = []

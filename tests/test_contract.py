@@ -201,13 +201,14 @@ TAKES = {"string": (str,), "bool": (bool,), "integer": (int,), "count": (int,),
 
 
 def declared_tables() -> list[Table]:
-    """Every ``Table`` that a module of the package declares, by name or in a
-    dict of tables."""
+    """Every ``Table`` that a module of the package declares: by name, or in
+    a dict, as a value or as a field of a record (``learn.KINDS``)."""
     found = []
     for info in pkgutil.iter_modules(issuetriage.__path__):
         for value in vars(importlib.import_module(f"issuetriage.{info.name}")).values():
-            found += [table for table in (value.values() if isinstance(value, dict) else [value])
-                      if isinstance(table, Table)]
+            for item in value.values() if isinstance(value, dict) else [value]:
+                held = vars(item).values() if isinstance(item, learn.Kind) else [item]
+                found += [table for table in held if isinstance(table, Table)]
     return found
 
 
@@ -232,7 +233,8 @@ def test_every_declared_field_is_fuzzed():
                      issuetriage.corpus.COMMENT, issuetriage.corpus.EVENT,
                      issuetriage.corpus.SIDECAR)
     assert {*corpus_tables, cli.PROB_ROW, cli.ASSETS, issuetriage.features.TFIDF,
-            issuetriage.features.SCALER, learn.MODEL, *learn.BLOCKS.values(), ingest.ISSUE,
+            issuetriage.features.SCALER, learn.MODEL, *(kind.table for kind in learn.KINDS.values()),
+            ingest.ISSUE,
             ingest.COMMENT, ingest.EVENT, ingest.PROFILE, ingest.CACHE_ENTRY} <= set(tables)
     assert all(WRONG[key] for table in tables for key in table.fields)
 

@@ -157,9 +157,11 @@ UNPASSED_ON_PURPOSE = {
     "ingest.IssueClient(transport)": "tests answer requests with a fake transport",
     "ingest.IssueClient(sleeper)": "tests record the retry waits instead of sleeping",
 }
-# Not checked: the fitters that ``evalkit.fit_classifier`` calls through
-# ``**``, passing whatever their signatures take, and the records built
-# through ``**`` from a decoded table or a config section.
+# Not checked: the fitters, which ``learn.fit`` calls through ``**`` with
+# the settings that their ``learn.KINDS`` record reads; ``balance_with_smote``,
+# to which ``evalkit.fit_classifier`` passes ``smote_k`` through ``**`` when a
+# spec sets it; and the records built through ``**`` from a decoded table or
+# a config section.
 UNPASSED_SKIPPED = ("learn.fit_multinomial_nb", "learn.fit_logreg", "learn.fit_random_forest",
                     "learn.fit_knn", "learn.balance_with_smote",
                     "corpus.IssueRecord", "corpus.UserProfile", "evalkit.ModelSpec",

@@ -1,4 +1,7 @@
+import argparse
+import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -14,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import in_child, make_issue, wait_for
-from issuetriage import evalkit, learn
-from issuetriage.corpus import PriorityClass
+from issuetriage import cli, evalkit, learn
+from issuetriage.corpus import PriorityClass, SettingError
 from issuetriage.learn import (
     TrainingError,
     balance_with_smote,
@@ -430,11 +433,10 @@ def indexed_best_split(X, y, idx, features, n_classes, min_leaf):
     return learn._best_split(learn.column_index(X), y, idx, features, counts, min_leaf)
 
 
-def reference_column_index(X, by_value=True):
+def reference_column_index(X):
     """The dense block scan ``learn.column_index`` used before it read
-    ``SparseRows``, kept verbatim as its oracle, with the row-order sort that
-    ``by_value=False`` made before the index was written in place. Its
-    ``rows`` are int64; the index keeps them as int32."""
+    ``SparseRows``, kept verbatim as its oracle. Its ``rows`` are int64; the
+    index keeps them as int32."""
     n, d = X.shape
     step = max(1, (1 << 21) // max(d, 1))
     flat = np.concatenate([np.flatnonzero(X[i:i + step] != 0) + i * d
@@ -443,7 +445,7 @@ def reference_column_index(X, by_value=True):
     values = np.concatenate([X[rows, cols], np.zeros(d)])
     rows = np.concatenate([rows, np.full(d, n)])
     cols = np.concatenate([cols, np.arange(d)])
-    order = np.lexsort((values, cols)) if by_value else np.argsort(cols, kind="stable")
+    order = np.lexsort((values, cols))
     rows, values = rows[order], values[order]
     indptr = np.zeros(d + 1, dtype=np.intp)
     np.cumsum(np.bincount(cols, minlength=d), out=indptr[1:])
@@ -503,22 +505,20 @@ class TestColumnIndex:
         for X in cases + [wide, np.where(cases[0] > 0, cases[0], -0.0)]:
             self._assert_matches_reference(X)
 
-    @pytest.mark.parametrize("by_value", [True, False], ids=["by_value", "by_row"])
-    def test_special_columns_give_the_dense_scan_index(self, by_value):
+    def test_special_columns_give_the_dense_scan_index(self):
         """NaN (which sorts last, with the positives), the infinities, and
         columns all negative, all positive and empty."""
         for M in (SPECIAL, SPECIAL[:, 2:3], SPECIAL[:, 3:4], SPECIAL[:, 4:5], np.zeros((3, 2))):
-            self._assert_matches_reference(M, by_value)
+            self._assert_matches_reference(M)
 
-    @pytest.mark.parametrize("by_value", [True, False], ids=["by_value", "by_row"])
-    def test_gathered_in_chunks_gives_the_same_index(self, by_value, monkeypatch):
+    def test_gathered_in_chunks_gives_the_same_index(self, monkeypatch):
         """Sorted entries gathered three at a time, in several chunks."""
         monkeypatch.setattr(learn, "_GATHER_CHUNK", 3)
         rng = np.random.default_rng(11)
         cases = [_split_case(rng, kind)[0] for kind in ("integer", "normal", "sparse")]
         for X in (SPECIAL, *cases):
             assert np.count_nonzero(X) > 3
-            self._assert_matches_reference(X, by_value)
+            self._assert_matches_reference(X)
 
     def test_too_many_rows_for_int32_is_a_training_error(self):
         # 2**31 empty rows: a zero-stride indptr, so nothing large is allocated
@@ -544,13 +544,13 @@ class TestColumnIndex:
         assert peak < 1 << 20
 
     @staticmethod
-    def _assert_matches_reference(X, by_value=True):
+    def _assert_matches_reference(X):
         """The same index from ``X`` and from its ``SparseRows`` as the
         oracle's, in bytes, with its rows as int32."""
-        indptr, rows, values, zero_slot, n = reference_column_index(X, by_value)
+        indptr, rows, values, zero_slot, n = reference_column_index(X)
         want = (indptr, rows.astype(np.int32), values, zero_slot)
         for source in (X, learn.SparseRows.from_dense(X)):
-            cols = learn.column_index(source, by_value=by_value)
+            cols = learn.column_index(source)
             got = (cols.indptr, cols.rows, cols.values, cols.zero_slot)
             assert cols.n_rows == n
             assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
@@ -663,25 +663,18 @@ class TestSparseForest:
                 assert model.predict_proba(rows).tobytes() == want
 
     def test_prediction_builds_one_index_per_matrix(self, monkeypatch):
-        """Both of a predict's forest calls read the index kept with X. It
-        keeps each column's entries in row order, and predicts the same bytes
-        as the fit's index, sorted by value."""
+        """Both of a predict's forest calls read the index kept with X, built
+        as a fit builds its own."""
         X, y, options = _tfidf_forest_case()
         model = fit_random_forest(X, y, **options)
         sparse = learn.SparseRows.from_dense(X[::-1])
         built, column_index = [], learn.column_index
-        monkeypatch.setattr(learn, "column_index",
-                            lambda M, **kw: built.append(kw) or column_index(M, **kw))
+        monkeypatch.setattr(learn, "column_index", lambda M: built.append(M) or column_index(M))
         first, second = model.predict_proba(sparse), model.predict_proba(sparse)
-        assert built == [{"by_value": False}] and first.tobytes() == second.tobytes()
-        by_value, by_row = column_index(sparse), sparse.by_column
-        for j in range(by_row.n_cols):
-            rows = by_row.rows[by_row.indptr[j]:by_row.indptr[j + 1]]
-            assert np.all(np.diff(rows) > 0) and rows[-1] == len(X)
-        want = np.zeros_like(first)
-        for tree in model.params["trees"]:
-            learn._tree_predict(tree, by_value, want, np.arange(len(X)))
-        assert (want / len(model.params["trees"])).tobytes() == first.tobytes()
+        assert built == [sparse] and first.tobytes() == second.tobytes()
+        kept, fresh = sparse.by_column, column_index(sparse)
+        assert all(getattr(kept, name).tobytes() == getattr(fresh, name).tobytes()
+                   for name in ("indptr", "rows", "values", "zero_slot"))
 
     def test_column_at_leaves_the_scratch_buffer_zero(self):
         X = _tfidf_forest_case()[0]
@@ -872,9 +865,9 @@ class TestSparseRowsLayout:
         assert np.array_equal(sparse.row_ids(), np.nonzero(X)[0])
 
     @settings(max_examples=200, deadline=None)
-    @given(X=layout_cases(), by_value=st.booleans())
-    def test_column_index_equals_the_reference(self, X, by_value):
-        TestColumnIndex._assert_matches_reference(X, by_value)
+    @given(X=layout_cases())
+    def test_column_index_equals_the_reference(self, X):
+        TestColumnIndex._assert_matches_reference(X)
 
     @settings(max_examples=200, deadline=None)
     @given(X=layout_cases(), data=st.data())
@@ -1171,3 +1164,34 @@ class TestSerializationPath:
         path.write_text(text)
         with pytest.raises(learn.ArtifactError, match=message):
             load_model(path)
+
+
+class TestKinds:
+    @pytest.mark.parametrize("kind", learn.KINDS)
+    def test_reads_are_the_fitters_parameters(self, kind):
+        """The one place that reads a signature: a kind's ``reads`` are its
+        fitter's parameters but ``X``, ``labels`` and ``classes``."""
+        fitter = getattr(learn, learn.KINDS[kind].fitter)
+        params = set(inspect.signature(fitter).parameters) - {"X", "labels", "classes"}
+        assert learn.KINDS[kind].reads == params
+
+    def test_no_field_has_a_default(self):
+        assert all(f.default is f.default_factory is dataclasses.MISSING
+                   for f in dataclasses.fields(learn.Kind))
+
+    def test_kinds_are_every_list_of_classifiers(self):
+        """``--classifier``'s choices, ``ModelSpec``'s and the kinds a model
+        artifact may hold are ``learn.KINDS``, in its order."""
+        kinds = list(learn.KINDS)
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for command in ("train-priority", "evaluate"):
+            assert list(commands[command]._option_string_actions["--classifier"].choices) == kinds
+        with pytest.raises(SettingError, match=f"one of {', '.join(kinds)}, got 'svm'"):
+            evalkit.ModelSpec(classifier="svm")
+        for kind in kinds:
+            assert evalkit.ModelSpec(classifier=kind).classifier == kind
+            model = _FITTERS[kind](_ROUNDTRIP_X, _ROUNDTRIP_Y)
+            assert learn.TrainedModel.from_doc(model.to_doc()).fingerprint() == model.fingerprint()
+        with pytest.raises(learn.ArtifactError, match="unknown kind 'svm'"):
+            learn.TrainedModel.from_doc({**model.to_doc(), "kind": "svm"})

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -197,10 +199,20 @@ class TestTokenizedDoc:
 # The kernel without literal gates or the fast token path, kept as the oracle
 # that the faster code must match exactly.
 
+# EMAIL and PATH as they were before each started a match only where no
+# earlier start in its run could have: they try every position, in time
+# quadratic in a run's length, and are the oracle of the table's two
+REFERENCE_PATTERNS = {
+    AbstractToken.EMAIL: re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"),
+    AbstractToken.PATH: re.compile(
+        r"(?:~|\.{1,2})?[\w.+-]*(?:/[\w.+-]+){2,}/?|\b[A-Za-z]:\\[\w.\\+-]+"),
+}
+
+
 def reference_abstract(text: str) -> tuple[str, Counter]:
     counts: Counter = Counter()
     for token, pattern, _ in textnorm.ABSTRACTION_TABLE:
-        text, n = pattern.subn(token.surface, text)
+        text, n = REFERENCE_PATTERNS.get(token, pattern).subn(token.surface, text)
         counts[token] += n
     return text, counts
 
@@ -272,6 +284,9 @@ FRAGMENTS = [
     "camelCase", "parseHTTPRequest", "snake_case", "UPPER", "HTTPServer", "v2", "py3",
     "42", "2021", "utf8", "qtek", "⟨", "⟩", "⟨URL⟩", "naïve", "café", "ÀB", "ﬁle", "²",
     "don't", "it’s", "???", "...", "plain", "words",
+    # a path after a word, a "~" or a "..", and e-mails that end inside a run
+    "~", "..", "a~/b/c", "x/../y/z", "src/a.b/c", "C:\\xa/b/c", "a@b.co-", "1x@y.zz",
+    "b.cc1x@y.zz",
 ]
 TEXTS = st.lists(
     st.tuples(st.one_of(st.sampled_from(GATE_LITERALS + FRAGMENTS), st.text(max_size=4)),
@@ -323,6 +338,10 @@ class TestKernelMatchesReference:
     @example("naïve café ÀBc ﬁle x²y ٣ Straße")
     # camelCase, PascalCase, acronyms and snake_case
     @example("parseHTTPRequest snake_case_word XMLHttpRequest get_URL2 __init__")
+    # paths after a word, a "~" or a "..", and after a drive-letter path
+    @example("a~/b/c x/../y/z src/a.b/c C:\\xa/b/c ~./a/b a..b/c/d")
+    # e-mails that end inside a run, some followed by another e-mail there
+    @example("a@b.co-x@y.zz@q.rr a@b.co42root@host.io q@w.ee@a.bc x@a.bc1a1a2b@c.de")
     def test_generated_text(self, text):
         assert_matches_reference(text)
         assert_gates_sound(text)
@@ -349,6 +368,14 @@ class TestKernelMatchesReference:
         # "qtek⟩".islower() is true, but the bracket is not ASCII, so the
         # token goes through split_identifiers, which drops it
         assert normalize_pipeline("qtek⟩").tokens == ("qtek",) == reference_normalize("qtek⟩")
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(alphabet="aZé1._%+-@~/\\:C \n", max_size=40))
+    @example("a@b.co1a@b.co1x@a.bc-1x2y@c.de")
+    def test_anchored_patterns_match_as_the_unanchored_ones(self, text):
+        for token, pattern, _ in textnorm.ABSTRACTION_TABLE:
+            if token in REFERENCE_PATTERNS:
+                assert pattern.subn("S", text) == REFERENCE_PATTERNS[token].subn("S", text)
 
     def test_fragments_reach_every_pattern(self):
         for token, pattern, _ in textnorm.ABSTRACTION_TABLE:
@@ -438,3 +465,57 @@ class TestMemo:
             textnorm._DOUBLED_OK.add("t")
         assert lemmatize("parsing") == "parse"
         assert lemmatize("stopped") == "stop"
+
+
+# Hostile bodies of n characters: long runs of what the patterns scan, plain
+# and with a step inside every few characters, each ending in (or repeating)
+# what a pattern looks for next.
+HOSTILE = {
+    "run-slash": lambda n: "a" * n + "/",
+    "slash-runs": lambda n: ("/" + "a" * 50) * (n // 51),
+    "run-at": lambda n: "x " + "a" * n + "@",
+    "steps-at": lambda n: "a1" * (n // 2) + "@",
+    "emails-in-a-run": lambda n: "a@b.co1" * (n // 7),
+    "email-then-steps": lambda n: "x@a.bc" + "1a" * (n // 2),
+    "dotted-words-paren": lambda n: "a." * (n // 2) + "(",
+    "backtick-run": lambda n: "`" + "a" * n,
+    "fence-run": lambda n: "```" + "a" * n,
+    "user-dashes": lambda n: "@a" + "-" * n,
+    "digits-colon": lambda n: "1" * n + ":",
+    "url-run": lambda n: "http://" + "a" * n,
+    "drive-run": lambda n: "C:\\" + "a" * n,
+    "dashes": lambda n: "-" * n + "x",
+    "spaces-hash": lambda n: " " * n + "#",
+}
+# the one body a pattern is known to take quadratic time on (ROADMAP item 2)
+QUADRATIC = {("FUNC", "dotted-words-paren")}
+
+
+def _seconds(pattern: re.Pattern, text: str, calls: int) -> float:
+    """The best of 3 runs of ``calls`` substitutions of ``pattern`` in ``text``."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        for _ in range(calls):
+            pattern.subn("S", text)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("entry,body", [
+    pytest.param(i, body, id=f"{i}-{token.name}-{body}",
+                 marks=[pytest.mark.xfail(run=False, reason="FUNC tries every word after a dot")]
+                 if (token.name, body) in QUADRATIC else [])
+    for i, (token, _, _) in enumerate(textnorm.ABSTRACTION_TABLE) for body in HOSTILE])
+def test_time_grows_linearly_on_hostile_text(entry, body):
+    """Each table pattern, fed a hostile body of 16k, 32k and 64k characters
+    (not gated by its literals), takes at most 2.5 times as long on 32k as on
+    16k, each timed as the best of 3 runs of enough calls to last 3 ms."""
+    token, pattern, _ = textnorm.ABSTRACTION_TABLE[entry]
+    pattern.subn("S", HOSTILE[body](2 ** 16))
+    calls = max(1, math.ceil(0.003 / max(_seconds(pattern, HOSTILE[body](2 ** 14), 1), 1e-9)))
+    for _ in range(3):  # a busy machine can slow one pair; quadratic time slows every pair 4x
+        small, large = (_seconds(pattern, HOSTILE[body](2 ** k), calls) for k in (14, 15))
+        if large <= 2.5 * small:
+            return
+    pytest.fail(f"{token.name} on {body}: {small:.5f} s at 16k, {large:.5f} s at 32k")
