@@ -74,10 +74,11 @@ every trial would score the same.
 An ``--objective-probs`` row that does not decode or sum to 1, or repeats an
 issue id, exits 1 naming its line (and the earlier one). ``predict`` with a
 stage-one model and ``--objective-probs`` exits 1 naming the flag: that
-model makes the objective probabilities, so the file would go unread. So do
-``--refresh`` on any command but ``fetch``, ``--emit-csv`` on any but
-``evaluate --mode project`` and ``--strict`` on ``fetch`` or ``agreement``,
-before any input is read: no other command reads them.
+model makes the objective probabilities, so the file would go unread. So
+does a flag that the command, its ``evaluate`` mode or its ``--tune``
+setting (0 or not) does not read (``READS``), before any input is read.
+``--seed`` and ``--config`` count as read by every command, since every
+manifest records them.
 ``fetch`` exits 2 on an issue list that does not decode or lists an issue
 twice; a comment, event or profile that does not decode only flags its
 issue, with a warning.
@@ -115,10 +116,6 @@ DEFAULT_SEARCH_SPACE = {
 }
 
 
-class ValidationError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Config and manifest plumbing
 
@@ -127,13 +124,13 @@ def load_config(path: str | None) -> dict:
         return {}
     p = Path(path)
     if not p.is_file():
-        raise ValidationError(f"config file not found: {p}")
+        raise SettingError(f"config file not found: {p}")
     try:
         config = json.loads(p.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"config file {p} is not valid JSON: {exc}")
+        raise SettingError(f"config file {p} is not valid JSON: {exc}")
     if not isinstance(config, dict):
-        raise ValidationError(f"config file {p} must hold a JSON object")
+        raise SettingError(f"config file {p} must hold a JSON object")
     return config
 
 
@@ -171,10 +168,10 @@ def _section(doc: dict, name: str, keys: Iterable[str]) -> dict:
     """``doc[name]`` ({} when absent), which must be an object with only ``keys``."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
-        raise ValidationError(f"config {name} must be an object, got {section!r}")
+        raise SettingError(f"config {name} must be an object, got {section!r}")
     for key in section:
         if key not in keys:
-            raise ValidationError(f"unknown key {key!r} in config {name}")
+            raise SettingError(f"unknown key {key!r} in config {name}")
     return section
 
 
@@ -204,11 +201,11 @@ def search_space_from(config: dict) -> dict:
         if isinstance(entry, dict) and set(entry) == {"low", "high"}:
             values = (entry["low"], entry["high"])
             if not all(isinstance(end, (int, float)) for end in values) or values[0] > values[1]:
-                raise ValidationError(f"search space range for {name} must have "
-                                      f"numbers low <= high, got {values}")
+                raise SettingError(f"search space range for {name} must have "
+                                   f"numbers low <= high, got {values}")
         elif not (isinstance(entry, list) and entry):
-            raise ValidationError(f"search space entry for {name} must be a non-empty "
-                                  f"list or a low/high object, got {entry!r}")
+            raise SettingError(f"search space entry for {name} must be a non-empty "
+                               f"list or a low/high object, got {entry!r}")
         for value in values:
             learn.check_hyperparam(name, value)
         space[name] = entry
@@ -271,7 +268,7 @@ def assets_path_for(model_path: Path) -> Path:
 
 PROB_ROW = Table({"issue_id": Field("string"),
                   **dict.fromkeys(learn.OBJECTIVE_CLASS_ORDER, Field("decimal", (), 0, 1))},
-                 ValidationError)
+                 SettingError)
 
 
 def load_probs_file(path: Path) -> dict[str, np.ndarray]:
@@ -280,24 +277,24 @@ def load_probs_file(path: Path) -> dict[str, np.ndarray]:
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path}: cannot read probabilities file: {exc}") from None
+        raise SettingError(f"{path}: cannot read probabilities file: {exc}") from None
     if not lines:
-        raise ValidationError(f"{path}: empty probabilities file")
+        raise SettingError(f"{path}: empty probabilities file")
     header = lines[0].split("\t")
     if header != list(PROB_ROW.fields):
-        raise ValidationError(f"{path}: header must be {list(PROB_ROW.fields)}, got {header}")
+        raise SettingError(f"{path}: header must be {list(PROB_ROW.fields)}, got {header}")
     probs, seen = {}, {}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
         if len(cells) != len(header):
-            raise ValidationError(f"{path}:{lineno}: expected {len(header)} columns")
+            raise SettingError(f"{path}:{lineno}: expected {len(header)} columns")
         issue_id, *vec = PROB_ROW.decode(dict(zip(header, cells)), f"{path}:{lineno}:").values()
         vec = np.array(vec)
         if not abs(vec.sum() - 1.0) <= features.PROB_SUM_TOLERANCE:
-            raise ValidationError(f"{path}:{lineno}: probabilities sum to {vec.sum()}")
+            raise SettingError(f"{path}:{lineno}: probabilities sum to {vec.sum()}")
         if issue_id in seen:
-            raise ValidationError(f"{path}:{lineno}: issue id {issue_id!r} repeats line "
-                                  f"{seen[issue_id]}")
+            raise SettingError(f"{path}:{lineno}: issue id {issue_id!r} repeats line "
+                               f"{seen[issue_id]}")
         probs[issue_id], seen[issue_id] = vec, lineno
     return probs
 
@@ -386,8 +383,8 @@ def cmd_features(args) -> RunFiles:
 
 def cmd_train_objective(args) -> RunFiles:
     if args.spec.stage1 == "uniform":
-        raise ValidationError("train-objective needs a stage-one model: stage1 must be "
-                              "nb or logreg, got 'uniform'")
+        raise SettingError("train-objective needs a stage-one model: stage1 must be "
+                           "nb or logreg, got 'uniform'")
     out = Path(args.model)
     corpus = _load_input_corpus(args.input, args.strict)
     bundle = evalkit.fit_preprocessing(corpus.issues, args.spec, labelmap.load_label_maps())
@@ -431,14 +428,14 @@ def cmd_train_priority(args) -> RunFiles:
 def cmd_predict(args) -> RunFiles:
     out = Path(args.out)
     if not Path(args.model).exists():
-        raise ValidationError(f"model file not found: {args.model}")
+        raise SettingError(f"model file not found: {args.model}")
     model = learn.load_model(args.model)
     pipeline, stage1 = load_assets(assets_path_for(Path(args.model)))
     model.verify_assets(pipeline.fingerprints())
     stage_one = model.classes == learn.OBJECTIVE_CLASS_ORDER
     if stage_one and args.objective_probs:
-        raise ValidationError(f"--objective-probs applies to a priority model, not to the "
-                              f"stage-one model {args.model}")
+        raise SettingError(f"--objective-probs is not read with the stage-one model "
+                           f"{args.model}, which makes the objective probabilities")
     model.require_width(pipeline.stage1_width if stage_one else pipeline.width,
                         f"{args.model}: ")
     corpus = _load_input_corpus(args.input, args.strict)
@@ -457,11 +454,10 @@ def cmd_predict(args) -> RunFiles:
                                   probs_file=probs_file)
         lines = ["\t".join(["issue_id", "predicted",
                             *(f"p_{c}" for c in model.classes), "model_fingerprint"])]
-        if len(corpus):
-            predicted, probs = bundle.predict(list(corpus.issues))
-            for issue, label, row in zip(corpus.issues, predicted, probs):
-                lines.append("\t".join(
-                    [issue.id, label, *(_format_float(p) for p in row), fingerprint]))
+        predicted, probs = bundle.predict(list(corpus.issues))
+        for issue, label, row in zip(corpus.issues, predicted, probs):
+            lines.append("\t".join(
+                [issue.id, label, *(_format_float(p) for p in row), fingerprint]))
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote predictions for {len(corpus)} issues to {out}")
     return out, [Path(args.input), Path(args.model)], [out]
@@ -527,109 +523,94 @@ def cmd_agreement(args) -> RunFiles:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        raise ValidationError(message)
+        raise SettingError(message)
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # attached to the main parser and to every subcommand so the flags work
-    # in either position; SUPPRESS keeps the subcommand copy from clobbering
-    # a value given before the command name
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--config", default=d, help="JSON config file")
-    parser.add_argument("--seed", type=int, default=d, help="master RNG seed")
-    parser.add_argument("--strict", action="store_true",
-                        default=argparse.SUPPRESS if suppress else False,
-                        help="fail on the first malformed corpus line")
-    parser.add_argument("--refresh", action="store_true",
-                        default=argparse.SUPPRESS if suppress else False,
-                        help="bypass the response cache when fetching")
-    parser.add_argument("--emit-csv", action="store_true", dest="emit_csv",
-                        default=argparse.SUPPRESS if suppress else False,
-                        help="also write per-repo results as CSV")
+# dest -> option string and argparse settings; a flag's value when not given
+# is in READS, since it differs between commands
+FLAGS = {
+    "config": ("--config", dict(help="JSON config file")),
+    "seed": ("--seed", dict(type=int, help="master RNG seed")),
+    "strict": ("--strict", dict(action="store_true",
+                                help="fail on the first malformed corpus line")),
+    "refresh": ("--refresh", dict(action="store_true",
+                                  help="bypass the response cache when fetching")),
+    "emit_csv": ("--emit-csv", dict(action="store_true",
+                                    help="also write per-repo results as CSV")),
+    "repo": ("--repo", dict(required=True)),
+    "state": ("--state", dict(choices=["open", "closed", "all"])),
+    "input": ("--in", dict(required=True)),
+    "ratings": ("--ratings", dict(required=True)),
+    "model": ("--model", dict(required=True)),
+    "mode": ("--mode", dict(required=True, choices=["cv", "project", "cross-project"])),
+    "agreement_mode": ("--mode", dict(choices=["pairwise", "majority"])),
+    "out": ("--out", dict(required=True)),
+    "report": ("--report", dict(required=True)),
+    "cache_dir": ("--cache-dir", {}),
+    "parallel": ("--parallel", dict(type=int)),
+    "no_pull_requests": ("--no-pull-requests", dict(action="store_true")),
+    "created_before": ("--created-before", dict(type=parse_ts, help="ISO-8601 timestamp")),
+    "classifier": ("--classifier", dict(choices=learn.KINDS)),
+    "balancing": ("--balancing", dict(choices=evalkit.BALANCING)),
+    "weights_i": ("--weights-i", dict(type=int)),
+    "stage1": ("--stage1", dict(choices=evalkit.STAGE1_SOURCES)),
+    "objective_probs": ("--objective-probs",
+                        dict(help="objective probability file; it replaces stage one")),
+    "tune": ("--tune", dict(type=int, help="random-search budget (0 disables tuning)")),
+    "tune_metric": ("--tune-metric", dict(choices=evalkit.TUNE_METRICS)),
+    "cv_folds": ("--cv-folds", dict(type=int)),
+}
 
+_RUN = {"config": None, "seed": None}
+_CORPUS = {**_RUN, "strict": False, "input": None}
+_TRAIN = {**_CORPUS, **dict.fromkeys(("model", *_FLAG_FIELDS, "objective_probs")), "tune": 0}
+_EVALUATE = {**_CORPUS, **dict.fromkeys(("mode", "report", *_FLAG_FIELDS))}
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    # no defaults here: an absent flag leaves the config or ModelSpec value
-    parser.add_argument("--classifier", choices=learn.KINDS)
-    parser.add_argument("--balancing", choices=evalkit.BALANCING)
-    parser.add_argument("--weights-i", dest="weights_i", type=int)
-    parser.add_argument("--stage1", choices=evalkit.STAGE1_SOURCES)
+# each command, evaluate mode and train-priority --tune setting -> every flag
+# it reads -> that flag's value when not given (None for a required one)
+READS = {
+    "fetch": {**_RUN, "refresh": False, "repo": None, "state": "closed", "out": None,
+              "cache_dir": None, "parallel": 4, "no_pull_requests": False, "created_before": None},
+    "preprocess": {**_CORPUS, "out": None},
+    "features": {**_CORPUS, "out": None},
+    "train-objective": {**_CORPUS, "model": None, "stage1": None},
+    "train-priority --tune 0": _TRAIN,
+    "train-priority --tune": {**_TRAIN, "tune_metric": "accuracy", "cv_folds": 3},
+    "predict": {**_CORPUS, "model": None, "out": None, "objective_probs": None},
+    "evaluate --mode cv": {**_EVALUATE, "cv_folds": 5},
+    "evaluate --mode project": {**_EVALUATE, "emit_csv": False},
+    "evaluate --mode cross-project": _EVALUATE,
+    "agreement": {**_RUN, "ratings": None, "report": None, "agreement_mode": "pairwise"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="issuetriage",
+    # SUPPRESS everywhere: a flag not given stays out of the namespace, so main can
+    # refuse what was given, and a command's copy of a global flag keeps its value
+    parser = _Parser(prog="issuetriage", argument_default=argparse.SUPPRESS,
                      description="Classify issue objectives and predict priorities.")
-    _add_global_flags(parser, suppress=False)
-    common = _Parser(add_help=False)
-    _add_global_flags(common, suppress=True)
-    sub = parser.add_subparsers(dest="command", metavar="command",
-                                parser_class=_Parser)
-
-    p = sub.add_parser("fetch", parents=[common],
-                       help="fetch and hydrate issues from the REST API")
-    p.add_argument("--repo", required=True)
-    p.add_argument("--state", default="closed", choices=["open", "closed", "all"])
-    p.add_argument("--out", required=True)
-    p.add_argument("--cache-dir", dest="cache_dir")
-    p.add_argument("--parallel", type=int, default=4)
-    p.add_argument("--no-pull-requests", action="store_true")
-    p.add_argument("--created-before", type=parse_ts, help="ISO-8601 timestamp")
-
-    p = sub.add_parser("preprocess", parents=[common], help="filter a corpus")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("features", parents=[common], help="dump the assembled feature matrix")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("train-objective", parents=[common], help="train the stage-one objective model")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--stage1", choices=evalkit.STAGE1_SOURCES)
-
-    p = sub.add_parser("train-priority", parents=[common], help="train the stage-two priority model")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--model", required=True)
-    _add_model_flags(p)
-    p.add_argument("--objective-probs", dest="objective_probs",
-                   help="objective probability file; it replaces stage one")
-    p.add_argument("--tune", type=int, default=0,
-                   help="random-search budget (0 disables tuning)")
-    p.add_argument("--tune-metric", dest="tune_metric", default="accuracy",
-                   choices=evalkit.TUNE_METRICS)
-    p.add_argument("--cv-folds", dest="cv_folds", type=int, default=3)
-
-    p = sub.add_parser("predict", parents=[common], help="score a corpus with a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--objective-probs", dest="objective_probs")
-
-    p = sub.add_parser("evaluate", parents=[common], help="run an experiment protocol")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--mode", required=True, choices=["cv", "project", "cross-project"])
-    p.add_argument("--report", required=True)
-    p.add_argument("--cv-folds", dest="cv_folds", type=int, default=5)
-    _add_model_flags(p)
-
-    p = sub.add_parser("agreement", parents=[common], help="inter-rater agreement statistics")
-    p.add_argument("--ratings", required=True)
-    p.add_argument("--report", required=True)
-    p.add_argument("--mode", dest="agreement_mode", default="pairwise",
-                   choices=["pairwise", "majority"])
+    flags = [(parser, ("config", "seed", "strict", "refresh", "emit_csv"))]
+    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
+    for command, (_, help_text) in _COMMANDS.items():
+        flags.append((sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS),
+                      {dest for key, reads in READS.items() if key.split()[0] == command
+                       for dest in reads}))
+    for p, dests in flags:
+        for dest, (option, settings) in FLAGS.items():
+            if dest in dests:
+                p.add_argument(option, dest=dest, **settings)
     return parser
 
 
 _COMMANDS = {
-    "fetch": cmd_fetch,
-    "preprocess": cmd_preprocess,
-    "features": cmd_features,
-    "train-objective": cmd_train_objective,
-    "train-priority": cmd_train_priority,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-    "agreement": cmd_agreement,
+    "fetch": (cmd_fetch, "fetch and hydrate issues from the REST API"),
+    "preprocess": (cmd_preprocess, "filter a corpus"),
+    "features": (cmd_features, "dump the assembled feature matrix"),
+    "train-objective": (cmd_train_objective, "train the stage-one objective model"),
+    "train-priority": (cmd_train_priority, "train the stage-two priority model"),
+    "predict": (cmd_predict, "score a corpus with a trained model"),
+    "evaluate": (cmd_evaluate, "run an experiment protocol"),
+    "agreement": (cmd_agreement, "inter-rater agreement statistics"),
 }
 
 
@@ -647,13 +628,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        # a flag that the command would not read is a usage error
-        if args.refresh and args.command != "fetch":
-            raise ValidationError("--refresh applies to fetch only")
-        if args.emit_csv and not (args.command == "evaluate" and args.mode == "project"):
-            raise ValidationError("--emit-csv applies to evaluate --mode project only")
-        if args.strict and args.command in ("fetch", "agreement"):
-            raise ValidationError("--strict applies to the commands that load a corpus only")
+        key = args.command
+        if key == "evaluate":
+            key += f" --mode {args.mode}"
+        elif key == "train-priority":
+            key += " --tune" if getattr(args, "tune", 0) else " --tune 0"
+        refused = [option for dest, (option, _) in FLAGS.items()
+                   if dest in vars(args) and dest not in READS[key]]
+        if refused:
+            raise SettingError(f"{key} does not read {', '.join(refused)}")
+        for dest, default in READS[key].items():
+            vars(args).setdefault(dest, default)
         config = load_config(args.config)
         if args.seed is None:
             args.seed = config.get("seed", 0)
@@ -664,25 +649,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.spec = model_spec_from(config, args)
         args.cache = _section(config, "paths", ["cache"]).get("cache", ".cache")
         if not isinstance(args.cache, str):
-            raise ValidationError(f"config paths.cache must be a string, got {args.cache!r}")
+            raise SettingError(f"config paths.cache must be a string, got {args.cache!r}")
         args.space = search_space_from(config)
         unread = getattr(args, "tune", 0) and sorted(
             set(args.space) - evalkit.hyperparams_read(args.spec))
         if unread:
-            raise ValidationError(f"search space {', '.join(unread)}: not read by the "
-                                  f"{args.spec.classifier} classifier under "
-                                  f"{args.spec.balancing} balancing")
+            raise SettingError(f"search space {', '.join(unread)}: not read by the "
+                               f"{args.spec.classifier} classifier under "
+                               f"{args.spec.balancing} balancing")
         args.rules = FilterConfig(**_section(config, "filter",
                                              [f.name for f in fields(FilterConfig)]))
         for attr in ("input", "ratings"):
             value = getattr(args, attr, None)
             if value and not Path(value).is_file():
-                raise ValidationError(f"input file not found: {value}")
-        primary, inputs, outputs = _COMMANDS[args.command](args)
+                raise SettingError(f"input file not found: {value}")
+        primary, inputs, outputs = _COMMANDS[args.command][0](args)
         command = f"evaluate:{args.mode}" if args.command == "evaluate" else args.command
         write_manifest(primary, command, config, args.seed, inputs, outputs)
         return EXIT_OK
-    except (ValidationError, SettingError) as exc:
+    except SettingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CorpusError, TrainingError, ChecksumMismatchError, OSError,

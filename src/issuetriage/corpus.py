@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional
 
-from .decode import Field, Table
+from .decode import Field, Table, is_int, is_number
 
 SCHEMA_VERSION = 1
 
@@ -287,9 +287,9 @@ class FilterConfig:
     def __post_init__(self) -> None:
         chars, share, clusters = (self.min_text_chars, self.non_english_threshold,
                                   self.excluded_clusters)
-        if isinstance(chars, bool) or not isinstance(chars, int) or chars < 0:
+        if not is_int(chars, 0):
             raise SettingError(f"min_text_chars must be an integer >= 0, got {chars!r}")
-        if isinstance(share, bool) or not isinstance(share, (int, float)) or not 0 <= share <= 1:
+        if not (is_number(share, 0, strict=False) and share <= 1):
             raise SettingError(f"non_english_threshold must be a number in [0, 1], got {share!r}")
         if not (isinstance(clusters, (list, tuple)) and all(isinstance(c, str) for c in clusters)):
             raise SettingError(f"excluded_clusters must be a list of strings, got {clusters!r}")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,8 +12,9 @@ import pytest
 
 import reference_splits
 from conftest import FIXTURES, in_child
-from issuetriage import cli, evalkit, labelmap, learn
+from issuetriage import cli, evalkit, ingest, labelmap, learn
 from issuetriage.corpus import load_corpus
+from test_ingest import ISSUES_URL, REPO, FakeTransport, hydration_routes, issue_doc
 
 PLANTED = FIXTURES / "planted_corpus.jsonl"
 
@@ -763,6 +765,10 @@ BAD_SETTINGS = [
     ({}, "evaluate", ["--emit-csv"], "--emit-csv"),
     ({}, "fetch", ["--repo", "a/b", "--strict"], "--strict"),
     ({}, "agreement", ["--strict"], "--strict"),
+    ({}, "train", ["--cv-folds", "4"], "--cv-folds"),
+    ({}, "train", ["--tune-metric", "macro-f1"], "--tune-metric"),
+    ({}, "evaluate", ["--mode", "project", "--cv-folds", "3"], "--cv-folds"),
+    ({}, "evaluate", ["--mode", "cross-project", "--cv-folds", "3"], "--cv-folds"),
 ]
 
 
@@ -782,12 +788,18 @@ class TestSettings:
         assert len(errors) == 1 and named in errors[0], err
         assert all(line.startswith(("error: ", "usage: ", "  ")) for line in err), err
 
-    @pytest.mark.parametrize("command,extra", [("fetch", ["--repo", "a/b"]), ("agreement", [])])
-    def test_strict_before_the_command_exits_one(self, workdir, capsys, command, extra):
+    @pytest.mark.parametrize("flag,command,extra,error", [
+        ("--strict", "fetch", ["--repo", "a/b"], "error: fetch does not read --strict"),
+        ("--strict", "agreement", [], "error: agreement does not read --strict"),
+        ("--emit-csv", "evaluate", [], "error: evaluate --mode cv does not read --emit-csv"),
+        ("--refresh", "preprocess", [], "error: preprocess does not read --refresh"),
+    ])
+    def test_strict_before_the_command_exits_one(self, workdir, capsys, flag, command, extra,
+                                                 error):
         capsys.readouterr()
-        assert run("--strict", *_command(workdir, command), *extra) == 1
+        assert run(flag, *_command(workdir, command), *extra) == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
-        assert errors == ["error: --strict applies to the commands that load a corpus only"]
+        assert errors == [error]
 
     def test_no_corpus_is_loaded_when_a_setting_is_bad(self, workdir, monkeypatch):
         loads = []
@@ -809,6 +821,66 @@ class TestSettings:
         path = workdir / "ok.json"
         path.write_text(json.dumps({"model": {"hyperparams": hyperparams}}))
         assert run("--config", path, *_command(workdir, "train"), *extra) == 0
+
+
+class TestReads:
+    """``cli.READS`` cannot drift from the code: run on the planted fixture
+    (``fetch`` through a canned transport), each key reads every flag in its
+    entry on some path, and no other flag. ``main``'s own reads only check a
+    value or pick the key, so they do not count, but for ``--config`` and
+    ``--seed``, which ``main`` reads for every command."""
+
+    def test_each_key_reads_its_flags_and_no_other(self, workdir, monkeypatch, stage1_artifacts):
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                if (name in object.__getattribute__(self, "__dict__")
+                        and sys._getframe(1).f_code is not cli.main.__code__):
+                    reads.add(name)
+                return object.__getattribute__(self, name)
+
+        build_parser = cli.build_parser
+
+        def recording_parser():
+            # records from the parsed namespace on, not argparse's own reads
+            parser = build_parser()
+            parse = parser.parse_args
+            parser.parse_args = lambda argv: Recording(**vars(parse(argv)))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", recording_parser)
+        transport = FakeTransport()
+        transport.add(ISSUES_URL, [issue_doc(1)])
+        hydration_routes(transport)
+        monkeypatch.setattr(ingest, "RequestsTransport", lambda: transport)
+        corpus, out, config = workdir / "corpus.jsonl", workdir / "out", workdir / "config.json"
+        train = ["--config", config, "train-priority", "--in", corpus, "--model", out]
+        evaluate = ["--config", config, "evaluate", "--in", corpus, "--report", out]
+        predict = ["predict", "--in", corpus, "--out", out, "--model"]
+        runs = [
+            ("fetch", ["fetch", "--repo", REPO, "--out", out, "--cache-dir", workdir / "cache"]),
+            ("preprocess", ["preprocess", "--in", corpus, "--out", out]),
+            ("features", ["features", "--in", corpus, "--out", out]),
+            ("train-objective", ["train-objective", "--in", corpus, "--model", out]),
+            ("train-priority --tune 0", train),
+            ("train-priority --tune", [*train, "--tune", "1", "--cv-folds", "2"]),
+            ("predict", [*predict, stage1_artifacts["assets", "nb"]]),
+            ("predict", [*predict, stage1_artifacts["model", "nb"]]),
+            ("evaluate --mode cv", [*evaluate, "--mode", "cv", "--cv-folds", "2"]),
+            ("evaluate --mode project", [*evaluate, "--mode", "project"]),
+            ("evaluate --mode cross-project", [*evaluate, "--mode", "cross-project"]),
+            ("agreement", ["agreement", "--ratings", FIXTURES / "ratings_grouped.csv",
+                           "--report", out]),
+        ]
+        read_by = {key: set() for key in cli.READS}
+        for key, argv in runs:
+            reads.clear()
+            assert run(*argv) == 0, key
+            flags = reads & cli.FLAGS.keys() | {"config", "seed"}
+            assert flags <= cli.READS[key].keys(), (key, flags - cli.READS[key].keys())
+            read_by[key] |= flags
+        assert read_by == {key: set(dests) for key, dests in cli.READS.items()}
 
 
 class TestValueValidation:
