@@ -8,6 +8,13 @@ the sidecar, is read against its table (``decode``). ``load_corpus`` returns
 the corpus of a file's good lines and, for each bad line, the pair of its
 line number and message; under ``strict`` the first bad line raises a
 ``CorpusError`` instead.
+
+Every record class here is slotted, so no record carries a per-instance
+attribute dict. One ``load_corpus`` call keeps the first of equal repository
+names, states, labels, logins, associations and event kinds, so the records
+of one load share those strings. The table that does this lives for the call
+only; timestamps, titles, descriptions, comment bodies and ids are never
+shared.
 """
 
 from __future__ import annotations
@@ -60,10 +67,16 @@ def parse_ts(value: str) -> datetime:
 
 
 def format_ts(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``ts`` in UTC with a ``Z``; a fraction of a second, if any, in three
+    digits where that is exact and six where not, so ``parse_ts`` reads back
+    the same instant."""
+    ts = ts.astimezone(timezone.utc)
+    if not ts.microsecond:
+        return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return ts.strftime("%Y-%m-%dT%H:%M:%S.%f").removesuffix("000") + "Z"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserProfile:
     login: str
     followers: int = 0
@@ -81,14 +94,14 @@ class UserProfile:
             raise ValueError(f"unknown association {self.association!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommentRecord:
     author_login: str
     body: str
     created_at: datetime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     kind: str
     created_at: datetime
@@ -98,9 +111,13 @@ class EventRecord:
             raise ValueError("event kind must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IssueRecord:
-    """One issue as fetched, with raw text and final (closed-time) metadata."""
+    """One issue as fetched, with raw text and final (closed-time) metadata.
+
+    Slotted, as are its author, comments and events. The records of one
+    ``load_corpus`` call share each distinct repository name, state, label,
+    login, association and event kind."""
 
     id: str
     repo: str
@@ -129,7 +146,7 @@ class IssueRecord:
             raise ValueError(f"issue {self.id}: duplicate labels after case-folding")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Corpus:
     issues: tuple[IssueRecord, ...]
     provenance: dict = field(default_factory=dict)
@@ -192,21 +209,31 @@ def _issue_to_doc(issue: IssueRecord) -> dict:
     return doc
 
 
-def _issue_from_doc(doc) -> IssueRecord:
+def _issue_from_doc(doc, names: dict[str, str]) -> IssueRecord:
     """One corpus line's record, each part decoded against its table: no
-    value is converted into another but timestamps (an empty one is absent)."""
+    value is converted into another but timestamps (an empty one is absent).
+    Repository names, states, labels, logins, associations and event kinds
+    are taken through ``names``, which keeps the first of equal strings, so
+    records read with the same table share them."""
+    share = names.setdefault  # share(text, text) is the first string equal to text
     rec = RECORD.decode(doc, "record")
     author = AUTHOR.decode(rec["author"], "record author")
     if not set(map(type, rec["labels"])) <= {str}:
         raise ValueError(f"record field 'labels' must hold strings, got {rec['labels']!r:.40}")
-    created = author["account_created_at"]
-    author["account_created_at"] = parse_ts(created) if created else None
+    created, login, association = (author["account_created_at"], author["login"],
+                                   author["association"])
+    author.update(login=share(login, login), association=share(association, association),
+                  account_created_at=parse_ts(created) if created else None)
+    repo, state, closer = rec["repo"], rec["state"], rec["closer_login"]
     rec.update(
-        id=str(rec["id"]), labels=tuple(rec["labels"]), created_at=parse_ts(rec["created_at"]),
+        repo=share(repo, repo), state=share(state, state),
+        closer_login=None if closer is None else share(closer, closer),
+        id=str(rec["id"]), labels=tuple([share(label, label) for label in rec["labels"]]),
+        created_at=parse_ts(rec["created_at"]),
         closed_at=parse_ts(rec["closed_at"]) if rec["closed_at"] else None,
-        comments=tuple([CommentRecord(login, body, parse_ts(ts))
+        comments=tuple([CommentRecord(share(login, login), body, parse_ts(ts))
                         for login, body, ts in COMMENT.rows(rec["comments"], "record comment")]),
-        events=tuple([EventRecord(kind, parse_ts(ts))
+        events=tuple([EventRecord(share(kind, kind), parse_ts(ts))
                       for kind, ts in EVENT.rows(rec["events"], "record event")]),
         author=UserProfile(**author))
     known = RECORD.fields
@@ -253,13 +280,14 @@ def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, list[tu
     issues: list[IssueRecord] = []
     ids: set[str] = set()
     errors: list[tuple[int, str]] = []
+    names: dict[str, str] = {}
     with path.open("rb") as fh:  # each line decoded on its own, so one bad byte costs one line
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                issue = _issue_from_doc(json.loads(line))
+                issue = _issue_from_doc(json.loads(line), names)
                 if issue.id in ids:
                     raise ValueError(f"issue id {issue.id!r} repeats an earlier line's")
             except (ValueError, RecursionError) as exc:
@@ -276,7 +304,7 @@ def load_corpus(path: str | Path, strict: bool = False) -> tuple[Corpus, list[tu
 # ---------------------------------------------------------------------------
 # Filtering
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterConfig:
     """Filter rules and their defaults; a bad value is a ``SettingError``."""
 

@@ -1,15 +1,19 @@
+import dataclasses
 import json
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from issuetriage import corpus as corpus_module
 from issuetriage.corpus import (
     Corpus,
     CorpusError,
     FilterConfig,
     IssueRecord,
     filter_corpus,
+    format_ts,
     load_corpus,
+    parse_ts,
     save_corpus,
 )
 from conftest import T0, make_issue
@@ -150,6 +154,102 @@ class TestRoundTrip:
         path.with_name(path.name + ".meta.json").write_bytes(sidecar)
         with pytest.raises(CorpusError, match="sidecar"):
             load_corpus(path)
+
+
+class TestTimestamps:
+    @pytest.mark.parametrize("ts, text", [
+        (datetime(2020, 1, 1, tzinfo=timezone.utc), "2020-01-01T00:00:00Z"),
+        (datetime(2020, 1, 1, 0, 0, 0, 750_000, tzinfo=timezone.utc), "2020-01-01T00:00:00.750Z"),
+        (datetime(2020, 1, 1, 0, 0, 0, 123_456, tzinfo=timezone.utc),
+         "2020-01-01T00:00:00.123456Z"),
+        (datetime(2020, 1, 1, 0, 0, 0, 1_000, tzinfo=timezone.utc), "2020-01-01T00:00:00.001Z"),
+        (datetime(2020, 1, 1, 0, 0, 0, 1, tzinfo=timezone.utc), "2020-01-01T00:00:00.000001Z"),
+        (datetime(2020, 1, 1, 2, 0, 0, 500_000, tzinfo=timezone(timedelta(hours=2))),
+         "2020-01-01T00:00:00.500Z"),
+    ], ids=["whole", "millis", "micros", "one-milli", "one-micro", "offset"])
+    def test_format_keeps_the_fraction(self, ts, text):
+        assert format_ts(ts) == text
+        assert parse_ts(text) == ts
+
+    def test_fractional_stamps_round_trip(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus_of(make_issue(id="a", n_comments=1, n_events=1)), path)
+        doc = json.loads(path.read_text())
+        doc["created_at"] = "2020-01-01T00:00:00.750Z"
+        doc["closed_at"] = "2020-01-02T00:00:00.123456Z"
+        doc["author"]["account_created_at"] = "2019-01-01T00:00:00.001Z"
+        doc["comments"][0]["created_at"] = "2020-01-01T01:00:00.500Z"
+        doc["events"][0]["created_at"] = "2020-01-01T02:00:00.000001Z"
+        line = json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n"
+        path.write_text(line, encoding="utf-8")
+        loaded, errors = load_corpus(path)
+        assert errors == [] and loaded.issues[0].created_at.microsecond == 750_000
+        again = tmp_path / "again.jsonl"
+        save_corpus(loaded, again)
+        assert again.read_text(encoding="utf-8") == line
+        assert load_corpus(again) == (loaded, [])
+
+
+class TestLayout:
+    """Records are slotted, and one load shares equal names."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        t0 = datetime(2021, 3, 4, 5, 6, 7, tzinfo=timezone.utc)
+        issues = [make_issue(id=f"i{n}", repo="acme/engine", labels=("bug", "ui-layer"),
+                             login="alice-dev", closer="bob-ops", created_at=t0,
+                             n_comments=2, n_events=2) for n in range(3)]
+        save_corpus(corpus_of(*issues), path)
+        return path
+
+    def test_every_record_class_is_slotted(self, path):
+        classes = [value for value in vars(corpus_module).values()
+                   if dataclasses.is_dataclass(value) and value.__module__ == corpus_module.__name__]
+        assert {"UserProfile", "CommentRecord", "EventRecord", "IssueRecord"} <= {
+            cls.__name__ for cls in classes}
+        assert [cls.__name__ for cls in classes if "__slots__" not in vars(cls)] == []
+        loaded, _ = load_corpus(path)
+        issue = loaded.issues[0]
+        for record in (loaded, issue, issue.author, *issue.comments, *issue.events):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_equal_names_are_one_object_within_a_load(self, path):
+        first, *rest = load_corpus(path)[0].issues
+        assert rest
+        for other in rest:
+            assert other.repo is first.repo and other.state is first.state
+            assert all(a is b for a, b in zip(other.labels, first.labels, strict=True))
+            assert other.author.login is first.author.login
+            assert other.author.association is first.author.association
+            assert other.closer_login is first.closer_login
+            for a, b in zip(other.comments, first.comments, strict=True):
+                assert a.author_login is b.author_login
+            for a, b in zip(other.events, first.events, strict=True):
+                assert a.kind is b.kind
+
+    def test_two_loads_share_no_stamp_or_name(self, path):
+        def shared(corpus):
+            return {id(value) for issue in corpus.issues
+                    for value in (issue.created_at, issue.closed_at, issue.repo, issue.state,
+                                  issue.closer_login, *issue.labels, issue.author.login,
+                                  issue.author.association, issue.author.account_created_at,
+                                  *(c.author_login for c in issue.comments),
+                                  *(c.created_at for c in issue.comments),
+                                  *(e.kind for e in issue.events),
+                                  *(e.created_at for e in issue.events))}
+        one, two = load_corpus(path)[0], load_corpus(path)[0]
+        assert one == two
+        assert shared(one).isdisjoint(shared(two))
+
+    def test_a_loaded_record_can_be_replaced(self, path):
+        issue = load_corpus(path)[0].issues[0]
+        hydrated = dataclasses.replace(issue, comments=(), hydration_failed=True,
+                                       author=dataclasses.replace(issue.author, followers=9))
+        assert hydrated.comments == () and hydrated.hydration_failed
+        assert hydrated.author.followers == 9 and hydrated.author.login == issue.author.login
+        assert dataclasses.replace(hydrated, comments=issue.comments, hydration_failed=False,
+                                   author=issue.author) == issue
 
 
 class TestInvariants:
