@@ -45,9 +45,9 @@ class RatingMatrix:
 
     rows: tuple[tuple[Optional[str], ...], ...]
     raters: tuple[str, ...]
-    categories: tuple[str, ...] = DEFAULT_CATEGORIES
-    item_ids: tuple[str, ...] = ()
-    groups: tuple[str, ...] = ()
+    categories: tuple[str, ...]
+    item_ids: tuple[str, ...]
+    groups: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if len(self.categories) < 2:
@@ -105,10 +105,11 @@ def load_rating_matrix(path: str | Path) -> RatingMatrix:
         lowered = name.lower()
         if lowered in ("issue", "id", "issue_id") and id_col is None:
             id_col = pos
-            first_rater = pos + 1
         elif lowered in ("group", "project", "repo") and group_col is None:
             group_col = pos
-            first_rater = pos + 1
+        else:  # only a leading run of them; a later one is a rater's column
+            break
+        first_rater = pos + 1
     raters = tuple(header[first_rater:])
     rows, ids, groups = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -132,8 +133,7 @@ def load_rating_matrix(path: str | Path) -> RatingMatrix:
 # ---------------------------------------------------------------------------
 # Agreement statistics
 
-def item_agreement(matrix: RatingMatrix, row: Sequence[Optional[str]],
-                   mode: str = "pairwise") -> float:
+def item_agreement(matrix: RatingMatrix, row: Sequence[Optional[str]], mode: str) -> float:
     """Agreement of one item: fraction of agreeing rater pairs, or with
     mode='majority' the fraction of raters voting for the modal category."""
     counts = matrix.counts(row)
@@ -221,7 +221,7 @@ def landis_koch_band(kappa: float) -> str:
     return "poor"
 
 
-def compute_agreement(matrix: RatingMatrix, mode: str = "pairwise") -> dict:
+def compute_agreement(matrix: RatingMatrix, mode: str) -> dict:
     """The agreement report document: percent agreement and both kappas (a
     null Fleiss' kappa and a flag when it is unavailable), the Randolph
     kappa's band, each item's agreement, the majority labels and their
@@ -250,7 +250,7 @@ def compute_agreement(matrix: RatingMatrix, mode: str = "pairwise") -> dict:
     }
 
 
-def compute_agreement_by_group(matrix: RatingMatrix, mode: str = "pairwise") -> dict:
+def compute_agreement_by_group(matrix: RatingMatrix, mode: str) -> dict:
     """Overall report under the key "overall", plus one per group when the
     ratings file carried a grouping column; a group named "overall" is a
     ``RatingMatrixError``, as its report would take the overall one's key."""

@@ -28,6 +28,10 @@ once and checks every setting before any corpus is loaded:
   ``excluded_clusters``, defaulting as in ``corpus.FilterConfig``;
 - ``paths``: ``cache``, the directory of ``fetch``'s response cache.
 
+The defaults of ``fetch`` (state, parallel requests, refresh, pull requests,
+created-before) and of ``agreement`` (its ``--mode``, ``pairwise``) live in
+``READS`` alone: ``ingest`` and ``agreement`` take every one as an argument.
+
 ``--objective-probs`` sources stage one from that file, so no stage-one
 model is fit. A bad value or an unknown key exits 1 naming the setting.
 

@@ -332,14 +332,13 @@ def _non_ascii_fraction(text: str) -> float:
     return outside / len(meaningful)
 
 
-def filter_corpus(corpus: Corpus, rules: FilterConfig | None = None, *,
+def filter_corpus(corpus: Corpus, rules: FilterConfig, *,
                   cluster_of: Callable[[str], Optional[str]]) -> tuple[Corpus, dict]:
     """Drop issues with too little text, mostly non-English text, or a noise
     label: one whose cluster (``cluster_of``), case-folded, is one of
     ``rules.excluded_clusters``. A label outside every cluster is no noise.
     Returns the kept issues and the filter report: the count removed by each
     rule, in that order, then ``total_removed``."""
-    rules = rules or FilterConfig()
     kept: list[IssueRecord] = []
     removed = dict.fromkeys(("removed_short_text", "removed_non_english",
                              "removed_excluded_label"), 0)

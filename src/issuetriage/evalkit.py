@@ -151,8 +151,8 @@ class PriorityPipeline:
     the bundle is made), optional stage-one model, and the priority classifier."""
 
     feature_pipeline: FeaturePipeline
+    stage1_model: TrainedModel | None
     classifier: TrainedModel | None = None
-    stage1_model: TrainedModel | None = None
     notes: list[str] = field(default_factory=list)
     probs_file: Mapping[str, np.ndarray] | None = None
 
@@ -277,8 +277,7 @@ def train_pipeline(issues: Sequence[IssueRecord], spec: ModelSpec, maps: LabelMa
 
 def tune_hyperparams(issues: Sequence[IssueRecord], spec: ModelSpec, maps: LabelMaps,
                      space: dict, budget: int, cv_folds: int, objective: str,
-                     probs_file: Mapping[str, np.ndarray] | None = None,
-                     ) -> tuple[dict, list[dict]]:
+                     probs_file: Mapping[str, np.ndarray] | None) -> tuple[dict, list[dict]]:
     """Random search over ``space``: ``budget`` configs, merged into the spec's
     hyperparameters, are each scored by the k-fold CV mean of the
     ``TUNE_METRICS`` metric named ``objective``; returns the first best

@@ -115,7 +115,7 @@ class TfidfModel:
              "max_features": self.max_features, "ngram_range": list(NGRAM_RANGE)})
 
     @classmethod
-    def from_doc(cls, doc, what: str = "TF-IDF block") -> "TfidfModel":
+    def from_doc(cls, doc, what: str) -> "TfidfModel":
         """The model ``doc`` holds. Its table keeps each ``df`` in [1,
         ``n_docs``], so every idf is at least 1; an ``ngram_range`` other
         than ``NGRAM_RANGE`` is refused, since no other is applied."""
@@ -388,8 +388,7 @@ class ScalerParams:
                 "max": [float(x) for x in self.maximums]}
 
     @classmethod
-    def from_doc(cls, doc, what: str = "scaler block", dims: dict | None = None
-                 ) -> "ScalerParams":
+    def from_doc(cls, doc, what: str, dims: dict | None) -> "ScalerParams":
         block = SCALER.decode(doc, what, dims)
         return cls(block["min"], block["max"])
 
@@ -539,8 +538,7 @@ class FeaturePipeline:
 
 
 def fit_feature_pipeline(issues: Iterable[IssueRecord], maps: LabelMaps,
-                         title_max_features: int = TITLE_MAX_FEATURES,
-                         desc_max_features: int = DESC_MAX_FEATURES) -> FeaturePipeline:
+                         title_max_features: int, desc_max_features: int) -> FeaturePipeline:
     issues = list(issues)
     title_docs = [textnorm.normalize_pipeline(i.title) for i in issues]
     desc_docs = [textnorm.normalize_pipeline(i.description) for i in issues]

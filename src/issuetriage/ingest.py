@@ -53,8 +53,8 @@ class NotFoundError(IngestError):
 @dataclass(frozen=True)
 class ClientConfig:
     cache_dir: Path
-    max_parallel_requests: int = 4
-    refresh: bool = False
+    max_parallel_requests: int
+    refresh: bool
 
     def __post_init__(self) -> None:
         if self.max_parallel_requests < 1:
@@ -68,9 +68,9 @@ _REPO_RE = re.compile(r"^[\w.-]+/[\w.-]+$")
 @dataclass(frozen=True)
 class FetchQuery:
     repo: str
-    state: str = "closed"  # open | closed | all
-    created_before: Optional[datetime] = None
-    include_pull_requests: bool = True
+    state: str  # open | closed | all
+    created_before: Optional[datetime]
+    include_pull_requests: bool
 
     def __post_init__(self) -> None:
         if not _REPO_RE.match(self.repo):
@@ -405,7 +405,7 @@ def _hydrate_one(client: IssueClient,
 
 
 def hydrate(client: IssueClient, issues: Sequence[IssueRecord],
-            provenance: dict | None = None) -> tuple[Corpus, list[HydrationFailure]]:
+            provenance: dict) -> tuple[Corpus, list[HydrationFailure]]:
     """Attach comments, events and author profiles. Issues whose
     sub-resources keep failing are flagged, never dropped."""
     results: list[IssueRecord] = [None] * len(issues)  # type: ignore[list-item]
@@ -419,4 +419,4 @@ def hydrate(client: IssueClient, issues: Sequence[IssueRecord],
             results[pos] = hydrated
             failures.extend(issue_failures)
     failures.sort(key=lambda f: (f.issue_id, f.resource))
-    return Corpus(issues=tuple(results), provenance=provenance or {}), failures
+    return Corpus(issues=tuple(results), provenance=provenance), failures

@@ -120,7 +120,7 @@ class TrainedModel:
     kind: str  # a key of KINDS
     classes: tuple[str, ...]
     params: dict
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
     asset_fingerprints: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -145,7 +145,7 @@ class TrainedModel:
                     f"asset {name!r} fingerprint {actual} does not match the "
                     f"one recorded at training time ({expected})")
 
-    def require_width(self, width: int, where: str = "") -> None:
+    def require_width(self, width: int, where: str) -> None:
         """``ArtifactError`` unless the model takes ``width`` feature columns: the
         ``d`` of its first param in its kind's table that has one."""
         key, spec = next((k, f) for k, f in KINDS[self.kind].table.fields.items() if "d" in f.shape)
@@ -174,7 +174,7 @@ class TrainedModel:
         return doc
 
     @classmethod
-    def from_doc(cls, doc, where: str = "") -> "TrainedModel":
+    def from_doc(cls, doc, where: str) -> "TrainedModel":
         """The model ``doc`` describes (``MODEL``), its params decoded against
         its classes; ``where`` (a path and a colon, say) starts every error
         message."""
@@ -924,8 +924,7 @@ def fit(kind: str, X: np.ndarray | SparseRows, labels: Sequence[str], classes: t
 # ---------------------------------------------------------------------------
 # SMOTE
 
-def smote(minority: np.ndarray, majority_count: int, k: int = 5,
-          seed: int = 0) -> np.ndarray:
+def smote(minority: np.ndarray, majority_count: int, k: int, seed: int) -> np.ndarray:
     """Synthetic points x + lambda*(nn - x) until the class counts equalize."""
     minority = np.asarray(minority, dtype=float)
     n = minority.shape[0]
@@ -945,8 +944,8 @@ def smote(minority: np.ndarray, majority_count: int, k: int = 5,
     return base + lams[:, None] * (neighbors - base)
 
 
-def balance_with_smote(X: np.ndarray | SparseRows, labels: Sequence[str], k: int = 5,
-                       seed: int = 0) -> tuple[np.ndarray, list[str]]:
+def balance_with_smote(X: np.ndarray | SparseRows, labels: Sequence[str], k: int = 5, *,
+                       seed: int) -> tuple[np.ndarray, list[str]]:
     X = _dense(X)
     labels = list(labels)
     counts = {cls: labels.count(cls) for cls in sorted(set(labels))}

@@ -196,14 +196,9 @@ def _load_wordlist(name: str) -> list[str]:
     return out
 
 
-_STOPWORDS: frozenset[str] | None = None
-
-
+@functools.cache
 def stopwords() -> frozenset[str]:
-    global _STOPWORDS
-    if _STOPWORDS is None:
-        _STOPWORDS = frozenset(_load_wordlist("stopwords.txt")) - RETAINED_WORDS
-    return _STOPWORDS
+    return frozenset(_load_wordlist("stopwords.txt")) - RETAINED_WORDS
 
 
 # Irregular and e-dropping forms the suffix rules cannot recover. Read-only,
@@ -344,7 +339,7 @@ def _chunk_lemmas(chunk: str) -> tuple[str, ...]:
         for part in parts:
             if not part or part.isdigit():
                 continue
-            if part in stops and part not in RETAINED_WORDS:
+            if part in stops:
                 continue
             lemma = lemmatize(part)
             if lemma and not lemma.isdigit():

@@ -15,15 +15,23 @@ Run as ``python tests/src_counts.py [src-dir]`` (default: this checkout's
   since no caller can set it);
 - the (key, flag) pairs of ``issuetriage.cli.READS``, the command lines
   that the CLI accepts and acts on, when the package has that table.
+
+Run as ``python tests/src_counts.py PARENT_SRC CHANGE_SRC`` to compare two
+trees: each count for the parent, for the change and their difference, with
+the settable values also split by module. Each tree's ``READS`` is read in
+an interpreter of its own, so neither is read from the other's modules.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
+LINE_KINDS = ("code", "docstring", "comment", "blank")
 
 
 def _docstring_lines(tree: ast.Module) -> set[int]:
@@ -63,7 +71,9 @@ def _settable(tree: ast.Module) -> int:
 
 
 def counts(src: Path) -> dict[str, int]:
-    total = {"code": 0, "docstring": 0, "comment": 0, "blank": 0, "settable": 0}
+    """The line and settable counts of ``src``, and each module's settable
+    count under ``settable <module path>``."""
+    total = dict.fromkeys(LINE_KINDS + ("settable",), 0)
     for path in sorted(src.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text)
@@ -73,23 +83,48 @@ def counts(src: Path) -> dict[str, int]:
             kind = ("docstring" if lineno in docs else "comment" if stripped.startswith("#")
                     else "blank" if not stripped else "code")
             total[kind] += 1
-        total["settable"] += _settable(tree)
+        settable = _settable(tree)
+        total["settable"] += settable
+        total[f"settable {path.relative_to(src).as_posix()}"] = settable
     return total
 
 
 def reads_pairs(src: Path) -> int | None:
-    sys.path.insert(0, str(src))
-    from issuetriage import cli
-    reads = getattr(cli, "READS", None)
-    return None if reads is None else sum(len(dests) for dests in reads.values())
+    code = ("from issuetriage import cli; reads = getattr(cli, 'READS', None); "
+            "print(None if reads is None else sum(len(dests) for dests in reads.values()))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    return ast.literal_eval(proc.stdout.strip())
+
+
+def rows(src: Path) -> dict[str, int | None]:
+    """Each printed count of ``src`` by its label, in print order."""
+    total = counts(src)
+    out = {"lines:": sum(total[k] for k in LINE_KINDS)}
+    out.update((f"  {kind}:", total[kind]) for kind in LINE_KINDS)
+    out["settable:"] = total["settable"]
+    out.update((f"  {key.split(' ', 1)[1]}:", n) for key, n in total.items()
+               if key.startswith("settable "))
+    out["READS pairs:"] = reads_pairs(src)
+    return out
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 2:
+        parent, change = map(rows, map(Path, argv))
+        labels = list(dict.fromkeys([*parent, *change]))
+        width = max(map(len, labels))
+        print(f"{'':<{width}} {'parent':>8} {'change':>8} {'diff':>8}")
+        for label in labels:
+            old, new = parent.get(label, 0), change.get(label, 0)
+            diff = "" if None in (old, new) else f"{new - old:+d}"
+            print(f"{label:<{width}} {old!s:>8} {new!s:>8} {diff:>8}")
+        return 0
     src = Path(argv[0]) if argv else DEFAULT_SRC
     total = counts(src)
-    lines = sum(total[k] for k in ("code", "docstring", "comment", "blank"))
+    lines = sum(total[k] for k in LINE_KINDS)
     print(f"lines:      {lines}")
-    for kind in ("code", "docstring", "comment", "blank"):
+    for kind in LINE_KINDS:
         print(f"  {kind + ':':<11} {total[kind]}")
     print(f"settable:   {total['settable']}")
     pairs = reads_pairs(src)

@@ -14,8 +14,8 @@ import pytest
 
 from conftest import FIXTURES
 from issuetriage import cli, evalkit, labelmap, learn
-from issuetriage.agreement import RatingMatrix, compute_agreement
-from issuetriage.corpus import filter_corpus, load_corpus
+from issuetriage.agreement import DEFAULT_CATEGORIES, RatingMatrix, compute_agreement
+from issuetriage.corpus import FilterConfig, filter_corpus, load_corpus
 from issuetriage.evalkit import ModelSpec, score
 from issuetriage.features import fit_scaler, scale
 from issuetriage.learn import (
@@ -58,8 +58,9 @@ class criterion:
 def test_criterion_01_agreement_consistency_with_reported_pair():
     with criterion(1, "percent agreement 0.853 with k=2 gives Randolph kappa 0.706"):
         rows = [("High", "High")] * 853 + [("High", "Low")] * 147
-        matrix = RatingMatrix(rows=tuple(rows), raters=("r1", "r2"))
-        report = compute_agreement(matrix)
+        matrix = RatingMatrix(rows=tuple(rows), raters=("r1", "r2"),
+                              categories=DEFAULT_CATEGORIES, item_ids=(), groups=())
+        report = compute_agreement(matrix, "pairwise")
         assert report["percent_agreement"] == pytest.approx(0.853, abs=1e-12)
         assert abs(report["randolph_kappa"] - 0.706) <= 0.005
 
@@ -271,7 +272,7 @@ def test_criterion_08_forest_sanity_on_separable_data():
 
 def test_criterion_09_end_to_end_planted_signal(planted_corpus, maps):
     with criterion(9, "planted-signal pipeline beats the comments baseline by 10 points"):
-        filtered, report = filter_corpus(planted_corpus,
+        filtered, report = filter_corpus(planted_corpus, FilterConfig(),
                                          cluster_of=maps.clusters.cluster_of)
         assert report["total_removed"] == 0
         spec = ModelSpec(classifier="forest", balancing="weights", seed=11,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from issuetriage.agreement import (
+    DEFAULT_CATEGORIES,
     RatingMatrix,
     RatingMatrixError,
     compute_agreement,
@@ -24,7 +25,8 @@ H, L = "High", "Low"
 
 def matrix(*rows, raters=None):
     raters = raters or tuple(f"r{i}" for i in range(len(rows[0])))
-    return RatingMatrix(rows=tuple(tuple(r) for r in rows), raters=tuple(raters))
+    return RatingMatrix(rows=tuple(tuple(r) for r in rows), raters=tuple(raters),
+                        categories=DEFAULT_CATEGORIES, item_ids=(), groups=())
 
 
 # the two statistics as the report gives them
@@ -33,7 +35,7 @@ def percent_agreement(m, mode="pairwise"):
 
 
 def randolph_kappa(m):
-    return compute_agreement(m)["randolph_kappa"]
+    return compute_agreement(m, "pairwise")["randolph_kappa"]
 
 
 class TestPercentAgreement:
@@ -195,7 +197,8 @@ class TestMatrixValidation:
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(RatingMatrixError):
-            RatingMatrix(rows=((H, L), (H,)), raters=("a", "b"))
+            RatingMatrix(rows=((H, L), (H,)), raters=("a", "b"),
+                         categories=DEFAULT_CATEGORIES, item_ids=(), groups=())
 
 
 class TestRatingsFile:
@@ -212,7 +215,7 @@ class TestRatingsFile:
         assert m.rows[0] == (H, H, L)
         assert m.rows[1] == (H, H, H)
         assert m.rows[2] == (L, L, None)
-        reports = compute_agreement_by_group(m)
+        reports = compute_agreement_by_group(m, "pairwise")
         assert set(reports) == {"overall", "web", "api"}
         assert reports["web"]["percent_agreement"] == pytest.approx((1 / 3 + 1.0) / 2)
 
@@ -226,13 +229,23 @@ class TestRatingsFile:
     def test_report_shape(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("a,b,c\nH,H,H\nH,H,L\nL,L,L\n")
-        report = compute_agreement(load_rating_matrix(path))
+        report = compute_agreement(load_rating_matrix(path), "pairwise")
         assert report["band"] == landis_koch_band(report["randolph_kappa"])
         assert len(report["per_item_agreement"]) == 3
         assert report["fleiss_kappa"] is not None
         assert list(report) == ["percent_agreement", "randolph_kappa", "fleiss_kappa", "band",
                                 "per_item_agreement", "majority_labels", "tied_items",
                                 "outlier_raters", "flags"]
+
+    def test_id_and_group_columns_lead_the_header(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text("issue,project,alice,group\nI-1,web,H,L\nI-2,api,L,L\n")
+        m = load_rating_matrix(path)
+        assert (m.item_ids, m.groups) == (("I-1", "I-2"), ("web", "api"))
+        assert m.raters == ("alice", "group")
+        path.write_text("alice,group,bob,carol\nH,g1,H,H\nL,g2,H,H\n")
+        with pytest.raises(RatingMatrixError, match="unknown category 'g1'"):
+            load_rating_matrix(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -250,7 +263,7 @@ class TestRatingsFile:
         path = tmp_path / "ratings.csv"
         path.write_text("project,r1,r2\noverall,H,H\noverall,L,L\nweb,H,L\nweb,L,H\n")
         with pytest.raises(RatingMatrixError, match='group "overall"'):
-            compute_agreement_by_group(load_rating_matrix(path))
+            compute_agreement_by_group(load_rating_matrix(path), "pairwise")
 
 
 def fleiss_oracle(m):
@@ -284,7 +297,7 @@ def rating_matrices(draw):
                    max_size=n_raters).filter(lambda r: sum(c is not None for c in r) >= 2)
     rows = draw(st.lists(row, min_size=1, max_size=12))
     return RatingMatrix(tuple(map(tuple, rows)), tuple(f"r{i}" for i in range(n_raters)),
-                        categories)
+                        categories, (), ())
 
 
 @settings(max_examples=200, deadline=None)

@@ -936,7 +936,8 @@ class TestAssetsBundle:
         from issuetriage import evalkit, features
 
         issues = list(planted_corpus.issues)
-        pipeline = features.fit_feature_pipeline(issues, maps)
+        pipeline = features.fit_feature_pipeline(issues, maps, features.TITLE_MAX_FEATURES,
+                                                 features.DESC_MAX_FEATURES)
         stage1 = evalkit.train_objective_model(issues, pipeline, evalkit.ModelSpec())
         path = tmp_path / "assets.json"
         cli.save_assets(path, pipeline, stage1)
@@ -1249,6 +1250,18 @@ class TestAgreementCommand:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith('error: group "overall"'), err
         assert captured.out == "" and not report.exists()
+
+    def test_group_column_after_a_rater_exits_two(self, workdir, capsys):
+        """Only a leading run of id and group columns is recognised, so
+        alice's column is not dropped: the ``g1`` and ``g2`` cells are
+        ratings, of an unknown category."""
+        ratings = workdir / "ratings.csv"
+        ratings.write_text("alice,group,bob,carol\nH,g1,H,H\nL,g2,H,H\nH,g1,L,L\n")
+        report = workdir / "a.json"
+        assert run("agreement", "--ratings", ratings, "--report", report) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "unknown category 'g1'" in err[0], err
+        assert not report.exists()
 
     def test_header_without_rows_exits_two(self, workdir, capsys):
         ratings = workdir / "ratings.csv"

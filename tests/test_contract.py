@@ -439,9 +439,11 @@ def api_cache(tmp_path_factory):
                   [issue_doc(1), issue_doc(2, user={"login": "bob"}, labels=["ui"])])
     for number, login in ((1, "alice"), (2, "bob")):
         hydration_routes(transport, number, login)
-    client = ingest.IssueClient(ingest.ClientConfig(cache_dir=cache), transport)
-    issues = ingest.fetch_issues(client, ingest.FetchQuery(repo=REPO))
-    assert not ingest.hydrate(client, issues)[1]
+    client = ingest.IssueClient(ingest.ClientConfig(cache_dir=cache, max_parallel_requests=4,
+                                                    refresh=False), transport)
+    issues = ingest.fetch_issues(client, ingest.FetchQuery(
+        repo=REPO, state="closed", created_before=None, include_pull_requests=True))
+    assert not ingest.hydrate(client, issues, {})[1]
     return cache
 
 

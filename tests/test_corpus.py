@@ -269,13 +269,13 @@ class TestInvariants:
 class TestFilter:
     def test_short_title_removed(self, maps):
         c = corpus_of(make_issue(id="short", title="ok"), make_issue(id="fine"))
-        kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
+        kept, report = filter_corpus(c, FilterConfig(), cluster_of=maps.clusters.cluster_of)
         assert [i.id for i in kept.issues] == ["fine"]
         assert report["removed_short_text"] == 1
 
     def test_duplicate_label_removed(self, maps):
         c = corpus_of(make_issue(labels=("duplicate",)))
-        kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
+        kept, report = filter_corpus(c, FilterConfig(), cluster_of=maps.clusters.cluster_of)
         assert len(kept) == 0
         assert report["removed_excluded_label"] == 1
 
@@ -286,23 +286,24 @@ class TestFilter:
                       make_issue(id="n", labels=("not an issue",)),
                       make_issue(id="k", labels=("bug",)),
                       make_issue(id="x", labels=("non-duplicate work",)))
-        kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
+        kept, report = filter_corpus(c, FilterConfig(), cluster_of=maps.clusters.cluster_of)
         assert [i.id for i in kept.issues] == ["k", "x"]
         assert report["removed_excluded_label"] == 2
 
     def test_cluster_of_is_required(self):
         with pytest.raises(TypeError, match="cluster_of"):
-            filter_corpus(corpus_of(make_issue()))
+            filter_corpus(corpus_of(make_issue()), FilterConfig())
 
     def test_non_english_removed(self, maps):
         c = corpus_of(make_issue(description="синтаксическая ошибка при разборе"))
-        kept, report = filter_corpus(c, cluster_of=maps.clusters.cluster_of)
+        kept, report = filter_corpus(c, FilterConfig(), cluster_of=maps.clusters.cluster_of)
         assert len(kept) == 0
         assert report["removed_non_english"] == 1
 
     def test_idempotent(self, planted_corpus, maps):
-        once, report1 = filter_corpus(planted_corpus, cluster_of=maps.clusters.cluster_of)
-        twice, report2 = filter_corpus(once, cluster_of=maps.clusters.cluster_of)
+        once, report1 = filter_corpus(planted_corpus, FilterConfig(),
+                                      cluster_of=maps.clusters.cluster_of)
+        twice, report2 = filter_corpus(once, FilterConfig(), cluster_of=maps.clusters.cluster_of)
         assert twice == once
         assert report2["total_removed"] == 0
 

@@ -286,7 +286,7 @@ class TestTuneHyperparams:
         return evalkit.tune_hyperparams(memorizable_corpus().issues,
                                         replace(self.SPEC, seed=seed), maps,
                                         space, budget=budget, cv_folds=cv_folds,
-                                        objective="accuracy")
+                                        objective="accuracy", probs_file=None)
 
     def test_budget_one_returns_single_config(self, maps):
         best, trace = self.tune({"magic": [3]}, 1, 2, 0, maps)
@@ -325,7 +325,7 @@ def test_tune_fits_a_repeated_config_once_per_fold(monkeypatch, maps):
     spec = ModelSpec(classifier="knn", balancing="none", stage1="uniform")
     _, trace = evalkit.tune_hyperparams(memorizable_corpus().issues, spec, maps,
                                         {"magic": [3]}, budget=4, cv_folds=2,
-                                        objective="accuracy")
+                                        objective="accuracy", probs_file=None)
     assert len(fits) == 2  # one per fold, where each of the four draws was fit
     assert [t["config"] for t in trace] == [{"magic": 3}] * 4
     assert len(trace[0]["fold_scores"]) == 2
@@ -397,6 +397,23 @@ class TestProjectBased:
         spec = ModelSpec(seed=1, hyperparams={"n_trees": 10})
         result = evaluate_project_based(corpus, spec, maps)
         assert "tiny/repo" in result["skipped"]
+
+    def test_repo_with_two_issues_of_a_class_is_evaluated(self, maps):
+        issues = [make_issue(id=f"pair{i}", repo="pair/repo", title=f"Parser fails on input {i}",
+                             labels=("p1" if i < 2 else "p3",), followers=i * 30)
+                  for i in range(7)]
+        result = evaluate_project_based(Corpus(tuple(issues)),
+                                        ModelSpec(seed=1, hyperparams={"n_trees": 10}), maps)
+        assert list(result["per_repo"]) == ["pair/repo"] and not result["skipped"]
+
+    def test_median_of_two_repos_is_their_mean(self, planted_corpus, maps):
+        repos = ["acme/engine", "blue/notifier"]
+        corpus = Corpus(tuple(i for i in planted_corpus.issues if i.repo in repos))
+        result = evaluate_project_based(corpus, ModelSpec(seed=1, hyperparams={"n_trees": 10}),
+                                        maps)
+        first, second = (result["per_repo"][repo]["accuracy"] for repo in repos)
+        assert first != second
+        assert result["summary"]["accuracy"]["median"] == pytest.approx((first + second) / 2)
 
     def test_no_evaluable_repo_is_an_error(self, planted_corpus, maps):
         issues = [i for i in planted_corpus.issues if i.repo == "acme/engine"][:3]
@@ -500,6 +517,12 @@ class TestPipelineStages:
         predicted, probs = bundle.predict(issues[:5])
         assert len(predicted) == 5
         assert np.allclose(probs.sum(axis=1), 1.0)
+
+    def test_predict_on_no_issues_gives_no_rows(self, planted_corpus, maps):
+        bundle = train_pipeline(list(planted_corpus.issues[:40]),
+                                ModelSpec(classifier="knn", hyperparams={"k": 3}), maps)
+        labels, probs = bundle.predict([])
+        assert labels == [] and probs.shape == (0, 2)
 
     def test_unlabeled_issue_rejected(self, maps):
         with pytest.raises(learn.TrainingError, match="priority"):

@@ -360,7 +360,8 @@ def pipeline(maps):
                    description="Question about the cache settings please.",
                    labels=("question",)),
     ]
-    return fit_feature_pipeline(issues, maps)
+    return fit_feature_pipeline(issues, maps, features.TITLE_MAX_FEATURES,
+                                features.DESC_MAX_FEATURES)
 
 
 def one_row(pipeline, issue, probs):
@@ -444,7 +445,7 @@ class TestScalerParams:
 
     def test_roundtrip(self):
         params = fit_scaler([np.array([1.0, 2.0]), np.array([3.0, 2.0])])
-        again = ScalerParams.from_doc(params.to_doc())
+        again = ScalerParams.from_doc(params.to_doc(), "scaler block", None)
         assert np.array_equal(again.minimums, params.minimums)
         assert np.array_equal(again.maximums, params.maximums)
 
@@ -483,7 +484,7 @@ class TestTfidfDecoder:
         stored = json.loads(json.dumps(model.to_doc(), default=learn._json_default))
         assert stored["vocabulary"] == list(model.vocabulary)
         assert (stored["df"], stored["n_docs"]) == (model.df.tolist(), 4)
-        again = features.TfidfModel.from_doc(stored)
+        again = features.TfidfModel.from_doc(stored, "TF-IDF block")
         assert list(again.vocabulary.items()) == list(model.vocabulary.items())
         assert again.idf.tobytes() == model.idf.tobytes()
         assert again.fingerprint() == model.fingerprint()
@@ -509,7 +510,7 @@ class TestTfidfDecoder:
                                       default=learn._json_default))
         block[key] = value(block)
         with pytest.raises(learn.ArtifactError, match=message):
-            features.TfidfModel.from_doc(block)
+            features.TfidfModel.from_doc(block, "TF-IDF block")
 
     @settings(max_examples=100, deadline=None)
     @given(n_docs=st.integers(1, 10 ** 12), data=st.data())
@@ -517,7 +518,7 @@ class TestTfidfDecoder:
         df = data.draw(st.lists(st.integers(1, n_docs), max_size=6))
         block = {"vocabulary": [f"t{i}" for i in range(len(df))], "df": df, "n_docs": n_docs,
                  "max_features": 10, "ngram_range": [1, 2]}
-        idf = features.TfidfModel.from_doc(block).idf
+        idf = features.TfidfModel.from_doc(block, "TF-IDF block").idf
         assert np.all(np.isfinite(idf)) and np.all(idf >= 1.0)
 
 

@@ -1,5 +1,6 @@
 """Every module-level import in the package is used, every function,
-class and method is reached, and every defaulted parameter is passed.
+class and method is reached, and every defaulted parameter is both passed
+and left out.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by a top-level ``import`` must be read somewhere in the module,
@@ -16,6 +17,13 @@ constant in disguise. Calls are matched by the called name alone, and a
 class call passes its ``__init__``'s parameters, or its dataclass fields
 (an ``init=False`` field is no parameter). A ``cls(...)`` call inside a
 classmethod is a call of its class.
+
+A default must also be taken: some call in the package or in ``perfbench``
+must leave its parameter out. A default that every call passes restates a
+value that the callers own (``cli.READS``, ``evalkit.ModelSpec``,
+``corpus.FilterConfig``), or one that they all agree on, so the parameter
+takes none. Here ``Class.method(...)`` calls only that class's method, and a
+call with a ``*`` or ``**`` argument counts as taking every default.
 
 No class defines an ``as_dict`` method: a report is the plain dict that
 the code computing it builds, not an object copied into one.
@@ -194,35 +202,35 @@ def _dataclass_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
     return fields
 
 
-def _defaulted(tree: ast.Module) -> list[tuple[str, str, int | None]]:
-    """(called name, parameter, its call position) of each defaulted
-    parameter of a top-level function or method, and of each defaulted
-    field of a top-level dataclass; a keyword-only one has no position, a
-    method's first parameter takes none, and ``__init__`` and a dataclass
-    are called by the class's name."""
+def _defaulted(tree: ast.Module) -> list[tuple[str, str, int | None, str | None]]:
+    """(called name, parameter, its call position, owning class) of each
+    defaulted parameter of a top-level function or method, and of each
+    defaulted field of a top-level dataclass; a keyword-only one has no
+    position, a method's first parameter takes none, ``__init__`` and a
+    dataclass are called by the class's name, and a function has no class."""
     found = []
 
-    def add(fn: ast.FunctionDef, called: str, bound: int) -> None:
+    def add(fn: ast.FunctionDef, called: str, bound: int, owner: str | None) -> None:
         positional = fn.args.posonlyargs + fn.args.args
         first = len(positional) - len(fn.args.defaults)
-        found.extend((called, arg.arg, i - bound)
+        found.extend((called, arg.arg, i - bound, owner)
                      for i, arg in enumerate(positional) if i >= first)
-        found.extend((called, arg.arg, None)
+        found.extend((called, arg.arg, None, owner)
                      for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                      if default is not None)
 
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            add(node, node.name, 0)
+            add(node, node.name, 0, None)
         elif isinstance(node, ast.ClassDef):
             if _decorated(node, "dataclass"):
-                found.extend((node.name, name, i)
+                found.extend((node.name, name, i, node.name)
                              for i, (name, default) in enumerate(_dataclass_fields(node))
                              if default)
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     add(item, node.name if item.name == "__init__" else item.name,
-                        0 if _decorated(item, "staticmethod") else 1)
+                        0 if _decorated(item, "staticmethod") else 1, node.name)
     return found
 
 
@@ -266,7 +274,7 @@ def unpassed(sources: dict[str, str], callers: list[str]) -> list[str]:
         _passed(tree, passes)
     found = []
     for module, tree in trees.items():
-        for called, param, position in _defaulted(tree):
+        for called, param, position, _ in _defaulted(tree):
             most, keywords = passes.get(called, (0, set()))
             if param not in keywords and (position is None or position >= most):
                 found.append(f"{module}.{called}({param})")
@@ -304,6 +312,70 @@ def test_every_default_is_passed():
     found = [name for name in unpassed(sources, callers)
              if name.split("(")[0] not in UNPASSED_SKIPPED]
     assert sorted(found) == sorted(UNPASSED_ON_PURPOSE), found
+
+
+# Passed by every call of the package, or called by none, and kept as a default.
+UNTAKEN_ON_PURPOSE = {
+    "evalkit.feature_importance(names)": "no call yet; evaluate is to report top-k importances",
+    "textnorm.TokenizedDoc(abstractions)": "None only on the docs that tests build by hand",
+}
+
+
+def untaken(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of the
+    ``sources`` modules that every call in them or in ``callers`` passes,
+    by position or by keyword. ``Class.method(...)`` calls only that class's
+    method, and a call with a ``*`` or ``**`` argument takes every default."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    calls = []  # (called name, class named before the dot, positional count, keywords)
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        class_calls = _class_calls(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = (class_calls.get(node) or getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", None))
+            owner = getattr(getattr(node.func, "value", None), "id", None)
+            unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.append((name, owner if owner in classes else None,
+                          None if unpacks else len(node.args), {k.arg for k in node.keywords}))
+    found = []
+    for module, tree in trees.items():
+        for called, param, position, cls in _defaulted(tree):
+            if not any(name == called and owner in (None, cls)
+                       and (given is None or param not in keywords
+                            and (position is None or position >= given))
+                       for name, owner, given, keywords in calls):
+                found.append(f"{module}.{called}({param})")
+    return found
+
+
+def test_checker_flags_an_untaken_default():
+    sources = {"a": "def f(x, y=1, *, w=3):\n    pass\n\n\n"
+                    "class Box:\n    def __init__(self, size=0):\n        pass\n\n"
+                    "    @classmethod\n    def load(cls, doc, what='box'):\n"
+                    "        return cls(doc)\n\n\n"
+                    "class Bag:\n    @classmethod\n    def load(cls, doc, what='bag'):\n"
+                    "        pass\n",
+               "b": "from a import Bag, Box, f\n\n\ndef g():\n    f(0, 2, w=4)\n"
+                    "    Box.load({}, 'box')\n    Bag.load({}, what='bag')\n"}
+    assert untaken(sources, []) == ["a.f(y)", "a.f(w)", "a.Box(size)", "a.load(what)",
+                                    "a.load(what)"]
+    callers = ["f(0, w=1)\nf(0, 1)\nBox(*sizes)\nBag.load({})\nshelf.load({})\n"]
+    assert untaken(sources, callers) == []
+    assert untaken(sources, ["f(0, **opts)\nBag.load({})\n"]) == ["a.Box(size)",
+                                                                    "a.load(what)"]
+
+
+def test_every_default_is_taken():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    callers = [path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py")]
+    found = [name for name in untaken(sources, callers)
+             if name.split("(")[0] not in UNPASSED_SKIPPED]
+    assert sorted(found) == sorted(UNTAKEN_ON_PURPOSE), found
 
 
 def as_dict_methods(source: str) -> list[str]:

@@ -85,8 +85,15 @@ def issue_doc(number, **overrides):
     return doc
 
 
-def cfg(tmp_path, **kw):
-    return ClientConfig(cache_dir=tmp_path / "cache", **kw)
+def cfg(tmp_path, max_parallel_requests=4, refresh=False):
+    return ClientConfig(cache_dir=tmp_path / "cache",
+                        max_parallel_requests=max_parallel_requests, refresh=refresh)
+
+
+def query(**kw):
+    """A query for ``REPO`` with the settings ``fetch`` reads by default."""
+    return FetchQuery(**{"repo": REPO, "state": "closed", "created_before": None,
+                         "include_pull_requests": True, **kw})
 
 
 def no_sleep(_):
@@ -101,7 +108,7 @@ class TestFetchIssues:
     def test_empty_repo(self, tmp_path):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [])
-        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        issues = fetch_issues(client_for(tmp_path, transport), query())
         assert issues == []
 
     def test_two_page_fixture(self, tmp_path):
@@ -111,7 +118,7 @@ class TestFetchIssues:
             200, {"Link": f'<{page2}>; rel="next"'},
             json.dumps([issue_doc(i) for i in range(1, 101)]))
         transport.add(page2, [issue_doc(i) for i in range(101, 151)])
-        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        issues = fetch_issues(client_for(tmp_path, transport), query())
         assert len(issues) == 150
         assert len(transport.calls) == 2
         assert issues[0].repo == REPO
@@ -120,33 +127,33 @@ class TestFetchIssues:
     def test_warm_cache_issues_no_requests(self, tmp_path):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(1), issue_doc(2)])
-        first = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        first = fetch_issues(client_for(tmp_path, transport), query())
         cold_transport = FakeTransport()  # would 404 on any request
-        second = fetch_issues(client_for(tmp_path, cold_transport), FetchQuery(repo=REPO))
+        second = fetch_issues(client_for(tmp_path, cold_transport), query())
         assert second == first
         assert cold_transport.calls == []
 
     def test_refresh_bypasses_cache(self, tmp_path):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(1)])
-        fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        fetch_issues(client_for(tmp_path, transport), query())
         transport2 = FakeTransport()
         transport2.add(ISSUES_URL, [issue_doc(1), issue_doc(2)])
         refreshed = fetch_issues(client_for(tmp_path, transport2, refresh=True),
-                                 FetchQuery(repo=REPO))
+                                 query())
         assert len(refreshed) == 2
         assert transport2.calls == [ISSUES_URL]
 
     def test_missing_repo_fatal(self, tmp_path):
         transport = FakeTransport()  # unrouted URLs respond 404
         with pytest.raises(NotFoundError, match=REPO):
-            fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+            fetch_issues(client_for(tmp_path, transport), query())
 
     def test_auth_failure_fatal(self, tmp_path):
         transport = FakeTransport()
         transport.routes[ISSUES_URL] = Response(401, {}, "{}")
         with pytest.raises(AuthError):
-            fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+            fetch_issues(client_for(tmp_path, transport), query())
 
     def test_rate_limit_waits_server_advised_delay(self, tmp_path):
         transport = FakeTransport()
@@ -156,7 +163,7 @@ class TestFetchIssues:
         ])
         sleeps = []
         issues = fetch_issues(client_for(tmp_path, transport, sleeps.append),
-                              FetchQuery(repo=REPO))
+                              query())
         assert len(issues) == 1
         assert sleeps == [7.0]
 
@@ -176,7 +183,7 @@ class TestFetchIssues:
         ])
         sleeps = []
         client = client_for(tmp_path, transport, sleeps.append)
-        issues = fetch_issues(client, FetchQuery(repo=REPO))
+        issues = fetch_issues(client, query())
         assert [i.id for i in issues] == ["1"]
         assert sleeps == [want] and transport.calls == [ISSUES_URL] * 2
 
@@ -195,7 +202,7 @@ class TestFetchIssues:
         transport.routes[ISSUES_URL] = Response(403, headers, "{}")
         sleeps = []
         with pytest.raises(IngestError) as caught:
-            fetch_issues(client_for(tmp_path, transport, sleeps.append), FetchQuery(repo=REPO))
+            fetch_issues(client_for(tmp_path, transport, sleeps.append), query())
         assert str(caught.value) == (f"{ISSUES_URL} is rate limited for {wait} s, "
                                      "over the 3600 s this client waits")
         assert sleeps == [] and transport.calls == [ISSUES_URL]
@@ -207,7 +214,7 @@ class TestFetchIssues:
             Response(200, {}, json.dumps([issue_doc(1)])),
         ])
         sleeps = []
-        fetch_issues(client_for(tmp_path, transport, sleeps.append), FetchQuery(repo=REPO))
+        fetch_issues(client_for(tmp_path, transport, sleeps.append), query())
         assert sleeps == [3600.0]
 
     def test_fetch_with_a_huge_retry_after_exits_two(self, tmp_path, monkeypatch, capsys):
@@ -228,7 +235,7 @@ class TestFetchIssues:
         transport = FakeTransport()
         transport.routes[ISSUES_URL] = Response(500, {}, "{}")
         with pytest.raises(IngestError, match=f"giving up .* after {ingest.MAX_RETRIES + 1} "):
-            fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+            fetch_issues(client_for(tmp_path, transport), query())
         assert transport.calls == [ISSUES_URL] * (ingest.MAX_RETRIES + 1)
 
     def test_transport_error_is_retried(self, tmp_path):
@@ -239,7 +246,7 @@ class TestFetchIssues:
         ])
         sleeps = []
         client = client_for(tmp_path, transport, sleeps.append)
-        issues = fetch_issues(client, FetchQuery(repo=REPO))
+        issues = fetch_issues(client, query())
         assert [i.id for i in issues] == ["1"]
         assert sleeps == BACKOFF[:1] and client.network_requests == 2
 
@@ -267,12 +274,12 @@ class TestFetchIssues:
         transport.add(ISSUES_URL, [issue_doc(1),
                                    issue_doc(2, pull_request={"url": "x"})])
         issues = fetch_issues(client_for(tmp_path, transport),
-                              FetchQuery(repo=REPO, include_pull_requests=False))
+                              query(include_pull_requests=False))
         assert [i.id for i in issues] == ["1"]
 
     def test_bad_repo_shape_rejected(self):
         with pytest.raises(ValueError):
-            FetchQuery(repo="not-a-repo")
+            query(repo="not-a-repo")
 
     def test_created_before_filters_and_a_bad_one_exits_one(self, tmp_path, capsys):
         transport = FakeTransport()
@@ -280,7 +287,7 @@ class TestFetchIssues:
                                                              closed_at=None)])
         before = datetime(2021, 2, 15, tzinfo=timezone.utc)
         issues = fetch_issues(client_for(tmp_path, transport),
-                              FetchQuery(repo=REPO, created_before=before))
+                              query(created_before=before))
         assert [i.id for i in issues] == ["1"]
         code = cli.main(["fetch", "--repo", REPO, "--out", str(tmp_path / "c.jsonl"),
                          "--cache-dir", str(tmp_path / "cache"), "--created-before", "soon"])
@@ -312,13 +319,13 @@ def hydration_routes(transport, number=1, login="alice"):
 class TestHydrate:
     def fetch_one(self, tmp_path, transport):
         transport.add(ISSUES_URL, [issue_doc(1)])
-        return fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        return fetch_issues(client_for(tmp_path, transport), query())
 
     def test_fixture_counts(self, tmp_path):
         transport = FakeTransport()
         hydration_routes(transport)
         issues = self.fetch_one(tmp_path, transport)
-        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues, {})
         assert failures == []
         issue = corpus.issues[0]
         assert len(issue.comments) == 3
@@ -335,7 +342,7 @@ class TestHydrate:
         transport.add(f"{base}/events?per_page=100", [])
         transport.add(f"{BASE}/users/alice", {"login": "alice"})
         issues = self.fetch_one(tmp_path, transport)
-        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues, {})
         assert corpus.issues[0].comments == ()
         assert failures == []
 
@@ -346,7 +353,7 @@ class TestHydrate:
         transport.add(f"{base}/events?per_page=100", [])
         # no /users/alice route -> 404
         issues = self.fetch_one(tmp_path, transport)
-        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues, {})
         issue = corpus.issues[0]
         assert issue.hydration_failed is True
         assert issue.author.followers == 0
@@ -356,9 +363,9 @@ class TestHydrate:
         transport = FakeTransport()
         hydration_routes(transport)
         issues = self.fetch_one(tmp_path, transport)
-        corpus1, _ = hydrate(client_for(tmp_path, transport), issues)
+        corpus1, _ = hydrate(client_for(tmp_path, transport), issues, {})
         cold = FakeTransport()
-        corpus2, _ = hydrate(client_for(tmp_path, cold), issues)
+        corpus2, _ = hydrate(client_for(tmp_path, cold), issues, {})
         assert cold.calls == []
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_corpus(corpus1, p1)
@@ -373,17 +380,18 @@ class TestHydrate:
             transport.add(f"{base}/comments?per_page=100", [])
             transport.add(f"{base}/events?per_page=100", [])
         transport.add(f"{BASE}/users/alice", {"login": "alice"})
-        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        issues = fetch_issues(client_for(tmp_path, transport), query())
         # fresh cache dir so hydration actually goes over the transport
-        bounded = ClientConfig(cache_dir=tmp_path / "cache2", max_parallel_requests=2)
+        bounded = ClientConfig(cache_dir=tmp_path / "cache2", max_parallel_requests=2,
+                               refresh=False)
         transport.max_in_flight = 0
-        corpus, _ = hydrate(IssueClient(bounded, transport, no_sleep), issues)
+        corpus, _ = hydrate(IssueClient(bounded, transport, no_sleep), issues, {})
         assert len(corpus) == 8
         assert transport.max_in_flight <= 2
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            ClientConfig(cache_dir=tmp_path, max_parallel_requests=0)
+            ClientConfig(cache_dir=tmp_path, max_parallel_requests=0, refresh=False)
 
 
 class CountingLock:
@@ -411,10 +419,10 @@ class TestRobustness:
     def test_corrupt_cache_entry_is_refetched(self, tmp_path, entry):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(1)])
-        first = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        first = fetch_issues(client_for(tmp_path, transport), query())
         [cache_file] = (tmp_path / "cache").glob("*.json")
         cache_file.write_text(entry)
-        again = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+        again = fetch_issues(client_for(tmp_path, transport), query())
         assert again == first
         assert transport.calls == [ISSUES_URL, ISSUES_URL]
         assert set(json.loads(cache_file.read_text())) >= {"status", "headers", "body"}
@@ -428,8 +436,8 @@ class TestRobustness:
         del docs[1]["created_at"]
         transport.add(url, docs)
         transport.add(ISSUES_URL, [issue_doc(1)])
-        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
-        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
+        issues = fetch_issues(client_for(tmp_path, transport), query())
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues, {})
         assert [(f.issue_id, f.resource) for f in failures] == [("1", resource)]
         assert isinstance(failures[0], HydrationFailure)
         issue = corpus.issues[0]
@@ -443,8 +451,8 @@ class TestRobustness:
         hydration_routes(transport)
         transport.routes[f"{BASE}/users/alice"] = Response(200, {}, "<html>oops")
         transport.add(ISSUES_URL, [issue_doc(1)])
-        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
-        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
+        issues = fetch_issues(client_for(tmp_path, transport), query())
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues, {})
         assert [(f.issue_id, f.resource) for f in failures] == [("1", "author")]
         issue = corpus.issues[0]
         assert issue.hydration_failed is True
@@ -473,13 +481,13 @@ class TestRobustness:
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(2), doc])
         with pytest.raises(IngestError, match=named):
-            fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+            fetch_issues(client_for(tmp_path, transport), query())
 
     def test_issue_listed_twice_is_an_ingest_error(self, tmp_path):
         transport = FakeTransport()
         transport.add(ISSUES_URL, [issue_doc(1), issue_doc(1)])
         with pytest.raises(IngestError, match="an issue is listed twice"):
-            fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
+            fetch_issues(client_for(tmp_path, transport), query())
 
     @pytest.mark.parametrize("resource, route, change, named", [
         ("author", "users/alice", lambda doc: {**doc, "followers": "many"}, "'followers'"),
@@ -496,8 +504,8 @@ class TestRobustness:
         url = f"{BASE}/{route}"
         transport.add(url, change(json.loads(transport.routes[url].body)))
         transport.add(ISSUES_URL, [issue_doc(1)])
-        issues = fetch_issues(client_for(tmp_path, transport), FetchQuery(repo=REPO))
-        corpus, failures = hydrate(client_for(tmp_path, transport), issues)
+        issues = fetch_issues(client_for(tmp_path, transport), query())
+        corpus, failures = hydrate(client_for(tmp_path, transport), issues, {})
         assert [(f.issue_id, f.resource) for f in failures] == [("1", resource)]
         assert named in failures[0].error, failures
         issue = corpus.issues[0]
@@ -532,6 +540,6 @@ class TestRobustness:
         config = cfg(tmp_path, max_parallel_requests=4)
         client = IssueClient(config, transport, no_sleep)
         guard = client._requests_guard = CountingLock()
-        issues = fetch_issues(client, FetchQuery(repo=REPO))
-        hydrate(client, issues)
+        issues = fetch_issues(client, query())
+        hydrate(client, issues, {})
         assert guard.entries == client.network_requests == len(transport.calls) == 18

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import in_child, make_issue, wait_for
 from issuetriage import cli, evalkit, learn
 from issuetriage.corpus import PriorityClass, SettingError
+from issuetriage.decode import Field, Table
 from issuetriage.learn import (
     TrainingError,
     balance_with_smote,
@@ -1097,6 +1098,12 @@ class TestSerializationPath:
                 assert loaded.params[key].tobytes() == value.tobytes(), key
         assert loaded.fingerprint() == model.fingerprint()
 
+    def test_a_sparse_field_with_an_empty_dimension_decodes_to_no_cells(self):
+        dims = {}
+        block = {"X": {"shape": [0, 3], "index": [], "value": []}}
+        X = Table({"X": Field("sparse", ("n", "d"))}).decode(block, "block", dims)["X"]
+        assert X.shape == (0, 3) and dims == {"n": 0, "d": 3}
+
     def test_fingerprints_are_those_of_version_1(self):
         """Version 2 stores NB's counts and sparse importances and training
         rows, but a fingerprint hashes what the model predicts with, as it
@@ -1148,7 +1155,7 @@ class TestSerializationPath:
         model = _FITTERS["nb"](_ROUNDTRIP_X, _ROUNDTRIP_Y)
         learn.write_json(tmp_path / "doc.json", model.to_doc())
         doc = json.loads((tmp_path / "doc.json").read_text())
-        again = learn.TrainedModel.from_doc(doc)
+        again = learn.TrainedModel.from_doc(doc, "")
         assert "asset_fingerprints" not in doc
         assert again.classes == model.classes and again.metadata == model.metadata
         assert np.array_equal(again.params["log_likelihood"], model.params["log_likelihood"])
@@ -1192,6 +1199,7 @@ class TestKinds:
         for kind in kinds:
             assert evalkit.ModelSpec(classifier=kind).classifier == kind
             model = _FITTERS[kind](_ROUNDTRIP_X, _ROUNDTRIP_Y)
-            assert learn.TrainedModel.from_doc(model.to_doc()).fingerprint() == model.fingerprint()
+            assert (learn.TrainedModel.from_doc(model.to_doc(), "").fingerprint()
+                    == model.fingerprint())
         with pytest.raises(learn.ArtifactError, match="unknown kind 'svm'"):
-            learn.TrainedModel.from_doc({**model.to_doc(), "kind": "svm"})
+            learn.TrainedModel.from_doc({**model.to_doc(), "kind": "svm"}, "")

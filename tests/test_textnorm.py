@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from issuetriage import textnorm
 from issuetriage.evalkit import ModelSpec, cross_validate, labeled_issues, train_pipeline
-from issuetriage.features import fit_feature_pipeline
+from issuetriage.features import DESC_MAX_FEATURES, TITLE_MAX_FEATURES, fit_feature_pipeline
 from issuetriage.textnorm import (
     RETAINED_WORDS,
     AbstractToken,
@@ -445,7 +445,7 @@ class TestMemo:
     def test_title_and_description_of_one_text_share_a_doc(self, planted_corpus, maps):
         issue = planted_corpus.issues[0]
         issue = dataclasses.replace(issue, description=issue.title)
-        pipeline = fit_feature_pipeline([issue], maps)
+        pipeline = fit_feature_pipeline([issue], maps, TITLE_MAX_FEATURES, DESC_MAX_FEATURES)
         (title_doc,), (desc_doc,) = pipeline.tfidf_title.memo, pipeline.tfidf_desc.memo
         assert title_doc is desc_doc is normalize_pipeline(issue.title)
 
