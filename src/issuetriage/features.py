@@ -19,13 +19,14 @@ Each text's work is done once per process, by memos below the call sites:
 * n-gram columns: ``TfidfModel.memo``, per ``TokenizedDoc``, for the model's
   life: a doc's sorted column ids (int32, the dtype of X's columns) and
   counts (float64), which ``transform_tfidf`` and the stage-one rows read.
-  ``fit_tfidf`` counts n-grams as integer codes, builds strings for the
-  vocabulary alone, and writes every training doc's entry as views into one
-  block of columns and one of counts for the whole fit, 12 bytes per (doc,
-  column) pair; ``TfidfModel.columns`` looks up any other doc
-  (``term_counts``) on its first read, with the same dtypes. The memo
-  belongs to the model, so it goes when the model does (a CV fold's model,
-  say) and two models never share entries;
+  ``fit_tfidf`` counts n-grams as integer codes with two ``np.unique``
+  sorts, builds strings for the vocabulary alone, and writes every training
+  doc's entry, in doc order, as views into one block of columns and one of
+  counts for the whole fit, 12 bytes per (doc, column) pair;
+  ``TfidfModel.columns`` looks up any other doc (``term_counts``) on its
+  first read, with the same dtypes. The memo belongs to the model, so it
+  goes when the model does (a CV fold's model, say) and two models never
+  share entries;
 * sentiment: ``sentiment.Lexicon.scores``, per ``TokenizedDoc``, for the
   life of the bundled lexicon, which is loaded once per process.
 
@@ -145,22 +146,28 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int) -> TfidfModel:
 
     No n-gram string is built but those of the vocabulary. Each distinct
     token is ranked 1, 2, ... in string order, and an n-gram is coded as
-    first rank x (tokens + 1) + second rank, a unigram's second rank 0. The
-    codes sort as the n-grams' strings do, because every token character
-    sorts after the joining ``' '`` (``TokenizedDoc`` refuses any character
-    below ``'!'``). Of two first tokens ``s`` and ``t``, if neither is a
-    prefix of the other, their first differing character decides both
-    orders; if ``s`` is a proper prefix of ``t``, the string starting with
-    ``s`` goes on with ``' '`` or ends where the other goes on with a
-    character of ``t``, above ``' '``, so it sorts first, as ``s``'s rank
-    does. With equal first tokens, a unigram's string is a prefix of the
-    bigram's, as its 0 is below any rank, and two bigrams' second tokens
-    decide by the same two cases. (A token holding ``'\\x01'`` would break
-    this: ``"a\\x01"`` sorts before ``"a b"`` as a string, after it as
-    ranks.) So the top-k rule's lexicographic tie break takes the smallest
-    codes. ``df`` and the totals count each distinct doc's (doc, n-gram)
-    pairs once, times its number of copies. The memo is one block of
-    columns and one of counts, ordered by doc, then column; each distinct
+    first rank x (tokens + 1) + second rank, a unigram's second rank 0, so
+    ``divmod(code, tokens + 1)`` gives back its words. The codes sort as
+    the n-grams' strings do, because every token character sorts after the
+    joining ``' '`` (``TokenizedDoc`` refuses any character below ``'!'``).
+    Of two first tokens ``s`` and ``t``, if neither is a prefix of the
+    other, their first differing character decides both orders; if ``s`` is
+    a proper prefix of ``t``, the string starting with ``s`` goes on with
+    ``' '`` or ends where the other goes on with a character of ``t``, above
+    ``' '``, so it sorts first, as ``s``'s rank does. With equal first
+    tokens, a unigram's string is a prefix of the bigram's, as its 0 is
+    below any rank, and two bigrams' second tokens decide by the same two
+    cases. (A token holding ``'\\x01'`` would break this: ``"a\\x01"`` sorts
+    before ``"a b"`` as a string, after it as ranks.) So the top-k rule's
+    lexicographic tie break takes the smallest codes.
+
+    Two sorts do the counting. ``np.unique`` over every occurrence's code
+    numbers the distinct n-grams in code order. A second, over doc x
+    (distinct n-grams) + n-gram, gives the distinct (doc, n-gram) pairs, by
+    doc, then n-gram, each with its count. ``df`` and the totals count each
+    pair once per copy of its doc. Both keys are int64, as (tokens + 1)²
+    and distinct docs x distinct n-grams stay below 2**63. The memo is one
+    block of columns and one of counts in that pair order; each distinct
     doc's entry is a view into them."""
     if not docs:
         raise ValueError("cannot fit TF-IDF on an empty corpus")
@@ -174,50 +181,38 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], max_features: int) -> TfidfModel:
     flat = np.fromiter(map(rank.__getitem__, itertools.chain.from_iterable(distinct)),
                        np.int64, lengths.sum())
     del rank
-    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(flat.size)  # tokens from here on
-    # one row per n-gram occurrence: each unigram, then each bigram, by
-    # where it starts; the bigram rows begin at ``n_unigrams``
-    n_unigrams = flat.size
-    start = np.concatenate([np.arange(n_unigrams), np.flatnonzero(left >= 2)])
-    del left
-    code = flat[start]
+    doc_ids = np.arange(len(distinct), dtype=np.int32)
+    bigram = np.flatnonzero(np.diff(np.repeat(doc_ids, lengths)) == 0)  # next token in the doc
+    # one code per n-gram occurrence: each unigram, then each bigram, by doc
+    code = np.concatenate([flat, flat[bigram]])
     code *= len(words)
-    code[n_unigrams:] += flat[start[n_unigrams:] + 1]
-    order = np.argsort(code, kind="stable")  # rows of equal codes stay by doc
-    code.sort()
-    new_gram = np.ones(code.size, bool)
-    np.not_equal(code[1:], code[:-1], out=new_gram[1:])
+    code[flat.size:] += flat[bigram + 1]
+    del flat, bigram
+    codes, gram = np.unique(code, return_inverse=True)
     del code
-    first = order[new_gram]  # each n-gram's first row
-    doc_of = np.repeat(np.arange(len(distinct)), lengths)[start[order]]
-    del order
-    first_start, first_size = start[first], 1 + (first >= n_unigrams)
-    del start, first
-    # the distinct (doc, n-gram) pairs, by n-gram, then doc, and their counts
-    new_pair = new_gram.copy()
-    new_pair[1:] |= doc_of[1:] != doc_of[:-1]
-    pair = np.flatnonzero(new_pair)
-    del new_pair
-    gram = np.cumsum(new_gram[pair]) - 1
-    del new_gram
-    count = np.diff(pair, append=doc_of.size)
-    doc_of = doc_of[pair]
+    # the distinct (doc, n-gram) pairs, by doc, then n-gram, and their counts
+    gram += np.multiply(np.concatenate([np.repeat(doc_ids, lengths),
+                                        np.repeat(doc_ids, np.maximum(lengths - 1, 0))]),
+                        codes.size, dtype=np.int64)
+    pair, count = np.unique(gram, return_counts=True)
+    doc_of, gram = np.divmod(pair, codes.size)
     del pair
     weight = np.fromiter(multiplicity.values(), float, len(distinct))[doc_of]
-    df = np.bincount(gram, weight, first_start.size)
-    chosen = _top_k(np.bincount(gram, weight * count, first_start.size), max_features)
+    df = np.bincount(gram, weight, codes.size)
+    chosen = _top_k(np.bincount(gram, weight * count, codes.size), max_features)
     del weight
-    terms = _joined(words, flat, first_start[chosen], first_size[chosen])
-    del flat, first_start, first_size, words
+    terms = [words[a] + " " + words[b] if b else words[a]
+             for a, b in np.transpose(np.divmod(codes[chosen], len(words))).tolist()]
+    del codes
     model = TfidfModel(dict(zip(terms, range(len(terms)))), df[chosen].astype(np.int64),
                        len(docs), max_features)
     column = np.full(df.size, -1, dtype=np.int32)
     column[chosen] = np.arange(chosen.size)
     kept = column[gram] >= 0
-    doc_of = doc_of[kept]
-    by_doc = np.argsort(doc_of, kind="stable")
-    cols = column[gram[kept][by_doc]]
-    counts = count[kept][by_doc].astype(float)
+    # the kept pairs first, so that the blocks below can take the freed
+    # space and the process can hand back the rest when the fit returns
+    gram, count, doc_of = gram[kept], count[kept], doc_of[kept]
+    cols, counts = column[gram], count.astype(float)
     cols.flags.writeable = counts.flags.writeable = False
     ends = np.cumsum(np.bincount(doc_of, minlength=len(distinct))).tolist()
     for doc, a, b in zip(distinct, [0] + ends, ends):
@@ -237,18 +232,6 @@ def _top_k(total: np.ndarray, k: int) -> np.ndarray:
     keep = total > cut
     keep[np.flatnonzero(total == cut)[:k - np.count_nonzero(keep)]] = True
     return np.flatnonzero(keep)
-
-
-def _joined(words: list[str], flat: np.ndarray, starts: np.ndarray,
-            sizes: np.ndarray) -> list[str]:
-    """The strings of the n-grams of ``sizes[i]`` tokens at ``starts[i]`` of
-    ``flat``: each token rank's word, joined by single spaces."""
-    by_rank = np.array(words, dtype=object)
-    terms = np.empty(starts.size, dtype=object)
-    for n in set(sizes.tolist()):
-        at = np.flatnonzero(sizes == n)
-        terms[at] = list(map(" ".join, zip(*(by_rank[flat[starts[at] + i]] for i in range(n)))))
-    return terms.tolist()
 
 
 def term_counts(model: TfidfModel, doc: TokenizedDoc) -> Counter[int]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from testkit import FIXTURES
 from issuetriage import cli, evalkit, labelmap, learn
 from issuetriage.agreement import DEFAULT_CATEGORIES, RatingMatrix, compute_agreement
 from issuetriage.corpus import FilterConfig, filter_corpus, load_corpus

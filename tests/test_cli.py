@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference_splits
-from conftest import FIXTURES, in_child
+from testkit import FIXTURES, in_child
 from issuetriage import cli, evalkit, ingest, labelmap, learn
 from issuetriage.corpus import load_corpus
 from test_ingest import ISSUES_URL, REPO, FakeTransport, hydration_routes, issue_doc

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import issuetriage
-from conftest import FIXTURES
+from testkit import FIXTURES
 from issuetriage import cli, ingest, labelmap, learn
 from issuetriage.corpus import Corpus, FilterConfig, load_corpus, save_corpus
 from issuetriage.decode import Table

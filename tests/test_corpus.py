@@ -16,7 +16,7 @@ from issuetriage.corpus import (
     parse_ts,
     save_corpus,
 )
-from conftest import T0, make_issue
+from testkit import T0, make_issue
 
 
 def corpus_of(*issues):

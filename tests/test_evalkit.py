@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_splits as ref
-from conftest import make_issue
+from testkit import make_issue
 from issuetriage import evalkit, labelmap, learn
 from issuetriage.corpus import Corpus
 from issuetriage.evalkit import (

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_features as ref
-from conftest import T0, make_issue
+from testkit import T0, make_issue
 from issuetriage import evalkit, features, labelmap, learn
 from issuetriage.corpus import CommentRecord, EventRecord, UserProfile
 from issuetriage.features import (
@@ -49,6 +49,21 @@ def dense_tfidf(model, d):
 
 def norm(values):
     return float(np.sqrt(np.sum(values ** 2)))
+
+
+# corpora for the fit against the reference: 7,000 distinct tokens, each
+# counted once, so the top k are the lexicographically smallest; and the
+# edges of the counting
+TOKENS_7000 = [f"w{i}" for i in range(7000)]
+random.Random(5).shuffle(TOKENS_7000)
+CORPORA = {
+    "7000-distinct-tokens": [doc(*TOKENS_7000[i:i + 700]) for i in range(0, 7000, 700)],
+    "empty-docs-among-others": [doc(), doc("a", "b"), doc(), doc("b", "a", "c"), doc()],
+    "only-empty-docs": [doc(), doc(), doc()],
+    "repeated-docs": [doc("a", "b"), doc("c"), doc("a", "b"), doc("a", "b"), doc("c", "a")],
+    "a-doc-repeating-a-bigram": [doc("a", "b", "a", "b", "a", "b"), doc("b", "a")],
+    "single-token-docs": [doc("b"), doc("a"), doc("b"), doc("c")],
+}
 
 
 class TestFitTfidf:
@@ -99,14 +114,11 @@ class TestFitTfidf:
         assert [c.tolist() for c in model.memo[docs[0]]] == [[0, 1, 2, 3], [1.0] * 4]
         assert [c.tolist() for c in model.memo[docs[1]]] == [[0], [1.0]]
 
-    def test_bigrams_over_many_tokens_keep_string_order(self):
-        """Unigrams and bigrams over 7,000 distinct tokens, each counted
-        once, so the top k are the lexicographically smallest."""
-        words = [f"w{i}" for i in range(7000)]
-        random.Random(5).shuffle(words)
-        docs = [doc(*words[i:i + 700]) for i in range(0, 7000, 700)]
-        model = fit_tfidf(docs, 1000)
-        assert_same_model(model, ref.fit_tfidf(docs, 1000), docs)
+    @pytest.mark.parametrize("max_features", [1, 2, 1000])
+    @pytest.mark.parametrize("name", CORPORA)
+    def test_fit_matches_reference(self, name, max_features):
+        docs = CORPORA[name]
+        assert_same_model(fit_tfidf(docs, max_features), ref.fit_tfidf(docs, max_features), docs)
 
     def test_ngrams_helper(self):
         assert ngrams(("a", "b", "c")) == ["a", "b", "c", "a b", "b c"]
@@ -527,8 +539,9 @@ class TestTfidfDecoder:
 
 def assert_same_model(model, reference, docs):
     """Vocabulary (and its order), document frequencies, idf and settings
-    equal, and a memo entry for each distinct doc equal in bytes to a fresh
-    lookup."""
+    equal, and a memo entry for each distinct doc, in the order first seen,
+    equal in bytes to a fresh lookup; the entries' column ids and their
+    counts each a view into one block for the whole fit, in that order."""
     assert model.vocabulary == reference.vocabulary
     assert list(model.vocabulary) == list(reference.vocabulary)
     assert (model.df.dtype, model.df.tobytes(), model.n_docs) == (
@@ -536,11 +549,15 @@ def assert_same_model(model, reference, docs):
     want = ref.idf(reference)
     assert (model.idf.dtype, model.idf.tobytes()) == (want.dtype, want.tobytes())
     assert model.max_features == reference.max_features
-    assert set(model.memo) == set(docs)
+    assert list(model.memo) == list(dict.fromkeys(docs))
     for d in docs:
         for got, want in zip(model.memo[d], ref.columns(reference, d)):
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
             assert not got.flags.writeable
+    for entries in zip(*model.memo.values()):  # the column ids, then the counts
+        block = entries[0].base
+        assert all(e.base is block for e in entries)
+        assert np.concatenate(entries).tobytes() == block.tobytes()
 
 
 def assert_same_rows(X, Y):

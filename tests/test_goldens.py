@@ -25,7 +25,7 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from testkit import FIXTURES
 from issuetriage import cli
 
 MADE_WITH = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}

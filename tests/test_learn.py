@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_child, make_issue, wait_for
+from testkit import in_child, make_issue, wait_for
 from issuetriage import cli, evalkit, learn
 from issuetriage.corpus import PriorityClass, SettingError
 from issuetriage.decode import Field, Table
@@ -1030,7 +1030,7 @@ class TestRankBaseline:
 
     def test_oldest_marks_older_high(self):
         from datetime import timedelta
-        from conftest import T0
+        from testkit import T0
         issues = [make_issue(id="old", created_at=T0),
                   make_issue(id="new", created_at=T0 + timedelta(days=60))]
         got = rank_baseline(issues, "created_at")

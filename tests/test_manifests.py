@@ -20,7 +20,7 @@ import json
 import shutil
 from pathlib import Path
 
-from conftest import FIXTURES
+from testkit import FIXTURES
 from issuetriage import cli, ingest
 from test_goldens import GOLDEN_SHA256, MADE_WITH, TRAIN_CONFIG, _builds
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from testkit import FIXTURES
 from issuetriage import textnorm
 from issuetriage.evalkit import ModelSpec, cross_validate, labeled_issues, train_pipeline
 from issuetriage.features import DESC_MAX_FEATURES, TITLE_MAX_FEATURES, fit_feature_pipeline
